@@ -6,17 +6,20 @@
 //! once and, on re-prediction, recomputes only the **dirty frontier** —
 //! the contiguous node span whose structural signatures changed — splicing
 //! the recorded prefix clock state back in and reusing the baseline's
-//! per-node cost bundles for the unchanged suffix.
+//! per-node costs for the unchanged suffix.
 //!
 //! ## Why the result is bitwise identical to a full walk
 //!
-//! * Per-node cost bundles ([`NodeCosts`]) are pure functions of a node's
-//!   structural signature (op, stream, input/output tensor ids + metadata)
-//!   and the predictor's frozen registry/overheads. Equal signatures ⇒
-//!   bitwise-equal bundles, so reusing a baseline bundle is invisible.
-//! * The clock arithmetic lives in one place — [`WalkState::step`] — used
-//!   by both the full and the incremental walk, so the incremental path
-//!   replays the *same float operation sequence* over the same values.
+//! * A node's priced costs — its launch overheads and its kernels'
+//!   predicted values, staged flat by the walk's pricing half — are pure
+//!   functions of its structural signature (op, stream, input/output
+//!   tensor ids + metadata) and the predictor's frozen
+//!   registry/overheads. Equal signatures ⇒ bitwise-equal costs, so
+//!   reusing a baseline node's costs is invisible.
+//! * Pricing and stepping live in one place each — the walk's
+//!   `stage` and `step` halves on [`E2ePredictor`] — used by both the full
+//!   and the incremental walk, so the incremental path replays the *same
+//!   float operation sequence* over the same values.
 //! * Prefix state is not re-derived arithmetically (float addition is not
 //!   shift-invariant); it is **replayed** from recorded post-step scalars
 //!   and the recorded stream/tensor writes, reproducing the exact bits the
@@ -33,13 +36,13 @@
 //! exactly the full batch walk — correct, merely not faster — and reports
 //! `full_fallback`.
 
-use dlperf_graph::lower::{self, LowerError};
-use dlperf_graph::{common_affix, Graph};
-use dlperf_gpusim::KernelSpec;
-use dlperf_kernels::{Confidence, MemoCache, MemoScratch};
-use dlperf_nn::arena::ScratchArena;
+use std::ops::Range;
 
-use crate::predictor::{E2ePredictor, NodeCosts, Prediction, WalkScratch, WalkState};
+use dlperf_graph::lower::LowerError;
+use dlperf_graph::{common_affix, Graph};
+use dlperf_kernels::{Confidence, MemoCache};
+
+use crate::predictor::{E2ePredictor, Overheads, PredictError, Prediction, WalkScratch, WalkState};
 
 /// What one incremental re-prediction did, for observability and bench
 /// accounting. All node counts refer to the *new* graph.
@@ -122,8 +125,13 @@ pub struct IncrementalPredictor {
     base: Graph,
     /// Structural signatures of the baseline nodes (from the graph index).
     sigs: Vec<u64>,
-    /// Priced cost bundle of every baseline node.
-    costs: Vec<NodeCosts>,
+    /// Launch overheads of every baseline node.
+    oh: Vec<Overheads>,
+    /// Each baseline node's span into `values`.
+    ranges: Vec<Range<usize>>,
+    /// Predicted `(time, confidence)` of every baseline kernel, in node
+    /// order.
+    values: Vec<(f64, Confidence)>,
     /// CPU clock after each step.
     cpu_after: Vec<f64>,
     /// GPU active sum after each step.
@@ -168,37 +176,44 @@ impl IncrementalPredictor {
         base: Graph,
         cache: Option<&MemoCache>,
     ) -> Result<Self, LowerError> {
-        let costs = predictor.node_costs_batch(&base, |specs| eval(&predictor, cache, specs))?;
+        let mut scratch = WalkScratch::new();
+        predictor
+            .stage(&base, 0..base.node_count(), cache, None, &mut scratch)
+            .map_err(PredictError::uncancelled)?;
+        let WalkScratch { oh, ranges, values, mut state, .. } = scratch;
         let n = base.node_count();
-        let mut state = WalkState::new();
         let mut cpu_after = Vec::with_capacity(n);
         let mut active_after = Vec::with_capacity(n);
         let mut degraded_after = Vec::with_capacity(n);
         let mut stream_after = Vec::with_capacity(n);
         let mut ready_val = Vec::with_capacity(n);
-        for (node, c) in base.nodes().iter().zip(&costs) {
-            state.step(node, c, predictor.kernel_gap(), predictor.launch());
-            cpu_after.push(state.cpu);
-            active_after.push(state.active);
-            degraded_after.push(state.degraded);
-            if c.kernels.is_empty() {
-                stream_after.push(None);
-                ready_val.push(state.cpu);
-            } else {
-                let clock = state
-                    .stream_clock(node.stream)
-                    .expect("a kernel-launching node touches its stream");
-                stream_after.push(Some((node.stream, clock)));
-                ready_val.push(clock);
-            }
-        }
+        predictor
+            .step(base.nodes(), &oh, &ranges, &values, None, &mut state, |i, after| {
+                cpu_after.push(after.cpu);
+                active_after.push(after.active);
+                degraded_after.push(after.degraded);
+                if ranges[i].is_empty() {
+                    stream_after.push(None);
+                    ready_val.push(after.cpu);
+                } else {
+                    let stream = base.nodes()[i].stream;
+                    let clock = after
+                        .stream_clock(stream)
+                        .expect("a kernel-launching node touches its stream");
+                    stream_after.push(Some((stream, clock)));
+                    ready_val.push(clock);
+                }
+            })
+            .map_err(PredictError::uncancelled)?;
         let prediction = state.finish();
         let sigs = base.index().signatures().to_vec();
         Ok(IncrementalPredictor {
             predictor,
             base,
             sigs,
-            costs,
+            oh,
+            ranges,
+            values,
             cpu_after,
             active_after,
             degraded_after,
@@ -280,34 +295,23 @@ impl IncrementalPredictor {
         }
 
         // Lower and price the dirty frontier in one batched evaluation.
-        scratch.specs.clear();
-        scratch.ranges.clear();
-        scratch.oh.clear();
-        scratch.values.clear();
-        for node in &graph.nodes()[prefix..dirty_end] {
-            let start = scratch.specs.len();
-            scratch.specs.extend(lower::try_kernels(graph, node)?);
-            scratch.ranges.push(start..scratch.specs.len());
-            scratch.oh.push(self.predictor.overheads_of(node.op.overhead_key()));
-        }
-        eval_into(
-            &self.predictor,
-            cache,
-            &scratch.specs,
-            &mut scratch.memo,
-            &mut scratch.arena,
-            &mut scratch.values,
-        );
+        self.predictor
+            .stage(graph, prefix..dirty_end, cache, None, scratch)
+            .map_err(PredictError::uncancelled)?;
 
         // Replay the recorded prefix state, then walk the dirty span.
         self.state_at_into(prefix, &mut scratch.state);
-        let gap = self.predictor.kernel_gap();
-        let launch = self.predictor.launch();
-        for ((node, r), oh) in
-            graph.nodes()[prefix..dirty_end].iter().zip(&scratch.ranges).zip(&scratch.oh)
-        {
-            scratch.state.step_parts(node, oh, &scratch.values[r.clone()], gap, launch);
-        }
+        self.predictor
+            .step(
+                &graph.nodes()[prefix..dirty_end],
+                &scratch.oh,
+                &scratch.ranges,
+                &scratch.values,
+                None,
+                &mut scratch.state,
+                |_, _| {},
+            )
+            .map_err(PredictError::uncancelled)?;
 
         if suffix > 0 {
             // Splice: if the state at the suffix boundary reconverged to the
@@ -319,11 +323,20 @@ impl IncrementalPredictor {
                 stats.record();
                 return Ok((self.prediction, stats));
             }
-            // Otherwise walk the suffix, reusing its baseline cost bundles
-            // (pure in the unchanged signatures).
-            for (j, node) in graph.nodes().iter().enumerate().skip(dirty_end) {
-                scratch.state.step(node, &self.costs[j + n_base - n_new], gap, launch);
-            }
+            // Otherwise walk the suffix, reusing its baseline costs (pure
+            // in the unchanged signatures).
+            let first = n_base - suffix;
+            self.predictor
+                .step(
+                    &graph.nodes()[dirty_end..],
+                    &self.oh[first..],
+                    &self.ranges[first..],
+                    &self.values,
+                    None,
+                    &mut scratch.state,
+                    |_, _| {},
+                )
+                .map_err(PredictError::uncancelled)?;
         }
         stats.record();
         Ok((scratch.state.finish(), stats))
@@ -391,35 +404,6 @@ fn splice_matches(
         }
     }
     true
-}
-
-/// Batched kernel evaluation, memoized when a cache is supplied — the one
-/// evaluator both the baseline build and the dirty frontier use.
-fn eval(
-    predictor: &E2ePredictor,
-    cache: Option<&MemoCache>,
-    specs: &[KernelSpec],
-) -> Vec<(f64, Confidence)> {
-    match cache {
-        Some(c) => predictor.registry().predict_batch_memoized(c, specs),
-        None => predictor.registry().predict_batch_with_confidence(specs),
-    }
-}
-
-/// The scratch-staged form of [`eval`]: appends predictions to `out`
-/// through the caller's memo staging and arena instead of allocating.
-fn eval_into(
-    predictor: &E2ePredictor,
-    cache: Option<&MemoCache>,
-    specs: &[KernelSpec],
-    memo: &mut MemoScratch,
-    arena: &mut ScratchArena,
-    out: &mut Vec<(f64, Confidence)>,
-) {
-    match cache {
-        Some(c) => predictor.registry().predict_batch_memoized_into(c, specs, memo, arena, out),
-        None => predictor.registry().predict_batch_with_confidence_into(specs, arena, out),
-    }
 }
 
 #[cfg(test)]

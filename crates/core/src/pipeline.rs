@@ -21,7 +21,7 @@ use dlperf_trace::engine::{EngineError, ExecutionEngine};
 use dlperf_trace::{OverheadStats, Trace};
 use serde::{Deserialize, Serialize};
 
-use crate::predictor::{E2ePredictor, Prediction};
+use crate::predictor::{E2ePredictor, PredictError, Prediction};
 
 /// Errors raised by the resilient analysis track.
 #[derive(Debug, Clone, PartialEq)]
@@ -335,35 +335,10 @@ impl Pipeline {
 
     /// Predicts with the shared overhead database, answering kernel-model
     /// queries from `cache` (which must be dedicated to this pipeline —
-    /// cache keys do not include the device).
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_memoized(
-        &self,
-        graph: &Graph,
-        cache: &dlperf_kernels::MemoCache,
-    ) -> Result<Prediction, LowerError> {
-        self.predictor.predict_memoized(graph, cache)
-    }
-
-    /// Scratch-backed forms of [`Pipeline::predict`] /
-    /// [`Pipeline::predict_memoized`]: every intermediate lives in
-    /// `scratch` (see [`crate::predictor::WalkScratch`]), so steady-state
-    /// repeated predictions allocate nothing. Bitwise identical to the
-    /// owning paths.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_scratch(
-        &self,
-        graph: &Graph,
-        scratch: &mut crate::predictor::WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predictor.predict_scratch(graph, scratch)
-    }
-
-    /// See [`Pipeline::predict_scratch`].
+    /// cache keys do not include the device) and staging every
+    /// intermediate in `scratch`: an uncancellable
+    /// [`E2ePredictor::walk`]. Bitwise identical to
+    /// [`Pipeline::predict`].
     ///
     /// # Errors
     /// Returns a [`LowerError`] on malformed graphs.
@@ -373,24 +348,7 @@ impl Pipeline {
         cache: &dlperf_kernels::MemoCache,
         scratch: &mut crate::predictor::WalkScratch,
     ) -> Result<Prediction, LowerError> {
-        self.predictor.predict_memoized_scratch(graph, cache, scratch)
-    }
-
-    /// Like [`Pipeline::predict_memoized`], but honouring a cancellation
-    /// token between op steps (see
-    /// [`E2ePredictor::predict_memoized_cancellable`]); a completed run is
-    /// bitwise identical to the non-cancellable path.
-    ///
-    /// # Errors
-    /// [`crate::predictor::PredictError`] on malformed graphs or when the
-    /// token fired mid-walk.
-    pub fn predict_memoized_cancellable(
-        &self,
-        graph: &Graph,
-        cache: &dlperf_kernels::MemoCache,
-        token: &dlperf_runtime::CancellationToken,
-    ) -> Result<Prediction, crate::predictor::PredictError> {
-        self.predictor.predict_memoized_cancellable(graph, cache, token)
+        self.predictor.walk(graph, Some(cache), None, scratch).map_err(PredictError::uncancelled)
     }
 
     /// Predicts with the workload's individual overheads when available,

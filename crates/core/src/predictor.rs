@@ -13,6 +13,8 @@
 //! data dependencies (from the execution graph), both of which degenerate
 //! to Algorithm 1 on single-stream graphs.
 
+use std::ops::Range;
+
 use dlperf_graph::lower::{self, LowerError};
 use dlperf_graph::{Graph, Node, TensorId};
 use dlperf_gpusim::KernelSpec;
@@ -23,7 +25,7 @@ use dlperf_runtime::CancellationToken;
 use dlperf_trace::{OverheadStats, OverheadType};
 use serde::{Deserialize, Serialize};
 
-/// Why a cancellable prediction did not produce a value.
+/// Why a walk did not produce a value.
 #[derive(Debug)]
 pub enum PredictError {
     /// The graph failed to lower (malformed shapes).
@@ -43,6 +45,21 @@ impl std::fmt::Display for PredictError {
 }
 
 impl std::error::Error for PredictError {}
+
+impl PredictError {
+    /// The lowering error of a walk run without a cancellation token —
+    /// the only way such a walk can fail.
+    ///
+    /// # Panics
+    /// Panics on [`PredictError::Cancelled`], which a token-less walk
+    /// never returns.
+    pub fn uncancelled(self) -> LowerError {
+        match self {
+            PredictError::Lower(e) => e,
+            PredictError::Cancelled => unreachable!("no cancellation token supplied"),
+        }
+    }
+}
 
 impl From<LowerError> for PredictError {
     fn from(e: LowerError) -> Self {
@@ -214,106 +231,90 @@ impl E2ePredictor {
         }
     }
 
-    /// The inter-kernel device gap (for the incremental walk).
-    pub(crate) fn kernel_gap(&self) -> f64 {
-        self.kernel_gap_us
-    }
-
-    /// The launch-point factor (for the incremental walk).
-    pub(crate) fn launch(&self) -> f64 {
-        self.launch_factor
-    }
-
-    /// Predicts the per-batch training time of `graph` (Algorithm 1).
+    /// Predicts the per-batch training time of `graph` (Algorithm 1): one
+    /// [`E2ePredictor::walk`] on a fresh scratch, with no memo cache and no
+    /// cancellation token.
     ///
     /// # Errors
     /// Returns a [`LowerError`] if an op's tensor shapes are inconsistent.
     pub fn predict(&self, graph: &Graph) -> Result<Prediction, LowerError> {
-        self.predict_with_batch(graph, |specs| self.registry.predict_batch_with_confidence(specs))
+        self.walk(graph, None, None, &mut WalkScratch::new()).map_err(PredictError::uncancelled)
     }
 
-    /// Like [`E2ePredictor::predict`], but answering kernel-model queries
-    /// from `cache` when possible (see [`MemoCache`] for why a hit is
-    /// bitwise identical to a model evaluation). The cache must be
-    /// dedicated to this predictor's registry.
+    /// The Algorithm 1 walk, the one entry point every graph prediction
+    /// goes through, in two halves: lower and batch-price every node's
+    /// kernels, then step the clocks node by node.
     ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_memoized(
-        &self,
-        graph: &Graph,
-        cache: &MemoCache,
-    ) -> Result<Prediction, LowerError> {
-        self.predict_with_batch(graph, |specs| self.registry.predict_batch_memoized(cache, specs))
-    }
-
-    /// Like [`E2ePredictor::predict_memoized`], but checking `token`
-    /// between op steps: a cancellation (deadline watchdog, shutdown) is
-    /// observed within one node's lowering or stepping and surfaces as
-    /// [`PredictError::Cancelled`]. A run that completes is bitwise
-    /// identical to the non-cancellable path — the checks read, never
-    /// write, the walk state.
+    /// * `cache` answers kernel-model queries from a [`MemoCache`] when
+    ///   possible (a hit is bitwise identical to a model evaluation); it
+    ///   must be dedicated to this predictor's registry.
+    /// * `cancel` is checked once per node in both halves, so a deadline
+    ///   expiring mid-walk is observed within one op step and surfaces as
+    ///   [`PredictError::Cancelled`]. The checks read, never write, the
+    ///   walk state: a walk that completes is bitwise identical to one run
+    ///   without a token.
+    /// * `scratch` stages every intermediate — kernel specs, per-node
+    ///   ranges and overheads, predicted values, the clocks and the MLP
+    ///   forward buffers. After the first walk on a scratch, walks of
+    ///   graphs no larger than its high-water mark perform **zero** heap
+    ///   allocation. A cancelled walk leaves the scratch reusable.
     ///
     /// # Errors
     /// [`PredictError::Lower`] on malformed graphs,
     /// [`PredictError::Cancelled`] when the token fired first.
-    pub fn predict_memoized_cancellable(
-        &self,
-        graph: &Graph,
-        cache: &MemoCache,
-        token: &CancellationToken,
-    ) -> Result<Prediction, PredictError> {
-        self.predict_with_batch_inner(graph, Some(token), |specs| {
-            self.registry.predict_batch_memoized(cache, specs)
-        })
-    }
-
-    /// Like [`E2ePredictor::predict`], but staging every intermediate —
-    /// kernel specs, per-node ranges and overheads, predicted values, the
-    /// walk state itself, and the MLP forward buffers — in `scratch`.
-    /// After the first call on a scratch, subsequent walks of graphs no
-    /// larger than the high-water mark perform **zero** heap allocation.
-    /// Bitwise identical to [`E2ePredictor::predict`]: same lowering
-    /// order, same batched evaluation, same frozen stepping sequence.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_scratch(
-        &self,
-        graph: &Graph,
-        scratch: &mut WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predict_scratch_inner(graph, None, scratch)
-    }
-
-    /// The scratch-backed form of [`E2ePredictor::predict_memoized`]:
-    /// memo-cache probing reuses `scratch`'s key/slot staging, misses are
-    /// evaluated through its arena, and the walk steps straight out of its
-    /// flat values vec. Bitwise identical to the owning path.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_memoized_scratch(
-        &self,
-        graph: &Graph,
-        cache: &MemoCache,
-        scratch: &mut WalkScratch,
-    ) -> Result<Prediction, LowerError> {
-        self.predict_scratch_inner(graph, Some(cache), scratch)
-    }
-
-    fn predict_scratch_inner(
+    pub fn walk(
         &self,
         graph: &Graph,
         cache: Option<&MemoCache>,
+        cancel: Option<&CancellationToken>,
         scratch: &mut WalkScratch,
-    ) -> Result<Prediction, LowerError> {
+    ) -> Result<Prediction, PredictError> {
         let _span = dlperf_obs::span("walk", dlperf_obs::SpanKind::Work);
+        self.stage(graph, 0..graph.node_count(), cache, cancel, scratch)?;
+        scratch.state.reset();
+        self.step(
+            graph.nodes(),
+            &scratch.oh,
+            &scratch.ranges,
+            &scratch.values,
+            cancel,
+            &mut scratch.state,
+            |_, _| {},
+        )?;
+        let counters = walk_counters();
+        counters.walks.incr();
+        counters.nodes.add(graph.node_count() as u64);
+        Ok(scratch.state.finish())
+    }
+
+    /// The pricing half of the walk: lowers `graph.nodes()[nodes]` into
+    /// `scratch.specs` / `ranges` / `oh` and prices every kernel in **one**
+    /// batched registry call into `scratch.values`, memoized through
+    /// `cache` when one is given. The batch spans the whole node range (in
+    /// node order), which lets the registry batch per-family MLP inference
+    /// and memo-cache traffic instead of going kernel by kernel. Shared by
+    /// the full walk and the incremental predictor's baseline and dirty
+    /// frontier.
+    ///
+    /// # Errors
+    /// [`PredictError::Lower`] on a malformed node,
+    /// [`PredictError::Cancelled`] when `cancel` fired before a node.
+    pub(crate) fn stage(
+        &self,
+        graph: &Graph,
+        nodes: Range<usize>,
+        cache: Option<&MemoCache>,
+        cancel: Option<&CancellationToken>,
+        scratch: &mut WalkScratch,
+    ) -> Result<(), PredictError> {
         scratch.specs.clear();
         scratch.ranges.clear();
         scratch.oh.clear();
         scratch.values.clear();
-        for node in graph.nodes() {
+        for node in &graph.nodes()[nodes] {
+            if cancel.is_some_and(CancellationToken::is_cancelled) {
+                return Err(PredictError::Cancelled);
+            }
             let start = scratch.specs.len();
             scratch.specs.extend(lower::try_kernels(graph, node)?);
             scratch.ranges.push(start..scratch.specs.len());
@@ -333,25 +334,44 @@ impl E2ePredictor {
                 &mut scratch.values,
             ),
         }
-        scratch.state.reset();
-        for ((node, r), oh) in graph.nodes().iter().zip(&scratch.ranges).zip(&scratch.oh) {
-            scratch.state.step_parts(
-                node,
-                oh,
-                &scratch.values[r.clone()],
-                self.kernel_gap_us,
-                self.launch_factor,
-            );
+        Ok(())
+    }
+
+    /// The stepping half of the walk: advances `state` over `nodes`, node
+    /// `i` priced by `oh[i]` and the kernel values `values[ranges[i]]`
+    /// (ranges index `values` absolutely, so a caller may pass a tail of a
+    /// staged range). `after(i, state)` observes the state after each node
+    /// — the incremental baseline records its checkpoints there. Shared by
+    /// the full and the incremental walk, so the two cannot drift.
+    ///
+    /// # Errors
+    /// [`PredictError::Cancelled`] when `cancel` fired before a node.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn step(
+        &self,
+        nodes: &[Node],
+        oh: &[Overheads],
+        ranges: &[Range<usize>],
+        values: &[(f64, Confidence)],
+        cancel: Option<&CancellationToken>,
+        state: &mut WalkState,
+        mut after: impl FnMut(usize, &WalkState),
+    ) -> Result<(), PredictError> {
+        for (i, ((node, oh), r)) in nodes.iter().zip(oh).zip(ranges).enumerate() {
+            if cancel.is_some_and(CancellationToken::is_cancelled) {
+                return Err(PredictError::Cancelled);
+            }
+            state.step(node, oh, &values[r.clone()], self.kernel_gap_us, self.launch_factor);
+            after(i, state);
         }
-        let counters = walk_counters();
-        counters.walks.incr();
-        counters.nodes.add(graph.node_count() as u64);
-        Ok(scratch.state.finish())
+        Ok(())
     }
 
     /// The five launch overheads of one op key. Pure in `op_key` given the
-    /// predictor's frozen overhead database and policies.
-    pub(crate) fn overheads_of(&self, op_key: &str) -> Overheads {
+    /// predictor's frozen overhead database and policies — two
+    /// structurally identical nodes get bitwise identical overheads, the
+    /// property incremental re-prediction's prefix/suffix reuse rests on.
+    fn overheads_of(&self, op_key: &str) -> Overheads {
         Overheads {
             t1: self.overhead(op_key, OverheadType::T1),
             t2: self.overhead(op_key, OverheadType::T2),
@@ -361,119 +381,18 @@ impl E2ePredictor {
         }
     }
 
-    /// Assembles the cost bundle of one node from its op key and the
-    /// already-evaluated kernel times. Pure in `(op key, kernels)`: two
-    /// structurally identical nodes get bitwise identical bundles, the
-    /// property incremental re-prediction's prefix/suffix reuse rests on.
-    pub(crate) fn node_cost(&self, op_key: &str, kernels: Vec<(f64, Confidence)>) -> NodeCosts {
-        NodeCosts { oh: self.overheads_of(op_key), kernels }
-    }
-
-    /// Lowers every node and prices all kernels in **one** evaluator call:
-    /// the evaluator sees the concatenated kernel list of the whole graph
-    /// (in node order), which lets it batch per-family MLP inference and
-    /// memo-cache traffic instead of going kernel by kernel.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub(crate) fn node_costs_batch(
-        &self,
-        graph: &Graph,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Vec<NodeCosts>, LowerError> {
-        match self.node_costs_batch_inner(graph, None, eval) {
-            Ok(costs) => Ok(costs),
-            Err(PredictError::Lower(e)) => Err(e),
-            Err(PredictError::Cancelled) => unreachable!("no cancellation token supplied"),
-        }
-    }
-
-    fn node_costs_batch_inner(
-        &self,
-        graph: &Graph,
-        token: Option<&CancellationToken>,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Vec<NodeCosts>, PredictError> {
-        let mut specs: Vec<KernelSpec> = Vec::new();
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(graph.node_count());
-        for node in graph.nodes() {
-            if token.is_some_and(|t| t.is_cancelled()) {
-                return Err(PredictError::Cancelled);
-            }
-            let start = specs.len();
-            specs.extend(lower::try_kernels(graph, node)?);
-            ranges.push(start..specs.len());
-        }
-        let mut values = eval(&specs).into_iter();
-        Ok(graph
-            .nodes()
-            .iter()
-            .zip(ranges)
-            .map(|(node, r)| {
-                let kernels: Vec<(f64, Confidence)> = values.by_ref().take(r.len()).collect();
-                self.node_cost(node.op.overhead_key(), kernels)
-            })
-            .collect())
-    }
-
-    /// The Algorithm 1 walk in two phases: lower + batch-evaluate every
-    /// kernel, then step the clocks node by node. The stepping arithmetic
-    /// lives in [`WalkState::step`], shared with the incremental predictor
-    /// so the two paths cannot drift.
-    fn predict_with_batch(
-        &self,
-        graph: &Graph,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Prediction, LowerError> {
-        match self.predict_with_batch_inner(graph, None, eval) {
-            Ok(p) => Ok(p),
-            Err(PredictError::Lower(e)) => Err(e),
-            Err(PredictError::Cancelled) => unreachable!("no cancellation token supplied"),
-        }
-    }
-
-    /// The walk with an optional cancellation token checked once per node
-    /// in both phases, so a deadline expiring mid-walk is observed within
-    /// one op step.
-    fn predict_with_batch_inner(
-        &self,
-        graph: &Graph,
-        token: Option<&CancellationToken>,
-        eval: impl FnOnce(&[KernelSpec]) -> Vec<(f64, Confidence)>,
-    ) -> Result<Prediction, PredictError> {
-        let _span = dlperf_obs::span("walk", dlperf_obs::SpanKind::Work);
-        let costs = self.node_costs_batch_inner(graph, token, eval)?;
-        let mut state = WalkState::new();
-        for (node, c) in graph.nodes().iter().zip(&costs) {
-            if token.is_some_and(|t| t.is_cancelled()) {
-                return Err(PredictError::Cancelled);
-            }
-            state.step(node, c, self.kernel_gap_us, self.launch_factor);
-        }
-        let counters = walk_counters();
-        counters.walks.incr();
-        counters.nodes.add(graph.node_count() as u64);
-        Ok(state.finish())
-    }
-
     /// Predicted GPU active time alone (the sum of kernel predictions) —
     /// the paper's `kernel_only` baseline quantity.
     ///
     /// # Errors
     /// Returns a [`LowerError`] on malformed graphs.
     pub fn predict_active(&self, graph: &Graph) -> Result<f64, LowerError> {
-        let mut total = 0.0;
-        for node in graph.nodes() {
-            for k in lower::try_kernels(graph, node)? {
-                total += self.registry.predict_with_confidence(&k).0;
-            }
-        }
-        Ok(total)
+        self.predict(graph).map(|p| p.active_us)
     }
 }
 
-/// The five launch overheads of one node, `Copy` so scratch paths can
-/// stage them in a flat reusable vec with no per-node allocation.
+/// The five launch overheads of one node, `Copy` so the walk can stage
+/// them in a flat reusable vec with no per-node allocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Overheads {
     pub(crate) t1: f64,
@@ -483,29 +402,23 @@ pub(crate) struct Overheads {
     pub(crate) t5: f64,
 }
 
-/// The priced cost bundle of one node: its five launch overheads and the
-/// predicted `(time, confidence)` of each kernel it launches, in launch
-/// order. Pure in the node's structural signature — which is why the
-/// incremental predictor may reuse a baseline node's bundle verbatim for
-/// any structurally identical node.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct NodeCosts {
-    pub(crate) oh: Overheads,
-    pub(crate) kernels: Vec<(f64, Confidence)>,
-}
-
 /// Reusable scratch for repeated Algorithm-1 walks: every container a walk
-/// touches, kept at high-water capacity across calls. One scratch serves
-/// one walk at a time (methods take `&mut`); a sweep worker owns one and
-/// reuses it for every scenario it prices, which is what makes the
-/// steady-state sweep hot path allocation-free. Dropping a scratch simply
-/// frees the buffers — there is no state that must be flushed.
+/// touches, kept at high-water capacity across calls. [`E2ePredictor::walk`]
+/// is the one entry point that fills it (the incremental predictor's
+/// [`crate::incremental::IncrementalPredictor::repredict_scratch`] reuses
+/// the same staging). One scratch serves one walk at a time (methods take
+/// `&mut`); a sweep or serve worker owns one and reuses it for everything
+/// it prices, which is what makes the steady-state hot path
+/// allocation-free. Every walk resets what it touches, so a walk that was
+/// cancelled or failed part-way leaves the scratch reusable. Dropping a
+/// scratch simply frees the buffers — there is no state that must be
+/// flushed.
 #[derive(Debug, Default)]
 pub struct WalkScratch {
     /// Concatenated kernel specs of the whole graph, in node order.
     pub(crate) specs: Vec<KernelSpec>,
     /// Per-node span into `specs` / `values`.
-    pub(crate) ranges: Vec<std::ops::Range<usize>>,
+    pub(crate) ranges: Vec<Range<usize>>,
     /// Predicted `(time, confidence)` per kernel, parallel to `specs`.
     pub(crate) values: Vec<(f64, Confidence)>,
     /// Per-node launch overheads, parallel to `ranges`.
@@ -541,9 +454,11 @@ impl WalkScratch {
 pub(crate) const NOT_READY: f64 = f64::NEG_INFINITY;
 
 /// The mutable clock state of an Algorithm 1 walk. [`WalkState::step`] is
-/// the *only* place the stepping arithmetic exists; the full predictor and
-/// the incremental predictor both drive it, which is what makes incremental
-/// re-prediction bitwise identical to a fresh walk by construction.
+/// the *only* place the stepping arithmetic exists, and
+/// [`E2ePredictor::step`] the only loop that drives it; the full predictor
+/// and the incremental predictor both go through that loop, which is what
+/// makes incremental re-prediction bitwise identical to a fresh walk by
+/// construction.
 ///
 /// The containers are deliberately flat — a linear-scanned vec for the
 /// handful of streams and a [`TensorId`]-indexed table for readiness —
@@ -565,16 +480,6 @@ pub(crate) struct WalkState {
 }
 
 impl WalkState {
-    pub(crate) fn new() -> Self {
-        WalkState {
-            cpu: 0.0,
-            streams: Vec::new(),
-            tensor_ready: Vec::new(),
-            active: 0.0,
-            degraded: 0,
-        }
-    }
-
     /// Returns the state to the fresh-walk initial value while keeping the
     /// stream and tensor-ready container capacities, so a reused state
     /// walks subsequent graphs without reallocating. A reset state is
@@ -618,19 +523,12 @@ impl WalkState {
             .filter(|&b| b != NOT_READY.to_bits())
     }
 
-    /// Advances the clocks over one node. The float operation sequence is
-    /// frozen: any reordering (even an algebraically neutral one) changes
-    /// low bits and breaks the determinism contract pinned by the golden
-    /// snapshots.
-    pub(crate) fn step(&mut self, node: &Node, costs: &NodeCosts, gap_us: f64, launch_factor: f64) {
-        self.step_parts(node, &costs.oh, &costs.kernels, gap_us, launch_factor);
-    }
-
-    /// [`WalkState::step`] with the cost bundle passed as parts — overheads
-    /// plus a borrowed kernel slice — so scratch-backed walks can step
-    /// straight out of a flat reusable values vec without assembling
-    /// per-node [`NodeCosts`]. Same float operation sequence, bitwise.
-    pub(crate) fn step_parts(
+    /// Advances the clocks over one node: its launch overheads `oh` plus
+    /// the predicted `(time, confidence)` of each kernel it launches, in
+    /// launch order. The float operation sequence is frozen: any
+    /// reordering (even an algebraically neutral one) changes low bits and
+    /// breaks the determinism contract pinned by the golden snapshots.
+    pub(crate) fn step(
         &mut self,
         node: &Node,
         oh: &Overheads,
@@ -742,6 +640,7 @@ mod tests {
     fn active_prediction_within_band() {
         let (g, pred, _, measured_active) = setup(512);
         let active = pred.predict_active(&g).unwrap();
+        assert_eq!(active.to_bits(), pred.predict(&g).unwrap().active_us.to_bits());
         let err = ((active - measured_active) / measured_active).abs();
         assert!(
             err < 0.25,
@@ -798,17 +697,18 @@ mod tests {
     }
 
     #[test]
-    fn cancellable_path_matches_plain_bitwise_and_observes_token() {
+    fn cancellable_walk_matches_plain_bitwise_and_observes_token() {
         let (g, pred, _, _) = setup(256);
         let cache = MemoCache::new();
         let token = CancellationToken::new();
-        let plain = pred.predict_memoized(&g, &MemoCache::new()).unwrap();
-        let cancellable = pred.predict_memoized_cancellable(&g, &cache, &token).unwrap();
+        let plain = pred.predict(&g).unwrap();
+        let cancellable =
+            pred.walk(&g, Some(&cache), Some(&token), &mut WalkScratch::new()).unwrap();
         assert_eq!(plain.e2e_us.to_bits(), cancellable.e2e_us.to_bits());
         assert_eq!(plain, cancellable);
 
         token.cancel();
-        match pred.predict_memoized_cancellable(&g, &cache, &token) {
+        match pred.walk(&g, Some(&cache), Some(&token), &mut WalkScratch::new()) {
             Err(PredictError::Cancelled) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }
@@ -816,35 +716,80 @@ mod tests {
 
     #[test]
     fn token_fired_mid_walk_is_observed_within_one_step() {
-        // Cancel from inside the kernel evaluator — i.e. after lowering,
-        // before the first clock step — and require the typed error: the
-        // stepping loop must notice the flag at its very next iteration.
+        // Cancel between the halves — after lowering and pricing, before
+        // the first clock step — and require the typed error: the
+        // stepping loop must notice the flag at its very first node.
         let (g, pred, _, _) = setup(256);
         let token = CancellationToken::new();
-        let result = pred.predict_with_batch_inner(&g, Some(&token), |specs| {
-            token.cancel();
-            pred.registry().predict_batch_with_confidence(specs)
-        });
+        let mut scratch = WalkScratch::new();
+        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch).unwrap();
+        token.cancel();
+        let mut stepped = 0;
+        let result = pred.step(
+            g.nodes(),
+            &scratch.oh,
+            &scratch.ranges,
+            &scratch.values,
+            Some(&token),
+            &mut scratch.state,
+            |_, _| stepped += 1,
+        );
         match result {
             Err(PredictError::Cancelled) => {}
             other => panic!("expected Cancelled, got {other:?}"),
         }
+        assert_eq!(stepped, 0, "no node may step after the token fired");
     }
 
     #[test]
-    fn scratch_paths_match_owning_paths_bitwise_and_reuse_buffers() {
+    fn cancelled_walk_leaves_scratch_reusable() {
+        // Fire the token part-way through the stepping half, then reuse
+        // the half-stepped scratch: the next walk must reset everything
+        // it touched and agree bit for bit with a fresh prediction.
+        let (g, pred, _, _) = setup(256);
+        let fresh = pred.predict(&g).unwrap();
+        let token = CancellationToken::new();
+        let mut scratch = WalkScratch::new();
+        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch).unwrap();
+        let half = g.node_count() / 2;
+        let result = pred.step(
+            g.nodes(),
+            &scratch.oh,
+            &scratch.ranges,
+            &scratch.values,
+            Some(&token),
+            &mut scratch.state,
+            |i, _| {
+                if i + 1 == half {
+                    token.cancel();
+                }
+            },
+        );
+        assert!(matches!(result, Err(PredictError::Cancelled)), "{result:?}");
+        assert!(scratch.state.cpu > 0.0, "the walk stepped part of the graph");
+
+        let cache = MemoCache::new();
+        for cache in [None, Some(&cache)] {
+            let again = pred.walk(&g, cache, None, &mut scratch).unwrap();
+            assert_eq!(again.e2e_us.to_bits(), fresh.e2e_us.to_bits());
+            assert_eq!(again, fresh);
+        }
+    }
+
+    #[test]
+    fn scratch_walk_matches_fresh_prediction_bitwise_and_reuses_buffers() {
         let (g, pred, _, _) = setup(256);
         let plain = pred.predict(&g).unwrap();
         let mut scratch = WalkScratch::new();
-        let s = pred.predict_scratch(&g, &mut scratch).unwrap();
+        let s = pred.walk(&g, None, None, &mut scratch).unwrap();
         assert_eq!(plain.e2e_us.to_bits(), s.e2e_us.to_bits());
         assert_eq!(plain, s);
 
         let cache = MemoCache::new();
-        let owned = pred.predict_memoized(&g, &MemoCache::new()).unwrap();
-        let m = pred.predict_memoized_scratch(&g, &cache, &mut scratch).unwrap();
-        assert_eq!(owned.e2e_us.to_bits(), m.e2e_us.to_bits());
-        assert_eq!(owned, m);
+        let fresh = pred.walk(&g, Some(&MemoCache::new()), None, &mut WalkScratch::new()).unwrap();
+        let m = pred.walk(&g, Some(&cache), None, &mut scratch).unwrap();
+        assert_eq!(fresh.e2e_us.to_bits(), m.e2e_us.to_bits());
+        assert_eq!(fresh, m);
 
         // Steady state: repeated walks of the same graph serve every
         // buffer checkout from pooled capacity — misses stay flat. Walk
@@ -853,7 +798,7 @@ mod tests {
         let misses = scratch.arena_stats().misses;
         let takes = scratch.arena_stats().takes;
         for _ in 0..5 {
-            let again = pred.predict_scratch(&g, &mut scratch).unwrap();
+            let again = pred.walk(&g, None, None, &mut scratch).unwrap();
             assert_eq!(again, s);
         }
         let after = scratch.arena_stats();

@@ -50,7 +50,7 @@ use dlperf_nn::ArenaStats;
 
 use crate::incremental::{IncrementalPredictor, IncrementalStats};
 use crate::pipeline::Pipeline;
-use crate::predictor::{Prediction, WalkScratch};
+use crate::predictor::{PredictError, Prediction, WalkScratch};
 
 /// A graph rewrite applied before pricing a scenario.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -986,18 +986,18 @@ impl SweepEngine {
                 )
             }
         };
-        let pipeline = &self.pipelines[s.device];
+        let cache = self.use_cache.then(|| &*self.caches[s.device]);
         let mut stats = None;
         let pred = if let Some(b) = baseline {
-            b.repredict_scratch(g, self.use_cache.then(|| &*self.caches[s.device]), scratch)
-                .map(|(p, st)| {
-                    stats = Some(st);
-                    p
-                })
-        } else if self.use_cache {
-            pipeline.predict_memoized_scratch(g, &self.caches[s.device], scratch)
+            b.repredict_scratch(g, cache, scratch).map(|(p, st)| {
+                stats = Some(st);
+                p
+            })
         } else {
-            pipeline.predict_scratch(g, scratch)
+            self.pipelines[s.device]
+                .predictor()
+                .walk(g, cache, None, scratch)
+                .map_err(PredictError::uncancelled)
         };
         let result = match pred {
             Ok(p) => ScenarioResult { label: s.label.clone(), prediction: Some(p), error: None },
@@ -1437,6 +1437,24 @@ mod tests {
         assert!(rs[0].prediction.is_some());
         assert!(rs[1].error.as_deref().unwrap().contains("out of range"));
         assert!(rs[2].error.is_some());
+
+        // A base graph that cannot lower (AddMm with one input): no
+        // baseline checkpoints, and the walk's error names the inner
+        // lowering error exactly once, cache on or off.
+        let mut broken = Graph::new("broken");
+        let x = broken.add_tensor(dlperf_graph::TensorMeta::activation(&[8, 8]));
+        let y = broken.add_tensor(dlperf_graph::TensorMeta::activation(&[8, 8]));
+        broken.add_op(OpKind::AddMm, vec![x], vec![y]);
+        let expected =
+            format!("lowering failed: {}", eng.pipelines[0].predict(&broken).unwrap_err());
+        let mut eng = eng;
+        for cache in [true, false] {
+            eng = eng.with_cache(cache);
+            let out = eng.run(&broken, &[Scenario::new("broken", 0)]);
+            let rs = out.expect_complete();
+            assert!(rs[0].prediction.is_none());
+            assert_eq!(rs[0].error.as_deref(), Some(expected.as_str()));
+        }
     }
 
     #[test]

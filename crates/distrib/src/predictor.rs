@@ -4,7 +4,7 @@
 //! Like the single-GPU predictor it never executes anything — sharding
 //! plans, world sizes, and interconnects can be compared from graphs alone.
 
-use dlperf_core::predictor::E2ePredictor;
+use dlperf_core::predictor::{E2ePredictor, PredictError, WalkScratch};
 use dlperf_core::sweep::IncrementalSummary;
 use dlperf_core::IncrementalPredictor;
 use dlperf_faults::{FaultInjector, FaultPlan};
@@ -132,6 +132,7 @@ impl DistributedPredictor {
         let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
         let mut summary = IncrementalSummary::default();
         let mut segment_us = [0.0f64; 4];
+        let mut scratch = WalkScratch::new();
         for rank in 0..job.world() {
             for (i, seg) in job.segments(rank).iter().enumerate() {
                 let _seg_span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
@@ -139,14 +140,14 @@ impl DistributedPredictor {
                 });
                 let p = match baselines.get(i) {
                     Some(b) => {
-                        let (p, stats) = b.repredict(seg, cache)?;
+                        let (p, stats) = b.repredict_scratch(seg, cache, &mut scratch)?;
                         summary.absorb(&stats);
                         p
                     }
-                    None => match cache {
-                        Some(c) => self.predictor.predict_memoized(seg, c)?,
-                        None => self.predictor.predict(seg)?,
-                    },
+                    None => self
+                        .predictor
+                        .walk(seg, cache, None, &mut scratch)
+                        .map_err(PredictError::uncancelled)?,
                 };
                 segment_us[i] = segment_us[i].max(p.e2e_us);
             }
@@ -161,15 +162,16 @@ impl DistributedPredictor {
     ) -> Result<DistributedPrediction, LowerError> {
         let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
         let mut segment_us = [0.0f64; 4];
+        let mut scratch = WalkScratch::new();
         for rank in 0..job.world() {
             for (i, seg) in job.segments(rank).iter().enumerate() {
                 let _seg_span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
                     format!("segment:S{}/r{rank}", i + 1)
                 });
-                let p = match cache {
-                    Some(c) => self.predictor.predict_memoized(seg, c)?,
-                    None => self.predictor.predict(seg)?,
-                };
+                let p = self
+                    .predictor
+                    .walk(seg, cache, None, &mut scratch)
+                    .map_err(PredictError::uncancelled)?;
                 segment_us[i] = segment_us[i].max(p.e2e_us);
             }
         }

@@ -396,9 +396,11 @@ impl ModelRegistry {
 
     /// Batched [`ModelRegistry::predict_memoized`]: probes the cache for
     /// every kernel up front, evaluates all misses in one
-    /// [`ModelRegistry::predict_batch_with_confidence`] call (one blocked
-    /// MLP forward pass per family), inserts them, and returns results in
-    /// input order.
+    /// [`ModelRegistry::predict_batch_with_confidence_into`] call (one
+    /// blocked MLP forward pass per family), inserts them, and appends one
+    /// `(time, confidence)` per kernel to `out` in input order. `scratch`
+    /// stages key probing and miss dedup, `arena` the model-side feature
+    /// matrices; in an all-hit steady state nothing here touches the heap.
     ///
     /// Counter semantics replicate the scalar sequence exactly: the first
     /// occurrence of an absent key counts one miss, every duplicate of it
@@ -407,24 +409,6 @@ impl ModelRegistry {
     /// path performed the lookups. Values are bitwise identical to the
     /// scalar path because every model is pure and every batched override
     /// is pinned bit-for-bit to its scalar twin.
-    pub fn predict_batch_memoized(
-        &self,
-        cache: &MemoCache,
-        kernels: &[KernelSpec],
-    ) -> Vec<(f64, Confidence)> {
-        let mut scratch = MemoScratch::default();
-        let mut arena = ScratchArena::new();
-        let mut out = Vec::with_capacity(kernels.len());
-        self.predict_batch_memoized_into(cache, kernels, &mut scratch, &mut arena, &mut out);
-        out
-    }
-
-    /// The zero-allocation form of
-    /// [`ModelRegistry::predict_batch_memoized`]: appends one
-    /// `(time, confidence)` per kernel to `out`, reusing `scratch` for key
-    /// probing / miss dedup and `arena` for the model-side feature
-    /// matrices. Bitwise identical results and identical counter
-    /// semantics; in an all-hit steady state nothing here touches the heap.
     pub fn predict_batch_memoized_into(
         &self,
         cache: &MemoCache,
@@ -602,17 +586,18 @@ mod tests {
         // Batched path over an identically prepared cache.
         let batch_cache = MemoCache::new();
         reg.predict_memoized(&batch_cache, &warm);
-        let batched: Vec<(u64, Confidence)> = reg
-            .predict_batch_memoized(&batch_cache, &batch)
-            .into_iter()
-            .map(|(t, c)| (t.to_bits(), c))
-            .collect();
+        let (mut scratch, mut arena) = (MemoScratch::default(), ScratchArena::new());
+        let mut out = Vec::new();
+        reg.predict_batch_memoized_into(&batch_cache, &batch, &mut scratch, &mut arena, &mut out);
+        let batched: Vec<(u64, Confidence)> = out.iter().map(|&(t, c)| (t.to_bits(), c)).collect();
         let batch_stats = batch_cache.stats();
 
         assert_eq!(batched, scalar, "batched values must be bitwise identical");
         assert_eq!(batch_stats, scalar_stats, "counter semantics must match the scalar loop");
-        // Re-running the same batch must add only hits.
-        reg.predict_batch_memoized(&batch_cache, &batch);
+        // Re-running the same batch on the same staging must add only hits.
+        out.clear();
+        reg.predict_batch_memoized_into(&batch_cache, &batch, &mut scratch, &mut arena, &mut out);
+        assert_eq!(out.len(), batch.len());
         let again = batch_cache.stats();
         assert_eq!(again.misses, batch_stats.misses);
         assert_eq!(again.hits, batch_stats.hits + batch.len() as u64);
@@ -622,7 +607,15 @@ mod tests {
     fn empty_batch_is_a_no_op() {
         let reg = ModelRegistry::empty(DeviceSpec::v100());
         let cache = MemoCache::new();
-        assert!(reg.predict_batch_memoized(&cache, &[]).is_empty());
+        let mut out = Vec::new();
+        reg.predict_batch_memoized_into(
+            &cache,
+            &[],
+            &mut MemoScratch::default(),
+            &mut ScratchArena::new(),
+            &mut out,
+        );
+        assert!(out.is_empty());
         assert_eq!(cache.stats(), MemoCacheStats::default());
     }
 
@@ -713,11 +706,15 @@ mod tests {
         let batch: Vec<KernelSpec> = (0..100).map(|i| KernelSpec::gemm(8 + i, 8, 8)).collect();
         let direct: Vec<u64> =
             batch.iter().map(|k| reg.predict_with_confidence(k).0.to_bits()).collect();
-        let via: Vec<u64> = reg
-            .predict_batch_memoized(&cache, &batch)
-            .into_iter()
-            .map(|(t, _)| t.to_bits())
-            .collect();
+        let mut out = Vec::new();
+        reg.predict_batch_memoized_into(
+            &cache,
+            &batch,
+            &mut MemoScratch::default(),
+            &mut ScratchArena::new(),
+            &mut out,
+        );
+        let via: Vec<u64> = out.iter().map(|(t, _)| t.to_bits()).collect();
         assert_eq!(via, direct, "capacity pressure must not change values");
         assert!(cache.stats().entries <= 16);
         assert!(cache.stats().evictions > 0);

@@ -298,22 +298,10 @@ impl ModelRegistry {
         }
     }
 
-    /// Predicted execution time of `kernel` in microseconds.
-    ///
-    /// # Panics
-    /// Panics if no model is registered for the kernel's family.
-    #[deprecated(
-        note = "panics on uncovered families; use `try_predict` (error) or \
-                `predict_with_confidence` (degraded fallback) instead"
-    )]
-    pub fn predict(&self, kernel: &KernelSpec) -> f64 {
-        self.try_predict(kernel).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Predicted execution time plus the confidence of the prediction.
     ///
-    /// Unlike [`ModelRegistry::predict`], a missing family model does not
-    /// panic: the datasheet roofline fills in and the result is tagged
+    /// Unlike [`ModelRegistry::try_predict`], a missing family model is not
+    /// an error: the datasheet roofline fills in and the result is tagged
     /// [`Confidence::Degraded`]. Use this in resilient analysis paths
     /// where one uncalibrated kernel must not abort a whole workload.
     pub fn predict_with_confidence(&self, kernel: &KernelSpec) -> (f64, Confidence) {
@@ -553,14 +541,6 @@ mod tests {
         let actual: Vec<f64> = eval.iter().map(|k| gpu.kernel_time_noiseless(k)).collect();
         let stats = ErrorStats::from_pairs(&preds, &actual);
         assert!(stats.mean < 0.5, "quick calibration too far off: {stats}");
-    }
-
-    #[test]
-    #[should_panic(expected = "no model registered")]
-    #[allow(deprecated)]
-    fn missing_family_panics() {
-        let reg = ModelRegistry::empty(DeviceSpec::v100());
-        reg.predict(&KernelSpec::gemm(8, 8, 8));
     }
 
     #[test]

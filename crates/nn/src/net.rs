@@ -282,37 +282,11 @@ impl InferencePlan {
         arena.give(y);
     }
 
-    /// Batched inference forward pass.
-    ///
-    /// # Panics
-    /// Panics if `x` has the wrong feature count.
-    pub fn infer(&self, x: &Matrix) -> Matrix {
-        self.infer_owned(x.clone())
-    }
-
-    /// Batched inference forward pass, consuming the input batch (no copy).
-    ///
-    /// # Panics
-    /// Panics if `x` has the wrong feature count.
-    pub fn infer_owned(&self, x: Matrix) -> Matrix {
-        let rows = x.rows();
-        let mut arena = ScratchArena::new();
-        let y = self.forward_flat(x.into_vec(), rows, &mut arena);
-        let w = self.layers.last().expect("plan has layers").outputs;
-        Matrix::from_vec(rows, w, y)
-    }
-
     /// Batched prediction: one value per row of `x`.
     pub fn predict(&self, x: &Matrix) -> Vec<f64> {
-        self.predict_owned(x.clone())
-    }
-
-    /// Batched prediction, consuming the input batch: one value per row.
-    pub fn predict_owned(&self, x: Matrix) -> Vec<f64> {
         let rows = x.rows();
-        let mut arena = ScratchArena::new();
         let mut out = Vec::with_capacity(rows);
-        self.predict_flat_into(x.into_vec(), rows, &mut arena, &mut out);
+        self.predict_flat_into(x.clone().into_vec(), rows, &mut ScratchArena::new(), &mut out);
         out
     }
 }

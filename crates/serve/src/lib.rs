@@ -22,9 +22,9 @@
 //!   and confidence bands.
 //!
 //! Answers for admitted full-fidelity requests are bitwise identical to
-//! the offline [`dlperf_core::pipeline::Pipeline::predict_memoized`] path:
-//! every robustness mechanism changes *whether* a request is answered,
-//! never *what* an answered request says.
+//! the offline [`dlperf_core::pipeline::Pipeline::predict_memoized_scratch`]
+//! path: every robustness mechanism changes *whether* a request is
+//! answered, never *what* an answered request says.
 
 pub mod api;
 mod optimize;
@@ -45,7 +45,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use dlperf_core::pipeline::Pipeline;
-    use dlperf_core::{prepare_graph, GraphMutation};
+    use dlperf_core::{prepare_graph, GraphMutation, WalkScratch};
     use dlperf_faults::FaultPlan;
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::{CalibrationEffort, MemoCache};
@@ -90,8 +90,9 @@ mod tests {
         let base = zoo::build("dlrm-default", 512).unwrap();
         let offline_graph =
             prepare_graph(&base, &[GraphMutation::ResizeBatch(768)]).unwrap();
-        let offline =
-            pipeline.predict_memoized(&offline_graph, &MemoCache::new()).unwrap();
+        let offline = pipeline
+            .predict_memoized_scratch(&offline_graph, &MemoCache::new(), &mut WalkScratch::new())
+            .unwrap();
 
         let server =
             Server::start(vec![pipeline], &["dlrm-default"], small_config(), None).unwrap();

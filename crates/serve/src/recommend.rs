@@ -7,7 +7,7 @@
 //! walks as `Op::Predict`, so a recommendation is exactly as deterministic
 //! as the predictions it is built from.
 
-use dlperf_core::predictor::PredictError;
+use dlperf_core::predictor::{PredictError, WalkScratch};
 use dlperf_distrib::{enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy};
 use dlperf_graph::memory;
 use dlperf_models::zoo;
@@ -24,7 +24,12 @@ const DEFAULT_BATCHES: [u64; 5] = [256, 512, 1024, 2048, 4096];
 /// Runs one recommendation query. Always returns a body: a
 /// [`RecommendationBody`] on success, a typed error for unknown names or
 /// an expired deadline.
-pub(crate) fn run(shared: &Shared, q: &RecommendQuery, token: &CancellationToken) -> Body {
+pub(crate) fn run(
+    shared: &Shared,
+    q: &RecommendQuery,
+    token: &CancellationToken,
+    scratch: &mut WalkScratch,
+) -> Body {
     let Some(entry) = shared.models.get(&q.model) else {
         return Body::error(ErrorCode::NotFound, format!("unknown model `{}`", q.model));
     };
@@ -120,7 +125,7 @@ pub(crate) fn run(shared: &Shared, q: &RecommendQuery, token: &CancellationToken
                 });
                 continue;
             }
-            match engine.pipeline.predict_memoized_cancellable(g, &engine.cache, token) {
+            match engine.pipeline.predictor().walk(g, Some(&engine.cache), Some(token), scratch) {
                 Ok(p) => {
                     push_candidate(
                         &mut ranked,

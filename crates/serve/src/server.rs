@@ -24,8 +24,8 @@
 //! merely diverse request stream evicts, never grows.
 //!
 //! Determinism contract: an admitted, non-degraded answer is bitwise
-//! identical to [`Pipeline::predict_memoized`] run offline on the same
-//! prepared graph — admission, deadlines, eviction, and fault injection
+//! identical to [`Pipeline::predict_memoized_scratch`] run offline on the
+//! same prepared graph — admission, deadlines, eviction, and fault injection
 //! change *whether and when* a request is answered, never *what value* an
 //! answered request carries.
 
@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlperf_core::pipeline::Pipeline;
-use dlperf_core::predictor::PredictError;
+use dlperf_core::predictor::{PredictError, WalkScratch};
 use dlperf_core::{prepare_graph, GraphMutation, PreparedStore};
 use dlperf_faults::{site_key, FaultInjector, FaultPlan, WorkerFault};
 use dlperf_gpusim::DeviceSpec;
@@ -489,6 +489,10 @@ fn spawn_worker(shared: Arc<Shared>, rx: Receiver<Job>) {
         .name("dlperf-serve-worker".into())
         .spawn(move || {
             let mut guard = RespawnGuard { shared: shared.clone(), rx: rx.clone(), armed: true };
+            // One walk scratch per worker, reused by every request it
+            // serves; each walk resets what it touches, so a request that
+            // panicked or was cancelled mid-walk leaves nothing behind.
+            let mut scratch = WalkScratch::new();
             loop {
                 let job = match rx.recv() {
                     Ok(job) => job,
@@ -499,7 +503,7 @@ fn spawn_worker(shared: Arc<Shared>, rx: Receiver<Job>) {
                     }
                 };
                 shared.depth.fetch_sub(1, Ordering::SeqCst);
-                if !serve_one(&shared, job) {
+                if !serve_one(&shared, job, &mut scratch) {
                     // Injected kill: die for real; the guard respawns.
                     return;
                 }
@@ -521,7 +525,7 @@ fn request_deadline(ms: Option<f64>, default: Duration) -> Duration {
 }
 
 /// Serves one job; returns whether this worker should keep running.
-fn serve_one(shared: &Arc<Shared>, job: Job) -> bool {
+fn serve_one(shared: &Arc<Shared>, job: Job, scratch: &mut WalkScratch) -> bool {
     let deadline = request_deadline(job.req.op.deadline_ms(), shared.cfg.default_deadline);
     let waited = job.enqueued.elapsed();
     let mut keep_running = true;
@@ -537,7 +541,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job) -> bool {
         let started = Instant::now();
         let routed = {
             let _quiet = QuietGuard::engage();
-            catch_unwind(AssertUnwindSafe(|| route(shared, &job.req.op, &token)))
+            catch_unwind(AssertUnwindSafe(|| route(shared, &job.req.op, &token, scratch)))
         };
         observe_service_time(shared, started.elapsed());
         match routed {
@@ -581,17 +585,27 @@ fn observe_service_time(shared: &Shared, elapsed: Duration) {
     shared.ewma_us.store(new.to_bits(), Ordering::Relaxed);
 }
 
-fn route(shared: &Arc<Shared>, op: &Op, token: &CancellationToken) -> Routed {
+fn route(
+    shared: &Arc<Shared>,
+    op: &Op,
+    token: &CancellationToken,
+    scratch: &mut WalkScratch,
+) -> Routed {
     match op {
         Op::Ping => Routed::Body(Body::Pong),
         Op::Stats => Routed::Body(Body::Stats(shared.stats())),
-        Op::Predict(q) => route_predict(shared, q, token),
-        Op::Recommend(q) => Routed::Body(crate::recommend::run(shared, q, token)),
+        Op::Predict(q) => route_predict(shared, q, token, scratch),
+        Op::Recommend(q) => Routed::Body(crate::recommend::run(shared, q, token, scratch)),
         Op::Optimize(q) => Routed::Body(crate::optimize::run(shared, q, token)),
     }
 }
 
-fn route_predict(shared: &Arc<Shared>, q: &PredictQuery, token: &CancellationToken) -> Routed {
+fn route_predict(
+    shared: &Arc<Shared>,
+    q: &PredictQuery,
+    token: &CancellationToken,
+    scratch: &mut WalkScratch,
+) -> Routed {
     let Some(engine) = shared.engine(&q.device) else {
         shared.rejected.incr();
         return Routed::Body(Body::error(
@@ -627,10 +641,11 @@ fn route_predict(shared: &Arc<Shared>, q: &PredictQuery, token: &CancellationTok
                 shared.rejected.incr();
                 Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"))
             }
-            Ok(g) => match engine.degraded.predict_memoized_cancellable(
+            Ok(g) => match engine.degraded.predictor().walk(
                 g,
-                &engine.degraded_cache,
-                token,
+                Some(&engine.degraded_cache),
+                Some(token),
+                scratch,
             ) {
                 Ok(p) => {
                     shared.degraded_answers.incr();
@@ -681,7 +696,12 @@ fn route_predict(shared: &Arc<Shared>, q: &PredictQuery, token: &CancellationTok
             shared.rejected.incr();
             Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"))
         }
-        Ok(g) => match engine.pipeline.predict_memoized_cancellable(g, &engine.cache, token) {
+        Ok(g) => match engine.pipeline.predictor().walk(
+            g,
+            Some(&engine.cache),
+            Some(token),
+            scratch,
+        ) {
             Ok(p) => {
                 shared.breaker.record_success();
                 let confidence = if p.is_fully_calibrated() { "calibrated" } else { "degraded" };
@@ -766,5 +786,56 @@ impl QuietGuard {
 impl Drop for QuietGuard {
     fn drop(&mut self) {
         IN_REQUEST.with(|c| c.set(false));
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use dlperf_graph::{OpKind, TensorMeta};
+    use dlperf_kernels::CalibrationEffort;
+
+    use super::*;
+
+    #[test]
+    fn unlowerable_graph_answers_with_the_inner_lowering_error() {
+        let workloads = vec![zoo::build("dlrm-default", 512).unwrap()];
+        let pipeline =
+            Pipeline::analyze(&DeviceSpec::v100(), &workloads, CalibrationEffort::Quick, 5, 11);
+        // A graph whose only op cannot lower (AddMm with one input),
+        // planted where the model's batch-768 resize would be prepared.
+        let mut broken = Graph::new("broken");
+        let x = broken.add_tensor(TensorMeta::activation(&[8, 8]));
+        let y = broken.add_tensor(TensorMeta::activation(&[8, 8]));
+        broken.add_op(OpKind::AddMm, vec![x], vec![y]);
+        let lower_err = pipeline.predict(&broken).unwrap_err();
+        let cfg = ServerConfig {
+            workers: 1,
+            base_batch: 512,
+            breaker_threshold: 1,
+            breaker_cooldown: 1,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(vec![pipeline], &["dlrm-default"], cfg, None).unwrap();
+        server.shared.models["dlrm-default"]
+            .prepared
+            .insert(vec![GraphMutation::ResizeBatch(768)], Arc::new(Ok(broken)));
+        let predict = |id| {
+            let q = PredictQuery {
+                model: "dlrm-default".into(),
+                batch: 768,
+                device: "v100".into(),
+                deadline_ms: None,
+            };
+            match server.submit(Request { id, op: Op::Predict(q) }).body {
+                Body::Error(e) => (e.code, e.message),
+                other => panic!("expected an error body, got {other:?}"),
+            }
+        };
+        // The full-fidelity walk fails (tripping the one-failure breaker),
+        // then the degraded twin answers the next request; each message
+        // names the inner lowering error exactly once.
+        assert_eq!(predict(1), (500, format!("lowering failed: {lower_err}")));
+        assert_eq!(predict(2), (500, format!("degraded lowering failed: {lower_err}")));
     }
 }

@@ -147,14 +147,16 @@ fn memoized_prediction_is_differentially_identical() {
     // The accuracy suite pins thresholds against the *uncached* path; this
     // guard makes those numbers transfer to the sweep engine verbatim by
     // checking the memoized path is bitwise the same prediction.
+    use dlrm_perf_model::core::WalkScratch;
     use dlrm_perf_model::kernels::MemoCache;
     let device = DeviceSpec::v100();
     let zoo = workload_zoo();
     let pipeline = Pipeline::analyze(&device, &zoo, CalibrationEffort::Quick, 8, 55);
     let cache = MemoCache::new();
+    let mut scratch = WalkScratch::new();
     for g in &zoo {
         let plain = pipeline.predict(g).expect("lowers");
-        let memo = pipeline.predict_memoized(g, &cache).expect("lowers");
+        let memo = pipeline.predict_memoized_scratch(g, &cache, &mut scratch).expect("lowers");
         assert_eq!(
             plain.e2e_us.to_bits(),
             memo.e2e_us.to_bits(),

@@ -11,9 +11,9 @@
 //!    by more than scheduling slack; sheds are explicit 429s, not queue
 //!    growth.
 //! 4. **Answers stay exact** — every admitted full-fidelity prediction is
-//!    bitwise identical to `Pipeline::predict_memoized` run offline on
-//!    the same prepared graph before the server ever started, and every
-//!    admitted `Op::Optimize` report is bitwise identical to
+//!    bitwise identical to `Pipeline::predict_memoized_scratch` run
+//!    offline on the same prepared graph before the server ever started,
+//!    and every admitted `Op::Optimize` report is bitwise identical to
 //!    `OptimizationSearch` run offline on the same inputs.
 
 use std::collections::HashMap;
@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 use dlperf_core::pipeline::Pipeline;
 use dlperf_core::{
     prepare_graph, GraphMoves, GraphMutation, NoExtra, OptimizationSearch, SearchConfig,
+    WalkScratch,
 };
 use dlperf_faults::FaultPlan;
 use dlperf_gpusim::DeviceSpec;
@@ -70,12 +71,15 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
     // pipeline, the same prepared graphs, a fresh unbounded cache.
     let base = zoo::build(MODEL, BASE_BATCH).expect("catalog model builds");
     let reference_cache = MemoCache::new();
+    let mut scratch = WalkScratch::new();
     let mut expected: HashMap<u64, u64> = HashMap::new();
     for i in 0..DISTINCT_BATCHES {
         let batch = batch_for(i);
         let graph = prepare_graph(&base, &[GraphMutation::ResizeBatch(batch)])
             .expect("resize succeeds");
-        let pred = pipeline.predict_memoized(&graph, &reference_cache).expect("offline predict");
+        let pred = pipeline
+            .predict_memoized_scratch(&graph, &reference_cache, &mut scratch)
+            .expect("offline predict");
         expected.insert(batch, pred.e2e_us.to_bits());
     }
     let expected = Arc::new(expected);
