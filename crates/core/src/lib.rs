@@ -36,6 +36,7 @@
 
 pub mod baselines;
 pub mod codesign;
+mod evaluator;
 pub mod incremental;
 pub mod ingest;
 pub mod pipeline;

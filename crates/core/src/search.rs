@@ -15,8 +15,10 @@
 //! The inner loop is [`IncrementalPredictor::repredict_scratch`]: each
 //! device axis keeps one checkpointed baseline walk, and every candidate
 //! whose mutation touches only part of the graph re-prices just its dirty
-//! frontier (~16× cheaper warm than a full walk). Moves are generated
-//! legality-first — the `graph::transform` legality predicates
+//! frontier (~16× cheaper warm than a full walk). Caches, baselines and
+//! scratches live in the same evaluator stack as the sweep engine's, kept
+//! across runs on one base. Moves are generated legality-first — the
+//! `graph::transform` legality predicates
 //! ([`dlperf_graph::transform::legality`]) gate graph moves before any
 //! clone-and-try — so the search wastes no evaluations on candidates that
 //! cannot be built.
@@ -27,7 +29,8 @@
 //! beam selection and final ranking order by `f64::total_cmp` on the
 //! scores with the candidate's generation index as the tie-break.
 //! Consequently the report — ranking, scores, and bits — is identical at
-//! any thread count, cache on or off. `tests/search.rs` pins this.
+//! any thread count, cache on or off, cold or warm. `tests/search.rs`
+//! pins this.
 //!
 //! **Pruning soundness:** pruning only decides which candidates are
 //! *expanded further*, never how a priced candidate scores — every
@@ -36,9 +39,10 @@
 //! incumbent-relative slack bound (`prune_slack`) makes that trade-off
 //! explicit and configurable. See DESIGN.md §14 for the full argument.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashSet;
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dlperf_graph::transform::{can_fuse_embedding_bags, can_resize_batch, hoistable_nodes};
@@ -46,10 +50,10 @@ use dlperf_graph::Graph;
 use dlperf_kernels::MemoCache;
 use dlperf_runtime::CancellationToken;
 
+use crate::evaluator::{Evaluator, PreparedGraph};
 use crate::incremental::IncrementalPredictor;
 use crate::pipeline::Pipeline;
-use crate::predictor::WalkScratch;
-use crate::sweep::{par_map_with, prepare_graph, GraphMutation, PooledScratch};
+use crate::sweep::GraphMutation;
 
 /// Process-wide search counters: candidate evaluations, branch-and-bound
 /// prunes, and how many evaluations rode the incremental path vs. fell
@@ -347,17 +351,14 @@ impl std::error::Error for SearchError {}
 /// pipeline list (device axis), optionally plug in an extra axis, then
 /// [`OptimizationSearch::run`] against a base graph.
 pub struct OptimizationSearch<'a, X = NoExtra> {
-    pipelines: &'a [Pipeline],
+    /// The pricing stack, kept across runs like the sweep engine's.
+    eval: Evaluator<'a>,
     device_labels: Vec<String>,
     config: SearchConfig,
     graph_moves: GraphMoves,
     extra_gen: Option<&'a dyn MoveGenerator<X>>,
     extra_scorer: Option<&'a dyn ExtraScorer<X>>,
     token: CancellationToken,
-    /// Pooled walk scratches, persisted across runs like the sweep
-    /// engine's pool: steady-state searches are allocation-free on the
-    /// pricing hot path.
-    scratch_pool: Mutex<Vec<WalkScratch>>,
 }
 
 impl<'a, X> OptimizationSearch<'a, X>
@@ -369,15 +370,26 @@ where
     pub fn new(pipelines: &'a [Pipeline]) -> Self {
         let device_labels = pipelines.iter().map(|p| p.device().name.clone()).collect();
         OptimizationSearch {
-            pipelines,
+            eval: Evaluator::new(Cow::Borrowed(pipelines)),
             device_labels,
             config: SearchConfig::default(),
             graph_moves: GraphMoves::default(),
             extra_gen: None,
             extra_scorer: None,
             token: CancellationToken::new(),
-            scratch_pool: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Prices through caller-owned memo caches (e.g. a server's bounded
+    /// ones) instead of fresh ones (builder style). `caches[d]` must be
+    /// dedicated to pipeline `d`; memo hits are bitwise invisible, so the
+    /// report does not change.
+    ///
+    /// # Panics
+    /// Panics if the cache count does not match the pipeline count.
+    pub fn with_caches(mut self, caches: Vec<Arc<MemoCache>>) -> Self {
+        self.eval.set_caches(caches);
+        self
     }
 
     /// Replaces the tuning knobs (builder style).
@@ -397,7 +409,7 @@ where
     /// # Panics
     /// Panics if the label count does not match the pipeline count.
     pub fn with_device_labels(mut self, labels: Vec<String>) -> Self {
-        assert_eq!(labels.len(), self.pipelines.len(), "one label per pipeline");
+        assert_eq!(labels.len(), self.eval.pipelines().len(), "one label per pipeline");
         self.device_labels = labels;
         self
     }
@@ -434,26 +446,21 @@ where
         let counters = search_counters();
         counters.searches.incr();
         let start = Instant::now();
-        if self.pipelines.is_empty() {
+        let pipelines = self.eval.pipelines();
+        if pipelines.is_empty() {
             return Err(SearchError::NoPipelines);
         }
 
-        // One memo cache and one checkpointed incremental baseline per
-        // device: the baselines are the anchors every repredict splices
-        // against, and building them is the only full walk the search
-        // pays per device.
-        let caches: Vec<Arc<MemoCache>> = self
-            .pipelines
-            .iter()
-            .map(|_| Arc::new(MemoCache::with_capacity(crate::sweep::DEFAULT_MEMO_CAPACITY)))
-            .collect();
-        let baselines: Vec<Arc<IncrementalPredictor>> = self
-            .pipelines
-            .iter()
-            .enumerate()
-            .map(|(d, p)| {
-                IncrementalPredictor::with_cache(p.predictor().clone(), base.clone(), &caches[d])
-                    .map(Arc::new)
+        // One checkpointed incremental baseline per device, kept in the
+        // store across runs on the same base: the baselines are the
+        // anchors every repredict splices against, and building them is
+        // the only full walk the search pays per device.
+        let store = self.eval.store();
+        store.rebase(&base.index());
+        let baselines: Vec<Arc<IncrementalPredictor>> = (0..pipelines.len())
+            .map(|d| {
+                self.eval
+                    .baseline(d, base)
                     .map_err(|e| SearchError::Lower { device: d, reason: e.to_string() })
             })
             .collect::<Result<_, _>>()?;
@@ -461,8 +468,7 @@ where
 
         // Per-device one-sigma relative error bands from the calibrated
         // kernel models, for the report's confidence intervals.
-        let rel_err: Vec<Option<f64>> = self
-            .pipelines
+        let rel_err: Vec<Option<f64>> = pipelines
             .iter()
             .map(|p| p.predictor().registry().error_stats().map(|s| s.mean + s.std))
             .collect();
@@ -471,15 +477,12 @@ where
         let mut seen: HashSet<Candidate<X>> = HashSet::new();
         seen.insert(root.clone());
         // Frontier entries carry the candidate's prepared graph so the
-        // next expansion can run legality checks without re-preparing.
-        let base_arc = Arc::new(base.clone());
-        let mut frontier: Vec<(Candidate<X>, Arc<Graph>)> = vec![(root, base_arc.clone())];
-        // Prepared-graph sharing within the run: device moves and
-        // diamond-shaped move orders reuse the same mutation list.
-        let prepared: Mutex<HashMap<Vec<GraphMutation>, Arc<Graph>>> =
-            Mutex::new(HashMap::from([(Vec::new(), base_arc)]));
+        // next expansion can run legality checks without re-preparing;
+        // device moves and diamond-shaped move orders share store entries.
+        let root_graph = store.get_or_prepare(base, &root.mutations);
+        let mut frontier: Vec<(Candidate<X>, PreparedGraph)> = vec![(root, root_graph)];
 
-        let device_moves = DeviceMoves { devices: self.pipelines.len() };
+        let device_moves = DeviceMoves { devices: pipelines.len() };
         let mut all_scored: Vec<ScoredCandidate<X>> = Vec::new();
         let mut evals = 0usize;
         let mut prunes = 0usize;
@@ -495,6 +498,7 @@ where
             // and the seen-set preserves first-generation order.
             let mut children: Vec<Candidate<X>> = Vec::new();
             for (cand, graph) in &frontier {
+                let Ok(graph) = graph.as_ref() else { continue };
                 let mut push = |c: Candidate<X>| {
                     if seen.insert(c.clone()) {
                         children.push(c);
@@ -518,41 +522,26 @@ where
 
             // Price every child in parallel, results slotted by input
             // index. Each worker reuses one pooled scratch.
-            type Priced<X> = Result<(ScoredCandidate<X>, Arc<Graph>), String>;
-            let priced: Vec<Option<Priced<X>>> = par_map_with(
+            type Priced<X> = Result<(ScoredCandidate<X>, PreparedGraph), String>;
+            let priced: Vec<Option<Priced<X>>> = self.eval.fan_out(
                 self.config.threads,
                 &self.token,
                 &children,
-                || PooledScratch::checkout(&self.scratch_pool),
                 |scratch, _, cand: &Candidate<X>| {
-                    let graph = {
-                        let hit = prepared.lock().expect("prepared map poisoned").get(&cand.mutations).cloned();
-                        match hit {
-                            Some(g) => g,
-                            None => {
-                                let g = Arc::new(
-                                    prepare_graph(base, &cand.mutations).map_err(|e| e.to_string())?,
-                                );
-                                prepared
-                                    .lock()
-                                    .expect("prepared map poisoned")
-                                    .entry(cand.mutations.clone())
-                                    .or_insert_with(|| g.clone())
-                                    .clone()
-                            }
-                        }
-                    };
+                    let graph = store.get_or_prepare(base, &cand.mutations);
+                    let g = graph.as_ref().as_ref().map_err(|e| e.to_string())?;
                     let (e2e, incremental) = match (&cand.extra, self.extra_scorer) {
                         (Some(x), Some(scorer)) => (scorer.price(&cand.mutations, x)?, false),
                         (Some(x), None) => {
                             return Err(format!("no scorer for extra axis move `{x}`"));
                         }
                         (None, _) => {
-                            let cache = self.config.use_cache.then(|| &*caches[cand.device]);
-                            let (p, stats) = baselines[cand.device]
-                                .repredict_scratch(&graph, cache, scratch.get())
+                            let baseline = Some(&*baselines[cand.device]);
+                            let (p, stats) = self
+                                .eval
+                                .price(cand.device, g, baseline, self.config.use_cache, scratch)
                                 .map_err(|e| e.to_string())?;
-                            (p.e2e_us, !stats.full_fallback)
+                            (p.e2e_us, stats.is_some_and(|s| !s.full_fallback))
                         }
                     };
                     let band = rel_err[cand.device].map(|r| e2e * r);
@@ -577,7 +566,7 @@ where
 
             // Collect scores in input order; failed candidates (illegal
             // combinations the legality gates could not see) are dropped.
-            let mut scored_children: Vec<(usize, ScoredCandidate<X>, Arc<Graph>)> = Vec::new();
+            let mut scored_children: Vec<(usize, ScoredCandidate<X>, _)> = Vec::new();
             for (i, slot) in priced.into_iter().enumerate() {
                 match slot.expect("checked above") {
                     Ok((sc, g)) => scored_children.push((i, sc, g)),
@@ -606,7 +595,7 @@ where
             // Beam + branch-and-bound: next frontier is the beam_width
             // best children within the incumbent-relative slack bound.
             let bound = incumbent * (1.0 + self.config.prune_slack);
-            let mut next: Vec<(usize, ScoredCandidate<X>, Arc<Graph>)> = scored_children
+            let mut next: Vec<(usize, ScoredCandidate<X>, _)> = scored_children
                 .iter()
                 .filter(|(_, sc, _)| sc.e2e_us <= bound)
                 .cloned()

@@ -6,9 +6,10 @@
 //! fans a [`Scenario`] list across worker threads (a crossbeam-scoped
 //! pool pulling indices from a shared claim counter, so fast workers
 //! steal whatever slow workers have not started), answers kernel-model
-//! queries from one [`MemoCache`] per calibrated pipeline, honors a
-//! runtime [`CancellationToken`] between scenarios, and can run under a
-//! [`Supervisor`] with chunked checkpoints for kill/resume.
+//! queries from one [`MemoCache`](dlperf_kernels::MemoCache) per
+//! calibrated pipeline, honors a runtime [`CancellationToken`] between
+//! scenarios, and can run under a [`Supervisor`] with chunked checkpoints
+//! for kill/resume.
 //!
 //! With caching enabled the engine also *prepares graphs once*: scenarios
 //! with the same mutation list (e.g. the same `hoisted` variant priced on
@@ -30,16 +31,17 @@
 //! sequential one at any thread count, cache on or off — `tests/sweep.rs`
 //! pins that property.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use dlperf_graph::transform::{
     fuse_embedding_bags, hoist_earliest, replace_op, resize_batch, TransformError,
 };
 use dlperf_graph::{Graph, NodeId, OpKind};
-use dlperf_kernels::{CachePadded, MemoCache, MemoCacheStats};
+use dlperf_kernels::{CachePadded, MemoCacheStats};
 use dlperf_runtime::{
     CancellationToken, JobContext, JobError, ResumableJob, RunReport, StepOutcome, Supervisor,
     SupervisorError,
@@ -48,9 +50,11 @@ use serde::{Deserialize, Serialize};
 
 use dlperf_nn::ArenaStats;
 
+use crate::evaluator::Evaluator;
+pub use crate::evaluator::{PreparedStore, PreparedStoreStats};
 use crate::incremental::{IncrementalPredictor, IncrementalStats};
 use crate::pipeline::Pipeline;
-use crate::predictor::{PredictError, Prediction, WalkScratch};
+use crate::predictor::{Prediction, WalkScratch};
 
 /// A graph rewrite applied before pricing a scenario.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -345,14 +349,6 @@ impl IncrementalSummary {
     }
 }
 
-impl From<&IncrementalStats> for IncrementalSummary {
-    fn from(s: &IncrementalStats) -> Self {
-        let mut sum = IncrementalSummary::default();
-        sum.absorb(s);
-        sum
-    }
-}
-
 /// Process-wide sweep counters, shared by every engine instance (sweeps
 /// are a program-level activity; per-run accounting stays in
 /// [`SweepOutcome`]).
@@ -466,36 +462,34 @@ where
         return out;
     }
 
-    // Cache-line padding keeps the hammered claim counter off whatever
-    // line the channel internals or worker stacks land on.
+    // Each worker keeps the `(index, result)` pairs it claimed and hands
+    // them back through its join handle; the caller scatters them into
+    // input-index slots. Cache-line padding keeps the hammered claim
+    // counter off the workers' own lines.
     let next = CachePadded(AtomicUsize::new(0));
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, R)>();
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(items.len()) {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            let init = &init;
-            s.spawn(move |_| {
-                let mut ctx = init();
-                loop {
-                    let i = next.0.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() || token.is_cancelled() {
-                        return;
+    let claimed = crossbeam::scope(|s| {
+        let workers: Vec<_> = (0..threads.min(items.len()))
+            .map(|_| {
+                let (next, f, init) = (&next, &f, &init);
+                s.spawn(move |_| {
+                    let mut ctx = init();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.0.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() || token.is_cancelled() {
+                            return done;
+                        }
+                        done.push((i, f(&mut ctx, i, &items[i])));
                     }
-                    let r = f(&mut ctx, i, &items[i]);
-                    // The receiver outlives the scope; send cannot fail.
-                    if tx.send((i, r)).is_err() {
-                        unreachable!("sweep result channel closed");
-                    }
-                }
-            });
-        }
-        drop(tx);
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join()).collect::<std::thread::Result<Vec<_>>>()
     })
+    .and_then(|joined| joined)
     .expect("sweep worker panicked");
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in rx.iter() {
+    for (i, r) in claimed.into_iter().flatten() {
         out[i] = Some(r);
     }
     out
@@ -546,200 +540,6 @@ pub fn prepare_graph(base: &Graph, mutations: &[GraphMutation]) -> Result<Graph,
     Ok(g)
 }
 
-/// Point-in-time counters of a [`PreparedStore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct PreparedStoreStats {
-    /// Prepared graphs currently stored.
-    pub graphs: usize,
-    /// Incremental baselines currently stored (at most one per device).
-    pub baselines: usize,
-    /// Lookups answered from the store.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Graphs dropped by the LRU-by-epoch capacity cap.
-    pub evictions: u64,
-}
-
-/// A prepared graph (or the preparation error) plus the epoch stamp of
-/// its last access.
-type StampedGraph = (Arc<Result<Graph, MutationError>>, u64);
-
-#[derive(Debug, Default)]
-struct PreparedInner {
-    base: Option<Arc<dlperf_graph::GraphIndex>>,
-    /// Each prepared graph carries its last-access epoch stamp for LRU
-    /// eviction under the capacity cap.
-    graphs: HashMap<Vec<GraphMutation>, StampedGraph>,
-    baselines: HashMap<usize, Arc<IncrementalPredictor>>,
-    epoch: u64,
-}
-
-/// Prepared graphs and incremental baselines shared across runs — and,
-/// via `Arc`, across engines and server workers — valid for a single base
-/// graph. The base is identified by its cached
-/// [`dlperf_graph::GraphIndex`] `Arc`: any structural mutation of the
-/// base drops that cache (see `Graph::index`), so a changed pointer means
-/// a changed base and clears the store. Holding the `Arc` keeps its
-/// address from being reused by a later allocation. Everything stored is a
-/// deterministic pure function of `(base, mutations)` / `(pipeline, base)`,
-/// so reuse is invisible in results.
-///
-/// Like [`MemoCache`], the store can be capped
-/// ([`PreparedStore::with_capacity`]): once `capacity` graphs are held,
-/// inserting a new mutation list evicts the least-recently-accessed one.
-/// Baselines are not capped — there is at most one per device. Eviction
-/// changes only what gets re-prepared, never what a prepared graph
-/// contains.
-#[derive(Debug)]
-pub struct PreparedStore {
-    inner: Mutex<PreparedInner>,
-    capacity: Option<usize>,
-    obs: Arc<dlperf_obs::CounterGroup>,
-    hits: dlperf_obs::CounterHandle,
-    misses: dlperf_obs::CounterHandle,
-    evictions: dlperf_obs::CounterHandle,
-}
-
-impl Default for PreparedStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PreparedStore {
-    /// An empty, unbounded store.
-    pub fn new() -> Self {
-        Self::build(None)
-    }
-
-    /// An empty store holding at most `capacity` prepared graphs.
-    ///
-    /// # Panics
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "prepared-store capacity must be positive");
-        Self::build(Some(capacity))
-    }
-
-    fn build(capacity: Option<usize>) -> Self {
-        let obs =
-            dlperf_obs::CounterGroup::register("core.prepared", &["hits", "misses", "evictions"]);
-        let hits = obs.handle("hits");
-        let misses = obs.handle("misses");
-        let evictions = obs.handle("evictions");
-        PreparedStore {
-            inner: Mutex::new(PreparedInner::default()),
-            capacity,
-            obs,
-            hits,
-            misses,
-            evictions,
-        }
-    }
-
-    /// The configured graph cap (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// This store's recorder counter group.
-    pub fn counters(&self) -> &Arc<dlperf_obs::CounterGroup> {
-        &self.obs
-    }
-
-    /// Clears the store unless it was built for `base_index`'s graph.
-    pub fn rebase(&self, base_index: &Arc<dlperf_graph::GraphIndex>) {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
-        if inner.base.as_ref().is_none_or(|a| !Arc::ptr_eq(a, base_index)) {
-            inner.base = Some(base_index.clone());
-            inner.graphs.clear();
-            inner.baselines.clear();
-        }
-    }
-
-    /// The prepared graph for `mutations`, refreshing its LRU stamp.
-    pub fn get(&self, mutations: &[GraphMutation]) -> Option<Arc<Result<Graph, MutationError>>> {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
-        inner.epoch += 1;
-        let stamp = inner.epoch;
-        match inner.graphs.get_mut(mutations) {
-            Some(entry) => {
-                entry.1 = stamp;
-                self.hits.incr();
-                Some(entry.0.clone())
-            }
-            None => {
-                self.misses.incr();
-                None
-            }
-        }
-    }
-
-    /// Stores a prepared graph, evicting the least-recently-accessed one
-    /// first when a *new* mutation list would exceed the cap. Returns the
-    /// stored `Arc` (the existing one if another worker raced the insert —
-    /// both hold the identical pure-function result).
-    pub fn insert(
-        &self,
-        mutations: Vec<GraphMutation>,
-        graph: Arc<Result<Graph, MutationError>>,
-    ) -> Arc<Result<Graph, MutationError>> {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
-        inner.epoch += 1;
-        let stamp = inner.epoch;
-        if let Some(entry) = inner.graphs.get_mut(&mutations) {
-            entry.1 = stamp;
-            return entry.0.clone();
-        }
-        if self.capacity.is_some_and(|cap| inner.graphs.len() >= cap) {
-            if let Some(victim) =
-                inner.graphs.iter().min_by_key(|(_, &(_, e))| e).map(|(k, _)| k.clone())
-            {
-                inner.graphs.remove(&victim);
-                self.evictions.incr();
-            }
-        }
-        inner.graphs.insert(mutations, (graph.clone(), stamp));
-        graph
-    }
-
-    /// The incremental baseline checkpointed for `device`, if any.
-    pub fn baseline(&self, device: usize) -> Option<Arc<IncrementalPredictor>> {
-        self.inner.lock().expect("prepared store poisoned").baselines.get(&device).cloned()
-    }
-
-    /// Stores the incremental baseline for `device`.
-    pub fn insert_baseline(&self, device: usize, baseline: Arc<IncrementalPredictor>) {
-        self.inner
-            .lock()
-            .expect("prepared store poisoned")
-            .baselines
-            .insert(device, baseline);
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> PreparedStoreStats {
-        let inner = self.inner.lock().expect("prepared store poisoned");
-        PreparedStoreStats {
-            graphs: inner.graphs.len(),
-            baselines: inner.baselines.len(),
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-        }
-    }
-
-    /// Drops everything (base binding included) and zeroes the counters.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
-        *inner = PreparedInner::default();
-        self.hits.reset();
-        self.misses.reset();
-        self.evictions.reset();
-    }
-}
-
 /// Default hard cap on each per-pipeline memo cache. Generous — a sweep
 /// over thousands of scenarios stays far below it — but it turns the
 /// engine's steady-state memory from "proportional to distinct queries
@@ -748,49 +548,15 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 1 << 20;
 
 /// The parallel what-if sweep engine. See the module docs.
 pub struct SweepEngine {
-    pipelines: Vec<Pipeline>,
-    caches: Vec<Arc<MemoCache>>,
-    prepared: Arc<PreparedStore>,
+    /// The pricing stack; kept across runs, so steady-state re-sweeps
+    /// skip preparation and allocation.
+    eval: Evaluator<'static>,
     threads: usize,
     use_cache: bool,
     use_incremental: bool,
     token: CancellationToken,
     /// Scenarios evaluated per supervised checkpoint step.
     chunk: usize,
-    /// Parked [`WalkScratch`]es, checked out one per worker for the span
-    /// of a `par_map_with` and returned on worker exit. Persisting the
-    /// pool across runs is what makes *steady-state* sweeps (the serve
-    /// workload: same engine, run after run) allocation-free on the
-    /// pricing hot path — capacity grown in run N serves run N+1.
-    scratch_pool: Mutex<Vec<WalkScratch>>,
-}
-
-/// A [`WalkScratch`] checked out of an engine's pool, returned on drop so
-/// worker panics and early exits cannot leak grown capacity.
-pub(crate) struct PooledScratch<'a> {
-    pool: &'a Mutex<Vec<WalkScratch>>,
-    scratch: Option<WalkScratch>,
-}
-
-impl<'a> PooledScratch<'a> {
-    pub(crate) fn checkout(pool: &'a Mutex<Vec<WalkScratch>>) -> Self {
-        let scratch = pool.lock().expect("scratch pool poisoned").pop().unwrap_or_default();
-        PooledScratch { pool, scratch: Some(scratch) }
-    }
-
-    pub(crate) fn get(&mut self) -> &mut WalkScratch {
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(s) = self.scratch.take() {
-            if let Ok(mut pool) = self.pool.lock() {
-                pool.push(s);
-            }
-        }
-    }
 }
 
 impl SweepEngine {
@@ -802,45 +568,20 @@ impl SweepEngine {
     /// Panics if `pipelines` is empty.
     pub fn new(pipelines: Vec<Pipeline>) -> Self {
         assert!(!pipelines.is_empty(), "sweep engine needs at least one pipeline");
-        let caches = pipelines
-            .iter()
-            .map(|_| Arc::new(MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY)))
-            .collect();
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         SweepEngine {
-            pipelines,
-            caches,
-            prepared: Arc::new(PreparedStore::new()),
+            eval: Evaluator::new(Cow::Owned(pipelines)),
             threads,
             use_cache: true,
             use_incremental: true,
             token: CancellationToken::new(),
             chunk: 16,
-            scratch_pool: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Replaces the per-pipeline memo caches with capped ones (builder
-    /// style); see [`MemoCache::with_capacity`].
-    ///
-    /// # Panics
-    /// Panics if `capacity` is below the shard count (16).
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
-        self.caches =
-            self.pipelines.iter().map(|_| Arc::new(MemoCache::with_capacity(capacity))).collect();
-        self
-    }
-
-    /// Shares an externally owned prepared-graph store (builder style) —
-    /// e.g. one store serving both a sweep engine and a request server.
-    pub fn with_prepared_store(mut self, store: Arc<PreparedStore>) -> Self {
-        self.prepared = store;
-        self
     }
 
     /// The prepared-graph store this engine reads and fills.
     pub fn prepared_store(&self) -> &Arc<PreparedStore> {
-        &self.prepared
+        self.eval.store()
     }
 
     /// Sets the worker-thread count (builder style). 1 = sequential.
@@ -900,7 +641,7 @@ impl SweepEngine {
 
     /// The calibrated pipelines, indexable by `Scenario::device`.
     pub fn pipelines(&self) -> &[Pipeline] {
-        &self.pipelines
+        self.eval.pipelines()
     }
 
     /// The configured thread count.
@@ -915,31 +656,12 @@ impl SweepEngine {
     /// capacity. (`high_water_f64s` and `pooled` are summed across
     /// scratches.)
     pub fn scratch_stats(&self) -> ArenaStats {
-        let pool = self.scratch_pool.lock().expect("scratch pool poisoned");
-        let mut agg = ArenaStats::default();
-        for s in pool.iter() {
-            let st = s.arena_stats();
-            agg.takes += st.takes;
-            agg.misses += st.misses;
-            agg.high_water_f64s += st.high_water_f64s;
-            agg.pooled += st.pooled;
-        }
-        agg
+        self.eval.scratch_stats()
     }
 
     /// Merged cache counters across all per-device caches.
     pub fn cache_stats(&self) -> MemoCacheStats {
-        let all: Vec<MemoCacheStats> = self.caches.iter().map(|c| c.stats()).collect();
-        MemoCacheStats::merged(&all)
-    }
-
-    /// Clears all per-device caches (counters included) and the prepared
-    /// graph / baseline store.
-    pub fn clear_caches(&self) {
-        for c in &self.caches {
-            c.clear();
-        }
-        self.prepared.clear();
+        self.eval.cache_stats()
     }
 
     /// Prices one prepared graph on the scenario's pipeline, through the
@@ -957,65 +679,30 @@ impl SweepEngine {
             dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || format!("scenario:{}", s.label));
         let counters = sweep_counters();
         counters.scenarios.incr();
-        if s.device >= self.pipelines.len() {
-            counters.errors.incr();
-            return (
-                ScenarioResult {
-                    label: s.label.clone(),
-                    prediction: None,
-                    error: Some(format!(
-                        "device index {} out of range ({} pipelines)",
-                        s.device,
-                        self.pipelines.len()
-                    )),
-                },
-                None,
-            );
+        let n = self.pipelines().len();
+        let priced = match prepared {
+            _ if s.device >= n => {
+                Err(format!("device index {} out of range ({n} pipelines)", s.device))
+            }
+            Err(e) => Err(e.to_string()),
+            Ok(g) => self
+                .eval
+                .price(s.device, g, baseline, self.use_cache, scratch)
+                .map_err(|e| format!("lowering failed: {e}")),
+        };
+        let label = s.label.clone();
+        match priced {
+            Ok((p, stats)) => (ScenarioResult { label, prediction: Some(p), error: None }, stats),
+            Err(e) => {
+                counters.errors.incr();
+                (ScenarioResult { label, prediction: None, error: Some(e) }, None)
+            }
         }
-        let g = match prepared {
-            Ok(g) => g,
-            Err(e) => {
-                counters.errors.incr();
-                return (
-                    ScenarioResult {
-                        label: s.label.clone(),
-                        prediction: None,
-                        error: Some(e.to_string()),
-                    },
-                    None,
-                )
-            }
-        };
-        let cache = self.use_cache.then(|| &*self.caches[s.device]);
-        let mut stats = None;
-        let pred = if let Some(b) = baseline {
-            b.repredict_scratch(g, cache, scratch).map(|(p, st)| {
-                stats = Some(st);
-                p
-            })
-        } else {
-            self.pipelines[s.device]
-                .predictor()
-                .walk(g, cache, None, scratch)
-                .map_err(PredictError::uncancelled)
-        };
-        let result = match pred {
-            Ok(p) => ScenarioResult { label: s.label.clone(), prediction: Some(p), error: None },
-            Err(e) => {
-                counters.errors.incr();
-                ScenarioResult {
-                    label: s.label.clone(),
-                    prediction: None,
-                    error: Some(format!("lowering failed: {e}")),
-                }
-            }
-        };
-        (result, stats)
     }
 
     /// Prices one scenario end to end (transform + predict) — the shared
     /// pure function of the naive (cache-off) and supervised paths.
-    fn eval(&self, base: &Graph, s: &Scenario, scratch: &mut WalkScratch) -> ScenarioResult {
+    fn run_one(&self, base: &Graph, s: &Scenario, scratch: &mut WalkScratch) -> ScenarioResult {
         self.price(s, &prepare_graph(base, &s.mutations), None, scratch).0
     }
 
@@ -1049,83 +736,40 @@ impl SweepEngine {
                     unique.len() - 1
                 });
             }
-            let base_index = base.index();
-            self.prepared.rebase(&base_index);
-            let stored: Vec<Option<Arc<Result<Graph, MutationError>>>> =
-                unique.iter().map(|muts| self.prepared.get(muts)).collect();
-            let missing: Vec<&[GraphMutation]> = unique
-                .iter()
-                .zip(&stored)
-                .filter(|(_, s)| s.is_none())
-                .map(|(m, _)| *m)
-                .collect();
-            let fresh = par_map(threads, &self.token, &missing, |_, muts| {
-                Arc::new(prepare_graph(base, muts))
-            });
+            let store = self.eval.store();
+            store.rebase(&base.index());
             // A `None` prepared slot means cancellation hit phase 1; the
             // dependent scenarios stay unvisited (`None`), matching what a
             // cancelled sequential run leaves behind. The `Arc` clones held
             // here keep this run's graphs alive even if a capped store
             // evicts them mid-run.
-            let mut fresh_iter = fresh.into_iter();
-            let prepared: Vec<Option<Arc<Result<Graph, MutationError>>>> = unique
-                .iter()
-                .zip(stored)
-                .map(|(muts, slot)| match slot {
-                    Some(g) => Some(g),
-                    None => {
-                        let g = fresh_iter.next().expect("one fresh slot per miss")?;
-                        Some(self.prepared.insert(muts.to_vec(), g))
-                    }
-                })
-                .collect();
+            let prepared = par_map(threads, &self.token, &unique, |_, muts| {
+                store.get_or_prepare(base, muts)
+            });
             // One checkpointed baseline walk per device the scenario list
             // references (reused across runs); pricing then recomputes only
             // each scenario's dirty frontier. Skipped when the incremental
             // path is off or the base graph fails to lower (pricing falls
             // back to the plain memoized walk — same bits either way).
-            let baselines: Vec<Option<Arc<IncrementalPredictor>>> = (0..self.pipelines.len())
+            let baselines: Vec<Option<Arc<IncrementalPredictor>>> = (0..self.pipelines().len())
                 .map(|d| {
-                    if !(self.use_incremental
+                    let wanted = self.use_incremental
                         && !self.token.is_cancelled()
-                        && scenarios.iter().any(|s| s.device == d))
-                    {
-                        return None;
-                    }
-                    if let Some(b) = self.prepared.baseline(d) {
-                        return Some(b);
-                    }
-                    let b = IncrementalPredictor::with_cache(
-                        self.pipelines[d].predictor().clone(),
-                        base.clone(),
-                        &self.caches[d],
-                    )
-                    .ok()
-                    .map(Arc::new)?;
-                    self.prepared.insert_baseline(d, b.clone());
-                    Some(b)
+                        && scenarios.iter().any(|s| s.device == d);
+                    wanted.then(|| self.eval.baseline(d, base).ok()).flatten()
                 })
                 .collect();
             // Phase 2: price every scenario against its prepared graph,
             // each worker reusing one pooled scratch across all the
             // scenarios it claims.
-            let priced: Vec<Option<(ScenarioResult, Option<IncrementalStats>)>> =
-                par_map_with(
-                    threads,
-                    &self.token,
-                    scenarios,
-                    || PooledScratch::checkout(&self.scratch_pool),
-                    |scratch, _, s| {
-                        prepared[index[s.mutations.as_slice()]].as_ref().map(|graph| {
-                            self.price(
-                                s,
-                                graph,
-                                baselines.get(s.device).and_then(|b| b.as_deref()),
-                                scratch.get(),
-                            )
-                        })
-                    },
-                )
+            let priced: Vec<Option<(ScenarioResult, Option<IncrementalStats>)>> = self
+                .eval
+                .fan_out(threads, &self.token, scenarios, |scratch, _, s| {
+                    prepared[index[s.mutations.as_slice()]].as_ref().map(|graph| {
+                        let baseline = baselines.get(s.device).and_then(|b| b.as_deref());
+                        self.price(s, graph, baseline, scratch)
+                    })
+                })
                 .into_iter()
                 .map(Option::flatten)
                 .collect();
@@ -1136,13 +780,9 @@ impl SweepEngine {
             }
             priced.into_iter().map(|slot| slot.map(|(result, _)| result)).collect()
         } else {
-            par_map_with(
-                threads,
-                &self.token,
-                scenarios,
-                || PooledScratch::checkout(&self.scratch_pool),
-                |scratch, _, s| self.eval(base, s, scratch.get()),
-            )
+            self.eval.fan_out(threads, &self.token, scenarios, |scratch, _, s| {
+                self.run_one(base, s, scratch)
+            })
         };
         let cancelled = results.iter().any(|r| r.is_none());
         if cancelled {
@@ -1178,7 +818,7 @@ impl SweepEngine {
 impl std::fmt::Debug for SweepEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SweepEngine")
-            .field("pipelines", &self.pipelines.len())
+            .field("pipelines", &self.pipelines().len())
             .field("threads", &self.threads)
             .field("use_cache", &self.use_cache)
             .field("chunk", &self.chunk)
@@ -1218,13 +858,10 @@ impl ResumableJob for SweepJob<'_> {
         let done = state.results.len();
         let chunk =
             &self.scenarios[done..(done + self.engine.chunk).min(self.scenarios.len())];
-        let results = par_map_with(
-            self.engine.threads,
-            &self.engine.token,
-            chunk,
-            || PooledScratch::checkout(&self.engine.scratch_pool),
-            |scratch, _, s| self.engine.eval(self.base, s, scratch.get()),
-        );
+        let engine = self.engine;
+        let results = engine.eval.fan_out(engine.threads, &engine.token, chunk, |scratch, _, s| {
+            engine.run_one(self.base, s, scratch)
+        });
         for r in results {
             match r {
                 Some(r) => state.results.push(r),
@@ -1446,7 +1083,7 @@ mod tests {
         let y = broken.add_tensor(dlperf_graph::TensorMeta::activation(&[8, 8]));
         broken.add_op(OpKind::AddMm, vec![x], vec![y]);
         let expected =
-            format!("lowering failed: {}", eng.pipelines[0].predict(&broken).unwrap_err());
+            format!("lowering failed: {}", eng.pipelines()[0].predict(&broken).unwrap_err());
         let mut eng = eng;
         for cache in [true, false] {
             eng = eng.with_cache(cache);

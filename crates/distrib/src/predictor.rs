@@ -93,7 +93,7 @@ impl DistributedPredictor {
     /// # Errors
     /// Propagates lowering errors from malformed segment graphs.
     pub fn predict(&self, job: &DistributedDlrm) -> Result<DistributedPrediction, LowerError> {
-        self.predict_inner(job, None)
+        self.predict_segments(job, None, None).map(|r| r.0)
     }
 
     /// Like [`DistributedPredictor::predict`], answering kernel-model
@@ -110,7 +110,7 @@ impl DistributedPredictor {
         job: &DistributedDlrm,
         cache: &MemoCache,
     ) -> Result<DistributedPrediction, LowerError> {
-        self.predict_inner(job, Some(cache))
+        self.predict_segments(job, None, Some(cache)).map(|r| r.0)
     }
 
     /// Like [`DistributedPredictor::predict_memoized`], but pricing each
@@ -129,6 +129,17 @@ impl DistributedPredictor {
         baselines: &SegmentBaselines,
         cache: Option<&MemoCache>,
     ) -> Result<(DistributedPrediction, IncrementalSummary), LowerError> {
+        self.predict_segments(job, Some(baselines), cache)
+    }
+
+    /// The one rank × segment loop behind every predict: a segment with a
+    /// baseline slot is re-predicted incrementally, any other walked.
+    pub(crate) fn predict_segments(
+        &self,
+        job: &DistributedDlrm,
+        baselines: Option<&SegmentBaselines>,
+        cache: Option<&MemoCache>,
+    ) -> Result<(DistributedPrediction, IncrementalSummary), LowerError> {
         let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
         let mut summary = IncrementalSummary::default();
         let mut segment_us = [0.0f64; 4];
@@ -138,7 +149,7 @@ impl DistributedPredictor {
                 let _seg_span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
                     format!("segment:S{}/r{rank}", i + 1)
                 });
-                let p = match baselines.get(i) {
+                let p = match baselines.and_then(|b| b.get(i)) {
                     Some(b) => {
                         let (p, stats) = b.repredict_scratch(seg, cache, &mut scratch)?;
                         summary.absorb(&stats);
@@ -153,29 +164,6 @@ impl DistributedPredictor {
             }
         }
         Ok((self.assemble(job, segment_us), summary))
-    }
-
-    fn predict_inner(
-        &self,
-        job: &DistributedDlrm,
-        cache: Option<&MemoCache>,
-    ) -> Result<DistributedPrediction, LowerError> {
-        let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
-        let mut segment_us = [0.0f64; 4];
-        let mut scratch = WalkScratch::new();
-        for rank in 0..job.world() {
-            for (i, seg) in job.segments(rank).iter().enumerate() {
-                let _seg_span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
-                    format!("segment:S{}/r{rank}", i + 1)
-                });
-                let p = self
-                    .predictor
-                    .walk(seg, cache, None, &mut scratch)
-                    .map_err(PredictError::uncancelled)?;
-                segment_us[i] = segment_us[i].max(p.e2e_us);
-            }
-        }
-        Ok(self.assemble(job, segment_us))
     }
 
     /// Adds the collective phases and folds the timeline — shared by the

@@ -226,12 +226,8 @@ pub fn sweep_shardings(
                     }
                     None => predictor,
                 };
-                let priced = match &baselines {
-                    Some(b) => active.predict_incremental(&job, b, Some(&cache)).map(|r| r.0),
-                    None => active.predict_memoized(&job, &cache),
-                };
-                match priced {
-                    Ok(p) => ShardingResult {
+                match active.predict_segments(&job, baselines.as_ref(), Some(&cache)) {
+                    Ok((p, _)) => ShardingResult {
                         label: s.label.clone(),
                         prediction: Some(p),
                         error: None,

@@ -14,9 +14,9 @@
 //!   propagation into the prediction walk, a circuit breaker that
 //!   degrades to roofline answers, per-request panic isolation, and
 //!   worker self-healing;
-//! * [`recommend`] (served as `Op::Recommend`) — the objective-driven
+//! * `recommend` (served as `Op::Recommend`) — the objective-driven
 //!   configuration recommender;
-//! * [`optimize`] (served as `Op::Optimize`) — the unified
+//! * `optimize` (served as `Op::Optimize`) — the unified
 //!   [`dlperf_core::OptimizationSearch`] behind the wire protocol: ranked
 //!   graph-rewrite / batch / device optimizations with predicted deltas
 //!   and confidence bands.
@@ -583,23 +583,23 @@ mod tests {
 
         let server =
             Server::start(pipelines, &["dlrm-default"], small_config(), None).unwrap();
-        let resp = server.submit(Request {
-            id: 70,
-            op: Op::Optimize(OptimizeQuery {
-                model: "dlrm-default".into(),
-                batch: 512,
-                devices: Some(vec!["tesla-v100".into(), "v100".into(), "p100".into()]),
-                batches: Some(vec![256, 1024]),
-                beam_width: None,
-                max_depth: None,
-                top_k: None,
-                deadline_ms: Some(120_000.0),
-            }),
-        });
-        let body = match resp.body {
+        let query = OptimizeQuery {
+            model: "dlrm-default".into(),
+            batch: 512,
+            devices: Some(vec!["tesla-v100".into(), "v100".into(), "p100".into()]),
+            batches: Some(vec![256, 1024]),
+            beam_width: None,
+            max_depth: None,
+            top_k: None,
+            deadline_ms: Some(120_000.0),
+        };
+        let optimize = |id| match server.submit(Request { id, op: Op::Optimize(query.clone()) })
+            .body
+        {
             Body::Optimization(b) => b,
             other => panic!("expected optimization, got {other:?}"),
         };
+        let body = optimize(70);
         assert_eq!(body.baseline_e2e_us.to_bits(), offline.baseline_e2e_us.to_bits());
         assert_eq!(body.ranked.len(), offline.ranked.len());
         for (served, off) in body.ranked.iter().zip(&offline.ranked) {
@@ -610,6 +610,16 @@ mod tests {
         assert!(!body.ranked.is_empty());
         assert!(body.ranked[0].delta_us >= 0.0, "top entry must not lose time");
         assert!(body.evals >= body.ranked.len() as u64);
+
+        // The search priced through the engines' bounded memo caches; the
+        // same query again answers from them warm, bit for bit (`Debug`
+        // prints every f64 in its exact round-trip form).
+        let warm = server.stats();
+        let cap = small_config().memo_capacity as u64;
+        assert!(warm.memo_entries > 0 && warm.memo_entries <= cap, "{warm:?}");
+        let again = optimize(72);
+        assert_eq!(format!("{again:?}"), format!("{body:?}"));
+        assert!(server.stats().memo_hits > warm.memo_hits, "repeat must hit the warm caches");
 
         // Unknown names stay typed errors on this op too.
         let resp = server.submit(Request {

@@ -10,16 +10,16 @@
 //! bitwise identical to running `OptimizationSearch` offline over the
 //! same pipelines, graph, and knobs — admission, deadlines, and worker
 //! chaos change *whether* the request is answered, never *what* the
-//! ranking says. The server always prices with one thread and a fresh
-//! per-request search (the search builds its own memo caches), so no
-//! cross-request state can leak into the bits.
+//! ranking says. The server prices with one thread and a per-request
+//! search over the engines' bounded memo caches (shared with `Predict`
+//! and `Recommend`); memo hits are bitwise invisible, so they cannot leak.
 
 use dlperf_core::pipeline::Pipeline;
 use dlperf_core::{GraphMoves, NoExtra, OptimizationSearch, SearchConfig, SearchError};
 use dlperf_runtime::CancellationToken;
 
 use crate::api::{Body, ErrorCode, OptimizationBody, OptimizationEntry, OptimizeQuery};
-use crate::server::Shared;
+use crate::server::{Engine, Shared};
 
 /// Server-side caps on the client-tunable search knobs: a hostile query
 /// may not turn one request into an unbounded search.
@@ -66,10 +66,9 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         names.retain(|n| seen.insert(n.clone()));
         names
     };
-    let pipelines: Vec<Pipeline> = device_names
-        .iter()
-        .map(|n| shared.engine(n).expect("resolved above").pipeline.clone())
-        .collect();
+    let engines: Vec<&Engine> =
+        device_names.iter().map(|n| shared.engine(n).expect("resolved above")).collect();
+    let pipelines: Vec<Pipeline> = engines.iter().map(|e| e.pipeline.clone()).collect();
 
     let graph = entry.graph(q.batch);
     let base = match graph.as_ref() {
@@ -86,6 +85,7 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         ..SearchConfig::default()
     };
     let search = OptimizationSearch::<NoExtra>::new(&pipelines)
+        .with_caches(engines.iter().map(|e| e.cache.clone()).collect())
         .with_config(config)
         .with_graph_moves(GraphMoves {
             batches: q.batches.clone().unwrap_or_default(),

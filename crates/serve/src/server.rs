@@ -21,7 +21,10 @@
 //!
 //! Caches are bounded by construction: each device's [`MemoCache`] and
 //! each model's [`PreparedStore`] carry capacity caps, so a hostile or
-//! merely diverse request stream evicts, never grows.
+//! merely diverse request stream evicts, never grows. Every endpoint that
+//! prices — `Predict`, `Recommend`, and `Optimize` — goes through the same
+//! per-device caches; an `Optimize` search's own prepared graphs and
+//! baselines live only as long as its request.
 //!
 //! Determinism contract: an admitted, non-degraded answer is bitwise
 //! identical to [`Pipeline::predict_memoized_scratch`] run offline on the
@@ -38,7 +41,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlperf_core::pipeline::Pipeline;
 use dlperf_core::predictor::{PredictError, WalkScratch};
-use dlperf_core::{prepare_graph, GraphMutation, PreparedStore};
+use dlperf_core::{GraphMutation, PreparedStore};
 use dlperf_faults::{site_key, FaultInjector, FaultPlan, WorkerFault};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::Graph;
@@ -134,11 +137,12 @@ impl Breaker {
 }
 
 /// One served device: the calibrated pipeline, its roofline twin, and
-/// their (separately) bounded memo caches.
+/// their (separately) bounded memo caches. The full-fidelity cache is an
+/// `Arc` so `Optimize` searches can price through it too.
 pub(crate) struct Engine {
     pub(crate) pipeline: Pipeline,
     degraded: Pipeline,
-    pub(crate) cache: MemoCache,
+    pub(crate) cache: Arc<MemoCache>,
     degraded_cache: MemoCache,
 }
 
@@ -153,12 +157,7 @@ impl ModelEntry {
     /// a pure function of `(base, batch)`, so cache hits, misses, and
     /// evictions cannot change the value.
     pub(crate) fn graph(&self, batch: u64) -> Arc<Result<Graph, dlperf_core::MutationError>> {
-        let muts = vec![GraphMutation::ResizeBatch(batch)];
-        if let Some(g) = self.prepared.get(&muts) {
-            return g;
-        }
-        let built = Arc::new(prepare_graph(&self.base, &muts));
-        self.prepared.insert(muts, built)
+        self.prepared.get_or_prepare(&self.base, &[GraphMutation::ResizeBatch(batch)])
     }
 }
 
@@ -231,7 +230,7 @@ impl Server {
             let engine = Engine {
                 pipeline,
                 degraded,
-                cache: MemoCache::with_capacity(cfg.memo_capacity),
+                cache: Arc::new(MemoCache::with_capacity(cfg.memo_capacity)),
                 degraded_cache: MemoCache::with_capacity(cfg.memo_capacity),
             };
             if engines.insert(device.name.clone(), engine).is_some() {

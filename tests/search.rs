@@ -155,6 +155,15 @@ proptest! {
         };
         // Reference: one thread, no cache.
         let reference = fingerprint(&run_search(make(1, false), batches.clone()));
+        // A second run on the same search object, its prepared graphs,
+        // baselines and memo caches warm from the first.
+        let (pipelines, g) = base();
+        let search = OptimizationSearch::<NoExtra>::new(pipelines)
+            .with_config(make(2, true))
+            .with_graph_moves(GraphMoves { batches: batches.clone(), ..GraphMoves::default() });
+        search.run(g).expect("search runs");
+        let warm = fingerprint(&search.run(g).expect("warm search runs"));
+        prop_assert_eq!(&warm, &reference, "warm re-run diverged");
         for threads in [1usize, 2, 8] {
             for use_cache in [false, true] {
                 if threads == 1 && !use_cache {
