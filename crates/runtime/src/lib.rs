@@ -8,7 +8,9 @@
 //! - [`Supervisor`] runs a [`ResumableJob`] with panic isolation
 //!   (`catch_unwind` around every attempt), a restart budget with
 //!   exponential backoff, and cooperative deadlines enforced by
-//!   [`Watchdog`] threads flipping [`CancellationToken`]s.
+//!   [`Watchdog`]s flipping [`CancellationToken`]s. Every watchdog is an
+//!   entry in one process-wide deadline timer served by a single thread,
+//!   so arming and disarming never spawn, join or wait on a thread.
 //! - Progress is persisted as versioned, checksummed [`snapshot`]
 //!   envelopes through a [`CheckpointStore`] ([`FileStore`] for durable
 //!   kill-resume, [`MemoryStore`] for tests). Writes are atomic

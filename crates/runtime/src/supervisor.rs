@@ -795,6 +795,18 @@ mod tests {
     }
 
     #[test]
+    fn unrepresentable_deadlines_never_fire() {
+        let mut sup = Supervisor::new(SupervisorConfig {
+            deadline: Some(Duration::MAX),
+            attempt_timeout: Some(Duration::MAX),
+            ..SupervisorConfig::default()
+        });
+        let (out, report) = sup.run(&CountJob::to(4));
+        assert_eq!(out.expect("an endless budget never expires"), expected_sum(4));
+        assert_eq!(report.attempts, 1);
+    }
+
+    #[test]
     fn external_cancellation_is_distinguished_from_deadline() {
         let mut job = CountJob::to(10_000);
         job.step_sleep = Duration::from_millis(2);

@@ -9,6 +9,9 @@
 //! 2. **Deadline** — a [`Watchdog`] arms a [`CancellationToken`] the
 //!    prediction walk observes between op steps; deadline hits are typed
 //!    `504 deadline` answers, whether they fire in the queue or mid-walk.
+//!    The watchdog is an entry in the runtime's one process-wide deadline
+//!    timer, so arming and disarming it costs a table insert and remove:
+//!    no request spawns or joins a thread, and no reply waits on one.
 //! 3. **Circuit breaker** — repeated full-fidelity failures trip the
 //!    server onto a degraded roofline twin (an empty [`ModelRegistry`],
 //!    same overhead database), which keeps answering — marked
