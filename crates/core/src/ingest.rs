@@ -178,7 +178,8 @@ impl CorpusIngestJob {
                             samples.push((family.to_string(), d));
                         }
                     }
-                    canon.push_str(&trace.to_json());
+                    // The bytes of `Trace::to_json`, written in place.
+                    trace.write_json(&mut serde::JsonWriter::compact(&mut canon));
                     canon.push('\n');
                 }
                 let digest = format!("{:016x}", fnv1a64(canon.as_bytes()));

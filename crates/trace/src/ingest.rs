@@ -311,11 +311,18 @@ enum Mode {
     Done,
 }
 
-/// Incremental scanner for one `{...}` trace object. Fed one byte at a
-/// time; holds at most `scan_buffer_cap` dynamic bytes regardless of
-/// input. The events array is never buffered: each element is parsed
-/// (or rejected) as soon as its closing byte arrives, and the metadata
-/// buffer is spliced around an empty array for the final serde parse.
+/// Incremental scanner for one `{...}` trace object; holds at most
+/// `scan_buffer_cap` dynamic bytes regardless of input. The events array
+/// is never buffered: each element is parsed (or rejected) as soon as
+/// its closing byte arrives, and the metadata buffer is spliced around
+/// an empty array for the final serde parse.
+///
+/// Structural bytes go through [`feed`](Self::feed) one at a time.
+/// Inside an event element, [`feed_run`](Self::feed_run) first takes the
+/// whole run of bytes that cannot change scanner state (in a string,
+/// anything but `"` and `\`; outside one, anything but `"[]{},` and NUL)
+/// with one copy, so skips, quarantines, caps and the buffer high-water
+/// mark are exactly those of the byte-at-a-time path.
 struct TraceScanner<'a> {
     limits: &'a IngestLimits,
     cursor: JsonCursor,
@@ -400,9 +407,15 @@ impl<'a> TraceScanner<'a> {
     fn complete_element(&mut self) -> Result<(), FileReject> {
         let poisoned = std::mem::take(&mut self.ev_poisoned);
         let oversized = std::mem::take(&mut self.ev_oversized);
-        let bytes = std::mem::take(&mut self.ev_buf);
         self.in_element = false;
         self.ev_is_container = false;
+        // Parse, then clear: the buffer keeps its capacity for the next
+        // event.
+        let parsed = (!poisoned && !oversized)
+            .then(|| std::str::from_utf8(&self.ev_buf).ok())
+            .flatten()
+            .and_then(|s| serde_json::from_str::<TraceEvent>(s).ok());
+        self.ev_buf.clear();
 
         if oversized {
             return self.consume_budget(EventReject::Oversized);
@@ -410,9 +423,6 @@ impl<'a> TraceScanner<'a> {
         if poisoned {
             return self.consume_budget(EventReject::Malformed);
         }
-        let parsed = std::str::from_utf8(&bytes)
-            .ok()
-            .and_then(|s| serde_json::from_str::<TraceEvent>(s).ok());
         let Some(ev) = parsed else {
             return self.consume_budget(EventReject::Malformed);
         };
@@ -437,6 +447,33 @@ impl<'a> TraceScanner<'a> {
         }
         self.events.push(Some(ev));
         Ok(())
+    }
+
+    /// Consumes the leading run of `bytes` that cannot change scanner
+    /// state, cut at [`IngestLimits::max_event_bytes`], and returns its
+    /// length: 0 when the next byte needs [`feed`](Self::feed). The run
+    /// is buffered with one copy and one high-water-mark update, or
+    /// dropped when the event is already poisoned or oversized, as the
+    /// per-byte path would.
+    fn feed_run(&mut self, bytes: &[u8]) -> usize {
+        if self.mode != Mode::Elems || !self.in_element || self.cursor.escaped() {
+            return 0;
+        }
+        let stop = if self.cursor.in_string() {
+            bytes.iter().position(|&b| b == b'"' || b == b'\\')
+        } else {
+            bytes.iter().position(|&b| matches!(b, b'"' | b'[' | b']' | b'{' | b'}' | b',' | 0))
+        };
+        let run = stop.unwrap_or(bytes.len());
+        if self.ev_poisoned || self.ev_oversized {
+            return run;
+        }
+        let take = run.min(self.limits.max_event_bytes.saturating_sub(self.ev_buf.len()));
+        if take > 0 {
+            self.ev_buf.extend_from_slice(&bytes[..take]);
+            self.note_peak();
+        }
+        take
     }
 
     /// Advances the scanner by one byte.
@@ -623,6 +660,10 @@ enum Drive<'a> {
 /// never holds more than a fixed read chunk plus
 /// [`IngestLimits::scan_buffer_cap`] dynamic bytes, and accounts for
 /// every event it could not accept.
+///
+/// Each read chunk is consumed a run at a time inside event elements and
+/// a byte at a time elsewhere; the result does not depend on how the
+/// reader splits the file into reads.
 pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits) -> FileIngest {
     let mut traces: Vec<Trace> = Vec::new();
     let mut skips = SkipCounts::default();
@@ -644,7 +685,18 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
         if bytes_read > limits.max_file_bytes {
             break 'scan Some(FileReject::TooLarge);
         }
-        for &b in &buf[..n] {
+        let mut i = 0;
+        while i < n {
+            if let Drive::Single(scanner) | Drive::ArrayElem(scanner) = &mut state {
+                // A run always ends at a byte that needs the per-byte
+                // path, or at the end of the chunk.
+                i += scanner.feed_run(&buf[i..n]);
+                if i == n {
+                    break;
+                }
+            }
+            let b = buf[i];
+            i += 1;
             // Each byte is routed to the per-trace scanner or handled
             // as array framing; any typed failure quarantines the file.
             let next = match state {

@@ -59,6 +59,12 @@ impl JsonCursor {
         self.in_str
     }
 
+    /// Whether the cursor is inside a string right after a backslash, so
+    /// the next byte is the escaped one.
+    pub(crate) fn escaped(&self) -> bool {
+        self.escaped
+    }
+
     /// Advances the lexical state by one byte.
     pub fn step(&mut self, b: u8) -> Lex {
         if self.in_str {

@@ -637,3 +637,16 @@ fn corpus_calibration_matches_offline_clean_fit_and_degrades_thin_families() {
         .iter()
         .all(|(family, _)| *family != KernelFamily::Conv2d));
 }
+
+/// The acceptance corpus's digest, captured before the JSON writer and
+/// the run-at-a-time scanner replaced the value-tree renderer and the
+/// byte-at-a-time scanner. Every file digest hashes its recovered traces'
+/// JSON, so this pins the scanner's output and the writer's bytes at once.
+const ACCEPTANCE_DIGEST: &str = "2b572ada0c23e859";
+
+#[test]
+fn acceptance_corpus_digest_is_pinned() {
+    let (job, _, _) = acceptance_setup("digest-pin");
+    let ingest = run_uninterrupted(&job);
+    assert_eq!(format!("{:016x}", ingest.digest), ACCEPTANCE_DIGEST);
+}
