@@ -21,7 +21,7 @@ fn main() {
             DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(8, 1)).expect("valid");
         eprintln!("calibrating {} ...", device.name);
         let pipe = Pipeline::analyze(&device, &probe.segments(0), effort(), iters, 3);
-        let predictor = DistributedPredictor::new(pipe.predictor().clone(), device.clone());
+        let predictor = DistributedPredictor::new(&pipe);
 
         println!(
             "\n--- {} cluster (interconnect {:.0} GB/s) ---",
@@ -60,7 +60,7 @@ fn main() {
     let cfg = DlrmConfig::mlperf_config(batch);
     let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(26, 1)).expect("valid");
     let pipe = Pipeline::analyze(&device, &probe.segments(0), effort(), iters, 5);
-    let predictor = DistributedPredictor::new(pipe.predictor().clone(), device.clone());
+    let predictor = DistributedPredictor::new(&pipe);
     let registry = pipe.predictor().registry();
 
     let plans: Vec<(&str, Vec<usize>)> = vec![

@@ -32,6 +32,14 @@
 //! plus the collective performance model — never running anything, so
 //! embedding-sharding plans can be compared offline (the paper's
 //! load-balancing use case, end to end).
+//!
+//! Every distributed price goes through one method,
+//! [`DistributedPredictor::price`]: it borrows a calibrated single-GPU
+//! [`dlperf_core::pipeline::Pipeline`] and takes the topology, incremental
+//! baselines, memo cache and walk scratch from its caller.
+//! [`sweep::sweep_shardings`] fans it out over a scenario matrix on the
+//! caller's cache; [`search::DistribAxis`] plugs it into the optimization
+//! search.
 
 pub mod builder;
 pub mod comms;

@@ -13,7 +13,7 @@
 //!   current plan (capped, deterministic order) and strategy switches on
 //!   the same plan.
 //! * [`ExtraScorer`]: builds the [`DistributedDlrm`] job and prices it
-//!   with the collective-aware predictor, memoized through one shared
+//!   with [`DistributedPredictor::price`], memoized through one shared
 //!   cache (hits are bitwise identical to misses, so caching is
 //!   invisible to the ranking — the same contract as everywhere else).
 //!
@@ -23,8 +23,7 @@
 //! generator therefore only expands from candidates whose mutation list
 //! is batch-only, and the scorer rejects anything else defensively.
 
-use std::sync::Arc;
-
+use dlperf_core::predictor::WalkScratch;
 use dlperf_core::{Candidate, ExtraScorer, GraphMutation, MoveGenerator, DEFAULT_MEMO_CAPACITY};
 use dlperf_graph::Graph;
 use dlperf_kernels::MemoCache;
@@ -51,21 +50,21 @@ impl std::fmt::Display for DistribMove {
 }
 
 /// The multi-GPU axis of the unified search space.
-pub struct DistribAxis {
+pub struct DistribAxis<'p> {
     config: DlrmConfig,
-    predictor: DistributedPredictor,
+    predictor: DistributedPredictor<'p>,
     worlds: Vec<usize>,
     strategies: Vec<ParallelismStrategy>,
     max_rebalances: usize,
-    cache: Arc<MemoCache>,
+    cache: MemoCache,
 }
 
-impl DistribAxis {
+impl<'p> DistribAxis<'p> {
     /// An axis over `worlds` × `strategies` for the DLRM described by
     /// `config`, priced by `predictor`.
     pub fn new(
         config: DlrmConfig,
-        predictor: DistributedPredictor,
+        predictor: DistributedPredictor<'p>,
         worlds: Vec<usize>,
         strategies: Vec<ParallelismStrategy>,
     ) -> Self {
@@ -75,7 +74,7 @@ impl DistribAxis {
             worlds,
             strategies,
             max_rebalances: 8,
-            cache: Arc::new(MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY)),
+            cache: MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY),
         }
     }
 
@@ -105,7 +104,7 @@ impl DistribAxis {
     }
 }
 
-impl MoveGenerator<DistribMove> for DistribAxis {
+impl MoveGenerator<DistribMove> for DistribAxis<'_> {
     fn expand(&self, _graph: &Graph, cand: &Candidate<DistribMove>) -> Vec<Candidate<DistribMove>> {
         if !Self::composes_with(&cand.mutations) {
             return Vec::new();
@@ -148,7 +147,7 @@ impl MoveGenerator<DistribMove> for DistribAxis {
     }
 }
 
-impl ExtraScorer<DistribMove> for DistribAxis {
+impl ExtraScorer<DistribMove> for DistribAxis<'_> {
     fn price(&self, mutations: &[GraphMutation], extra: &DistribMove) -> Result<f64, String> {
         if !Self::composes_with(mutations) {
             return Err("distributed axis only composes with batch resizes".into());
@@ -159,8 +158,8 @@ impl ExtraScorer<DistribMove> for DistribAxis {
             .map_err(|e| e.to_string())?
             .with_strategy(extra.strategy);
         self.predictor
-            .predict_memoized(&job, &self.cache)
-            .map(|p| p.e2e_us)
+            .price(&job, None, None, Some(&self.cache), &mut WalkScratch::new())
+            .map(|(p, _)| p.e2e_us)
             .map_err(|e| format!("lowering failed: {e}"))
     }
 }

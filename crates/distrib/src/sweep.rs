@@ -3,13 +3,14 @@
 //!
 //! Enumerates candidate `(strategy, world size, topology, sharding plan)`
 //! scenarios for a DLRM config and prices them all through
-//! [`DistributedPredictor`] on [`dlperf_core::sweep::par_map`] — the same
-//! work-distributing, cancellation-aware primitive the single-GPU engine
-//! uses — with one shared [`MemoCache`] answering kernel-model queries.
-//! Data-parallel MLP segments are identical across ranks and plans, so the
-//! cache hit rate across a plan sweep is high and the parallel sweep stays
-//! bitwise identical to the sequential one (pure evaluations, index-slotted
-//! results).
+//! [`DistributedPredictor::price`] on [`dlperf_core::sweep::par_map_with`]
+//! — the same work-distributing, cancellation-aware primitive the
+//! single-GPU engine uses — with one reused scratch per worker and the
+//! caller's [`MemoCache`] answering kernel-model queries (the server
+//! passes its bounded per-device cache). Data-parallel MLP segments are
+//! identical across ranks and plans, so the cache hit rate across a plan
+//! sweep is high and the parallel sweep stays bitwise identical to the
+//! sequential one (pure evaluations, index-slotted results).
 //!
 //! Scenario enumeration is *total*: a cell whose plan cannot be
 //! constructed (or whose topology name is unknown) is emitted as a
@@ -17,9 +18,10 @@
 //! silently dropped — so outcome lengths are stable functions of the
 //! requested axes.
 
-use dlperf_core::sweep::par_map;
+use dlperf_core::predictor::WalkScratch;
+use dlperf_core::sweep::par_map_with;
 use dlperf_gpusim::DeviceSpec;
-use dlperf_kernels::{MemoCache, MemoCacheStats};
+use dlperf_kernels::MemoCache;
 use dlperf_models::DlrmConfig;
 use dlperf_runtime::CancellationToken;
 
@@ -46,18 +48,6 @@ pub struct ShardingScenario {
     pub topology: Option<Topology>,
 }
 
-impl ShardingScenario {
-    /// A plain hybrid-parallel cell on the derived topology.
-    pub fn of(label: impl Into<String>, plan: ShardingPlan) -> Self {
-        ShardingScenario {
-            label: label.into(),
-            plan: Ok(plan),
-            strategy: ParallelismStrategy::Hybrid,
-            topology: None,
-        }
-    }
-}
-
 /// The outcome of one sharding scenario.
 #[derive(Debug, Clone)]
 pub struct ShardingResult {
@@ -77,36 +67,32 @@ pub struct ShardingResult {
 /// all-on-rank-0 straggler (the load-imbalance reference point of §V-B).
 /// Order is deterministic: world sizes as given, plans in the order above.
 /// Every world contributes exactly three cells — a plan that cannot be
-/// built (zero tables, say) becomes a degraded cell, and at world 1 the
-/// "skewed" plan is the trivial plan, labeled as such.
+/// built (zero tables or world 0, say) becomes a degraded cell, and at
+/// world 1 the "skewed" plan is the trivial plan, labeled as such.
 pub fn enumerate_plans(tables: usize, worlds: &[usize]) -> Vec<ShardingScenario> {
-    let mut out = Vec::new();
-    for &w in worlds {
-        out.push(ShardingScenario::of(
-            format!("w{w}/round_robin"),
-            ShardingPlan::round_robin(tables, w),
-        ));
-        let block: Vec<usize> = (0..tables).map(|t| t * w / tables.max(1)).collect();
-        out.push(cell_of(format!("w{w}/block"), ShardingPlan::new(block, w)));
-        out.push(cell_of(format!("w{w}/skewed0"), ShardingPlan::new(vec![0; tables], w)));
-    }
-    out
+    worlds.iter().flat_map(|&w| plans_at(tables, w)).collect()
 }
 
-fn cell_of(label: String, plan: Result<ShardingPlan, crate::DistribError>) -> ShardingScenario {
-    ShardingScenario {
-        label,
-        plan: plan.map_err(|e| e.to_string()),
-        strategy: ParallelismStrategy::Hybrid,
-        topology: None,
-    }
+/// The three candidate plans of [`enumerate_plans`] at one world size.
+fn plans_at(tables: usize, w: usize) -> [ShardingScenario; 3] {
+    let round_robin = (0..tables).map(|t| t % w.max(1)).collect();
+    let block = (0..tables).map(|t| t * w / tables.max(1)).collect();
+    [("round_robin", round_robin), ("block", block), ("skewed0", vec![0; tables])].map(
+        |(name, assignment)| ShardingScenario {
+            label: format!("w{w}/{name}"),
+            plan: ShardingPlan::new(assignment, w).map_err(|e| e.to_string()),
+            strategy: ParallelismStrategy::Hybrid,
+            topology: None,
+        },
+    )
 }
 
 /// Enumerates the full `(topology × strategy × world × plan)` matrix:
 /// every topology name is resolved per world via
 /// [`Topology::from_name`] (unknown names resolve to conservatively
 /// degraded topologies, never to missing cells), crossed with every
-/// strategy and the three candidate plans of [`enumerate_plans`]. Labels
+/// strategy and the three candidate plans of [`enumerate_plans`]. A world
+/// of 0 has no topology; its cells are degraded by their plans. Labels
 /// read `"{topology}/{strategy}/w{world}/{plan}"`. Order is
 /// deterministic: topologies, then strategies, then worlds, then plans.
 pub fn enumerate_matrix(
@@ -119,33 +105,20 @@ pub fn enumerate_matrix(
     let mut out = Vec::new();
     for &topo_name in topologies {
         for &strategy in strategies {
-            for cell in enumerate_plans(tables, worlds) {
-                let world = cell
-                    .plan
-                    .as_ref()
-                    .map(|p| p.world())
-                    .unwrap_or_else(|_| world_of_label(&cell.label));
-                let topology = Topology::from_name(topo_name, device, world);
-                out.push(ShardingScenario {
-                    label: format!("{topo_name}/{strategy}/{}", cell.label),
-                    plan: cell.plan,
-                    strategy,
-                    topology: Some(topology),
-                });
+            for &world in worlds {
+                let topology = (world > 0).then(|| Topology::from_name(topo_name, device, world));
+                for cell in plans_at(tables, world) {
+                    out.push(ShardingScenario {
+                        label: format!("{topo_name}/{strategy}/{}", cell.label),
+                        plan: cell.plan,
+                        strategy,
+                        topology: topology.clone(),
+                    });
+                }
             }
         }
     }
     out
-}
-
-/// Recovers the world size from an enumerated label (`"w{w}/..."`) for
-/// cells whose plan failed to build; falls back to 1.
-fn world_of_label(label: &str) -> usize {
-    label
-        .strip_prefix('w')
-        .and_then(|rest| rest.split('/').next())
-        .and_then(|w| w.parse().ok())
-        .unwrap_or(1)
 }
 
 /// What a sharding sweep produced.
@@ -154,8 +127,6 @@ pub struct ShardingSweepOutcome {
     /// One slot per scenario, in input order; `None` only under
     /// cancellation.
     pub results: Vec<Option<ShardingResult>>,
-    /// Cache counters after the sweep.
-    pub cache: MemoCacheStats,
 }
 
 impl ShardingSweepOutcome {
@@ -173,23 +144,25 @@ impl ShardingSweepOutcome {
     }
 }
 
-/// Prices every scenario on `threads` workers, sharing one memo cache.
-/// Results are bitwise identical at any thread count: every cell is a
-/// pure function of `(predictor, config, scenario)`, and cells pinned to
-/// a topology or strategy price through the same shared baselines.
+/// Prices every scenario on `threads` workers, each with its own
+/// [`WalkScratch`], answering kernel queries from the caller's `cache`
+/// (dedicated to the predictor's pipeline). Results are bitwise
+/// identical at any thread count and with any cache state: every cell is
+/// a pure function of `(predictor, config, scenario)`, and every cell
+/// prices through the same shared baselines.
 pub fn sweep_shardings(
     predictor: &DistributedPredictor,
     config: &DlrmConfig,
     scenarios: &[ShardingScenario],
+    cache: &MemoCache,
     threads: usize,
     token: &CancellationToken,
 ) -> ShardingSweepOutcome {
-    let cache = MemoCache::new();
     // Segment baselines from the first buildable scenario: every job's
     // segments then re-predict incrementally against them (identical DP
     // segments splice outright; sharded segments recompute only their
     // dirty embedding span). Values are bitwise identical to the plain
-    // memoized path, which remains the fallback when nothing builds.
+    // walk, which remains the fallback when nothing builds.
     let baselines = (!token.is_cancelled())
         .then(|| {
             scenarios
@@ -200,59 +173,35 @@ pub fn sweep_shardings(
                         .ok()
                         .map(|j| j.with_strategy(s.strategy))
                 })
-                .map(|job| SegmentBaselines::new(predictor, &job, Some(&cache)))
+                .map(|job| SegmentBaselines::new(predictor, &job, Some(cache)))
         })
         .flatten();
-    let results = par_map(threads, token, scenarios, |_, s| {
+    let results = par_map_with(threads, token, scenarios, WalkScratch::new, |scratch, _, s| {
+        let result = |prediction, error, degraded| ShardingResult {
+            label: s.label.clone(),
+            prediction,
+            error,
+            degraded,
+        };
         let plan = match &s.plan {
             Ok(p) => p.clone(),
             Err(reason) => {
-                return ShardingResult {
-                    label: s.label.clone(),
-                    prediction: None,
-                    error: Some(format!("degraded: {reason}")),
-                    degraded: Some(reason.clone()),
-                }
+                return result(None, Some(format!("degraded: {reason}")), Some(reason.clone()))
             }
         };
-        let built = DistributedDlrm::new(config.clone(), plan).map(|j| j.with_strategy(s.strategy));
-        match built {
-            Ok(job) => {
-                let cell_predictor;
-                let active: &DistributedPredictor = match &s.topology {
-                    Some(t) => {
-                        cell_predictor = predictor.clone().with_topology(t.clone());
-                        &cell_predictor
-                    }
-                    None => predictor,
-                };
-                match active.predict_segments(&job, baselines.as_ref(), Some(&cache)) {
-                    Ok((p, _)) => ShardingResult {
-                        label: s.label.clone(),
-                        prediction: Some(p),
-                        error: None,
-                        degraded: s
-                            .topology
-                            .as_ref()
-                            .and_then(|t| t.degraded().map(str::to_string)),
-                    },
-                    Err(e) => ShardingResult {
-                        label: s.label.clone(),
-                        prediction: None,
-                        error: Some(format!("lowering failed: {e}")),
-                        degraded: None,
-                    },
-                }
+        let job = match DistributedDlrm::new(config.clone(), plan) {
+            Ok(j) => j.with_strategy(s.strategy),
+            Err(e) => return result(None, Some(format!("invalid plan: {e}")), None),
+        };
+        let topology = s.topology.as_ref();
+        match predictor.price(&job, topology, baselines.as_ref(), Some(cache), scratch) {
+            Ok((p, _)) => {
+                result(Some(p), None, topology.and_then(|t| t.degraded().map(str::to_string)))
             }
-            Err(e) => ShardingResult {
-                label: s.label.clone(),
-                prediction: None,
-                error: Some(format!("invalid plan: {e}")),
-                degraded: None,
-            },
+            Err(e) => result(None, Some(format!("lowering failed: {e}")), None),
         }
     });
-    ShardingSweepOutcome { results, cache: cache.stats() }
+    ShardingSweepOutcome { results }
 }
 
 #[cfg(test)]
@@ -262,14 +211,12 @@ mod tests {
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::CalibrationEffort;
 
-    fn predictor(cfg: &DlrmConfig) -> DistributedPredictor {
+    fn pipeline(cfg: &DlrmConfig) -> Pipeline {
         let job =
             DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(cfg.rows_per_table.len(), 2))
                 .unwrap();
         let segs = job.segments(0).to_vec();
-        let device = DeviceSpec::v100();
-        let pipe = Pipeline::analyze(&device, &segs, CalibrationEffort::Quick, 6, 17);
-        DistributedPredictor::new(pipe.predictor().clone(), device)
+        Pipeline::analyze(&DeviceSpec::v100(), &segs, CalibrationEffort::Quick, 6, 17)
     }
 
     #[test]
@@ -299,9 +246,11 @@ mod tests {
         assert!(!degraded.is_empty(), "empty plans must surface as degraded cells");
 
         let cfg = DlrmConfig::default_config(512);
-        let pred = predictor(&cfg);
+        let pipe = pipeline(&cfg);
         let token = CancellationToken::new();
-        let out = sweep_shardings(&pred, &cfg, &cells, 1, &token);
+        let cache = MemoCache::new();
+        let out =
+            sweep_shardings(&DistributedPredictor::new(&pipe), &cfg, &cells, &cache, 1, &token);
         assert_eq!(out.results.len(), cells.len(), "one result slot per cell, always");
         for (cell, res) in cells.iter().zip(&out.results) {
             let res = res.as_ref().unwrap();
@@ -333,13 +282,29 @@ mod tests {
     }
 
     #[test]
+    fn world_zero_yields_three_degraded_cells_per_matrix_row() {
+        let device = DeviceSpec::v100();
+        let cells =
+            enumerate_matrix(8, &[0, 2], &[ParallelismStrategy::Hybrid], &["auto"], &device);
+        assert_eq!(cells.len(), 2 * 3);
+        for cell in &cells[..3] {
+            assert!(cell.label.starts_with("auto/hybrid/w0/"), "{}", cell.label);
+            assert!(cell.plan.is_err() && cell.topology.is_none());
+        }
+        assert!(cells[3..].iter().all(|c| c.plan.is_ok() && c.topology.is_some()));
+    }
+
+    #[test]
     fn parallel_sweep_matches_sequential_bitwise_and_hits_cache() {
         let cfg = DlrmConfig::default_config(512);
-        let pred = predictor(&cfg);
+        let pipe = pipeline(&cfg);
+        let pred = DistributedPredictor::new(&pipe);
         let scenarios = enumerate_plans(cfg.rows_per_table.len(), &[2, 4]);
         let token = CancellationToken::new();
-        let seq = sweep_shardings(&pred, &cfg, &scenarios, 1, &token);
-        let par = sweep_shardings(&pred, &cfg, &scenarios, 4, &token);
+        let cache = MemoCache::new();
+        let seq = sweep_shardings(&pred, &cfg, &scenarios, &cache, 1, &token);
+        let stats = cache.stats();
+        let par = sweep_shardings(&pred, &cfg, &scenarios, &MemoCache::new(), 4, &token);
         let bits = |o: &ShardingSweepOutcome| -> Vec<Option<u64>> {
             o.results
                 .iter()
@@ -351,7 +316,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(bits(&seq), bits(&par));
-        assert!(seq.cache.hits > 0, "DP segments repeat across plans: {}", seq.cache);
+        assert!(stats.hits > 0, "DP segments repeat across plans: {stats}");
         // The sweep should prefer a balanced plan over the straggler.
         let best = seq.best().unwrap();
         assert!(!best.label.contains("skewed"), "picked {}", best.label);

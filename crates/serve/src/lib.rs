@@ -562,6 +562,76 @@ mod tests {
     }
 
     #[test]
+    fn recommend_world_zero_rejects_cells_and_sharded_prices_match_offline() {
+        use dlperf_distrib::{
+            enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy,
+        };
+        use dlperf_runtime::CancellationToken;
+
+        let pipeline = quick_pipeline();
+        let server =
+            Server::start(vec![pipeline.clone()], &["dlrm-default"], small_config(), None)
+                .unwrap();
+        let resp = server.submit(Request {
+            id: 60,
+            op: Op::Recommend(RecommendQuery {
+                model: "dlrm-default".into(),
+                batches: vec![512],
+                devices: vec!["v100".into()],
+                max_latency_ms: None,
+                world_sizes: vec![0, 2],
+                strategies: None,
+                topologies: None,
+                objective: Objective::Latency,
+                deadline_ms: Some(120_000.0),
+            }),
+        });
+        let Body::Recommendation(r) = resp.body else {
+            panic!("expected recommendation, got {:?}", resp.body);
+        };
+        for plan in ["round_robin", "block", "skewed0"] {
+            let label = format!("auto/hybrid/w0/{plan}");
+            assert!(
+                r.rejected.iter().any(|c| c.reason.contains(&label)),
+                "{label} not rejected: {:?}",
+                r.rejected
+            );
+        }
+        assert_eq!(server.stats().panics, 0, "world 0 must not panic a worker");
+
+        // The served sharded prices, made on the engine's bounded cache,
+        // equal an offline sweep on a fresh cache bit for bit.
+        let config = zoo::dlrm_config("dlrm-default", 512).unwrap();
+        let scenarios = enumerate_matrix(
+            config.rows_per_table.len(),
+            &[2],
+            &[ParallelismStrategy::Hybrid],
+            &["auto"],
+            pipeline.device(),
+        );
+        let offline = sweep_shardings(
+            &DistributedPredictor::new(&pipeline),
+            &config,
+            &scenarios,
+            &MemoCache::new(),
+            1,
+            &CancellationToken::new(),
+        );
+        let mut compared = 0;
+        for result in offline.results.iter().flatten() {
+            let want = result.prediction.as_ref().unwrap().e2e_us;
+            let served = r
+                .ranked
+                .iter()
+                .find(|c| c.sharding.as_deref() == Some(result.label.as_str()))
+                .unwrap_or_else(|| panic!("{} not ranked", result.label));
+            assert_eq!(served.e2e_us.to_bits(), want.to_bits(), "{}", result.label);
+            compared += 1;
+        }
+        assert_eq!(compared, 3);
+    }
+
+    #[test]
     fn optimize_matches_offline_search_bitwise() {
         use dlperf_core::{GraphMoves, NoExtra, OptimizationSearch, SearchConfig};
 

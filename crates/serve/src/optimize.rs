@@ -19,7 +19,7 @@ use dlperf_core::{GraphMoves, NoExtra, OptimizationSearch, SearchConfig, SearchE
 use dlperf_runtime::CancellationToken;
 
 use crate::api::{Body, ErrorCode, OptimizationBody, OptimizationEntry, OptimizeQuery};
-use crate::server::{Engine, Shared};
+use crate::server::{resolve_devices, Engine, Shared};
 
 /// Server-side caps on the client-tunable search knobs: a hostile query
 /// may not turn one request into an unbounded search.
@@ -44,27 +44,9 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         );
     }
 
-    // Resolve the device axis exactly like the recommender: canonical
-    // names, set-dedup in first-occurrence order so aliases and repeats
-    // never widen the axis.
-    let requested_devices = q.devices.as_deref().unwrap_or_default();
-    let device_names: Vec<String> = if requested_devices.is_empty() {
-        let mut names: Vec<String> = shared.engines.keys().cloned().collect();
-        names.sort();
-        names
-    } else {
-        let mut names = Vec::new();
-        for d in requested_devices {
-            match shared.engine(d) {
-                Some(e) => names.push(e.pipeline.device().name.clone()),
-                None => {
-                    return Body::error(ErrorCode::NotFound, format!("unknown device `{d}`"));
-                }
-            }
-        }
-        let mut seen = std::collections::HashSet::new();
-        names.retain(|n| seen.insert(n.clone()));
-        names
+    let device_names = match resolve_devices(shared, q.devices.as_deref().unwrap_or_default()) {
+        Ok(names) => names,
+        Err(e) => return Body::Error(e),
     };
     let engines: Vec<&Engine> =
         device_names.iter().map(|n| shared.engine(n).expect("resolved above")).collect();

@@ -16,7 +16,7 @@ use dlperf_runtime::CancellationToken;
 use crate::api::{
     Body, ConfigChoice, ErrorCode, Objective, RecommendQuery, RecommendationBody, RejectedConfig,
 };
-use crate::server::Shared;
+use crate::server::{resolve_devices, Shared};
 
 /// Default batch ladder when the query names none.
 const DEFAULT_BATCHES: [u64; 5] = [256, 512, 1024, 2048, 4096];
@@ -33,25 +33,9 @@ pub(crate) fn run(
     let Some(entry) = shared.models.get(&q.model) else {
         return Body::error(ErrorCode::NotFound, format!("unknown model `{}`", q.model));
     };
-    let device_names: Vec<String> = if q.devices.is_empty() {
-        let mut names: Vec<String> = shared.engines.keys().cloned().collect();
-        names.sort();
-        names
-    } else {
-        let mut names = Vec::new();
-        for d in &q.devices {
-            match shared.engine(d) {
-                Some(e) => names.push(e.pipeline.device().name.clone()),
-                None => {
-                    return Body::error(ErrorCode::NotFound, format!("unknown device `{d}`"));
-                }
-            }
-        }
-        // Set-dedup in first-occurrence order: aliases of one device, or
-        // non-adjacent repeats, must not be priced (and ranked) twice.
-        let mut seen = std::collections::HashSet::new();
-        names.retain(|n| seen.insert(n.clone()));
-        names
+    let device_names = match resolve_devices(shared, &q.devices) {
+        Ok(names) => names,
+        Err(e) => return Body::Error(e),
     };
     let batches: &[u64] = if q.batches.is_empty() { &DEFAULT_BATCHES } else { &q.batches };
 
@@ -156,10 +140,6 @@ pub(crate) fn run(
             // asked for.
             if !q.world_sizes.is_empty() {
                 if let Some(config) = zoo::dlrm_config(&q.model, batch) {
-                    let predictor = DistributedPredictor::new(
-                        engine.pipeline.predictor().clone(),
-                        device.clone(),
-                    );
                     let scenarios = enumerate_matrix(
                         config.rows_per_table.len(),
                         &q.world_sizes,
@@ -167,8 +147,14 @@ pub(crate) fn run(
                         &topology_names,
                         &device,
                     );
-                    let outcome =
-                        sweep_shardings(&predictor, &config, &scenarios, 1, token);
+                    let outcome = sweep_shardings(
+                        &DistributedPredictor::new(&engine.pipeline),
+                        &config,
+                        &scenarios,
+                        &engine.cache,
+                        1,
+                        token,
+                    );
                     if token.is_cancelled() {
                         return Body::error(
                             ErrorCode::DeadlineExceeded,

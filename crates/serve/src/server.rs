@@ -54,7 +54,7 @@ use dlperf_obs::{CounterGroup, CounterHandle};
 use dlperf_runtime::{CancellationToken, Watchdog};
 
 use crate::api::{
-    Body, ErrorCode, Op, PredictQuery, PredictionBody, Request, Response, StatsBody,
+    Body, ErrorBody, ErrorCode, Op, PredictQuery, PredictionBody, Request, Response, StatsBody,
     MAX_DEADLINE_MS,
 };
 
@@ -456,6 +456,36 @@ impl Shared {
             self.engines.get(&canonical.name)
         })
     }
+}
+
+/// Resolves a request's device axis to canonical engine names: every
+/// served device (sorted) when `requested` is empty, else the requested
+/// names canonicalized and set-deduplicated in first-occurrence order, so
+/// aliases and repeats never price (or rank) one device twice.
+///
+/// # Errors
+/// A `NotFound` error naming the first unknown device.
+pub(crate) fn resolve_devices(
+    shared: &Shared,
+    requested: &[String],
+) -> Result<Vec<String>, ErrorBody> {
+    if requested.is_empty() {
+        let mut names: Vec<String> = shared.engines.keys().cloned().collect();
+        names.sort();
+        return Ok(names);
+    }
+    let mut names = Vec::new();
+    for d in requested {
+        match shared.engine(d) {
+            Some(e) => names.push(e.pipeline.device().name.clone()),
+            None => {
+                return Err(ErrorBody::new(ErrorCode::NotFound, format!("unknown device `{d}`")))
+            }
+        }
+    }
+    let mut seen = std::collections::HashSet::new();
+    names.retain(|n| seen.insert(n.clone()));
+    Ok(names)
 }
 
 /// How a routed request left the worker.

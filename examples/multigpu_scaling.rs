@@ -4,8 +4,9 @@
 //!
 //! The (world size × sharding plan) matrix runs through the distributed
 //! sweep (`dlperf_distrib::sweep`), which fans scenarios across threads
-//! and shares one memoized kernel-model cache; the hand-rolled loop this
-//! replaced re-evaluated every data-parallel MLP segment per plan.
+//! and answers kernel-model queries from the caller's memo cache; the
+//! hand-rolled loop this replaced re-evaluated every data-parallel MLP
+//! segment per plan.
 //!
 //! Run with `cargo run --release --example multigpu_scaling`.
 
@@ -15,7 +16,7 @@ use dlrm_perf_model::distrib::{
     ShardingPlan,
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
-use dlrm_perf_model::kernels::CalibrationEffort;
+use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::runtime::CancellationToken;
 use std::time::Instant;
@@ -30,17 +31,18 @@ fn main() {
     let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 1)).unwrap();
     println!("calibrating {} ...", device.name);
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 15, 3);
-    let predictor = DistributedPredictor::new(pipe.predictor().clone(), device.clone());
+    let predictor = DistributedPredictor::new(&pipe);
 
     // The full sweep: every world size × candidate plan, through the
     // parallel memoized engine, with a sequential run as the reference.
     let scenarios = enumerate_plans(tables, &[1, 2, 4, 8]);
     let token = CancellationToken::new();
     let t0 = Instant::now();
-    let sequential = sweep_shardings(&predictor, &cfg, &scenarios, 1, &token);
+    let sequential = sweep_shardings(&predictor, &cfg, &scenarios, &MemoCache::new(), 1, &token);
     let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let cache = MemoCache::new();
     let t0 = Instant::now();
-    let parallel = sweep_shardings(&predictor, &cfg, &scenarios, 4, &token);
+    let parallel = sweep_shardings(&predictor, &cfg, &scenarios, &cache, 4, &token);
     let par_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!("\n== Scaling curve (global batch {batch}, NVLink cluster, round-robin) ==");
@@ -101,7 +103,7 @@ fn main() {
     println!("\n== Sweep engine ==");
     println!("scenarios:        {}", scenarios.len());
     println!("bitwise identical to sequential: {identical}");
-    println!("cache:            {}", parallel.cache);
+    println!("cache:            {}", cache.stats());
     println!(
         "wall clock:       {par_ms:.1} ms parallel vs {seq_ms:.1} ms sequential ({:.2}x)",
         seq_ms / par_ms

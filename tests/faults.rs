@@ -186,7 +186,7 @@ fn link_degradation_is_deterministic_and_names_affected_collectives() {
     .expect("probe job");
     let device = DeviceSpec::v100();
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 5, 31);
-    let predictor = DistributedPredictor::new(pipe.predictor().clone(), device);
+    let predictor = DistributedPredictor::new(&pipe);
     let (p1, notes1) = predictor.predict_with_faults(&j, &plan).expect("faulted predict");
     let (p2, notes2) = predictor.predict_with_faults(&j, &plan).expect("faulted predict");
     assert_eq!(p1.e2e_us.to_bits(), p2.e2e_us.to_bits());

@@ -1,6 +1,7 @@
-//! Golden snapshot tests: bitwise-pinned predictions for the two
-//! documented entry points (the README quickstart and the
-//! `whatif_batch_and_device` sweep).
+//! Golden snapshot tests: bitwise-pinned predictions for the documented
+//! entry points (the README quickstart and the `whatif_batch_and_device`
+//! sweep) and for multi-GPU sharding sweeps (the topology-catalog matrix
+//! and a heterogeneous IB hierarchy).
 //!
 //! Every f64 is stored as the 16-hex-digit big-endian bit pattern of
 //! `f64::to_bits` — not as a decimal — so the comparison is exact and
@@ -22,11 +23,11 @@ use std::path::PathBuf;
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::sweep::{GraphMutation, ScenarioMatrix, SweepEngine};
 use dlrm_perf_model::distrib::{
-    enumerate_plans, sweep_shardings, DistributedDlrm, DistributedPredictor,
-    ParallelismStrategy, ShardingPlan, Topology,
+    enumerate_matrix, enumerate_plans, sweep_shardings, DistributedDlrm, DistributedPredictor,
+    ParallelismStrategy, ShardingPlan, ShardingResult, ShardingScenario, Topology,
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
-use dlrm_perf_model::kernels::CalibrationEffort;
+use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::runtime::CancellationToken;
 
@@ -128,7 +129,6 @@ fn hierarchical_ib_heterogeneous_sweep_is_bitwise_stable() {
         .expect("probe job");
     let device = DeviceSpec::v100();
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 6, 29);
-    let predictor = DistributedPredictor::new(pipe.predictor().clone(), device);
     let fleet = vec![
         DeviceSpec::v100(),
         DeviceSpec::v100(),
@@ -139,7 +139,7 @@ fn hierarchical_ib_heterogeneous_sweep_is_bitwise_stable() {
     let mut scenarios = Vec::new();
     for strategy in ParallelismStrategy::ALL {
         for cell in enumerate_plans(tables, &[4]) {
-            scenarios.push(dlrm_perf_model::distrib::ShardingScenario {
+            scenarios.push(ShardingScenario {
                 label: format!("{}/{strategy}/{}", topology.label(), cell.label),
                 plan: cell.plan,
                 strategy,
@@ -147,11 +147,70 @@ fn hierarchical_ib_heterogeneous_sweep_is_bitwise_stable() {
             });
         }
     }
-    let out = sweep_shardings(&predictor, &cfg, &scenarios, 4, &CancellationToken::new());
+    let out = sweep_shardings(
+        &DistributedPredictor::new(&pipe),
+        &cfg,
+        &scenarios,
+        &MemoCache::new(),
+        4,
+        &CancellationToken::new(),
+    );
     let mut snap = BTreeMap::new();
     for r in out.results.iter().flatten() {
         let p = r.prediction.as_ref().expect("every cell prices");
         snap.insert(r.label.clone(), hex(p.e2e_us));
     }
     check_golden("distrib_hierarchical_ib.json", &snap);
+}
+
+/// One snapshot line per matrix cell: every timeline component as f64
+/// bits, plus the error and degradation notes.
+fn distrib_cell_snapshot(r: &ShardingResult) -> String {
+    let timeline = match &r.prediction {
+        Some(p) => {
+            let bits = |xs: &[f64]| xs.iter().map(|&x| hex(x)).collect::<Vec<_>>().join(",");
+            format!(
+                "e2e_us={} segment_us={} comm_us={}",
+                hex(p.e2e_us),
+                bits(&p.segment_us),
+                bits(&p.comm_us)
+            )
+        }
+        None => "e2e_us=- segment_us=- comm_us=-".to_string(),
+    };
+    format!("{timeline} error={:?} degraded={:?}", r.error, r.degraded)
+}
+
+#[test]
+fn distrib_topology_matrix_is_bitwise_stable() {
+    // Every cell of the topology catalog × strategies × worlds matrix,
+    // including degraded ones (mismatched IB shapes, an unknown name),
+    // with the whole timeline pinned rather than just its sum.
+    let cfg = DlrmConfig::default_config(512);
+    let tables = cfg.rows_per_table.len();
+    let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 2))
+        .expect("probe job");
+    let device = DeviceSpec::v100();
+    let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 6, 23);
+    let scenarios = enumerate_matrix(
+        tables,
+        &[1, 2, 4, 8],
+        &ParallelismStrategy::ALL,
+        &["auto", "nvlink", "pcie", "ib2x2", "ib2x1", "bogus"],
+        &device,
+    );
+    let out = sweep_shardings(
+        &DistributedPredictor::new(&pipe),
+        &cfg,
+        &scenarios,
+        &MemoCache::new(),
+        2,
+        &CancellationToken::new(),
+    );
+    let mut snap = BTreeMap::new();
+    for r in out.results.iter().flatten() {
+        snap.insert(r.label.clone(), distrib_cell_snapshot(r));
+    }
+    assert_eq!(snap.len(), scenarios.len(), "one snapshot line per cell");
+    check_golden("distrib_matrix.json", &snap);
 }

@@ -12,6 +12,10 @@
 //!   the search must rank it #1 and its predicted delta must equal, bit
 //!   for bit, a full-walk re-prediction of the fused graph (the
 //!   incremental splice never changes an answer, only its cost).
+//!
+//! The multi-GPU axis (`DistribAxis`) is held to both: its report is
+//! identical at 1 and 8 threads, and every distributed score equals a
+//! plain `DistributedPredictor::predict` of the same job.
 
 use std::sync::OnceLock;
 
@@ -20,6 +24,10 @@ use dlrm_perf_model::core::search::{
     GraphMoves, NoExtra, OptimizationReport, OptimizationSearch, SearchConfig,
 };
 use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
+use dlrm_perf_model::distrib::{
+    DistribAxis, DistribMove, DistributedDlrm, DistributedPredictor, ParallelismStrategy,
+    ShardingPlan,
+};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;
 use dlrm_perf_model::kernels::CalibrationEffort;
@@ -53,8 +61,8 @@ fn base() -> &'static (Vec<Pipeline>, Graph) {
 /// Full bitwise fingerprint of a report: descriptions, score bits, CI
 /// bits, eval/prune counts.
 #[allow(clippy::type_complexity)]
-fn fingerprint(
-    r: &OptimizationReport,
+fn fingerprint<X>(
+    r: &OptimizationReport<X>,
 ) -> (u64, Vec<(String, u64, u64, Option<u64>, Option<u64>)>, usize, usize) {
     (
         r.baseline_e2e_us.to_bits(),
@@ -123,6 +131,66 @@ fn planted_fusion_ranks_first_with_bitwise_exact_delta() {
         report.incremental_evals,
         report.incremental_evals + report.full_evals
     );
+}
+
+#[test]
+fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
+    let cfg = DlrmConfig::default_config(512);
+    let probe =
+        DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(cfg.rows_per_table.len(), 2))
+            .expect("probe job");
+    let pipelines = vec![Pipeline::analyze(
+        &DeviceSpec::v100(),
+        &probe.segments(0),
+        CalibrationEffort::Quick,
+        6,
+        23,
+    )];
+    let predictor = DistributedPredictor::new(&pipelines[0]);
+    let strategies = vec![ParallelismStrategy::Hybrid, ParallelismStrategy::DataParallel];
+    let g = cfg.build();
+    let run = |threads: usize| {
+        // A fresh axis per run: its memo cache starts cold every time.
+        let axis = DistribAxis::new(cfg.clone(), predictor, vec![2, 4], strategies.clone());
+        OptimizationSearch::<DistribMove>::new(&pipelines)
+            .with_config(SearchConfig {
+                beam_width: 4,
+                max_depth: 2,
+                threads,
+                ..SearchConfig::default()
+            })
+            .with_graph_moves(GraphMoves { batches: vec![1024], ..GraphMoves::default() })
+            .with_extra_axis(&axis, &axis)
+            .run(&g)
+            .expect("search runs")
+    };
+    let sequential = run(1);
+    let parallel = run(8);
+    assert_eq!(fingerprint(&parallel), fingerprint(&sequential), "8 threads diverged");
+
+    let mut distributed = 0;
+    for sc in &sequential.ranked {
+        let Some(m) = &sc.candidate.extra else { continue };
+        let mut job_cfg = cfg.clone();
+        for mutation in &sc.candidate.mutations {
+            match mutation {
+                GraphMutation::ResizeBatch(b) => job_cfg.batch_size = *b,
+                other => panic!("distributed entry with graph rewrite {other}"),
+            }
+        }
+        let job = DistributedDlrm::new(job_cfg, m.plan.clone())
+            .expect("ranked plan builds")
+            .with_strategy(m.strategy);
+        let plain = predictor.predict(&job).expect("job prices");
+        assert_eq!(
+            sc.e2e_us.to_bits(),
+            plain.e2e_us.to_bits(),
+            "search score != plain predict for {}",
+            sc.description
+        );
+        distributed += 1;
+    }
+    assert!(distributed > 0, "no distributed entry ranked: {:?}", fingerprint(&sequential).1);
 }
 
 /// Non-empty subsets of the resize-target axis, driven by a bit mask.

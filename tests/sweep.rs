@@ -10,6 +10,7 @@
 use std::sync::OnceLock;
 
 use dlrm_perf_model::core::pipeline::Pipeline;
+use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::core::sweep::{GraphMutation, ScenarioMatrix, SweepEngine, SweepOutcome};
 use dlrm_perf_model::distrib::{
     enumerate_matrix, sweep_shardings, DistributedDlrm, DistributedPredictor,
@@ -17,7 +18,7 @@ use dlrm_perf_model::distrib::{
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;
-use dlrm_perf_model::kernels::CalibrationEffort;
+use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::runtime::CancellationToken;
 use proptest::prelude::*;
@@ -159,9 +160,9 @@ proptest! {
     }
 }
 
-/// One shared distributed predictor for the topology-axis properties.
-fn distrib_base() -> &'static (DistributedPredictor, DlrmConfig) {
-    static BASE: OnceLock<(DistributedPredictor, DlrmConfig)> = OnceLock::new();
+/// One shared distributed calibration for the topology-axis properties.
+fn distrib_base() -> &'static (Pipeline, DlrmConfig) {
+    static BASE: OnceLock<(Pipeline, DlrmConfig)> = OnceLock::new();
     BASE.get_or_init(|| {
         let cfg = DlrmConfig::default_config(512);
         let probe = DistributedDlrm::new(
@@ -169,10 +170,14 @@ fn distrib_base() -> &'static (DistributedPredictor, DlrmConfig) {
             ShardingPlan::round_robin(cfg.rows_per_table.len(), 2),
         )
         .unwrap();
-        let device = DeviceSpec::v100();
-        let pipe =
-            Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 6, 23);
-        (DistributedPredictor::new(pipe.predictor().clone(), device), cfg)
+        let pipe = Pipeline::analyze(
+            &DeviceSpec::v100(),
+            &probe.segments(0),
+            CalibrationEffort::Quick,
+            6,
+            23,
+        );
+        (pipe, cfg)
     })
 }
 
@@ -222,7 +227,8 @@ proptest! {
             .filter(|(i, _)| strategy_mask & (1 << i) != 0)
             .map(|(_, &s)| s)
             .collect();
-        let (predictor, cfg) = distrib_base();
+        let (pipe, cfg) = distrib_base();
+        let predictor = DistributedPredictor::new(pipe);
         let scenarios = enumerate_matrix(
             cfg.rows_per_table.len(),
             &[2, 4],
@@ -231,11 +237,14 @@ proptest! {
             &DeviceSpec::v100(),
         );
         let token = CancellationToken::new();
-        let reference =
-            distrib_fingerprint(&sweep_shardings(predictor, cfg, &scenarios, 1, &token));
+        let reference = distrib_fingerprint(&sweep_shardings(
+            &predictor, cfg, &scenarios, &MemoCache::new(), 1, &token,
+        ));
+        // The parallel runs share one cache, so the second starts warm.
+        let warm = MemoCache::new();
         for threads in [2usize, 8] {
             let par = distrib_fingerprint(&sweep_shardings(
-                predictor, cfg, &scenarios, threads, &token,
+                &predictor, cfg, &scenarios, &warm, threads, &token,
             ));
             prop_assert_eq!(&par, &reference, "{} threads diverged", threads);
         }
@@ -248,15 +257,19 @@ proptest! {
             else {
                 continue;
             };
-            let cell = match &scenario.topology {
-                Some(t) => predictor.clone().with_topology(t.clone()),
-                None => predictor.clone(),
-            };
-            let plain = cell.predict(&job).ok().map(|p| p.e2e_us.to_bits());
+            let plain = predictor
+                .price(&job, scenario.topology.as_ref(), None, None, &mut WalkScratch::new())
+                .ok()
+                .map(|(p, _)| p.e2e_us.to_bits());
             prop_assert_eq!(
                 plain, got.1,
                 "cache/incremental path diverged from plain predict on {}", got.0
             );
+            // `auto` pins the derived topology, which is what `predict` uses.
+            if got.0.starts_with("auto/") {
+                let derived = predictor.predict(&job).ok().map(|p| p.e2e_us.to_bits());
+                prop_assert_eq!(derived, got.1, "plain predict diverged on {}", got.0);
+            }
         }
     }
 }
