@@ -243,7 +243,8 @@ pub(crate) struct Evaluator<'p> {
     caches: Vec<Arc<MemoCache>>,
     store: Arc<PreparedStore>,
     /// Parked scratches, checked out one per fan-out worker; persisting
-    /// them across runs makes steady-state pricing allocation-free.
+    /// them across runs keeps steady-state pricing and stepping
+    /// allocation-free (lowering still allocates per node).
     scratch_pool: Mutex<Vec<WalkScratch>>,
 }
 

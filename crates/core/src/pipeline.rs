@@ -366,9 +366,10 @@ impl Pipeline {
     /// Serializes the shared overhead database to JSON (the maintained
     /// "overhead database for large-scale predictions").
     pub fn shared_overheads_json(&self) -> String {
-        // The predictor's stats are the shared merge by construction.
-        let all: Vec<&OverheadStats> = self.per_workload.iter().map(|(_, s)| s).collect();
-        OverheadStats::merge(&all).to_json()
+        // The predictor's stats are the shared database however the
+        // pipeline was built; `from_assets` has no per-workload stats to
+        // re-merge.
+        self.predictor.overheads().to_json()
     }
 }
 

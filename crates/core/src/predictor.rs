@@ -2,7 +2,7 @@
 //!
 //! For every op the predictor adds T1 (and T2 when the op launches kernels)
 //! to the CPU clock; each kernel then starts at
-//! `max(gpu_time + gap, cpu_time + T4/2, dependencies)` — so host overheads
+//! `max(gpu_time, cpu_time + T4/2, dependencies)` — so host overheads
 //! that are not hidden behind running kernels become predicted device idle
 //! time — and its predicted duration advances the GPU clock while T4/T5
 //! advance the CPU clock. T3 closes the op. The predicted per-batch time is
@@ -150,9 +150,6 @@ pub struct E2ePredictor {
     overheads: OverheadStats,
     t4_policy: T4Policy,
     granularity: OverheadGranularity,
-    /// Device-side gap between dependent kernels (the paper's `+1` in
-    /// Algorithm 1 line 11); 0 by default.
-    kernel_gap_us: f64,
     /// Fraction of T4 after which a launched kernel may start on the device
     /// (Algorithm 1 uses `cpu_time + T4/2`, i.e. 0.5).
     launch_factor: f64,
@@ -167,7 +164,6 @@ impl E2ePredictor {
             overheads,
             t4_policy: T4Policy::Fixed(12.0),
             granularity: OverheadGranularity::PerOp,
-            kernel_gap_us: 0.0,
             launch_factor: 0.5,
         }
     }
@@ -181,12 +177,6 @@ impl E2ePredictor {
     /// Sets the overhead-database granularity (builder style).
     pub fn with_granularity(mut self, granularity: OverheadGranularity) -> Self {
         self.granularity = granularity;
-        self
-    }
-
-    /// Sets the inter-kernel device gap (builder style).
-    pub fn with_kernel_gap(mut self, gap_us: f64) -> Self {
-        self.kernel_gap_us = gap_us;
         self
     }
 
@@ -255,9 +245,12 @@ impl E2ePredictor {
     ///   without a token.
     /// * `scratch` stages every intermediate — kernel specs, per-node
     ///   ranges and overheads, predicted values, the clocks and the MLP
-    ///   forward buffers. After the first walk on a scratch, walks of
-    ///   graphs no larger than its high-water mark perform **zero** heap
-    ///   allocation. A cancelled walk leaves the scratch reusable.
+    ///   forward buffers. After the first walk on a scratch, pricing and
+    ///   stepping graphs no larger than its high-water mark perform no
+    ///   heap allocation; lowering still returns one small owned `Vec` per
+    ///   kernel-launching node, so a warm walk allocates exactly as often
+    ///   as lowering its nodes does. A cancelled walk leaves the scratch
+    ///   reusable.
     ///
     /// # Errors
     /// [`PredictError::Lower`] on malformed graphs,
@@ -289,12 +282,12 @@ impl E2ePredictor {
 
     /// The pricing half of the walk: lowers `graph.nodes()[nodes]` into
     /// `scratch.specs` / `ranges` / `oh` and prices every kernel in **one**
-    /// batched registry call into `scratch.values`, memoized through
-    /// `cache` when one is given. The batch spans the whole node range (in
-    /// node order), which lets the registry batch per-family MLP inference
-    /// and memo-cache traffic instead of going kernel by kernel. Shared by
-    /// the full walk and the incremental predictor's baseline and dirty
-    /// frontier.
+    /// [`ModelRegistry::predict_batch_into`] call into `scratch.values`,
+    /// `cache` passed straight through. The batch spans the whole node
+    /// range (in node order), which lets the registry batch per-family MLP
+    /// inference and memo-cache traffic instead of going kernel by kernel.
+    /// Shared by the full walk and the incremental predictor's baseline and
+    /// dirty frontier.
     ///
     /// # Errors
     /// [`PredictError::Lower`] on a malformed node,
@@ -320,20 +313,13 @@ impl E2ePredictor {
             scratch.ranges.push(start..scratch.specs.len());
             scratch.oh.push(self.overheads_of(node.op.overhead_key()));
         }
-        match cache {
-            Some(cache) => self.registry.predict_batch_memoized_into(
-                cache,
-                &scratch.specs,
-                &mut scratch.memo,
-                &mut scratch.arena,
-                &mut scratch.values,
-            ),
-            None => self.registry.predict_batch_with_confidence_into(
-                &scratch.specs,
-                &mut scratch.arena,
-                &mut scratch.values,
-            ),
-        }
+        self.registry.predict_batch_into(
+            &scratch.specs,
+            cache,
+            &mut scratch.memo,
+            &mut scratch.arena,
+            &mut scratch.values,
+        );
         Ok(())
     }
 
@@ -361,7 +347,7 @@ impl E2ePredictor {
             if cancel.is_some_and(CancellationToken::is_cancelled) {
                 return Err(PredictError::Cancelled);
             }
-            state.step(node, oh, &values[r.clone()], self.kernel_gap_us, self.launch_factor);
+            state.step(node, oh, &values[r.clone()], self.launch_factor);
             after(i, state);
         }
         Ok(())
@@ -408,9 +394,10 @@ pub(crate) struct Overheads {
 /// [`crate::incremental::IncrementalPredictor::repredict_scratch`] reuses
 /// the same staging). One scratch serves one walk at a time (methods take
 /// `&mut`); a sweep or serve worker owns one and reuses it for everything
-/// it prices, which is what makes the steady-state hot path
-/// allocation-free. Every walk resets what it touches, so a walk that was
-/// cancelled or failed part-way leaves the scratch reusable. Dropping a
+/// it prices, which is what keeps steady-state pricing and stepping
+/// allocation-free (lowering still allocates; see [`E2ePredictor::walk`]).
+/// Every walk resets what it touches, so a walk that was cancelled or
+/// failed part-way leaves the scratch reusable. Dropping a
 /// scratch simply frees the buffers — there is no state that must be
 /// flushed.
 #[derive(Debug, Default)]
@@ -427,7 +414,7 @@ pub struct WalkScratch {
     pub(crate) state: WalkState,
     /// Second state used by incremental splice-back verification.
     pub(crate) base_state: WalkState,
-    /// Memo-cache probe staging (keys, slots, dedup tables).
+    /// Registry batch staging: memo probe, dedup and per-family buckets.
     pub(crate) memo: MemoScratch,
     /// Arena backing the MLP forward buffers and feature matrices.
     pub(crate) arena: ScratchArena,
@@ -533,7 +520,6 @@ impl WalkState {
         node: &Node,
         oh: &Overheads,
         kernels: &[(f64, Confidence)],
-        gap_us: f64,
         launch_factor: f64,
     ) {
         self.cpu += oh.t1;
@@ -565,7 +551,7 @@ impl WalkState {
                 }
                 self.active += t_k;
                 let gpu = &mut self.streams[si].1;
-                let start = (*gpu + gap_us).max(self.cpu + launch_factor * oh.t4).max(dep_ready);
+                let start = gpu.max(self.cpu + launch_factor * oh.t4).max(dep_ready);
                 *gpu = start + t_k;
                 last_end = Some(start + t_k);
                 self.cpu += oh.t4;

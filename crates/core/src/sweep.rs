@@ -650,7 +650,7 @@ impl SweepEngine {
     }
 
     /// Aggregate arena reuse stats over the engine's parked scratches —
-    /// the observable zero-allocation proof: across steady-state runs
+    /// the observable proof of pricing-buffer reuse: across steady-state runs
     /// `takes` keeps climbing while `misses` stays flat, meaning every
     /// buffer checkout on the pricing hot path was served from pooled
     /// capacity. (`high_water_f64s` and `pooled` are summed across

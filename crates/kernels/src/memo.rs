@@ -1,13 +1,13 @@
 //! Memoization of kernel-model evaluations.
 //!
 //! A what-if sweep prices thousands of execution graphs against the same
-//! calibrated [`ModelRegistry`], and the critical-path walk re-evaluates
-//! the *same* GEMM / embedding / roofline queries over and over — across
-//! scenarios that share a device and batch size, most kernels are
-//! identical. [`MemoCache`] is a sharded concurrent map from a
-//! [`MemoKey`] (kernel family + quantized model inputs) to the model's
-//! `(time, confidence)` output, with hit/miss counters so sweeps can
-//! report their cache efficiency.
+//! calibrated [`ModelRegistry`](crate::ModelRegistry), and the
+//! critical-path walk re-evaluates the *same* GEMM / embedding / roofline
+//! queries over and over — across scenarios that share a device and batch
+//! size, most kernels are identical. [`MemoCache`] is a sharded concurrent
+//! map from a [`MemoKey`] (kernel family + quantized model inputs) to the
+//! model's `(time, confidence)` output, with hit/miss counters so sweeps
+//! can report their cache efficiency.
 //!
 //! ## Why quantized-feature keys are safe
 //!
@@ -48,9 +48,7 @@ use dlperf_gpusim::{KernelFamily, KernelSpec, MemcpyKind};
 use dlperf_obs::{CounterGroup, CounterHandle};
 use serde::{Deserialize, Serialize};
 
-use dlperf_nn::arena::ScratchArena;
-
-use crate::registry::{Confidence, ModelRegistry};
+use crate::registry::Confidence;
 
 /// Number of independently locked shards; a small power of two keeps
 /// contention low at sweep-level thread counts without bloating the map.
@@ -385,110 +383,122 @@ impl From<&MemoCache> for MemoCacheStats {
     }
 }
 
-impl ModelRegistry {
-    /// Like [`ModelRegistry::predict_with_confidence`], but answered from
-    /// `cache` when the (family, quantized inputs) key has been evaluated
-    /// before. The cache must be dedicated to this registry — keys do not
-    /// include the calibration device.
-    pub fn predict_memoized(&self, cache: &MemoCache, kernel: &KernelSpec) -> (f64, Confidence) {
-        cache.get_or_insert_with(MemoKey::of(kernel), || self.predict_with_confidence(kernel))
-    }
+/// Reusable buffers for [`crate::ModelRegistry::predict_batch_into`]: the
+/// cache probe, the dedup of absent keys, and the per-family index buckets
+/// all keep their capacity across calls, so warm batches are
+/// allocation-free.
+///
+/// Counter semantics replicate a loop of scalar
+/// [`MemoCache::get_or_insert_with`] calls exactly: the first occurrence
+/// of an absent key counts one miss, every duplicate of it later in the
+/// batch counts a hit (as it would had the batch been a scalar loop, insert
+/// then hit), and the misses are stored in input order, so cache
+/// statistics and LRU eviction do not depend on which path did the lookups.
+#[derive(Debug, Default)]
+pub struct MemoScratch {
+    /// Absent keys with their batch index, sorted to find first occurrences.
+    pending: Vec<(MemoKey, usize)>,
+    /// Batch indices to evaluate, in input order.
+    pub(crate) eval: Vec<usize>,
+    /// `(duplicate, first occurrence)` batch indices of repeated absent keys.
+    dups: Vec<(usize, usize)>,
+    /// `eval` split by family, indexed like [`KernelFamily::ALL`].
+    pub(crate) buckets: [Vec<usize>; KernelFamily::ALL.len()],
+    /// One bucket's specs, contiguous for the family model.
+    pub(crate) specs: Vec<KernelSpec>,
+}
 
-    /// Batched [`ModelRegistry::predict_memoized`]: probes the cache for
-    /// every kernel up front, evaluates all misses in one
-    /// [`ModelRegistry::predict_batch_with_confidence_into`] call (one
-    /// blocked MLP forward pass per family), inserts them, and appends one
-    /// `(time, confidence)` per kernel to `out` in input order. `scratch`
-    /// stages key probing and miss dedup, `arena` the model-side feature
-    /// matrices; in an all-hit steady state nothing here touches the heap.
-    ///
-    /// Counter semantics replicate the scalar sequence exactly: the first
-    /// occurrence of an absent key counts one miss, every duplicate of it
-    /// later in the batch counts a hit (as it would had the batch been a
-    /// loop of scalar calls), so cache statistics do not depend on which
-    /// path performed the lookups. Values are bitwise identical to the
-    /// scalar path because every model is pure and every batched override
-    /// is pinned bit-for-bit to its scalar twin.
-    pub fn predict_batch_memoized_into(
-        &self,
-        cache: &MemoCache,
+impl MemoScratch {
+    /// Writes every cache hit into `values` and lists in `eval` the batch
+    /// indices left to evaluate: all of them without a cache, the first
+    /// occurrence of each absent key with one.
+    pub(crate) fn probe(
+        &mut self,
         kernels: &[KernelSpec],
-        scratch: &mut MemoScratch,
-        arena: &mut ScratchArena,
-        out: &mut Vec<(f64, Confidence)>,
+        cache: Option<&MemoCache>,
+        values: &mut [(f64, Confidence)],
     ) {
-        let MemoScratch { keys, slots, first, miss_idx, dup_idx, specs, values } = scratch;
-        keys.clear();
-        keys.extend(kernels.iter().map(MemoKey::of));
-        slots.clear();
+        self.eval.clear();
+        self.dups.clear();
+        let Some(cache) = cache else {
+            self.eval.extend(0..kernels.len());
+            return;
+        };
+        self.pending.clear();
         let mut hits = 0u64;
-        for key in keys.iter() {
-            let probe = cache.probe(key);
-            if probe.is_some() {
-                hits += 1;
+        for (i, kernel) in kernels.iter().enumerate() {
+            let key = MemoKey::of(kernel);
+            match cache.probe(&key) {
+                Some(v) => {
+                    values[i] = v;
+                    hits += 1;
+                }
+                None => self.pending.push((key, i)),
             }
-            slots.push(probe);
         }
-        // First occurrence of each absent key is a miss to evaluate;
-        // duplicates resolve from the first's result and count as hits,
-        // exactly as a scalar loop (insert, then hit) would count them.
-        first.clear();
-        miss_idx.clear();
-        dup_idx.clear();
-        for (i, slot) in slots.iter().enumerate() {
-            if slot.is_none() {
-                match first.entry(keys[i]) {
-                    std::collections::hash_map::Entry::Occupied(_) => {
-                        hits += 1;
-                        dup_idx.push(i);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(i);
-                        miss_idx.push(i);
-                    }
+        // Sorted by (key, index), each absent key's first occurrence heads
+        // its run: it is the miss, the rest of the run are duplicates.
+        self.pending.sort_unstable();
+        let mut head: Option<(MemoKey, usize)> = None;
+        for &(key, i) in &self.pending {
+            match head {
+                Some((k, first)) if k == key => {
+                    self.dups.push((i, first));
+                    hits += 1;
+                }
+                _ => {
+                    self.eval.push(i);
+                    head = Some((key, i));
                 }
             }
         }
+        self.eval.sort_unstable();
         if hits > 0 {
             cache.hits.add(hits);
         }
-        if !miss_idx.is_empty() {
-            cache.misses.add(miss_idx.len() as u64);
-            specs.clear();
-            specs.extend(miss_idx.iter().map(|&i| kernels[i].clone()));
-            values.clear();
-            self.predict_batch_with_confidence_into(specs, arena, values);
-            for (&i, &v) in miss_idx.iter().zip(values.iter()) {
-                cache.store(keys[i], v);
-                slots[i] = Some(v);
-            }
-            for &i in dup_idx.iter() {
-                let j = first[&keys[i]];
-                slots[i] = slots[j];
-            }
+        if !self.eval.is_empty() {
+            cache.misses.add(self.eval.len() as u64);
         }
-        out.extend(slots.iter().map(|v| v.expect("every kernel resolved")));
     }
-}
 
-/// Reusable buffers for [`ModelRegistry::predict_batch_memoized_into`]:
-/// every transient container of the batched memo probe keeps its capacity
-/// across calls, so steady-state (all-hit) batches are allocation-free.
-#[derive(Debug, Default)]
-pub struct MemoScratch {
-    keys: Vec<MemoKey>,
-    slots: Vec<Option<(f64, Confidence)>>,
-    first: HashMap<MemoKey, usize>,
-    miss_idx: Vec<usize>,
-    dup_idx: Vec<usize>,
-    specs: Vec<KernelSpec>,
-    values: Vec<(f64, Confidence)>,
+    /// After evaluation: stores the evaluated values in input order and
+    /// resolves each duplicate from its first occurrence.
+    pub(crate) fn commit(
+        &self,
+        kernels: &[KernelSpec],
+        cache: Option<&MemoCache>,
+        values: &mut [(f64, Confidence)],
+    ) {
+        let Some(cache) = cache else { return };
+        for &i in &self.eval {
+            cache.store(MemoKey::of(&kernels[i]), values[i]);
+        }
+        for &(i, first) in &self.dups {
+            values[i] = values[first];
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ModelRegistry;
     use dlperf_gpusim::DeviceSpec;
+    use dlperf_nn::arena::ScratchArena;
+
+    /// The scalar memoized lookup the batched path must agree with.
+    fn memoized(reg: &ModelRegistry, cache: &MemoCache, k: &KernelSpec) -> (f64, Confidence) {
+        cache.get_or_insert_with(MemoKey::of(k), || reg.predict_with_confidence(k))
+    }
+
+    /// One kernel priced through the registry's batch path.
+    fn priced(reg: &ModelRegistry, cache: &MemoCache, k: &KernelSpec) -> (f64, Confidence) {
+        let mut out = Vec::new();
+        let (mut scratch, mut arena) = (MemoScratch::default(), ScratchArena::new());
+        let one = std::slice::from_ref(k);
+        reg.predict_batch_into(one, Some(cache), &mut scratch, &mut arena, &mut out);
+        out[0]
+    }
 
     #[test]
     fn key_separates_families_and_fields() {
@@ -535,8 +545,8 @@ mod tests {
         let cache = MemoCache::new();
         let k = KernelSpec::gemm(512, 256, 128);
         let direct = reg.predict_with_confidence(&k);
-        let miss = reg.predict_memoized(&cache, &k);
-        let hit = reg.predict_memoized(&cache, &k);
+        let miss = priced(&reg, &cache, &k);
+        let hit = priced(&reg, &cache, &k);
         assert_eq!(direct.0.to_bits(), miss.0.to_bits());
         assert_eq!(direct.0.to_bits(), hit.0.to_bits());
         assert_eq!(direct.1, hit.1);
@@ -573,11 +583,11 @@ mod tests {
 
         // Scalar reference: fresh cache, warm one key, then loop.
         let scalar_cache = MemoCache::new();
-        reg.predict_memoized(&scalar_cache, &warm);
+        memoized(&reg, &scalar_cache, &warm);
         let scalar: Vec<(u64, Confidence)> = batch
             .iter()
             .map(|k| {
-                let (t, c) = reg.predict_memoized(&scalar_cache, k);
+                let (t, c) = memoized(&reg, &scalar_cache, k);
                 (t.to_bits(), c)
             })
             .collect();
@@ -585,10 +595,10 @@ mod tests {
 
         // Batched path over an identically prepared cache.
         let batch_cache = MemoCache::new();
-        reg.predict_memoized(&batch_cache, &warm);
+        memoized(&reg, &batch_cache, &warm);
         let (mut scratch, mut arena) = (MemoScratch::default(), ScratchArena::new());
         let mut out = Vec::new();
-        reg.predict_batch_memoized_into(&batch_cache, &batch, &mut scratch, &mut arena, &mut out);
+        reg.predict_batch_into(&batch, Some(&batch_cache), &mut scratch, &mut arena, &mut out);
         let batched: Vec<(u64, Confidence)> = out.iter().map(|&(t, c)| (t.to_bits(), c)).collect();
         let batch_stats = batch_cache.stats();
 
@@ -596,7 +606,7 @@ mod tests {
         assert_eq!(batch_stats, scalar_stats, "counter semantics must match the scalar loop");
         // Re-running the same batch on the same staging must add only hits.
         out.clear();
-        reg.predict_batch_memoized_into(&batch_cache, &batch, &mut scratch, &mut arena, &mut out);
+        reg.predict_batch_into(&batch, Some(&batch_cache), &mut scratch, &mut arena, &mut out);
         assert_eq!(out.len(), batch.len());
         let again = batch_cache.stats();
         assert_eq!(again.misses, batch_stats.misses);
@@ -608,9 +618,9 @@ mod tests {
         let reg = ModelRegistry::empty(DeviceSpec::v100());
         let cache = MemoCache::new();
         let mut out = Vec::new();
-        reg.predict_batch_memoized_into(
-            &cache,
+        reg.predict_batch_into(
             &[],
+            Some(&cache),
             &mut MemoScratch::default(),
             &mut ScratchArena::new(),
             &mut out,
@@ -669,12 +679,12 @@ mod tests {
         let reg = ModelRegistry::calibrate(&DeviceSpec::v100(), crate::CalibrationEffort::Quick, 3);
         let cache = MemoCache::with_capacity(16);
         let k = KernelSpec::gemm(512, 256, 128);
-        let first = reg.predict_memoized(&cache, &k);
+        let first = priced(&reg, &cache, &k);
         // Flood with distinct keys until the original is evicted.
         for i in 0..200u64 {
-            reg.predict_memoized(&cache, &KernelSpec::gemm(16 + i, 8, 8));
+            priced(&reg, &cache, &KernelSpec::gemm(16 + i, 8, 8));
         }
-        let again = reg.predict_memoized(&cache, &k);
+        let again = priced(&reg, &cache, &k);
         assert_eq!(first.0.to_bits(), again.0.to_bits(), "re-miss must recompute same bits");
         assert_eq!(first.1, again.1);
     }
@@ -707,9 +717,9 @@ mod tests {
         let direct: Vec<u64> =
             batch.iter().map(|k| reg.predict_with_confidence(k).0.to_bits()).collect();
         let mut out = Vec::new();
-        reg.predict_batch_memoized_into(
-            &cache,
+        reg.predict_batch_into(
             &batch,
+            Some(&cache),
             &mut MemoScratch::default(),
             &mut ScratchArena::new(),
             &mut out,
@@ -770,7 +780,7 @@ mod tests {
                 (reg.clone(), cache.clone(), specs.clone(), baseline.clone());
             handles.push(std::thread::spawn(move || {
                 for (k, &want) in specs.iter().zip(&baseline) {
-                    let (t, _) = reg.predict_memoized(&cache, k);
+                    let (t, _) = priced(&reg, &cache, k);
                     assert_eq!(t.to_bits(), want);
                 }
             }));

@@ -7,7 +7,6 @@
 use dlperf_gpusim::{KernelFamily, KernelSpec};
 use dlperf_nn::arena::ScratchArena;
 use dlperf_nn::dataset::Dataset;
-use dlperf_nn::gridsearch::{grid_search, SearchSpace};
 use dlperf_nn::train::{train, TrainConfig, TrainedModel};
 
 use crate::error::ErrorStats;
@@ -138,32 +137,6 @@ impl MlKernelModel {
         m
     }
 
-    /// Trains via the Table II grid search, keeping the configuration with
-    /// the lowest validation error.
-    pub fn train_with_search(
-        samples: &[Sample],
-        space: &SearchSpace,
-        epochs: usize,
-        threads: usize,
-        seed: u64,
-    ) -> Self {
-        let family = samples[0].kernel.family();
-        let data = dataset_of(samples);
-        let result = grid_search(&data, space, epochs, threads, seed);
-        let model = result.model;
-        let log_ratio_sum: f64 = samples
-            .iter()
-            .map(|s| {
-                let pred = model.predict_one(&features(&s.kernel)).max(1e-9);
-                (s.time_us / pred).ln()
-            })
-            .sum();
-        let correction = (log_ratio_sum / samples.len() as f64).exp();
-        let mut m = MlKernelModel { family, model, correction, stats: None };
-        m.stats = m.measure_stats(samples);
-        m
-    }
-
     /// Error statistics of the finished model over its own training set —
     /// prediction exactly as served (correction and clamp included).
     fn measure_stats(&self, samples: &[Sample]) -> Option<ErrorStats> {
@@ -197,24 +170,12 @@ impl MlKernelModel {
         (self.model.predict_one(&features(kernel)) * self.correction).max(0.01)
     }
 
-    /// Predicted kernel times for a batch, via one batched MLP forward pass
-    /// over the stacked feature matrix instead of per-kernel scalar
-    /// inference. Bitwise identical to mapping [`MlKernelModel::predict`]
-    /// (the planned MLP forward is bitwise equal to the scalar one, and the
+    /// Appends predicted kernel times for a batch to `out`, via one
+    /// batched MLP forward pass over the stacked feature matrix (staged in
+    /// an arena buffer) instead of per-kernel scalar inference. Bitwise
+    /// identical to mapping [`MlKernelModel::predict`] (the planned MLP
+    /// forward is bitwise equal to the scalar one, and the
     /// correction/clamp are element-wise).
-    ///
-    /// # Panics
-    /// Panics if any kernel belongs to a different family.
-    pub fn predict_batch(&self, kernels: &[KernelSpec]) -> Vec<f64> {
-        let mut arena = ScratchArena::new();
-        let mut out = Vec::with_capacity(kernels.len());
-        self.predict_batch_into(kernels, &mut arena, &mut out);
-        out
-    }
-
-    /// The zero-allocation batch path: stages the stacked feature matrix in
-    /// an arena buffer and appends one prediction per kernel to `out`.
-    /// Bitwise identical to [`MlKernelModel::predict_batch`].
     ///
     /// # Panics
     /// Panics if any kernel belongs to a different family.
@@ -229,7 +190,11 @@ impl MlKernelModel {
         }
         let mut feats = arena.take();
         for k in kernels {
-            assert_eq!(k.family(), self.family, "family mismatch in MlKernelModel::predict_batch");
+            assert_eq!(
+                k.family(),
+                self.family,
+                "family mismatch in MlKernelModel::predict_batch_into"
+            );
             features_into(k, &mut feats);
         }
         let start = out.len();

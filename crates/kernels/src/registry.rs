@@ -18,6 +18,7 @@ use dlperf_nn::train::TrainConfig;
 use crate::error::ErrorStats;
 use crate::heuristic::embedding::{EmbeddingModel, EmbeddingModelKind};
 use crate::heuristic::roofline::RooflineModel;
+use crate::memo::{MemoCache, MemoScratch};
 use crate::microbench::{self, Microbenchmark};
 use crate::mlbased::MlKernelModel;
 
@@ -85,18 +86,13 @@ impl std::error::Error for MissingModelError {}
 pub trait KernelPerfModel: Send + Sync {
     /// Predicted time in microseconds.
     fn predict(&self, kernel: &KernelSpec) -> f64;
-    /// Predicted times for a batch of same-family kernels. The default maps
-    /// [`KernelPerfModel::predict`]; models with a cheaper batched path
-    /// (e.g. MLP inference over a stacked feature matrix) override it, and
-    /// every override must stay bitwise identical to the scalar map — the
-    /// memo cache and sweep determinism contracts depend on it.
-    fn predict_batch(&self, kernels: &[KernelSpec]) -> Vec<f64> {
-        kernels.iter().map(|k| self.predict(k)).collect()
-    }
     /// Appends predicted times for a batch of same-family kernels to `out`,
     /// staging transient buffers in `arena` so steady-state callers stay
     /// allocation-free. The default maps [`KernelPerfModel::predict`];
-    /// overrides must stay bitwise identical to that map.
+    /// models with a cheaper batched path (e.g. MLP inference over a
+    /// stacked feature matrix) override it, and every override must stay
+    /// bitwise identical to the scalar map — the memo cache and sweep
+    /// determinism contracts depend on it.
     fn predict_batch_into(
         &self,
         kernels: &[KernelSpec],
@@ -142,9 +138,6 @@ impl KernelPerfModel for RooflineModel {
 impl KernelPerfModel for MlKernelModel {
     fn predict(&self, kernel: &KernelSpec) -> f64 {
         MlKernelModel::predict(self, kernel)
-    }
-    fn predict_batch(&self, kernels: &[KernelSpec]) -> Vec<f64> {
-        MlKernelModel::predict_batch(self, kernels)
     }
     fn predict_batch_into(
         &self,
@@ -314,95 +307,87 @@ impl ModelRegistry {
         }
     }
 
-    /// Batched [`ModelRegistry::predict_with_confidence`]: groups the
-    /// kernels by family, answers each group through that family's
-    /// [`KernelPerfModel::predict_batch`] (one blocked MLP forward pass
-    /// for the ML-backed families), and returns results in input order.
-    /// Bitwise identical to mapping the scalar call — every model is a
-    /// pure function and every batched override is pinned to its scalar
-    /// path bit-for-bit.
+    /// Batched [`ModelRegistry::predict_with_confidence`] on fresh
+    /// buffers: [`ModelRegistry::predict_batch_into`] without a cache.
     pub fn predict_batch_with_confidence(&self, kernels: &[KernelSpec]) -> Vec<(f64, Confidence)> {
-        let mut arena = ScratchArena::new();
         let mut out = Vec::with_capacity(kernels.len());
-        self.predict_batch_with_confidence_into(kernels, &mut arena, &mut out);
+        self.predict_batch_into(
+            kernels,
+            None,
+            &mut MemoScratch::default(),
+            &mut ScratchArena::new(),
+            &mut out,
+        );
         out
     }
 
-    /// The zero-allocation form of
-    /// [`ModelRegistry::predict_batch_with_confidence`]: appends one
-    /// `(time, confidence)` per kernel to `out`, staging the family-grouped
-    /// feature matrices and per-model times in `arena` buffers. Bitwise
-    /// identical results.
-    pub fn predict_batch_with_confidence_into(
+    /// The one kernel-pricing path: appends one `(time, confidence)` per
+    /// kernel to `out`, in input order.
+    ///
+    /// With a `cache` (which must be dedicated to this registry — keys do
+    /// not include the device), every kernel is probed first and only the
+    /// first occurrence of each absent key is evaluated; see
+    /// [`MemoScratch`] for the counter semantics. Without one, every
+    /// kernel is evaluated. Either way the kernels to evaluate are
+    /// bucketed by family in `scratch`, each family's model answers its
+    /// bucket in one [`KernelPerfModel::predict_batch_into`] call (one
+    /// blocked MLP forward pass for the ML-backed families), and a family
+    /// with no model degrades to the datasheet roofline. `scratch` and
+    /// `arena` keep their capacity, so once warm this performs no heap
+    /// allocation.
+    ///
+    /// Bitwise identical to mapping the scalar
+    /// [`ModelRegistry::predict_with_confidence`] — every model is a pure
+    /// function and every batched override is pinned bit-for-bit to its
+    /// scalar path.
+    pub fn predict_batch_into(
         &self,
         kernels: &[KernelSpec],
+        cache: Option<&MemoCache>,
+        scratch: &mut MemoScratch,
         arena: &mut ScratchArena,
         out: &mut Vec<(f64, Confidence)>,
     ) {
-        self.batch_calls.incr();
-        // Single-family batches (the common shape once a walker has grouped
-        // its misses) skip the grouping, clone, and scatter entirely.
-        if let Some(first) = kernels.first() {
-            let fam = first.family();
-            if kernels.iter().all(|k| k.family() == fam) {
-                match self.models.get(&fam) {
-                    Some(model) => {
-                        let mut times = arena.take();
-                        model.predict_batch_into(kernels, arena, &mut times);
-                        out.extend(times.iter().map(|&t| (t, Confidence::Calibrated)));
-                        arena.give(times);
-                    }
-                    None => {
-                        self.degraded.add(kernels.len() as u64);
-                        out.extend(
-                            kernels
-                                .iter()
-                                .map(|k| (datasheet_roofline(&self.device, k), Confidence::Degraded)),
-                        );
-                    }
-                }
-                return;
-            }
-        }
-        // Mixed-family batches (rare on the walker path) still group with
-        // transient containers; only the per-family feature matrices are
-        // arena-staged.
         let start = out.len();
-        out.resize(start + kernels.len(), (0.0, Confidence::Degraded));
-        let mut order: Vec<KernelFamily> = Vec::new();
-        let mut groups: HashMap<KernelFamily, Vec<usize>> = HashMap::new();
-        for (i, k) in kernels.iter().enumerate() {
-            let fam = k.family();
-            match groups.entry(fam) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(fam);
-                    e.insert(vec![i]);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(i),
-            }
+        out.resize(start + kernels.len(), (0.0, Confidence::Calibrated));
+        let values = &mut out[start..];
+        scratch.probe(kernels, cache, values);
+        // An all-hit cached batch calls no model, so it is not a batch call.
+        if cache.is_some() && scratch.eval.is_empty() {
+            return;
         }
-        for fam in order {
-            let idxs = &groups[&fam];
-            match self.models.get(&fam) {
+        self.batch_calls.incr();
+        for bucket in &mut scratch.buckets {
+            bucket.clear();
+        }
+        for &i in &scratch.eval {
+            scratch.buckets[kernels[i].family() as usize].push(i);
+        }
+        for (family, bucket) in KernelFamily::ALL.into_iter().zip(&scratch.buckets) {
+            if bucket.is_empty() {
+                continue;
+            }
+            match self.models.get(&family) {
                 Some(model) => {
-                    let specs: Vec<KernelSpec> =
-                        idxs.iter().map(|&i| kernels[i].clone()).collect();
+                    scratch.specs.clear();
+                    scratch.specs.extend(bucket.iter().map(|&i| kernels[i].clone()));
                     let mut times = arena.take();
-                    model.predict_batch_into(&specs, arena, &mut times);
-                    for (&i, &t) in idxs.iter().zip(times.iter()) {
-                        out[start + i] = (t, Confidence::Calibrated);
+                    model.predict_batch_into(&scratch.specs, arena, &mut times);
+                    for (&i, &t) in bucket.iter().zip(times.iter()) {
+                        values[i] = (t, Confidence::Calibrated);
                     }
                     arena.give(times);
                 }
                 None => {
-                    self.degraded.add(idxs.len() as u64);
-                    for &i in idxs {
-                        out[start + i] =
-                            (datasheet_roofline(&self.device, &kernels[i]), Confidence::Degraded);
+                    self.degraded.add(bucket.len() as u64);
+                    for &i in bucket {
+                        let t = datasheet_roofline(&self.device, &kernels[i]);
+                        values[i] = (t, Confidence::Degraded);
                     }
                 }
             }
         }
+        scratch.commit(kernels, cache, values);
     }
 
     /// Rewraps this registry with trace-fitted per-family scale factors

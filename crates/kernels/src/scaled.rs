@@ -12,16 +12,19 @@
 use std::sync::Arc;
 
 use dlperf_gpusim::KernelSpec;
+use dlperf_nn::arena::ScratchArena;
 
 use crate::registry::KernelPerfModel;
 
 /// A [`KernelPerfModel`] whose predictions are multiplied by a fixed,
 /// trace-fitted scale factor.
 ///
-/// The batched path maps the inner model's batched path and scales each
-/// element with the identical `f64` multiply, so the bitwise
-/// scalar/batch equivalence contract of [`KernelPerfModel`] is
-/// preserved by construction.
+/// The batched path scales the tail the inner model's batched path
+/// appends, element by element with the identical `f64` multiply
+/// (`t * scale` is bitwise `scale * t`: IEEE-754 multiplication is
+/// commutative), so the bitwise scalar/batch equivalence contract of
+/// [`KernelPerfModel`] is preserved by construction and trace-calibrated
+/// registries keep the inner model's batched MLP inference.
 pub struct ScaledModel {
     inner: Arc<dyn KernelPerfModel>,
     scale: f64,
@@ -49,8 +52,17 @@ impl KernelPerfModel for ScaledModel {
         self.scale * self.inner.predict(kernel)
     }
 
-    fn predict_batch(&self, kernels: &[KernelSpec]) -> Vec<f64> {
-        self.inner.predict_batch(kernels).into_iter().map(|t| self.scale * t).collect()
+    fn predict_batch_into(
+        &self,
+        kernels: &[KernelSpec],
+        arena: &mut ScratchArena,
+        out: &mut Vec<f64>,
+    ) {
+        let start = out.len();
+        self.inner.predict_batch_into(kernels, arena, out);
+        for t in &mut out[start..] {
+            *t *= self.scale;
+        }
     }
 
     fn name(&self) -> String {
@@ -79,8 +91,10 @@ mod tests {
         let m = ScaledModel::new(Arc::new(Flat), 1.5);
         let k = KernelSpec::gemm(8, 8, 8);
         assert_eq!(m.predict(&k), 15.0);
-        let batch = m.predict_batch(&[k.clone(), k.clone()]);
-        assert_eq!(batch, vec![m.predict(&k); 2], "batch stays bitwise equal to scalar");
+        let mut batch = vec![-1.0];
+        m.predict_batch_into(&[k.clone(), k.clone()], &mut ScratchArena::new(), &mut batch);
+        let scalar = m.predict(&k);
+        assert_eq!(batch, vec![-1.0, scalar, scalar], "batch stays bitwise equal to scalar");
         assert!(m.name().contains("flat"));
     }
 

@@ -89,3 +89,31 @@ fn pipeline_rebuilds_from_persisted_assets() {
         "rebuilt pipeline diverged: {a} vs {b}"
     );
 }
+
+#[test]
+fn from_assets_pipeline_exports_the_database_it_was_built_from() {
+    // A pipeline rebuilt from persisted assets has no per-workload stats;
+    // its export must still be its whole overhead database, and a pipeline
+    // reloaded from that export must predict the same bits.
+    let device = DeviceSpec::v100();
+    let g = DlrmConfig::default_config(256).build();
+    let pipe = Pipeline::analyze(&device, std::slice::from_ref(&g), CalibrationEffort::Quick, 8, 4);
+    let json = pipe.shared_overheads_json();
+    let registry = pipe.predictor().registry().clone();
+    let stats = OverheadStats::from_json(&json).unwrap();
+    let rebuilt = Pipeline::from_assets(device.clone(), registry.clone(), stats);
+    let exported = rebuilt.shared_overheads_json();
+    assert!(
+        exported == json,
+        "export lost the database it was built from: {} of {} bytes",
+        exported.len(),
+        json.len()
+    );
+    let stats = OverheadStats::from_json(&exported).unwrap();
+    let reloaded = Pipeline::from_assets(device, registry, stats);
+    assert_eq!(
+        reloaded.predict(&g).unwrap().e2e_us.to_bits(),
+        rebuilt.predict(&g).unwrap().e2e_us.to_bits(),
+        "a pipeline reloaded from the export must predict the same bits"
+    );
+}
