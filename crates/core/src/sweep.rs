@@ -931,6 +931,12 @@ mod tests {
         assert!(!json.contains("strategy"), "{json}");
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, scenarios[0]);
+        // A set tag is written and read back.
+        let tagged = Scenario { strategy: Some("dp".into()), ..Scenario::new("x", 0) };
+        let json = serde_json::to_string(&tagged).unwrap();
+        assert_eq!(json, r#"{"label":"x","device":0,"mutations":[],"strategy":"dp"}"#);
+        let back: Scenario = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, tagged);
     }
 
     #[test]

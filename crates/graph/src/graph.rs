@@ -449,6 +449,43 @@ mod tests {
         assert_eq!(back.nodes()[0].op, OpKind::AddMm);
     }
 
+    /// `linear_graph()`'s JSON with the given keys dropped from the graph
+    /// object and from every node.
+    fn json_without(graph_key: &str, node_key: &str) -> String {
+        let mut v = serde_json::to_value(&linear_graph());
+        let serde_json::Value::Obj(entries) = &mut v else { panic!("graph is an object") };
+        entries.retain(|(k, _)| k != graph_key);
+        let nodes = entries.iter_mut().find(|(k, _)| k == "nodes");
+        if let Some((_, serde_json::Value::Arr(nodes))) = nodes {
+            for node in nodes {
+                if let serde_json::Value::Obj(fields) = node {
+                    fields.retain(|(k, _)| k != node_key);
+                }
+            }
+        }
+        serde_json::to_string(&v).unwrap()
+    }
+
+    #[test]
+    fn missing_node_uid_decodes_to_default() {
+        let json = json_without("", "uid");
+        assert!(!json.contains("\"uid\""), "{json}");
+        let g: Graph = serde_json::from_str(&json).unwrap();
+        assert!(g.nodes().iter().all(|n| n.uid == 0));
+        assert_eq!(g.next_uid, 2);
+    }
+
+    #[test]
+    fn missing_next_uid_decodes_to_default() {
+        let json = json_without("next_uid", "");
+        assert!(!json.contains("next_uid"), "{json}");
+        let g: Graph = serde_json::from_str(&json).unwrap();
+        assert_eq!(g.next_uid, 0);
+        assert_eq!(g.nodes()[1].uid, 2);
+        // `from_json` restores the counter from the node uids.
+        assert_eq!(Graph::from_json(&json).unwrap().next_uid, 2);
+    }
+
     #[test]
     fn predecessors_deduplicated() {
         let mut g = Graph::new("dup");

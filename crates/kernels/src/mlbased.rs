@@ -245,6 +245,23 @@ mod tests {
     }
 
     #[test]
+    fn missing_stats_decode_to_none() {
+        let dev = DeviceSpec::v100();
+        let mut mb = Microbenchmark::new(&dev, 1, 3);
+        let samples = mb.measure(&gemm_specs(30, 1));
+        let cfg = TrainConfig { epochs: 5, width: 16, ..Default::default() };
+        let model = MlKernelModel::train(&samples, &cfg, 0);
+        assert!(model.stats.is_some());
+        let mut v = serde_json::to_value(&model);
+        let serde_json::Value::Obj(entries) = &mut v else { panic!("model is an object") };
+        entries.retain(|(k, _)| k != "stats");
+        let json = serde_json::to_string(&v).unwrap();
+        let back: MlKernelModel = serde_json::from_str(&json).unwrap();
+        assert!(back.stats.is_none());
+        assert_eq!(back.correction.to_bits(), model.correction.to_bits());
+    }
+
+    #[test]
     #[should_panic(expected = "family mismatch")]
     fn predict_wrong_family_panics() {
         let dev = DeviceSpec::v100();

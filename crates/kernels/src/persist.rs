@@ -316,4 +316,15 @@ mod tests {
         let loaded = RegistryBundle::from_json(&legacy).expect("legacy bundles remain readable");
         assert_eq!(loaded.device.name, bundle.device.name);
     }
+
+    #[test]
+    fn missing_lane_width_decodes_to_legacy_zero() {
+        let bundle =
+            ModelRegistry::calibrate_bundle(&DeviceSpec::v100(), CalibrationEffort::Quick, 5);
+        let bare = serde_json::to_string(&bundle).unwrap();
+        let keyless = bare.replacen(&format!("\"lane_width\":{},", dlperf_nn::LANES), "", 1);
+        assert!(!keyless.contains("lane_width"), "the key must be gone");
+        let loaded = RegistryBundle::from_json(&keyless).expect("a keyless bundle loads");
+        assert_eq!(loaded.lane_width, 0);
+    }
 }

@@ -193,6 +193,18 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bomb_snapshot_is_a_parse_error() {
+        let dir = std::env::temp_dir().join(format!("dlperf-store-bomb-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ckpt.json");
+        let s = FileStore::new(&path);
+        std::fs::write(&path, "[".repeat(1_000_000)).unwrap();
+        let err = s.open_snapshot::<Vec<u64>>("t.schema", 1).unwrap_err();
+        assert!(matches!(err, SnapshotError::Parse(_)), "got {err:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn file_store_round_trips_and_clears() {
         let dir = std::env::temp_dir().join(format!("dlperf-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

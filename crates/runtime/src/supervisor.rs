@@ -886,6 +886,35 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bomb_checkpoint_is_a_typed_snapshot_error() {
+        let dir = std::env::temp_dir().join(format!("dlperf-sup-bomb-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("count.ckpt");
+        let bomb = "[".repeat(1_000_000);
+        // The bomb as the whole file, and sealed intact as the state JSON
+        // behind a valid envelope and checksum.
+        let inner = snapshot::seal(
+            &Supervisor::checkpoint_schema("count-job"),
+            CHECKPOINT_VERSION,
+            &(3u64, bomb.clone()),
+        )
+        .expect("seals");
+        for file in [bomb, inner] {
+            std::fs::write(&path, &file).expect("write checkpoint");
+            let mut sup = Supervisor::with_store(
+                SupervisorConfig::default(),
+                Box::new(FileStore::new(&path)),
+            );
+            let (out, _) = sup.run(&CountJob::to(8));
+            match out {
+                Err(SupervisorError::Snapshot(SnapshotError::Parse(_))) => {}
+                other => panic!("expected Snapshot(Parse), got {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn injected_worker_faults_are_deterministic_across_runs() {
         let plan = FaultPlan::healthy(99).with_worker_faults(0.05, 0.1, 0.0);
         let config = SupervisorConfig {

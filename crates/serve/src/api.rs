@@ -7,8 +7,8 @@
 //! deadline, and error behavior.
 //!
 //! Hostile input is screened *before* the JSON parser sees it
-//! ([`prescreen`]): the vendored parser recurses on nested containers, so
-//! a 10 MB line of `[[[[…` would otherwise be a stack-overflow request.
+//! ([`prescreen`]): a 10 MB line of `[[[[…` is a cheap 400, rejected at
+//! this protocol's nesting cap without a parse.
 
 use dlperf_trace::screen;
 use serde::{Deserialize, Serialize};
@@ -360,8 +360,8 @@ impl Body {
 }
 
 /// Rejects hostile request lines before the JSON parser runs: over-long
-/// lines, container nesting past [`MAX_JSON_DEPTH`] (the vendored parser
-/// recurses per level), and interior NUL/control garbage that no valid
+/// lines, container nesting past [`MAX_JSON_DEPTH`] (tighter than the
+/// vendored reader's own cap), and interior NUL/control garbage that no valid
 /// request contains.
 ///
 /// The implementation is the shared [`dlperf_trace::screen`] helper also

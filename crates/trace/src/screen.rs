@@ -3,8 +3,8 @@
 //! Two subsystems read JSON that an adversary (or a crashed fleet job)
 //! may have written: `dlperf-serve`'s wire protocol and the
 //! [`crate::ingest`] trace-corpus scanner. Both need the same defenses —
-//! a string/escape-aware depth tracker so `[[[[…` cannot stack-overflow
-//! the recursive vendored parser, NUL detection, and capped line reads
+//! a string/escape-aware depth tracker that rejects `[[[[…` before any
+//! parse, NUL detection, and capped line reads
 //! that never buffer an unbounded stream. This module is the single
 //! implementation both delegate to; `serve::api` wraps it with its wire
 //! constants unchanged, and the ingest scanner builds its chunked state

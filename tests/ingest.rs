@@ -644,9 +644,21 @@ fn corpus_calibration_matches_offline_clean_fit_and_degrades_thin_families() {
 /// JSON, so this pins the scanner's output and the writer's bytes at once.
 const ACCEPTANCE_DIGEST: &str = "2b572ada0c23e859";
 
+/// The acceptance corpus's quarantine report, corpus directory written
+/// as `<corpus>`, captured before the pull JSON reader replaced the
+/// value-tree decoder. It carries every skip count and every rejection
+/// reason.
+const ACCEPTANCE_REPORT: &str = "tests/golden/json/acceptance_quarantine_report.json";
+
 #[test]
 fn acceptance_corpus_digest_is_pinned() {
     let (job, _, _) = acceptance_setup("digest-pin");
     let ingest = run_uninterrupted(&job);
     assert_eq!(format!("{:016x}", ingest.digest), ACCEPTANCE_DIGEST);
+    let dir = temp_corpus_dir("digest-pin").display().to_string();
+    let report = ingest.report.to_json().replace(&dir, "<corpus>");
+    let frozen =
+        std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join(ACCEPTANCE_REPORT))
+            .expect("frozen acceptance report");
+    assert_eq!(report, frozen);
 }
