@@ -183,6 +183,30 @@ mod tests {
     }
 
     #[test]
+    fn unparseable_request_names_the_first_bad_field_in_document_order() {
+        let server =
+            Server::start(vec![quick_pipeline()], &["dlrm-default"], small_config(), None)
+                .unwrap();
+        let message = |line: &str| match serde_json::from_str::<Response>(&server.submit_json(line))
+            .unwrap()
+            .body
+        {
+            Body::Error(e) => (e.code, e.message),
+            other => panic!("expected an error body, got {other:?}"),
+        };
+        // Fields are type-checked as they are read; a missing one is
+        // reported only once the whole object has been read. So a
+        // wrong-typed `op` wins over a missing `id`, wherever it sits.
+        let bad_op = "unparseable request: field `op`: expected variant of `Op`, found number";
+        assert_eq!(message("{\"op\": 7}"), (400, bad_op.to_string()));
+        assert_eq!(message("{\"op\": 7, \"id\": 1}"), (400, bad_op.to_string()));
+        assert_eq!(
+            message("{\"op\": \"Ping\"}"),
+            (400, "unparseable request: missing field `id`".to_string())
+        );
+    }
+
+    #[test]
     fn zero_capacity_queue_sheds_deterministically() {
         let cfg = ServerConfig { queue_capacity: 0, ..small_config() };
         let server =
