@@ -7,13 +7,13 @@
 //! band; `kernel_only` error tracking `1 − utilization` and shrinking as
 //! batch size grows; E2E mildly underestimating.
 
-use dlperf_bench::{e2e_evaluation_cached, header};
+use dlperf_bench::{e2e_evaluation, header};
 
 fn main() {
     header("Figure 9: E2E per-batch prediction of 3 DLRM models x 3 GPUs");
     println!("(Table III configs: DLRM_default, DLRM_MLPerf, DLRM_DDP)\n");
 
-    let rows = e2e_evaluation_cached();
+    let rows = e2e_evaluation();
     let mut devices: Vec<String> = rows.iter().map(|r| r.device.clone()).collect();
     devices.dedup();
 

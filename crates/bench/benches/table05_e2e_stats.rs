@@ -6,12 +6,12 @@
 //! shared penalty only a few points (the paper: 4.61% / 7.96% / 10.15%
 //! geomeans, shared costing +2.19%).
 
-use dlperf_bench::{e2e_evaluation_cached, header};
+use dlperf_bench::{e2e_evaluation, header};
 use dlperf_core::report::{ErrorSummary, PredictionRow};
 
 fn main() {
     header("Table V: active / E2E / shared-E2E error statistics across platforms");
-    let rows = e2e_evaluation_cached();
+    let rows = e2e_evaluation();
     let mut devices: Vec<String> = rows.iter().map(|r| r.device.clone()).collect();
     devices.dedup();
 

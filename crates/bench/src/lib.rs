@@ -5,12 +5,9 @@
 //! Calibration effort defaults to `Full` (paper-scale sweeps); set
 //! `DLPERF_EFFORT=quick` for a fast smoke run of the whole harness.
 //!
-//! The Fig. 9 evaluation is expensive (three devices × three workloads ×
-//! four batch sizes, each with a full analysis track); its result rows are
-//! cached as JSON under `target/dlperf-cache/` so that `table05_e2e_stats`
-//! and the ablations reuse them.
-
-use std::path::PathBuf;
+//! The Fig. 9 evaluation (three devices × three workloads × four batch
+//! sizes) is recomputed by every target that reports it, so its rows always
+//! come from the current models.
 
 use dlperf_core::baselines;
 use dlperf_core::pipeline::Pipeline;
@@ -51,32 +48,6 @@ pub fn measure_graph(device: &DeviceSpec, graph: &Graph, seed: u64) -> (f64, f64
 
 /// The batch sizes of the Fig. 7/8/9 evaluations.
 pub const BATCH_SIZES: [u64; 4] = [256, 512, 1024, 2048];
-
-/// Cache directory for expensive intermediate results.
-pub fn cache_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../target/dlperf-cache");
-    std::fs::create_dir_all(&dir).expect("can create cache dir");
-    dir
-}
-
-/// Loads cached JSON if present, otherwise computes and stores it.
-pub fn load_or_compute<T, F>(name: &str, compute: F) -> T
-where
-    T: serde::Serialize + serde::de::DeserializeOwned,
-    F: FnOnce() -> T,
-{
-    let path = cache_dir().join(format!("{name}.json"));
-    if let Ok(s) = std::fs::read_to_string(&path) {
-        if let Ok(v) = serde_json::from_str(&s) {
-            eprintln!("[cache] reusing {}", path.display());
-            return v;
-        }
-    }
-    let v = compute();
-    std::fs::write(&path, serde_json::to_string(&v).expect("serializable")).expect("cache write");
-    v
-}
 
 /// The full Fig. 9 evaluation: per (device × workload × batch) rows with
 /// measured/predicted E2E and active times plus baselines.
@@ -119,15 +90,6 @@ pub fn e2e_evaluation() -> Vec<PredictionRow> {
         }
     }
     rows
-}
-
-/// Cached variant of [`e2e_evaluation`], keyed by effort level.
-pub fn e2e_evaluation_cached() -> Vec<PredictionRow> {
-    let key = match effort() {
-        CalibrationEffort::Quick => "fig09_rows_quick",
-        CalibrationEffort::Full => "fig09_rows_full",
-    };
-    load_or_compute(key, e2e_evaluation)
 }
 
 /// Prints a horizontal rule with a title.

@@ -2,12 +2,14 @@
 //! needs. No BLAS, no unsafe — clarity over peak speed; the datasets here
 //! are thousands of rows, not millions.
 //!
-//! Every dot product in this crate — training forward/backward, scalar
-//! inference, and the packed [`InferencePlan`](crate::net::InferencePlan)
-//! batch path — goes through [`lane_dot`], the *lane-reduction accumulation
-//! contract* (DESIGN.md §9.3). The contract pins bitwise-exact results
-//! across all execution strategies, so the SIMD-friendly batched kernel is
-//! the definition rather than an approximation of the scalar path.
+//! Every dot product in this crate follows the *lane-reduction
+//! accumulation contract* (DESIGN.md §9.3) defined by [`lane_dot`]: scalar
+//! inference and the packed [`InferencePlan`](crate::net::InferencePlan)
+//! batch path call it per element, and training's row kernel
+//! [`Matrix::matmul_rows`] performs the same per-element operations row by
+//! row. The contract pins bitwise-exact results across all execution
+//! strategies, so the SIMD-friendly batched kernel is the definition rather
+//! than an approximation of the scalar path.
 
 use serde::{Deserialize, Serialize};
 
@@ -191,6 +193,49 @@ impl Matrix {
             let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
             for (j, o) in orow.iter_mut().enumerate() {
                 *o = lane_dot(xrow, rt.row(j));
+            }
+        }
+        out
+    }
+
+    /// Matrix product `self × rhs` by the row kernel, the training
+    /// strategy of the lane-reduction contract (DESIGN.md §9.3).
+    ///
+    /// For each row `i`, every nonzero `self[i][k]` adds
+    /// `self[i][k] * rhs[k][..]` into lane accumulator `k % LANES`, and
+    /// each column reduces `(a0 + a1) + (a2 + a3)`. Per output element
+    /// that is exactly [`lane_dot`] of the row against the column: the
+    /// same per-lane terms in ascending `k`, the same skip of a `±0.0`
+    /// left operand (taken once per `k` for the whole row instead of once
+    /// per element) and the same tree. So it is bitwise equal to
+    /// [`Matrix::matmul`], without the transposed copy of `rhs`, and its
+    /// inner loop is a contiguous multiply-add across the columns.
+    ///
+    /// # Panics
+    /// Panics if inner dimensions disagree.
+    pub fn matmul_rows(&self, rhs: &Matrix) -> Matrix {
+        assert_eq!(self.cols, rhs.rows, "matmul dims: {}x{} × {}x{}", self.rows, self.cols, rhs.rows, rhs.cols);
+        let (inner, n) = (self.cols, rhs.cols);
+        let mut out = Matrix::zeros(self.rows, n);
+        let mut acc = vec![0.0f64; LANES * n];
+        for i in 0..self.rows {
+            acc.fill(0.0);
+            let xrow = &self.data[i * inner..(i + 1) * inner];
+            for (k, &a) in xrow.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                let lane = &mut acc[(k % LANES) * n..(k % LANES + 1) * n];
+                for (s, &w) in lane.iter_mut().zip(&rhs.data[k * n..(k + 1) * n]) {
+                    *s += a * w;
+                }
+            }
+            let (a01, a23) = acc.split_at(2 * n);
+            let (a0, a1) = a01.split_at(n);
+            let (a2, a3) = a23.split_at(n);
+            let orow = &mut out.data[i * n..(i + 1) * n];
+            for (j, o) in orow.iter_mut().enumerate() {
+                *o = (a0[j] + a1[j]) + (a2[j] + a3[j]);
             }
         }
         out

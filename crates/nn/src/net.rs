@@ -35,25 +35,27 @@ impl Linear {
         }
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if train {
-            self.input_cache = Some(x.clone());
-        }
-        let mut y = x.matmul(&self.w);
+    /// `x × w + b` on the training row kernel.
+    fn affine(&self, x: &Matrix) -> Matrix {
+        let mut y = x.matmul_rows(&self.w);
         y.add_row(&self.b);
         y
     }
 
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient w.r.t. the layer input.
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+    /// Fills the parameter gradients from `grad_out` and the input cached
+    /// by the training forward.
+    fn param_grads(&mut self, grad_out: &Matrix) {
         let x = self
             .input_cache
             .take()
             .expect("backward called without a preceding training forward");
-        self.grad_w = x.transpose().matmul(grad_out);
+        self.grad_w = x.transpose().matmul_rows(grad_out);
         self.grad_b = grad_out.col_sums();
-        grad_out.matmul(&self.w.transpose())
+    }
+
+    /// The gradient w.r.t. the layer input, `grad_out × wᵀ`.
+    fn input_grad(&self, grad_out: &Matrix) -> Matrix {
+        grad_out.matmul_rows(&self.w.transpose())
     }
 }
 
@@ -96,44 +98,50 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Forward pass. With `train = true`, caches activations for
-    /// [`Mlp::backward`].
+    /// Forward pass on the training row kernel ([`Matrix::matmul_rows`]).
+    /// With `train = true`, caches activations for [`Mlp::backward`];
+    /// with `train = false` it caches nothing and is bitwise equal to
+    /// [`Mlp::infer`] row by row (DESIGN.md §9.3).
     pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         assert_eq!(x.cols(), self.inputs(), "feature count mismatch");
         if train {
             self.relu_masks.clear();
         }
-        let mut h = x.clone();
         let n = self.layers.len();
+        let mut h: Option<Matrix> = None;
         for (i, layer) in self.layers.iter_mut().enumerate() {
-            h = layer.forward(&h, train);
+            let mut y = layer.affine(h.as_ref().unwrap_or(x));
+            if train {
+                layer.input_cache = Some(h.take().unwrap_or_else(|| x.clone()));
+            }
             if i + 1 < n {
                 // ReLU on hidden layers only.
-                let mut mask = h.clone();
-                mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                h.map_inplace(|v| v.max(0.0));
                 if train {
+                    let mut mask = y.clone();
+                    mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
                     self.relu_masks.push(mask);
                 }
+                y.map_inplace(|v| v.max(0.0));
             }
+            h = Some(y);
         }
-        h
+        h.expect("an MLP has an output layer")
     }
 
     /// Backpropagates `grad_out` (dL/d prediction) through the network,
-    /// filling each layer's parameter gradients.
+    /// filling each layer's parameter gradients. The gradient w.r.t. the
+    /// network input is not needed and not computed.
     ///
     /// # Panics
     /// Panics if no training forward pass preceded this call.
     pub fn backward(&mut self, grad_out: &Matrix) {
         let mut grad = grad_out.clone();
-        let n = self.layers.len();
-        for (rev, layer) in self.layers.iter_mut().rev().enumerate() {
-            let i = n - 1 - rev;
-            grad = layer.backward(&grad);
+        for i in (0..self.layers.len()).rev() {
+            let layer = &mut self.layers[i];
+            layer.param_grads(&grad);
             if i > 0 {
-                let mask = &self.relu_masks[i - 1];
-                grad.hadamard_inplace(mask);
+                grad = layer.input_grad(&grad);
+                grad.hadamard_inplace(&self.relu_masks[i - 1]);
             }
         }
     }
@@ -331,6 +339,72 @@ mod tests {
             (analytic - numeric).abs() < 1e-5,
             "analytic {analytic} vs numeric {numeric}"
         );
+    }
+
+    // Training runs on the row kernel; the same step spelled with
+    // `Matrix::matmul` (transposed stripes into `lane_dot`) must leave
+    // every weight, bias and gradient with the same bits, since all of
+    // them end up in persisted bundles.
+    #[test]
+    fn training_step_matches_matmul_step_bitwise() {
+        use crate::optim::{Optimizer, OptimizerKind};
+        let x = Matrix::from_fn(13, 7, |r, c| {
+            if (r * 7 + c) % 5 == 0 { 0.0 } else { (r as f64 - 6.3) * 10f64.powi(c as i32 % 4 - 2) }
+        });
+        let target: Vec<f64> = (0..13).map(|r| 0.1 * r as f64 - 0.4).collect();
+        let mse_grad = |y: &Matrix| Matrix::from_fn(13, 1, |r, _| 2.0 * (y.at(r, 0) - target[r]) / 13.0);
+
+        let mut fast = Mlp::new(7, 3, 22, 5);
+        let mut slow = fast.clone();
+
+        let y = fast.forward(&x, true);
+        fast.backward(&mse_grad(&y));
+        Optimizer::new(OptimizerKind::Adam, 1e-3).step(fast.layers_mut());
+
+        let layers = slow.layers_mut();
+        let n = layers.len();
+        let (mut acts, mut masks) = (vec![x.clone()], Vec::new());
+        for (i, l) in layers.iter().enumerate() {
+            let mut h = acts[i].matmul(&l.w);
+            h.add_row(&l.b);
+            if i + 1 < n {
+                let mut mask = h.clone();
+                mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
+                masks.push(mask);
+                h.map_inplace(|v| v.max(0.0));
+            }
+            acts.push(h);
+        }
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(acts[n].as_slice()), bits(y.as_slice()), "forward output");
+        let mut g = mse_grad(&acts[n]);
+        for i in (0..n).rev() {
+            layers[i].grad_w = acts[i].transpose().matmul(&g);
+            layers[i].grad_b = g.col_sums();
+            if i > 0 {
+                g = g.matmul(&layers[i].w.transpose());
+                g.hadamard_inplace(&masks[i - 1]);
+            }
+        }
+        Optimizer::new(OptimizerKind::Adam, 1e-3).step(layers);
+
+        for (i, (a, b)) in fast.layers.iter().zip(&slow.layers).enumerate() {
+            assert_eq!(bits(a.w.as_slice()), bits(b.w.as_slice()), "w of layer {i}");
+            assert_eq!(bits(&a.b), bits(&b.b), "b of layer {i}");
+            assert_eq!(bits(a.grad_w.as_slice()), bits(b.grad_w.as_slice()), "grad_w of layer {i}");
+            assert_eq!(bits(&a.grad_b), bits(&b.grad_b), "grad_b of layer {i}");
+        }
+    }
+
+    #[test]
+    fn validation_forward_matches_scalar_inference_bitwise() {
+        let mut mlp = Mlp::new(5, 2, 18, 3);
+        let x = Matrix::from_fn(9, 5, |r, c| if r == c { 0.0 } else { (r as f64 + 0.7) / (c as f64 - 2.2) });
+        let batch = mlp.forward(&x, false);
+        for r in 0..x.rows() {
+            assert_eq!(batch.at(r, 0).to_bits(), mlp.predict_one(x.row(r)).to_bits(), "row {r}");
+        }
+        assert!(mlp.layers.iter().all(|l| l.input_cache.is_none()), "inference forward cached");
     }
 
     #[test]

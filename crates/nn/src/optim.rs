@@ -61,8 +61,7 @@ impl Optimizer {
         match self.kind {
             OptimizerKind::Sgd => {
                 for layer in layers {
-                    let gw = layer.grad_w.clone();
-                    layer.w.axpy(-self.lr, &gw);
+                    layer.w.axpy(-self.lr, &layer.grad_w);
                     for (b, g) in layer.b.iter_mut().zip(&layer.grad_b) {
                         *b -= self.lr * g;
                     }
@@ -85,8 +84,7 @@ impl Optimizer {
                 let bc1 = 1.0 - b1.powi(self.t as i32);
                 let bc2 = 1.0 - b2.powi(self.t as i32);
                 for (layer, mom) in layers.iter_mut().zip(&mut self.moments) {
-                    let gw = layer.grad_w.as_slice().to_vec();
-                    for (i, g) in gw.iter().enumerate() {
+                    for (i, g) in layer.grad_w.as_slice().iter().enumerate() {
                         let m = &mut mom.m_w.as_mut_slice()[i];
                         *m = b1 * *m + (1.0 - b1) * g;
                         let v = &mut mom.v_w.as_mut_slice()[i];

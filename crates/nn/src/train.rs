@@ -148,16 +148,18 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
 
     let pre = Preprocessor::fit(raw);
     let data = pre.transform(raw);
-    let (train_set, val_raw_idx) = {
-        // Split raw to keep validation MAPE in original scale.
+    // Split raw to keep validation MAPE in original scale. Validation rows
+    // are taken already preprocessed (the same per-row transform as
+    // `TrainedModel::predict_one`), so each epoch validates with one
+    // non-caching forward, bitwise equal to predicting them one at a time.
+    let (train_set, val_x, val_y_raw) = {
         let mut idx: Vec<usize> = (0..raw.len()).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xbeef));
         let n_val = ((raw.len() as f64 * cfg.val_frac).round() as usize).clamp(1, raw.len() - 1);
         let (val_idx, train_idx) = idx.split_at(n_val);
-        (data.select(train_idx), val_idx.to_vec())
+        let val_y_raw: Vec<f64> = val_idx.iter().map(|&i| raw.y[i]).collect();
+        (data.select(train_idx), data.x.select_rows(val_idx), val_y_raw)
     };
-    let val_x_raw: Vec<Vec<f64>> = val_raw_idx.iter().map(|&i| raw.x.row(i).to_vec()).collect();
-    let val_y_raw: Vec<f64> = val_raw_idx.iter().map(|&i| raw.y[i]).collect();
 
     let lr = match cfg.optimizer {
         OptimizerKind::Sgd => cfg.learning_rate * 10.0,
@@ -184,8 +186,8 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
         }
 
         // Validation in the original scale.
-        let probe = TrainedModel::new(mlp.clone(), pre.clone(), 0.0);
-        let preds = probe.predict(&val_x_raw);
+        let preds: Vec<f64> =
+            mlp.forward(&val_x, false).as_slice().iter().map(|&v| pre.inverse_target(v)).collect();
         let err = mape(&preds, &val_y_raw);
         if best.as_ref().is_none_or(|(b, _)| err < *b) {
             best = Some((err, mlp.clone()));

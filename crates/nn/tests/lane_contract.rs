@@ -119,6 +119,52 @@ proptest! {
             }
         }
     }
+
+    /// The training row kernel is the same contract by another loop
+    /// order: every element of `matmul_rows` equals `lane_dot` over the
+    /// row and the transposed column, bitwise. Inner sizes up to 70 hit
+    /// every residue mod W across several chunks, and widths up to 64
+    /// cover the hidden layers of every calibration config. About one
+    /// inner index in eight is dead: its left column is all `±0.0` and its
+    /// right row is `inf`/`-inf`/NaN, which any computed `0.0 * w` term
+    /// would turn into NaN in every element.
+    #[test]
+    fn matmul_rows_is_lane_dot_per_element_bitwise(
+        (m, k, n) in (0usize..=130, 1usize..=70, 1usize..=64),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            s >> 11
+        };
+        let dead: Vec<bool> = (0..k).map(|_| next() % 8 == 0).collect();
+        // Left: about a quarter exact zeros of either sign elsewhere too.
+        let a = Matrix::from_fn(m, k, |_, kk| match (dead[kk], next() % 8) {
+            (true, r) | (false, r @ 0..=1) => if r % 2 == 0 { 0.0 } else { -0.0 },
+            (false, r) => (r as f64 - 4.5) * 10f64.powi((next() % 7) as i32 - 3),
+        });
+        let poison = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let b = Matrix::from_fn(k, n, |kk, _| {
+            if dead[kk] {
+                poison[(next() % 3) as usize]
+            } else {
+                ((next() >> 11) as f64 / (1u64 << 42) as f64) * 8.0 - 4.0
+            }
+        });
+        let c = a.matmul_rows(&b);
+        prop_assert_eq!((c.rows(), c.cols()), (m, n));
+        let bt = b.transpose();
+        for i in 0..m {
+            for j in 0..n {
+                prop_assert_eq!(
+                    c.at(i, j).to_bits(),
+                    lane_dot(a.row(i), bt.row(j)).to_bits(),
+                    "element ({}, {}) of {}x{}x{} broke the lane contract", i, j, m, k, n
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -126,5 +172,7 @@ fn empty_inputs_are_exactly_zero() {
     assert_eq!(lane_dot(&[], &[]).to_bits(), 0.0f64.to_bits());
     assert_eq!(lane_dot_reference(&[], &[]).to_bits(), 0.0f64.to_bits());
     let empty = Matrix::zeros(0, 3).matmul(&Matrix::zeros(3, 2));
+    assert_eq!((empty.rows(), empty.cols()), (0, 2));
+    let empty = Matrix::zeros(0, 3).matmul_rows(&Matrix::zeros(3, 2));
     assert_eq!((empty.rows(), empty.cols()), (0, 2));
 }
