@@ -1,14 +1,24 @@
 //! Integration tests of the co-design transformations against both the
 //! engine (simulated measurement) and the predictor.
+//!
+//! `codesign_whatifs_are_frozen` pins the bits of the paper's co-design
+//! questions (batch size, op fusion, reordering, embedding sharding) on one
+//! fixed `Quick` pipeline. A mismatch means a what-if's answer changed; it
+//! is never fixed by re-freezing the table here.
 
-use dlrm_perf_model::core::codesign::{batch_size_sweep, fusion_whatif};
+use dlrm_perf_model::core::codesign::{
+    batch_size_sweep, fusion_whatif, greedy_by_predicted_cost, greedy_lpt, imbalance,
+    reorder_whatif, round_robin, shard_costs,
+};
 use dlrm_perf_model::core::pipeline::Pipeline;
+use dlrm_perf_model::core::predictor::Prediction;
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::transform::{
     fuse_embedding_bags, independent_groups, parallelize, resize_batch,
 };
 use dlrm_perf_model::graph::OpKind;
 use dlrm_perf_model::kernels::CalibrationEffort;
+use dlrm_perf_model::models::criteo::KAGGLE_TABLE_ROWS;
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::trace::engine::ExecutionEngine;
 
@@ -112,4 +122,101 @@ fn batch_sweep_scales_active_time_superlinearly_vs_overheads() {
         per_sample_big < 0.5 * per_sample_small,
         "{per_sample_big:.3} vs {per_sample_small:.3} us/sample"
     );
+}
+
+/// `f64::to_bits` of `e2e_us`, `active_us`, `cpu_us` and `gpu_us`, then
+/// `degraded_kernels`.
+fn prediction_bits(p: &Prediction) -> [u64; 5] {
+    [
+        p.e2e_us.to_bits(),
+        p.active_us.to_bits(),
+        p.cpu_us.to_bits(),
+        p.gpu_us.to_bits(),
+        p.degraded_kernels as u64,
+    ]
+}
+
+/// Prediction rows carry [`prediction_bits`]; sharding rows carry the bits
+/// of the four per-shard embedding costs, then of their imbalance.
+const FROZEN: [(&str, [u64; 5]); 10] = [
+    ("batch 128", [
+        0x40b5758def442094, 0x40873cfdaf68fbc8, 0x40b5758def442094, 0x40b56f5ff68b6deb,
+        0,
+    ]),
+    ("batch 512", [
+        0x40b5758def442094, 0x409992abe07a8cf6, 0x40b5758def442094, 0x40b56f5ff68b6deb,
+        0,
+    ]),
+    ("batch 4096", [
+        0x40c23b9854c1349d, 0x40c19b78b2e86835, 0x40b5758def442094, 0x40c23b9854c1349d,
+        0,
+    ]),
+    ("fusion before", [
+        0x40b5758def442094, 0x409992abe07a8cf6, 0x40b5758def442094, 0x40b56f5ff68b6deb,
+        0,
+    ]),
+    ("fusion after", [
+        0x40b35eaf6122fbce, 0x409969ca5e2f6e78, 0x40b35eaf6122fbce, 0x40b35881686a4925,
+        0,
+    ]),
+    ("hoist before", [
+        0x40b5758def442094, 0x409992abe07a8cf6, 0x40b5758def442094, 0x40b56f5ff68b6deb,
+        0,
+    ]),
+    ("hoist after", [
+        0x40b5758def4420ac, 0x409992abe07a8cf4, 0x40b5758def4420ac, 0x40afe84adc181707,
+        0,
+    ]),
+    ("round-robin", [
+        0x402ce2a5e09e1aca, 0x4023ccc66def1fb6, 0x4028e31adef09fc8, 0x4028f53988c09a04,
+        0x3ff2c32ae7f4c242,
+    ]),
+    ("LPT by rows", [
+        0x4000b22188d3d13c, 0x4000b0fcb5441288, 0x4046244c8c81ceac, 0x4010a94e85d887cf,
+        0x400aeddd34b3450a,
+    ]),
+    ("LPT by cost", [
+        0x402d001c2760031e, 0x402cf2b99344ca0e, 0x4028d0a351b670ec, 0x4028d36e630e827e,
+        0x3ff140427d59e2e7,
+    ]),
+];
+
+#[test]
+fn codesign_whatifs_are_frozen() {
+    let unfused = small(512).with_batched_embedding(false).build();
+    let pipeline = Pipeline::analyze(
+        &DeviceSpec::v100(),
+        std::slice::from_ref(&unfused),
+        CalibrationEffort::Quick,
+        10,
+        3,
+    );
+    let mut got: Vec<(String, [u64; 5])> = Vec::new();
+
+    for (b, p) in batch_size_sweep(&pipeline, &unfused, &[128, 512, 4096]).unwrap() {
+        got.push((format!("batch {b}"), prediction_bits(&p)));
+    }
+    let fusion = fusion_whatif(&pipeline, &unfused).unwrap();
+    got.push(("fusion before".into(), prediction_bits(&fusion.before)));
+    got.push(("fusion after".into(), prediction_bits(&fusion.after)));
+    let (before, after) = reorder_whatif(&pipeline, &unfused).unwrap();
+    got.push(("hoist before".into(), prediction_bits(&before)));
+    got.push(("hoist after".into(), prediction_bits(&after)));
+
+    let registry = pipeline.predictor().registry();
+    let tables = KAGGLE_TABLE_ROWS;
+    for (name, assignment) in [
+        ("round-robin", round_robin(&tables, 4)),
+        ("LPT by rows", greedy_lpt(&tables, 4)),
+        ("LPT by cost", greedy_by_predicted_cost(registry, &tables, 4, 2048, 1, 32)),
+    ] {
+        let c = shard_costs(registry, &tables, &assignment, 4, 2048, 1, 32);
+        let imb = imbalance(&c);
+        let row = [c[0], c[1], c[2], c[3], imb].map(f64::to_bits);
+        got.push((name.into(), row));
+    }
+
+    let want: Vec<(String, [u64; 5])> =
+        FROZEN.iter().map(|&(n, row)| (n.to_string(), row)).collect();
+    assert_eq!(got, want, "a co-design what-if changed bitwise");
 }
