@@ -3,7 +3,6 @@
 //! comparison, predicted vs simulated.
 
 use dlperf_bench::{effort, header, measure_iters};
-use dlperf_core::codesign::{greedy_by_predicted_cost, round_robin};
 use dlperf_core::pipeline::Pipeline;
 use dlperf_distrib::{DistributedDlrm, DistributedPredictor, MultiGpuEngine, ShardingPlan};
 use dlperf_gpusim::DeviceSpec;
@@ -63,17 +62,17 @@ fn main() {
     let predictor = DistributedPredictor::new(&pipe);
     let registry = pipe.predictor().registry();
 
-    let plans: Vec<(&str, Vec<usize>)> = vec![
-        ("round-robin", round_robin(&KAGGLE_TABLE_ROWS, 4)),
+    let plans = [
+        ("round-robin", ShardingPlan::round_robin(KAGGLE_TABLE_ROWS.len(), 4)),
         (
             "LPT by predicted cost",
-            greedy_by_predicted_cost(registry, &KAGGLE_TABLE_ROWS, 4, batch, 1, 32),
+            ShardingPlan::greedy_by_predicted_cost(registry, &KAGGLE_TABLE_ROWS, 4, batch, 1, 32)
+                .expect("valid"),
         ),
-        ("all tables on gpu0", vec![0; 26]),
+        ("all tables on gpu0", ShardingPlan::new(vec![0; 26], 4).expect("valid")),
     ];
     println!("{:24} {:>12} {:>12} {:>10}", "plan", "pred/us", "meas/us", "S1 imbal");
-    for (name, assignment) in plans {
-        let plan = ShardingPlan::from_assignment(&assignment, 4).expect("valid");
+    for (name, plan) in plans {
         let job = DistributedDlrm::new(cfg.clone(), plan).expect("valid");
         let p = predictor.predict(&job).expect("lowers");
         let mut engine = MultiGpuEngine::new(device.clone(), 11);

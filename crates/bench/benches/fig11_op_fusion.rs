@@ -4,8 +4,8 @@
 //! cross-checked against the simulated device.
 
 use dlperf_bench::{header, measure_iters};
-use dlperf_core::codesign::fusion_whatif;
 use dlperf_core::pipeline::Pipeline;
+use dlperf_core::sweep::{GraphMutation, Scenario, SweepEngine};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::transform::fuse_embedding_bags;
 use dlperf_models::DlrmConfig;
@@ -34,7 +34,13 @@ fn main() {
             measure_iters().min(25),
             tables as u64,
         );
-        let outcome = fusion_whatif(&pipeline, &unfused).expect("fusable");
+        let scenarios = [
+            Scenario::new("separate", 0),
+            Scenario::new("fused", 0).with(GraphMutation::FuseEmbeddingBags),
+        ];
+        let outcome = SweepEngine::new(vec![pipeline]).run(&unfused, &scenarios);
+        let results = outcome.expect_complete();
+        let (before, after) = (results[0].expect_prediction(), results[1].expect_prediction());
 
         let mut fused = unfused.clone();
         fuse_embedding_bags(&mut fused).expect("fusable");
@@ -49,9 +55,9 @@ fn main() {
             "{:>7} {:>7} | {:>12.0} {:>12.0} {:>8.2}x | {:>12.0} {:>12.0} {:>8.2}x",
             tables,
             batch,
-            outcome.before.e2e_us,
-            outcome.after.e2e_us,
-            outcome.speedup(),
+            before.e2e_us,
+            after.e2e_us,
+            before.e2e_us / after.e2e_us,
             m_before,
             m_after,
             m_before / m_after

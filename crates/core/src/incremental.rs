@@ -114,11 +114,11 @@ fn incremental_counters() -> &'static IncrementalCounters {
 /// A checkpointed Algorithm 1 walk over a baseline graph, supporting
 /// bitwise-exact incremental re-prediction of mutated variants.
 ///
-/// Construction runs (and records) one full walk; [`repredict`] then
-/// prices any graph, reusing whatever prefix/suffix of the baseline
+/// Construction runs (and records) one full walk; [`repredict_scratch`]
+/// then prices any graph, reusing whatever prefix/suffix of the baseline
 /// survives in the new graph's signature sequence.
 ///
-/// [`repredict`]: IncrementalPredictor::repredict
+/// [`repredict_scratch`]: IncrementalPredictor::repredict_scratch
 #[derive(Debug, Clone)]
 pub struct IncrementalPredictor {
     predictor: E2ePredictor,
@@ -159,7 +159,7 @@ impl IncrementalPredictor {
 
     /// Checkpoints a baseline walk, pricing kernels through `cache` (which
     /// must be dedicated to the predictor's registry). The same cache
-    /// should then be passed to [`IncrementalPredictor::repredict`].
+    /// should then be passed to [`IncrementalPredictor::repredict_scratch`].
     ///
     /// # Errors
     /// Returns a [`LowerError`] if the baseline graph is malformed.
@@ -244,25 +244,11 @@ impl IncrementalPredictor {
     /// the property across random mutation sequences.
     ///
     /// Pass the same `cache` used at construction so dirty-node kernel
-    /// queries keep feeding the shared memo cache.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] if a dirty node is malformed.
-    pub fn repredict(
-        &self,
-        graph: &Graph,
-        cache: Option<&MemoCache>,
-    ) -> Result<(Prediction, IncrementalStats), LowerError> {
-        let mut scratch = WalkScratch::new();
-        self.repredict_scratch(graph, cache, &mut scratch)
-    }
-
-    /// [`IncrementalPredictor::repredict`] staging every intermediate —
+    /// queries keep feeding the shared memo cache. Every intermediate —
     /// dirty-frontier specs, ranges, overheads and values, the replayed
-    /// walk states, memo probing and MLP forward buffers — in `scratch`,
-    /// so steady-state re-predictions of same-shaped mutations allocate
-    /// nothing. Bitwise identical to the owning path: the same evaluator,
-    /// the same recorded-write replay, the same frozen stepping sequence.
+    /// walk states, memo probing and MLP forward buffers — is staged in
+    /// `scratch`, so steady-state re-predictions of same-shaped mutations
+    /// allocate nothing; a scratch never changes the result.
     ///
     /// # Errors
     /// Returns a [`LowerError`] if a dirty node is malformed.
@@ -441,7 +427,7 @@ mod tests {
     fn identical_graph_splices_to_baseline() {
         let (g, predictor) = setup();
         let inc = IncrementalPredictor::new(predictor.clone(), g.clone()).unwrap();
-        let (p, stats) = inc.repredict(&g, None).unwrap();
+        let (p, stats) = inc.repredict_scratch(&g, None, &mut WalkScratch::new()).unwrap();
         assert_eq!(bits(&p), bits(&inc.baseline_prediction()));
         assert!(stats.spliced);
         assert_eq!(stats.recomputed, 0);
@@ -457,7 +443,7 @@ mod tests {
         let swapped = if op == OpKind::Relu { OpKind::Sigmoid } else { OpKind::Relu };
         replace_op(&mut mutated, mid, swapped, "swapped").unwrap();
 
-        let (p, stats) = inc.repredict(&mutated, None).unwrap();
+        let (p, stats) = inc.repredict_scratch(&mutated, None, &mut WalkScratch::new()).unwrap();
         let full = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&p), bits(&full), "incremental must be bitwise exact");
         assert_eq!(p.degraded_kernels, full.degraded_kernels);
@@ -474,7 +460,7 @@ mod tests {
         let inc = IncrementalPredictor::new(predictor.clone(), g.clone()).unwrap();
         let mut mutated = g.clone();
         resize_batch(&mut mutated, 512).unwrap();
-        let (p, stats) = inc.repredict(&mutated, None).unwrap();
+        let (p, stats) = inc.repredict_scratch(&mutated, None, &mut WalkScratch::new()).unwrap();
         let full = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&p), bits(&full));
         // A resize rewrites (almost) every tensor's metadata: no prefix
@@ -490,7 +476,7 @@ mod tests {
         let mut mutated = g.clone();
         let id = mutated.nodes()[mutated.node_count() - 2].id;
         let _ = hoist_earliest(&mut mutated, id);
-        let (p, _) = inc.repredict(&mutated, None).unwrap();
+        let (p, _) = inc.repredict_scratch(&mutated, None, &mut WalkScratch::new()).unwrap();
         let full = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&p), bits(&full));
     }
@@ -502,7 +488,8 @@ mod tests {
         let inc = IncrementalPredictor::with_cache(predictor.clone(), g.clone(), &cache).unwrap();
         let mut mutated = g.clone();
         resize_batch(&mut mutated, 128).unwrap();
-        let (cached, _) = inc.repredict(&mutated, Some(&cache)).unwrap();
+        let (cached, _) =
+            inc.repredict_scratch(&mutated, Some(&cache), &mut WalkScratch::new()).unwrap();
         let plain = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&cached), bits(&plain));
         assert!(cache.stats().misses > 0);

@@ -17,8 +17,12 @@
 //!   Fig. 10 comparison.
 //! * [`report`] — error bookkeeping: the geomean/min/max statistics of
 //!   Table V and the per-configuration rows of Fig. 9.
-//! * [`codesign`] — §V-A: batch-size and device what-ifs, op-fusion
-//!   evaluation, and embedding-table sharding load balance.
+//! * [`sweep`] — §V-A co-design what-ifs (batch size, device, op fusion,
+//!   reordering) as graph mutations, priced in parallel by one shared
+//!   evaluator; [`incremental`] re-prices only a mutation's dirty span.
+//! * [`search`] — a ranked optimization search over the same what-if
+//!   space.
+//! * [`ingest`] — corpus-scale trace ingestion and calibration.
 //!
 //! ## Example
 //!
@@ -35,7 +39,6 @@
 //! ```
 
 pub mod baselines;
-pub mod codesign;
 mod evaluator;
 pub mod incremental;
 pub mod ingest;

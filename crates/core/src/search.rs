@@ -404,16 +404,6 @@ where
         self
     }
 
-    /// Overrides the device labels used in descriptions (builder style).
-    ///
-    /// # Panics
-    /// Panics if the label count does not match the pipeline count.
-    pub fn with_device_labels(mut self, labels: Vec<String>) -> Self {
-        assert_eq!(labels.len(), self.eval.pipelines().len(), "one label per pipeline");
-        self.device_labels = labels;
-        self
-    }
-
     /// Plugs in a higher layer's axis: its move generator and its scorer
     /// (builder style). Both must be deterministic.
     pub fn with_extra_axis(

@@ -326,7 +326,7 @@ pub struct SweepOutcome {
 /// Aggregate accounting of the incremental fast path over one sweep run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IncrementalSummary {
-    /// Scenarios priced via [`IncrementalPredictor::repredict`].
+    /// Scenarios priced via [`IncrementalPredictor::repredict_scratch`].
     pub scenarios: usize,
     /// Nodes whose state/costs were reused from a baseline (prefix+suffix).
     pub reused_nodes: usize,

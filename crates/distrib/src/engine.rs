@@ -98,9 +98,6 @@ pub struct MultiGpuEngine {
     rng: StdRng,
     profiling: bool,
     injector: Option<FaultInjector>,
-    /// Explicit interconnect topology; `None` derives one from the device
-    /// class per job (NVLink mesh or PCIe tree).
-    topology: Option<Topology>,
     /// Iteration counter keying per-iteration fault sites.
     iteration: u64,
     /// Wall-clock budget (µs) for collective retry penalties per
@@ -117,22 +114,9 @@ impl MultiGpuEngine {
             rng: StdRng::seed_from_u64(seed ^ 0xc0),
             profiling: false,
             injector: None,
-            topology: None,
             iteration: 0,
             retry_deadline_us: None,
         }
-    }
-
-    /// Pins the cluster to an explicit interconnect topology. A job whose
-    /// world does not match the topology falls back to the derived one
-    /// (and says so in the run's degradation notes) — degraded, not wrong.
-    pub fn set_topology(&mut self, topology: Option<Topology>) {
-        self.topology = topology;
-    }
-
-    /// The pinned topology, if any.
-    pub fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
     }
 
     /// Creates a cluster engine with a fault plan installed.
@@ -151,12 +135,6 @@ impl MultiGpuEngine {
     /// counter, so the same engine state + plan replays identically.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.injector = Some(FaultInjector::new(plan));
-        self.iteration = 0;
-    }
-
-    /// Removes any installed fault plan.
-    pub fn clear_faults(&mut self) {
-        self.injector = None;
         self.iteration = 0;
     }
 
@@ -204,21 +182,9 @@ impl MultiGpuEngine {
 
         let world = job.world();
         let mut degradation = Vec::new();
-        let comm_model = CommModel::new(match &self.topology {
-            Some(t) if t.world() == world => t.clone(),
-            Some(t) => {
-                if iteration == 0 {
-                    degradation.push(format!(
-                        "topology `{}` is sized for world {}, job world is {world}; \
-                         using the derived device topology instead",
-                        t.label(),
-                        t.world()
-                    ));
-                }
-                Topology::for_device(&self.device, world)
-            }
-            None => Topology::for_device(&self.device, world),
-        });
+        // The interconnect is derived from the device class per job (NVLink
+        // mesh or PCIe tree).
+        let comm_model = CommModel::new(Topology::for_device(&self.device, world));
         if let Some(note) = comm_model.topology().degraded() {
             if iteration == 0 {
                 degradation.push(note.to_string());

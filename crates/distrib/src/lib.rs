@@ -53,7 +53,7 @@ pub mod topology;
 pub use builder::{DistributedDlrm, ParallelismStrategy};
 pub use comms::{CollectiveEstimate, CommModel};
 pub use engine::{DistributedRunResult, MultiGpuEngine};
-pub use plan::ShardingPlan;
+pub use plan::{imbalance, ShardingPlan};
 pub use predictor::{DistributedPrediction, DistributedPredictor, SegmentBaselines};
 pub use search::{DistribAxis, DistribMove};
 pub use sweep::{

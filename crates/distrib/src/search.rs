@@ -49,13 +49,16 @@ impl std::fmt::Display for DistribMove {
     }
 }
 
+/// Rebalance neighbors emitted per expansion; the cap keeps the branching
+/// factor of wide plans bounded.
+const MAX_REBALANCES: usize = 8;
+
 /// The multi-GPU axis of the unified search space.
 pub struct DistribAxis<'p> {
     config: DlrmConfig,
     predictor: DistributedPredictor<'p>,
     worlds: Vec<usize>,
     strategies: Vec<ParallelismStrategy>,
-    max_rebalances: usize,
     cache: MemoCache,
 }
 
@@ -73,16 +76,8 @@ impl<'p> DistribAxis<'p> {
             predictor,
             worlds,
             strategies,
-            max_rebalances: 8,
             cache: MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY),
         }
-    }
-
-    /// Caps the rebalance neighbors emitted per expansion (builder
-    /// style); the cap keeps the branching factor of wide plans bounded.
-    pub fn with_max_rebalances(mut self, cap: usize) -> Self {
-        self.max_rebalances = cap;
-        self
     }
 
     /// Whether this axis can represent a candidate's mutation list: only
@@ -132,7 +127,7 @@ impl MoveGenerator<DistribMove> for DistribAxis<'_> {
             }
             Some(cur) => {
                 // Rebalance the current plan one table at a time…
-                for plan in cur.plan.rebalance_moves().into_iter().take(self.max_rebalances) {
+                for plan in cur.plan.rebalance_moves().into_iter().take(MAX_REBALANCES) {
                     child(DistribMove { strategy: cur.strategy, plan });
                 }
                 // …and switch strategies on the same plan.

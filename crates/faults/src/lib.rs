@@ -255,26 +255,9 @@ impl FaultPlan {
         self
     }
 
-    /// Slows one kernel family on every rank (builder style).
-    pub fn with_kernel_slowdown(mut self, family: KernelFamily, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "slowdown factor must be positive and finite");
-        self.kernel_slowdowns.push((family, factor));
-        self
-    }
-
     /// Adds a thermal-throttle window on every rank (builder style).
     pub fn with_thermal_window(mut self, window: ThermalWindow) -> Self {
         self.thermal_windows.push(window);
-        self
-    }
-
-    /// Sets the host-jitter amplitude (builder style).
-    pub fn with_host_jitter(mut self, amplitude_us: f64) -> Self {
-        assert!(
-            amplitude_us >= 0.0 && amplitude_us.is_finite(),
-            "jitter amplitude must be non-negative and finite"
-        );
-        self.host_jitter_us = amplitude_us;
         self
     }
 

@@ -99,11 +99,6 @@ impl Gpu {
         &self.spec
     }
 
-    /// Replaces the noise model.
-    pub fn set_noise(&mut self, noise: NoiseModel) {
-        self.noise = noise;
-    }
-
     /// Installs a fault-induced slowdown profile; kernel times are scaled
     /// by it (see [`Gpu::kernel_time_at`]).
     pub fn set_slowdown(&mut self, slowdown: SlowdownProfile) {

@@ -89,11 +89,6 @@ impl ErrorStats {
     pub fn from_pairs(pred: &[f64], actual: &[f64]) -> Self {
         Self::try_from_pairs(pred, actual).unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// Formats as the paper's percentage triple, e.g. `"5.80% 10.00% 10.33%"`.
-    pub fn as_percent_row(&self) -> String {
-        format!("{:6.2}% {:7.2}% {:7.2}%", self.gmae * 100.0, self.mean * 100.0, self.std * 100.0)
-    }
 }
 
 impl std::fmt::Display for ErrorStats {

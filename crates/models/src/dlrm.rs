@@ -121,11 +121,6 @@ impl DlrmConfig {
         self
     }
 
-    /// Total embedding parameter count.
-    pub fn embedding_params(&self) -> u64 {
-        self.rows_per_table.iter().sum::<u64>() * self.embedding_dim
-    }
-
     /// Builds the training-iteration execution graph.
     ///
     /// # Panics

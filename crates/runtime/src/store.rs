@@ -48,11 +48,6 @@ impl MemoryStore {
     pub fn raw(&self) -> Option<&str> {
         self.slot.as_deref()
     }
-
-    /// Overwrites the raw slot (for tests that inject corruption).
-    pub fn set_raw(&mut self, sealed: Option<String>) {
-        self.slot = sealed;
-    }
 }
 
 impl CheckpointStore for MemoryStore {

@@ -182,13 +182,6 @@ impl OverheadStats {
         self.per_type.get(&ty).copied()
     }
 
-    /// Op types observed.
-    pub fn op_keys(&self) -> Vec<&str> {
-        let mut keys: Vec<&str> = self.per_op.keys().map(String::as_str).collect();
-        keys.sort_unstable();
-        keys
-    }
-
     /// The `n` op types with the most samples of `ty` (the "10 most
     /// dominating ops per overhead type" of Fig. 8), with their stats.
     pub fn dominating_ops(&self, ty: OverheadType, n: usize) -> Vec<(String, OverheadStat)> {

@@ -1,13 +1,15 @@
 //! The Fig. 11 op-fusion case study: a DLRM variant with separate
 //! `embedding_bag` ops per table (left side of the figure) is fused into a
 //! single batched embedding op (right side), and the performance model
-//! prices both variants without running either.
+//! prices both variants without running either: the fusion is a
+//! `FuseEmbeddingBags` scenario priced by the sweep engine.
 //!
 //! Run with `cargo run --release --example op_fusion`.
 
-use dlrm_perf_model::core::codesign::fusion_whatif;
 use dlrm_perf_model::core::pipeline::Pipeline;
+use dlrm_perf_model::core::sweep::{GraphMutation, Scenario, SweepEngine};
 use dlrm_perf_model::gpusim::DeviceSpec;
+use dlrm_perf_model::graph::transform::fuse_embedding_bags;
 use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::trace::engine::ExecutionEngine;
@@ -26,18 +28,27 @@ fn main() {
     let pipeline =
         Pipeline::analyze(&device, std::slice::from_ref(&unfused), CalibrationEffort::Quick, 20, 5);
 
-    let outcome = fusion_whatif(&pipeline, &unfused).expect("graph contains fusable bags");
+    // The fused graph feeds the simulated cross-check below; its report
+    // says what the fusion rewrote.
+    let mut fused_graph = unfused.clone();
+    let report = fuse_embedding_bags(&mut fused_graph).expect("graph contains fusable bags");
+
+    let scenarios = [
+        Scenario::new("separate bags", 0),
+        Scenario::new("batched op", 0).with(GraphMutation::FuseEmbeddingBags),
+    ];
+    let outcome = SweepEngine::new(vec![pipeline]).run(&unfused, &scenarios);
+    let results = outcome.expect_complete();
+    let (before, after) = (results[0].expect_prediction(), results[1].expect_prediction());
     println!("== Predicted (no execution needed) ==");
     println!(
         "separate bags : {:9.0} us/batch ({} embedding_bag ops + cat)",
-        outcome.before.e2e_us, outcome.report.forward_bags_fused
+        before.e2e_us, report.forward_bags_fused
     );
-    println!("batched op    : {:9.0} us/batch", outcome.after.e2e_us);
-    println!("speedup       : {:.2}x", outcome.speedup());
+    println!("batched op    : {:9.0} us/batch", after.e2e_us);
+    println!("speedup       : {:.2}x", before.e2e_us / after.e2e_us);
 
     // Cross-check the what-if against the simulated hardware.
-    let mut fused_graph = unfused.clone();
-    dlrm_perf_model::graph::transform::fuse_embedding_bags(&mut fused_graph).expect("fusable");
     let mut engine = ExecutionEngine::new(device.clone(), 3);
     let before = engine.measure_e2e(&unfused, 15).expect("executes");
     let mut engine = ExecutionEngine::new(device, 3);

@@ -5,9 +5,7 @@
 //!
 //! Run with `cargo run --release --example sharding_balance`.
 
-use dlrm_perf_model::core::codesign::{
-    greedy_by_predicted_cost, greedy_lpt, imbalance, round_robin, shard_costs,
-};
+use dlrm_perf_model::distrib::{imbalance, ShardingPlan};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::kernels::{CalibrationEffort, ModelRegistry};
 use dlrm_perf_model::models::criteo::KAGGLE_TABLE_ROWS;
@@ -20,12 +18,13 @@ fn main() {
     let (shards, batch, lookups, dim) = (4usize, 2048u64, 1u64, 32u64);
     let tables = KAGGLE_TABLE_ROWS;
 
-    let schemes: [(&str, Vec<usize>); 3] = [
-        ("round-robin", round_robin(&tables, shards)),
-        ("LPT by rows", greedy_lpt(&tables, shards)),
+    let schemes = [
+        ("round-robin", ShardingPlan::round_robin(tables.len(), shards)),
+        ("LPT by rows", ShardingPlan::greedy_lpt(&tables, shards).expect("tables and shards")),
         (
             "LPT by predicted cost",
-            greedy_by_predicted_cost(&registry, &tables, shards, batch, lookups, dim),
+            ShardingPlan::greedy_by_predicted_cost(&registry, &tables, shards, batch, lookups, dim)
+                .expect("tables and shards"),
         ),
     ];
 
@@ -33,8 +32,8 @@ fn main() {
         "\n{:22} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "scheme", "gpu0/us", "gpu1/us", "gpu2/us", "gpu3/us", "imbalance"
     );
-    for (name, assignment) in schemes {
-        let costs = shard_costs(&registry, &tables, &assignment, shards, batch, lookups, dim);
+    for (name, plan) in schemes {
+        let costs = plan.shard_costs(&registry, &tables, batch, lookups, dim).expect("all tables");
         println!(
             "{:22} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.3}",
             name,

@@ -11,12 +11,12 @@
 //! ```
 
 use std::collections::HashMap;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use dlrm_perf_model::core::codesign::{
-    greedy_by_predicted_cost, greedy_lpt, imbalance, round_robin, shard_costs,
-};
 use dlrm_perf_model::core::pipeline::Pipeline;
+use dlrm_perf_model::distrib::{imbalance, ShardingPlan};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::{memory, Graph};
 use dlrm_perf_model::kernels::{CalibrationEffort, ModelRegistry, RegistryBundle};
@@ -49,10 +49,19 @@ impl Opts {
         self.get(key).ok_or_else(|| format!("missing required --{key}"))
     }
 
+    fn parsed<T: FromStr>(&self, key: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.required(key)?.parse().map_err(|e| format!("invalid --{key}: {e}"))
+    }
+
     fn batch(&self) -> Result<u64, String> {
-        self.required("batch")?
-            .parse()
-            .map_err(|e| format!("invalid --batch: {e}"))
+        self.parsed("batch").map(NonZeroU64::get)
+    }
+
+    fn gpus(&self) -> Result<usize, String> {
+        self.parsed("gpus").map(NonZeroUsize::get)
     }
 
     fn device(&self) -> Result<DeviceSpec, String> {
@@ -221,21 +230,24 @@ fn cmd_gaps(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_shard(opts: &Opts) -> Result<(), String> {
-    let gpus: usize = opts
-        .required("gpus")?
-        .parse()
-        .map_err(|e| format!("invalid --gpus: {e}"))?;
+    let gpus = opts.gpus()?;
     let batch = opts.batch()?;
     let device = opts.device()?;
     let registry = registry_for(opts, &device)?;
     let tables = KAGGLE_TABLE_ROWS;
+    let schemes = [
+        ("round-robin", ShardingPlan::round_robin(tables.len(), gpus)),
+        ("LPT by rows", ShardingPlan::greedy_lpt(&tables, gpus).map_err(|e| e.to_string())?),
+        (
+            "LPT by predicted cost",
+            ShardingPlan::greedy_by_predicted_cost(&registry, &tables, gpus, batch, 1, 32)
+                .map_err(|e| e.to_string())?,
+        ),
+    ];
     println!("{:24} {:>10}", "scheme", "imbalance");
-    for (name, a) in [
-        ("round-robin", round_robin(&tables, gpus)),
-        ("LPT by rows", greedy_lpt(&tables, gpus)),
-        ("LPT by predicted cost", greedy_by_predicted_cost(&registry, &tables, gpus, batch, 1, 32)),
-    ] {
-        let costs = shard_costs(&registry, &tables, &a, gpus, batch, 1, 32);
+    for (name, plan) in schemes {
+        let costs =
+            plan.shard_costs(&registry, &tables, batch, 1, 32).map_err(|e| e.to_string())?;
         println!("{name:24} {:>10.3}", imbalance(&costs));
     }
     Ok(())
@@ -319,6 +331,31 @@ mod tests {
             assert!(build_model(m, 64).is_ok(), "model {m}");
         }
         assert!(build_model("bert", 64).is_err());
+    }
+
+    #[test]
+    fn opts_reject_zero_batch_and_gpus() {
+        let o = Opts::parse(&strv(&["--batch", "0", "--gpus", "0"])).unwrap();
+        assert!(o.batch().unwrap_err().starts_with("invalid --batch: number would be zero"));
+        assert!(o.gpus().unwrap_err().starts_with("invalid --gpus: number would be zero"));
+        let o = Opts::parse(&strv(&["--batch", "-1", "--gpus", "4"])).unwrap();
+        assert!(o.batch().unwrap_err().starts_with("invalid --batch"));
+        assert_eq!(o.gpus().unwrap(), 4);
+    }
+
+    #[test]
+    fn zero_inputs_fail_before_calibration() {
+        // A zero batch or GPU count is rejected with an error, not a panic,
+        // and before `shard` starts calibrating.
+        for args in [
+            &["--model", "dlrm-default", "--batch", "0"][..],
+            &["--gpus", "0", "--batch", "2048"],
+            &["--gpus", "2", "--batch", "0"],
+        ] {
+            let o = Opts::parse(&strv(args)).unwrap();
+            let err = if o.get("gpus").is_some() { cmd_shard(&o) } else { cmd_predict(&o) };
+            assert!(err.unwrap_err().contains("would be zero"), "{args:?}");
+        }
     }
 
     #[test]

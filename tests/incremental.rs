@@ -2,7 +2,7 @@
 //!
 //! Two bitwise contracts pinned here:
 //!
-//! * `IncrementalPredictor::repredict` is bit-for-bit identical to a fresh
+//! * `IncrementalPredictor::repredict_scratch` is bit-for-bit identical to a fresh
 //!   full Algorithm 1 walk on **every** `Prediction` field, across random
 //!   mutation sequences (resize / fuse / replace / reorder) — whatever mix
 //!   of prefix reuse, dirty recompute, suffix splice, or full fallback the
@@ -101,11 +101,15 @@ proptest! {
             apply(&mut mutated, kind, idx);
 
             let full = pipe.predictor().predict(&mutated).expect("full walk lowers");
-            let (fast, stats) = inc.repredict(&mutated, None).expect("repredict lowers");
+            let (fast, stats) = inc
+                .repredict_scratch(&mutated, None, &mut WalkScratch::new())
+                .expect("repredict lowers");
             prop_assert_eq!(bits(&fast), bits(&full), "uncached diverged: {:?}", stats);
 
             let cache = MemoCache::new();
-            let (memo, _) = inc.repredict(&mutated, Some(&cache)).expect("repredict lowers");
+            let (memo, _) = inc
+                .repredict_scratch(&mutated, Some(&cache), &mut WalkScratch::new())
+                .expect("repredict lowers");
             prop_assert_eq!(bits(&memo), bits(&full), "memoized diverged");
 
             let (scratched, _) = inc
@@ -164,7 +168,9 @@ proptest! {
         let mut mutated = g.clone();
         replace_op(&mut mutated, mid, swapped, "swap").expect("replace");
         replace_op(&mut mutated, mid, original, name).expect("restore");
-        let (p, stats) = inc.repredict(&mutated, None).expect("repredict lowers");
+        let (p, stats) = inc
+            .repredict_scratch(&mutated, None, &mut WalkScratch::new())
+            .expect("repredict lowers");
         prop_assert!(stats.spliced, "identical graph must splice: {:?}", stats);
         prop_assert_eq!(bits(&p), bits(&inc.baseline_prediction()));
     }

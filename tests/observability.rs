@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use dlrm_perf_model::core::incremental::IncrementalPredictor;
 use dlrm_perf_model::core::pipeline::Pipeline;
-use dlrm_perf_model::core::predictor::Prediction;
+use dlrm_perf_model::core::predictor::{Prediction, WalkScratch};
 use dlrm_perf_model::core::sweep::{ScenarioMatrix, SweepEngine, SweepOutcome};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;
@@ -240,7 +240,7 @@ proptest! {
 
         // Recorder off: the reference bits.
         let full_off = bits(&pipe.predict(&variant).unwrap());
-        let (inc_p, _) = inc.repredict(&variant, None).unwrap();
+        let (inc_p, _) = inc.repredict_scratch(&variant, None, &mut WalkScratch::new()).unwrap();
         let inc_off = bits(&inc_p);
         let sweep_off = fingerprint(
             &SweepEngine::new(vec![pipe.clone()]).with_threads_exact(8).run(g, &matrix),
@@ -250,7 +250,7 @@ proptest! {
         let _sink = ChromeTraceSink::install("invariance", "host");
         obs::enable();
         let full_on = bits(&pipe.predict(&variant).unwrap());
-        let (inc_p, _) = inc.repredict(&variant, None).unwrap();
+        let (inc_p, _) = inc.repredict_scratch(&variant, None, &mut WalkScratch::new()).unwrap();
         let inc_on = bits(&inc_p);
         let sweep_on = fingerprint(
             &SweepEngine::new(vec![pipe.clone()]).with_threads_exact(8).run(g, &matrix),

@@ -49,11 +49,15 @@ fn rm_zoo_is_low_utilization_like_dlrm() {
 
 #[test]
 fn batch_sweep_works_on_zoo_models() {
-    use dlrm_perf_model::core::codesign::batch_size_sweep;
+    use dlrm_perf_model::core::sweep::{ScenarioMatrix, SweepEngine};
     let device = DeviceSpec::v100();
     let g = dcn(&RmConfig::ctr_default(256));
     let pipeline =
         Pipeline::analyze(&device, std::slice::from_ref(&g), CalibrationEffort::Quick, 8, 94);
-    let sweep = batch_size_sweep(&pipeline, &g, &[128, 1024, 4096]).unwrap();
-    assert!(sweep[2].1.utilization() > sweep[0].1.utilization());
+    let scenarios = ScenarioMatrix::new().device("v100", 0).batches(&[128, 1024, 4096]).build();
+    let outcome = SweepEngine::new(vec![pipeline]).run(&g, &scenarios);
+    let sweep = outcome.expect_complete();
+    assert!(
+        sweep[2].expect_prediction().utilization() > sweep[0].expect_prediction().utilization()
+    );
 }

@@ -6,17 +6,15 @@
 //! fixed `Quick` pipeline. A mismatch means a what-if's answer changed; it
 //! is never fixed by re-freezing the table here.
 
-use dlrm_perf_model::core::codesign::{
-    batch_size_sweep, fusion_whatif, greedy_by_predicted_cost, greedy_lpt, imbalance,
-    reorder_whatif, round_robin, shard_costs,
-};
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::Prediction;
+use dlrm_perf_model::core::sweep::{GraphMutation, Scenario, SweepEngine};
+use dlrm_perf_model::distrib::{imbalance, ShardingPlan};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::transform::{
     fuse_embedding_bags, independent_groups, parallelize, resize_batch,
 };
-use dlrm_perf_model::graph::OpKind;
+use dlrm_perf_model::graph::{Graph, OpKind};
 use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::criteo::KAGGLE_TABLE_ROWS;
 use dlrm_perf_model::models::DlrmConfig;
@@ -24,6 +22,17 @@ use dlrm_perf_model::trace::engine::ExecutionEngine;
 
 fn small(batch: u64) -> DlrmConfig {
     DlrmConfig { rows_per_table: vec![50_000; 8], ..DlrmConfig::default_config(batch) }
+}
+
+/// Prices each mutation list on `base` through the sweep engine, in order.
+fn price(pipeline: Pipeline, base: &Graph, variants: &[&[GraphMutation]]) -> Vec<Prediction> {
+    let scenarios: Vec<Scenario> = variants
+        .iter()
+        .enumerate()
+        .map(|(i, muts)| Scenario { mutations: muts.to_vec(), ..Scenario::new(format!("v{i}"), 0) })
+        .collect();
+    let outcome = SweepEngine::new(vec![pipeline]).run(base, &scenarios);
+    outcome.expect_complete().iter().map(|r| *r.expect_prediction()).collect()
 }
 
 #[test]
@@ -53,7 +62,8 @@ fn fusion_whatif_matches_simulated_outcome_direction() {
     let unfused = small(512).with_batched_embedding(false).build();
     let pipeline =
         Pipeline::analyze(&device, std::slice::from_ref(&unfused), CalibrationEffort::Quick, 15, 2);
-    let outcome = fusion_whatif(&pipeline, &unfused).unwrap();
+    let p = price(pipeline, &unfused, &[&[], &[GraphMutation::FuseEmbeddingBags]]);
+    let predicted_speedup = p[0].e2e_us / p[1].e2e_us;
 
     let mut fused = unfused.clone();
     fuse_embedding_bags(&mut fused).unwrap();
@@ -65,13 +75,11 @@ fn fusion_whatif_matches_simulated_outcome_direction() {
     let measured_after = engine.measure_e2e(&fused, 10).unwrap();
     let measured_speedup = measured_before / measured_after;
 
-    assert!(outcome.speedup() > 1.0, "fusion predicted to pay off");
+    assert!(predicted_speedup > 1.0, "fusion predicted to pay off");
     assert!(measured_speedup > 1.0, "fusion measured to pay off");
     assert!(
-        (outcome.speedup() / measured_speedup - 1.0).abs() < 0.25,
-        "predicted {:.3}x vs measured {:.3}x",
-        outcome.speedup(),
-        measured_speedup
+        (predicted_speedup / measured_speedup - 1.0).abs() < 0.25,
+        "predicted {predicted_speedup:.3}x vs measured {measured_speedup:.3}x"
     );
 }
 
@@ -115,9 +123,13 @@ fn batch_sweep_scales_active_time_superlinearly_vs_overheads() {
         10,
         6,
     );
-    let sweep = batch_size_sweep(&pipeline, &small(256).build(), &[128, 4096]).unwrap();
-    let per_sample_small = sweep[0].1.e2e_us / 128.0;
-    let per_sample_big = sweep[1].1.e2e_us / 4096.0;
+    let sweep = price(
+        pipeline,
+        &small(256).build(),
+        &[&[GraphMutation::ResizeBatch(128)], &[GraphMutation::ResizeBatch(4096)]],
+    );
+    let per_sample_small = sweep[0].e2e_us / 128.0;
+    let per_sample_big = sweep[1].e2e_us / 4096.0;
     assert!(
         per_sample_big < 0.5 * per_sample_small,
         "{per_sample_big:.3} vs {per_sample_small:.3} us/sample"
@@ -191,26 +203,31 @@ fn codesign_whatifs_are_frozen() {
         10,
         3,
     );
-    let mut got: Vec<(String, [u64; 5])> = Vec::new();
+    let registry = pipeline.predictor().registry().clone();
+    let (resize, fuse, hoist) =
+        (GraphMutation::ResizeBatch, GraphMutation::FuseEmbeddingBags, GraphMutation::HoistAll);
+    let predictions = price(
+        pipeline,
+        &unfused,
+        &[&[resize(128)], &[resize(512)], &[resize(4096)], &[], &[fuse], &[], &[hoist]],
+    );
+    let names = [
+        "batch 128", "batch 512", "batch 4096", "fusion before", "fusion after", "hoist before",
+        "hoist after",
+    ];
+    let mut got: Vec<(String, [u64; 5])> =
+        names.iter().zip(&predictions).map(|(n, p)| (n.to_string(), prediction_bits(p))).collect();
 
-    for (b, p) in batch_size_sweep(&pipeline, &unfused, &[128, 512, 4096]).unwrap() {
-        got.push((format!("batch {b}"), prediction_bits(&p)));
-    }
-    let fusion = fusion_whatif(&pipeline, &unfused).unwrap();
-    got.push(("fusion before".into(), prediction_bits(&fusion.before)));
-    got.push(("fusion after".into(), prediction_bits(&fusion.after)));
-    let (before, after) = reorder_whatif(&pipeline, &unfused).unwrap();
-    got.push(("hoist before".into(), prediction_bits(&before)));
-    got.push(("hoist after".into(), prediction_bits(&after)));
-
-    let registry = pipeline.predictor().registry();
     let tables = KAGGLE_TABLE_ROWS;
-    for (name, assignment) in [
-        ("round-robin", round_robin(&tables, 4)),
-        ("LPT by rows", greedy_lpt(&tables, 4)),
-        ("LPT by cost", greedy_by_predicted_cost(registry, &tables, 4, 2048, 1, 32)),
+    for (name, plan) in [
+        ("round-robin", ShardingPlan::round_robin(tables.len(), 4)),
+        ("LPT by rows", ShardingPlan::greedy_lpt(&tables, 4).unwrap()),
+        (
+            "LPT by cost",
+            ShardingPlan::greedy_by_predicted_cost(&registry, &tables, 4, 2048, 1, 32).unwrap(),
+        ),
     ] {
-        let c = shard_costs(registry, &tables, &assignment, 4, 2048, 1, 32);
+        let c = plan.shard_costs(&registry, &tables, 2048, 1, 32).unwrap();
         let imb = imbalance(&c);
         let row = [c[0], c[1], c[2], c[3], imb].map(f64::to_bits);
         got.push((name.into(), row));
