@@ -14,9 +14,10 @@
 //! to Algorithm 1 on single-stream graphs.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use dlperf_graph::lower::{self, LowerError};
-use dlperf_graph::{Graph, Node, TensorId};
+use dlperf_graph::{Graph, Node, OpKind, TensorId};
 use dlperf_gpusim::KernelSpec;
 use dlperf_kernels::{Confidence, MemoCache, MemoScratch, ModelRegistry};
 use dlperf_nn::arena::ScratchArena;
@@ -153,30 +154,42 @@ pub struct E2ePredictor {
     /// Fraction of T4 after which a launched kernel may start on the device
     /// (Algorithm 1 uses `cpu_time + T4/2`, i.e. 0.5).
     launch_factor: f64,
+    /// The five overheads of every op kind, indexed by
+    /// [`OpKind::overhead_slot`]: entry `i` is exactly what the per-key
+    /// lookup returns for `OpKind::OVERHEAD_KEYS[i]` under the current
+    /// database and policies. Rebuilt by every method that changes one of
+    /// those, so the walk reads an array instead of five string-keyed maps
+    /// per node.
+    table: Arc<[Overheads]>,
 }
 
 impl E2ePredictor {
     /// Creates a predictor with the paper's defaults: per-op overheads and
     /// a fixed T4 approximation.
     pub fn new(registry: ModelRegistry, overheads: OverheadStats) -> Self {
-        E2ePredictor {
+        let mut predictor = E2ePredictor {
             registry,
             overheads,
             t4_policy: T4Policy::Fixed(12.0),
             granularity: OverheadGranularity::PerOp,
             launch_factor: 0.5,
-        }
+            table: Arc::new([]),
+        };
+        predictor.rebuild_table();
+        predictor
     }
 
     /// Sets the T4 policy (builder style).
     pub fn with_t4_policy(mut self, policy: T4Policy) -> Self {
         self.t4_policy = policy;
+        self.rebuild_table();
         self
     }
 
     /// Sets the overhead-database granularity (builder style).
     pub fn with_granularity(mut self, granularity: OverheadGranularity) -> Self {
         self.granularity = granularity;
+        self.rebuild_table();
         self
     }
 
@@ -191,6 +204,12 @@ impl E2ePredictor {
     /// Replaces the overhead database (e.g. swapping individual for shared).
     pub fn set_overheads(&mut self, overheads: OverheadStats) {
         self.overheads = overheads;
+        self.rebuild_table();
+    }
+
+    /// Resolves every op kind's overheads into the dense slot table.
+    fn rebuild_table(&mut self) {
+        self.table = OpKind::OVERHEAD_KEYS.iter().map(|key| self.overheads_of(key)).collect();
     }
 
     /// The kernel-model registry.
@@ -243,14 +262,13 @@ impl E2ePredictor {
     ///   [`PredictError::Cancelled`]. The checks read, never write, the
     ///   walk state: a walk that completes is bitwise identical to one run
     ///   without a token.
-    /// * `scratch` stages every intermediate — kernel specs, per-node
-    ///   ranges and overheads, predicted values, the clocks and the MLP
-    ///   forward buffers. After the first walk on a scratch, pricing and
-    ///   stepping graphs no larger than its high-water mark perform no
-    ///   heap allocation; lowering still returns one small owned `Vec` per
-    ///   kernel-launching node, so a warm walk allocates exactly as often
-    ///   as lowering its nodes does. A cancelled walk leaves the scratch
-    ///   reusable.
+    /// * `scratch` stages every intermediate — kernel specs (lowered
+    ///   straight into the scratch), per-node ranges and overheads,
+    ///   predicted values, the clocks and the MLP forward buffers. After
+    ///   the first walk on a scratch, a walk of a graph no larger than its
+    ///   high-water mark performs no heap allocation, with or without a
+    ///   memo cache (`tests/alloc_free.rs`). A cancelled walk leaves the
+    ///   scratch reusable.
     ///
     /// # Errors
     /// [`PredictError::Lower`] on malformed graphs,
@@ -281,7 +299,9 @@ impl E2ePredictor {
     }
 
     /// The pricing half of the walk: lowers `graph.nodes()[nodes]` into
-    /// `scratch.specs` / `ranges` / `oh` and prices every kernel in **one**
+    /// `scratch.specs` / `ranges` (each node's kernels appended in place by
+    /// [`lower::try_kernels_into`]), reads each node's overheads from the
+    /// op-kind slot table into `oh`, and prices every kernel in **one**
     /// [`ModelRegistry::predict_batch_into`] call into `scratch.values`,
     /// `cache` passed straight through. The batch spans the whole node
     /// range (in node order), which lets the registry batch per-family MLP
@@ -309,9 +329,9 @@ impl E2ePredictor {
                 return Err(PredictError::Cancelled);
             }
             let start = scratch.specs.len();
-            scratch.specs.extend(lower::try_kernels(graph, node)?);
+            lower::try_kernels_into(graph, node, &mut scratch.specs)?;
             scratch.ranges.push(start..scratch.specs.len());
-            scratch.oh.push(self.overheads_of(node.op.overhead_key()));
+            scratch.oh.push(self.table[node.op.overhead_slot()]);
         }
         self.registry.predict_batch_into(
             &scratch.specs,
@@ -353,10 +373,13 @@ impl E2ePredictor {
         Ok(())
     }
 
-    /// The five launch overheads of one op key. Pure in `op_key` given the
-    /// predictor's frozen overhead database and policies — two
-    /// structurally identical nodes get bitwise identical overheads, the
-    /// property incremental re-prediction's prefix/suffix reuse rests on.
+    /// The five launch overheads of one op key, read from the overhead
+    /// database under the current policies; the walk reads them from the
+    /// slot table [`E2ePredictor::rebuild_table`] fills with this. Pure in
+    /// `op_key` given the predictor's frozen overhead database and
+    /// policies — two structurally identical nodes get bitwise identical
+    /// overheads, the property incremental re-prediction's prefix/suffix
+    /// reuse rests on.
     fn overheads_of(&self, op_key: &str) -> Overheads {
         Overheads {
             t1: self.overhead(op_key, OverheadType::T1),
@@ -394,8 +417,8 @@ pub(crate) struct Overheads {
 /// [`crate::incremental::IncrementalPredictor::repredict_scratch`] reuses
 /// the same staging). One scratch serves one walk at a time (methods take
 /// `&mut`); a sweep or serve worker owns one and reuses it for everything
-/// it prices, which is what keeps steady-state pricing and stepping
-/// allocation-free (lowering still allocates; see [`E2ePredictor::walk`]).
+/// it prices, which is what keeps steady-state walks allocation-free
+/// (see [`E2ePredictor::walk`]).
 /// Every walk resets what it touches, so a walk that was cancelled or
 /// failed part-way leaves the scratch reusable. Dropping a
 /// scratch simply frees the buffers — there is no state that must be
@@ -585,6 +608,7 @@ impl WalkState {
 mod tests {
     use super::*;
     use dlperf_gpusim::DeviceSpec;
+    use dlperf_graph::TensorMeta;
     use dlperf_kernels::CalibrationEffort;
     use dlperf_models::DlrmConfig;
     use dlperf_trace::engine::ExecutionEngine;
@@ -791,6 +815,91 @@ mod tests {
         assert_eq!(after.misses, misses, "steady-state walks must not allocate: {after:?}");
         assert!(after.takes > takes, "walks must actually go through the arena");
         assert!(after.high_water_f64s > 0);
+    }
+
+    /// The overhead database of a few profiled iterations of `graph`.
+    fn overheads_from(graph: &Graph, seed: u64) -> OverheadStats {
+        let mut engine = ExecutionEngine::new(DeviceSpec::v100(), seed);
+        let runs = engine.run_iterations(graph, 3).unwrap();
+        let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
+        OverheadStats::extract(&traces, true)
+    }
+
+    /// What the docs say each table slot holds, read straight from the
+    /// database: per-op means falling back to the type mean (or the type
+    /// mean alone), and T4 fixed or measured.
+    fn direct(
+        stats: &OverheadStats,
+        key: &str,
+        granularity: OverheadGranularity,
+        t4: T4Policy,
+    ) -> [u64; 5] {
+        let read = |ty: OverheadType| match granularity {
+            OverheadGranularity::PerOp => stats.mean_us(key, ty),
+            OverheadGranularity::TypeOnly => stats.type_stat(ty).map_or(0.0, |s| s.mean_us),
+        };
+        let mut row = OverheadType::ALL.map(read);
+        if let T4Policy::Fixed(v) = t4 {
+            row[OverheadType::T4 as usize] = v;
+        }
+        row.map(f64::to_bits)
+    }
+
+    fn bits(o: &Overheads) -> [u64; 5] {
+        [o.t1, o.t2, o.t3, o.t4, o.t5].map(f64::to_bits)
+    }
+
+    #[test]
+    fn overhead_table_equals_direct_lookup_in_every_slot() {
+        let dlrm = DlrmConfig::default_config(256).build();
+        let first = overheads_from(&dlrm, 3);
+        // A second database from a different model: it lacks keys the
+        // first has and vice versa.
+        let mut tiny = Graph::new("tiny");
+        let [a, b, c] = [(); 3].map(|_| tiny.add_tensor(TensorMeta::activation(&[64, 64])));
+        let d = tiny.add_tensor(TensorMeta::activation(&[4096]));
+        tiny.add_op(OpKind::Relu, vec![a], vec![b]);
+        tiny.add_op(OpKind::Sigmoid, vec![b], vec![c]);
+        tiny.add_op(OpKind::Reshape, vec![c], vec![d]); // host-only: a T5 sample
+        let second = overheads_from(&tiny, 4);
+
+        let check = |pred: &E2ePredictor, stats: &OverheadStats| {
+            assert_eq!(pred.table.len(), OpKind::OVERHEAD_KEYS.len());
+            for (slot, key) in OpKind::OVERHEAD_KEYS.iter().enumerate() {
+                assert_eq!(
+                    bits(&pred.table[slot]),
+                    direct(stats, key, pred.granularity, pred.t4_policy),
+                    "{key} under {:?}/{:?}",
+                    pred.granularity,
+                    pred.t4_policy
+                );
+            }
+        };
+        let registry = ModelRegistry::empty(DeviceSpec::v100());
+        for granularity in [OverheadGranularity::PerOp, OverheadGranularity::TypeOnly] {
+            for t4 in [T4Policy::Fixed(12.0), T4Policy::Fixed(7.5), T4Policy::Measured] {
+                let mut pred = E2ePredictor::new(registry.clone(), first.clone())
+                    .with_granularity(granularity)
+                    .with_t4_policy(t4);
+                check(&pred, &first);
+                pred.set_overheads(second.clone());
+                check(&pred, &second);
+            }
+        }
+
+        // A key a database lacks reads the type mean in every overhead.
+        let slot = |key: &str| OpKind::OVERHEAD_KEYS.iter().position(|k| *k == key).unwrap();
+        let measured = |stats: &OverheadStats| {
+            E2ePredictor::new(registry.clone(), stats.clone()).with_t4_policy(T4Policy::Measured)
+        };
+        for (stats, absent) in [(&first, "aten::conv2d"), (&second, "aten::addmm")] {
+            let row = bits(&measured(stats).table[slot(absent)]);
+            for (i, ty) in OverheadType::ALL.into_iter().enumerate() {
+                assert!(stats.get(absent, ty).is_none(), "{absent} is in the database");
+                let type_mean = stats.type_stat(ty).expect("type mean").mean_us;
+                assert_eq!(row[i], type_mean.to_bits(), "{absent} {ty} is not the type mean");
+            }
+        }
     }
 
     #[test]

@@ -73,14 +73,42 @@ fn ew(elems: u64, flops: f64, bytes: f64) -> KernelSpec {
 /// Returns [`LowerError`] if the node's tensor shapes are inconsistent with
 /// its [`OpKind`] (for instance after a malformed manual graph edit).
 pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerError> {
-    let k = match node.op {
+    // Most kernel-launching ops launch exactly one kernel.
+    let mut out = Vec::with_capacity(usize::from(node.op.has_device_work()));
+    try_kernels_into(graph, node, &mut out)?;
+    Ok(out)
+}
+
+/// Appends the kernels `node` launches, in launch order, to `out` — the
+/// walk lowers every node straight into its reusable spec buffer this way,
+/// so a warm walk allocates nothing for lowering. On error `out` is
+/// truncated back to its length at entry, so a failed node leaves no
+/// partial kernels behind.
+///
+/// # Errors
+/// As [`try_kernels`].
+pub fn try_kernels_into(
+    graph: &Graph,
+    node: &Node,
+    out: &mut Vec<KernelSpec>,
+) -> Result<(), LowerError> {
+    let start = out.len();
+    let lowered = lower_into(graph, node, out);
+    if lowered.is_err() {
+        out.truncate(start);
+    }
+    lowered
+}
+
+fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(), LowerError> {
+    match node.op {
         OpKind::AddMm => {
             let [b, kdim] = dims(input(graph, node, 0)?, node)?;
             let [n, k2] = dims(input(graph, node, 1)?, node)?;
             if kdim != k2 {
                 return Err(err(node, format!("addmm inner dims differ: {kdim} vs {k2}")));
             }
-            vec![KernelSpec::gemm(b, n, kdim)]
+            out.push(KernelSpec::gemm(b, n, kdim));
         }
         OpKind::AddMmBackward => {
             // inputs: grad_out (b, n), x (b, k), w (n, k) -> dgrad + wgrad.
@@ -89,7 +117,7 @@ pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerE
             if b != b2 {
                 return Err(err(node, format!("addmm backward batch dims differ: {b} vs {b2}")));
             }
-            vec![KernelSpec::gemm(b, kdim, n), KernelSpec::gemm(n, kdim, b)]
+            out.extend([KernelSpec::gemm(b, kdim, n), KernelSpec::gemm(n, kdim, b)]);
         }
         OpKind::Bmm => {
             let [batch, m, kdim] = dims(input(graph, node, 0)?, node)?;
@@ -97,25 +125,25 @@ pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerE
             if batch != batch2 || kdim != k2 {
                 return Err(err(node, "bmm operand shapes incompatible"));
             }
-            vec![KernelSpec::bmm(batch, m, n, kdim)]
+            out.push(KernelSpec::bmm(batch, m, n, kdim));
         }
         OpKind::BmmBackward => {
             // inputs: grad_out (batch, m, n), a (batch, m, k), b (batch, k, n).
             let [batch, m, n] = dims(input(graph, node, 0)?, node)?;
             let [_, _, kdim] = dims(input(graph, node, 1)?, node)?;
-            vec![KernelSpec::bmm(batch, m, kdim, n), KernelSpec::bmm(batch, kdim, n, m)]
+            out.extend([KernelSpec::bmm(batch, m, kdim, n), KernelSpec::bmm(batch, kdim, n, m)]);
         }
         OpKind::EmbeddingBag => {
             // inputs: weight (e, d), indices (b, l).
             let [e, d] = dims(input(graph, node, 0)?, node)?;
             let [b, l] = dims(input(graph, node, 1)?, node)?;
-            vec![KernelSpec::embedding_forward(b, e, 1, l, d)]
+            out.push(KernelSpec::embedding_forward(b, e, 1, l, d));
         }
         OpKind::EmbeddingBagBackward => {
             // inputs: grad (b, d), weight (e, d), indices (b, l).
             let [e, d] = dims(input(graph, node, 1)?, node)?;
             let [b, l] = dims(input(graph, node, 2)?, node)?;
-            vec![KernelSpec::embedding_backward(b, e, 1, l, d)]
+            out.push(KernelSpec::embedding_backward(b, e, 1, l, d));
         }
         OpKind::BatchedEmbedding | OpKind::BatchedEmbeddingBackward => {
             let [t, e, d] = dims(input(graph, node, 0)?, node)?;
@@ -123,27 +151,26 @@ pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerE
             if t != t2 {
                 return Err(err(node, format!("table counts differ: {t} vs {t2}")));
             }
-            let spec = if node.op == OpKind::BatchedEmbedding {
+            out.push(if node.op == OpKind::BatchedEmbedding {
                 KernelSpec::embedding_forward(b, e, t, l, d)
             } else {
                 KernelSpec::embedding_backward(b, e, t, l, d)
-            };
-            vec![spec]
+            });
         }
         OpKind::Cat { .. } => {
             let bytes = output(graph, node, 0)?.bytes();
-            vec![KernelSpec::Concat { bytes }]
+            out.push(KernelSpec::Concat { bytes });
         }
         OpKind::CatBackward { .. } => {
             let bytes = input(graph, node, 0)?.bytes();
-            vec![KernelSpec::Concat { bytes }]
+            out.push(KernelSpec::Concat { bytes });
         }
-        OpKind::Relu => vec![ew(output(graph, node, 0)?.numel(), 1.0, 8.0)],
-        OpKind::ReluBackward => vec![ew(output(graph, node, 0)?.numel(), 1.0, 12.0)],
-        OpKind::Sigmoid => vec![ew(output(graph, node, 0)?.numel(), 4.0, 8.0)],
-        OpKind::SigmoidBackward => vec![ew(output(graph, node, 0)?.numel(), 3.0, 12.0)],
-        OpKind::MseLoss => vec![ew(input(graph, node, 0)?.numel(), 3.0, 8.0)],
-        OpKind::MseLossBackward => vec![ew(output(graph, node, 0)?.numel(), 2.0, 12.0)],
+        OpKind::Relu => out.push(ew(output(graph, node, 0)?.numel(), 1.0, 8.0)),
+        OpKind::ReluBackward => out.push(ew(output(graph, node, 0)?.numel(), 1.0, 12.0)),
+        OpKind::Sigmoid => out.push(ew(output(graph, node, 0)?.numel(), 4.0, 8.0)),
+        OpKind::SigmoidBackward => out.push(ew(output(graph, node, 0)?.numel(), 3.0, 12.0)),
+        OpKind::MseLoss => out.push(ew(input(graph, node, 0)?.numel(), 3.0, 8.0)),
+        OpKind::MseLossBackward => out.push(ew(output(graph, node, 0)?.numel(), 2.0, 12.0)),
         OpKind::Transpose => {
             let t = input(graph, node, 0)?;
             let (batch, rows, cols) = match t.shape.as_slice() {
@@ -151,25 +178,25 @@ pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerE
                 [b, r, c] => (*b, *r, *c),
                 other => return Err(err(node, format!("transpose needs rank 2/3, got {other:?}"))),
             };
-            vec![KernelSpec::Transpose { batch, rows, cols }]
+            out.push(KernelSpec::Transpose { batch, rows, cols });
         }
         OpKind::Tril => {
             let [b, n, n2] = dims(input(graph, node, 0)?, node)?;
             if n != n2 {
                 return Err(err(node, "tril input must be square"));
             }
-            vec![KernelSpec::TrilForward { batch: b, n }]
+            out.push(KernelSpec::TrilForward { batch: b, n });
         }
         OpKind::TrilBackward => {
             let [b, n, n2] = dims(output(graph, node, 0)?, node)?;
             if n != n2 {
                 return Err(err(node, "tril backward output must be square"));
             }
-            vec![KernelSpec::TrilBackward { batch: b, n }]
+            out.push(KernelSpec::TrilBackward { batch: b, n });
         }
         OpKind::To { kind } => {
             let bytes = input(graph, node, 0)?.bytes();
-            vec![KernelSpec::Memcpy { bytes, kind }]
+            out.push(KernelSpec::Memcpy { bytes, kind });
         }
         OpKind::Conv2d { stride, pad } => {
             let [b, c, h, w] = dims(input(graph, node, 0)?, node)?;
@@ -177,52 +204,47 @@ pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerE
             if c != c2 {
                 return Err(err(node, format!("conv channel mismatch: {c} vs {c2}")));
             }
-            vec![KernelSpec::Conv2d { batch: b, c_in: c, h, w, c_out, kh, kw, stride, pad }]
+            out.push(KernelSpec::Conv2d { batch: b, c_in: c, h, w, c_out, kh, kw, stride, pad });
         }
         OpKind::Conv2dBackward { stride, pad } => {
             // inputs: grad_out, x (b, c, h, w), w (c_out, c, kh, kw).
             let [b, c, h, w] = dims(input(graph, node, 1)?, node)?;
             let [c_out, _, kh, kw] = dims(input(graph, node, 2)?, node)?;
             let k = KernelSpec::Conv2d { batch: b, c_in: c, h, w, c_out, kh, kw, stride, pad };
-            vec![k.clone(), k]
+            out.extend([k.clone(), k]);
         }
-        OpKind::BatchNorm => vec![ew(output(graph, node, 0)?.numel(), 4.0, 16.0)],
-        OpKind::BatchNormBackward => vec![ew(output(graph, node, 0)?.numel(), 5.0, 16.0)],
+        OpKind::BatchNorm => out.push(ew(output(graph, node, 0)?.numel(), 4.0, 16.0)),
+        OpKind::BatchNormBackward => out.push(ew(output(graph, node, 0)?.numel(), 5.0, 16.0)),
         OpKind::MaxPool { k, .. } => {
-            let out = output(graph, node, 0)?.numel();
-            vec![ew(out, (k * k) as f64, 4.0 + 4.0 * (k * k) as f64 / 2.0)]
+            let elems = output(graph, node, 0)?.numel();
+            out.push(ew(elems, (k * k) as f64, 4.0 + 4.0 * (k * k) as f64 / 2.0));
         }
-        OpKind::MaxPoolBackward => vec![ew(output(graph, node, 0)?.numel(), 1.0, 12.0)],
-        OpKind::AvgPool => vec![ew(input(graph, node, 0)?.numel(), 1.0, 5.0)],
-        OpKind::Add => vec![ew(output(graph, node, 0)?.numel(), 1.0, 12.0)],
-        OpKind::Softmax => vec![ew(output(graph, node, 0)?.numel(), 10.0, 16.0)],
-        OpKind::SoftmaxBackward => vec![ew(output(graph, node, 0)?.numel(), 8.0, 16.0)],
-        OpKind::LayerNorm => vec![ew(output(graph, node, 0)?.numel(), 8.0, 16.0)],
-        OpKind::LayerNormBackward => vec![ew(output(graph, node, 0)?.numel(), 10.0, 20.0)],
-        OpKind::Gelu => vec![ew(output(graph, node, 0)?.numel(), 12.0, 8.0)],
-        OpKind::GeluBackward => vec![ew(output(graph, node, 0)?.numel(), 14.0, 12.0)],
-        OpKind::Dropout => vec![ew(output(graph, node, 0)?.numel(), 2.0, 12.0)],
-        OpKind::DropoutBackward => vec![ew(output(graph, node, 0)?.numel(), 1.0, 12.0)],
-        OpKind::Sum => vec![ew(input(graph, node, 0)?.numel(), 1.0, 4.2)],
+        OpKind::MaxPoolBackward => out.push(ew(output(graph, node, 0)?.numel(), 1.0, 12.0)),
+        OpKind::AvgPool => out.push(ew(input(graph, node, 0)?.numel(), 1.0, 5.0)),
+        OpKind::Add => out.push(ew(output(graph, node, 0)?.numel(), 1.0, 12.0)),
+        OpKind::Softmax => out.push(ew(output(graph, node, 0)?.numel(), 10.0, 16.0)),
+        OpKind::SoftmaxBackward => out.push(ew(output(graph, node, 0)?.numel(), 8.0, 16.0)),
+        OpKind::LayerNorm => out.push(ew(output(graph, node, 0)?.numel(), 8.0, 16.0)),
+        OpKind::LayerNormBackward => out.push(ew(output(graph, node, 0)?.numel(), 10.0, 20.0)),
+        OpKind::Gelu => out.push(ew(output(graph, node, 0)?.numel(), 12.0, 8.0)),
+        OpKind::GeluBackward => out.push(ew(output(graph, node, 0)?.numel(), 14.0, 12.0)),
+        OpKind::Dropout => out.push(ew(output(graph, node, 0)?.numel(), 2.0, 12.0)),
+        OpKind::DropoutBackward => out.push(ew(output(graph, node, 0)?.numel(), 1.0, 12.0)),
+        OpKind::Sum => out.push(ew(input(graph, node, 0)?.numel(), 1.0, 4.2)),
         OpKind::OptimizerStep => {
             // One element-wise SGD update kernel per parameter tensor, as in
             // the paper's observation that the optimizer is "dominated by a
             // series of element-wise kernels".
-            node.inputs
-                .iter()
-                .map(|&t| {
-                    graph
-                        .try_tensor(t)
-                        .map(|meta| ew(meta.numel(), 2.0, 12.0))
-                        .ok_or_else(|| {
-                            err(node, "optimizer parameter references a tensor not in this graph")
-                        })
-                })
-                .collect::<Result<Vec<_>, _>>()?
+            for &t in &node.inputs {
+                let meta = graph.try_tensor(t).ok_or_else(|| {
+                    err(node, "optimizer parameter references a tensor not in this graph")
+                })?;
+                out.push(ew(meta.numel(), 2.0, 12.0));
+            }
         }
-        OpKind::Reshape | OpKind::AddBackward => Vec::new(),
-    };
-    Ok(k)
+        OpKind::Reshape | OpKind::AddBackward => {}
+    }
+    Ok(())
 }
 
 /// Lowers `node`, panicking on malformed shapes.
@@ -354,6 +376,29 @@ mod tests {
         node.inputs = vec![TensorId(42)];
         let e = try_kernels(&opt, &node).unwrap_err();
         assert!(e.reason.contains("not in this graph"), "reason: {}", e.reason);
+    }
+
+    #[test]
+    fn lowering_into_appends_and_a_failed_node_leaves_no_partial_kernels() {
+        use crate::tensor::TensorId;
+        let mut g = Graph::new("t");
+        let p1 = g.add_tensor(TensorMeta::weight(&[128, 64]));
+        let p2 = g.add_tensor(TensorMeta::weight(&[128]));
+        let ok = g.add_op(OpKind::OptimizerStep, vec![p1, p2], vec![]);
+        let ok = g.node(ok).unwrap().clone();
+
+        let mut out = vec![KernelSpec::gemm(1, 2, 3)];
+        try_kernels_into(&g, &ok, &mut out).unwrap();
+        assert_eq!(out[0], KernelSpec::gemm(1, 2, 3), "existing contents are kept");
+        assert_eq!(out[1..], try_kernels(&g, &ok).unwrap()[..]);
+
+        // The first parameter lowers, the second does not: the kernel
+        // already pushed for the first must be rolled back.
+        let mut bad = ok;
+        bad.inputs = vec![p1, TensorId(99)];
+        let before = out.clone();
+        assert!(try_kernels_into(&g, &bad, &mut out).is_err());
+        assert_eq!(out, before);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! from their producer to their last consumer, and the peak of the
 //! resulting occupancy curve is the device-memory requirement.
 
-use std::collections::HashMap;
-
 use crate::graph::Graph;
 use crate::tensor::{TensorId, TensorKind};
 
@@ -46,16 +44,18 @@ impl MemoryReport {
 /// produces them (or node 0 for external inputs) to their last consumer.
 pub fn estimate(graph: &Graph) -> MemoryReport {
     let n = graph.node_count();
+    let tensors = graph.tensor_count();
     let mut weight_bytes = 0u64;
-    let mut first_use: HashMap<TensorId, usize> = HashMap::new();
-    let mut last_use: HashMap<TensorId, usize> = HashMap::new();
 
     // Tensors produced by view ops (`reshape`/`t`/...) alias their input's
-    // storage and allocate nothing.
-    let mut is_alias = vec![false; graph.tensor_count()];
+    // storage and allocate nothing. Tensors no node produces are external
+    // inputs.
+    let mut is_alias = vec![false; tensors];
+    let mut produced = vec![false; tensors];
     for node in graph.nodes() {
-        if node.op == crate::op::OpKind::Reshape {
-            for &t in &node.outputs {
+        for &t in &node.outputs {
+            produced[t.0] = true;
+            if node.op == crate::op::OpKind::Reshape {
                 is_alias[t.0] = true;
             }
         }
@@ -66,27 +66,37 @@ pub fn estimate(graph: &Graph) -> MemoryReport {
             weight_bytes += meta.bytes();
         }
     }
+    // Live range per tensor, indexed by `TensorId`; `UNUSED` marks weights,
+    // aliases and tensors no node touches.
+    const UNUSED: usize = usize::MAX;
+    let mut first_use = vec![UNUSED; tensors];
+    let mut last_use = vec![0usize; tensors];
     for (pos, node) in graph.nodes().iter().enumerate() {
         for &t in node.inputs.iter().chain(node.outputs.iter()) {
             if graph.tensor(t).kind == TensorKind::Weight || is_alias[t.0] {
                 continue;
             }
-            first_use.entry(t).or_insert(pos);
-            last_use.insert(t, pos);
+            if first_use[t.0] == UNUSED {
+                first_use[t.0] = pos;
+            }
+            last_use[t.0] = pos;
         }
     }
     // External (non-produced) activations are live from the start.
-    for t in graph.external_inputs() {
-        if graph.tensor(t).kind != TensorKind::Weight && first_use.contains_key(&t) {
-            first_use.insert(t, 0);
+    for (start, &produced) in first_use.iter_mut().zip(&produced) {
+        if *start != UNUSED && !produced {
+            *start = 0;
         }
     }
 
-    // Sweep: +bytes at first use, -bytes after last use.
+    // Sweep: +bytes at first use, -bytes after last use. Exact integer
+    // sums, so the order tensors are visited in cannot change the curve.
     let mut delta = vec![0i128; n + 1];
-    for (&t, &start) in &first_use {
-        let end = last_use[&t];
-        let bytes = graph.tensor(t).bytes() as i128;
+    for (t, (&start, &end)) in first_use.iter().zip(&last_use).enumerate() {
+        if start == UNUSED {
+            continue;
+        }
+        let bytes = graph.tensor(TensorId(t)).bytes() as i128;
         delta[start] += bytes;
         delta[end + 1] -= bytes;
     }

@@ -97,56 +97,111 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Canonical operator-type key used for overhead statistics.
+    /// Canonical operator-type keys used for overhead statistics, one per
+    /// overhead slot: [`OpKind::overhead_key`] is
+    /// `OVERHEAD_KEYS[self.overhead_slot()]`, so a slot and its key cannot
+    /// drift apart.
     ///
     /// The paper's overhead model assumes "same types of overheads of the
-    /// same op have the same stats on the same machine"; this key defines
+    /// same op have the same stats on the same machine"; these keys define
     /// what "same op" means.
-    pub fn overhead_key(&self) -> &'static str {
+    pub const OVERHEAD_KEYS: [&'static str; 40] = [
+        "aten::addmm",
+        "AddmmBackward",
+        "aten::bmm",
+        "BmmBackward0",
+        "aten::embedding_bag",
+        "EmbeddingBagBackward",
+        "batched_embedding",
+        "batched_embedding_backward",
+        "aten::cat",
+        "CatBackward",
+        "aten::relu",
+        "ReluBackward0",
+        "aten::sigmoid",
+        "SigmoidBackward0",
+        "aten::mse_loss",
+        "MseLossBackward0",
+        "aten::transpose",
+        // `aten::tril` is lowered to index kernels, but its host-side
+        // overhead stats must not alias genuine `aten::index` ops.
+        "aten::tril",
+        "IndexBackward",
+        "aten::to",
+        "aten::conv2d",
+        "CudnnConvolutionBackward",
+        "aten::batch_norm",
+        "CudnnBatchNormBackward",
+        "aten::max_pool2d",
+        "MaxPool2DWithIndicesBackward0",
+        "aten::adaptive_avg_pool2d",
+        "aten::add",
+        "AddBackward0",
+        "aten::softmax",
+        "SoftmaxBackward0",
+        "aten::layer_norm",
+        "LayerNormBackward0",
+        "aten::gelu",
+        "GeluBackward0",
+        "aten::dropout",
+        "DropoutBackward0",
+        "aten::sum",
+        "Optimizer.step",
+        "aten::reshape",
+    ];
+
+    /// Dense index of this op's overhead key in [`OpKind::OVERHEAD_KEYS`]:
+    /// one slot per variant, whatever its fields, so per-op-type tables
+    /// (the predictor's T1–T5 means) are arrays rather than string maps.
+    pub const fn overhead_slot(&self) -> usize {
         match self {
-            OpKind::AddMm => "aten::addmm",
-            OpKind::AddMmBackward => "AddmmBackward",
-            OpKind::Bmm => "aten::bmm",
-            OpKind::BmmBackward => "BmmBackward0",
-            OpKind::EmbeddingBag => "aten::embedding_bag",
-            OpKind::EmbeddingBagBackward => "EmbeddingBagBackward",
-            OpKind::BatchedEmbedding => "batched_embedding",
-            OpKind::BatchedEmbeddingBackward => "batched_embedding_backward",
-            OpKind::Cat { .. } => "aten::cat",
-            OpKind::CatBackward { .. } => "CatBackward",
-            OpKind::Relu => "aten::relu",
-            OpKind::ReluBackward => "ReluBackward0",
-            OpKind::Sigmoid => "aten::sigmoid",
-            OpKind::SigmoidBackward => "SigmoidBackward0",
-            OpKind::MseLoss => "aten::mse_loss",
-            OpKind::MseLossBackward => "MseLossBackward0",
-            OpKind::Transpose => "aten::transpose",
-            // `aten::tril` is lowered to index kernels, but its host-side
-            // overhead stats must not alias genuine `aten::index` ops.
-            OpKind::Tril => "aten::tril",
-            OpKind::TrilBackward => "IndexBackward",
-            OpKind::To { .. } => "aten::to",
-            OpKind::Conv2d { .. } => "aten::conv2d",
-            OpKind::Conv2dBackward { .. } => "CudnnConvolutionBackward",
-            OpKind::BatchNorm => "aten::batch_norm",
-            OpKind::BatchNormBackward => "CudnnBatchNormBackward",
-            OpKind::MaxPool { .. } => "aten::max_pool2d",
-            OpKind::MaxPoolBackward => "MaxPool2DWithIndicesBackward0",
-            OpKind::AvgPool => "aten::adaptive_avg_pool2d",
-            OpKind::Add => "aten::add",
-            OpKind::AddBackward => "AddBackward0",
-            OpKind::Softmax => "aten::softmax",
-            OpKind::SoftmaxBackward => "SoftmaxBackward0",
-            OpKind::LayerNorm => "aten::layer_norm",
-            OpKind::LayerNormBackward => "LayerNormBackward0",
-            OpKind::Gelu => "aten::gelu",
-            OpKind::GeluBackward => "GeluBackward0",
-            OpKind::Dropout => "aten::dropout",
-            OpKind::DropoutBackward => "DropoutBackward0",
-            OpKind::Sum => "aten::sum",
-            OpKind::OptimizerStep => "Optimizer.step",
-            OpKind::Reshape => "aten::reshape",
+            OpKind::AddMm => 0,
+            OpKind::AddMmBackward => 1,
+            OpKind::Bmm => 2,
+            OpKind::BmmBackward => 3,
+            OpKind::EmbeddingBag => 4,
+            OpKind::EmbeddingBagBackward => 5,
+            OpKind::BatchedEmbedding => 6,
+            OpKind::BatchedEmbeddingBackward => 7,
+            OpKind::Cat { .. } => 8,
+            OpKind::CatBackward { .. } => 9,
+            OpKind::Relu => 10,
+            OpKind::ReluBackward => 11,
+            OpKind::Sigmoid => 12,
+            OpKind::SigmoidBackward => 13,
+            OpKind::MseLoss => 14,
+            OpKind::MseLossBackward => 15,
+            OpKind::Transpose => 16,
+            OpKind::Tril => 17,
+            OpKind::TrilBackward => 18,
+            OpKind::To { .. } => 19,
+            OpKind::Conv2d { .. } => 20,
+            OpKind::Conv2dBackward { .. } => 21,
+            OpKind::BatchNorm => 22,
+            OpKind::BatchNormBackward => 23,
+            OpKind::MaxPool { .. } => 24,
+            OpKind::MaxPoolBackward => 25,
+            OpKind::AvgPool => 26,
+            OpKind::Add => 27,
+            OpKind::AddBackward => 28,
+            OpKind::Softmax => 29,
+            OpKind::SoftmaxBackward => 30,
+            OpKind::LayerNorm => 31,
+            OpKind::LayerNormBackward => 32,
+            OpKind::Gelu => 33,
+            OpKind::GeluBackward => 34,
+            OpKind::Dropout => 35,
+            OpKind::DropoutBackward => 36,
+            OpKind::Sum => 37,
+            OpKind::OptimizerStep => 38,
+            OpKind::Reshape => 39,
         }
+    }
+
+    /// Canonical operator-type key used for overhead statistics (see
+    /// [`OpKind::OVERHEAD_KEYS`]).
+    pub fn overhead_key(&self) -> &'static str {
+        Self::OVERHEAD_KEYS[self.overhead_slot()]
     }
 
     /// Whether this op belongs to the backward pass.
@@ -205,24 +260,70 @@ mod tests {
         assert!(OpKind::Relu.has_device_work());
     }
 
+    /// One instance of every variant with the overhead key it has always
+    /// had. A variant added without a row here leaves its slot unseen.
+    const EVERY_KIND: [(OpKind, &str); 40] = [
+        (OpKind::AddMm, "aten::addmm"),
+        (OpKind::AddMmBackward, "AddmmBackward"),
+        (OpKind::Bmm, "aten::bmm"),
+        (OpKind::BmmBackward, "BmmBackward0"),
+        (OpKind::EmbeddingBag, "aten::embedding_bag"),
+        (OpKind::EmbeddingBagBackward, "EmbeddingBagBackward"),
+        (OpKind::BatchedEmbedding, "batched_embedding"),
+        (OpKind::BatchedEmbeddingBackward, "batched_embedding_backward"),
+        (OpKind::Cat { dim: 1 }, "aten::cat"),
+        (OpKind::CatBackward { dim: 1 }, "CatBackward"),
+        (OpKind::Relu, "aten::relu"),
+        (OpKind::ReluBackward, "ReluBackward0"),
+        (OpKind::Sigmoid, "aten::sigmoid"),
+        (OpKind::SigmoidBackward, "SigmoidBackward0"),
+        (OpKind::MseLoss, "aten::mse_loss"),
+        (OpKind::MseLossBackward, "MseLossBackward0"),
+        (OpKind::Transpose, "aten::transpose"),
+        (OpKind::Tril, "aten::tril"),
+        (OpKind::TrilBackward, "IndexBackward"),
+        (OpKind::To { kind: MemcpyKind::HostToDevice }, "aten::to"),
+        (OpKind::Conv2d { stride: 1, pad: 1 }, "aten::conv2d"),
+        (OpKind::Conv2dBackward { stride: 2, pad: 0 }, "CudnnConvolutionBackward"),
+        (OpKind::BatchNorm, "aten::batch_norm"),
+        (OpKind::BatchNormBackward, "CudnnBatchNormBackward"),
+        (OpKind::MaxPool { k: 3, stride: 2 }, "aten::max_pool2d"),
+        (OpKind::MaxPoolBackward, "MaxPool2DWithIndicesBackward0"),
+        (OpKind::AvgPool, "aten::adaptive_avg_pool2d"),
+        (OpKind::Add, "aten::add"),
+        (OpKind::AddBackward, "AddBackward0"),
+        (OpKind::Softmax, "aten::softmax"),
+        (OpKind::SoftmaxBackward, "SoftmaxBackward0"),
+        (OpKind::LayerNorm, "aten::layer_norm"),
+        (OpKind::LayerNormBackward, "LayerNormBackward0"),
+        (OpKind::Gelu, "aten::gelu"),
+        (OpKind::GeluBackward, "GeluBackward0"),
+        (OpKind::Dropout, "aten::dropout"),
+        (OpKind::DropoutBackward, "DropoutBackward0"),
+        (OpKind::Sum, "aten::sum"),
+        (OpKind::OptimizerStep, "Optimizer.step"),
+        (OpKind::Reshape, "aten::reshape"),
+    ];
+
+    #[test]
+    fn every_kind_reads_its_key_from_its_slot() {
+        let mut seen = [false; OpKind::OVERHEAD_KEYS.len()];
+        for (kind, key) in EVERY_KIND {
+            let slot = kind.overhead_slot();
+            assert_eq!(kind.overhead_key(), OpKind::OVERHEAD_KEYS[slot], "{kind:?}");
+            assert_eq!(kind.overhead_key(), key, "{kind:?} changed its overhead key");
+            assert!(!seen[slot], "{kind:?} shares slot {slot}");
+            seen[slot] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every slot belongs to a variant");
+    }
+
     #[test]
     fn overhead_keys_unique_for_distinct_kinds() {
-        let kinds = [
-            OpKind::AddMm,
-            OpKind::AddMmBackward,
-            OpKind::Bmm,
-            OpKind::EmbeddingBag,
-            OpKind::BatchedEmbedding,
-            OpKind::Cat { dim: 1 },
-            OpKind::Relu,
-            OpKind::Tril,
-            OpKind::TrilBackward,
-            OpKind::OptimizerStep,
-        ];
-        let mut keys: Vec<_> = kinds.iter().map(|k| k.overhead_key()).collect();
+        let mut keys = OpKind::OVERHEAD_KEYS.to_vec();
         keys.sort();
         keys.dedup();
-        assert_eq!(keys.len(), kinds.len());
+        assert_eq!(keys.len(), OpKind::OVERHEAD_KEYS.len(), "two slots share a key");
     }
 
     #[test]

@@ -28,6 +28,16 @@
 //! the registry was calibrated for, and the key does not include the
 //! device. The sweep engine therefore keeps one cache per pipeline.
 //!
+//! ## One hash per key
+//!
+//! [`MemoKey::of`] computes one process-independent, word-wise 64-bit
+//! hash of the key's family and fields, once. That hash picks the key's
+//! shard ([`MemoKey::shard`]) and is handed unchanged to the shard's map
+//! through a pass-through hasher, so a lookup never rehashes the 80-byte
+//! key. Equality still compares the family and every field, so a hash
+//! collision can only cost a comparison, never return another key's
+//! value.
+//!
 //! ## Bounded caches
 //!
 //! A long-lived service answering millions of *distinct* queries must not
@@ -38,9 +48,12 @@
 //! (found in O(log n) via a per-shard recency index, never by scanning).
 //! Eviction changes *hit rates* only, never values — a re-miss recomputes
 //! the same pure function bit-for-bit — so the bitwise determinism
-//! contract is unaffected by capacity.
+//! contract is unaffected by capacity. For the same reason the hash
+//! function is free to change: it moves keys between shards, which
+//! changes which entry a full shard evicts, never a value.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -69,10 +82,61 @@ pub struct CachePadded<T>(pub T);
 /// the module docs for why this exact quantization is the only level
 /// compatible with bitwise determinism). Unused slots are zero — the
 /// family discriminant keeps variants with different arities apart.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The key also carries its hash, computed once by [`MemoKey::of`] (see
+/// the module docs). The hash is a function of the family and fields, so
+/// two keys are equal exactly when those are; it leads the struct only so
+/// that the derived comparisons reject unequal keys on one word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemoKey {
+    hash: u64,
     family: KernelFamily,
     fields: [u64; 9],
+}
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Word-wise 64-bit hash of a key: an Fx-style rotate–xor–multiply step
+/// per word, then the murmur3 `fmix64` finalizer so every output bit
+/// depends on every input bit. Constants only, no per-process seed, so a
+/// key's shard is the same in every run.
+fn hash_words(family: KernelFamily, fields: &[u64; 9]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (family as u64).wrapping_mul(K);
+    for &f in fields {
+        h = (h.rotate_left(5) ^ f).wrapping_mul(K);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// Hands a [`MemoKey`]'s precomputed hash to the shard map unchanged.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `write_u64` is reached (via `MemoKey::hash`); fold anything
+        // else in so the hasher stays total.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl MemoKey {
@@ -111,7 +175,8 @@ impl MemoKey {
                 fields.copy_from_slice(&[batch, c_in, h, w, c_out, kh, kw, stride, pad]);
             }
         }
-        MemoKey { family: kernel.family(), fields }
+        let family = kernel.family();
+        MemoKey { hash: hash_words(family, &fields), family, fields }
     }
 
     /// The kernel family this key belongs to.
@@ -119,22 +184,15 @@ impl MemoKey {
         self.family
     }
 
-    /// A process-independent shard/bucket index: an FNV-1a fold over the
-    /// fields (std's `RandomState` would re-seed per process, which is
-    /// harmless for correctness but makes shard load untestable).
-    fn shard(&self) -> usize {
-        let mut h: u64 = 0xcbf29ce484222325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        mix(self.family as u64);
-        for &f in &self.fields {
-            mix(f);
-        }
-        (h % SHARDS as u64) as usize
+    /// The shard this key lives in: bits 32–35 of the key's one hash, the
+    /// same in every process (std's `RandomState` would re-seed per
+    /// process, which is harmless for correctness but makes shard load
+    /// untestable). The shard map indexes buckets by the hash's low bits
+    /// and tags them with its top seven, so neither is fixed within a
+    /// shard. Placement affects which entry a full shard evicts, never a
+    /// value.
+    pub fn shard(&self) -> usize {
+        (self.hash >> 32) as usize % SHARDS
     }
 }
 
@@ -190,16 +248,6 @@ impl std::fmt::Display for MemoCacheStats {
 
 /// A thread-safe memo table for kernel-model evaluations.
 ///
-/// Sharded `Mutex<HashMap>`s: lookups lock one shard briefly; the model
-/// evaluation on a miss runs *outside* the lock, so concurrent misses on
-/// different keys never serialize on each other. Two threads racing on
-/// the same key may both evaluate the model — both compute the identical
-/// pure-function result, so last-write-wins is benign and keeps the
-/// fast path lock-short.
-///
-/// Built unbounded by [`MemoCache::new`] or with a hard capacity cap by
-/// [`MemoCache::with_capacity`]; see the module docs for the eviction
-/// policy.
 /// A memoized evaluation plus the epoch stamp of its last access.
 type StampedEntry = ((f64, Confidence), u64);
 
@@ -212,12 +260,24 @@ type StampedEntry = ((f64, Confidence), u64);
 /// are unique and the index is a bijection with the map's entries.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<MemoKey, StampedEntry>,
+    map: HashMap<MemoKey, StampedEntry, BuildHasherDefault<PassThrough>>,
     /// Recency index; kept empty (and unmaintained) on unbounded caches,
     /// which never evict and so never need it.
     by_stamp: BTreeMap<u64, MemoKey>,
 }
 
+/// A thread-safe memo table for kernel-model evaluations.
+///
+/// Sharded `Mutex<HashMap>`s: lookups lock one shard briefly; the model
+/// evaluation on a miss runs *outside* the lock, so concurrent misses on
+/// different keys never serialize on each other. Two threads racing on
+/// the same key may both evaluate the model — both compute the identical
+/// pure-function result, so last-write-wins is benign and keeps the
+/// fast path lock-short.
+///
+/// Built unbounded by [`MemoCache::new`] or with a hard capacity cap by
+/// [`MemoCache::with_capacity`]; see the module docs for the eviction
+/// policy.
 #[derive(Debug)]
 pub struct MemoCache {
     /// Each entry carries the value and its last-access epoch stamp.
@@ -515,6 +575,31 @@ mod tests {
         let f = MemoKey::of(&KernelSpec::TrilForward { batch: 8, n: 27 });
         let b = MemoKey::of(&KernelSpec::TrilBackward { batch: 8, n: 27 });
         assert_ne!(f, b, "same fields, different family");
+    }
+
+    #[test]
+    fn key_hash_is_pinned_and_follows_equality() {
+        // Literals, so a switch to a per-process seeded hasher (or any
+        // other hash) fails here rather than silently moving shards.
+        let gemm = MemoKey::of(&KernelSpec::gemm(512, 256, 128));
+        let tril = MemoKey::of(&KernelSpec::TrilForward { batch: 2048, n: 27 });
+        assert_eq!(gemm.hash, 15_697_976_454_174_504_868);
+        assert_eq!(tril.hash, 4_713_074_703_354_957_861);
+        assert_eq!((gemm.shard(), tril.shard()), (9, 8));
+
+        let again = MemoKey::of(&KernelSpec::gemm(512, 256, 128));
+        assert_eq!(gemm, again);
+        assert_eq!(gemm.hash, again.hash, "equal keys hash equal");
+        // Same fields, different family: distinct keys (and hashes).
+        let back = MemoKey::of(&KernelSpec::TrilBackward { batch: 2048, n: 27 });
+        assert_eq!(tril.fields, back.fields);
+        assert_ne!(tril, back);
+        assert_ne!(tril.hash, back.hash);
+        let cache = MemoCache::new();
+        cache.get_or_insert_with(tril, || (1.0, Confidence::Calibrated));
+        let (v, _) = cache.get_or_insert_with(back, || (2.0, Confidence::Calibrated));
+        assert_eq!(v.to_bits(), 2.0f64.to_bits(), "backward must not read forward's entry");
+        assert_eq!(cache.stats().entries, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Allocation counts on the pricing hot path, pinned in the form the docs
-//! state them: once warm, `ModelRegistry::predict_batch_into` performs no
-//! heap allocation with or without a memo cache, and a warm
-//! `E2ePredictor::walk` allocates exactly as often as lowering its nodes
-//! does (pricing and stepping allocate nothing).
+//! state them: once warm, `ModelRegistry::predict_batch_into`,
+//! `E2ePredictor::walk` (which lowers straight into its scratch) and
+//! `IncrementalPredictor::repredict_scratch` perform no heap allocation,
+//! with or without a memo cache.
 //!
 //! A counting global allocator tallies fresh blocks and resizes per
 //! thread, so tests running in parallel cannot see each other's traffic.
@@ -12,10 +12,12 @@ use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::hint::black_box;
 
+use dlrm_perf_model::core::incremental::IncrementalPredictor;
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::gpusim::{DeviceSpec, KernelSpec};
 use dlrm_perf_model::graph::lower;
+use dlrm_perf_model::graph::transform::resize_batch;
 use dlrm_perf_model::graph::Graph;
 use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache, MemoScratch};
 use dlrm_perf_model::models::DlrmConfig;
@@ -123,14 +125,9 @@ fn warm_registry_batch_allocates_nothing_with_or_without_a_cache() {
 }
 
 #[test]
-fn warm_walk_allocates_only_what_lowering_allocates() {
+fn warm_walk_allocates_nothing_with_or_without_a_cache() {
     let (graph, pipeline, _) = fixture();
     let predictor = pipeline.predictor();
-    let lowering = allocations(|| {
-        for node in graph.nodes() {
-            black_box(lower::try_kernels(&graph, node).expect("dlrm-default lowers"));
-        }
-    });
     let cache = MemoCache::new();
     let mut scratch = WalkScratch::new();
     for cache in [None, Some(&cache)] {
@@ -140,10 +137,34 @@ fn warm_walk_allocates_only_what_lowering_allocates() {
         for _ in 0..WARM_UP {
             walk();
         }
+        assert_eq!(allocations(walk), 0, "a warm walk (cache: {}) allocated", cache.is_some());
+    }
+}
+
+#[test]
+fn warm_repredict_allocates_nothing_with_or_without_a_cache() {
+    let (graph, pipeline, _) = fixture();
+    let cache = MemoCache::new();
+    let inc = IncrementalPredictor::with_cache(pipeline.predictor().clone(), graph.clone(), &cache)
+        .expect("dlrm-default walks");
+    // A batch resize dirties every batch-shaped node: the dirty frontier
+    // is lowered, priced and stepped, not spliced.
+    let mut resized = graph.clone();
+    resize_batch(&mut resized, 2048).expect("dlrm-default resizes");
+    let mut scratch = WalkScratch::new();
+    for cache in [None, Some(&cache)] {
+        let mut repredict = || {
+            let (_, stats) =
+                inc.repredict_scratch(&resized, cache, &mut scratch).expect("resized walks");
+            assert!(stats.recomputed > 0, "the resize must dirty nodes");
+        };
+        for _ in 0..WARM_UP {
+            repredict();
+        }
         assert_eq!(
-            allocations(walk),
-            lowering,
-            "a warm walk (cache: {}) allocates beyond lowering",
+            allocations(repredict),
+            0,
+            "a warm repredict (cache: {}) allocated",
             cache.is_some()
         );
     }

@@ -7,11 +7,18 @@
 //! 2. the per-event byte cap still cuts exactly at `max_event_bytes`;
 //! 3. the parser builds short plain integers directly, bitwise equal to
 //!    `str::parse::<f64>`;
-//! 4. escaped UTF-16 surrogate pairs decode to one character.
+//! 4. escaped UTF-16 surrogate pairs decode to one character;
+//! 5. the memo key's one precomputed hash, which stands in for hashing
+//!    the whole key per lookup, spreads real workloads' kernels over every
+//!    cache shard.
 
+use std::collections::BTreeSet;
 use std::io::Read;
 
 use dlperf_faults::{FaultInjector, FaultPlan, TraceFaultPlan};
+use dlperf_graph::lower;
+use dlperf_kernels::MemoKey;
+use dlperf_models::zoo;
 use dlperf_runtime::fnv1a64;
 use dlperf_trace::ingest::{ingest_reader, ingest_str, FileIngest, FileStatus, IngestLimits};
 use dlperf_trace::{EventCat, Trace, TraceEvent};
@@ -365,4 +372,29 @@ fn escaped_surrogate_pairs_decode_to_one_char() {
     // A string the writer emits raw round-trips unchanged.
     let text = "😀 \u{2028} é";
     assert_eq!(s(&serde_json::to_string(&text).unwrap()), text);
+}
+
+#[test]
+fn zoo_kernels_populate_every_memo_shard() {
+    let mut keys = BTreeSet::new();
+    for name in zoo::MODEL_NAMES {
+        for batch in [128, 1024, 4096] {
+            let graph = zoo::build(name, batch).expect("zoo model builds");
+            for node in graph.nodes() {
+                let kernels = lower::try_kernels(&graph, node).expect("zoo model lowers");
+                keys.extend(kernels.iter().map(MemoKey::of));
+            }
+        }
+    }
+    let mut per_shard = [0usize; 16];
+    for key in &keys {
+        per_shard[key.shard()] += 1;
+    }
+    assert!(per_shard.iter().all(|&n| n > 0), "an empty shard: {per_shard:?}");
+    let fair = keys.len() / per_shard.len();
+    assert!(
+        per_shard.iter().all(|&n| n <= 2 * fair),
+        "a shard holds over twice its share of {} keys: {per_shard:?}",
+        keys.len()
+    );
 }
