@@ -33,10 +33,10 @@
 //! [`MemoKey::of`] computes one process-independent, word-wise 64-bit
 //! hash of the key's family and fields, once. That hash picks the key's
 //! shard ([`MemoKey::shard`]) and is handed unchanged to the shard's map
-//! through a pass-through hasher, so a lookup never rehashes the 80-byte
-//! key. Equality still compares the family and every field, so a hash
-//! collision can only cost a comparison, never return another key's
-//! value.
+//! through a pass-through hasher, so a lookup never rehashes the key's
+//! 80 bytes of family and fields. Equality still compares the family and
+//! every field, so a hash collision can only cost a comparison, never
+//! return another key's value.
 //!
 //! ## Bounded caches
 //!
