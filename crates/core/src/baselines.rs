@@ -27,11 +27,14 @@ use rand::{Rng, SeedableRng};
 /// Returns a [`LowerError`] on malformed graphs.
 pub fn kernel_only(graph: &Graph, registry: &ModelRegistry) -> Result<f64, LowerError> {
     let mut total = 0.0;
+    let mut kernels = Vec::new();
     for node in graph.nodes() {
-        for k in lower::try_kernels(graph, node)? {
+        kernels.clear();
+        lower::try_kernels_into(graph, node, &mut kernels)?;
+        for k in &kernels {
             // Degraded fallback (not a panic) on uncovered families, same
             // as the main E2E walk.
-            total += registry.predict_with_confidence(&k).0;
+            total += registry.predict_with_confidence(k).0;
         }
     }
     Ok(total)
@@ -126,11 +129,14 @@ impl MlPredictLike {
     /// Returns a [`LowerError`] on malformed graphs.
     pub fn predict(&self, graph: &Graph) -> Result<f64, LowerError> {
         let mut total = 0.0;
+        let mut kernels = Vec::new();
         for node in graph.nodes() {
-            for k in lower::try_kernels(graph, node)? {
+            kernels.clear();
+            lower::try_kernels_into(graph, node, &mut kernels)?;
+            for k in &kernels {
                 total += match k.family() {
-                    KernelFamily::Gemm => self.gemm.predict(&k),
-                    KernelFamily::Conv2d => self.conv.predict(&k),
+                    KernelFamily::Gemm => self.gemm.predict(k),
+                    KernelFamily::Conv2d => self.conv.predict(k),
                     _ => self.fallback_us,
                 };
             }
@@ -179,9 +185,12 @@ impl CrossDeviceScaler {
     pub fn predict(&self, graph: &Graph, per_op_latency_us: f64) -> Result<f64, LowerError> {
         let source = dlperf_gpusim::Gpu::noiseless(self.from.clone());
         let mut total = graph.node_count() as f64 * per_op_latency_us;
+        let mut kernels = Vec::new();
         for node in graph.nodes() {
-            for k in lower::try_kernels(graph, node)? {
-                total += self.scale_kernel(&k, source.kernel_time_noiseless(&k));
+            kernels.clear();
+            lower::try_kernels_into(graph, node, &mut kernels)?;
+            for k in &kernels {
+                total += self.scale_kernel(k, source.kernel_time_noiseless(k));
             }
         }
         Ok(total)

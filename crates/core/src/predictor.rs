@@ -14,7 +14,6 @@
 //! to Algorithm 1 on single-stream graphs.
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use dlperf_graph::lower::{self, LowerError};
 use dlperf_graph::{Graph, Node, OpKind, TensorId};
@@ -160,23 +159,23 @@ pub struct E2ePredictor {
     /// database and policies. Rebuilt by every method that changes one of
     /// those, so the walk reads an array instead of five string-keyed maps
     /// per node.
-    table: Arc<[Overheads]>,
+    table: [Overheads; OpKind::OVERHEAD_KEYS.len()],
 }
 
 impl E2ePredictor {
     /// Creates a predictor with the paper's defaults: per-op overheads and
     /// a fixed T4 approximation.
     pub fn new(registry: ModelRegistry, overheads: OverheadStats) -> Self {
-        let mut predictor = E2ePredictor {
+        let t4_policy = T4Policy::Fixed(12.0);
+        let granularity = OverheadGranularity::PerOp;
+        E2ePredictor {
+            table: slot_table(&overheads, granularity, t4_policy),
             registry,
             overheads,
-            t4_policy: T4Policy::Fixed(12.0),
-            granularity: OverheadGranularity::PerOp,
+            t4_policy,
+            granularity,
             launch_factor: 0.5,
-            table: Arc::new([]),
-        };
-        predictor.rebuild_table();
-        predictor
+        }
     }
 
     /// Sets the T4 policy (builder style).
@@ -209,7 +208,7 @@ impl E2ePredictor {
 
     /// Resolves every op kind's overheads into the dense slot table.
     fn rebuild_table(&mut self) {
-        self.table = OpKind::OVERHEAD_KEYS.iter().map(|key| self.overheads_of(key)).collect();
+        self.table = slot_table(&self.overheads, self.granularity, self.t4_policy);
     }
 
     /// The kernel-model registry.
@@ -222,22 +221,6 @@ impl E2ePredictor {
     /// device) from the same analysis products.
     pub fn overheads(&self) -> &OverheadStats {
         &self.overheads
-    }
-
-    fn overhead(&self, op_key: &str, ty: OverheadType) -> f64 {
-        match self.granularity {
-            OverheadGranularity::PerOp => self.overheads.mean_us(op_key, ty),
-            OverheadGranularity::TypeOnly => {
-                self.overheads.type_stat(ty).map(|s| s.mean_us).unwrap_or(0.0)
-            }
-        }
-    }
-
-    fn t4(&self, op_key: &str) -> f64 {
-        match self.t4_policy {
-            T4Policy::Fixed(v) => v,
-            T4Policy::Measured => self.overhead(op_key, OverheadType::T4),
-        }
     }
 
     /// Predicts the per-batch training time of `graph` (Algorithm 1): one
@@ -373,23 +356,6 @@ impl E2ePredictor {
         Ok(())
     }
 
-    /// The five launch overheads of one op key, read from the overhead
-    /// database under the current policies; the walk reads them from the
-    /// slot table [`E2ePredictor::rebuild_table`] fills with this. Pure in
-    /// `op_key` given the predictor's frozen overhead database and
-    /// policies — two structurally identical nodes get bitwise identical
-    /// overheads, the property incremental re-prediction's prefix/suffix
-    /// reuse rests on.
-    fn overheads_of(&self, op_key: &str) -> Overheads {
-        Overheads {
-            t1: self.overhead(op_key, OverheadType::T1),
-            t2: self.overhead(op_key, OverheadType::T2),
-            t3: self.overhead(op_key, OverheadType::T3),
-            t4: self.t4(op_key),
-            t5: self.overhead(op_key, OverheadType::T5),
-        }
-    }
-
     /// Predicted GPU active time alone (the sum of kernel predictions) —
     /// the paper's `kernel_only` baseline quantity.
     ///
@@ -398,6 +364,36 @@ impl E2ePredictor {
     pub fn predict_active(&self, graph: &Graph) -> Result<f64, LowerError> {
         self.predict(graph).map(|p| p.active_us)
     }
+}
+
+/// The five launch overheads of every op kind, indexed by
+/// [`OpKind::overhead_slot`], read from the overhead database under the
+/// given policies. Entry `i` depends only on `OpKind::OVERHEAD_KEYS[i]`
+/// and the frozen database and policies — two structurally identical
+/// nodes get bitwise identical overheads, the property incremental
+/// re-prediction's prefix/suffix reuse rests on.
+fn slot_table(
+    overheads: &OverheadStats,
+    granularity: OverheadGranularity,
+    t4_policy: T4Policy,
+) -> [Overheads; OpKind::OVERHEAD_KEYS.len()] {
+    let overhead = |op_key: &str, ty: OverheadType| match granularity {
+        OverheadGranularity::PerOp => overheads.mean_us(op_key, ty),
+        OverheadGranularity::TypeOnly => overheads.type_stat(ty).map(|s| s.mean_us).unwrap_or(0.0),
+    };
+    std::array::from_fn(|slot| {
+        let op_key = OpKind::OVERHEAD_KEYS[slot];
+        Overheads {
+            t1: overhead(op_key, OverheadType::T1),
+            t2: overhead(op_key, OverheadType::T2),
+            t3: overhead(op_key, OverheadType::T3),
+            t4: match t4_policy {
+                T4Policy::Fixed(v) => v,
+                T4Policy::Measured => overhead(op_key, OverheadType::T4),
+            },
+            t5: overhead(op_key, OverheadType::T5),
+        }
+    })
 }
 
 /// The five launch overheads of one node, `Copy` so the walk can stage
@@ -864,7 +860,6 @@ mod tests {
         let second = overheads_from(&tiny, 4);
 
         let check = |pred: &E2ePredictor, stats: &OverheadStats| {
-            assert_eq!(pred.table.len(), OpKind::OVERHEAD_KEYS.len());
             for (slot, key) in OpKind::OVERHEAD_KEYS.iter().enumerate() {
                 assert_eq!(
                     bits(&pred.table[slot]),

@@ -675,8 +675,11 @@ impl SweepEngine {
         baseline: Option<&IncrementalPredictor>,
         scratch: &mut WalkScratch,
     ) -> (ScenarioResult, Option<IncrementalStats>) {
-        let _span =
-            dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || format!("scenario:{}", s.label));
+        // Joined rather than `format!`ed: inside a warm sweep the formatting
+        // machinery costs more than the span itself.
+        let _span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
+            ["scenario:", s.label.as_str()].concat()
+        });
         let counters = sweep_counters();
         counters.scenarios.incr();
         let n = self.pipelines().len();

@@ -73,8 +73,10 @@ fn ew(elems: u64, flops: f64, bytes: f64) -> KernelSpec {
 /// Returns [`LowerError`] if the node's tensor shapes are inconsistent with
 /// its [`OpKind`] (for instance after a malformed manual graph edit).
 pub fn try_kernels(graph: &Graph, node: &Node) -> Result<Vec<KernelSpec>, LowerError> {
-    // Most kernel-launching ops launch exactly one kernel.
-    let mut out = Vec::with_capacity(usize::from(node.op.has_device_work()));
+    // One allocation per kernel-launching op, none for a host-only one:
+    // room for the two kernels a backward op launches, so lowering never
+    // regrows it.
+    let mut out = Vec::with_capacity(if node.op.has_device_work() { 2 } else { 0 });
     try_kernels_into(graph, node, &mut out)?;
     Ok(out)
 }
@@ -258,11 +260,17 @@ pub fn kernels(graph: &Graph, node: &Node) -> Vec<KernelSpec> {
 
 /// Lowers every node of `graph`, returning `(node index, kernels)` pairs.
 pub fn lower_graph(graph: &Graph) -> Result<Vec<(usize, Vec<KernelSpec>)>, LowerError> {
+    // Lowered into one reused buffer and copied out at exact size.
+    let mut buf = Vec::new();
     graph
         .nodes()
         .iter()
         .enumerate()
-        .map(|(i, n)| try_kernels(graph, n).map(|k| (i, k)))
+        .map(|(i, n)| {
+            buf.clear();
+            try_kernels_into(graph, n, &mut buf)?;
+            Ok((i, buf.clone()))
+        })
         .collect()
 }
 

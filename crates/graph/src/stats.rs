@@ -43,14 +43,16 @@ pub fn summarize(graph: &Graph) -> Result<GraphStats, lower::LowerError> {
     let mut device_op_count = 0usize;
     let (mut flops, mut bytes) = (0.0f64, 0.0f64);
     let mut hist: HashMap<String, usize> = HashMap::new();
+    let mut kernels = Vec::new();
     for node in graph.nodes() {
         *hist.entry(node.op.overhead_key().to_string()).or_insert(0) += 1;
-        let kernels = lower::try_kernels(graph, node)?;
+        kernels.clear();
+        lower::try_kernels_into(graph, node, &mut kernels)?;
         if !kernels.is_empty() {
             device_op_count += 1;
         }
         kernel_count += kernels.len();
-        for k in kernels {
+        for k in &kernels {
             flops += k.flops();
             bytes += k.bytes();
         }

@@ -43,6 +43,7 @@
 //! obs::disable();
 //! ```
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -71,8 +72,9 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Recording-thread ordinal (assigned on each thread's first span).
     pub thread: u32,
-    /// Span name.
-    pub name: String,
+    /// Span name: borrowed for [`span`]'s static names, owned for
+    /// [`span_with`]'s built ones.
+    pub name: Cow<'static, str>,
     /// Phase or Work.
     pub kind: SpanKind,
     /// Start, microseconds since the recorder epoch (monotonic clock).
@@ -306,7 +308,13 @@ pub fn clear_sinks() {
 /// installed sink, and returns the snapshot.
 pub fn flush() -> Snapshot {
     let rec = recorder();
-    let spans = std::mem::take(&mut *rec.spans.lock().expect("obs span buffer poisoned"));
+    let spans = {
+        let mut buf = rec.spans.lock().expect("obs span buffer poisoned");
+        // The next round of spans gets this round's capacity up front, so
+        // recording does not regrow the buffer span by span.
+        let capacity = buf.capacity();
+        std::mem::replace(&mut *buf, Vec::with_capacity(capacity))
+    };
     let mut counters = Vec::new();
     {
         let mut groups = rec.groups.lock().expect("obs group registry poisoned");
@@ -324,13 +332,14 @@ pub fn flush() -> Snapshot {
 }
 
 /// Starts a span with a static name. When the recorder is disabled this is
-/// a single relaxed atomic load returning an inert guard.
+/// a single relaxed atomic load returning an inert guard; when enabled the
+/// name is borrowed, never copied.
 #[inline]
 pub fn span(name: &'static str, kind: SpanKind) -> SpanGuard {
     if !enabled() {
         return SpanGuard(None);
     }
-    start_span(name.to_string(), kind)
+    start_span(Cow::Borrowed(name), kind)
 }
 
 /// Starts a span whose name is built lazily — the closure only runs when
@@ -340,10 +349,10 @@ pub fn span_with<F: FnOnce() -> String>(kind: SpanKind, make_name: F) -> SpanGua
     if !enabled() {
         return SpanGuard(None);
     }
-    start_span(make_name(), kind)
+    start_span(Cow::Owned(make_name()), kind)
 }
 
-fn start_span(name: String, kind: SpanKind) -> SpanGuard {
+fn start_span(name: Cow<'static, str>, kind: SpanKind) -> SpanGuard {
     let rec = recorder();
     let id = rec.next_span_id.fetch_add(1, Ordering::Relaxed);
     let (thread, parent) = THREAD_CTX.with(|ctx| {
@@ -364,7 +373,7 @@ struct ActiveSpan {
     id: u64,
     parent: u64,
     thread: u32,
-    name: String,
+    name: Cow<'static, str>,
     kind: SpanKind,
     start_us: f64,
 }
@@ -442,6 +451,7 @@ mod tests {
         let inner = &snap.spans[0];
         let outer = &snap.spans[1];
         assert_eq!(inner.name, "inner");
+        assert!(matches!(inner.name, Cow::Borrowed(_)), "a static name is not copied");
         assert_eq!(inner.parent, outer.id);
         assert_eq!(outer.parent, 0);
         assert_eq!(inner.thread, outer.thread);

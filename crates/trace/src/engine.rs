@@ -226,13 +226,15 @@ impl ExecutionEngine {
         let mut stream_free: HashMap<usize, f64> = HashMap::new();
         let mut cpu = 0.0f64;
         let mut correlation = 0u64;
+        let mut kernels = Vec::new();
 
         for node in graph.nodes() {
             let key = node.op.overhead_key();
             cpu += self.sample(key, OverheadType::T1);
             let op_start = cpu;
 
-            let kernels = lower::try_kernels(graph, node)?;
+            kernels.clear();
+            lower::try_kernels_into(graph, node, &mut kernels)?;
             let dep_ready = node
                 .inputs
                 .iter()
@@ -246,14 +248,14 @@ impl ExecutionEngine {
             } else {
                 cpu += self.sample(key, OverheadType::T2) + prof_cpu;
                 let n = kernels.len();
-                for (i, k) in kernels.into_iter().enumerate() {
+                for (i, k) in kernels.iter().enumerate() {
                     let t4 = self.sample(key, OverheadType::T4) + prof_gpu;
                     let launch_ts = cpu;
                     let free = stream_free.entry(node.stream).or_insert(0.0);
                     let start = (*free).max(launch_ts + t4 / 2.0).max(dep_ready);
                     // Priced at the scheduled start so time-windowed fault
                     // slowdowns (thermal throttling) apply correctly.
-                    let dur = self.gpu.kernel_time_at(&k, start);
+                    let dur = self.gpu.kernel_time_at(k, start);
                     if !dur.is_finite() || dur < 0.0 {
                         return Err(EngineError::NonFiniteTime {
                             op: node.name.clone(),

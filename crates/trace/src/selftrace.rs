@@ -156,14 +156,14 @@ pub fn traces_from_spans(spans: &[SpanRecord], workload: &str, device: &str) -> 
             let is_root = span.parent == 0 || !recorded.contains(&span.parent);
             if is_root {
                 events.push(TraceEvent {
-                    name: span.name.clone(),
+                    name: span.name.to_string(),
                     cat: EventCat::Op,
                     ts_us: span.start_us,
                     dur_us: span.dur_us,
                     stream: 0,
                     op_index,
                     correlation: 0,
-                    op_key: span.name.clone(),
+                    op_key: span.name.to_string(),
                 });
                 op_index += 1;
             }
@@ -172,19 +172,19 @@ pub fn traces_from_spans(spans: &[SpanRecord], workload: &str, device: &str) -> 
             // still attributes to its own op.
             if !is_root || span.kind == SpanKind::Work {
                 events.push(TraceEvent {
-                    name: span.name.clone(),
+                    name: span.name.to_string(),
                     cat: EventCat::Runtime,
                     ts_us: span.start_us,
                     dur_us: span.dur_us,
                     stream: 0,
                     op_index: op_index.saturating_sub(1),
                     correlation: span.id,
-                    op_key: span.name.clone(),
+                    op_key: span.name.to_string(),
                 });
             }
             if span.kind == SpanKind::Work {
                 events.push(TraceEvent {
-                    name: span.name.clone(),
+                    name: span.name.to_string(),
                     cat: EventCat::Kernel,
                     ts_us: span.start_us,
                     dur_us: span.dur_us,
@@ -227,7 +227,7 @@ mod tests {
             id,
             parent,
             thread,
-            name: name.to_string(),
+            name: name.to_string().into(),
             kind,
             start_us: start,
             dur_us: dur,
