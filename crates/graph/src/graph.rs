@@ -56,6 +56,9 @@ pub enum GraphError {
     InPlaceAlias { node: usize, tensor: usize },
     /// The requested node does not exist.
     NoSuchNode { node: usize },
+    /// A node's id is not its position in execution order (only a decoded
+    /// graph can carry one: every mutator re-indexes ids to positions).
+    NodeIdMismatch { position: usize, id: usize },
 }
 
 impl std::fmt::Display for GraphError {
@@ -74,6 +77,9 @@ impl std::fmt::Display for GraphError {
                 write!(f, "node {node} aliases tensor {tensor} as both input and output")
             }
             GraphError::NoSuchNode { node } => write!(f, "no such node {node}"),
+            GraphError::NodeIdMismatch { position, id } => {
+                write!(f, "node at position {position} carries id {id}")
+            }
         }
     }
 }
@@ -98,7 +104,7 @@ impl GraphIndex {
         let mut producer = vec![None; g.tensors.len()];
         let mut consumers = vec![Vec::new(); g.tensors.len()];
         let mut signatures = Vec::with_capacity(g.nodes.len());
-        for n in &g.nodes {
+        for n in g.nodes.iter() {
             for t in &n.outputs {
                 producer[t.0] = Some(n.id);
             }
@@ -129,12 +135,19 @@ impl GraphIndex {
 }
 
 /// An execution graph: tensors plus operators in execution order.
+///
+/// The tensor and node tables are shared copy-on-write: `clone` copies
+/// only the name and bumps two reference counts, and the first mutation of
+/// a table a clone still shares copies that table alone. A transform that
+/// rewrites tensor metadata (a batch resize) therefore leaves the node
+/// table shared with the graph it was cloned from, and the original never
+/// sees a clone's edits.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Graph {
     /// Workload name (e.g. `"DLRM_default"`).
     pub name: String,
-    tensors: Vec<TensorMeta>,
-    nodes: Vec<Node>,
+    tensors: Arc<Vec<TensorMeta>>,
+    nodes: Arc<Vec<Node>>,
     /// Highest node uid handed out so far (uids start at 1; 0 = unset).
     #[serde(default)]
     next_uid: u64,
@@ -148,8 +161,8 @@ impl Graph {
     pub fn new(name: impl Into<String>) -> Self {
         Graph {
             name: name.into(),
-            tensors: Vec::new(),
-            nodes: Vec::new(),
+            tensors: Arc::default(),
+            nodes: Arc::default(),
             next_uid: 0,
             index: OnceLock::new(),
         }
@@ -170,7 +183,7 @@ impl Graph {
     /// Adds a tensor and returns its handle.
     pub fn add_tensor(&mut self, meta: TensorMeta) -> TensorId {
         self.index.take();
-        self.tensors.push(meta);
+        Arc::make_mut(&mut self.tensors).push(meta);
         TensorId(self.tensors.len() - 1)
     }
 
@@ -192,7 +205,15 @@ impl Graph {
         self.index.take();
         let id = NodeId(self.nodes.len());
         let uid = self.fresh_uid();
-        self.nodes.push(Node { id, uid, name: name.into(), op, inputs, outputs, stream: 0 });
+        Arc::make_mut(&mut self.nodes).push(Node {
+            id,
+            uid,
+            name: name.into(),
+            op,
+            inputs,
+            outputs,
+            stream: 0,
+        });
         id
     }
 
@@ -223,7 +244,7 @@ impl Graph {
     /// touching that tensor.
     pub fn tensor_mut(&mut self, id: TensorId) -> &mut TensorMeta {
         self.index.take();
-        &mut self.tensors[id.0]
+        &mut Arc::make_mut(&mut self.tensors)[id.0]
     }
 
     /// All tensors with their handles.
@@ -248,8 +269,11 @@ impl Graph {
 
     /// Mutable node by handle.
     pub fn node_mut(&mut self, id: NodeId) -> Result<&mut Node, GraphError> {
+        if id.0 >= self.nodes.len() {
+            return Err(GraphError::NoSuchNode { node: id.0 });
+        }
         self.index.take();
-        self.nodes.get_mut(id.0).ok_or(GraphError::NoSuchNode { node: id.0 })
+        Ok(&mut Arc::make_mut(&mut self.nodes)[id.0])
     }
 
     /// Number of nodes.
@@ -271,7 +295,7 @@ impl Graph {
     /// training data, weights).
     pub fn external_inputs(&self) -> Vec<TensorId> {
         let mut produced = vec![false; self.tensors.len()];
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             for t in &n.outputs {
                 produced[t.0] = true;
             }
@@ -293,7 +317,7 @@ impl Graph {
                 n.uid = self.next_uid;
             }
         }
-        self.nodes = nodes;
+        self.nodes = Arc::new(nodes);
     }
 
     /// Direct data-dependency predecessors of `node` (producers of its
@@ -313,6 +337,9 @@ impl Graph {
     pub fn validate(&self) -> Result<(), GraphError> {
         let mut producer: HashMap<usize, usize> = HashMap::new();
         for (pos, n) in self.nodes.iter().enumerate() {
+            if n.id.0 != pos {
+                return Err(GraphError::NodeIdMismatch { position: pos, id: n.id.0 });
+            }
             for t in n.inputs.iter().chain(n.outputs.iter()) {
                 if t.0 >= self.tensors.len() {
                     return Err(GraphError::TensorOutOfRange { node: pos, tensor: t.0 });
@@ -361,11 +388,10 @@ impl Graph {
         let mut g: Graph = serde_json::from_str(s)?;
         g.validate()?;
         g.next_uid = g.nodes.iter().map(|n| n.uid).fold(g.next_uid, u64::max);
-        for i in 0..g.nodes.len() {
-            if g.nodes[i].uid == 0 {
-                g.next_uid += 1;
-                g.nodes[i].uid = g.next_uid;
-            }
+        // A freshly decoded table is unshared, so `make_mut` copies nothing.
+        for n in Arc::make_mut(&mut g.nodes).iter_mut().filter(|n| n.uid == 0) {
+            g.next_uid += 1;
+            n.uid = g.next_uid;
         }
         Ok(g)
     }

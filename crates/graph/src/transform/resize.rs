@@ -6,6 +6,7 @@
 //! dimension, resizing is a pure metadata rewrite — no node surgery needed.
 
 use crate::graph::Graph;
+use crate::tensor::TensorId;
 use crate::transform::TransformError;
 
 /// Rescales every batch-annotated tensor of `graph` to `new_batch`.
@@ -39,15 +40,12 @@ pub fn resize_batch(graph: &mut Graph, new_batch: u64) -> Result<u64, TransformE
         TransformError::NothingToTransform("no tensor carries a batch dimension".into())
     })?;
 
-    let ids: Vec<_> = graph
-        .tensors()
-        .filter(|(_, t)| t.batch_dim.is_some())
-        .map(|(id, _)| id)
-        .collect();
-    for id in ids {
-        let t = graph.tensor_mut(id);
-        let dim = t.batch_dim.expect("filtered on batch_dim");
-        t.shape[dim] = new_batch;
+    // The first `tensor_mut` copies a shared tensor table; the node table
+    // stays shared.
+    for i in 0..graph.tensor_count() {
+        if let Some(dim) = graph.tensor(TensorId(i)).batch_dim {
+            graph.tensor_mut(TensorId(i)).shape[dim] = new_batch;
+        }
     }
     Ok(old)
 }

@@ -9,7 +9,7 @@
 
 use dlperf_core::predictor::{PredictError, WalkScratch};
 use dlperf_distrib::{enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy};
-use dlperf_graph::memory;
+use dlperf_graph::{memory, Graph};
 use dlperf_models::zoo;
 use dlperf_runtime::CancellationToken;
 
@@ -17,6 +17,10 @@ use crate::api::{
     Body, ConfigChoice, ErrorCode, Objective, RecommendQuery, RecommendationBody, RejectedConfig,
 };
 use crate::server::{resolve_devices, Shared};
+
+/// A batch's prepared graph (a copy-on-write clone of the stored one) with
+/// its memory report, or the reason it could not be prepared.
+type SizedGraph = Result<(Graph, memory::MemoryReport), String>;
 
 /// Default batch ladder when the query names none.
 const DEFAULT_BATCHES: [u64; 5] = [256, 512, 1024, 2048, 4096];
@@ -68,11 +72,15 @@ pub(crate) fn run(
 
     let mut ranked: Vec<ConfigChoice> = Vec::new();
     let mut rejected: Vec<RejectedConfig> = Vec::new();
+    // Each batch's prepared graph and memory report, filled by the first
+    // device that reaches the batch and reused by every later one: both
+    // are pure functions of the batch.
+    let mut sized_batches: Vec<Option<SizedGraph>> = vec![None; batches.len()];
 
     for device_name in &device_names {
         let engine = shared.engine(device_name).expect("resolved above");
         let device = engine.pipeline.device().clone();
-        for &batch in batches {
+        for (slot, &batch) in batches.iter().enumerate() {
             if token.is_cancelled() {
                 return Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-search");
             }
@@ -84,19 +92,23 @@ pub(crate) fn run(
                 });
                 continue;
             }
-            let graph = entry.graph(batch);
-            let g = match graph.as_ref() {
-                Ok(g) => g,
-                Err(e) => {
+            let sized = sized_batches[slot].get_or_insert_with(|| {
+                match entry.graph(batch).as_ref() {
+                    Ok(g) => Ok((g.clone(), memory::estimate(g))),
+                    Err(e) => Err(format!("graph preparation failed: {e}")),
+                }
+            });
+            let (g, report) = match &*sized {
+                Ok((g, report)) => (g, report),
+                Err(reason) => {
                     rejected.push(RejectedConfig {
                         device: device_name.clone(),
                         batch,
-                        reason: format!("graph preparation failed: {e}"),
+                        reason: reason.clone(),
                     });
                     continue;
                 }
             };
-            let report = memory::estimate(g);
             if !report.fits(device.memory_bytes, 0.1) {
                 rejected.push(RejectedConfig {
                     device: device_name.clone(),

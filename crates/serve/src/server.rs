@@ -828,6 +828,7 @@ mod tests {
     use dlperf_kernels::CalibrationEffort;
 
     use super::*;
+    use crate::api::{Objective, RecommendQuery};
 
     #[test]
     fn unlowerable_graph_answers_with_the_inner_lowering_error() {
@@ -869,5 +870,35 @@ mod tests {
         // names the inner lowering error exactly once.
         assert_eq!(predict(1), (500, format!("lowering failed: {lower_err}")));
         assert_eq!(predict(2), (500, format!("degraded lowering failed: {lower_err}")));
+    }
+
+    #[test]
+    fn recommend_prepares_each_batch_once_for_every_device() {
+        let workloads = vec![zoo::build("dlrm-default", 512).unwrap()];
+        let pipelines = [DeviceSpec::v100(), DeviceSpec::p100()]
+            .iter()
+            .map(|d| Pipeline::analyze(d, &workloads, CalibrationEffort::Quick, 5, 11))
+            .collect();
+        let cfg = ServerConfig { workers: 1, base_batch: 512, ..ServerConfig::default() };
+        let server = Server::start(pipelines, &["dlrm-default"], cfg, None).unwrap();
+        let query = RecommendQuery {
+            model: "dlrm-default".into(),
+            batches: vec![256, 768],
+            devices: vec![],
+            max_latency_ms: None,
+            world_sizes: vec![],
+            strategies: None,
+            topologies: None,
+            objective: Objective::Latency,
+            deadline_ms: Some(60_000.0),
+        };
+        let Body::Recommendation(r) = server.submit(Request { id: 1, op: Op::Recommend(query) }).body
+        else {
+            panic!("expected a recommendation")
+        };
+        assert_eq!(r.ranked.len(), 4, "every (device, batch) cell is priced");
+        // One store lookup per batch, however many devices price it.
+        let stats = server.shared.models["dlrm-default"].prepared.stats();
+        assert_eq!(stats.hits + stats.misses, 2, "{stats:?}");
     }
 }

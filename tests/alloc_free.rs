@@ -2,7 +2,9 @@
 //! state them: once warm, `ModelRegistry::predict_batch_into`,
 //! `E2ePredictor::walk` (which lowers straight into its scratch) and
 //! `IncrementalPredictor::repredict_scratch` perform no heap allocation,
-//! with or without a memo cache.
+//! with or without a memo cache. Graphs share their tables copy-on-write:
+//! a clone allocates only its name, and a batch resize copies only the
+//! tensor table.
 //!
 //! A counting global allocator tallies fresh blocks and resizes per
 //! thread, so tests running in parallel cannot see each other's traffic.
@@ -15,12 +17,13 @@ use std::hint::black_box;
 use dlrm_perf_model::core::incremental::IncrementalPredictor;
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::WalkScratch;
+use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
 use dlrm_perf_model::gpusim::{DeviceSpec, KernelSpec};
 use dlrm_perf_model::graph::lower;
 use dlrm_perf_model::graph::transform::resize_batch;
 use dlrm_perf_model::graph::Graph;
 use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache, MemoScratch};
-use dlrm_perf_model::models::DlrmConfig;
+use dlrm_perf_model::models::{zoo, DlrmConfig};
 use dlrm_perf_model::nn::arena::ScratchArena;
 
 struct Counting;
@@ -167,5 +170,32 @@ fn warm_repredict_allocates_nothing_with_or_without_a_cache() {
             "a warm repredict (cache: {}) allocated",
             cache.is_some()
         );
+    }
+}
+
+#[test]
+fn a_graph_clone_allocates_only_its_name_on_every_zoo_model() {
+    for model in zoo::MODEL_NAMES {
+        let graph = zoo::build(model, 1024).expect("zoo model builds");
+        assert_eq!(allocations(|| drop(black_box(graph.clone()))), 1, "{model}: clone");
+    }
+}
+
+#[test]
+fn a_resize_preparation_copies_only_the_tensor_table() {
+    // The copy is the table's `Arc` and buffer plus one shape per tensor
+    // whose shape is non-empty; the graph's name is the one other block.
+    // The node table stays shared, so node count never enters the count.
+    let resize = [GraphMutation::ResizeBatch(2048)];
+    let graph = DlrmConfig::default_config(1024).build();
+    assert_eq!(allocations(|| drop(black_box(prepare_graph(&graph, &resize)))), 181);
+    for model in zoo::MODEL_NAMES {
+        let graph = zoo::build(model, 1024).expect("zoo model builds");
+        if prepare_graph(&graph, &resize).is_err() {
+            continue; // no batch-annotated tensor to resize
+        }
+        let shapes = graph.tensors().filter(|(_, t)| !t.shape.is_empty()).count() as u64;
+        let count = allocations(|| drop(black_box(prepare_graph(&graph, &resize))));
+        assert_eq!(count, 3 + shapes, "{model}: {} nodes", graph.node_count());
     }
 }

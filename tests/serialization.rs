@@ -3,9 +3,9 @@
 
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::gpusim::DeviceSpec;
-use dlrm_perf_model::graph::Graph;
+use dlrm_perf_model::graph::{Graph, GraphError};
 use dlrm_perf_model::kernels::{CalibrationEffort, ModelRegistry};
-use dlrm_perf_model::models::DlrmConfig;
+use dlrm_perf_model::models::{zoo, DlrmConfig};
 use dlrm_perf_model::trace::{OverheadStats, OverheadType};
 
 #[test]
@@ -24,6 +24,44 @@ fn execution_graph_round_trips_through_json() {
         assert_eq!(a.inputs, b.inputs);
         assert_eq!(a.outputs, b.outputs);
     }
+}
+
+/// wide-deep's graph JSON with node `ids` written over the listed
+/// positions' `id` fields.
+fn wide_deep_with_node_ids(ids: &[(usize, f64)]) -> String {
+    let g = zoo::build("wide-deep", 128).expect("wide-deep builds");
+    let mut v = serde_json::to_value(&g);
+    let serde_json::Value::Obj(entries) = &mut v else { panic!("graph is an object") };
+    let Some((_, serde_json::Value::Arr(nodes))) = entries.iter_mut().find(|(k, _)| k == "nodes")
+    else {
+        panic!("graph has a node array")
+    };
+    for &(position, id) in ids {
+        let serde_json::Value::Obj(fields) = &mut nodes[position] else { panic!("node object") };
+        let (_, value) = fields.iter_mut().find(|(k, _)| k == "id").expect("node has an id");
+        *value = serde_json::Value::Num(id);
+    }
+    serde_json::to_string(&v).unwrap()
+}
+
+#[test]
+fn decoded_node_ids_must_be_positions() {
+    // Hoisting treats a node id as its position, so a decoded graph whose
+    // ids are permuted or out of range is a typed error, never a panic or
+    // a silently wrong transform.
+    let typed = |json: &str| {
+        let err = Graph::from_json(json).expect_err("ids that are not positions");
+        err.downcast_ref::<GraphError>().cloned().expect("a typed graph error")
+    };
+    assert_eq!(
+        typed(&wide_deep_with_node_ids(&[(0, 1.0), (1, 0.0)])),
+        GraphError::NodeIdMismatch { position: 0, id: 1 }
+    );
+    assert_eq!(
+        typed(&wide_deep_with_node_ids(&[(3, 100_000.0)])),
+        GraphError::NodeIdMismatch { position: 3, id: 100_000 }
+    );
+    assert!(Graph::from_json(&wide_deep_with_node_ids(&[])).is_ok());
 }
 
 #[test]
