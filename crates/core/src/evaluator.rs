@@ -22,7 +22,7 @@ use crate::incremental::{IncrementalPredictor, IncrementalStats};
 use crate::pipeline::Pipeline;
 use crate::predictor::{PredictError, Prediction, WalkScratch};
 use crate::sweep::{
-    par_map_with, prepare_graph, GraphMutation, MutationError, DEFAULT_MEMO_CAPACITY,
+    par_map_with, prepare_graph, prepare_onto, GraphMutation, MutationError, DEFAULT_MEMO_CAPACITY,
 };
 
 /// Point-in-time counters of a [`PreparedStore`].
@@ -171,15 +171,36 @@ impl PreparedStore {
     /// The prepared graph for `mutations` applied to `base` (the graph the
     /// store is rebased on): a store hit, or [`prepare_graph`] run outside
     /// the lock and then inserted.
+    ///
+    /// A search child's list is its parent's plus one move, and the
+    /// parent's graph is stored. When the list minus its last mutation is
+    /// stored and prepared, only the last mutation is applied, to a copy of
+    /// that graph; mutations apply in order, so the graph is the one
+    /// [`prepare_graph`] builds from `base`. Looking up the parent counts
+    /// no hit or miss and refreshes no stamp.
     pub fn get_or_prepare(
         &self,
         base: &Graph,
         mutations: &[GraphMutation],
     ) -> Arc<Result<Graph, MutationError>> {
-        match self.get(mutations) {
-            Some(g) => g,
-            None => self.insert(mutations.to_vec(), Arc::new(prepare_graph(base, mutations))),
+        if let Some(g) = self.get(mutations) {
+            return g;
         }
+        let prepared = match mutations.split_last() {
+            Some((last, head)) => match self.peek(head).as_deref() {
+                Some(Ok(parent)) => prepare_onto(parent.clone(), std::slice::from_ref(last)),
+                _ => prepare_graph(base, mutations),
+            },
+            None => prepare_graph(base, mutations),
+        };
+        self.insert(mutations.to_vec(), Arc::new(prepared))
+    }
+
+    /// The prepared graph for `mutations`, without counting the lookup or
+    /// refreshing its stamp.
+    fn peek(&self, mutations: &[GraphMutation]) -> Option<Arc<Result<Graph, MutationError>>> {
+        let inner = self.inner.lock().expect("prepared store poisoned");
+        inner.graphs.get(mutations).map(|(g, _)| g.clone())
     }
 
     /// The incremental baseline checkpointed for `device`, if any.

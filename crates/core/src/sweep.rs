@@ -503,8 +503,17 @@ where
 /// # Errors
 /// [`MutationError`] identifying the first transform that failed and why.
 pub fn prepare_graph(base: &Graph, mutations: &[GraphMutation]) -> Result<Graph, MutationError> {
+    prepare_onto(base.clone(), mutations)
+}
+
+/// Applies `mutations` in order to `g`, [`prepare_graph`]'s loop. Because
+/// the loop is sequential, `prepare_onto(prepare_graph(base, head)?, tail)`
+/// is `prepare_graph(base, head ++ tail)` whenever the head applies.
+pub(crate) fn prepare_onto(
+    mut g: Graph,
+    mutations: &[GraphMutation],
+) -> Result<Graph, MutationError> {
     let _span = dlperf_obs::span("sweep.prepare", dlperf_obs::SpanKind::Phase);
-    let mut g = base.clone();
     for m in mutations {
         let r = match m {
             GraphMutation::ResizeBatch(b) => resize_batch(&mut g, *b).map(|_| ()),

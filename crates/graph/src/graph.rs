@@ -7,7 +7,6 @@
 //! each tensor has at most one producer.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use crate::op::OpKind;
@@ -87,43 +86,38 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// Derived read-only views of a graph, built lazily by [`Graph::index`]
-/// and cached until the next structural mutation: producer/consumer maps
-/// (O(1) per query instead of a node scan), the execution order, and a
-/// structural signature per node. The signatures are what incremental
-/// re-prediction diffs: two nodes with equal signatures contribute
-/// identical per-node cost terms to the Algorithm-1 walk.
+/// and cached until the next structural mutation: a producer map (O(1)
+/// per query instead of a node scan) and a structural signature per node.
+/// The signatures are what incremental re-prediction diffs: two nodes with
+/// equal signatures contribute identical per-node cost terms to the
+/// Algorithm-1 walk. Every fresh graph (each search candidate, each
+/// sharded segment) builds one, so it holds only what a reader uses.
 #[derive(Debug)]
 pub struct GraphIndex {
     producer: Vec<Option<NodeId>>,
-    consumers: Vec<Vec<NodeId>>,
     signatures: Vec<u64>,
 }
 
 impl GraphIndex {
-    fn build(g: &Graph) -> Self {
+    /// Builds the views from scratch; [`Graph::index`] caches the result.
+    /// A tensor's producer is its first producer in execution order, the
+    /// same rule as [`Graph::producer`], so the two agree even on a graph
+    /// that [`Graph::validate`] rejects for multiple producers.
+    pub fn build(g: &Graph) -> Self {
         let mut producer = vec![None; g.tensors.len()];
-        let mut consumers = vec![Vec::new(); g.tensors.len()];
         let mut signatures = Vec::with_capacity(g.nodes.len());
         for n in g.nodes.iter() {
             for t in &n.outputs {
-                producer[t.0] = Some(n.id);
-            }
-            for t in &n.inputs {
-                consumers[t.0].push(n.id);
+                producer[t.0].get_or_insert(n.id);
             }
             signatures.push(crate::delta::node_signature(g, n));
         }
-        GraphIndex { producer, consumers, signatures }
+        GraphIndex { producer, signatures }
     }
 
     /// The node producing `tensor`, if any (graph inputs have none).
     pub fn producer(&self, tensor: TensorId) -> Option<NodeId> {
         self.producer.get(tensor.0).copied().flatten()
-    }
-
-    /// Nodes consuming `tensor`, in execution order.
-    pub fn consumers(&self, tensor: TensorId) -> &[NodeId] {
-        self.consumers.get(tensor.0).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
     /// Per-node structural signatures, in execution order. Position `i`
@@ -174,7 +168,7 @@ impl Graph {
         self.next_uid
     }
 
-    /// The cached derived views (producers, consumers, node signatures),
+    /// The cached derived views (producers, node signatures),
     /// built on first use after any structural mutation.
     pub fn index(&self) -> Arc<GraphIndex> {
         self.index.get_or_init(|| Arc::new(GraphIndex::build(self))).clone()
@@ -334,8 +328,13 @@ impl Graph {
     }
 
     /// Checks structural invariants; see [`GraphError`] for the cases.
+    ///
+    /// The first pass checks each node alone and records each tensor's
+    /// producer by position in a dense table; every tensor id is
+    /// range-checked before it indexes the table. Use-before-def needs the
+    /// whole table, so a second pass reports it, after every other error.
     pub fn validate(&self) -> Result<(), GraphError> {
-        let mut producer: HashMap<usize, usize> = HashMap::new();
+        let mut producer: Vec<Option<usize>> = vec![None; self.tensors.len()];
         for (pos, n) in self.nodes.iter().enumerate() {
             if n.id.0 != pos {
                 return Err(GraphError::NodeIdMismatch { position: pos, id: n.id.0 });
@@ -345,30 +344,20 @@ impl Graph {
                     return Err(GraphError::TensorOutOfRange { node: pos, tensor: t.0 });
                 }
             }
-            for t in &n.inputs {
-                if n.outputs.contains(t) {
-                    return Err(GraphError::InPlaceAlias { node: pos, tensor: t.0 });
-                }
-                if let Some(&p) = producer.get(&t.0) {
-                    if p >= pos {
-                        return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
-                    }
-                }
+            if let Some(t) = n.inputs.iter().find(|t| n.outputs.contains(t)) {
+                return Err(GraphError::InPlaceAlias { node: pos, tensor: t.0 });
             }
             for t in &n.outputs {
-                if let Some(&first) = producer.get(&t.0) {
+                if let Some(first) = producer[t.0] {
                     return Err(GraphError::MultipleProducers { tensor: t.0, first, second: pos });
                 }
-                producer.insert(t.0, pos);
+                producer[t.0] = Some(pos);
             }
         }
-        // Check use-before-def also for tensors whose producer appears later.
         for (pos, n) in self.nodes.iter().enumerate() {
             for t in &n.inputs {
-                if let Some(&p) = producer.get(&t.0) {
-                    if p >= pos {
-                        return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
-                    }
+                if let Some(p) = producer[t.0].filter(|&p| p >= pos) {
+                    return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
                 }
             }
         }
@@ -510,6 +499,106 @@ mod tests {
         assert_eq!(g.nodes()[1].uid, 2);
         // `from_json` restores the counter from the node uids.
         assert_eq!(Graph::from_json(&json).unwrap().next_uid, 2);
+    }
+
+    /// A graph of `tensors` activations and one Relu per `(id, inputs,
+    /// outputs)`, installed as given: ids, ranges and dependencies are not
+    /// checked, so the graph can break every rule `validate` knows.
+    fn raw_graph(tensors: usize, nodes: &[(usize, &[usize], &[usize])]) -> Graph {
+        let mut g = Graph::new("raw");
+        for _ in 0..tensors {
+            g.add_tensor(TensorMeta::activation(&[4]));
+        }
+        let ids = |ts: &[usize]| ts.iter().map(|&t| TensorId(t)).collect();
+        let nodes = nodes
+            .iter()
+            .map(|&(id, inputs, outputs)| Node {
+                id: NodeId(id),
+                uid: 0,
+                name: "relu".into(),
+                op: OpKind::Relu,
+                inputs: ids(inputs),
+                outputs: ids(outputs),
+                stream: 0,
+            })
+            .collect();
+        g.nodes = Arc::new(nodes);
+        g
+    }
+
+    #[test]
+    fn validate_errors_are_frozen() {
+        // Frozen from the hash-map implementation of `validate`: one graph
+        // per error it reports, plus graphs that pin which error wins when
+        // a graph breaks several rules.
+        use GraphError::*;
+        let cases: [(Graph, Result<(), GraphError>); 11] = [
+            (raw_graph(3, &[(0, &[0], &[1]), (1, &[1], &[2])]), Ok(())),
+            (
+                raw_graph(3, &[(0, &[0], &[1]), (5, &[1], &[2])]),
+                Err(NodeIdMismatch { position: 1, id: 5 }),
+            ),
+            (
+                raw_graph(3, &[(0, &[0], &[1]), (1, &[1, 7], &[2])]),
+                Err(TensorOutOfRange { node: 1, tensor: 7 }),
+            ),
+            (
+                raw_graph(3, &[(0, &[0], &[1]), (1, &[1], &[9])]),
+                Err(TensorOutOfRange { node: 1, tensor: 9 }),
+            ),
+            (
+                raw_graph(3, &[(0, &[0], &[1]), (1, &[2, 1], &[1])]),
+                Err(InPlaceAlias { node: 1, tensor: 1 }),
+            ),
+            (
+                raw_graph(3, &[(0, &[2], &[1]), (1, &[0], &[2])]),
+                Err(UseBeforeDef { node: 0, tensor: 2, producer: 1 }),
+            ),
+            (
+                raw_graph(
+                    5,
+                    &[(0, &[0], &[1]), (1, &[1, 4], &[2]), (2, &[2, 4], &[3]), (3, &[0], &[4])],
+                ),
+                Err(UseBeforeDef { node: 1, tensor: 4, producer: 3 }),
+            ),
+            (
+                raw_graph(2, &[(0, &[0], &[1]), (1, &[0], &[1])]),
+                Err(MultipleProducers { tensor: 1, first: 0, second: 1 }),
+            ),
+            (
+                raw_graph(2, &[(0, &[0], &[1, 1])]),
+                Err(MultipleProducers { tensor: 1, first: 0, second: 0 }),
+            ),
+            (
+                // A use-before-def at node 0 loses to a second producer at
+                // node 2: use-before-def is reported after every other error.
+                raw_graph(3, &[(0, &[2], &[1]), (1, &[0], &[2]), (2, &[0], &[2])]),
+                Err(MultipleProducers { tensor: 2, first: 1, second: 2 }),
+            ),
+            (
+                // The first failing node decides, whatever its error.
+                raw_graph(3, &[(0, &[0], &[0]), (3, &[0], &[1])]),
+                Err(InPlaceAlias { node: 0, tensor: 0 }),
+            ),
+        ];
+        for (i, (graph, want)) in cases.iter().enumerate() {
+            assert_eq!(&graph.validate(), want, "case {i}");
+        }
+    }
+
+    #[test]
+    fn index_keeps_the_first_of_two_producers_like_the_scan() {
+        let mut g = Graph::new("two producers");
+        let a = g.add_tensor(TensorMeta::activation(&[4]));
+        let b = g.add_tensor(TensorMeta::activation(&[4]));
+        let c = g.add_tensor(TensorMeta::activation(&[4]));
+        g.add_op(OpKind::Relu, vec![a], vec![b]);
+        g.add_op(OpKind::Sigmoid, vec![a], vec![b]);
+        g.add_op(OpKind::Relu, vec![b], vec![c]);
+        assert!(matches!(g.validate(), Err(GraphError::MultipleProducers { .. })));
+        assert_eq!(g.producer(b), Some(NodeId(0)));
+        assert_eq!(g.index().producer(b), g.producer(b));
+        assert_eq!(g.predecessors(NodeId(2)), vec![NodeId(0)]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! predicate mirrors the precondition section of its transform and the
 //! tests below pin the two against each other.
 
-use crate::graph::Graph;
+use crate::graph::{Graph, GraphIndex};
 use crate::op::OpKind;
 
 /// Whether [`super::fuse_embedding_bags`] would succeed: at least two
@@ -55,19 +55,34 @@ pub fn can_fuse_embedding_bags(graph: &Graph) -> bool {
 /// Whether hoisting the node at `position` via [`super::hoist_earliest`]
 /// would actually move it: some slot strictly earlier than its current
 /// one sits after all of its producers.
+///
+/// Producers come from the graph's cached [`GraphIndex`], which keeps a
+/// tensor's first producer like [`Graph::producer`], so the answer is the
+/// transform's on every graph, valid or not.
 pub fn can_hoist(graph: &Graph, position: usize) -> bool {
-    if position >= graph.node_count() {
-        return false;
-    }
-    let node = graph.nodes()[position].id;
-    let earliest = graph.predecessors(node).iter().map(|p| p.0 + 1).max().unwrap_or(0);
-    earliest < node.0
+    position < graph.node_count() && moves_on_hoist(graph, &graph.index(), position)
 }
 
 /// Positions whose hoist would move the node, ascending — the
-/// deterministic enumeration order the search layer relies on.
+/// deterministic enumeration order the search layer relies on. One index
+/// lookup per input, so O(nodes + edges) once the index is built.
 pub fn hoistable_nodes(graph: &Graph) -> Vec<usize> {
-    (0..graph.node_count()).filter(|&i| can_hoist(graph, i)).collect()
+    let index = graph.index();
+    (0..graph.node_count()).filter(|&i| moves_on_hoist(graph, &index, i)).collect()
+}
+
+/// [`can_hoist`] for an in-range `position`: the earliest legal slot,
+/// right after the last producer of any input, lies before the node.
+fn moves_on_hoist(graph: &Graph, index: &GraphIndex, position: usize) -> bool {
+    let node = graph.nodes()[position].id;
+    let earliest = graph.nodes()[node.0]
+        .inputs
+        .iter()
+        .filter_map(|&t| index.producer(t))
+        .map(|p| p.0 + 1)
+        .max()
+        .unwrap_or(0);
+    earliest < node.0
 }
 
 /// Whether [`super::resize_batch`] to `new_batch` would succeed *and*
@@ -150,6 +165,28 @@ mod tests {
             assert_eq!(legal, moved, "hoist predicate disagrees at position {pos}");
         }
         assert_eq!(hoistable_nodes(&g), vec![2]);
+    }
+
+    #[test]
+    fn hoist_predicate_reads_the_first_of_two_producers() {
+        // Tensor b has two producers (node 0 and node 2); node 3 consumes
+        // it. The scan's first producer puts node 3's earliest slot at 1.
+        let mut g = Graph::new("two producers");
+        let a = g.add_tensor(TensorMeta::activation(&[8]));
+        let b = g.add_tensor(TensorMeta::activation(&[8]));
+        let c = g.add_tensor(TensorMeta::activation(&[8]));
+        let d = g.add_tensor(TensorMeta::activation(&[8]));
+        g.add_op(OpKind::Relu, vec![a], vec![b]);
+        g.add_op(OpKind::Relu, vec![a], vec![c]);
+        g.add_op(OpKind::Sigmoid, vec![a], vec![b]);
+        g.add_op(OpKind::Relu, vec![b], vec![d]);
+        assert!(g.validate().is_err(), "two producers of one tensor");
+        for pos in 0..g.node_count() {
+            let earliest =
+                g.predecessors(g.nodes()[pos].id).iter().map(|p| p.0 + 1).max().unwrap_or(0);
+            assert_eq!(can_hoist(&g, pos), earliest < pos, "position {pos}");
+        }
+        assert_eq!(hoistable_nodes(&g), vec![1, 2, 3]);
     }
 
     #[test]

@@ -42,19 +42,21 @@
 //!
 //! A long-lived service answering millions of *distinct* queries must not
 //! grow without bound, so the cache supports a hard capacity cap
-//! ([`MemoCache::with_capacity`]) with LRU-by-epoch eviction: every
-//! access stamps its entry from a global epoch counter, and inserting
-//! into a full shard evicts that shard's least-recently-stamped entry
-//! (found in O(log n) via a per-shard recency index, never by scanning).
+//! ([`MemoCache::with_capacity`]) with CLOCK (second-chance) eviction.
+//! Each entry carries one *referenced* bit, set by every hit; a hit does
+//! nothing else, so a warm walk on a bounded cache costs what it costs on
+//! an unbounded one. Each shard keeps a ring of its resident keys and a
+//! clock hand. Only a store into a full shard moves the hand: it clears
+//! and skips referenced entries and evicts the first unreferenced one, so
+//! an entry hit since the hand last passed it survives one more sweep.
 //! Eviction changes *hit rates* only, never values — a re-miss recomputes
 //! the same pure function bit-for-bit — so the bitwise determinism
 //! contract is unaffected by capacity. For the same reason the hash
 //! function is free to change: it moves keys between shards, which
 //! changes which entry a full shard evicts, never a value.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dlperf_gpusim::{KernelFamily, KernelSpec, MemcpyKind};
@@ -205,8 +207,7 @@ pub struct MemoCacheStats {
     pub misses: u64,
     /// Distinct keys currently stored.
     pub entries: usize,
-    /// Entries dropped by the LRU-by-epoch capacity cap (0 on unbounded
-    /// caches).
+    /// Entries dropped by the CLOCK capacity cap (0 on unbounded caches).
     pub evictions: u64,
 }
 
@@ -246,24 +247,50 @@ impl std::fmt::Display for MemoCacheStats {
     }
 }
 
-/// A thread-safe memo table for kernel-model evaluations.
-///
-/// A memoized evaluation plus the epoch stamp of its last access.
-type StampedEntry = ((f64, Confidence), u64);
+/// A memoized evaluation plus its CLOCK reference bit, which fits in the
+/// value's padding.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    time: f64,
+    confidence: Confidence,
+    /// Set by every hit; cleared by the clock hand passing the entry.
+    referenced: bool,
+}
 
 /// One independently locked slice of the cache. Bounded caches also keep
-/// a stamp→key recency index so eviction pops the exact LRU entry in
-/// O(log n) instead of scanning the whole shard under the lock — at the
-/// serve default of 16K entries per shard, a full scan per miss would
-/// serialize every worker on precisely the diverse-request load the cap
-/// exists to absorb. Stamps come from a shared atomic counter, so they
-/// are unique and the index is a bijection with the map's entries.
+/// a ring of the shard's resident keys, one slot per entry, and the clock
+/// hand that walks it on eviction. The ring is a bijection with the map's
+/// keys: a new key takes a fresh slot until the shard is full and the
+/// victim's slot after that.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<MemoKey, StampedEntry, BuildHasherDefault<PassThrough>>,
-    /// Recency index; kept empty (and unmaintained) on unbounded caches,
-    /// which never evict and so never need it.
-    by_stamp: BTreeMap<u64, MemoKey>,
+    map: HashMap<MemoKey, Entry, BuildHasherDefault<PassThrough>>,
+    /// Resident keys; kept empty (and unmaintained) on unbounded caches,
+    /// which never evict.
+    ring: Vec<MemoKey>,
+    /// The ring slot the next eviction examines first.
+    hand: usize,
+}
+
+impl Shard {
+    /// Evicts the first unreferenced entry at or after the hand, clearing
+    /// the reference bit of each referenced entry it passes, and gives the
+    /// victim's ring slot to `key`. Ends within one turn plus one slot,
+    /// because a full turn clears every bit.
+    fn replace_victim(&mut self, key: MemoKey) {
+        loop {
+            let slot = self.hand;
+            self.hand = (slot + 1) % self.ring.len();
+            let resident = self.map.get_mut(&self.ring[slot]).expect("ring key is resident");
+            if resident.referenced {
+                resident.referenced = false;
+            } else {
+                let victim = std::mem::replace(&mut self.ring[slot], key);
+                self.map.remove(&victim);
+                return;
+            }
+        }
+    }
 }
 
 /// A thread-safe memo table for kernel-model evaluations.
@@ -280,13 +307,7 @@ struct Shard {
 /// policy.
 #[derive(Debug)]
 pub struct MemoCache {
-    /// Each entry carries the value and its last-access epoch stamp.
     shards: Vec<Mutex<Shard>>,
-    /// Global access clock: every probe hit and every store draws a fresh
-    /// stamp, so per-shard minimum-stamp eviction is exactly LRU within
-    /// the shard. Relaxed ordering suffices — stamps only order accesses,
-    /// they guard nothing.
-    epoch: CachePadded<AtomicU64>,
     /// Total entry cap (`None` = unbounded). Enforced per shard as
     /// `capacity / SHARDS`, so the whole cache can never exceed the cap.
     capacity: Option<usize>,
@@ -313,8 +334,8 @@ impl MemoCache {
         Self::build(None)
     }
 
-    /// An empty cache holding at most `capacity` entries, evicting
-    /// LRU-by-epoch once full. The cap is distributed across the shards
+    /// An empty cache holding at most `capacity` entries, evicting by
+    /// CLOCK once full. The cap is distributed across the shards
     /// (`capacity / SHARDS` each), so total occupancy never exceeds
     /// `capacity`.
     ///
@@ -333,7 +354,6 @@ impl MemoCache {
         let evictions = obs.handle("evictions");
         MemoCache {
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            epoch: CachePadded(AtomicU64::new(0)),
             capacity,
             per_shard_cap: capacity.map_or(usize::MAX, |c| c / SHARDS),
             obs,
@@ -353,44 +373,35 @@ impl MemoCache {
         &self.obs
     }
 
-    /// Looks up `key` without counting, refreshing its LRU stamp (and
-    /// recency-index slot, on bounded caches) on a hit.
+    /// Looks up `key` without counting, setting its reference bit on a
+    /// hit.
     fn probe(&self, key: &MemoKey) -> Option<(f64, Confidence)> {
-        let mut guard = self.shards[key.shard()].lock().expect("memo shard poisoned");
-        let shard = &mut *guard;
+        let mut shard = self.shards[key.shard()].lock().expect("memo shard poisoned");
         let entry = shard.map.get_mut(key)?;
-        if self.capacity.is_some() {
-            let stamp = self.epoch.0.fetch_add(1, Ordering::Relaxed);
-            shard.by_stamp.remove(&entry.1);
-            entry.1 = stamp;
-            shard.by_stamp.insert(stamp, *key);
-        }
-        Some(entry.0)
+        entry.referenced = true;
+        Some((entry.time, entry.confidence))
     }
 
-    /// Stores `key → value` without counting, evicting the shard's
-    /// least-recently-stamped entry first when a *new* key would push the
-    /// shard past its cap.
-    fn store(&self, key: MemoKey, value: (f64, Confidence)) {
-        let stamp = self.epoch.0.fetch_add(1, Ordering::Relaxed);
+    /// Stores `key → value` without counting. A *new* key on a full shard
+    /// of a bounded cache first evicts the CLOCK victim and takes its ring
+    /// slot; new entries start unreferenced. A re-store of a resident key
+    /// (two threads racing on one miss) keeps its slot and bit.
+    fn store(&self, key: MemoKey, (time, confidence): (f64, Confidence)) {
         let mut guard = self.shards[key.shard()].lock().expect("memo shard poisoned");
         let shard = &mut *guard;
-        if self.capacity.is_none() {
-            shard.map.insert(key, (value, stamp));
+        if let Some(resident) = shard.map.get_mut(&key) {
+            (resident.time, resident.confidence) = (time, confidence);
             return;
         }
-        if let Some(&(_, old_stamp)) = shard.map.get(&key) {
-            // Re-store of a resident key: retire its old index slot so the
-            // index never holds a stale stamp for a live entry.
-            shard.by_stamp.remove(&old_stamp);
-        } else if shard.map.len() >= self.per_shard_cap {
-            if let Some((_, victim)) = shard.by_stamp.pop_first() {
-                shard.map.remove(&victim);
+        if self.capacity.is_some() {
+            if shard.ring.len() < self.per_shard_cap {
+                shard.ring.push(key);
+            } else {
+                shard.replace_victim(key);
                 self.evictions.incr();
             }
         }
-        shard.map.insert(key, (value, stamp));
-        shard.by_stamp.insert(stamp, key);
+        shard.map.insert(key, Entry { time, confidence, referenced: false });
     }
 
     /// Looks up `key`, evaluating `compute` and storing its result on a
@@ -429,7 +440,8 @@ impl MemoCache {
         for s in &self.shards {
             let mut shard = s.lock().expect("memo shard poisoned");
             shard.map.clear();
-            shard.by_stamp.clear();
+            shard.ring.clear();
+            shard.hand = 0;
         }
         self.hits.reset();
         self.misses.reset();
@@ -453,7 +465,8 @@ impl From<&MemoCache> for MemoCacheStats {
 /// of an absent key counts one miss, every duplicate of it later in the
 /// batch counts a hit (as it would had the batch been a scalar loop, insert
 /// then hit), and the misses are stored in input order, so cache
-/// statistics and LRU eviction do not depend on which path did the lookups.
+/// statistics and CLOCK eviction do not depend on which path did the
+/// lookups.
 #[derive(Debug, Default)]
 pub struct MemoScratch {
     /// Absent keys with their batch index, sorted to find first occurrences.
@@ -777,12 +790,12 @@ mod tests {
     #[test]
     fn touched_entry_survives_eviction_pressure() {
         // Per-shard cap of 2: the hot key shares its shard with at most one
-        // churn key, and, being re-stamped every iteration, is never the
-        // LRU entry when the next churn insert needs a slot.
+        // churn key, and, being hit every iteration, is referenced whenever
+        // the next churn insert needs a slot, so the churn key goes.
         let cache = MemoCache::with_capacity(32);
         let hot = MemoKey::of(&KernelSpec::gemm(1, 1, 1));
         cache.get_or_insert_with(hot, || (42.0, Confidence::Calibrated));
-        // Keep the hot key recently stamped while churning others through.
+        // Keep the hot key referenced while churning others through.
         for i in 0..300u64 {
             cache.get_or_insert_with(MemoKey::of(&KernelSpec::gemm(8 + i, 8, 8)), || {
                 (0.0, Confidence::Calibrated)
@@ -821,30 +834,77 @@ mod tests {
         let _ = MemoCache::with_capacity(3);
     }
 
-    #[test]
-    fn recency_index_stays_bijective_with_the_map() {
-        let cache = MemoCache::with_capacity(16); // one entry per shard
-        let hot = MemoKey::of(&KernelSpec::gemm(1, 1, 1));
-        cache.store(hot, (1.0, Confidence::Calibrated));
-        // A racing re-store of a resident key must retire the old index
-        // slot, not leave a stale stamp behind.
-        cache.store(hot, (2.0, Confidence::Calibrated));
-        for i in 0..100u64 {
-            cache.store(MemoKey::of(&KernelSpec::gemm(8 + i, 8, 8)), (0.0, Confidence::Calibrated));
-            let _ = cache.probe(&hot);
-        }
-        assert!(cache.stats().entries <= 16);
+    /// Checks every shard's CLOCK state: the ring holds exactly the map's
+    /// keys, each once, and the hand points into the ring.
+    fn assert_ring_matches_map(cache: &MemoCache) {
         for s in &cache.shards {
             let s = s.lock().unwrap();
-            assert_eq!(s.map.len(), s.by_stamp.len(), "index desynced from map");
-            for (stamp, key) in &s.by_stamp {
-                assert_eq!(
-                    s.map.get(key).map(|&(_, st)| st),
-                    Some(*stamp),
-                    "index stamp disagrees with entry stamp"
-                );
-            }
+            assert_eq!(s.ring.len(), s.map.len(), "ring desynced from map");
+            let distinct: std::collections::HashSet<_> = s.ring.iter().collect();
+            assert_eq!(distinct.len(), s.ring.len(), "a key holds two ring slots");
+            assert!(s.ring.iter().all(|k| s.map.contains_key(k)), "a ring key is not resident");
+            assert!(s.hand < s.ring.len().max(1), "hand {} off a ring of {}", s.hand, s.ring.len());
         }
+    }
+
+    #[test]
+    fn reference_bit_costs_no_entry_space() {
+        // The bit sits in the value's padding: an entry is as large as the
+        // `(f64, Confidence)` it memoizes.
+        assert_eq!(std::mem::size_of::<Entry>(), std::mem::size_of::<(f64, Confidence)>());
+    }
+
+    #[test]
+    fn clock_ring_stays_bijective_with_the_map() {
+        for capacity in [16, 48] {
+            let cache = MemoCache::with_capacity(capacity);
+            let hot = MemoKey::of(&KernelSpec::gemm(1, 1, 1));
+            cache.store(hot, (1.0, Confidence::Calibrated));
+            // A racing re-store of a resident key keeps its one ring slot.
+            cache.store(hot, (2.0, Confidence::Calibrated));
+            assert_ring_matches_map(&cache);
+            for i in 0..100u64 {
+                let key = MemoKey::of(&KernelSpec::gemm(8 + i, 8, 8));
+                cache.store(key, (0.0, Confidence::Calibrated));
+                cache.store(key, (0.0, Confidence::Calibrated));
+                let _ = cache.probe(&hot);
+                assert_ring_matches_map(&cache);
+            }
+            let stats = cache.stats();
+            assert!(stats.entries <= capacity);
+            assert!(stats.evictions > 0, "100 keys into {capacity} slots must evict");
+        }
+    }
+
+    #[test]
+    fn clock_gives_a_hit_entry_a_second_chance_and_evicts_the_first_unreferenced() {
+        let cache = MemoCache::with_capacity(48); // three entries per shard
+        let first = MemoKey::of(&KernelSpec::gemm(8, 8, 8));
+        let same_shard: Vec<MemoKey> = (8u64..)
+            .map(|m| MemoKey::of(&KernelSpec::gemm(m, 8, 8)))
+            .filter(|k| k.shard() == first.shard())
+            .take(6)
+            .collect();
+        let [a, b, c, d, e, f] = same_shard[..] else { unreachable!("six keys taken") };
+        let ring = || cache.shards[first.shard()].lock().unwrap().ring.clone();
+        let value = (1.0, Confidence::Calibrated);
+        for k in [a, b, c] {
+            cache.store(k, value);
+        }
+        assert!(cache.probe(&a).is_some(), "a is resident");
+        // The hand starts at a: hit, so its bit is cleared and it is
+        // skipped; b is the first unreferenced entry.
+        cache.store(d, value);
+        assert_eq!(ring(), vec![a, d, c]);
+        // The hand moved past d's slot to c, unreferenced.
+        cache.store(e, value);
+        assert_eq!(ring(), vec![a, d, e]);
+        // a spent its second chance on d's store: now it is the victim.
+        cache.store(f, value);
+        assert_eq!(ring(), vec![f, d, e]);
+        assert_eq!(cache.stats().evictions, 3);
+        assert!(cache.probe(&a).is_none() && cache.probe(&b).is_none());
+        assert_ring_matches_map(&cache);
     }
 
     #[test]

@@ -10,8 +10,17 @@
 //! * `Graph::clone` and `prepare_graph` with one `ResizeBatch` (to twice
 //!   the batch).
 //!
+//! For dcn at batch 1024 it times what each fresh search candidate pays:
+//!
+//! * `GraphIndex::build` (node signatures and producers);
+//! * `hoistable_nodes` on a graph whose index is already cached;
+//! * `prepare_graph` with one `HoistNode` (the last hoistable node);
+//! * one fresh depth-2 `OptimizationSearch` as the server runs it (new
+//!   search, warm bounded memo cache, beam 8, top 5, two batch targets).
+//!
 //! Each figure is the median of 31 timings; each timing covers 200 calls
-//! after a warm-up (5 calls for cold walks), divided per call. One run is
+//! after a warm-up (5 calls for cold walks, 20 for searches), divided per
+//! call. One run is
 //! one round; EXPERIMENTS.md gives the median over several rounds. There
 //! are no thresholds; the host line says what produced the numbers.
 //!
@@ -20,11 +29,15 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use std::sync::Arc;
+
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
+use dlrm_perf_model::core::{GraphMoves, NoExtra, OptimizationSearch, SearchConfig};
 use dlrm_perf_model::gpusim::DeviceSpec;
-use dlrm_perf_model::graph::{lower, memory, Graph};
+use dlrm_perf_model::graph::transform::hoistable_nodes;
+use dlrm_perf_model::graph::{lower, memory, Graph, GraphIndex};
 use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
 use dlrm_perf_model::models::zoo;
 
@@ -34,6 +47,8 @@ const SAMPLES: usize = 31;
 const CALLS: usize = 200;
 /// Calls per timing for cold walks.
 const COLD_CALLS: usize = 5;
+/// Calls per timing for searches.
+const SEARCH_CALLS: usize = 20;
 /// The server's bounded memo-cache capacity.
 const BOUNDED_CAPACITY: usize = 1 << 18;
 
@@ -66,12 +81,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("host: nproc {nproc}, build profile {profile}, one timing thread");
     println!(
         "method: median of {SAMPLES} timings of {CALLS} calls after a warm-up \
-         ({COLD_CALLS} calls for cold walks)"
+         ({COLD_CALLS} calls for cold walks, {SEARCH_CALLS} for searches)"
     );
 
     let models = [("dlrm-default", 1024), ("resnet50", 64)];
-    let graphs: Vec<Graph> =
-        models.iter().map(|&(name, batch)| zoo::build(name, batch)).collect::<Result<_, _>>()?;
+    let fresh = ("dcn", 1024);
+    let graphs: Vec<Graph> = models
+        .iter()
+        .chain([&fresh])
+        .map(|&(name, batch)| zoo::build(name, batch))
+        .collect::<Result<_, _>>()?;
     let device = DeviceSpec::v100();
     let (pipeline, _) =
         Pipeline::analyze_resilient(&device, &graphs, CalibrationEffort::Quick, 3, 19)?;
@@ -115,5 +134,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             median_ns(CALLS, || drop(black_box(prepare_graph(graph, &resize).expect("resizes"))));
         row(&format!("prepare_graph(ResizeBatch({}))", 2 * batch), ns, nodes);
     }
+
+    let (name, batch) = fresh;
+    let graph = &graphs[models.len()];
+    let nodes = graph.node_count();
+    println!("\n{name} @{batch} ({nodes} nodes, v100 Quick), per fresh search candidate:");
+    row("GraphIndex::build", median_ns(CALLS, || drop(black_box(GraphIndex::build(graph)))), nodes);
+    graph.index();
+    row(
+        "hoistable_nodes (index cached)",
+        median_ns(CALLS, || drop(black_box(hoistable_nodes(graph)))),
+        nodes,
+    );
+    let hoist = [GraphMutation::HoistNode(*hoistable_nodes(graph).last().expect("dcn hoists"))];
+    let ns = median_ns(CALLS, || drop(black_box(prepare_graph(graph, &hoist).expect("hoists"))));
+    row("prepare_graph(HoistNode(last hoistable))", ns, nodes);
+    let pipelines = [pipeline.clone()];
+    let cache = Arc::new(MemoCache::with_capacity(BOUNDED_CAPACITY));
+    let config = SearchConfig { beam_width: 8, max_depth: 2, top_k: 5, ..SearchConfig::default() };
+    let ns = median_ns(SEARCH_CALLS, || {
+        let search = OptimizationSearch::<NoExtra>::new(&pipelines)
+            .with_caches(vec![cache.clone()])
+            .with_config(config.clone())
+            .with_graph_moves(GraphMoves { batches: vec![512, 2048], ..GraphMoves::default() });
+        black_box(search.run(graph).expect("dcn searches"));
+    });
+    row("fresh depth-2 OptimizationSearch", ns, nodes);
     Ok(())
 }

@@ -2,7 +2,9 @@
 //! state them: once warm, `ModelRegistry::predict_batch_into`,
 //! `E2ePredictor::walk` (which lowers straight into its scratch) and
 //! `IncrementalPredictor::repredict_scratch` perform no heap allocation,
-//! with or without a memo cache. Graphs share their tables copy-on-write:
+//! with or without a memo cache; the walk and the repredict also on a
+//! bounded cache, whose hits only set a reference bit. Graphs share their
+//! tables copy-on-write:
 //! a clone allocates only its name, and a batch resize copies only the
 //! tensor table.
 //!
@@ -22,7 +24,7 @@ use dlrm_perf_model::gpusim::{DeviceSpec, KernelSpec};
 use dlrm_perf_model::graph::lower;
 use dlrm_perf_model::graph::transform::resize_batch;
 use dlrm_perf_model::graph::Graph;
-use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache, MemoScratch};
+use dlrm_perf_model::kernels::{CalibrationEffort, Confidence, MemoCache, MemoKey, MemoScratch};
 use dlrm_perf_model::models::{zoo, DlrmConfig};
 use dlrm_perf_model::nn::arena::ScratchArena;
 
@@ -70,6 +72,29 @@ fn allocations(f: impl FnOnce()) -> u64 {
 /// Calls before measuring: enough for every buffer to reach its high-water
 /// mark.
 const WARM_UP: usize = 3;
+
+/// The server's bounded memo-cache capacity.
+const BOUNDED_CAPACITY: usize = 1 << 18;
+
+/// A bounded cache at the server's capacity, already holding 4096 unrelated
+/// entries (256 per shard), as a long-lived server's cache would.
+fn occupied_bounded_cache() -> MemoCache {
+    let cache = MemoCache::with_capacity(BOUNDED_CAPACITY);
+    for m in 0..4096 {
+        let key = MemoKey::of(&KernelSpec::gemm(1 + m, 3, 5));
+        cache.get_or_insert_with(key, || (m as f64, Confidence::Calibrated));
+    }
+    cache
+}
+
+/// A label for a cache argument in failure messages.
+fn describe(cache: Option<&MemoCache>) -> String {
+    match cache.map(MemoCache::capacity) {
+        None => "none".into(),
+        Some(None) => "unbounded".into(),
+        Some(Some(cap)) => format!("bounded at {cap}"),
+    }
+}
 
 /// dlrm-default at batch 1024 on a V100, with its lowered kernels in node
 /// order (the batch a full walk prices).
@@ -131,31 +156,34 @@ fn warm_registry_batch_allocates_nothing_with_or_without_a_cache() {
 fn warm_walk_allocates_nothing_with_or_without_a_cache() {
     let (graph, pipeline, _) = fixture();
     let predictor = pipeline.predictor();
-    let cache = MemoCache::new();
+    let unbounded = MemoCache::new();
+    let bounded = occupied_bounded_cache();
     let mut scratch = WalkScratch::new();
-    for cache in [None, Some(&cache)] {
+    for cache in [None, Some(&unbounded), Some(&bounded)] {
         let mut walk = || {
             predictor.walk(&graph, cache, None, &mut scratch).expect("dlrm-default walks");
         };
         for _ in 0..WARM_UP {
             walk();
         }
-        assert_eq!(allocations(walk), 0, "a warm walk (cache: {}) allocated", cache.is_some());
+        assert_eq!(allocations(walk), 0, "a warm walk (cache: {}) allocated", describe(cache));
     }
 }
 
 #[test]
 fn warm_repredict_allocates_nothing_with_or_without_a_cache() {
     let (graph, pipeline, _) = fixture();
-    let cache = MemoCache::new();
-    let inc = IncrementalPredictor::with_cache(pipeline.predictor().clone(), graph.clone(), &cache)
-        .expect("dlrm-default walks");
+    let unbounded = MemoCache::new();
+    let bounded = occupied_bounded_cache();
+    let inc =
+        IncrementalPredictor::with_cache(pipeline.predictor().clone(), graph.clone(), &unbounded)
+            .expect("dlrm-default walks");
     // A batch resize dirties every batch-shaped node: the dirty frontier
     // is lowered, priced and stepped, not spliced.
     let mut resized = graph.clone();
     resize_batch(&mut resized, 2048).expect("dlrm-default resizes");
     let mut scratch = WalkScratch::new();
-    for cache in [None, Some(&cache)] {
+    for cache in [None, Some(&unbounded), Some(&bounded)] {
         let mut repredict = || {
             let (_, stats) =
                 inc.repredict_scratch(&resized, cache, &mut scratch).expect("resized walks");
@@ -168,7 +196,7 @@ fn warm_repredict_allocates_nothing_with_or_without_a_cache() {
             allocations(repredict),
             0,
             "a warm repredict (cache: {}) allocated",
-            cache.is_some()
+            describe(cache)
         );
     }
 }

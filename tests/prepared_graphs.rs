@@ -13,9 +13,9 @@
 
 use std::sync::Arc;
 
-use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
+use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation, PreparedStore};
 use dlrm_perf_model::graph::transform::{
-    can_fuse_embedding_bags, fuse_embedding_bags, hoist_earliest, hoistable_nodes,
+    can_fuse_embedding_bags, can_hoist, fuse_embedding_bags, hoist_earliest, hoistable_nodes,
     independent_groups, move_node, parallelize, replace_op, resize_batch,
 };
 use dlrm_perf_model::graph::{Graph, NodeId, OpKind, TensorId, TensorMeta};
@@ -144,6 +144,68 @@ fn prepared_graphs_are_frozen() {
     let got = prepared_digests();
     let want: Vec<String> = FROZEN.iter().map(|s| s.to_string()).collect();
     assert_eq!(got, want, "a prepared graph changed bitwise");
+}
+
+/// `hoistable_nodes` as it was defined before it read the graph's cached
+/// index: one `Graph::producer` scan per input, through `predecessors`.
+fn hoistable_by_scan(g: &Graph) -> Vec<usize> {
+    (0..g.node_count())
+        .filter(|&i| {
+            let node = g.nodes()[i].id;
+            let earliest = g.predecessors(node).iter().map(|p| p.0 + 1).max().unwrap_or(0);
+            earliest < node.0
+        })
+        .collect()
+}
+
+#[test]
+fn hoist_legality_matches_the_producer_scan_on_every_prepared_graph() {
+    for model in zoo::MODEL_NAMES {
+        for batch in BATCHES {
+            let base = zoo::build(model, batch).expect("zoo model builds");
+            let mut graphs = vec![("base", base.clone())];
+            for (kind, muts) in mutation_lists(&base) {
+                if let Ok(g) = prepare_graph(&base, &muts) {
+                    graphs.push((kind, g));
+                }
+            }
+            for (kind, g) in &graphs {
+                let want = hoistable_by_scan(g);
+                assert_eq!(hoistable_nodes(g), want, "{model}@{batch} {kind}");
+                for pos in 0..=g.node_count() {
+                    assert_eq!(can_hoist(g, pos), want.contains(&pos), "{model}@{batch} {kind} {pos}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_store_extending_a_stored_parent_prepares_what_prepare_graph_prepares() {
+    // The store applies only the last mutation to a stored parent's graph;
+    // the result must be `prepare_graph`'s from the base, errors included,
+    // and the parent lookup must not count as a hit.
+    for model in zoo::MODEL_NAMES {
+        let base = zoo::build(model, 128).expect("zoo model builds");
+        let lists = mutation_lists(&base);
+        for (head_kind, head) in &lists {
+            for (tail_kind, tail) in &lists {
+                let store = PreparedStore::new();
+                store.rebase(&base.index());
+                store.get_or_prepare(&base, head);
+                let list: Vec<GraphMutation> = head.iter().chain(tail).cloned().collect();
+                let text = |g: &Result<Graph, _>| match g {
+                    Ok(g) => g.to_json(),
+                    Err(e) => format!("error: {e}"),
+                };
+                let via_store = text(store.get_or_prepare(&base, &list).as_ref());
+                let direct = text(&prepare_graph(&base, &list));
+                assert!(via_store == direct, "{model}: {head_kind} then {tail_kind}");
+                let stats = store.stats();
+                assert_eq!((stats.hits, stats.misses), (0, 2), "{model}: {head_kind} then {tail_kind}");
+            }
+        }
+    }
 }
 
 /// dcn at batch 128: it has fusable embedding bags, hoistable nodes and
