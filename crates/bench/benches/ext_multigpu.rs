@@ -4,6 +4,7 @@
 
 use dlperf_bench::{effort, header, measure_iters};
 use dlperf_core::pipeline::Pipeline;
+use dlperf_core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlperf_distrib::{DistributedDlrm, DistributedPredictor, MultiGpuEngine, ShardingPlan};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_models::criteo::KAGGLE_TABLE_ROWS;
@@ -20,7 +21,8 @@ fn main() {
             DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(8, 1)).expect("valid");
         eprintln!("calibrating {} ...", device.name);
         let pipe = Pipeline::analyze(&device, &probe.segments(0), effort(), iters, 3);
-        let predictor = DistributedPredictor::new(&pipe);
+        let eval = Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY);
+        let predictor = DistributedPredictor::new(&eval, 0);
 
         println!(
             "\n--- {} cluster (interconnect {:.0} GB/s) ---",
@@ -59,7 +61,8 @@ fn main() {
     let cfg = DlrmConfig::mlperf_config(batch);
     let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(26, 1)).expect("valid");
     let pipe = Pipeline::analyze(&device, &probe.segments(0), effort(), iters, 5);
-    let predictor = DistributedPredictor::new(&pipe);
+    let eval = Evaluator::new(std::slice::from_ref(&pipe), DEFAULT_MEMO_CAPACITY);
+    let predictor = DistributedPredictor::new(&eval, 0);
     let registry = pipe.predictor().registry();
 
     let plans = [

@@ -1,11 +1,14 @@
-//! The pricing stack shared by the sweep engine and the optimization
-//! search: the calibrated pipelines, one [`MemoCache`] per device, a
-//! [`PreparedStore`] of prepared graphs and per-device incremental
-//! baselines, and a pool of [`WalkScratch`]es for fan-out workers.
+//! The one pricing handle: the calibrated pipelines, one [`MemoCache`] per
+//! device, a [`PreparedStore`] of prepared graphs and per-device
+//! incremental baselines, and a pool of [`WalkScratch`]es for fan-out
+//! workers. The sweep engine, the optimization search, the distributed
+//! predictor and every pricing endpoint of the server hold one.
 //! [`Evaluator::price`] is the one place that picks incremental
-//! re-prediction or the full walk. Everything stored is a pure function of
-//! its inputs and memo hits are bitwise identical to model evaluations, so
-//! reuse across candidates, runs and threads never shows in a result.
+//! re-prediction or the full walk, a memo cache or none, and a
+//! cancellable walk or not. Everything stored is a pure function of its
+//! inputs and memo hits are bitwise identical to model evaluations, so
+//! reuse across candidates, runs, requests and threads never shows in a
+//! result.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -21,9 +24,7 @@ use serde::{Deserialize, Serialize};
 use crate::incremental::{IncrementalPredictor, IncrementalStats};
 use crate::pipeline::Pipeline;
 use crate::predictor::{PredictError, Prediction, WalkScratch};
-use crate::sweep::{
-    par_map_with, prepare_graph, prepare_onto, GraphMutation, MutationError, DEFAULT_MEMO_CAPACITY,
-};
+use crate::sweep::{par_map_with, prepare_graph, prepare_onto, GraphMutation, MutationError};
 
 /// Point-in-time counters of a [`PreparedStore`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -259,44 +260,54 @@ impl Drop for PooledScratch<'_> {
 }
 
 /// The shared pricing stack. See the module docs.
-pub(crate) struct Evaluator<'p> {
+pub struct Evaluator<'p> {
     pipelines: Cow<'p, [Pipeline]>,
     caches: Vec<Arc<MemoCache>>,
     store: Arc<PreparedStore>,
     /// Parked scratches, checked out one per fan-out worker; persisting
     /// them across runs keeps steady-state pricing and stepping
-    /// allocation-free (lowering still allocates per node).
+    /// allocation-free.
     scratch_pool: Mutex<Vec<WalkScratch>>,
 }
 
 impl<'p> Evaluator<'p> {
     /// Wraps `pipelines` (one per device) with fresh per-device memo
-    /// caches capped at [`DEFAULT_MEMO_CAPACITY`] and an unbounded store.
-    pub(crate) fn new(pipelines: Cow<'p, [Pipeline]>) -> Self {
-        let caches = pipelines
-            .iter()
-            .map(|_| Arc::new(MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY)))
-            .collect();
+    /// caches capped at `memo_capacity` entries each and an unbounded
+    /// store.
+    ///
+    /// # Panics
+    /// Panics if `memo_capacity` is below [`MemoCache::with_capacity`]'s
+    /// minimum.
+    pub fn new(pipelines: impl Into<Cow<'p, [Pipeline]>>, memo_capacity: usize) -> Self {
+        let pipelines = pipelines.into();
+        let caches =
+            pipelines.iter().map(|_| Arc::new(MemoCache::with_capacity(memo_capacity))).collect();
         Evaluator { pipelines, caches, store: Arc::default(), scratch_pool: Mutex::default() }
     }
 
-    /// Replaces the per-device memo caches; `caches[d]` must be dedicated
-    /// to pipeline `d` (cache keys do not include the device).
+    /// A view over `devices` (indices into this evaluator's pipelines, in
+    /// the view's device order): clones of those pipelines sharing their
+    /// memo caches, with a fresh store and scratch pool, so what the view
+    /// prepares lives only as long as the view.
     ///
     /// # Panics
-    /// Panics if the cache count does not match the pipeline count.
-    pub(crate) fn set_caches(&mut self, caches: Vec<Arc<MemoCache>>) {
-        assert_eq!(caches.len(), self.pipelines.len(), "one memo cache per pipeline");
-        self.caches = caches;
+    /// Panics if a device index is out of range.
+    pub fn subset(&self, devices: &[usize]) -> Evaluator<'static> {
+        Evaluator {
+            pipelines: Cow::Owned(devices.iter().map(|&d| self.pipelines[d].clone()).collect()),
+            caches: devices.iter().map(|&d| self.caches[d].clone()).collect(),
+            store: Arc::default(),
+            scratch_pool: Mutex::default(),
+        }
     }
 
     /// The calibrated pipelines, indexed by device.
-    pub(crate) fn pipelines(&self) -> &[Pipeline] {
+    pub fn pipelines(&self) -> &[Pipeline] {
         &self.pipelines
     }
 
     /// The prepared-graph and baseline store.
-    pub(crate) fn store(&self) -> &Arc<PreparedStore> {
+    pub fn store(&self) -> &Arc<PreparedStore> {
         &self.store
     }
 
@@ -307,7 +318,7 @@ impl<'p> Evaluator<'p> {
     /// # Errors
     /// The [`LowerError`] of a base graph that does not lower; nothing is
     /// stored then.
-    pub(crate) fn baseline(
+    pub fn baseline(
         &self,
         device: usize,
         base: &Graph,
@@ -315,45 +326,63 @@ impl<'p> Evaluator<'p> {
         if let Some(b) = self.store.baseline(device) {
             return Ok(b);
         }
-        let b = Arc::new(IncrementalPredictor::with_cache(
-            self.pipelines[device].predictor().clone(),
-            base.clone(),
-            &self.caches[device],
-        )?);
+        let b = Arc::new(self.checkpoint(device, base, true)?);
         self.store.insert_baseline(device, b.clone());
         Ok(b)
+    }
+
+    /// One baseline walk of `base` on `device`, kernel queries through the
+    /// device's memo cache when `use_cache` is set, checkpointed for
+    /// [`Evaluator::price`]'s incremental route and not stored.
+    ///
+    /// # Errors
+    /// The [`LowerError`] of a base graph that does not lower.
+    pub fn checkpoint(
+        &self,
+        device: usize,
+        base: &Graph,
+        use_cache: bool,
+    ) -> Result<IncrementalPredictor, LowerError> {
+        let predictor = self.pipelines[device].predictor().clone();
+        if use_cache {
+            IncrementalPredictor::with_cache(predictor, base.clone(), &self.caches[device])
+        } else {
+            IncrementalPredictor::new(predictor, base.clone())
+        }
     }
 
     /// Prices `graph` on `device`: dirty-frontier re-prediction against
     /// `baseline` when one is given, the full walk otherwise, with kernel
     /// queries through the device's memo cache when `use_cache` is set.
-    /// Both routes are bitwise identical; the stats are `Some` exactly
-    /// when the incremental route served the prediction.
+    /// The full walk observes `cancel` between op steps; re-prediction is
+    /// bounded by its dirty frontier and does not poll it. Both routes are
+    /// bitwise identical; the stats are `Some` exactly when the
+    /// incremental route served the prediction.
     ///
     /// # Errors
-    /// The [`LowerError`] of a node that does not lower.
-    pub(crate) fn price(
+    /// [`PredictError::Lower`] for a node that does not lower, and
+    /// [`PredictError::Cancelled`] only when `cancel` is given.
+    pub fn price(
         &self,
         device: usize,
         graph: &Graph,
         baseline: Option<&IncrementalPredictor>,
         use_cache: bool,
+        cancel: Option<&CancellationToken>,
         scratch: &mut WalkScratch,
-    ) -> Result<(Prediction, Option<IncrementalStats>), LowerError> {
+    ) -> Result<(Prediction, Option<IncrementalStats>), PredictError> {
         let cache = use_cache.then(|| &*self.caches[device]);
         match baseline {
-            Some(b) => b.repredict_scratch(graph, cache, scratch).map(|(p, s)| (p, Some(s))),
-            None => self.pipelines[device]
-                .predictor()
-                .walk(graph, cache, None, scratch)
-                .map(|p| (p, None))
-                .map_err(PredictError::uncancelled),
+            Some(b) => Ok(b.repredict_scratch(graph, cache, scratch).map(|(p, s)| (p, Some(s)))?),
+            None => {
+                self.pipelines[device].predictor().walk(graph, cache, cancel, scratch).map(|p| (p, None))
+            }
         }
     }
 
     /// [`par_map_with`] whose per-worker context is a [`WalkScratch`]
     /// checked out of the pool for the worker's lifetime.
-    pub(crate) fn fan_out<S, R, F>(
+    pub fn fan_out<S, R, F>(
         &self,
         threads: usize,
         token: &CancellationToken,
@@ -376,7 +405,7 @@ impl<'p> Evaluator<'p> {
 
     /// Aggregate arena reuse stats over the parked scratches
     /// (`high_water_f64s` and `pooled` are summed across scratches).
-    pub(crate) fn scratch_stats(&self) -> ArenaStats {
+    pub fn scratch_stats(&self) -> ArenaStats {
         let pool = self.scratch_pool.lock().expect("scratch pool poisoned");
         let mut agg = ArenaStats::default();
         for s in pool.iter() {
@@ -390,7 +419,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Merged counters across all per-device memo caches.
-    pub(crate) fn cache_stats(&self) -> MemoCacheStats {
+    pub fn cache_stats(&self) -> MemoCacheStats {
         let all: Vec<MemoCacheStats> = self.caches.iter().map(|c| c.stats()).collect();
         MemoCacheStats::merged(&all)
     }

@@ -17,6 +17,10 @@
 //!   Fig. 10 comparison.
 //! * [`report`] — error bookkeeping: the geomean/min/max statistics of
 //!   Table V and the per-configuration rows of Fig. 9.
+//! * [`evaluator`] — the one pricing handle: pipelines, per-device memo
+//!   caches, prepared graphs, incremental baselines and walk scratches,
+//!   shared by the sweep, the search, the distributed predictor and the
+//!   server.
 //! * [`sweep`] — §V-A co-design what-ifs (batch size, device, op fusion,
 //!   reordering) as graph mutations, priced in parallel by one shared
 //!   evaluator; [`incremental`] re-prices only a mutation's dirty span.
@@ -39,7 +43,7 @@
 //! ```
 
 pub mod baselines;
-mod evaluator;
+pub mod evaluator;
 pub mod incremental;
 pub mod ingest;
 pub mod pipeline;
@@ -48,6 +52,7 @@ pub mod report;
 pub mod search;
 pub mod sweep;
 
+pub use evaluator::Evaluator;
 pub use incremental::{IncrementalPredictor, IncrementalStats};
 pub use ingest::{
     collect_family_samples, family_medians, CalibrationPolicy, CorpusIngest, CorpusIngestJob,

@@ -39,7 +39,6 @@
 //! incumbent-relative slack bound (`prune_slack`) makes that trade-off
 //! explicit and configurable. See DESIGN.md §14 for the full argument.
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
@@ -47,13 +46,12 @@ use std::time::Instant;
 
 use dlperf_graph::transform::{can_fuse_embedding_bags, can_resize_batch, hoistable_nodes};
 use dlperf_graph::Graph;
-use dlperf_kernels::MemoCache;
 use dlperf_runtime::CancellationToken;
 
 use crate::evaluator::{Evaluator, PreparedGraph};
 use crate::incremental::IncrementalPredictor;
 use crate::pipeline::Pipeline;
-use crate::sweep::GraphMutation;
+use crate::sweep::{GraphMutation, DEFAULT_MEMO_CAPACITY};
 
 /// Process-wide search counters: candidate evaluations, branch-and-bound
 /// prunes, and how many evaluations rode the incremental path vs. fell
@@ -366,11 +364,20 @@ where
     X: Clone + Eq + Hash + std::fmt::Display + Send + Sync,
 {
     /// A search over `pipelines` (index 0 is the baseline device) with
-    /// default config and no extra axis.
+    /// default config and no extra axis, on fresh memo caches capped at
+    /// [`DEFAULT_MEMO_CAPACITY`].
     pub fn new(pipelines: &'a [Pipeline]) -> Self {
-        let device_labels = pipelines.iter().map(|p| p.device().name.clone()).collect();
+        Self::with_evaluator(Evaluator::new(pipelines, DEFAULT_MEMO_CAPACITY))
+    }
+
+    /// A search pricing through `eval` (its device 0 is the baseline
+    /// device) with default config and no extra axis. Memo hits are
+    /// bitwise invisible, so whose caches the evaluator holds never shows
+    /// in the report.
+    pub fn with_evaluator(eval: Evaluator<'a>) -> Self {
+        let device_labels = eval.pipelines().iter().map(|p| p.device().name.clone()).collect();
         OptimizationSearch {
-            eval: Evaluator::new(Cow::Borrowed(pipelines)),
+            eval,
             device_labels,
             config: SearchConfig::default(),
             graph_moves: GraphMoves::default(),
@@ -378,18 +385,6 @@ where
             extra_scorer: None,
             token: CancellationToken::new(),
         }
-    }
-
-    /// Prices through caller-owned memo caches (e.g. a server's bounded
-    /// ones) instead of fresh ones (builder style). `caches[d]` must be
-    /// dedicated to pipeline `d`; memo hits are bitwise invisible, so the
-    /// report does not change.
-    ///
-    /// # Panics
-    /// Panics if the cache count does not match the pipeline count.
-    pub fn with_caches(mut self, caches: Vec<Arc<MemoCache>>) -> Self {
-        self.eval.set_caches(caches);
-        self
     }
 
     /// Replaces the tuning knobs (builder style).
@@ -529,8 +524,8 @@ where
                             let baseline = Some(&*baselines[cand.device]);
                             let (p, stats) = self
                                 .eval
-                                .price(cand.device, g, baseline, self.config.use_cache, scratch)
-                                .map_err(|e| e.to_string())?;
+                                .price(cand.device, g, baseline, self.config.use_cache, None, scratch)
+                                .map_err(|e| e.uncancelled().to_string())?;
                             (p.e2e_us, stats.is_some_and(|s| !s.full_fallback))
                         }
                     };

@@ -31,7 +31,6 @@
 //! sequential one at any thread count, cache on or off — `tests/sweep.rs`
 //! pins that property.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -579,7 +578,7 @@ impl SweepEngine {
         assert!(!pipelines.is_empty(), "sweep engine needs at least one pipeline");
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         SweepEngine {
-            eval: Evaluator::new(Cow::Owned(pipelines)),
+            eval: Evaluator::new(pipelines, DEFAULT_MEMO_CAPACITY),
             threads,
             use_cache: true,
             use_incremental: true,
@@ -699,8 +698,8 @@ impl SweepEngine {
             Err(e) => Err(e.to_string()),
             Ok(g) => self
                 .eval
-                .price(s.device, g, baseline, self.use_cache, scratch)
-                .map_err(|e| format!("lowering failed: {e}")),
+                .price(s.device, g, baseline, self.use_cache, None, scratch)
+                .map_err(|e| format!("lowering failed: {}", e.uncancelled())),
         };
         let label = s.label.clone();
         match priced {

@@ -34,12 +34,13 @@
 //! load-balancing use case, end to end).
 //!
 //! Every distributed price goes through one method,
-//! [`DistributedPredictor::price`]: it borrows a calibrated single-GPU
-//! [`dlperf_core::pipeline::Pipeline`] and takes the topology, incremental
-//! baselines, memo cache and walk scratch from its caller.
-//! [`sweep::sweep_shardings`] fans it out over a scenario matrix on the
-//! caller's cache; [`search::DistribAxis`] plugs it into the optimization
-//! search.
+//! [`DistributedPredictor::price`]: it borrows one device of a
+//! [`dlperf_core::Evaluator`], prices each segment with
+//! [`dlperf_core::Evaluator::price`] on that device's memo cache, and
+//! takes the topology, incremental baselines and walk scratch from its
+//! caller. [`sweep::sweep_shardings`] fans it out over a scenario matrix
+//! with the evaluator's scratch pool; [`search::DistribAxis`] plugs it
+//! into the optimization search.
 
 pub mod builder;
 pub mod comms;
@@ -54,7 +55,7 @@ pub use builder::{DistributedDlrm, ParallelismStrategy};
 pub use comms::{CollectiveEstimate, CommModel};
 pub use engine::{DistributedRunResult, MultiGpuEngine};
 pub use plan::{imbalance, ShardingPlan};
-pub use predictor::{DistributedPrediction, DistributedPredictor, SegmentBaselines};
+pub use predictor::{DistributedPrediction, DistributedPredictor};
 pub use search::{DistribAxis, DistribMove};
 pub use sweep::{
     enumerate_matrix, enumerate_plans, sweep_shardings, ShardingResult, ShardingScenario,

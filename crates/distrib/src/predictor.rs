@@ -7,10 +7,9 @@
 use dlperf_core::pipeline::Pipeline;
 use dlperf_core::predictor::{PredictError, WalkScratch};
 use dlperf_core::sweep::IncrementalSummary;
-use dlperf_core::IncrementalPredictor;
+use dlperf_core::{Evaluator, IncrementalPredictor};
 use dlperf_faults::{FaultInjector, FaultPlan};
 use dlperf_graph::lower::LowerError;
-use dlperf_kernels::MemoCache;
 
 use crate::builder::DistributedDlrm;
 use crate::comms::CommModel;
@@ -34,43 +33,63 @@ impl DistributedPrediction {
     }
 }
 
-/// Distributed predictor: a calibrated single-GPU pipeline priced per
-/// rank segment, plus collectives on the cluster's interconnect.
-#[derive(Debug, Clone, Copy)]
-pub struct DistributedPredictor<'p> {
-    pipe: &'p Pipeline,
+/// Distributed predictor: one device of an [`Evaluator`] priced per rank
+/// segment, plus collectives on the cluster's interconnect.
+#[derive(Clone, Copy)]
+pub struct DistributedPredictor<'e> {
+    pub(crate) eval: &'e Evaluator<'e>,
+    pub(crate) device: usize,
+    pub(crate) use_cache: bool,
 }
 
-impl<'p> DistributedPredictor<'p> {
-    /// Prices jobs on `pipe`'s calibrated predictor; unpinned collectives
-    /// run on the topology derived from `pipe`'s device class.
-    pub fn new(pipe: &'p Pipeline) -> Self {
-        DistributedPredictor { pipe }
+impl<'e> DistributedPredictor<'e> {
+    /// Prices jobs on `eval`'s pipeline `device`, kernel queries through
+    /// that device's memo cache; unpinned collectives run on the topology
+    /// derived from the pipeline's device class.
+    ///
+    /// # Panics
+    /// Panics if `device` is not one of `eval`'s pipelines.
+    pub fn new(eval: &'e Evaluator<'e>, device: usize) -> Self {
+        assert!(device < eval.pipelines().len(), "device {device} out of range");
+        DistributedPredictor { eval, device, use_cache: true }
+    }
+
+    /// Enables or disables the memo cache (builder style; on by default).
+    /// Memo hits are bitwise identical to model evaluations, so this
+    /// changes speed only.
+    pub fn with_cache(mut self, on: bool) -> Self {
+        self.use_cache = on;
+        self
+    }
+
+    /// The calibrated pipeline segments are priced on.
+    pub fn pipeline(&self) -> &Pipeline {
+        &self.eval.pipelines()[self.device]
     }
 
     /// Predicts one distributed iteration of `job` on the derived
-    /// topology, with a fresh scratch and no memo cache.
+    /// topology, with a fresh scratch and no incremental baselines.
     ///
     /// # Errors
     /// Propagates lowering errors from malformed segment graphs.
     pub fn predict(&self, job: &DistributedDlrm) -> Result<DistributedPrediction, LowerError> {
-        self.price(job, None, None, None, &mut WalkScratch::new()).map(|r| r.0)
+        self.price(job, None, &[], &mut WalkScratch::new()).map(|r| r.0)
     }
 
-    /// The one rank × segment loop behind every distributed price.
+    /// The one rank × segment loop behind every distributed price; each
+    /// segment is priced by [`Evaluator::price`].
     ///
     /// * `topology` pins the interconnect collectives are priced on; a
     ///   pinned topology whose world does not match the job falls back to
     ///   the derived device topology — degraded, not wrong.
-    /// * A segment with a `baselines` slot is re-predicted incrementally
-    ///   against it; any other segment is walked.
-    /// * `cache` answers kernel-model queries; it must be dedicated to
-    ///   this pipeline's registry.
+    /// * Segment `i` is re-predicted incrementally against `baselines[i]`
+    ///   when that slot holds a checkpoint ([`Evaluator::checkpoint`] of a
+    ///   reference job's segment `i`), and walked otherwise.
     ///
     /// Across the ranks of one job most segments share kernel shapes
-    /// (data parallelism makes the MLP segments identical), so the cache
-    /// hits heavily. Cache hits and splices are bitwise identical to the
-    /// plain walk (see [`dlperf_kernels::memo`] and
+    /// (data parallelism makes the MLP segments identical), so the memo
+    /// cache hits heavily. Cache hits and splices are bitwise identical to
+    /// the plain walk (see [`dlperf_kernels::memo`] and
     /// [`dlperf_core::incremental`]), so every argument combination
     /// prices the same bits as [`DistributedPredictor::predict`].
     ///
@@ -80,8 +99,7 @@ impl<'p> DistributedPredictor<'p> {
         &self,
         job: &DistributedDlrm,
         topology: Option<&Topology>,
-        baselines: Option<&SegmentBaselines>,
-        cache: Option<&MemoCache>,
+        baselines: &[Option<IncrementalPredictor>],
         scratch: &mut WalkScratch,
     ) -> Result<(DistributedPrediction, IncrementalSummary), LowerError> {
         let _span = dlperf_obs::span("distrib.predict", dlperf_obs::SpanKind::Phase);
@@ -92,24 +110,20 @@ impl<'p> DistributedPredictor<'p> {
                 let _seg_span = dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
                     format!("segment:S{}/r{rank}", i + 1)
                 });
-                let p = match baselines.and_then(|b| b.get(i)) {
-                    Some(b) => {
-                        let (p, stats) = b.repredict_scratch(seg, cache, scratch)?;
-                        summary.absorb(&stats);
-                        p
-                    }
-                    None => self
-                        .pipe
-                        .predictor()
-                        .walk(seg, cache, None, scratch)
-                        .map_err(PredictError::uncancelled)?,
-                };
+                let baseline = baselines.get(i).and_then(Option::as_ref);
+                let (p, stats) = self
+                    .eval
+                    .price(self.device, seg, baseline, self.use_cache, None, scratch)
+                    .map_err(PredictError::uncancelled)?;
+                if let Some(stats) = stats {
+                    summary.absorb(&stats);
+                }
                 segment_us[i] = segment_us[i].max(p.e2e_us);
             }
         }
         let topology = match topology {
             Some(t) if t.world() == job.world() => t.clone(),
-            _ => Topology::for_device(self.pipe.device(), job.world()),
+            _ => Topology::for_device(self.pipeline().device(), job.world()),
         };
         Ok((assemble(job, segment_us, topology), summary))
     }
@@ -130,7 +144,7 @@ impl<'p> DistributedPredictor<'p> {
     ) -> Result<(DistributedPrediction, Vec<String>), LowerError> {
         let mut p = self.predict(job)?;
         let inj = FaultInjector::new(plan.clone());
-        let topology = Topology::for_device(self.pipe.device(), job.world());
+        let topology = Topology::for_device(self.pipeline().device(), job.world());
         let mut notes = Vec::new();
         for (idx, spec) in job.collectives().iter().enumerate() {
             if spec.world <= 1 || spec.bytes_per_rank == 0 {
@@ -178,80 +192,40 @@ fn assemble(
     }
 }
 
-/// Checkpointed [`IncrementalPredictor`] baselines, one per compute-segment
-/// slot (S1..S4), built from a reference job's rank-0 segments. Any other
-/// job of the same config family re-predicts its segments against these —
-/// a sharding sweep prices dozens of near-identical segment graphs, which
-/// is exactly the incremental predictor's sweet spot.
-#[derive(Debug, Clone)]
-pub struct SegmentBaselines {
-    baselines: Vec<Option<IncrementalPredictor>>,
-}
-
-impl SegmentBaselines {
-    /// Checkpoints one baseline walk per segment of `reference`'s rank 0,
-    /// feeding kernel queries through `cache` when given. A segment whose
-    /// baseline fails to lower simply gets no baseline (re-prediction of
-    /// that slot falls back to the full path).
-    pub fn new(
-        predictor: &DistributedPredictor,
-        reference: &DistributedDlrm,
-        cache: Option<&MemoCache>,
-    ) -> Self {
-        let baselines = reference
-            .segments(0)
-            .iter()
-            .map(|seg| {
-                let p = predictor.pipe.predictor().clone();
-                match cache {
-                    Some(c) => IncrementalPredictor::with_cache(p, seg.clone(), c).ok(),
-                    None => IncrementalPredictor::new(p, seg.clone()).ok(),
-                }
-            })
-            .collect();
-        SegmentBaselines { baselines }
-    }
-
-    /// The baseline for segment slot `i`, if one was checkpointed.
-    pub fn get(&self, i: usize) -> Option<&IncrementalPredictor> {
-        self.baselines.get(i).and_then(Option::as_ref)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::MultiGpuEngine;
     use crate::plan::ShardingPlan;
+    use dlperf_core::DEFAULT_MEMO_CAPACITY;
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::CalibrationEffort;
     use dlperf_models::DlrmConfig;
 
-    fn setup(world: usize, batch: u64) -> (DistributedDlrm, Pipeline) {
+    fn setup(world: usize, batch: u64) -> (DistributedDlrm, Evaluator<'static>) {
         let cfg = DlrmConfig::default_config(batch);
         let plan = ShardingPlan::round_robin(cfg.rows_per_table.len(), world);
         let job = DistributedDlrm::new(cfg, plan).unwrap();
         // Calibrate on the rank-0 segments so the overhead DB covers the ops.
         let segs = job.segments(0).to_vec();
         let pipe = Pipeline::analyze(&DeviceSpec::v100(), &segs, CalibrationEffort::Quick, 12, 5);
-        (job, pipe)
+        (job, Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY))
     }
 
     #[test]
     fn incremental_prediction_bitwise_matches_full() {
-        let (job, pipe) = setup(4, 2048);
-        let pred = DistributedPredictor::new(&pipe);
-        let cache = MemoCache::new();
+        let (job, eval) = setup(4, 2048);
+        let pred = DistributedPredictor::new(&eval, 0);
         let mut scratch = WalkScratch::new();
-        let baselines = SegmentBaselines::new(&pred, &job, Some(&cache));
+        let baselines: Vec<_> =
+            job.segments(0).iter().map(|seg| eval.checkpoint(0, seg, true).ok()).collect();
         let cfg = DlrmConfig::default_config(2048);
         let tables = cfg.rows_per_table.len();
         let skewed =
             DistributedDlrm::new(cfg, ShardingPlan::new(vec![0; tables], 4).unwrap()).unwrap();
         for j in [&job, &skewed] {
-            let (inc, summary) =
-                pred.price(j, None, Some(&baselines), Some(&cache), &mut scratch).unwrap();
-            let full = pred.predict(j).unwrap();
+            let (inc, summary) = pred.price(j, None, &baselines, &mut scratch).unwrap();
+            let full = pred.with_cache(false).predict(j).unwrap();
             assert_eq!(inc.e2e_us.to_bits(), full.e2e_us.to_bits());
             for (a, b) in inc.segment_us.iter().zip(&full.segment_us) {
                 assert_eq!(a.to_bits(), b.to_bits());
@@ -259,15 +233,14 @@ mod tests {
             assert!(summary.scenarios > 0);
         }
         // The reference job's own segments reconverge and splice.
-        let (_, summary) =
-            pred.price(&job, None, Some(&baselines), Some(&cache), &mut scratch).unwrap();
+        let (_, summary) = pred.price(&job, None, &baselines, &mut scratch).unwrap();
         assert!(summary.spliced > 0, "{summary:?}");
     }
 
     #[test]
     fn prediction_tracks_simulated_cluster() {
-        let (job, pipe) = setup(4, 2048);
-        let p = DistributedPredictor::new(&pipe).predict(&job).unwrap();
+        let (job, eval) = setup(4, 2048);
+        let p = DistributedPredictor::new(&eval, 0).predict(&job).unwrap();
         let mut engine = MultiGpuEngine::new(DeviceSpec::v100(), 9);
         let measured = engine.measure_e2e(&job, 8).unwrap();
         let err = ((p.e2e_us - measured) / measured).abs();
@@ -281,9 +254,9 @@ mod tests {
 
     #[test]
     fn scaling_helps_compute_but_adds_comm() {
-        let (job1, pipe) = setup(1, 2048);
+        let (job1, eval) = setup(1, 2048);
         let (job4, _) = setup(4, 2048);
-        let pred = DistributedPredictor::new(&pipe);
+        let pred = DistributedPredictor::new(&eval, 0);
         let p1 = pred.predict(&job1).unwrap();
         let p4 = pred.predict(&job4).unwrap();
         assert_eq!(p1.comm_us, [0.0; 3]);
@@ -302,8 +275,8 @@ mod tests {
             ShardingPlan::new(vec![0, 0, 0, 0, 0, 1, 2, 3], 4).unwrap(),
         )
         .unwrap();
-        let (_, pipe) = setup(4, 1024);
-        let pred = DistributedPredictor::new(&pipe);
+        let (_, eval) = setup(4, 1024);
+        let pred = DistributedPredictor::new(&eval, 0);
         let pb = pred.predict(&balanced).unwrap().e2e_us;
         let ps = pred.predict(&skewed).unwrap().e2e_us;
         assert!(ps > pb, "skewed plan predicted faster ({ps}) than balanced ({pb})");

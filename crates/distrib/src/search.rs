@@ -13,9 +13,10 @@
 //!   current plan (capped, deterministic order) and strategy switches on
 //!   the same plan.
 //! * [`ExtraScorer`]: builds the [`DistributedDlrm`] job and prices it
-//!   with [`DistributedPredictor::price`], memoized through one shared
-//!   cache (hits are bitwise identical to misses, so caching is
-//!   invisible to the ranking — the same contract as everywhere else).
+//!   with [`DistributedPredictor::price`], memoized through the
+//!   predictor's evaluator cache (hits are bitwise identical to misses,
+//!   so caching is invisible to the ranking — the same contract as
+//!   everywhere else).
 //!
 //! Only `ResizeBatch` graph mutations compose with this axis (the
 //! distributed job is rebuilt from its [`DlrmConfig`], so single-graph
@@ -24,9 +25,8 @@
 //! is batch-only, and the scorer rejects anything else defensively.
 
 use dlperf_core::predictor::WalkScratch;
-use dlperf_core::{Candidate, ExtraScorer, GraphMutation, MoveGenerator, DEFAULT_MEMO_CAPACITY};
+use dlperf_core::{Candidate, ExtraScorer, GraphMutation, MoveGenerator};
 use dlperf_graph::Graph;
-use dlperf_kernels::MemoCache;
 use dlperf_models::DlrmConfig;
 
 use crate::builder::{DistributedDlrm, ParallelismStrategy};
@@ -59,7 +59,6 @@ pub struct DistribAxis<'p> {
     predictor: DistributedPredictor<'p>,
     worlds: Vec<usize>,
     strategies: Vec<ParallelismStrategy>,
-    cache: MemoCache,
 }
 
 impl<'p> DistribAxis<'p> {
@@ -71,13 +70,7 @@ impl<'p> DistribAxis<'p> {
         worlds: Vec<usize>,
         strategies: Vec<ParallelismStrategy>,
     ) -> Self {
-        DistribAxis {
-            config,
-            predictor,
-            worlds,
-            strategies,
-            cache: MemoCache::with_capacity(DEFAULT_MEMO_CAPACITY),
-        }
+        DistribAxis { config, predictor, worlds, strategies }
     }
 
     /// Whether this axis can represent a candidate's mutation list: only
@@ -153,7 +146,7 @@ impl ExtraScorer<DistribMove> for DistribAxis<'_> {
             .map_err(|e| e.to_string())?
             .with_strategy(extra.strategy);
         self.predictor
-            .price(&job, None, None, Some(&self.cache), &mut WalkScratch::new())
+            .price(&job, None, &[], &mut WalkScratch::new())
             .map(|(p, _)| p.e2e_us)
             .map_err(|e| format!("lowering failed: {e}"))
     }

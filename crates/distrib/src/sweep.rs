@@ -3,14 +3,15 @@
 //!
 //! Enumerates candidate `(strategy, world size, topology, sharding plan)`
 //! scenarios for a DLRM config and prices them all through
-//! [`DistributedPredictor::price`] on [`dlperf_core::sweep::par_map_with`]
-//! — the same work-distributing, cancellation-aware primitive the
-//! single-GPU engine uses — with one reused scratch per worker and the
-//! caller's [`MemoCache`] answering kernel-model queries (the server
-//! passes its bounded per-device cache). Data-parallel MLP segments are
-//! identical across ranks and plans, so the cache hit rate across a plan
-//! sweep is high and the parallel sweep stays bitwise identical to the
-//! sequential one (pure evaluations, index-slotted results).
+//! [`DistributedPredictor::price`], fanned out by the predictor's
+//! [`dlperf_core::Evaluator::fan_out`] — the same work-distributing,
+//! cancellation-aware primitive the single-GPU engine uses — with one
+//! pooled scratch per worker and the evaluator's memo cache for the
+//! predictor's device answering kernel-model queries (the server's
+//! evaluator holds bounded per-device caches). Data-parallel MLP segments
+//! are identical across ranks and plans, so the cache hit rate across a
+//! plan sweep is high and the parallel sweep stays bitwise identical to
+//! the sequential one (pure evaluations, index-slotted results).
 //!
 //! Scenario enumeration is *total*: a cell whose plan cannot be
 //! constructed (or whose topology name is unknown) is emitted as a
@@ -18,16 +19,14 @@
 //! silently dropped — so outcome lengths are stable functions of the
 //! requested axes.
 
-use dlperf_core::predictor::WalkScratch;
-use dlperf_core::sweep::par_map_with;
+use dlperf_core::IncrementalPredictor;
 use dlperf_gpusim::DeviceSpec;
-use dlperf_kernels::MemoCache;
 use dlperf_models::DlrmConfig;
 use dlperf_runtime::CancellationToken;
 
 use crate::builder::{DistributedDlrm, ParallelismStrategy};
 use crate::plan::ShardingPlan;
-use crate::predictor::{DistributedPrediction, DistributedPredictor, SegmentBaselines};
+use crate::predictor::{DistributedPrediction, DistributedPredictor};
 use crate::topology::Topology;
 
 /// One cell of a sharding sweep: a parallelism strategy, a candidate plan
@@ -144,39 +143,42 @@ impl ShardingSweepOutcome {
     }
 }
 
-/// Prices every scenario on `threads` workers, each with its own
-/// [`WalkScratch`], answering kernel queries from the caller's `cache`
-/// (dedicated to the predictor's pipeline). Results are bitwise
-/// identical at any thread count and with any cache state: every cell is
-/// a pure function of `(predictor, config, scenario)`, and every cell
-/// prices through the same shared baselines.
+/// Prices every scenario on `threads` workers, each with a pooled
+/// scratch of the predictor's evaluator. Results are bitwise identical at
+/// any thread count and with any cache state: every cell is a pure
+/// function of `(predictor, config, scenario)`, and every cell prices
+/// through the same shared baselines.
 pub fn sweep_shardings(
     predictor: &DistributedPredictor,
     config: &DlrmConfig,
     scenarios: &[ShardingScenario],
-    cache: &MemoCache,
     threads: usize,
     token: &CancellationToken,
 ) -> ShardingSweepOutcome {
-    // Segment baselines from the first buildable scenario: every job's
-    // segments then re-predict incrementally against them (identical DP
-    // segments splice outright; sharded segments recompute only their
-    // dirty embedding span). Values are bitwise identical to the plain
-    // walk, which remains the fallback when nothing builds.
-    let baselines = (!token.is_cancelled())
-        .then(|| {
-            scenarios
-                .iter()
-                .find_map(|s| {
-                    let plan = s.plan.as_ref().ok()?;
-                    DistributedDlrm::new(config.clone(), plan.clone())
-                        .ok()
-                        .map(|j| j.with_strategy(s.strategy))
-                })
-                .map(|job| SegmentBaselines::new(predictor, &job, Some(cache)))
+    // Segment baselines from the first buildable scenario's rank 0: every
+    // job's segments then re-predict incrementally against them
+    // (identical DP segments splice outright; sharded segments recompute
+    // only their dirty embedding span). A segment that fails to lower gets
+    // no baseline. Values are bitwise identical to the plain walk, which
+    // remains the fallback when nothing builds.
+    let reference = (!token.is_cancelled()).then(|| {
+        scenarios.iter().find_map(|s| {
+            let plan = s.plan.as_ref().ok()?;
+            DistributedDlrm::new(config.clone(), plan.clone())
+                .ok()
+                .map(|j| j.with_strategy(s.strategy))
         })
-        .flatten();
-    let results = par_map_with(threads, token, scenarios, WalkScratch::new, |scratch, _, s| {
+    });
+    let baselines: Vec<Option<IncrementalPredictor>> = reference
+        .flatten()
+        .map(|job| {
+            job.segments(0)
+                .iter()
+                .map(|seg| predictor.eval.checkpoint(predictor.device, seg, predictor.use_cache).ok())
+                .collect()
+        })
+        .unwrap_or_default();
+    let results = predictor.eval.fan_out(threads, token, scenarios, |scratch, _, s| {
         let result = |prediction, error, degraded| ShardingResult {
             label: s.label.clone(),
             prediction,
@@ -194,7 +196,7 @@ pub fn sweep_shardings(
             Err(e) => return result(None, Some(format!("invalid plan: {e}")), None),
         };
         let topology = s.topology.as_ref();
-        match predictor.price(&job, topology, baselines.as_ref(), Some(cache), scratch) {
+        match predictor.price(&job, topology, &baselines, scratch) {
             Ok((p, _)) => {
                 result(Some(p), None, topology.and_then(|t| t.degraded().map(str::to_string)))
             }
@@ -208,15 +210,17 @@ pub fn sweep_shardings(
 mod tests {
     use super::*;
     use dlperf_core::pipeline::Pipeline;
+    use dlperf_core::{Evaluator, DEFAULT_MEMO_CAPACITY};
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::CalibrationEffort;
 
-    fn pipeline(cfg: &DlrmConfig) -> Pipeline {
+    fn evaluator(cfg: &DlrmConfig) -> Evaluator<'static> {
         let job =
             DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(cfg.rows_per_table.len(), 2))
                 .unwrap();
         let segs = job.segments(0).to_vec();
-        Pipeline::analyze(&DeviceSpec::v100(), &segs, CalibrationEffort::Quick, 6, 17)
+        let pipe = Pipeline::analyze(&DeviceSpec::v100(), &segs, CalibrationEffort::Quick, 6, 17);
+        Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY)
     }
 
     #[test]
@@ -246,11 +250,9 @@ mod tests {
         assert!(!degraded.is_empty(), "empty plans must surface as degraded cells");
 
         let cfg = DlrmConfig::default_config(512);
-        let pipe = pipeline(&cfg);
+        let eval = evaluator(&cfg);
         let token = CancellationToken::new();
-        let cache = MemoCache::new();
-        let out =
-            sweep_shardings(&DistributedPredictor::new(&pipe), &cfg, &cells, &cache, 1, &token);
+        let out = sweep_shardings(&DistributedPredictor::new(&eval, 0), &cfg, &cells, 1, &token);
         assert_eq!(out.results.len(), cells.len(), "one result slot per cell, always");
         for (cell, res) in cells.iter().zip(&out.results) {
             let res = res.as_ref().unwrap();
@@ -297,14 +299,14 @@ mod tests {
     #[test]
     fn parallel_sweep_matches_sequential_bitwise_and_hits_cache() {
         let cfg = DlrmConfig::default_config(512);
-        let pipe = pipeline(&cfg);
-        let pred = DistributedPredictor::new(&pipe);
+        let eval = evaluator(&cfg);
+        let fresh = Evaluator::new(eval.pipelines(), DEFAULT_MEMO_CAPACITY);
         let scenarios = enumerate_plans(cfg.rows_per_table.len(), &[2, 4]);
         let token = CancellationToken::new();
-        let cache = MemoCache::new();
-        let seq = sweep_shardings(&pred, &cfg, &scenarios, &cache, 1, &token);
-        let stats = cache.stats();
-        let par = sweep_shardings(&pred, &cfg, &scenarios, &MemoCache::new(), 4, &token);
+        let seq = sweep_shardings(&DistributedPredictor::new(&eval, 0), &cfg, &scenarios, 1, &token);
+        let stats = eval.cache_stats();
+        let par =
+            sweep_shardings(&DistributedPredictor::new(&fresh, 0), &cfg, &scenarios, 4, &token);
         let bits = |o: &ShardingSweepOutcome| -> Vec<Option<u64>> {
             o.results
                 .iter()

@@ -45,7 +45,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use dlperf_core::pipeline::Pipeline;
-    use dlperf_core::{prepare_graph, GraphMutation, WalkScratch};
+    use dlperf_core::{prepare_graph, Evaluator, GraphMutation, WalkScratch, DEFAULT_MEMO_CAPACITY};
     use dlperf_faults::FaultPlan;
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::{CalibrationEffort, MemoCache};
@@ -623,8 +623,8 @@ mod tests {
         }
         assert_eq!(server.stats().panics, 0, "world 0 must not panic a worker");
 
-        // The served sharded prices, made on the engine's bounded cache,
-        // equal an offline sweep on a fresh cache bit for bit.
+        // The served sharded prices, made on the server's bounded cache,
+        // equal an offline sweep on a fresh evaluator bit for bit.
         let config = zoo::dlrm_config("dlrm-default", 512).unwrap();
         let scenarios = enumerate_matrix(
             config.rows_per_table.len(),
@@ -633,11 +633,11 @@ mod tests {
             &["auto"],
             pipeline.device(),
         );
+        let eval = Evaluator::new(vec![pipeline], DEFAULT_MEMO_CAPACITY);
         let offline = sweep_shardings(
-            &DistributedPredictor::new(&pipeline),
+            &DistributedPredictor::new(&eval, 0),
             &config,
             &scenarios,
-            &MemoCache::new(),
             1,
             &CancellationToken::new(),
         );

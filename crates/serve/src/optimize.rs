@@ -11,15 +11,17 @@
 //! same pipelines, graph, and knobs — admission, deadlines, and worker
 //! chaos change *whether* the request is answered, never *what* the
 //! ranking says. The server prices with one thread and a per-request
-//! search over the engines' bounded memo caches (shared with `Predict`
-//! and `Recommend`); memo hits are bitwise invisible, so they cannot leak.
+//! search over an [`dlperf_core::Evaluator::subset`] view of the server's
+//! evaluator: the requested devices' pipelines on their bounded memo
+//! caches (shared with `Predict` and `Recommend`), with a store and
+//! scratch pool of the request's own. Memo hits are bitwise invisible, so
+//! they cannot leak.
 
-use dlperf_core::pipeline::Pipeline;
 use dlperf_core::{GraphMoves, NoExtra, OptimizationSearch, SearchConfig, SearchError};
 use dlperf_runtime::CancellationToken;
 
 use crate::api::{Body, ErrorCode, OptimizationBody, OptimizationEntry, OptimizeQuery};
-use crate::server::{resolve_devices, Engine, Shared};
+use crate::server::{resolve_devices, Shared};
 
 /// Server-side caps on the client-tunable search knobs: a hostile query
 /// may not turn one request into an unbounded search.
@@ -44,13 +46,10 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         );
     }
 
-    let device_names = match resolve_devices(shared, q.devices.as_deref().unwrap_or_default()) {
-        Ok(names) => names,
+    let devices = match resolve_devices(shared, q.devices.as_deref().unwrap_or_default()) {
+        Ok(devices) => devices,
         Err(e) => return Body::Error(e),
     };
-    let engines: Vec<&Engine> =
-        device_names.iter().map(|n| shared.engine(n).expect("resolved above")).collect();
-    let pipelines: Vec<Pipeline> = engines.iter().map(|e| e.pipeline.clone()).collect();
 
     let graph = entry.graph(q.batch);
     let base = match graph.as_ref() {
@@ -66,8 +65,7 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         top_k: q.top_k.unwrap_or(DEFAULT_TOP_K).clamp(1, MAX_TOP_K),
         ..SearchConfig::default()
     };
-    let search = OptimizationSearch::<NoExtra>::new(&pipelines)
-        .with_caches(engines.iter().map(|e| e.cache.clone()).collect())
+    let search = OptimizationSearch::<NoExtra>::with_evaluator(shared.eval.subset(&devices))
         .with_config(config)
         .with_graph_moves(GraphMoves {
             batches: q.batches.clone().unwrap_or_default(),

@@ -3,9 +3,12 @@
 //! Turns a device catalog plus latency/memory bounds into a ranked list of
 //! `(device, batch, sharding)` configurations, each with a reasoning
 //! string saying *why* it ranks where it does and each rejection saying
-//! *why not*. Prices come from the same bounded caches and cancellable
-//! walks as `Op::Predict`, so a recommendation is exactly as deterministic
-//! as the predictions it is built from.
+//! *why not*. Prices come from the server's evaluator, as `Op::Predict`'s
+//! do: single-GPU cells through the same cancellable
+//! [`dlperf_core::Evaluator::price`] walk, sharded cells through a
+//! [`DistributedPredictor`] over the same evaluator and device, on the
+//! same bounded caches. So a recommendation is exactly as deterministic as
+//! the predictions it is built from.
 
 use dlperf_core::predictor::{PredictError, WalkScratch};
 use dlperf_distrib::{enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy};
@@ -37,8 +40,8 @@ pub(crate) fn run(
     let Some(entry) = shared.models.get(&q.model) else {
         return Body::error(ErrorCode::NotFound, format!("unknown model `{}`", q.model));
     };
-    let device_names = match resolve_devices(shared, &q.devices) {
-        Ok(names) => names,
+    let devices = match resolve_devices(shared, &q.devices) {
+        Ok(devices) => devices,
         Err(e) => return Body::Error(e),
     };
     let batches: &[u64] = if q.batches.is_empty() { &DEFAULT_BATCHES } else { &q.batches };
@@ -77,9 +80,9 @@ pub(crate) fn run(
     // are pure functions of the batch.
     let mut sized_batches: Vec<Option<SizedGraph>> = vec![None; batches.len()];
 
-    for device_name in &device_names {
-        let engine = shared.engine(device_name).expect("resolved above");
-        let device = engine.pipeline.device().clone();
+    for &d in &devices {
+        let device = shared.eval.pipelines()[d].device();
+        let device_name = &device.name;
         for (slot, &batch) in batches.iter().enumerate() {
             if token.is_cancelled() {
                 return Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-search");
@@ -121,8 +124,8 @@ pub(crate) fn run(
                 });
                 continue;
             }
-            match engine.pipeline.predictor().walk(g, Some(&engine.cache), Some(token), scratch) {
-                Ok(p) => {
+            match shared.eval.price(d, g, None, true, Some(token), scratch) {
+                Ok((p, _)) => {
                     push_candidate(
                         &mut ranked,
                         &mut rejected,
@@ -157,13 +160,12 @@ pub(crate) fn run(
                         &q.world_sizes,
                         &strategies,
                         &topology_names,
-                        &device,
+                        device,
                     );
                     let outcome = sweep_shardings(
-                        &DistributedPredictor::new(&engine.pipeline),
+                        &DistributedPredictor::new(&shared.eval, d),
                         &config,
                         &scenarios,
-                        &engine.cache,
                         1,
                         token,
                     );

@@ -22,12 +22,18 @@
 //!    real, and the thread's last act is to respawn a replacement, so the
 //!    pool heals the way a supervised run does.
 //!
-//! Caches are bounded by construction: each device's [`MemoCache`] and
-//! each model's [`PreparedStore`] carry capacity caps, so a hostile or
-//! merely diverse request stream evicts, never grows. Every endpoint that
-//! prices — `Predict`, `Recommend`, and `Optimize` — goes through the same
-//! per-device caches; an `Optimize` search's own prepared graphs and
-//! baselines live only as long as its request.
+//! Pricing has one handle: the server holds one full-fidelity
+//! [`Evaluator`] over the calibrated pipelines and one over their degraded
+//! twins, in the same device order, and every endpoint that prices —
+//! `Predict`, `Recommend` (single-GPU and sharded), and `Optimize` — goes
+//! through [`Evaluator::price`] on their per-device memo caches. An
+//! `Optimize` search prices through an [`Evaluator::subset`] view that
+//! shares those caches, so its own prepared graphs and baselines live only
+//! as long as its request.
+//!
+//! Caches are bounded by construction: each device's memo cache and each
+//! model's [`PreparedStore`] carry capacity caps, so a hostile or merely
+//! diverse request stream evicts, never grows.
 //!
 //! Determinism contract: an admitted, non-degraded answer is bitwise
 //! identical to [`Pipeline::predict_memoized_scratch`] run offline on the
@@ -44,11 +50,11 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dlperf_core::pipeline::Pipeline;
 use dlperf_core::predictor::{PredictError, WalkScratch};
-use dlperf_core::{GraphMutation, PreparedStore};
+use dlperf_core::{Evaluator, GraphMutation, PreparedStore};
 use dlperf_faults::{site_key, FaultInjector, FaultPlan, WorkerFault};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::Graph;
-use dlperf_kernels::{MemoCache, ModelRegistry};
+use dlperf_kernels::{MemoCacheStats, ModelRegistry};
 use dlperf_models::zoo;
 use dlperf_obs::{CounterGroup, CounterHandle};
 use dlperf_runtime::{CancellationToken, Watchdog};
@@ -139,16 +145,6 @@ impl Breaker {
     }
 }
 
-/// One served device: the calibrated pipeline, its roofline twin, and
-/// their (separately) bounded memo caches. The full-fidelity cache is an
-/// `Arc` so `Optimize` searches can price through it too.
-pub(crate) struct Engine {
-    pub(crate) pipeline: Pipeline,
-    degraded: Pipeline,
-    pub(crate) cache: Arc<MemoCache>,
-    degraded_cache: MemoCache,
-}
-
 /// One served model: the base graph and its bounded prepared-graph store.
 pub(crate) struct ModelEntry {
     base: Graph,
@@ -167,7 +163,13 @@ impl ModelEntry {
 /// State shared by every worker and every transport thread.
 pub(crate) struct Shared {
     pub(crate) cfg: ServerConfig,
-    pub(crate) engines: HashMap<String, Engine>,
+    /// The calibrated pipelines, one per served device, in start order.
+    pub(crate) eval: Evaluator<'static>,
+    /// Their roofline twins (empty registry, same overhead database), in
+    /// the same device order, on separately bounded memo caches.
+    degraded: Evaluator<'static>,
+    /// Canonical device name → device index in both evaluators.
+    devices: HashMap<String, usize>,
     pub(crate) models: HashMap<String, ModelEntry>,
     injector: Option<FaultInjector>,
     fault_seq: AtomicU64,
@@ -222,24 +224,21 @@ impl Server {
         if models.is_empty() {
             return Err("at least one model name is required".into());
         }
-        let mut engines = HashMap::new();
-        for pipeline in pipelines {
-            let device = pipeline.device().clone();
-            let degraded = Pipeline::from_assets(
-                device.clone(),
-                ModelRegistry::empty(device.clone()),
-                pipeline.predictor().overheads().clone(),
-            );
-            let engine = Engine {
-                pipeline,
-                degraded,
-                cache: Arc::new(MemoCache::with_capacity(cfg.memo_capacity)),
-                degraded_cache: MemoCache::with_capacity(cfg.memo_capacity),
-            };
-            if engines.insert(device.name.clone(), engine).is_some() {
-                return Err(format!("duplicate pipeline for device `{}`", device.name));
+        let mut devices = HashMap::new();
+        for (d, pipeline) in pipelines.iter().enumerate() {
+            let name = &pipeline.device().name;
+            if devices.insert(name.clone(), d).is_some() {
+                return Err(format!("duplicate pipeline for device `{name}`"));
             }
         }
+        let degraded: Vec<Pipeline> = pipelines
+            .iter()
+            .map(|p| {
+                let device = p.device().clone();
+                let registry = ModelRegistry::empty(device.clone());
+                Pipeline::from_assets(device, registry, p.predictor().overheads().clone())
+            })
+            .collect();
         let mut model_map = HashMap::new();
         for &name in models {
             let base = zoo::build(name, cfg.base_batch)?;
@@ -263,7 +262,9 @@ impl Server {
             ],
         );
         let shared = Arc::new(Shared {
-            engines,
+            eval: Evaluator::new(pipelines, cfg.memo_capacity),
+            degraded: Evaluator::new(degraded, cfg.memo_capacity),
+            devices,
             models: model_map,
             injector: fault_plan.map(FaultInjector::new),
             fault_seq: AtomicU64::new(0),
@@ -392,7 +393,7 @@ impl Server {
 
     /// The names of the devices this server prices.
     pub fn devices(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.engines.keys().cloned().collect();
+        let mut names: Vec<String> = self.shared.devices.keys().cloned().collect();
         names.sort();
         names
     }
@@ -411,15 +412,7 @@ impl Drop for Server {
 
 impl Shared {
     fn stats(&self) -> StatsBody {
-        let mut memo = dlperf_kernels::MemoCacheStats::default();
-        for e in self.engines.values() {
-            let s = e.cache.stats();
-            let d = e.degraded_cache.stats();
-            memo.hits += s.hits + d.hits;
-            memo.misses += s.misses + d.misses;
-            memo.entries += s.entries + d.entries;
-            memo.evictions += s.evictions + d.evictions;
-        }
+        let memo = MemoCacheStats::merged(&[self.eval.cache_stats(), self.degraded.cache_stats()]);
         let mut prepared_entries = 0u64;
         let mut prepared_evictions = 0u64;
         for m in self.models.values() {
@@ -448,18 +441,24 @@ impl Shared {
         }
     }
 
-    /// The engine for a device name, canonicalizing through
+    /// The device index for a device name, canonicalizing through
     /// [`DeviceSpec::by_name`] aliases.
-    pub(crate) fn engine(&self, device: &str) -> Option<&Engine> {
-        self.engines.get(device).or_else(|| {
-            let canonical = DeviceSpec::by_name(device)?;
-            self.engines.get(&canonical.name)
-        })
+    fn device(&self, name: &str) -> Option<usize> {
+        let index = self.devices.get(name).or_else(|| {
+            let canonical = DeviceSpec::by_name(name)?;
+            self.devices.get(&canonical.name)
+        });
+        index.copied()
+    }
+
+    /// The canonical name of device `d`.
+    pub(crate) fn device_name(&self, d: usize) -> &str {
+        &self.eval.pipelines()[d].device().name
     }
 }
 
-/// Resolves a request's device axis to canonical engine names: every
-/// served device (sorted) when `requested` is empty, else the requested
+/// Resolves a request's device axis to device indices: every served
+/// device (sorted by name) when `requested` is empty, else the requested
 /// names canonicalized and set-deduplicated in first-occurrence order, so
 /// aliases and repeats never price (or rank) one device twice.
 ///
@@ -468,24 +467,26 @@ impl Shared {
 pub(crate) fn resolve_devices(
     shared: &Shared,
     requested: &[String],
-) -> Result<Vec<String>, ErrorBody> {
+) -> Result<Vec<usize>, ErrorBody> {
     if requested.is_empty() {
-        let mut names: Vec<String> = shared.engines.keys().cloned().collect();
-        names.sort();
-        return Ok(names);
+        let mut all: Vec<usize> = (0..shared.eval.pipelines().len()).collect();
+        all.sort_by(|&a, &b| shared.device_name(a).cmp(shared.device_name(b)));
+        return Ok(all);
     }
-    let mut names = Vec::new();
-    for d in requested {
-        match shared.engine(d) {
-            Some(e) => names.push(e.pipeline.device().name.clone()),
+    let mut devices = Vec::new();
+    for name in requested {
+        match shared.device(name) {
+            Some(d) if !devices.contains(&d) => devices.push(d),
+            Some(_) => {}
             None => {
-                return Err(ErrorBody::new(ErrorCode::NotFound, format!("unknown device `{d}`")))
+                return Err(ErrorBody::new(
+                    ErrorCode::NotFound,
+                    format!("unknown device `{name}`"),
+                ))
             }
         }
     }
-    let mut seen = std::collections::HashSet::new();
-    names.retain(|n| seen.insert(n.clone()));
-    Ok(names)
+    Ok(devices)
 }
 
 /// How a routed request left the worker.
@@ -638,7 +639,7 @@ fn route_predict(
     token: &CancellationToken,
     scratch: &mut WalkScratch,
 ) -> Routed {
-    let Some(engine) = shared.engine(&q.device) else {
+    let Some(device) = shared.device(&q.device) else {
         shared.rejected.incr();
         return Routed::Body(Body::error(
             ErrorCode::NotFound,
@@ -664,38 +665,12 @@ fn route_predict(
         ));
     }
 
-    // Breaker open: answer from the roofline twin. No fault injection
-    // here — degraded answers are the fallback path, not the flaky one.
-    if shared.breaker.should_degrade() {
-        let graph = entry.graph(q.batch);
-        return Routed::Body(match graph.as_ref() {
-            Err(e) => {
-                shared.rejected.incr();
-                Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"))
-            }
-            Ok(g) => match engine.degraded.predictor().walk(
-                g,
-                Some(&engine.degraded_cache),
-                Some(token),
-                scratch,
-            ) {
-                Ok(p) => {
-                    shared.degraded_answers.incr();
-                    Body::Prediction(prediction_body(&p, "degraded"))
-                }
-                Err(PredictError::Cancelled) => {
-                    shared.deadline_expired.incr();
-                    Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-walk (degraded)")
-                }
-                Err(PredictError::Lower(e)) => {
-                    Body::error(ErrorCode::Internal, format!("degraded lowering failed: {e}"))
-                }
-            },
-        });
-    }
-
-    // Injected chaos, full-fidelity path only.
-    if let Some(injector) = &shared.injector {
+    // Breaker open: answer from the roofline twin. Injected chaos hits
+    // the full-fidelity path only — degraded answers are the fallback
+    // path, not the flaky one.
+    let degraded = shared.breaker.should_degrade();
+    let injector = if degraded { None } else { shared.injector.as_ref() };
+    if let Some(injector) = injector {
         let seq = shared.fault_seq.fetch_add(1, Ordering::SeqCst);
         match injector.worker_fault(site_key("serve.request"), seq, 0) {
             Some(WorkerFault::Panic) => panic!("injected worker panic (request seq {seq})"),
@@ -722,32 +697,40 @@ fn route_predict(
         }
     }
 
+    let eval = if degraded { &shared.degraded } else { &shared.eval };
     let graph = entry.graph(q.batch);
-    Routed::Body(match graph.as_ref() {
+    let g = match graph.as_ref() {
+        Ok(g) => g,
         Err(e) => {
             shared.rejected.incr();
-            Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"))
+            return Routed::Body(Body::error(
+                ErrorCode::BadRequest,
+                format!("graph preparation failed: {e}"),
+            ));
         }
-        Ok(g) => match engine.pipeline.predictor().walk(
-            g,
-            Some(&engine.cache),
-            Some(token),
-            scratch,
-        ) {
-            Ok(p) => {
-                shared.breaker.record_success();
-                let confidence = if p.is_fully_calibrated() { "calibrated" } else { "degraded" };
-                Body::Prediction(prediction_body(&p, confidence))
-            }
-            Err(PredictError::Cancelled) => {
-                shared.deadline_expired.incr();
-                Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-walk")
-            }
-            Err(PredictError::Lower(e)) => {
-                shared.breaker.record_failure();
-                Body::error(ErrorCode::Internal, format!("lowering failed: {e}"))
-            }
-        },
+    };
+    Routed::Body(match eval.price(device, g, None, true, Some(token), scratch) {
+        Ok((p, _)) if degraded => {
+            shared.degraded_answers.incr();
+            Body::Prediction(prediction_body(&p, "degraded"))
+        }
+        Ok((p, _)) => {
+            shared.breaker.record_success();
+            let confidence = if p.is_fully_calibrated() { "calibrated" } else { "degraded" };
+            Body::Prediction(prediction_body(&p, confidence))
+        }
+        Err(PredictError::Cancelled) => {
+            shared.deadline_expired.incr();
+            let note = if degraded { " (degraded)" } else { "" };
+            Body::error(ErrorCode::DeadlineExceeded, format!("deadline expired mid-walk{note}"))
+        }
+        Err(PredictError::Lower(e)) if degraded => {
+            Body::error(ErrorCode::Internal, format!("degraded lowering failed: {e}"))
+        }
+        Err(PredictError::Lower(e)) => {
+            shared.breaker.record_failure();
+            Body::error(ErrorCode::Internal, format!("lowering failed: {e}"))
+        }
     })
 }
 

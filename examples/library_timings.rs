@@ -16,7 +16,8 @@
 //! * `hoistable_nodes` on a graph whose index is already cached;
 //! * `prepare_graph` with one `HoistNode` (the last hoistable node);
 //! * one fresh depth-2 `OptimizationSearch` as the server runs it (new
-//!   search, warm bounded memo cache, beam 8, top 5, two batch targets).
+//!   search over a subset view of a long-lived evaluator, so a warm
+//!   bounded memo cache, beam 8, top 5, two batch targets).
 //!
 //! Each figure is the median of 31 timings; each timing covers 200 calls
 //! after a warm-up (5 calls for cold walks, 20 for searches), divided per
@@ -29,12 +30,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use std::sync::Arc;
-
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
-use dlrm_perf_model::core::{GraphMoves, NoExtra, OptimizationSearch, SearchConfig};
+use dlrm_perf_model::core::{Evaluator, GraphMoves, NoExtra, OptimizationSearch, SearchConfig};
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::transform::hoistable_nodes;
 use dlrm_perf_model::graph::{lower, memory, Graph, GraphIndex};
@@ -149,12 +148,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hoist = [GraphMutation::HoistNode(*hoistable_nodes(graph).last().expect("dcn hoists"))];
     let ns = median_ns(CALLS, || drop(black_box(prepare_graph(graph, &hoist).expect("hoists"))));
     row("prepare_graph(HoistNode(last hoistable))", ns, nodes);
-    let pipelines = [pipeline.clone()];
-    let cache = Arc::new(MemoCache::with_capacity(BOUNDED_CAPACITY));
+    let server_eval = Evaluator::new(vec![pipeline.clone()], BOUNDED_CAPACITY);
     let config = SearchConfig { beam_width: 8, max_depth: 2, top_k: 5, ..SearchConfig::default() };
     let ns = median_ns(SEARCH_CALLS, || {
-        let search = OptimizationSearch::<NoExtra>::new(&pipelines)
-            .with_caches(vec![cache.clone()])
+        let search = OptimizationSearch::<NoExtra>::with_evaluator(server_eval.subset(&[0]))
             .with_config(config.clone())
             .with_graph_moves(GraphMoves { batches: vec![512, 2048], ..GraphMoves::default() });
         black_box(search.run(graph).expect("dcn searches"));

@@ -4,24 +4,28 @@
 //!
 //! The (world size × sharding plan) matrix runs through the distributed
 //! sweep (`dlperf_distrib::sweep`), which fans scenarios across threads
-//! and answers kernel-model queries from the caller's memo cache; the
+//! and answers kernel-model queries from the evaluator's memo cache; the
 //! hand-rolled loop this replaced re-evaluated every data-parallel MLP
 //! segment per plan.
 //!
-//! Run with `cargo run --release --example multigpu_scaling`.
+//! Run with `cargo run --release --example multigpu_scaling`. It exits
+//! non-zero when the parallel sweep is not bitwise identical to the
+//! sequential one.
 
 use dlrm_perf_model::core::pipeline::Pipeline;
+use dlrm_perf_model::core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlrm_perf_model::distrib::{
     enumerate_plans, sweep_shardings, DistributedDlrm, DistributedPredictor, MultiGpuEngine,
     ShardingPlan,
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
-use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
+use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::runtime::CancellationToken;
+use std::process::ExitCode;
 use std::time::Instant;
 
-fn main() {
+fn main() -> ExitCode {
     let device = DeviceSpec::v100();
     let batch = 4096;
     let cfg = DlrmConfig::default_config(batch);
@@ -31,18 +35,21 @@ fn main() {
     let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 1)).unwrap();
     println!("calibrating {} ...", device.name);
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 15, 3);
-    let predictor = DistributedPredictor::new(&pipe);
+    let pipes = std::slice::from_ref(&pipe);
 
     // The full sweep: every world size × candidate plan, through the
-    // parallel memoized engine, with a sequential run as the reference.
+    // parallel memoized engine, with a sequential run on its own cold
+    // evaluator as the reference.
     let scenarios = enumerate_plans(tables, &[1, 2, 4, 8]);
     let token = CancellationToken::new();
+    let reference = Evaluator::new(pipes, DEFAULT_MEMO_CAPACITY);
     let t0 = Instant::now();
-    let sequential = sweep_shardings(&predictor, &cfg, &scenarios, &MemoCache::new(), 1, &token);
+    let sequential =
+        sweep_shardings(&DistributedPredictor::new(&reference, 0), &cfg, &scenarios, 1, &token);
     let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let cache = MemoCache::new();
+    let eval = Evaluator::new(pipes, DEFAULT_MEMO_CAPACITY);
     let t0 = Instant::now();
-    let parallel = sweep_shardings(&predictor, &cfg, &scenarios, &cache, 4, &token);
+    let parallel = sweep_shardings(&DistributedPredictor::new(&eval, 0), &cfg, &scenarios, 4, &token);
     let par_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!("\n== Scaling curve (global batch {batch}, NVLink cluster, round-robin) ==");
@@ -103,11 +110,17 @@ fn main() {
     println!("\n== Sweep engine ==");
     println!("scenarios:        {}", scenarios.len());
     println!("bitwise identical to sequential: {identical}");
-    println!("cache:            {}", cache.stats());
+    println!("cache:            {}", eval.cache_stats());
     println!(
         "wall clock:       {par_ms:.1} ms parallel vs {seq_ms:.1} ms sequential ({:.2}x)",
         seq_ms / par_ms
     );
     println!("\nThe predictor exposes both the comm overhead of scaling out and the");
     println!("straggler cost of a bad sharding plan — before provisioning any GPU.");
+    if identical {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("error: the parallel sweep diverged from the sequential one");
+        ExitCode::FAILURE
+    }
 }

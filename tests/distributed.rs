@@ -2,6 +2,7 @@
 //! cluster engine, through the facade crate.
 
 use dlrm_perf_model::core::pipeline::Pipeline;
+use dlrm_perf_model::core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlrm_perf_model::distrib::{
     DistributedDlrm, DistributedPredictor, MultiGpuEngine, ShardingPlan,
 };
@@ -9,17 +10,18 @@ use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::DlrmConfig;
 
-fn setup(device: &DeviceSpec) -> Pipeline {
+fn setup(device: &DeviceSpec) -> Evaluator<'static> {
     let cfg = DlrmConfig::default_config(2048);
     let probe = DistributedDlrm::new(cfg, ShardingPlan::round_robin(8, 1)).unwrap();
-    Pipeline::analyze(device, &probe.segments(0), CalibrationEffort::Quick, 10, 77)
+    let pipe = Pipeline::analyze(device, &probe.segments(0), CalibrationEffort::Quick, 10, 77);
+    Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY)
 }
 
 #[test]
 fn scaling_curve_has_diminishing_returns() {
     let device = DeviceSpec::v100();
-    let pipe = setup(&device);
-    let predictor = DistributedPredictor::new(&pipe);
+    let eval = setup(&device);
+    let predictor = DistributedPredictor::new(&eval, 0);
     let cfg = DlrmConfig::default_config(4096);
     let mut times = Vec::new();
     for world in [1usize, 2, 4, 8] {
@@ -38,8 +40,8 @@ fn scaling_curve_has_diminishing_returns() {
 #[test]
 fn predicted_e2e_tracks_cluster_engine_across_worlds() {
     let device = DeviceSpec::v100();
-    let pipe = setup(&device);
-    let predictor = DistributedPredictor::new(&pipe);
+    let eval = setup(&device);
+    let predictor = DistributedPredictor::new(&eval, 0);
     let cfg = DlrmConfig::default_config(2048);
     for world in [2usize, 4] {
         let job = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(8, world)).unwrap();
@@ -57,8 +59,8 @@ fn pcie_cluster_scales_worse_than_nvlink() {
     let job4 = DistributedDlrm::new(cfg, ShardingPlan::round_robin(8, 4)).unwrap();
     let v100 = setup(&DeviceSpec::v100());
     let xp = setup(&DeviceSpec::titan_xp());
-    let pv = DistributedPredictor::new(&v100).predict(&job4).unwrap();
-    let pxp = DistributedPredictor::new(&xp).predict(&job4).unwrap();
+    let pv = DistributedPredictor::new(&v100, 0).predict(&job4).unwrap();
+    let pxp = DistributedPredictor::new(&xp, 0).predict(&job4).unwrap();
     assert!(
         pxp.comm_share() > pv.comm_share(),
         "PCIe comm share {:.2} should exceed NVLink {:.2}",

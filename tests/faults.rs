@@ -12,6 +12,7 @@
 //!    degrades that prediction, not the process.
 
 use dlperf_core::pipeline::{Pipeline, PipelineError};
+use dlperf_core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlperf_distrib::{DistributedDlrm, DistributedPredictor, MultiGpuEngine, ShardingPlan};
 use dlperf_faults::FaultPlan;
 use dlperf_gpusim::DeviceSpec;
@@ -186,7 +187,8 @@ fn link_degradation_is_deterministic_and_names_affected_collectives() {
     .expect("probe job");
     let device = DeviceSpec::v100();
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 5, 31);
-    let predictor = DistributedPredictor::new(&pipe);
+    let eval = Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY);
+    let predictor = DistributedPredictor::new(&eval, 0);
     let (p1, notes1) = predictor.predict_with_faults(&j, &plan).expect("faulted predict");
     let (p2, notes2) = predictor.predict_with_faults(&j, &plan).expect("faulted predict");
     assert_eq!(p1.e2e_us.to_bits(), p2.e2e_us.to_bits());

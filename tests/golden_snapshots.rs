@@ -22,12 +22,13 @@ use std::path::PathBuf;
 
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::sweep::{GraphMutation, ScenarioMatrix, SweepEngine};
+use dlrm_perf_model::core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlrm_perf_model::distrib::{
     enumerate_matrix, enumerate_plans, sweep_shardings, DistributedDlrm, DistributedPredictor,
     ParallelismStrategy, ShardingPlan, ShardingResult, ShardingScenario, Topology,
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
-use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
+use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::runtime::CancellationToken;
 
@@ -147,11 +148,11 @@ fn hierarchical_ib_heterogeneous_sweep_is_bitwise_stable() {
             });
         }
     }
+    let eval = Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY);
     let out = sweep_shardings(
-        &DistributedPredictor::new(&pipe),
+        &DistributedPredictor::new(&eval, 0),
         &cfg,
         &scenarios,
-        &MemoCache::new(),
         4,
         &CancellationToken::new(),
     );
@@ -199,11 +200,11 @@ fn distrib_topology_matrix_is_bitwise_stable() {
         &["auto", "nvlink", "pcie", "ib2x2", "ib2x1", "bogus"],
         &device,
     );
+    let eval = Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY);
     let out = sweep_shardings(
-        &DistributedPredictor::new(&pipe),
+        &DistributedPredictor::new(&eval, 0),
         &cfg,
         &scenarios,
-        &MemoCache::new(),
         2,
         &CancellationToken::new(),
     );

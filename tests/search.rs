@@ -24,6 +24,7 @@ use dlrm_perf_model::core::search::{
     GraphMoves, NoExtra, OptimizationReport, OptimizationSearch, SearchConfig,
 };
 use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
+use dlrm_perf_model::core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlrm_perf_model::distrib::{
     DistribAxis, DistribMove, DistributedDlrm, DistributedPredictor, ParallelismStrategy,
     ShardingPlan,
@@ -146,11 +147,13 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
         6,
         23,
     )];
-    let predictor = DistributedPredictor::new(&pipelines[0]);
     let strategies = vec![ParallelismStrategy::Hybrid, ParallelismStrategy::DataParallel];
     let g = cfg.build();
     let run = |threads: usize| {
-        // A fresh axis per run: its memo cache starts cold every time.
+        // A fresh evaluator per run: the axis's memo cache starts cold
+        // every time.
+        let eval = Evaluator::new(&pipelines[..], DEFAULT_MEMO_CAPACITY);
+        let predictor = DistributedPredictor::new(&eval, 0);
         let axis = DistribAxis::new(cfg.clone(), predictor, vec![2, 4], strategies.clone());
         OptimizationSearch::<DistribMove>::new(&pipelines)
             .with_config(SearchConfig {
@@ -168,6 +171,8 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
     let parallel = run(8);
     assert_eq!(fingerprint(&parallel), fingerprint(&sequential), "8 threads diverged");
 
+    let plain_eval = Evaluator::new(&pipelines[..], DEFAULT_MEMO_CAPACITY);
+    let plain_predictor = DistributedPredictor::new(&plain_eval, 0).with_cache(false);
     let mut distributed = 0;
     for sc in &sequential.ranked {
         let Some(m) = &sc.candidate.extra else { continue };
@@ -181,7 +186,7 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
         let job = DistributedDlrm::new(job_cfg, m.plan.clone())
             .expect("ranked plan builds")
             .with_strategy(m.strategy);
-        let plain = predictor.predict(&job).expect("job prices");
+        let plain = plain_predictor.predict(&job).expect("job prices");
         assert_eq!(
             sc.e2e_us.to_bits(),
             plain.e2e_us.to_bits(),

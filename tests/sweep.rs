@@ -12,13 +12,14 @@ use std::sync::OnceLock;
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::core::sweep::{GraphMutation, ScenarioMatrix, SweepEngine, SweepOutcome};
+use dlrm_perf_model::core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlrm_perf_model::distrib::{
     enumerate_matrix, sweep_shardings, DistributedDlrm, DistributedPredictor,
     ParallelismStrategy, ShardingPlan, ShardingSweepOutcome,
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;
-use dlrm_perf_model::kernels::{CalibrationEffort, MemoCache};
+use dlrm_perf_model::kernels::CalibrationEffort;
 use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::runtime::CancellationToken;
 use proptest::prelude::*;
@@ -228,7 +229,7 @@ proptest! {
             .map(|(_, &s)| s)
             .collect();
         let (pipe, cfg) = distrib_base();
-        let predictor = DistributedPredictor::new(pipe);
+        let pipes = std::slice::from_ref(pipe);
         let scenarios = enumerate_matrix(
             cfg.rows_per_table.len(),
             &[2, 4],
@@ -237,19 +238,21 @@ proptest! {
             &DeviceSpec::v100(),
         );
         let token = CancellationToken::new();
+        let fresh = Evaluator::new(pipes, DEFAULT_MEMO_CAPACITY);
         let reference = distrib_fingerprint(&sweep_shardings(
-            &predictor, cfg, &scenarios, &MemoCache::new(), 1, &token,
+            &DistributedPredictor::new(&fresh, 0), cfg, &scenarios, 1, &token,
         ));
-        // The parallel runs share one cache, so the second starts warm.
-        let warm = MemoCache::new();
+        // The parallel runs share one evaluator, so the second starts warm.
+        let warm = Evaluator::new(pipes, DEFAULT_MEMO_CAPACITY);
         for threads in [2usize, 8] {
             let par = distrib_fingerprint(&sweep_shardings(
-                &predictor, cfg, &scenarios, &warm, threads, &token,
+                &DistributedPredictor::new(&warm, 0), cfg, &scenarios, threads, &token,
             ));
             prop_assert_eq!(&par, &reference, "{} threads diverged", threads);
         }
         // Cache off: price each buildable cell alone through the plain
         // (uncached, non-incremental) predictor. Bitwise identical.
+        let plain_predictor = DistributedPredictor::new(&fresh, 0).with_cache(false);
         for (scenario, got) in scenarios.iter().zip(&reference) {
             let Ok(plan) = &scenario.plan else { continue };
             let Ok(job) = DistributedDlrm::new(cfg.clone(), plan.clone())
@@ -257,8 +260,8 @@ proptest! {
             else {
                 continue;
             };
-            let plain = predictor
-                .price(&job, scenario.topology.as_ref(), None, None, &mut WalkScratch::new())
+            let plain = plain_predictor
+                .price(&job, scenario.topology.as_ref(), &[], &mut WalkScratch::new())
                 .ok()
                 .map(|(p, _)| p.e2e_us.to_bits());
             prop_assert_eq!(
@@ -267,7 +270,7 @@ proptest! {
             );
             // `auto` pins the derived topology, which is what `predict` uses.
             if got.0.starts_with("auto/") {
-                let derived = predictor.predict(&job).ok().map(|p| p.e2e_us.to_bits());
+                let derived = plain_predictor.predict(&job).ok().map(|p| p.e2e_us.to_bits());
                 prop_assert_eq!(derived, got.1, "plain predict diverged on {}", got.0);
             }
         }
