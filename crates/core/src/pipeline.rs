@@ -118,7 +118,9 @@ impl Pipeline {
 
     /// Like [`Pipeline::analyze`] but reusing an already-calibrated kernel
     /// registry — calibration depends only on the device, so one registry
-    /// serves any number of workload analyses.
+    /// serves any number of workload analyses. It is
+    /// [`Pipeline::analyze_resilient_with_registry`] with every skipped
+    /// workload turned into a panic.
     ///
     /// # Panics
     /// Same as [`Pipeline::analyze`].
@@ -129,30 +131,19 @@ impl Pipeline {
         iters: usize,
         seed: u64,
     ) -> Self {
-        assert!(!workloads.is_empty(), "analysis needs at least one workload");
-        assert!(iters > 0, "analysis needs at least one iteration");
-
-        let _span = dlperf_obs::span_with(dlperf_obs::SpanKind::Phase, || {
-            format!("pipeline.analyze/{}", device.name)
-        });
-        let mut per_workload = Vec::new();
-        for (i, g) in workloads.iter().enumerate() {
-            let _profile = dlperf_obs::span_with(dlperf_obs::SpanKind::Phase, || {
-                format!("pipeline.profile/{}", g.name)
-            });
-            let mut engine = ExecutionEngine::new(device.clone(), seed.wrapping_add(i as u64));
-            let runs = engine
-                .run_iterations(g, iters)
-                .unwrap_or_else(|e| panic!("workload `{}` failed to execute: {e}", g.name));
-            let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
-            per_workload.push((g.name.clone(), OverheadStats::extract(&traces, true)));
-        }
-        let shared = OverheadStats::merge(&per_workload.iter().map(|(_, s)| s).collect::<Vec<_>>());
-        Pipeline {
-            device: device.clone(),
-            predictor: E2ePredictor::new(registry, shared),
-            per_workload,
-        }
+        let skipped = match Self::analyze_resilient_with_registry(
+            device, workloads, registry, iters, seed,
+        ) {
+            Ok((pipeline, report)) => match report.skipped.into_iter().next() {
+                None => return pipeline,
+                Some(skipped) => skipped,
+            },
+            Err(PipelineError::AllWorkloadsFailed(skipped)) => {
+                skipped.into_iter().next().expect("a failed analysis names its workloads")
+            }
+            Err(e) => panic!("{e}"),
+        };
+        panic!("workload `{}` failed to execute: {}", skipped.0, skipped.1)
     }
 
     /// The fault-tolerant analysis track: like [`Pipeline::analyze`], but
@@ -198,11 +189,9 @@ impl Pipeline {
         let mut report = AnalysisReport::default();
         let mut per_workload = Vec::new();
         for (i, g) in workloads.iter().enumerate() {
-            let mut engine = ExecutionEngine::new(device.clone(), seed.wrapping_add(i as u64));
-            match engine.run_iterations(g, iters) {
-                Ok(runs) => {
-                    let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
-                    per_workload.push((g.name.clone(), OverheadStats::extract(&traces, true)));
+            match profile(device, g, iters, seed.wrapping_add(i as u64)) {
+                Ok(stats) => {
+                    per_workload.push((g.name.clone(), stats));
                     report.analyzed.push(g.name.clone());
                 }
                 Err(e) => report.skipped.push((g.name.clone(), e)),
@@ -211,14 +200,7 @@ impl Pipeline {
         if per_workload.is_empty() {
             return Err(PipelineError::AllWorkloadsFailed(report.skipped));
         }
-
-        let shared = OverheadStats::merge(&per_workload.iter().map(|(_, s)| s).collect::<Vec<_>>());
-        let pipeline = Pipeline {
-            device: device.clone(),
-            predictor: E2ePredictor::new(registry, shared),
-            per_workload,
-        };
-        Ok((pipeline, report))
+        Ok((Self::from_profiles(device.clone(), registry, per_workload), report))
     }
 
     /// The supervised analysis track: like [`Pipeline::analyze_resilient`],
@@ -283,19 +265,24 @@ impl Pipeline {
             analyzed: per_workload.iter().map(|(n, _)| n.clone()).collect(),
             skipped: state.skipped,
         };
-        let shared = OverheadStats::merge(&per_workload.iter().map(|(_, s)| s).collect::<Vec<_>>());
-        let pipeline = Pipeline {
-            device: device.clone(),
-            predictor: E2ePredictor::new(registry, shared),
-            per_workload,
-        };
-        (pipeline, report)
+        (Self::from_profiles(device.clone(), registry, per_workload), report)
     }
 
     /// Builds a pipeline from precomputed assets (e.g. a JSON overhead
     /// database from another session).
     pub fn from_assets(device: DeviceSpec, registry: ModelRegistry, overheads: OverheadStats) -> Self {
         Pipeline { device, predictor: E2ePredictor::new(registry, overheads), per_workload: Vec::new() }
+    }
+
+    /// A pipeline that keeps each analyzed workload's overhead database
+    /// and predicts with their merge (the paper's `shared_E2E`).
+    fn from_profiles(
+        device: DeviceSpec,
+        registry: ModelRegistry,
+        per_workload: Vec<(String, OverheadStats)>,
+    ) -> Self {
+        let shared = OverheadStats::merge(&per_workload.iter().map(|(_, s)| s).collect::<Vec<_>>());
+        Pipeline { per_workload, ..Self::from_assets(device, registry, shared) }
     }
 
     /// The device this pipeline models.
@@ -373,6 +360,23 @@ impl Pipeline {
     }
 }
 
+/// The analysis track's per-workload step: runs `g` for `iters`
+/// profiled iterations on an engine seeded with `seed` and extracts its
+/// T1–T5 overhead database.
+fn profile(
+    device: &DeviceSpec,
+    g: &Graph,
+    iters: usize,
+    seed: u64,
+) -> Result<OverheadStats, EngineError> {
+    let _span = dlperf_obs::span_with(dlperf_obs::SpanKind::Phase, || {
+        format!("pipeline.profile/{}", g.name)
+    });
+    let runs = ExecutionEngine::new(device.clone(), seed).run_iterations(g, iters)?;
+    let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
+    Ok(OverheadStats::extract(&traces, true))
+}
+
 /// Resumable progress of the supervised analysis track.
 ///
 /// Overhead statistics ride as their JSON form ([`OverheadStats::to_json`])
@@ -426,15 +430,8 @@ impl ResumableJob for AnalysisJob<'_> {
         let i = state.analyzed.len() + state.skipped.len();
         debug_assert_eq!(i as u64, ctx.step, "analysis state out of sync with supervisor step");
         let g = &self.workloads[i];
-        let mut engine =
-            ExecutionEngine::new(self.device.clone(), self.seed.wrapping_add(i as u64));
-        match engine.run_iterations(g, self.iters) {
-            Ok(runs) => {
-                let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
-                state
-                    .analyzed
-                    .push((g.name.clone(), OverheadStats::extract(&traces, true).to_json()));
-            }
+        match profile(self.device, g, self.iters, self.seed.wrapping_add(i as u64)) {
+            Ok(stats) => state.analyzed.push((g.name.clone(), stats.to_json())),
             Err(e) => state.skipped.push((g.name.clone(), e)),
         }
         if state.analyzed.len() + state.skipped.len() < self.workloads.len() {
