@@ -3,8 +3,10 @@
 //! `E2ePredictor::walk` (which lowers straight into its scratch) and
 //! `IncrementalPredictor::repredict_scratch` perform no heap allocation,
 //! with or without a memo cache; the walk and the repredict also on a
-//! bounded cache, whose hits only set a reference bit. Graphs share their
-//! tables copy-on-write:
+//! bounded cache, whose hits only set a reference bit. `Evaluator::price`,
+//! the one pricing handle, allocates nothing on either route (walk, with
+//! or without a cancellation token, and incremental) on its bounded
+//! caches. Graphs share their tables copy-on-write:
 //! a clone allocates only its name, and a batch resize copies only the
 //! tensor table.
 //!
@@ -20,6 +22,7 @@ use dlrm_perf_model::core::incremental::IncrementalPredictor;
 use dlrm_perf_model::core::pipeline::Pipeline;
 use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::core::sweep::{prepare_graph, GraphMutation};
+use dlrm_perf_model::core::Evaluator;
 use dlrm_perf_model::gpusim::{DeviceSpec, KernelSpec};
 use dlrm_perf_model::graph::lower;
 use dlrm_perf_model::graph::transform::resize_batch;
@@ -27,6 +30,7 @@ use dlrm_perf_model::graph::Graph;
 use dlrm_perf_model::kernels::{CalibrationEffort, Confidence, MemoCache, MemoKey, MemoScratch};
 use dlrm_perf_model::models::{zoo, DlrmConfig};
 use dlrm_perf_model::nn::arena::ScratchArena;
+use dlrm_perf_model::runtime::CancellationToken;
 
 struct Counting;
 
@@ -198,6 +202,39 @@ fn warm_repredict_allocates_nothing_with_or_without_a_cache() {
             "a warm repredict (cache: {}) allocated",
             describe(cache)
         );
+    }
+}
+
+#[test]
+fn warm_evaluator_price_allocates_nothing_on_either_route() {
+    let (graph, pipeline, _) = fixture();
+    let eval = Evaluator::new(vec![pipeline], BOUNDED_CAPACITY);
+    let mut scratch = WalkScratch::new();
+    // Occupy the bounded cache with another batch's kernels first.
+    let mut other = graph.clone();
+    resize_batch(&mut other, 4096).expect("dlrm-default resizes");
+    eval.price(0, &other, None, true, None, &mut scratch).expect("batch 4096 walks");
+
+    eval.store().rebase(&graph.index());
+    let baseline = eval.baseline(0, &graph).expect("dlrm-default walks");
+    let mut resized = graph.clone();
+    resize_batch(&mut resized, 2048).expect("dlrm-default resizes");
+    let token = CancellationToken::new();
+    let routes = [
+        ("walk", &graph, None, None),
+        ("cancellable walk", &graph, None, Some(&token)),
+        ("incremental", &resized, Some(&*baseline), None),
+    ];
+    for (route, g, baseline, cancel) in routes {
+        let mut price = || {
+            let (_, stats) =
+                eval.price(0, g, baseline, true, cancel, &mut scratch).expect("prices");
+            assert_eq!(stats.is_some(), baseline.is_some(), "{route}: wrong route");
+        };
+        for _ in 0..WARM_UP {
+            price();
+        }
+        assert_eq!(allocations(price), 0, "a warm {route} price allocated");
     }
 }
 
