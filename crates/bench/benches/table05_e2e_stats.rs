@@ -2,9 +2,13 @@
 //! E2E-time prediction errors across the three platforms, for individual
 //! and shared overhead databases.
 //!
-//! Expected shape: active error < E2E error < shared-E2E error, with the
-//! shared penalty only a few points (the paper: 4.61% / 7.96% / 10.15%
-//! geomeans, shared costing +2.19%).
+//! What is claimed (EXPERIMENTS.md, Table V): the shared-overhead penalty
+//! (shared-E2E geomean minus E2E geomean) is at most a few points, so one
+//! shared overhead database suffices — the paper reports 4.61% / 7.96% /
+//! 10.15% geomeans, shared costing +2.19%; and every error magnitude stays
+//! inside the paper's min–max band (0.4–14.4%). The paper's ordering active < E2E is *not*
+//! claimed: on the simulated platform per-batch E2E is mostly CPU-bound,
+//! so the recorded run reads Active 7.66% > E2E 5.09%.
 
 use dlperf_bench::{e2e_evaluation, header};
 use dlperf_core::report::{ErrorSummary, PredictionRow};
