@@ -373,10 +373,14 @@ impl<'p> Evaluator<'p> {
     ) -> Result<(Prediction, Option<IncrementalStats>), PredictError> {
         let cache = use_cache.then(|| &*self.caches[device]);
         match baseline {
-            Some(b) => Ok(b.repredict_scratch(graph, cache, scratch).map(|(p, s)| (p, Some(s)))?),
-            None => {
-                self.pipelines[device].predictor().walk(graph, cache, cancel, scratch).map(|p| (p, None))
-            }
+            Some(b) => b
+                .repredict_scratch(graph, cache, scratch)
+                .map(|(p, s)| (p, Some(s)))
+                .map_err(PredictError::Lower),
+            None => self.pipelines[device]
+                .predictor()
+                .walk(graph, cache, cancel, scratch)
+                .map(|p| (p, None)),
         }
     }
 
