@@ -131,19 +131,13 @@ impl Pipeline {
         iters: usize,
         seed: u64,
     ) -> Self {
-        let skipped = match Self::analyze_resilient_with_registry(
-            device, workloads, registry, iters, seed,
-        ) {
-            Ok((pipeline, report)) => match report.skipped.into_iter().next() {
-                None => return pipeline,
-                Some(skipped) => skipped,
-            },
-            Err(PipelineError::AllWorkloadsFailed(skipped)) => {
-                skipped.into_iter().next().expect("a failed analysis names its workloads")
-            }
-            Err(e) => panic!("{e}"),
-        };
-        panic!("workload `{}` failed to execute: {}", skipped.0, skipped.1)
+        let (pipeline, report) =
+            Self::analyze_resilient_with_registry(device, workloads, registry, iters, seed)
+                .unwrap_or_else(|e| panic!("{e}"));
+        if let Some((name, e)) = report.skipped.first() {
+            panic!("workload `{name}` failed to execute: {e}");
+        }
+        pipeline
     }
 
     /// The fault-tolerant analysis track: like [`Pipeline::analyze`], but

@@ -4,11 +4,11 @@
 //! Like the single-GPU predictor it never executes anything — sharding
 //! plans, world sizes, and interconnects can be compared from graphs alone.
 
-use dlperf_core::pipeline::Pipeline;
 use dlperf_core::predictor::{PredictError, WalkScratch};
 use dlperf_core::sweep::IncrementalSummary;
 use dlperf_core::{Evaluator, IncrementalPredictor};
 use dlperf_faults::{FaultInjector, FaultPlan};
+use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::lower::LowerError;
 
 use crate::builder::DistributedDlrm;
@@ -62,9 +62,9 @@ impl<'e> DistributedPredictor<'e> {
         self
     }
 
-    /// The calibrated pipeline segments are priced on.
-    pub fn pipeline(&self) -> &Pipeline {
-        &self.eval.pipelines()[self.device]
+    /// The device class unpinned collectives are priced on.
+    fn device_spec(&self) -> &DeviceSpec {
+        self.eval.pipelines()[self.device].device()
     }
 
     /// Predicts one distributed iteration of `job` on the derived
@@ -123,7 +123,7 @@ impl<'e> DistributedPredictor<'e> {
         }
         let topology = match topology {
             Some(t) if t.world() == job.world() => t.clone(),
-            _ => Topology::for_device(self.pipeline().device(), job.world()),
+            _ => Topology::for_device(self.device_spec(), job.world()),
         };
         Ok((assemble(job, segment_us, topology), summary))
     }
@@ -144,7 +144,7 @@ impl<'e> DistributedPredictor<'e> {
     ) -> Result<(DistributedPrediction, Vec<String>), LowerError> {
         let mut p = self.predict(job)?;
         let inj = FaultInjector::new(plan.clone());
-        let topology = Topology::for_device(self.pipeline().device(), job.world());
+        let topology = Topology::for_device(self.device_spec(), job.world());
         let mut notes = Vec::new();
         for (idx, spec) in job.collectives().iter().enumerate() {
             if spec.world <= 1 || spec.bytes_per_rank == 0 {
@@ -197,8 +197,8 @@ mod tests {
     use super::*;
     use crate::engine::MultiGpuEngine;
     use crate::plan::ShardingPlan;
+    use dlperf_core::pipeline::Pipeline;
     use dlperf_core::DEFAULT_MEMO_CAPACITY;
-    use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::CalibrationEffort;
     use dlperf_models::DlrmConfig;
 

@@ -161,23 +161,18 @@ pub fn sweep_shardings(
     // only their dirty embedding span). A segment that fails to lower gets
     // no baseline. Values are bitwise identical to the plain walk, which
     // remains the fallback when nothing builds.
-    let reference = (!token.is_cancelled()).then(|| {
-        scenarios.iter().find_map(|s| {
-            let plan = s.plan.as_ref().ok()?;
-            DistributedDlrm::new(config.clone(), plan.clone())
-                .ok()
-                .map(|j| j.with_strategy(s.strategy))
-        })
+    let reference = scenarios.iter().filter(|_| !token.is_cancelled()).find_map(|s| {
+        let job = DistributedDlrm::new(config.clone(), s.plan.clone().ok()?).ok()?;
+        Some(job.with_strategy(s.strategy))
     });
-    let baselines: Vec<Option<IncrementalPredictor>> = reference
-        .flatten()
-        .map(|job| {
-            job.segments(0)
-                .iter()
-                .map(|seg| predictor.eval.checkpoint(predictor.device, seg, predictor.use_cache).ok())
-                .collect()
-        })
-        .unwrap_or_default();
+    let (eval, device) = (predictor.eval, predictor.device);
+    let baselines: Vec<Option<IncrementalPredictor>> = match reference {
+        Some(job) => {
+            let checkpoint = |seg| eval.checkpoint(device, seg, predictor.use_cache).ok();
+            job.segments(0).iter().map(checkpoint).collect()
+        }
+        None => Vec::new(),
+    };
     let results = predictor.eval.fan_out(threads, token, scenarios, |scratch, _, s| {
         let result = |prediction, error, degraded| ShardingResult {
             label: s.label.clone(),

@@ -450,11 +450,6 @@ impl Shared {
         });
         index.copied()
     }
-
-    /// The canonical name of device `d`.
-    pub(crate) fn device_name(&self, d: usize) -> &str {
-        &self.eval.pipelines()[d].device().name
-    }
 }
 
 /// Resolves a request's device axis to device indices: every served
@@ -469,8 +464,9 @@ pub(crate) fn resolve_devices(
     requested: &[String],
 ) -> Result<Vec<usize>, ErrorBody> {
     if requested.is_empty() {
-        let mut all: Vec<usize> = (0..shared.eval.pipelines().len()).collect();
-        all.sort_by(|&a, &b| shared.device_name(a).cmp(shared.device_name(b)));
+        let pipelines = shared.eval.pipelines();
+        let mut all: Vec<usize> = (0..pipelines.len()).collect();
+        all.sort_by(|&a, &b| pipelines[a].device().name.cmp(&pipelines[b].device().name));
         return Ok(all);
     }
     let mut devices = Vec::new();
