@@ -705,7 +705,7 @@ mod tests {
         assert!(body.ranked[0].delta_us >= 0.0, "top entry must not lose time");
         assert!(body.evals >= body.ranked.len() as u64);
 
-        // The search priced through the engines' bounded memo caches; the
+        // The search priced through the server's bounded memo caches; the
         // same query again answers from them warm, bit for bit (`Debug`
         // prints every f64 in its exact round-trip form).
         let warm = server.stats();
