@@ -10,6 +10,7 @@ use dlperf_core::{Evaluator, IncrementalPredictor};
 use dlperf_faults::{FaultInjector, FaultPlan};
 use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::lower::LowerError;
+use dlperf_graph::Graph;
 
 use crate::builder::DistributedDlrm;
 use crate::comms::CommModel;
@@ -38,8 +39,8 @@ impl DistributedPrediction {
 #[derive(Clone, Copy)]
 pub struct DistributedPredictor<'e> {
     pub(crate) eval: &'e Evaluator<'e>,
-    pub(crate) device: usize,
-    pub(crate) use_cache: bool,
+    device: usize,
+    use_cache: bool,
 }
 
 impl<'e> DistributedPredictor<'e> {
@@ -56,6 +57,12 @@ impl<'e> DistributedPredictor<'e> {
     pub fn with_cache(mut self, on: bool) -> Self {
         self.use_cache = on;
         self
+    }
+
+    /// A baseline walk of `segment` for [`DistributedPredictor::price`]'s
+    /// `baselines`, or `None` when it does not lower.
+    pub(crate) fn checkpoint(&self, segment: &Graph) -> Option<IncrementalPredictor> {
+        self.eval.checkpoint(self.device, segment, self.use_cache).ok()
     }
 
     /// The device class unpinned collectives are priced on.
@@ -213,8 +220,7 @@ mod tests {
         let (job, eval) = setup(4, 2048);
         let pred = DistributedPredictor::new(&eval, 0);
         let mut scratch = WalkScratch::new();
-        let baselines: Vec<_> =
-            job.segments(0).iter().map(|seg| eval.checkpoint(0, seg, true).ok()).collect();
+        let baselines: Vec<_> = job.segments(0).iter().map(|seg| pred.checkpoint(seg)).collect();
         let cfg = DlrmConfig::default_config(2048);
         let tables = cfg.rows_per_table.len();
         let skewed =

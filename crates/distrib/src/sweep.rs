@@ -165,12 +165,8 @@ pub fn sweep_shardings(
         let job = DistributedDlrm::new(config.clone(), s.plan.clone().ok()?).ok()?;
         Some(job.with_strategy(s.strategy))
     });
-    let (eval, device) = (predictor.eval, predictor.device);
     let baselines: Vec<Option<IncrementalPredictor>> = match reference {
-        Some(job) => {
-            let checkpoint = |seg| eval.checkpoint(device, seg, predictor.use_cache).ok();
-            job.segments(0).iter().map(checkpoint).collect()
-        }
+        Some(job) => job.segments(0).iter().map(|seg| predictor.checkpoint(seg)).collect(),
         None => Vec::new(),
     };
     let results = predictor.eval.fan_out(threads, token, scenarios, |scratch, _, s| {
