@@ -8,18 +8,14 @@ use serde::{Deserialize, Serialize};
 use crate::arena::ScratchArena;
 use crate::matrix::{lane_dot, Matrix};
 
-/// One fully connected layer with its parameter gradients.
+/// One fully connected layer. A layer's parameter gradients have the
+/// same shape, so [`Mlp::backward`] returns them as `Linear`s too.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Linear {
     /// Weights, `in × out`.
     pub w: Matrix,
     /// Bias, length `out`.
     pub b: Vec<f64>,
-    /// Gradient of `w` from the last backward pass.
-    pub grad_w: Matrix,
-    /// Gradient of `b` from the last backward pass.
-    pub grad_b: Vec<f64>,
-    input_cache: Option<Matrix>,
 }
 
 impl Linear {
@@ -29,34 +25,17 @@ impl Linear {
         Linear {
             w: Matrix::from_fn(inputs, outputs, |_, _| rng.gen_range(-limit..limit)),
             b: vec![0.0; outputs],
-            grad_w: Matrix::zeros(inputs, outputs),
-            grad_b: vec![0.0; outputs],
-            input_cache: None,
         }
     }
+}
 
-    /// `x × w + b` on the training row kernel.
-    fn affine(&self, x: &Matrix) -> Matrix {
-        let mut y = x.matmul_rows(&self.w);
-        y.add_row(&self.b);
-        y
-    }
-
-    /// Fills the parameter gradients from `grad_out` and the input cached
-    /// by the training forward.
-    fn param_grads(&mut self, grad_out: &Matrix) {
-        let x = self
-            .input_cache
-            .take()
-            .expect("backward called without a preceding training forward");
-        self.grad_w = x.transpose().matmul_rows(grad_out);
-        self.grad_b = grad_out.col_sums();
-    }
-
-    /// The gradient w.r.t. the layer input, `grad_out × wᵀ`.
-    fn input_grad(&self, grad_out: &Matrix) -> Matrix {
-        grad_out.matmul_rows(&self.w.transpose())
-    }
+/// What a training forward records for [`Mlp::backward`]: each layer's
+/// input. A hidden layer's ReLU mask is where the next layer's input, its
+/// ReLU output, is positive. Only [`Mlp::forward_train`] makes a tape, and
+/// `backward` consumes it.
+#[derive(Debug)]
+pub struct Tape {
+    inputs: Vec<Matrix>,
 }
 
 /// A multilayer perceptron regressor: `num_layers` hidden ReLU layers of
@@ -64,9 +43,6 @@ impl Linear {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Linear>,
-    /// ReLU masks cached during training forward passes.
-    #[serde(skip)]
-    relu_masks: Vec<Matrix>,
 }
 
 impl Mlp {
@@ -85,7 +61,7 @@ impl Mlp {
             prev = width;
         }
         layers.push(Linear::new(prev, 1, &mut rng));
-        Mlp { layers, relu_masks: Vec::new() }
+        Mlp { layers }
     }
 
     /// Number of input features.
@@ -98,55 +74,63 @@ impl Mlp {
         &mut self.layers
     }
 
-    /// Forward pass on the training row kernel ([`Matrix::matmul_rows`]).
-    /// With `train = true`, caches activations for [`Mlp::backward`];
-    /// with `train = false` it caches nothing and is bitwise equal to
+    /// Layer `i` on the training row kernel ([`Matrix::matmul_rows`]):
+    /// `x × w + b`, then ReLU on hidden layers.
+    fn layer(&self, i: usize, x: &Matrix) -> Matrix {
+        let l = &self.layers[i];
+        let mut y = x.matmul_rows(&l.w);
+        y.add_row(&l.b);
+        if i + 1 < self.layers.len() {
+            y.map_inplace(|v| v.max(0.0));
+        }
+        y
+    }
+
+    /// Forward pass on the training row kernel, bitwise equal to
     /// [`Mlp::infer`] row by row (DESIGN.md §9.3).
-    pub fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
+    pub fn forward(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.inputs(), "feature count mismatch");
-        if train {
-            self.relu_masks.clear();
+        let mut h = self.layer(0, x);
+        for i in 1..self.layers.len() {
+            h = self.layer(i, &h);
         }
-        let n = self.layers.len();
-        let mut h: Option<Matrix> = None;
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            let mut y = layer.affine(h.as_ref().unwrap_or(x));
-            if train {
-                layer.input_cache = Some(h.take().unwrap_or_else(|| x.clone()));
-            }
-            if i + 1 < n {
-                // ReLU on hidden layers only.
-                if train {
-                    let mut mask = y.clone();
-                    mask.map_inplace(|v| if v > 0.0 { 1.0 } else { 0.0 });
-                    self.relu_masks.push(mask);
-                }
-                y.map_inplace(|v| v.max(0.0));
-            }
-            h = Some(y);
-        }
-        h.expect("an MLP has an output layer")
+        h
     }
 
-    /// Backpropagates `grad_out` (dL/d prediction) through the network,
-    /// filling each layer's parameter gradients. The gradient w.r.t. the
-    /// network input is not needed and not computed.
-    ///
-    /// # Panics
-    /// Panics if no training forward pass preceded this call.
-    pub fn backward(&mut self, grad_out: &Matrix) {
-        let mut grad = grad_out.clone();
-        for i in (0..self.layers.len()).rev() {
-            let layer = &mut self.layers[i];
-            layer.param_grads(&grad);
+    /// The same forward pass, keeping each layer's input on the returned
+    /// [`Tape`] for [`Mlp::backward`].
+    pub fn forward_train(&self, x: Matrix) -> (Matrix, Tape) {
+        assert_eq!(x.cols(), self.inputs(), "feature count mismatch");
+        let mut inputs = Vec::with_capacity(self.layers.len() + 1);
+        inputs.push(x);
+        for i in 0..self.layers.len() {
+            let y = self.layer(i, &inputs[i]);
+            inputs.push(y);
+        }
+        let y = inputs.pop().expect("an MLP has an output layer");
+        (y, Tape { inputs })
+    }
+
+    /// Backpropagates `grad` (dL/d prediction) through the network taped
+    /// by a training forward, returning each layer's parameter gradients.
+    /// The gradient w.r.t. the network input is not needed and not
+    /// computed.
+    pub fn backward(&self, tape: Tape, mut grad: Matrix) -> Vec<Linear> {
+        let mut grads = Vec::with_capacity(self.layers.len());
+        for (i, (layer, x)) in self.layers.iter().zip(tape.inputs).enumerate().rev() {
+            grads.push(Linear { w: x.transpose().matmul_rows(&grad), b: grad.col_sums() });
             if i > 0 {
-                grad = layer.input_grad(&grad);
-                grad.hadamard_inplace(&self.relu_masks[i - 1]);
+                grad = grad.matmul_rows(&layer.w.transpose());
+                for (g, &a) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                    *g *= if a > 0.0 { 1.0 } else { 0.0 };
+                }
             }
         }
+        grads.reverse();
+        grads
     }
 
-    /// Inference forward pass: no caching, immutable receiver.
+    /// Inference forward pass on [`Matrix::matmul`].
     pub fn infer(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.inputs(), "feature count mismatch");
         let mut h = x.clone();
@@ -305,9 +289,9 @@ mod tests {
 
     #[test]
     fn shapes_flow_through() {
-        let mut mlp = Mlp::new(4, 3, 16, 1);
+        let mlp = Mlp::new(4, 3, 16, 1);
         let x = Matrix::zeros(10, 4);
-        let y = mlp.forward(&x, false);
+        let y = mlp.forward(&x);
         assert_eq!((y.rows(), y.cols()), (10, 1));
     }
 
@@ -320,21 +304,20 @@ mod tests {
 
     #[test]
     fn gradient_matches_finite_difference() {
-        let mut mlp = Mlp::new(2, 2, 5, 7);
+        let mlp = Mlp::new(2, 2, 5, 7);
         let x = Matrix::from_rows(&[vec![0.3, -0.7], vec![1.1, 0.4]]).unwrap();
         // Loss = sum of outputs; dL/dy = 1.
-        let y = mlp.forward(&x, true);
+        let (y, tape) = mlp.forward_train(x.clone());
         let grad = Matrix::from_fn(y.rows(), 1, |_, _| 1.0);
-        mlp.backward(&grad);
-        let analytic = mlp.layers[0].grad_w.at(0, 0);
+        let analytic = mlp.backward(tape, grad)[0].w.at(0, 0);
 
         let eps = 1e-6;
         let mut plus = mlp.clone();
         *plus.layers_mut()[0].w.at_mut(0, 0) += eps;
         let mut minus = mlp.clone();
         *minus.layers_mut()[0].w.at_mut(0, 0) -= eps;
-        let f = |m: &mut Mlp| m.forward(&x, false).as_slice().iter().sum::<f64>();
-        let numeric = (f(&mut plus) - f(&mut minus)) / (2.0 * eps);
+        let f = |m: &Mlp| m.forward(&x).as_slice().iter().sum::<f64>();
+        let numeric = (f(&plus) - f(&minus)) / (2.0 * eps);
         assert!(
             (analytic - numeric).abs() < 1e-5,
             "analytic {analytic} vs numeric {numeric}"
@@ -343,8 +326,8 @@ mod tests {
 
     // Training runs on the row kernel; the same step spelled with
     // `Matrix::matmul` (transposed stripes into `lane_dot`) must leave
-    // every weight, bias and gradient with the same bits, since all of
-    // them end up in persisted bundles.
+    // every weight, bias and gradient with the same bits: the weights end
+    // up in persisted bundles, and the gradients drive the next step.
     #[test]
     fn training_step_matches_matmul_step_bitwise() {
         use crate::optim::{Optimizer, OptimizerKind};
@@ -357,9 +340,9 @@ mod tests {
         let mut fast = Mlp::new(7, 3, 22, 5);
         let mut slow = fast.clone();
 
-        let y = fast.forward(&x, true);
-        fast.backward(&mse_grad(&y));
-        Optimizer::new(OptimizerKind::Adam, 1e-3).step(fast.layers_mut());
+        let (y, tape) = fast.forward_train(x.clone());
+        let fast_grads = fast.backward(tape, mse_grad(&y));
+        Optimizer::new(OptimizerKind::Adam, 1e-3).step(fast.layers_mut(), &fast_grads);
 
         let layers = slow.layers_mut();
         let n = layers.len();
@@ -378,49 +361,51 @@ mod tests {
         let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(acts[n].as_slice()), bits(y.as_slice()), "forward output");
         let mut g = mse_grad(&acts[n]);
+        let mut slow_grads = Vec::new();
         for i in (0..n).rev() {
-            layers[i].grad_w = acts[i].transpose().matmul(&g);
-            layers[i].grad_b = g.col_sums();
+            slow_grads.push(Linear { w: acts[i].transpose().matmul(&g), b: g.col_sums() });
             if i > 0 {
                 g = g.matmul(&layers[i].w.transpose());
                 g.hadamard_inplace(&masks[i - 1]);
             }
         }
-        Optimizer::new(OptimizerKind::Adam, 1e-3).step(layers);
+        slow_grads.reverse();
+        Optimizer::new(OptimizerKind::Adam, 1e-3).step(layers, &slow_grads);
 
         for (i, (a, b)) in fast.layers.iter().zip(&slow.layers).enumerate() {
             assert_eq!(bits(a.w.as_slice()), bits(b.w.as_slice()), "w of layer {i}");
             assert_eq!(bits(&a.b), bits(&b.b), "b of layer {i}");
-            assert_eq!(bits(a.grad_w.as_slice()), bits(b.grad_w.as_slice()), "grad_w of layer {i}");
-            assert_eq!(bits(&a.grad_b), bits(&b.grad_b), "grad_b of layer {i}");
+        }
+        for (i, (a, b)) in fast_grads.iter().zip(&slow_grads).enumerate() {
+            assert_eq!(bits(a.w.as_slice()), bits(b.w.as_slice()), "grad w of layer {i}");
+            assert_eq!(bits(&a.b), bits(&b.b), "grad b of layer {i}");
         }
     }
 
     #[test]
     fn validation_forward_matches_scalar_inference_bitwise() {
-        let mut mlp = Mlp::new(5, 2, 18, 3);
+        let mlp = Mlp::new(5, 2, 18, 3);
         let x = Matrix::from_fn(9, 5, |r, c| if r == c { 0.0 } else { (r as f64 + 0.7) / (c as f64 - 2.2) });
-        let batch = mlp.forward(&x, false);
+        let batch = mlp.forward(&x);
         for r in 0..x.rows() {
             assert_eq!(batch.at(r, 0).to_bits(), mlp.predict_one(x.row(r)).to_bits(), "row {r}");
         }
-        assert!(mlp.layers.iter().all(|l| l.input_cache.is_none()), "inference forward cached");
     }
 
     #[test]
     #[should_panic(expected = "feature count mismatch")]
     fn wrong_feature_count_panics() {
-        let mut mlp = Mlp::new(3, 1, 4, 0);
+        let mlp = Mlp::new(3, 1, 4, 0);
         let x = Matrix::zeros(1, 2);
-        mlp.forward(&x, false);
+        mlp.forward(&x);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = Mlp::new(3, 2, 8, 99);
-        let mut b = Mlp::new(3, 2, 8, 99);
+        let a = Mlp::new(3, 2, 8, 99);
+        let b = Mlp::new(3, 2, 8, 99);
         let x = Matrix::from_rows(&[vec![0.1, 0.2, 0.3]]).unwrap();
-        assert_eq!(a.forward(&x, false), b.forward(&x, false));
+        assert_eq!(a.forward(&x), b.forward(&x));
     }
 
     // The sweep engine shares one calibrated registry (and hence the

@@ -56,13 +56,14 @@ impl Optimizer {
         Optimizer { kind, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, moments: Vec::new() }
     }
 
-    /// Applies one update step using the gradients stored on the layers.
-    pub fn step(&mut self, layers: &mut [Linear]) {
+    /// Applies one update step: `grads` holds each layer's parameter
+    /// gradients, as [`crate::net::Mlp::backward`] returns them.
+    pub fn step(&mut self, layers: &mut [Linear], grads: &[Linear]) {
         match self.kind {
             OptimizerKind::Sgd => {
-                for layer in layers {
-                    layer.w.axpy(-self.lr, &layer.grad_w);
-                    for (b, g) in layer.b.iter_mut().zip(&layer.grad_b) {
+                for (layer, grad) in layers.iter_mut().zip(grads) {
+                    layer.w.axpy(-self.lr, &grad.w);
+                    for (b, g) in layer.b.iter_mut().zip(&grad.b) {
                         *b -= self.lr * g;
                     }
                 }
@@ -83,8 +84,8 @@ impl Optimizer {
                 let (b1, b2) = (self.beta1, self.beta2);
                 let bc1 = 1.0 - b1.powi(self.t as i32);
                 let bc2 = 1.0 - b2.powi(self.t as i32);
-                for (layer, mom) in layers.iter_mut().zip(&mut self.moments) {
-                    for (i, g) in layer.grad_w.as_slice().iter().enumerate() {
+                for ((layer, grad), mom) in layers.iter_mut().zip(grads).zip(&mut self.moments) {
+                    for (i, g) in grad.w.as_slice().iter().enumerate() {
                         let m = &mut mom.m_w.as_mut_slice()[i];
                         *m = b1 * *m + (1.0 - b1) * g;
                         let v = &mut mom.v_w.as_mut_slice()[i];
@@ -93,7 +94,7 @@ impl Optimizer {
                         let v_hat = *v / bc2;
                         layer.w.as_mut_slice()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
                     }
-                    for (i, g) in layer.grad_b.iter().enumerate() {
+                    for (i, g) in grad.b.iter().enumerate() {
                         let m = &mut mom.m_b[i];
                         *m = b1 * *m + (1.0 - b1) * g;
                         let v = &mut mom.v_b[i];
@@ -121,15 +122,15 @@ mod tests {
         let mut opt = Optimizer::new(kind, lr);
         let mut last = f64::INFINITY;
         for _ in 0..steps {
-            let y = mlp.forward(&x, true);
+            let (y, tape) = mlp.forward_train(x.clone());
             let n = y.rows() as f64;
             last = (0..y.rows())
                 .map(|r| (y.at(r, 0) - target[r]).powi(2))
                 .sum::<f64>()
                 / n;
             let grad = Matrix::from_fn(y.rows(), 1, |r, _| 2.0 * (y.at(r, 0) - target[r]) / n);
-            mlp.backward(&grad);
-            opt.step(mlp.layers_mut());
+            let grads = mlp.backward(tape, grad);
+            opt.step(mlp.layers_mut(), &grads);
         }
         last
     }

@@ -151,7 +151,7 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
     // Split raw to keep validation MAPE in original scale. Validation rows
     // are taken already preprocessed (the same per-row transform as
     // `TrainedModel::predict_one`), so each epoch validates with one
-    // non-caching forward, bitwise equal to predicting them one at a time.
+    // forward, bitwise equal to predicting them one at a time.
     let (train_set, val_x, val_y_raw) = {
         let mut idx: Vec<usize> = (0..raw.len()).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(seed ^ 0xbeef));
@@ -177,17 +177,17 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
         order.shuffle(&mut rng);
         for chunk in order.chunks(cfg.batch_size) {
             let batch = train_set.select(chunk);
-            let y = mlp.forward(&batch.x, true);
+            let (y, tape) = mlp.forward_train(batch.x);
             let n = y.rows() as f64;
             // MSE gradient.
             let grad = Matrix::from_fn(y.rows(), 1, |r, _| 2.0 * (y.at(r, 0) - batch.y[r]) / n);
-            mlp.backward(&grad);
-            opt.step(mlp.layers_mut());
+            let grads = mlp.backward(tape, grad);
+            opt.step(mlp.layers_mut(), &grads);
         }
 
         // Validation in the original scale.
         let preds: Vec<f64> =
-            mlp.forward(&val_x, false).as_slice().iter().map(|&v| pre.inverse_target(v)).collect();
+            mlp.forward(&val_x).as_slice().iter().map(|&v| pre.inverse_target(v)).collect();
         let err = mape(&preds, &val_y_raw);
         if best.as_ref().is_none_or(|(b, _)| err < *b) {
             best = Some((err, mlp.clone()));
