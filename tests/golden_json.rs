@@ -4,7 +4,10 @@
 //! value-tree renderer that the direct JSON writer replaced; these tests
 //! render the same values today and compare bytes. A mismatch means a
 //! persisted or wire format changed, so the files are never regenerated
-//! to make a test pass.
+//! to make a test pass. `trained_model{,_pretty}.json` were re-frozen
+//! once, on purpose, when layers stopped persisting their gradients and
+//! input cache; the only bytes that went are those keys, and
+//! `trained_model_with_grads.json` keeps the earlier sample.
 //!
 //! The values carry the writer's edge cases: NaN and ±inf (written as
 //! `null`), `-0.0`, integers past 2^53, control characters, non-ASCII
@@ -408,14 +411,18 @@ fn graph_pretty_json_is_frozen() {
     check("graph_pretty.json", &graph.to_json());
 }
 
-#[test]
-fn trained_model_json_is_frozen() {
+fn trained_model() -> TrainedModel {
     let rows: Vec<Vec<f64>> = (0..6)
         .map(|i| vec![i as f64, (i * i) as f64 + 0.5])
         .collect();
     let targets: Vec<f64> = (0..6).map(|i| 10.0 + i as f64 * 1.5).collect();
     let data = Dataset::from_rows(&rows, &targets).expect("rows are rectangular");
-    let model = TrainedModel::new(Mlp::new(2, 1, 3, 7), Preprocessor::fit(&data), 4.25);
+    TrainedModel::new(Mlp::new(2, 1, 3, 7), Preprocessor::fit(&data), 4.25)
+}
+
+#[test]
+fn trained_model_json_is_frozen() {
+    let model = trained_model();
     check(
         "trained_model.json",
         &serde_json::to_string(&model).expect("model serializes"),
@@ -424,6 +431,29 @@ fn trained_model_json_is_frozen() {
         "trained_model_pretty.json",
         &serde_json::to_string_pretty(&model).expect("model serializes"),
     );
+}
+
+/// `trained_model_with_grads.json` is the same model as written before
+/// layers dropped their gradients and input cache: the reader skips those
+/// keys, so it decodes to bit-identical weights and predictions.
+#[test]
+fn trained_model_with_gradients_still_decodes() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/json/trained_model_with_grads.json");
+    let old = std::fs::read_to_string(path).expect("frozen sample");
+    assert!(old.contains("\"grad_w\"") && old.contains("\"grad_b\""));
+    let decoded: TrainedModel = serde_json::from_str(&old).expect("old format decodes");
+    check(
+        "trained_model.json",
+        &serde_json::to_string(&decoded).expect("model serializes"),
+    );
+    let model = trained_model();
+    for row in [[0.0, 0.5], [3.0, 9.5], [17.25, 40.0]] {
+        assert_eq!(
+            decoded.predict_one(&row).to_bits(),
+            model.predict_one(&row).to_bits()
+        );
+    }
 }
 
 #[test]
