@@ -51,6 +51,7 @@ use dlperf_runtime::CancellationToken;
 use crate::evaluator::{Evaluator, PreparedGraph};
 use crate::incremental::IncrementalPredictor;
 use crate::pipeline::Pipeline;
+use crate::predictor::WalkScratch;
 use crate::sweep::{GraphMutation, DEFAULT_MEMO_CAPACITY};
 
 /// Process-wide search counters: candidate evaluations, branch-and-bound
@@ -149,11 +150,17 @@ pub trait MoveGenerator<X>: Sync {
 
 /// Prices candidates on the extra axis — the hook through which a higher
 /// layer (distrib) supplies its own cost model. Must be a deterministic
-/// pure function of its arguments.
+/// pure function of its arguments; `scratch` is the fan-out worker's
+/// pooled walk scratch, reused buffers only.
 pub trait ExtraScorer<X>: Sync {
     /// Predicted end-to-end iteration time (µs) of `(mutations, extra)`,
     /// or a human-readable reason the combination cannot be priced.
-    fn price(&self, mutations: &[GraphMutation], extra: &X) -> Result<f64, String>;
+    fn price(
+        &self,
+        mutations: &[GraphMutation],
+        extra: &X,
+        scratch: &mut WalkScratch,
+    ) -> Result<f64, String>;
 }
 
 /// Graph-rewrite moves, legality-gated by the `graph::transform`
@@ -516,7 +523,9 @@ where
                     let graph = store.get_or_prepare(base, &cand.mutations);
                     let g = graph.as_ref().as_ref().map_err(|e| e.to_string())?;
                     let (e2e, incremental) = match (&cand.extra, self.extra_scorer) {
-                        (Some(x), Some(scorer)) => (scorer.price(&cand.mutations, x)?, false),
+                        (Some(x), Some(scorer)) => {
+                            (scorer.price(&cand.mutations, x, scratch)?, false)
+                        }
                         (Some(x), None) => {
                             return Err(format!("no scorer for extra axis move `{x}`"));
                         }

@@ -136,7 +136,12 @@ impl MoveGenerator<DistribMove> for DistribAxis<'_> {
 }
 
 impl ExtraScorer<DistribMove> for DistribAxis<'_> {
-    fn price(&self, mutations: &[GraphMutation], extra: &DistribMove) -> Result<f64, String> {
+    fn price(
+        &self,
+        mutations: &[GraphMutation],
+        extra: &DistribMove,
+        scratch: &mut WalkScratch,
+    ) -> Result<f64, String> {
         if !Self::composes_with(mutations) {
             return Err("distributed axis only composes with batch resizes".into());
         }
@@ -146,7 +151,7 @@ impl ExtraScorer<DistribMove> for DistribAxis<'_> {
             .map_err(|e| e.to_string())?
             .with_strategy(extra.strategy);
         self.predictor
-            .price(&job, None, &[], &mut WalkScratch::new())
+            .price(&job, None, &[], scratch)
             .map(|(p, _)| p.e2e_us)
             .map_err(|e| format!("lowering failed: {e}"))
     }
