@@ -206,7 +206,9 @@ impl Pipeline {
     /// assembly time rather than checkpointed).
     ///
     /// Returns the run's [`RunReport`] alongside the result so callers see
-    /// restarts, resumes, and checkpoint counts even on failure.
+    /// restarts, resumes, and checkpoint counts even on failure. A resumed
+    /// state whose overhead stats do not load is a
+    /// [`SupervisorError::Failed`].
     pub fn analyze_supervised(
         device: &DeviceSpec,
         workloads: &[Graph],
@@ -231,35 +233,25 @@ impl Pipeline {
             );
         }
         let (result, report) = supervisor.run(&job);
-        let result = result.map(|state| {
+        let result = result.and_then(|state| {
+            // The state verified as a checkpoint, but `from_json` can still
+            // reject what it holds (a negative or non-finite mean).
+            let mut per_workload = Vec::with_capacity(state.analyzed.len());
+            for (name, json) in state.analyzed {
+                let stats = OverheadStats::from_json(&json).map_err(|e| SupervisorError::Failed {
+                    job: job.name().to_string(),
+                    why: format!("overhead stats of `{name}` do not load: {e}"),
+                })?;
+                per_workload.push((name, stats));
+            }
             let registry = ModelRegistry::calibrate(device, effort, seed ^ 0xabcd);
-            Self::assemble(device, registry, state)
+            let report = AnalysisReport {
+                analyzed: per_workload.iter().map(|(n, _)| n.clone()).collect(),
+                skipped: state.skipped,
+            };
+            Ok((Self::from_profiles(device.clone(), registry, per_workload), report))
         });
         (result, report)
-    }
-
-    /// Rebuilds a pipeline + report from a completed [`AnalysisState`].
-    fn assemble(
-        device: &DeviceSpec,
-        registry: ModelRegistry,
-        state: AnalysisState,
-    ) -> (Self, AnalysisReport) {
-        let per_workload: Vec<(String, OverheadStats)> = state
-            .analyzed
-            .into_iter()
-            .map(|(name, json)| {
-                // The state came out of a checksummed checkpoint (or straight
-                // from `extract`); a parse failure here is a code bug.
-                let stats = OverheadStats::from_json(&json)
-                    .expect("checkpointed overhead stats must parse");
-                (name, stats)
-            })
-            .collect();
-        let report = AnalysisReport {
-            analyzed: per_workload.iter().map(|(n, _)| n.clone()).collect(),
-            skipped: state.skipped,
-        };
-        (Self::from_profiles(device.clone(), registry, per_workload), report)
     }
 
     /// Builds a pipeline from precomputed assets (e.g. a JSON overhead
@@ -600,6 +592,39 @@ mod tests {
             let r = pipe_ref.predict(g).unwrap();
             let b = pipe_b.predict(g).unwrap();
             assert_eq!(r.e2e_us.to_bits(), b.e2e_us.to_bits(), "prediction for {}", g.name);
+        }
+    }
+
+    #[test]
+    fn checkpointed_overheads_that_do_not_load_are_a_typed_error() {
+        use dlperf_runtime::{
+            seal, CheckpointStore, MemoryStore, SupervisorConfig, CHECKPOINT_VERSION,
+        };
+
+        let dev = DeviceSpec::v100();
+        let workloads = vec![small(128), small(192)];
+        // Well-formed JSON, but one mean is negative.
+        let json = profile(&dev, &workloads[0], 5, 0).unwrap().to_json();
+        let bad = json.replacen("\"mean_us\": ", "\"mean_us\": -1", 1);
+        assert!(OverheadStats::from_json(&bad).is_err());
+        let state = AnalysisState {
+            analyzed: vec![(workloads[0].name.clone(), bad)],
+            skipped: Vec::new(),
+        };
+        let state_json = serde_json::to_string(&state).unwrap();
+        let schema = "dlperf.checkpoint/core.analysis";
+        let mut store = MemoryStore::new();
+        store.save(&seal(schema, CHECKPOINT_VERSION, &(1u64, state_json)).unwrap()).unwrap();
+        let mut sup = Supervisor::with_store(SupervisorConfig::default(), Box::new(store));
+        let (res, run) =
+            Pipeline::analyze_supervised(&dev, &workloads, CalibrationEffort::Quick, 5, 0, &mut sup);
+        assert_eq!(run.resumed_from_step, Some(1));
+        match res {
+            Err(SupervisorError::Failed { job, why }) => {
+                assert_eq!(job, "core.analysis");
+                assert!(why.contains(&workloads[0].name), "{why}");
+            }
+            other => panic!("expected Failed, got {other:?}"),
         }
     }
 
