@@ -6,7 +6,8 @@
 //! bounded cache, whose hits only set a reference bit. `Evaluator::price`,
 //! the one pricing handle, allocates nothing on either route (walk, with
 //! or without a cancellation token, and incremental) on its bounded
-//! caches. Graphs share their tables copy-on-write:
+//! caches, and a one-thread `Evaluator::fan_out` of such prices allocates
+//! only its result `Vec`. Graphs share their tables copy-on-write:
 //! a clone allocates only its name, and a batch resize copies only the
 //! tensor table.
 //!
@@ -236,6 +237,27 @@ fn warm_evaluator_price_allocates_nothing_on_either_route() {
         }
         assert_eq!(allocations(price), 0, "a warm {route} price allocated");
     }
+}
+
+#[test]
+fn warm_evaluator_fan_out_allocates_only_its_result() {
+    let (graph, pipeline, _) = fixture();
+    let eval = Evaluator::new(vec![pipeline], BOUNDED_CAPACITY);
+    let mut resized = graph.clone();
+    resize_batch(&mut resized, 2048).expect("dlrm-default resizes");
+    let graphs = [graph, resized];
+    let token = CancellationToken::new();
+    let fan_out = || {
+        let prices = eval.fan_out(1, &token, &graphs, |scratch, _, g| {
+            eval.price(0, g, None, true, None, scratch).expect("prices").0.e2e_us
+        });
+        assert!(prices.iter().all(Option::is_some));
+        black_box(prices);
+    };
+    for _ in 0..WARM_UP {
+        fan_out();
+    }
+    assert_eq!(allocations(fan_out), 1, "a warm fan-out allocated more than its result");
 }
 
 #[test]
