@@ -203,7 +203,10 @@ impl MemoKey {
 pub struct MemoCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to evaluate the model.
+    /// Lookups that had to evaluate the model. Threads that look up one
+    /// absent key at once each evaluate it and each count a miss, so a
+    /// parallel run's hit/miss split varies from run to run; `entries`
+    /// does not, as long as nothing is evicted.
     pub misses: u64,
     /// Distinct keys currently stored.
     pub entries: usize,

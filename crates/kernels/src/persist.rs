@@ -5,7 +5,12 @@
 //! overhead databases — so that "subsequent DLRM models simply go through
 //! the Prediction Track". [`RegistryBundle`] is the serializable form of a
 //! calibrated [`ModelRegistry`]: save it once per device, reload in
-//! milliseconds.
+//! milliseconds. It holds what prediction reads and nothing else: the
+//! analytic models' parameters, and each ML model's layer weights and
+//! biases with its preprocessing. No training state (gradients, forward
+//! caches) is persisted. Bundles written while layers still carried
+//! `grad_w` and `grad_b` load unchanged, because the reader skips
+//! unknown keys.
 //!
 //! Saved bundles are untrusted input when they come back: files get
 //! truncated by interrupted copies, hand-edited, or produced by an older

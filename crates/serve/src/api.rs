@@ -87,9 +87,6 @@ pub struct RecommendQuery {
     /// Parallelism strategies for the multi-GPU axis (`"hybrid"`, `"dp"`,
     /// `"mp"`, `"pp"`); absent or empty means hybrid only. Only used with
     /// `world_sizes`. Unknown names are a typed `NotFound` error.
-    /// (`Option` rather than a bare `Vec` so the field can be omitted
-    /// from the request JSON — the vendored serde only defaults `Option`
-    /// fields.)
     pub strategies: Option<Vec<String>>,
     /// Interconnect topologies to price collectives on (`"auto"`,
     /// `"nvlink"`, `"pcie"`, `"ib<N>x<G>"`); absent or empty means the
@@ -115,9 +112,7 @@ pub struct OptimizeQuery {
     pub batch: u64,
     /// Device names forming the device axis; the first is the baseline
     /// device. Absent or empty means every device the server holds,
-    /// sorted by name. (`Option` rather than a bare `Vec` so the field
-    /// can be omitted from the request JSON — the vendored serde only
-    /// defaults `Option` fields.)
+    /// sorted by name.
     pub devices: Option<Vec<String>>,
     /// Batch sizes `ResizeBatch` moves may target; absent or empty skips
     /// the batch-resize axis.
