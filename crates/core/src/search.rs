@@ -151,7 +151,7 @@ pub trait MoveGenerator<X>: Sync {
 /// Prices candidates on the extra axis — the hook through which a higher
 /// layer (distrib) supplies its own cost model. Must be a deterministic
 /// pure function of its arguments; `scratch` is the fan-out worker's
-/// pooled walk scratch, reused buffers only.
+/// pooled walk scratch, whose buffers never change a price.
 pub trait ExtraScorer<X>: Sync {
     /// Predicted end-to-end iteration time (µs) of `(mutations, extra)`,
     /// or a human-readable reason the combination cannot be priced.

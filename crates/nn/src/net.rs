@@ -121,6 +121,7 @@ impl Mlp {
             grads.push(Linear { w: x.transpose().matmul_rows(&grad), b: grad.col_sums() });
             if i > 0 {
                 grad = grad.matmul_rows(&layer.w.transpose());
+                // The previous layer's ReLU mask, read off its output `x`.
                 for (g, &a) in grad.as_mut_slice().iter_mut().zip(x.as_slice()) {
                     *g *= if a > 0.0 { 1.0 } else { 0.0 };
                 }

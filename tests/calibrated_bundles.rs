@@ -11,11 +11,6 @@
 //! must say so and re-freeze the digests together with the goldens it
 //! moves.
 //!
-//! The digests were re-frozen once, on purpose, when layers stopped
-//! persisting `grad_w`, `grad_b` and `input_cache`. Each new digest is the
-//! one frozen beforehand over the old bundle's JSON with those members
-//! removed, so no weight moved.
-//!
 //! The `Full`-effort check is `#[ignore]`d because it trains paper-scale
 //! nets (about 25 s in a release build on 2 cores); run it with
 //! `cargo test --release --test calibrated_bundles -- --ignored`.

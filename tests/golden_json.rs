@@ -4,10 +4,9 @@
 //! value-tree renderer that the direct JSON writer replaced; these tests
 //! render the same values today and compare bytes. A mismatch means a
 //! persisted or wire format changed, so the files are never regenerated
-//! to make a test pass. `trained_model{,_pretty}.json` were re-frozen
-//! once, on purpose, when layers stopped persisting their gradients and
-//! input cache; the only bytes that went are those keys, and
-//! `trained_model_with_grads.json` keeps the earlier sample.
+//! to make a test pass. `trained_model_with_grads.json` was written when
+//! layers still persisted their gradients and input cache, and must keep
+//! decoding.
 //!
 //! The values carry the writer's edge cases: NaN and ±inf (written as
 //! `null`), `-0.0`, integers past 2^53, control characters, non-ASCII
@@ -433,9 +432,9 @@ fn trained_model_json_is_frozen() {
     );
 }
 
-/// `trained_model_with_grads.json` is the same model as written before
-/// layers dropped their gradients and input cache: the reader skips those
-/// keys, so it decodes to bit-identical weights and predictions.
+/// `trained_model_with_grads.json` is the same model with its layers'
+/// `grad_w`, `grad_b` and `input_cache`: the reader skips those keys, so
+/// it decodes to bit-identical weights and predictions.
 #[test]
 fn trained_model_with_gradients_still_decodes() {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
