@@ -29,22 +29,37 @@ fn main() {
     header("Ablations: overhead granularity, T4 policy, launch point, EL model");
     let device = DeviceSpec::v100();
     let batch = 1024;
-    let graphs: Vec<_> = DlrmConfig::paper_configs(batch).iter().map(|c| c.build()).collect();
+    let graphs: Vec<_> = DlrmConfig::paper_configs(batch)
+        .iter()
+        .map(|c| c.build())
+        .collect();
     let pipeline = Pipeline::analyze(&device, &graphs, effort(), measure_iters(), 71);
 
-    let measured: Vec<f64> = graphs.iter().map(|g| measure_graph(&device, g, 72).0).collect();
+    let measured: Vec<f64> = graphs
+        .iter()
+        .map(|g| measure_graph(&device, g, 72).0)
+        .collect();
 
     // --- 1. Overhead granularity. ---
     println!("\n[1] overhead-database granularity (signed E2E error per workload):");
-    println!("{:26} {:>14} {:>14} {:>14}", "variant", graphs[0].name, graphs[1].name, graphs[2].name);
+    println!(
+        "{:26} {:>14} {:>14} {:>14}",
+        "variant", graphs[0].name, graphs[1].name, graphs[2].name
+    );
     let variants: Vec<(&str, Vec<f64>)> = vec![
         (
             "individual per-op",
-            graphs.iter().map(|g| pipeline.predict_individual(g).unwrap().e2e_us).collect(),
+            graphs
+                .iter()
+                .map(|g| pipeline.predict_individual(g).unwrap().e2e_us)
+                .collect(),
         ),
         (
             "shared per-op",
-            graphs.iter().map(|g| pipeline.predict(g).unwrap().e2e_us).collect(),
+            graphs
+                .iter()
+                .map(|g| pipeline.predict(g).unwrap().e2e_us)
+                .collect(),
         ),
         (
             "shared type-level",
@@ -130,10 +145,11 @@ fn main() {
             KernelFamily::EmbeddingBackward,
             Arc::new(EmbeddingModel::new(&device, kind)),
         );
-        let pred = E2ePredictor::new(registry, dlperf_trace::OverheadStats::from_json(
-            &pipeline.shared_overheads_json(),
+        let pred = E2ePredictor::new(
+            registry,
+            dlperf_trace::OverheadStats::from_json(&pipeline.shared_overheads_json())
+                .expect("valid db"),
         )
-        .expect("valid db"))
         .predict_active(&small_tables)
         .unwrap();
         println!("  {name:22} {:+.2}%", err_pct(pred, small_active));
@@ -142,8 +158,11 @@ fn main() {
     // --- 5. Host-accessory density. ---
     println!("\n[5] dispatcher-swarm density vs measured utilization (DLRM_default):");
     for accessories in [0usize, 2, 4] {
-        let g = DlrmConfig { host_accessory_ops: accessories, ..DlrmConfig::default_config(batch) }
-            .build();
+        let g = DlrmConfig {
+            host_accessory_ops: accessories,
+            ..DlrmConfig::default_config(batch)
+        }
+        .build();
         let mut engine = ExecutionEngine::new(device.clone(), 73);
         engine.set_profiling(false);
         let run = engine.run(&g).unwrap();

@@ -66,15 +66,24 @@ fn main() {
     let registry = pipe.predictor().registry();
 
     let plans = [
-        ("round-robin", ShardingPlan::round_robin(KAGGLE_TABLE_ROWS.len(), 4)),
+        (
+            "round-robin",
+            ShardingPlan::round_robin(KAGGLE_TABLE_ROWS.len(), 4),
+        ),
         (
             "LPT by predicted cost",
             ShardingPlan::greedy_by_predicted_cost(registry, &KAGGLE_TABLE_ROWS, 4, batch, 1, 32)
                 .expect("valid"),
         ),
-        ("all tables on gpu0", ShardingPlan::new(vec![0; 26], 4).expect("valid")),
+        (
+            "all tables on gpu0",
+            ShardingPlan::new(vec![0; 26], 4).expect("valid"),
+        ),
     ];
-    println!("{:24} {:>12} {:>12} {:>10}", "plan", "pred/us", "meas/us", "S1 imbal");
+    println!(
+        "{:24} {:>12} {:>12} {:>10}",
+        "plan", "pred/us", "meas/us", "S1 imbal"
+    );
     for (name, plan) in plans {
         let job = DistributedDlrm::new(cfg.clone(), plan).expect("valid");
         let p = predictor.predict(&job).expect("lowers");

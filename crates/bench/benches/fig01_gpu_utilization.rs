@@ -16,10 +16,26 @@ fn main() {
     let workloads: Vec<(String, dlperf_graph::Graph, u64)> = vec![
         ("ResNet50".into(), cv::resnet50(32), 32),
         ("Inception-V3".into(), cv::inception_v3(32), 32),
-        ("Transformer".into(), TransformerConfig::base(64).build(), 64),
-        ("DLRM_default".into(), DlrmConfig::default_config(2048).build(), 2048),
-        ("DLRM_MLPerf".into(), DlrmConfig::mlperf_config(2048).build(), 2048),
-        ("DLRM_DDP".into(), DlrmConfig::ddp_config(2048).build(), 2048),
+        (
+            "Transformer".into(),
+            TransformerConfig::base(64).build(),
+            64,
+        ),
+        (
+            "DLRM_default".into(),
+            DlrmConfig::default_config(2048).build(),
+            2048,
+        ),
+        (
+            "DLRM_MLPerf".into(),
+            DlrmConfig::mlperf_config(2048).build(),
+            2048,
+        ),
+        (
+            "DLRM_DDP".into(),
+            DlrmConfig::ddp_config(2048).build(),
+            2048,
+        ),
     ];
 
     println!(

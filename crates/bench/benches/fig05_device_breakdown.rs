@@ -23,10 +23,20 @@ fn main() {
         let run = engine.run(&graph).expect("workload executes");
         let b = DeviceBreakdown::from_run(&run);
 
-        println!("\n--- {} (total {:.0} us, utilization {:.1}%) ---", b.workload, b.total_us, b.utilization() * 100.0);
+        println!(
+            "\n--- {} (total {:.0} us, utilization {:.1}%) ---",
+            b.workload,
+            b.total_us,
+            b.utilization() * 100.0
+        );
         for (label, share) in b.stacked_rows(10) {
             let bar_len = (share * 60.0).round() as usize;
-            println!("{:32} {:5.1}%  {}", label, share * 100.0, "#".repeat(bar_len));
+            println!(
+                "{:32} {:5.1}%  {}",
+                label,
+                share * 100.0,
+                "#".repeat(bar_len)
+            );
         }
     }
     println!("\nNote the differing dominating kernels across configs and the idle share.");

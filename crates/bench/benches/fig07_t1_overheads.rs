@@ -14,7 +14,10 @@ use dlperf_trace::{OverheadStats, OverheadType, Trace};
 fn main() {
     header("Figure 7: T1 overhead mean/std across models and batch sizes (V100)");
     let device = DeviceSpec::v100();
-    println!("{:14} {:>7} {:>12} {:>12} {:>9}", "model", "batch", "T1 mean/us", "T1 std/us", "samples");
+    println!(
+        "{:14} {:>7} {:>12} {:>12} {:>9}",
+        "model", "batch", "T1 mean/us", "T1 std/us", "samples"
+    );
 
     let mut grand: Vec<f64> = Vec::new();
     for cfg_fn in [
@@ -26,7 +29,9 @@ fn main() {
             let cfg = cfg_fn(batch);
             let graph = cfg.build();
             let mut engine = ExecutionEngine::new(device.clone(), batch ^ 7);
-            let runs = engine.run_iterations(&graph, measure_iters()).expect("executes");
+            let runs = engine
+                .run_iterations(&graph, measure_iters())
+                .expect("executes");
             let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
             let stats = OverheadStats::extract(&traces, true);
             let t1 = stats.type_stat(OverheadType::T1).expect("T1 observed");
@@ -38,8 +43,14 @@ fn main() {
         }
     }
     let mean = grand.iter().sum::<f64>() / grand.len() as f64;
-    let spread = grand.iter().map(|v| (v - mean).abs() / mean).fold(0.0f64, f64::max);
+    let spread = grand
+        .iter()
+        .map(|v| (v - mean).abs() / mean)
+        .fold(0.0f64, f64::max);
     println!("\noverall T1 mean: {mean:.2} us; worst relative deviation across");
-    println!("(model, batch) cells: {:.1}% — no model/size trend, supporting the", spread * 100.0);
+    println!(
+        "(model, batch) cells: {:.1}% — no model/size trend, supporting the",
+        spread * 100.0
+    );
     println!("paper's reusable-overhead-database argument.");
 }

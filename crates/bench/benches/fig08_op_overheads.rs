@@ -14,7 +14,9 @@ use dlperf_trace::{OverheadStats, OverheadType, Trace};
 fn stats_for(cfg: &DlrmConfig, device: &DeviceSpec, seed: u64) -> OverheadStats {
     let graph = cfg.build();
     let mut engine = ExecutionEngine::new(device.clone(), seed);
-    let runs = engine.run_iterations(&graph, measure_iters()).expect("executes");
+    let runs = engine
+        .run_iterations(&graph, measure_iters())
+        .expect("executes");
     let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
     OverheadStats::extract(&traces, true)
 }

@@ -48,7 +48,11 @@ fn main() {
     }
     println!("kernel_only error vs utilization (mean over workloads/devices):");
     for (b, ko, util) in by_batch {
-        println!("  batch {b:>5}: utilization {:5.1}%  kernel_only error {:5.1}%", util * 100.0, ko * 100.0);
+        println!(
+            "  batch {b:>5}: utilization {:5.1}%  kernel_only error {:5.1}%",
+            util * 100.0,
+            ko * 100.0
+        );
     }
     println!("\nThe gap between E2E and kernel_only shrinks as batch size (and thus");
     println!("utilization) grows — the model degenerates toward kernel_only, as the");

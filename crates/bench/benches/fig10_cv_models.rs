@@ -42,7 +42,9 @@ fn main() {
             let overheads = OverheadStats::extract(&traces, true);
             let mut engine = ExecutionEngine::new(device.clone(), 32);
             engine.set_profiling(false);
-            let measured = engine.measure_e2e(&graph, measure_iters().min(20)).expect("executes");
+            let measured = engine
+                .measure_e2e(&graph, measure_iters().min(20))
+                .expect("executes");
 
             let ours = E2ePredictor::new(registry.clone(), overheads)
                 .predict(&graph)

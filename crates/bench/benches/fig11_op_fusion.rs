@@ -16,7 +16,14 @@ fn main() {
     let device = DeviceSpec::v100();
     println!(
         "{:>7} {:>7} | {:>12} {:>12} {:>9} | {:>12} {:>12} {:>9}",
-        "tables", "batch", "pred sep/us", "pred fus/us", "pred spd", "meas sep/us", "meas fus/us", "meas spd"
+        "tables",
+        "batch",
+        "pred sep/us",
+        "pred fus/us",
+        "pred spd",
+        "meas sep/us",
+        "meas fus/us",
+        "meas spd"
     );
 
     let registry = dlperf_kernels::ModelRegistry::calibrate(&device, dlperf_bench::effort(), 41);
@@ -40,16 +47,23 @@ fn main() {
         ];
         let outcome = SweepEngine::new(vec![pipeline]).run(&unfused, &scenarios);
         let results = outcome.expect_complete();
-        let (before, after) = (results[0].expect_prediction(), results[1].expect_prediction());
+        let (before, after) = (
+            results[0].expect_prediction(),
+            results[1].expect_prediction(),
+        );
 
         let mut fused = unfused.clone();
         fuse_embedding_bags(&mut fused).expect("fusable");
         let mut engine = ExecutionEngine::new(device.clone(), 41);
         engine.set_profiling(false);
-        let m_before = engine.measure_e2e(&unfused, measure_iters().min(25)).expect("executes");
+        let m_before = engine
+            .measure_e2e(&unfused, measure_iters().min(25))
+            .expect("executes");
         let mut engine = ExecutionEngine::new(device.clone(), 41);
         engine.set_profiling(false);
-        let m_after = engine.measure_e2e(&fused, measure_iters().min(25)).expect("executes");
+        let m_after = engine
+            .measure_e2e(&fused, measure_iters().min(25))
+            .expect("executes");
 
         println!(
             "{:>7} {:>7} | {:>12.0} {:>12.0} {:>8.2}x | {:>12.0} {:>12.0} {:>8.2}x",

@@ -54,7 +54,9 @@ fn bench_graph_build(c: &mut Criterion) {
     c.bench_function("build_dlrm_default_graph", |b| {
         b.iter(|| DlrmConfig::default_config(black_box(2048)).build())
     });
-    c.bench_function("build_resnet50_graph", |b| b.iter(|| cv::resnet50(black_box(32))));
+    c.bench_function("build_resnet50_graph", |b| {
+        b.iter(|| cv::resnet50(black_box(32)))
+    });
 }
 
 criterion_group! {

@@ -90,8 +90,9 @@ fn main() {
         .build();
     println!("{} scenarios, {} pipelines\n", scenarios.len(), 3);
 
-    let host_threads =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let host_threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
 
     // The reference triplet runs with the incremental path off so
     // `speedup` / `memo_speedup` measure the same machinery as earlier
@@ -121,8 +122,11 @@ fn main() {
         TRIPLET_REPS,
         &mut [&mut side_uncached, &mut side_cached, &mut side_par],
     );
-    let (seq_uncached_ms, seq_cached_ms, par_cached_ms) =
-        (triplet[0].median_ms, triplet[1].median_ms, triplet[2].median_ms);
+    let (seq_uncached_ms, seq_cached_ms, par_cached_ms) = (
+        triplet[0].median_ms,
+        triplet[1].median_ms,
+        triplet[2].median_ms,
+    );
     let effective_threads = SWEEP_THREADS;
 
     assert_eq!(
@@ -137,8 +141,14 @@ fn main() {
 
     println!("median of {TRIPLET_REPS} interleaved rounds:");
     println!("{:>28} {:>10} {:>9}", "run", "wall/ms", "speedup");
-    println!("{:>28} {:>10.1} {:>8.2}x", "sequential, no cache", seq_uncached_ms, 1.0);
-    println!("{:>28} {:>10.1} {:>8.2}x", "sequential, memo cache", seq_cached_ms, memo_speedup);
+    println!(
+        "{:>28} {:>10.1} {:>8.2}x",
+        "sequential, no cache", seq_uncached_ms, 1.0
+    );
+    println!(
+        "{:>28} {:>10.1} {:>8.2}x",
+        "sequential, memo cache", seq_cached_ms, memo_speedup
+    );
     println!(
         "{:>28} {:>10.1} {:>8.2}x",
         format!("{effective_threads} threads, memo cache"),
@@ -166,8 +176,10 @@ fn main() {
             Box::new(move || *fp = fingerprint(&run_ref(n, true))) as Box<dyn FnMut() + '_>
         })
         .collect();
-    let mut side_refs: Vec<&mut dyn FnMut()> =
-        curve_sides.iter_mut().map(|b| &mut **b as &mut dyn FnMut()).collect();
+    let mut side_refs: Vec<&mut dyn FnMut()> = curve_sides
+        .iter_mut()
+        .map(|b| &mut **b as &mut dyn FnMut())
+        .collect();
     let curve = interleave_ms(CURVE_REPS, &mut side_refs);
     drop(side_refs);
     drop(curve_sides);
@@ -179,7 +191,10 @@ fn main() {
     }
 
     println!("\nthread-scaling curve (median of {CURVE_REPS} interleaved rounds):");
-    println!("{:>8} {:>10} {:>9} {:>11}", "threads", "wall/ms", "speedup", "efficiency");
+    println!(
+        "{:>8} {:>10} {:>9} {:>11}",
+        "threads", "wall/ms", "speedup", "efficiency"
+    );
     let mut curve_keys: Vec<(String, String)> = Vec::new();
     for (i, &n) in THREAD_CURVE.iter().enumerate() {
         let ms = curve[i].median_ms;
@@ -207,16 +222,17 @@ fn main() {
         single_op.push(Scenario::new(format!("{name}/base"), d));
         for i in 0..16 {
             let pos = 1 + i * (n - 2) / 16;
-            single_op.push(
-                Scenario::new(format!("{name}/swap{pos}"), d)
-                    .with(GraphMutation::ReplaceOp { node: pos, op: OpKind::Sigmoid }),
-            );
+            single_op.push(Scenario::new(format!("{name}/swap{pos}"), d).with(
+                GraphMutation::ReplaceOp {
+                    node: pos,
+                    op: OpKind::Sigmoid,
+                },
+            ));
         }
         for i in 0..4 {
             let pos = 2 + i * (n - 3) / 4;
             single_op.push(
-                Scenario::new(format!("{name}/hoist{pos}"), d)
-                    .with(GraphMutation::HoistNode(pos)),
+                Scenario::new(format!("{name}/hoist{pos}"), d).with(GraphMutation::HoistNode(pos)),
             );
         }
     }
@@ -248,9 +264,11 @@ fn main() {
     let steady = interleave_ms(STEADY_REPS, &mut [&mut off_side, &mut on_side]);
     let (incr_off_ms, incr_on_ms) = (steady[0].median_ms, steady[1].median_ms);
     let (incr_off, incr_on) = (incr_off.expect("ran"), incr_on.expect("ran"));
-    for (name, out) in
-        [("off/warm", &incr_off), ("on/cold", &on_cold), ("on/warm", &incr_on)]
-    {
+    for (name, out) in [
+        ("off/warm", &incr_off),
+        ("on/cold", &on_cold),
+        ("on/warm", &incr_on),
+    ] {
         assert_eq!(
             fingerprint(&off_cold),
             fingerprint(out),
@@ -270,9 +288,7 @@ fn main() {
     );
     println!(
         "{:>28} {:>10.1} {:>8.2}x",
-        "incremental re-prediction",
-        incr_on_ms,
-        incremental_speedup
+        "incremental re-prediction", incr_on_ms, incremental_speedup
     );
     println!(
         "  cold runs: full {:.1} ms, incremental {:.1} ms ({:.2}x)",
@@ -314,8 +330,10 @@ fn main() {
     let mut scalar_bits: Vec<u64> = Vec::new();
     let mut batch_bits: Vec<u64> = Vec::new();
     let mut scalar_side = || {
-        scalar_bits =
-            specs.iter().map(|k| registry.predict_with_confidence(k).0.to_bits()).collect();
+        scalar_bits = specs
+            .iter()
+            .map(|k| registry.predict_with_confidence(k).0.to_bits())
+            .collect();
     };
     let mut batched_side = || {
         batch_bits = registry
@@ -326,7 +344,10 @@ fn main() {
     };
     let sides = interleave_ms(REPS, &mut [&mut scalar_side, &mut batched_side]);
     let (scalar_ms, batched_ms) = (sides[0].best_ms, sides[1].best_ms);
-    assert_eq!(scalar_bits, batch_bits, "batched inference must match scalar bit for bit");
+    assert_eq!(
+        scalar_bits, batch_bits,
+        "batched inference must match scalar bit for bit"
+    );
     let batched_speedup = scalar_ms / batched_ms;
     println!(
         "\nbatched MLP inference over {} GEMM specs: scalar {scalar_ms:.2} ms, batched \
@@ -473,11 +494,17 @@ fn main() {
     // walks). The parallel run must match the 1-thread reference bit for
     // bit — the same determinism contract the sweep triplet pins above.
     let search_fingerprint = |r: &dlperf_core::OptimizationReport| -> Vec<(String, u64)> {
-        r.ranked.iter().map(|sc| (sc.description.clone(), sc.e2e_us.to_bits())).collect()
+        r.ranked
+            .iter()
+            .map(|sc| (sc.description.clone(), sc.e2e_us.to_bits()))
+            .collect()
     };
     let run_search = |threads: usize| {
         OptimizationSearch::<NoExtra>::new(&pipelines)
-            .with_config(SearchConfig { threads, ..SearchConfig::default() })
+            .with_config(SearchConfig {
+                threads,
+                ..SearchConfig::default()
+            })
             .with_graph_moves(GraphMoves {
                 batches: vec![256, 1024, 2048],
                 ..GraphMoves::default()
@@ -508,7 +535,11 @@ fn main() {
          best: {}",
         search_report.evals,
         search_report.prunes,
-        search_report.ranked.first().map(|sc| sc.description.as_str()).unwrap_or("none")
+        search_report
+            .ranked
+            .first()
+            .map(|sc| sc.description.as_str())
+            .unwrap_or("none")
     );
 
     let mut doc: BTreeMap<String, String> = BTreeMap::new();
@@ -524,8 +555,14 @@ fn main() {
     }
     doc.insert("arena_takes".into(), steady_arena.takes.to_string());
     doc.insert("arena_misses".into(), steady_arena.misses.to_string());
-    doc.insert("arena_high_water_f64s".into(), steady_arena.high_water_f64s.to_string());
-    doc.insert("arena_pooled_buffers".into(), steady_arena.pooled.to_string());
+    doc.insert(
+        "arena_high_water_f64s".into(),
+        steady_arena.high_water_f64s.to_string(),
+    );
+    doc.insert(
+        "arena_pooled_buffers".into(),
+        steady_arena.pooled.to_string(),
+    );
     doc.insert("memo_speedup".into(), format!("{memo_speedup:.3}"));
     doc.insert("speedup".into(), format!("{speedup:.3}"));
     doc.insert("cache_hits".into(), stats.hits.to_string());
@@ -533,31 +570,48 @@ fn main() {
     doc.insert("cache_hit_rate".into(), format!("{:.4}", stats.hit_rate()));
     doc.insert("bitwise_identical".into(), "true".into());
     doc.insert("single_op_scenarios".into(), single_op.len().to_string());
-    doc.insert("incr_off_cold_ms".into(), format!("{:.3}", off_cold.wall_ms));
+    doc.insert(
+        "incr_off_cold_ms".into(),
+        format!("{:.3}", off_cold.wall_ms),
+    );
     doc.insert("incr_on_cold_ms".into(), format!("{:.3}", on_cold.wall_ms));
     doc.insert("incr_off_ms".into(), format!("{incr_off_ms:.3}"));
     doc.insert("incr_on_ms".into(), format!("{incr_on_ms:.3}"));
-    doc.insert("incremental_speedup".into(), format!("{incremental_speedup:.3}"));
+    doc.insert(
+        "incremental_speedup".into(),
+        format!("{incremental_speedup:.3}"),
+    );
     doc.insert("incremental_spliced".into(), incr.spliced.to_string());
-    doc.insert("incremental_reused_nodes".into(), incr.reused_nodes.to_string());
-    doc.insert("incremental_recomputed_nodes".into(), incr.recomputed_nodes.to_string());
+    doc.insert(
+        "incremental_reused_nodes".into(),
+        incr.reused_nodes.to_string(),
+    );
+    doc.insert(
+        "incremental_recomputed_nodes".into(),
+        incr.recomputed_nodes.to_string(),
+    );
     doc.insert("batched_speedup".into(), format!("{batched_speedup:.3}"));
     doc.insert("obs_off_ms".into(), format!("{off_ms:.3}"));
     doc.insert("obs_on_ms".into(), format!("{on_ms:.3}"));
     doc.insert("obs_overhead_pct".into(), format!("{obs_overhead_pct:.3}"));
     doc.insert("comms_evals".into(), comm_evals.to_string());
     doc.insert("comms_eval_ms".into(), format!("{comms_ms:.3}"));
-    doc.insert("comms_evals_per_sec".into(), format!("{comms_evals_per_sec:.0}"));
+    doc.insert(
+        "comms_evals_per_sec".into(),
+        format!("{comms_evals_per_sec:.0}"),
+    );
     doc.insert("search_evals".into(), search_report.evals.to_string());
     doc.insert("search_ms".into(), format!("{search_ms:.3}"));
-    doc.insert("search_evals_per_sec".into(), format!("{search_evals_per_sec:.0}"));
+    doc.insert(
+        "search_evals_per_sec".into(),
+        format!("{search_evals_per_sec:.0}"),
+    );
     doc.insert(
         "search_incremental_frac".into(),
         format!("{search_incremental_frac:.4}"),
     );
 
-    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../BENCH_sweep.json");
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");
     std::fs::write(&path, serde_json::to_string(&doc).expect("serializes"))
         .expect("write BENCH_sweep.json");
     println!("\nwrote {}", path.canonicalize().unwrap_or(path).display());

@@ -19,7 +19,10 @@ fn main() {
     println!("{:24} [3, 4, 5, 6, 7]", "num_layers");
     println!("{:24} [128, 256, 512, 1024]", "num_neurons_per_layer");
     println!("{:24} [Adam, SGD]", "optimizer");
-    println!("{:24} [1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2]", "learning_rate");
+    println!(
+        "{:24} [1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2]",
+        "learning_rate"
+    );
 
     let space = match std::env::var("DLPERF_GRID").as_deref() {
         Ok("paper") => SearchSpace::paper(),
@@ -39,10 +42,15 @@ fn main() {
     let mut mb = Microbenchmark::new(&DeviceSpec::v100(), 2, 15);
     let samples = mb.measure(&gemm_specs(400, 77));
     let data = dataset_of(&samples);
-    let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism()
+        .map(|t| t.get())
+        .unwrap_or(4);
     let result = grid_search(&data, &space, 60, threads, 9);
 
-    println!("\n{:>7} {:>6} {:>6} {:>9} {:>10}", "layers", "width", "opt", "lr", "val MAPE");
+    println!(
+        "\n{:>7} {:>6} {:>6} {:>9} {:>10}",
+        "layers", "width", "opt", "lr", "val MAPE"
+    );
     let mut trials = result.trials.clone();
     trials.sort_by(|a, b| a.1.total_cmp(&b.1));
     for (hp, err) in trials.iter().take(12) {

@@ -66,7 +66,10 @@ fn main() {
             let (concat, memcpy): (Vec<Sample>, Vec<Sample>) = mem
                 .into_iter()
                 .filter(|s| {
-                    matches!(s.kernel.family(), KernelFamily::Concat | KernelFamily::Memcpy)
+                    matches!(
+                        s.kernel.family(),
+                        KernelFamily::Concat | KernelFamily::Memcpy
+                    )
                 })
                 .partition(|s| s.kernel.family() == KernelFamily::Concat);
             DeviceAssets {
@@ -104,21 +107,119 @@ fn main() {
     };
 
     // Heuristic rows.
-    print_row("Heuristic", "EL-F", assets.iter().map(|a| eval_pairs(&a.el_f, |k| a.plain_f.predict(k))).collect());
-    print_row("", "EL-FL", assets.iter().map(|a| eval_pairs(&large(&a.el_f), |k| a.plain_f.predict(k))).collect());
-    print_row("", "EL-FH", assets.iter().map(|a| eval_pairs(&a.el_f, |k| a.enh_f.predict(k))).collect());
-    print_row("", "EL-FHL", assets.iter().map(|a| eval_pairs(&large(&a.el_f), |k| a.enh_f.predict(k))).collect());
-    print_row("", "EL-B", assets.iter().map(|a| eval_pairs(&a.el_b, |k| a.plain_b.predict(k))).collect());
-    print_row("", "EL-BL", assets.iter().map(|a| eval_pairs(&large(&a.el_b), |k| a.plain_b.predict(k))).collect());
-    print_row("", "EL-BH", assets.iter().map(|a| eval_pairs(&a.el_b, |k| a.registry.try_predict(k).unwrap())).collect());
-    print_row("", "EL-BHL", assets.iter().map(|a| eval_pairs(&large(&a.el_b), |k| a.registry.try_predict(k).unwrap())).collect());
-    print_row("", "concat", assets.iter().map(|a| eval_pairs(&a.concat, |k| a.registry.try_predict(k).unwrap())).collect());
-    print_row("", "memcpy", assets.iter().map(|a| eval_pairs(&a.memcpy, |k| a.registry.try_predict(k).unwrap())).collect());
+    print_row(
+        "Heuristic",
+        "EL-F",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.el_f, |k| a.plain_f.predict(k)))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-FL",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&large(&a.el_f), |k| a.plain_f.predict(k)))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-FH",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.el_f, |k| a.enh_f.predict(k)))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-FHL",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&large(&a.el_f), |k| a.enh_f.predict(k)))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-B",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.el_b, |k| a.plain_b.predict(k)))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-BL",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&large(&a.el_b), |k| a.plain_b.predict(k)))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-BH",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.el_b, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
+    print_row(
+        "",
+        "EL-BHL",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&large(&a.el_b), |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
+    print_row(
+        "",
+        "concat",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.concat, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
+    print_row(
+        "",
+        "memcpy",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.memcpy, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
     // ML-based rows.
-    print_row("ML-based", "GEMM", assets.iter().map(|a| eval_pairs(&a.gemm, |k| a.registry.try_predict(k).unwrap())).collect());
-    print_row("", "transpose", assets.iter().map(|a| eval_pairs(&a.transpose, |k| a.registry.try_predict(k).unwrap())).collect());
-    print_row("", "tril-F", assets.iter().map(|a| eval_pairs(&a.tril_f, |k| a.registry.try_predict(k).unwrap())).collect());
-    print_row("", "tril-B", assets.iter().map(|a| eval_pairs(&a.tril_b, |k| a.registry.try_predict(k).unwrap())).collect());
+    print_row(
+        "ML-based",
+        "GEMM",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.gemm, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
+    print_row(
+        "",
+        "transpose",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.transpose, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
+    print_row(
+        "",
+        "tril-F",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.tril_f, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
+    print_row(
+        "",
+        "tril-B",
+        assets
+            .iter()
+            .map(|a| eval_pairs(&a.tril_b, |k| a.registry.try_predict(k).unwrap()))
+            .collect(),
+    );
 
     println!("\nEL rows: F/B forward/backward, H with hit-rate estimation, L restricted");
     println!("to tables with E > 100k. The enhanced model stabilizes small tables;");

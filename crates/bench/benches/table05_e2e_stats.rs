@@ -23,14 +23,15 @@ fn main() {
         "{:12} | {:^22} | {}",
         "",
         "Overall",
-        devices.iter().map(|d| format!("{d:^22}")).collect::<Vec<_>>().join(" | ")
+        devices
+            .iter()
+            .map(|d| format!("{d:^22}"))
+            .collect::<Vec<_>>()
+            .join(" | ")
     );
     println!(
         "{:12} | {:>6} {:>6} {:>6}  | then the same triple per device",
-        "metric",
-        "geo",
-        "min",
-        "max",
+        "metric", "geo", "min", "max",
     );
 
     type Metric = fn(&PredictionRow) -> f64;

@@ -123,8 +123,9 @@ fn main() -> ExitCode {
         }
         (regression, ceilings, floors) => {
             eprintln!("bench gate FAILED ({:.0}% tolerance):", tolerance * 100.0);
-            for line in
-                [regression, ceilings, floors].into_iter().flat_map(|r| match r {
+            for line in [regression, ceilings, floors]
+                .into_iter()
+                .flat_map(|r| match r {
                     Ok(lines) | Err(lines) => lines,
                 })
             {

@@ -40,7 +40,9 @@ pub fn measure_iters() -> usize {
 pub fn measure_graph(device: &DeviceSpec, graph: &Graph, seed: u64) -> (f64, f64) {
     let mut engine = ExecutionEngine::new(device.clone(), seed);
     engine.set_profiling(false);
-    let runs = engine.run_iterations(graph, measure_iters()).expect("workload executes");
+    let runs = engine
+        .run_iterations(graph, measure_iters())
+        .expect("workload executes");
     let e2e = runs.iter().map(|r| r.e2e_us).sum::<f64>() / runs.len() as f64;
     let active = runs.iter().map(|r| r.active_us()).sum::<f64>() / runs.len() as f64;
     (e2e, active)
@@ -56,11 +58,12 @@ pub fn e2e_evaluation() -> Vec<PredictionRow> {
     let mut rows = Vec::new();
     for device in DeviceSpec::paper_devices() {
         eprintln!("== calibrating + evaluating on {} ==", device.name);
-        let registry =
-            dlperf_kernels::ModelRegistry::calibrate(&device, effort, 0x5151);
+        let registry = dlperf_kernels::ModelRegistry::calibrate(&device, effort, 0x5151);
         for &batch in &BATCH_SIZES {
-            let graphs: Vec<Graph> =
-                DlrmConfig::paper_configs(batch).iter().map(|c| c.build()).collect();
+            let graphs: Vec<Graph> = DlrmConfig::paper_configs(batch)
+                .iter()
+                .map(|c| c.build())
+                .collect();
             let pipeline = Pipeline::analyze_with_registry(
                 &device,
                 &graphs,
@@ -131,7 +134,10 @@ pub fn interleave_ms(reps: usize, sides: &mut [&mut dyn FnMut()]) -> Vec<SideTim
     }
     samples
         .into_iter()
-        .map(|times| SideTiming { best_ms: best(&times), median_ms: median(times) })
+        .map(|times| SideTiming {
+            best_ms: best(&times),
+            median_ms: median(times),
+        })
         .collect()
 }
 
@@ -188,7 +194,9 @@ pub fn check_regression(
     let fresh = parse("fresh", fresh_json)?;
     let text = |doc: &serde::Value, key: &str| -> Option<String> {
         let v = doc.get(key)?;
-        v.as_str().map(str::to_string).or_else(|| v.as_f64().map(|n| format!("{n}")))
+        v.as_str()
+            .map(str::to_string)
+            .or_else(|| v.as_f64().map(|n| format!("{n}")))
     };
     if let Some(guard) = guard_keys
         .iter()
@@ -298,10 +306,7 @@ pub fn check_ceilings(
 /// # Errors
 /// Returns the failure lines when any metric falls below its floor, or
 /// when the document fails to parse.
-pub fn check_floors(
-    fresh_json: &str,
-    floors: &[(&str, f64)],
-) -> Result<Vec<String>, Vec<String>> {
+pub fn check_floors(fresh_json: &str, floors: &[(&str, f64)]) -> Result<Vec<String>, Vec<String>> {
     let fresh = serde::value::parse(fresh_json)
         .map_err(|e| vec![format!("fresh: unparseable JSON: {e}")])?;
     let number = |doc: &serde::Value, key: &str| -> Option<f64> {
@@ -344,17 +349,17 @@ pub fn context_report(baseline_json: &str, fresh_json: &str, keys: &[&str]) -> V
     let fresh = serde::value::parse(fresh_json).ok();
     let text = |doc: &Option<serde::Value>, key: &str| -> Option<String> {
         let v = doc.as_ref()?.get(key)?;
-        v.as_str().map(str::to_string).or_else(|| v.as_f64().map(|n| format!("{n}")))
+        v.as_str()
+            .map(str::to_string)
+            .or_else(|| v.as_f64().map(|n| format!("{n}")))
     };
     keys.iter()
-        .map(|&key| {
-            match (text(&baseline, key), text(&fresh, key)) {
-                (Some(b), Some(f)) if b == f => format!("{key}: {f}"),
-                (Some(b), Some(f)) => format!("{key}: CHANGED baseline {b}, fresh {f}"),
-                (None, Some(f)) => format!("{key}: fresh {f} (absent in baseline)"),
-                (Some(b), None) => format!("{key}: baseline {b} (absent in fresh)"),
-                (None, None) => format!("{key}: absent"),
-            }
+        .map(|&key| match (text(&baseline, key), text(&fresh, key)) {
+            (Some(b), Some(f)) if b == f => format!("{key}: {f}"),
+            (Some(b), Some(f)) => format!("{key}: CHANGED baseline {b}, fresh {f}"),
+            (None, Some(f)) => format!("{key}: fresh {f} (absent in baseline)"),
+            (Some(b), None) => format!("{key}: baseline {b} (absent in fresh)"),
+            (None, None) => format!("{key}: absent"),
         })
         .collect()
 }
@@ -366,13 +371,13 @@ mod tests {
         let baseline = r#"{"speedup":"2.0","memo_speedup":"3.0","other":"x"}"#;
         let ok_fresh = r#"{"speedup":"1.9","memo_speedup":"9.9"}"#;
         let keys = ["speedup", "memo_speedup", "incremental_speedup"];
-        let report =
-            super::check_regression(baseline, ok_fresh, &keys, 0.10, &[]).expect("within");
-        assert!(report.iter().any(|l| l.contains("incremental_speedup: skipped")));
+        let report = super::check_regression(baseline, ok_fresh, &keys, 0.10, &[]).expect("within");
+        assert!(report
+            .iter()
+            .any(|l| l.contains("incremental_speedup: skipped")));
 
         let bad_fresh = r#"{"speedup":"1.7","memo_speedup":"3.0"}"#;
-        let failures =
-            super::check_regression(baseline, bad_fresh, &keys, 0.10, &[]).unwrap_err();
+        let failures = super::check_regression(baseline, bad_fresh, &keys, 0.10, &[]).unwrap_err();
         assert!(failures[0].contains("REGRESSION speedup"), "{failures:?}");
 
         assert!(super::check_regression("not json", ok_fresh, &keys, 0.1, &[]).is_err());
@@ -398,18 +403,17 @@ mod tests {
 
         // A guard key missing on one side cannot confirm like-for-like.
         let old = r#"{"speedup":"2.0"}"#;
-        let report =
-            super::check_regression(old, fresh, &keys, 0.10, &guards).expect("skipped");
+        let report = super::check_regression(old, fresh, &keys, 0.10, &guards).expect("skipped");
         assert!(report[0].contains("baseline absent, fresh 4"), "{report:?}");
 
         // Matching guards still gate, and guards absent from both sides
         // carry no information, so the comparison proceeds (and fails).
         let same = r#"{"speedup":"1.7","sweep_threads":"1"}"#;
-        let failures =
-            super::check_regression(baseline, same, &keys, 0.10, &guards).unwrap_err();
+        let failures = super::check_regression(baseline, same, &keys, 0.10, &guards).unwrap_err();
         assert!(failures[0].contains("REGRESSION speedup"), "{failures:?}");
-        assert!(super::check_regression(old, r#"{"speedup":"1.7"}"#, &keys, 0.10, &guards)
-            .is_err());
+        assert!(
+            super::check_regression(old, r#"{"speedup":"1.7"}"#, &keys, 0.10, &guards).is_err()
+        );
     }
 
     #[test]
@@ -418,11 +422,16 @@ mod tests {
         let ok = r#"{"batched_speedup":"1.31"}"#;
         let report = super::check_floors(ok, &floors).expect("above floor");
         assert!(report.iter().any(|l| l.contains("ok batched_speedup")));
-        assert!(report.iter().any(|l| l.contains("parallel_efficiency_t4: skipped")));
+        assert!(report
+            .iter()
+            .any(|l| l.contains("parallel_efficiency_t4: skipped")));
 
         let under = r#"{"batched_speedup":"0.889"}"#;
         let failures = super::check_floors(under, &floors).unwrap_err();
-        assert!(failures[0].contains("BELOW FLOOR batched_speedup"), "{failures:?}");
+        assert!(
+            failures[0].contains("BELOW FLOOR batched_speedup"),
+            "{failures:?}"
+        );
 
         assert!(super::check_floors("not json", &floors).is_err());
     }
@@ -458,7 +467,10 @@ mod tests {
 
         let over = r#"{"obs_overhead_pct":"4.7"}"#;
         let failures = super::check_ceilings(over, &ceilings).unwrap_err();
-        assert!(failures[0].contains("OVER BUDGET obs_overhead_pct"), "{failures:?}");
+        assert!(
+            failures[0].contains("OVER BUDGET obs_overhead_pct"),
+            "{failures:?}"
+        );
 
         assert!(super::check_ceilings("not json", &ceilings).is_err());
     }
@@ -470,7 +482,10 @@ mod tests {
         let keys = ["sweep_threads", "host_threads", "effective_threads", "nope"];
         let lines = super::context_report(baseline, fresh, &keys);
         assert_eq!(lines.len(), keys.len());
-        assert!(lines[0].contains("CHANGED baseline 1, fresh 4"), "{lines:?}");
+        assert!(
+            lines[0].contains("CHANGED baseline 1, fresh 4"),
+            "{lines:?}"
+        );
         assert!(lines[1].contains("absent in fresh"), "{lines:?}");
         assert!(lines[2].contains("absent in baseline"), "{lines:?}");
         assert!(lines[3].contains("absent"), "{lines:?}");
@@ -479,6 +494,9 @@ mod tests {
         // "absent" lines rather than panics or errors.
         let same = super::context_report(baseline, baseline, &["sweep_threads"]);
         assert_eq!(same, ["sweep_threads: 1"]);
-        assert_eq!(super::context_report("not json", "{}", &["k"]), ["k: absent"]);
+        assert_eq!(
+            super::context_report("not json", "{}", &["k"]),
+            ["k: absent"]
+        );
     }
 }

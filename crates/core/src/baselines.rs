@@ -52,7 +52,10 @@ pub struct HabitatLike {
 impl HabitatLike {
     /// Creates the baseline with a calibrated flat per-op latency.
     pub fn new(registry: ModelRegistry, per_op_latency_us: f64) -> Self {
-        HabitatLike { registry, per_op_latency_us }
+        HabitatLike {
+            registry,
+            per_op_latency_us,
+        }
     }
 
     /// Predicts E2E time: `Σ kernel times + N_ops × latency` — a sum, not a
@@ -113,7 +116,12 @@ impl MlPredictLike {
             })
             .collect();
 
-        let cfg = TrainConfig { epochs: 120, width: 48, hidden_layers: 3, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 120,
+            width: 48,
+            hidden_layers: 3,
+            ..Default::default()
+        };
         let gemm_samples: Vec<Sample> = mb.measure(&gemm_specs);
         let conv_samples: Vec<Sample> = mb.measure(&conv_specs);
         MlPredictLike {
@@ -170,7 +178,11 @@ impl CrossDeviceScaler {
         let mem_ratio = self.from.dram_bytes_per_us() / self.to.dram_bytes_per_us();
         // Arithmetic intensity vs the source device's ridge point decides
         // how compute-bound the kernel is.
-        let intensity = if kernel.bytes() > 0.0 { kernel.flops() / kernel.bytes() } else { 0.0 };
+        let intensity = if kernel.bytes() > 0.0 {
+            kernel.flops() / kernel.bytes()
+        } else {
+            0.0
+        };
         let ridge = self.from.flop_per_us() / self.from.dram_bytes_per_us();
         let alpha = (intensity / ridge).clamp(0.0, 1.0);
         time_on_from_us * (alpha * compute_ratio + (1.0 - alpha) * mem_ratio)
@@ -227,7 +239,11 @@ mod tests {
 
         let err = |p: f64| ((p - measured) / measured).abs();
         assert!(err(ours) < 0.25, "our error {:.1}%", err(ours) * 100.0);
-        assert!(err(habitat) < 0.35, "habitat-like error {:.1}%", err(habitat) * 100.0);
+        assert!(
+            err(habitat) < 0.35,
+            "habitat-like error {:.1}%",
+            err(habitat) * 100.0
+        );
         assert!(
             err(mlpredict) > err(ours),
             "mlpredict {:.1}% vs ours {:.1}%",
@@ -272,10 +288,14 @@ mod tests {
             .iter()
             .map(|&e| err(&KernelSpec::embedding_forward(2048, e, 1, 10, 64)))
             .collect();
-        let gemm_errs: Vec<f64> = [(2048u64, 1024u64, 1024u64), (4096, 2048, 512), (1024, 1024, 4096)]
-            .iter()
-            .map(|&(m, n, k)| err(&KernelSpec::gemm(m, n, k)))
-            .collect();
+        let gemm_errs: Vec<f64> = [
+            (2048u64, 1024u64, 1024u64),
+            (4096, 2048, 512),
+            (1024, 1024, 4096),
+        ]
+        .iter()
+        .map(|&(m, n, k)| err(&KernelSpec::gemm(m, n, k)))
+        .collect();
         let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
         assert!(
             mean(&el_errs) > mean(&gemm_errs),
@@ -293,10 +313,26 @@ mod tests {
         let base = MlPredictLike::train(&dev, 5);
         let gpu = dlperf_gpusim::Gpu::noiseless(dev);
         let square = KernelSpec::Conv2d {
-            batch: 16, c_in: 64, h: 28, w: 28, c_out: 64, kh: 3, kw: 3, stride: 1, pad: 1,
+            batch: 16,
+            c_in: 64,
+            h: 28,
+            w: 28,
+            c_out: 64,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
         };
         let skew = KernelSpec::Conv2d {
-            batch: 16, c_in: 128, h: 17, w: 17, c_out: 128, kh: 1, kw: 7, stride: 1, pad: 3,
+            batch: 16,
+            c_in: 128,
+            h: 17,
+            w: 17,
+            c_out: 128,
+            kh: 1,
+            kw: 7,
+            stride: 1,
+            pad: 3,
         };
         let err = |k: &KernelSpec, pred: f64| {
             let t = gpu.kernel_time_noiseless(k);

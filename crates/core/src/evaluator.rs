@@ -110,13 +110,23 @@ impl PreparedStore {
         let misses = obs.handle("misses");
         let evictions = obs.handle("evictions");
         let inner = Mutex::new(PreparedInner::default());
-        PreparedStore { inner, capacity, hits, misses, evictions }
+        PreparedStore {
+            inner,
+            capacity,
+            hits,
+            misses,
+            evictions,
+        }
     }
 
     /// Clears the store unless it was built for `base_index`'s graph.
     pub fn rebase(&self, base_index: &Arc<GraphIndex>) {
         let mut inner = self.inner.lock().expect("prepared store poisoned");
-        if inner.base.as_ref().is_none_or(|a| !Arc::ptr_eq(a, base_index)) {
+        if inner
+            .base
+            .as_ref()
+            .is_none_or(|a| !Arc::ptr_eq(a, base_index))
+        {
             inner.base = Some(base_index.clone());
             inner.graphs.clear();
             inner.baselines.clear();
@@ -158,8 +168,11 @@ impl PreparedStore {
             return entry.0.clone();
         }
         if self.capacity.is_some_and(|cap| inner.graphs.len() >= cap) {
-            if let Some(victim) =
-                inner.graphs.iter().min_by_key(|(_, &(_, e))| e).map(|(k, _)| k.clone())
+            if let Some(victim) = inner
+                .graphs
+                .iter()
+                .min_by_key(|(_, &(_, e))| e)
+                .map(|(k, _)| k.clone())
             {
                 inner.graphs.remove(&victim);
                 self.evictions.incr();
@@ -206,7 +219,12 @@ impl PreparedStore {
 
     /// The incremental baseline checkpointed for `device`, if any.
     pub fn baseline(&self, device: usize) -> Option<Arc<IncrementalPredictor>> {
-        self.inner.lock().expect("prepared store poisoned").baselines.get(&device).cloned()
+        self.inner
+            .lock()
+            .expect("prepared store poisoned")
+            .baselines
+            .get(&device)
+            .cloned()
     }
 
     /// Stores the incremental baseline for `device`.
@@ -240,8 +258,15 @@ struct PooledScratch<'a> {
 
 impl<'a> PooledScratch<'a> {
     fn checkout(pool: &'a Mutex<Vec<WalkScratch>>) -> Self {
-        let scratch = pool.lock().expect("scratch pool poisoned").pop().unwrap_or_default();
-        PooledScratch { pool, scratch: Some(scratch) }
+        let scratch = pool
+            .lock()
+            .expect("scratch pool poisoned")
+            .pop()
+            .unwrap_or_default();
+        PooledScratch {
+            pool,
+            scratch: Some(scratch),
+        }
     }
 
     fn get(&mut self) -> &mut WalkScratch {
@@ -280,9 +305,16 @@ impl<'p> Evaluator<'p> {
     /// minimum.
     pub fn new(pipelines: impl Into<Cow<'p, [Pipeline]>>, memo_capacity: usize) -> Self {
         let pipelines = pipelines.into();
-        let caches =
-            pipelines.iter().map(|_| Arc::new(MemoCache::with_capacity(memo_capacity))).collect();
-        Evaluator { pipelines, caches, store: Arc::default(), scratch_pool: Mutex::default() }
+        let caches = pipelines
+            .iter()
+            .map(|_| Arc::new(MemoCache::with_capacity(memo_capacity)))
+            .collect();
+        Evaluator {
+            pipelines,
+            caches,
+            store: Arc::default(),
+            scratch_pool: Mutex::default(),
+        }
     }
 
     /// A view over `devices` (indices into this evaluator's pipelines, in

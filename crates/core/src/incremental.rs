@@ -98,7 +98,13 @@ fn incremental_counters() -> &'static IncrementalCounters {
     G.get_or_init(|| {
         let group = dlperf_obs::CounterGroup::register(
             "core.incremental",
-            &["repredictions", "reused_nodes", "recomputed_nodes", "spliced", "full_fallbacks"],
+            &[
+                "repredictions",
+                "reused_nodes",
+                "recomputed_nodes",
+                "spliced",
+                "full_fallbacks",
+            ],
         );
         IncrementalCounters {
             repredictions: group.handle("repredictions"),
@@ -180,7 +186,13 @@ impl IncrementalPredictor {
         predictor
             .stage(&base, 0..base.node_count(), cache, None, &mut scratch)
             .map_err(PredictError::uncancelled)?;
-        let WalkScratch { oh, ranges, values, mut state, .. } = scratch;
+        let WalkScratch {
+            oh,
+            ranges,
+            values,
+            mut state,
+            ..
+        } = scratch;
         let n = base.node_count();
         let mut cpu_after = Vec::with_capacity(n);
         let mut active_after = Vec::with_capacity(n);
@@ -188,22 +200,30 @@ impl IncrementalPredictor {
         let mut stream_after = Vec::with_capacity(n);
         let mut ready_val = Vec::with_capacity(n);
         predictor
-            .step(base.nodes(), &oh, &ranges, &values, None, &mut state, |i, after| {
-                cpu_after.push(after.cpu);
-                active_after.push(after.active);
-                degraded_after.push(after.degraded);
-                if ranges[i].is_empty() {
-                    stream_after.push(None);
-                    ready_val.push(after.cpu);
-                } else {
-                    let stream = base.nodes()[i].stream;
-                    let clock = after
-                        .stream_clock(stream)
-                        .expect("a kernel-launching node touches its stream");
-                    stream_after.push(Some((stream, clock)));
-                    ready_val.push(clock);
-                }
-            })
+            .step(
+                base.nodes(),
+                &oh,
+                &ranges,
+                &values,
+                None,
+                &mut state,
+                |i, after| {
+                    cpu_after.push(after.cpu);
+                    active_after.push(after.active);
+                    degraded_after.push(after.degraded);
+                    if ranges[i].is_empty() {
+                        stream_after.push(None);
+                        ready_val.push(after.cpu);
+                    } else {
+                        let stream = base.nodes()[i].stream;
+                        let clock = after
+                            .stream_clock(stream)
+                            .expect("a kernel-launching node touches its stream");
+                        stream_after.push(Some((stream, clock)));
+                        ready_val.push(clock);
+                    }
+                },
+            )
             .map_err(PredictError::uncancelled)?;
         let prediction = state.finish();
         let sigs = base.index().signatures().to_vec();
@@ -420,14 +440,21 @@ mod tests {
     }
 
     fn bits(p: &Prediction) -> [u64; 4] {
-        [p.e2e_us.to_bits(), p.active_us.to_bits(), p.cpu_us.to_bits(), p.gpu_us.to_bits()]
+        [
+            p.e2e_us.to_bits(),
+            p.active_us.to_bits(),
+            p.cpu_us.to_bits(),
+            p.gpu_us.to_bits(),
+        ]
     }
 
     #[test]
     fn identical_graph_splices_to_baseline() {
         let (g, predictor) = setup();
         let inc = IncrementalPredictor::new(predictor.clone(), g.clone()).unwrap();
-        let (p, stats) = inc.repredict_scratch(&g, None, &mut WalkScratch::new()).unwrap();
+        let (p, stats) = inc
+            .repredict_scratch(&g, None, &mut WalkScratch::new())
+            .unwrap();
         assert_eq!(bits(&p), bits(&inc.baseline_prediction()));
         assert!(stats.spliced);
         assert_eq!(stats.recomputed, 0);
@@ -440,10 +467,16 @@ mod tests {
         let mut mutated = g.clone();
         let mid = NodeId(mutated.node_count() / 2);
         let op = mutated.node(mid).unwrap().op;
-        let swapped = if op == OpKind::Relu { OpKind::Sigmoid } else { OpKind::Relu };
+        let swapped = if op == OpKind::Relu {
+            OpKind::Sigmoid
+        } else {
+            OpKind::Relu
+        };
         replace_op(&mut mutated, mid, swapped, "swapped").unwrap();
 
-        let (p, stats) = inc.repredict_scratch(&mutated, None, &mut WalkScratch::new()).unwrap();
+        let (p, stats) = inc
+            .repredict_scratch(&mutated, None, &mut WalkScratch::new())
+            .unwrap();
         let full = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&p), bits(&full), "incremental must be bitwise exact");
         assert_eq!(p.degraded_kernels, full.degraded_kernels);
@@ -460,13 +493,18 @@ mod tests {
         let inc = IncrementalPredictor::new(predictor.clone(), g.clone()).unwrap();
         let mut mutated = g.clone();
         resize_batch(&mut mutated, 512).unwrap();
-        let (p, stats) = inc.repredict_scratch(&mutated, None, &mut WalkScratch::new()).unwrap();
+        let (p, stats) = inc
+            .repredict_scratch(&mutated, None, &mut WalkScratch::new())
+            .unwrap();
         let full = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&p), bits(&full));
         // A resize rewrites (almost) every tensor's metadata: no prefix
         // survives and the vast majority of nodes are re-priced.
         assert_eq!(stats.prefix, 0, "{stats:?}");
-        assert!(stats.recomputed > mutated.node_count() * 9 / 10, "{stats:?}");
+        assert!(
+            stats.recomputed > mutated.node_count() * 9 / 10,
+            "{stats:?}"
+        );
     }
 
     #[test]
@@ -476,7 +514,9 @@ mod tests {
         let mut mutated = g.clone();
         let id = mutated.nodes()[mutated.node_count() - 2].id;
         let _ = hoist_earliest(&mut mutated, id);
-        let (p, _) = inc.repredict_scratch(&mutated, None, &mut WalkScratch::new()).unwrap();
+        let (p, _) = inc
+            .repredict_scratch(&mutated, None, &mut WalkScratch::new())
+            .unwrap();
         let full = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&p), bits(&full));
     }
@@ -488,8 +528,9 @@ mod tests {
         let inc = IncrementalPredictor::with_cache(predictor.clone(), g.clone(), &cache).unwrap();
         let mut mutated = g.clone();
         resize_batch(&mut mutated, 128).unwrap();
-        let (cached, _) =
-            inc.repredict_scratch(&mutated, Some(&cache), &mut WalkScratch::new()).unwrap();
+        let (cached, _) = inc
+            .repredict_scratch(&mutated, Some(&cache), &mut WalkScratch::new())
+            .unwrap();
         let plain = predictor.predict(&mutated).unwrap();
         assert_eq!(bits(&cached), bits(&plain));
         assert!(cache.stats().misses > 0);

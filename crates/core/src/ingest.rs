@@ -28,9 +28,7 @@ use serde::{Deserialize, Serialize};
 use dlperf_faults::{site_key, FaultInjector};
 use dlperf_gpusim::KernelFamily;
 use dlperf_kernels::{Confidence, ModelRegistry};
-use dlperf_runtime::{
-    fnv1a64, CancellationToken, JobContext, JobError, ResumableJob, StepOutcome,
-};
+use dlperf_runtime::{fnv1a64, CancellationToken, JobContext, JobError, ResumableJob, StepOutcome};
 use dlperf_trace::ingest::{
     ingest_file, FileReject, FileReport, FileStatus, IngestLimits, QuarantineReport, SkipCounts,
 };
@@ -50,7 +48,10 @@ pub fn collect_family_samples(
         if ev.cat != EventCat::Kernel {
             continue;
         }
-        let family = ev.name.strip_suffix("_kernel").and_then(KernelFamily::parse_label);
+        let family = ev
+            .name
+            .strip_suffix("_kernel")
+            .and_then(KernelFamily::parse_label);
         match family {
             Some(f) => samples.entry(f).or_default().push(ev.dur_us),
             None => unattributed += 1,
@@ -124,7 +125,13 @@ impl CorpusIngestJob {
     /// files per checkpoint step).
     pub fn new(mut files: Vec<PathBuf>, limits: IngestLimits) -> Self {
         files.sort();
-        CorpusIngestJob { files, limits, threads: 4, chunk: 8, injector: None }
+        CorpusIngestJob {
+            files,
+            limits,
+            threads: 4,
+            chunk: 8,
+            injector: None,
+        }
     }
 
     /// Sets worker-thread parallelism within a step (builder style).
@@ -156,10 +163,17 @@ impl CorpusIngestJob {
         &self.files
     }
 
-    fn ingest_one(&self, index: usize, path: &Path) -> (FileReport, Vec<(String, f64)>, u64, String) {
+    fn ingest_one(
+        &self,
+        index: usize,
+        path: &Path,
+    ) -> (FileReport, Vec<(String, f64)>, u64, String) {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = &self.injector {
-                if inj.worker_fault(site_key("trace-ingest-file"), index as u64, 1).is_some() {
+                if inj
+                    .worker_fault(site_key("trace-ingest-file"), index as u64, 1)
+                    .is_some()
+                {
                     panic!("injected trace-ingest fault");
                 }
             }
@@ -224,7 +238,11 @@ impl ResumableJob for CorpusIngestJob {
         }
     }
 
-    fn step(&self, state: &mut CorpusIngestState, ctx: &JobContext) -> Result<StepOutcome, JobError> {
+    fn step(
+        &self,
+        state: &mut CorpusIngestState,
+        ctx: &JobContext,
+    ) -> Result<StepOutcome, JobError> {
         ctx.check_cancelled()?;
         let start = state.next as usize;
         if start >= self.files.len() {
@@ -297,7 +315,10 @@ pub struct CalibrationPolicy {
 
 impl Default for CalibrationPolicy {
     fn default() -> Self {
-        CalibrationPolicy { min_samples: 8, mad_k: 3.5 }
+        CalibrationPolicy {
+            min_samples: 8,
+            mad_k: 3.5,
+        }
     }
 }
 
@@ -483,8 +504,15 @@ mod tests {
         let reference = family_medians(&obs(KernelFamily::Memcpy, &[10.0; 9]));
         let cal = TraceCalibration::fit(&observed, &reference, &CalibrationPolicy::default());
         let fit = &cal.fits[0];
-        assert_eq!(fit.rejected_outliers, 1, "only the corrupt sample is rejected");
-        assert!((fit.scale - 1.0).abs() < 0.05, "outlier must not skew the fit: {}", fit.scale);
+        assert_eq!(
+            fit.rejected_outliers, 1,
+            "only the corrupt sample is rejected"
+        );
+        assert!(
+            (fit.scale - 1.0).abs() < 0.05,
+            "outlier must not skew the fit: {}",
+            fit.scale
+        );
     }
 
     #[test]
@@ -501,8 +529,7 @@ mod tests {
     #[test]
     fn families_without_reference_are_skipped() {
         let observed = obs(KernelFamily::Conv2d, &[1.0; 16]);
-        let cal =
-            TraceCalibration::fit(&observed, &BTreeMap::new(), &CalibrationPolicy::default());
+        let cal = TraceCalibration::fit(&observed, &BTreeMap::new(), &CalibrationPolicy::default());
         assert!(cal.fits.is_empty());
     }
 

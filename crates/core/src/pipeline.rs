@@ -73,8 +73,11 @@ impl AnalysisReport {
         if self.is_clean() {
             format!("analyzed {} workload(s), none skipped", self.analyzed.len())
         } else {
-            let names: Vec<String> =
-                self.skipped.iter().map(|(n, e)| format!("`{n}` ({e})")).collect();
+            let names: Vec<String> = self
+                .skipped
+                .iter()
+                .map(|(n, e)| format!("`{n}` ({e})"))
+                .collect();
             format!(
                 "analyzed {} workload(s), skipped {}: {}",
                 self.analyzed.len(),
@@ -194,7 +197,10 @@ impl Pipeline {
         if per_workload.is_empty() {
             return Err(PipelineError::AllWorkloadsFailed(report.skipped));
         }
-        Ok((Self::from_profiles(device.clone(), registry, per_workload), report))
+        Ok((
+            Self::from_profiles(device.clone(), registry, per_workload),
+            report,
+        ))
     }
 
     /// The supervised analysis track: like [`Pipeline::analyze_resilient`],
@@ -228,8 +234,14 @@ impl Pipeline {
         if let Some(why) = invalid {
             let name = job.name().to_string();
             return (
-                Err(SupervisorError::Failed { job: name.clone(), why: why.to_string() }),
-                RunReport { job: name, ..RunReport::default() },
+                Err(SupervisorError::Failed {
+                    job: name.clone(),
+                    why: why.to_string(),
+                }),
+                RunReport {
+                    job: name,
+                    ..RunReport::default()
+                },
             );
         }
         let (result, report) = supervisor.run(&job);
@@ -238,10 +250,11 @@ impl Pipeline {
             // reject what it holds (a negative or non-finite mean).
             let mut per_workload = Vec::with_capacity(state.analyzed.len());
             for (name, json) in state.analyzed {
-                let stats = OverheadStats::from_json(&json).map_err(|e| SupervisorError::Failed {
-                    job: job.name().to_string(),
-                    why: format!("overhead stats of `{name}` do not load: {e}"),
-                })?;
+                let stats =
+                    OverheadStats::from_json(&json).map_err(|e| SupervisorError::Failed {
+                        job: job.name().to_string(),
+                        why: format!("overhead stats of `{name}` do not load: {e}"),
+                    })?;
                 per_workload.push((name, stats));
             }
             let registry = ModelRegistry::calibrate(device, effort, seed ^ 0xabcd);
@@ -249,15 +262,26 @@ impl Pipeline {
                 analyzed: per_workload.iter().map(|(n, _)| n.clone()).collect(),
                 skipped: state.skipped,
             };
-            Ok((Self::from_profiles(device.clone(), registry, per_workload), report))
+            Ok((
+                Self::from_profiles(device.clone(), registry, per_workload),
+                report,
+            ))
         });
         (result, report)
     }
 
     /// Builds a pipeline from precomputed assets (e.g. a JSON overhead
     /// database from another session).
-    pub fn from_assets(device: DeviceSpec, registry: ModelRegistry, overheads: OverheadStats) -> Self {
-        Pipeline { device, predictor: E2ePredictor::new(registry, overheads), per_workload: Vec::new() }
+    pub fn from_assets(
+        device: DeviceSpec,
+        registry: ModelRegistry,
+        overheads: OverheadStats,
+    ) -> Self {
+        Pipeline {
+            device,
+            predictor: E2ePredictor::new(registry, overheads),
+            per_workload: Vec::new(),
+        }
     }
 
     /// A pipeline that keeps each analyzed workload's overhead database
@@ -268,7 +292,10 @@ impl Pipeline {
         per_workload: Vec<(String, OverheadStats)>,
     ) -> Self {
         let shared = OverheadStats::merge(&per_workload.iter().map(|(_, s)| s).collect::<Vec<_>>());
-        Pipeline { per_workload, ..Self::from_assets(device, registry, shared) }
+        Pipeline {
+            per_workload,
+            ..Self::from_assets(device, registry, shared)
+        }
     }
 
     /// The device this pipeline models.
@@ -286,11 +313,14 @@ impl Pipeline {
     ///
     /// Returns `None` if that workload was not part of the analysis.
     pub fn predictor_for(&self, workload: &str) -> Option<E2ePredictor> {
-        self.per_workload.iter().find(|(n, _)| n == workload).map(|(_, stats)| {
-            let mut p = self.predictor.clone();
-            p.set_overheads(stats.clone());
-            p
-        })
+        self.per_workload
+            .iter()
+            .find(|(n, _)| n == workload)
+            .map(|(_, stats)| {
+                let mut p = self.predictor.clone();
+                p.set_overheads(stats.clone());
+                p
+            })
     }
 
     /// Names of the workloads analyzed.
@@ -321,7 +351,9 @@ impl Pipeline {
         cache: &dlperf_kernels::MemoCache,
         scratch: &mut crate::predictor::WalkScratch,
     ) -> Result<Prediction, LowerError> {
-        self.predictor.walk(graph, Some(cache), None, scratch).map_err(PredictError::uncancelled)
+        self.predictor
+            .walk(graph, Some(cache), None, scratch)
+            .map_err(PredictError::uncancelled)
     }
 
     /// Predicts with the workload's individual overheads when available,
@@ -395,7 +427,12 @@ impl<'a> AnalysisJob<'a> {
     /// non-zero iterations) is the caller's job — see
     /// [`Pipeline::analyze_supervised`].
     pub fn new(device: &'a DeviceSpec, workloads: &'a [Graph], iters: usize, seed: u64) -> Self {
-        AnalysisJob { device, workloads, iters, seed }
+        AnalysisJob {
+            device,
+            workloads,
+            iters,
+            seed,
+        }
     }
 }
 
@@ -414,7 +451,10 @@ impl ResumableJob for AnalysisJob<'_> {
     fn step(&self, state: &mut AnalysisState, ctx: &JobContext) -> Result<StepOutcome, JobError> {
         ctx.check_cancelled()?;
         let i = state.analyzed.len() + state.skipped.len();
-        debug_assert_eq!(i as u64, ctx.step, "analysis state out of sync with supervisor step");
+        debug_assert_eq!(
+            i as u64, ctx.step,
+            "analysis state out of sync with supervisor step"
+        );
         let g = &self.workloads[i];
         match profile(self.device, g, self.iters, self.seed.wrapping_add(i as u64)) {
             Ok(stats) => state.analyzed.push((g.name.clone(), stats.to_json())),
@@ -461,7 +501,10 @@ mod tests {
         assert!(p.e2e_us > 0.0);
         let pi = pipe.predict_individual(&workloads[0]).unwrap();
         assert!(pi.e2e_us > 0.0);
-        assert_ne!(p.e2e_us, pi.e2e_us, "shared and individual overheads should differ");
+        assert_ne!(
+            p.e2e_us, pi.e2e_us,
+            "shared and individual overheads should differ"
+        );
     }
 
     #[test]
@@ -507,7 +550,11 @@ mod tests {
         assert_eq!(report.analyzed.len(), 2);
         assert_eq!(report.skipped.len(), 1);
         assert_eq!(report.skipped[0].0, "broken-graph");
-        assert!(report.summary().contains("broken-graph"), "summary: {}", report.summary());
+        assert!(
+            report.summary().contains("broken-graph"),
+            "summary: {}",
+            report.summary()
+        );
         // The surviving pipeline still predicts.
         assert!(pipe.predict(&workloads[0]).unwrap().e2e_us > 0.0);
     }
@@ -521,8 +568,14 @@ mod tests {
                 .expect("two good workloads remain");
 
         let mut sup = Supervisor::new(dlperf_runtime::SupervisorConfig::default());
-        let (res, run) =
-            Pipeline::analyze_supervised(&dev, &workloads, CalibrationEffort::Quick, 5, 6, &mut sup);
+        let (res, run) = Pipeline::analyze_supervised(
+            &dev,
+            &workloads,
+            CalibrationEffort::Quick,
+            5,
+            6,
+            &mut sup,
+        );
         let (pipe_b, report_b) = res.expect("supervised analysis succeeds");
 
         assert_eq!(run.steps_completed, 3);
@@ -531,10 +584,20 @@ mod tests {
         for g in [&workloads[0], &workloads[2]] {
             let a = pipe_a.predict(g).unwrap();
             let b = pipe_b.predict(g).unwrap();
-            assert_eq!(a.e2e_us.to_bits(), b.e2e_us.to_bits(), "shared prediction for {}", g.name);
+            assert_eq!(
+                a.e2e_us.to_bits(),
+                b.e2e_us.to_bits(),
+                "shared prediction for {}",
+                g.name
+            );
             let ia = pipe_a.predict_individual(g).unwrap();
             let ib = pipe_b.predict_individual(g).unwrap();
-            assert_eq!(ia.e2e_us.to_bits(), ib.e2e_us.to_bits(), "individual for {}", g.name);
+            assert_eq!(
+                ia.e2e_us.to_bits(),
+                ib.e2e_us.to_bits(),
+                "individual for {}",
+                g.name
+            );
         }
     }
 
@@ -560,7 +623,10 @@ mod tests {
 
         // Run A: a chaos plan kills the worker partway through and the
         // restart budget is zero, so the run dies with a checkpoint behind.
-        let cfg = SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() };
+        let cfg = SupervisorConfig {
+            max_restarts: 0,
+            ..SupervisorConfig::default()
+        };
         let mut sup_a = Supervisor::with_store(cfg, Box::new(FileStore::new(&path)));
         // Plan seed 10 draws no kill for step 0 and a kill for step 1 at
         // this probability, so the run dies with exactly one step behind it.
@@ -591,7 +657,12 @@ mod tests {
         for g in &workloads {
             let r = pipe_ref.predict(g).unwrap();
             let b = pipe_b.predict(g).unwrap();
-            assert_eq!(r.e2e_us.to_bits(), b.e2e_us.to_bits(), "prediction for {}", g.name);
+            assert_eq!(
+                r.e2e_us.to_bits(),
+                b.e2e_us.to_bits(),
+                "prediction for {}",
+                g.name
+            );
         }
     }
 
@@ -614,10 +685,18 @@ mod tests {
         let state_json = serde_json::to_string(&state).unwrap();
         let schema = "dlperf.checkpoint/core.analysis";
         let mut store = MemoryStore::new();
-        store.save(&seal(schema, CHECKPOINT_VERSION, &(1u64, state_json)).unwrap()).unwrap();
+        store
+            .save(&seal(schema, CHECKPOINT_VERSION, &(1u64, state_json)).unwrap())
+            .unwrap();
         let mut sup = Supervisor::with_store(SupervisorConfig::default(), Box::new(store));
-        let (res, run) =
-            Pipeline::analyze_supervised(&dev, &workloads, CalibrationEffort::Quick, 5, 0, &mut sup);
+        let (res, run) = Pipeline::analyze_supervised(
+            &dev,
+            &workloads,
+            CalibrationEffort::Quick,
+            5,
+            0,
+            &mut sup,
+        );
         assert_eq!(run.resumed_from_step, Some(1));
         match res {
             Err(SupervisorError::Failed { job, why }) => {
@@ -675,8 +754,13 @@ mod tests {
             Pipeline::analyze_resilient(&dev, &[small(64)], CalibrationEffort::Quick, 0, 0).err(),
             Some(PipelineError::NoIterations)
         );
-        match Pipeline::analyze_resilient(&dev, &[malformed("only")], CalibrationEffort::Quick, 3, 0)
-        {
+        match Pipeline::analyze_resilient(
+            &dev,
+            &[malformed("only")],
+            CalibrationEffort::Quick,
+            3,
+            0,
+        ) {
             Err(PipelineError::AllWorkloadsFailed(fails)) => {
                 assert_eq!(fails.len(), 1);
                 assert_eq!(fails[0].0, "only");

@@ -15,9 +15,9 @@
 
 use std::ops::Range;
 
+use dlperf_gpusim::KernelSpec;
 use dlperf_graph::lower::{self, LowerError};
 use dlperf_graph::{Graph, Node, OpKind, TensorId};
-use dlperf_gpusim::KernelSpec;
 use dlperf_kernels::{Confidence, MemoCache, MemoScratch, ModelRegistry};
 use dlperf_nn::arena::ScratchArena;
 use dlperf_nn::ArenaStats;
@@ -82,7 +82,11 @@ fn walk_counters() -> &'static WalkCounters {
         let group = dlperf_obs::CounterGroup::register("core.walk", &["walks", "nodes"]);
         let walks = group.handle("walks");
         let nodes = group.handle("nodes");
-        WalkCounters { _group: group, walks, nodes }
+        WalkCounters {
+            _group: group,
+            walks,
+            nodes,
+        }
     })
 }
 
@@ -195,7 +199,10 @@ impl E2ePredictor {
     /// Sets the launch-point factor: a kernel may start at
     /// `cpu_time + factor x T4` (builder style; Algorithm 1 uses 0.5).
     pub fn with_launch_factor(mut self, factor: f64) -> Self {
-        assert!((0.0..=1.0).contains(&factor), "launch factor must be in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&factor),
+            "launch factor must be in [0, 1]"
+        );
         self.launch_factor = factor;
         self
     }
@@ -230,7 +237,8 @@ impl E2ePredictor {
     /// # Errors
     /// Returns a [`LowerError`] if an op's tensor shapes are inconsistent.
     pub fn predict(&self, graph: &Graph) -> Result<Prediction, LowerError> {
-        self.walk(graph, None, None, &mut WalkScratch::new()).map_err(PredictError::uncancelled)
+        self.walk(graph, None, None, &mut WalkScratch::new())
+            .map_err(PredictError::uncancelled)
     }
 
     /// The Algorithm 1 walk, the one entry point every graph prediction
@@ -510,7 +518,10 @@ impl WalkState {
 
     /// The clock of `stream`, if any kernel has launched on it.
     pub(crate) fn stream_clock(&self, stream: usize) -> Option<f64> {
-        self.streams.iter().find(|&&(s, _)| s == stream).map(|&(_, c)| c)
+        self.streams
+            .iter()
+            .find(|&&(s, _)| s == stream)
+            .map(|&(_, c)| c)
     }
 
     /// Records the readiness time of one tensor.
@@ -620,12 +631,16 @@ mod tests {
         let mut engine = ExecutionEngine::new(dev.clone(), 51);
         let runs = engine.run_iterations(&g, 30).unwrap();
         let measured = runs.iter().map(|r| r.e2e_us).sum::<f64>() / runs.len() as f64;
-        let measured_active =
-            runs.iter().map(|r| r.active_us()).sum::<f64>() / runs.len() as f64;
+        let measured_active = runs.iter().map(|r| r.active_us()).sum::<f64>() / runs.len() as f64;
         let traces: Vec<Trace> = runs.into_iter().map(|r| r.trace).collect();
         let overheads = OverheadStats::extract(&traces, true);
         let registry = ModelRegistry::calibrate(&dev, CalibrationEffort::Quick, 9);
-        (g, E2ePredictor::new(registry, overheads), measured, measured_active)
+        (
+            g,
+            E2ePredictor::new(registry, overheads),
+            measured,
+            measured_active,
+        )
     }
 
     #[test]
@@ -646,7 +661,10 @@ mod tests {
     fn active_prediction_within_band() {
         let (g, pred, _, measured_active) = setup(512);
         let active = pred.predict_active(&g).unwrap();
-        assert_eq!(active.to_bits(), pred.predict(&g).unwrap().active_us.to_bits());
+        assert_eq!(
+            active.to_bits(),
+            pred.predict(&g).unwrap().active_us.to_bits()
+        );
         let err = ((active - measured_active) / measured_active).abs();
         assert!(
             err < 0.25,
@@ -708,8 +726,9 @@ mod tests {
         let cache = MemoCache::new();
         let token = CancellationToken::new();
         let plain = pred.predict(&g).unwrap();
-        let cancellable =
-            pred.walk(&g, Some(&cache), Some(&token), &mut WalkScratch::new()).unwrap();
+        let cancellable = pred
+            .walk(&g, Some(&cache), Some(&token), &mut WalkScratch::new())
+            .unwrap();
         assert_eq!(plain.e2e_us.to_bits(), cancellable.e2e_us.to_bits());
         assert_eq!(plain, cancellable);
 
@@ -728,7 +747,8 @@ mod tests {
         let (g, pred, _, _) = setup(256);
         let token = CancellationToken::new();
         let mut scratch = WalkScratch::new();
-        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch).unwrap();
+        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch)
+            .unwrap();
         token.cancel();
         let mut stepped = 0;
         let result = pred.step(
@@ -756,7 +776,8 @@ mod tests {
         let fresh = pred.predict(&g).unwrap();
         let token = CancellationToken::new();
         let mut scratch = WalkScratch::new();
-        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch).unwrap();
+        pred.stage(&g, 0..g.node_count(), None, Some(&token), &mut scratch)
+            .unwrap();
         let half = g.node_count() / 2;
         let result = pred.step(
             g.nodes(),
@@ -772,7 +793,10 @@ mod tests {
             },
         );
         assert!(matches!(result, Err(PredictError::Cancelled)), "{result:?}");
-        assert!(scratch.state.cpu > 0.0, "the walk stepped part of the graph");
+        assert!(
+            scratch.state.cpu > 0.0,
+            "the walk stepped part of the graph"
+        );
 
         let cache = MemoCache::new();
         for cache in [None, Some(&cache)] {
@@ -792,7 +816,9 @@ mod tests {
         assert_eq!(plain, s);
 
         let cache = MemoCache::new();
-        let fresh = pred.walk(&g, Some(&MemoCache::new()), None, &mut WalkScratch::new()).unwrap();
+        let fresh = pred
+            .walk(&g, Some(&MemoCache::new()), None, &mut WalkScratch::new())
+            .unwrap();
         let m = pred.walk(&g, Some(&cache), None, &mut scratch).unwrap();
         assert_eq!(fresh.e2e_us.to_bits(), m.e2e_us.to_bits());
         assert_eq!(fresh, m);
@@ -808,8 +834,14 @@ mod tests {
             assert_eq!(again, s);
         }
         let after = scratch.arena_stats();
-        assert_eq!(after.misses, misses, "steady-state walks must not allocate: {after:?}");
-        assert!(after.takes > takes, "walks must actually go through the arena");
+        assert_eq!(
+            after.misses, misses,
+            "steady-state walks must not allocate: {after:?}"
+        );
+        assert!(
+            after.takes > takes,
+            "walks must actually go through the arena"
+        );
         assert!(after.high_water_f64s > 0);
     }
 
@@ -872,7 +904,11 @@ mod tests {
         };
         let registry = ModelRegistry::empty(DeviceSpec::v100());
         for granularity in [OverheadGranularity::PerOp, OverheadGranularity::TypeOnly] {
-            for t4 in [T4Policy::Fixed(12.0), T4Policy::Fixed(7.5), T4Policy::Measured] {
+            for t4 in [
+                T4Policy::Fixed(12.0),
+                T4Policy::Fixed(7.5),
+                T4Policy::Measured,
+            ] {
                 let mut pred = E2ePredictor::new(registry.clone(), first.clone())
                     .with_granularity(granularity)
                     .with_t4_policy(t4);
@@ -883,16 +919,28 @@ mod tests {
         }
 
         // A key a database lacks reads the type mean in every overhead.
-        let slot = |key: &str| OpKind::OVERHEAD_KEYS.iter().position(|k| *k == key).unwrap();
+        let slot = |key: &str| {
+            OpKind::OVERHEAD_KEYS
+                .iter()
+                .position(|k| *k == key)
+                .unwrap()
+        };
         let measured = |stats: &OverheadStats| {
             E2ePredictor::new(registry.clone(), stats.clone()).with_t4_policy(T4Policy::Measured)
         };
         for (stats, absent) in [(&first, "aten::conv2d"), (&second, "aten::addmm")] {
             let row = bits(&measured(stats).table[slot(absent)]);
             for (i, ty) in OverheadType::ALL.into_iter().enumerate() {
-                assert!(stats.get(absent, ty).is_none(), "{absent} is in the database");
+                assert!(
+                    stats.get(absent, ty).is_none(),
+                    "{absent} is in the database"
+                );
                 let type_mean = stats.type_stat(ty).expect("type mean").mean_us;
-                assert_eq!(row[i], type_mean.to_bits(), "{absent} {ty} is not the type mean");
+                assert_eq!(
+                    row[i],
+                    type_mean.to_bits(),
+                    "{absent} {ty} is not the type mean"
+                );
             }
         }
     }

@@ -72,7 +72,14 @@ fn search_counters() -> &'static SearchCounters {
     G.get_or_init(|| {
         let group = dlperf_obs::CounterGroup::register(
             "core.search",
-            &["searches", "evals", "prunes", "incremental", "full", "errors"],
+            &[
+                "searches",
+                "evals",
+                "prunes",
+                "incremental",
+                "full",
+                "errors",
+            ],
         );
         SearchCounters {
             searches: group.handle("searches"),
@@ -114,7 +121,11 @@ pub struct Candidate<X = NoExtra> {
 impl<X> Candidate<X> {
     /// The root candidate: device 0, no rewrites, extra axis at baseline.
     pub fn baseline() -> Self {
-        Candidate { device: 0, mutations: Vec::new(), extra: None }
+        Candidate {
+            device: 0,
+            mutations: Vec::new(),
+            extra: None,
+        }
     }
 }
 
@@ -126,7 +137,11 @@ impl<X: std::fmt::Display> Candidate<X> {
         if let Some(x) = &self.extra {
             parts.push(x.to_string());
         }
-        let mut s = if parts.is_empty() { "baseline".to_string() } else { parts.join(" + ") };
+        let mut s = if parts.is_empty() {
+            "baseline".to_string()
+        } else {
+            parts.join(" + ")
+        };
         if self.device != 0 {
             let label = device_labels
                 .get(self.device)
@@ -179,7 +194,10 @@ pub struct GraphMoves {
 
 impl Default for GraphMoves {
     fn default() -> Self {
-        GraphMoves { batches: Vec::new(), max_hoists: 4 }
+        GraphMoves {
+            batches: Vec::new(),
+            max_hoists: 4,
+        }
     }
 }
 
@@ -196,7 +214,10 @@ impl<X: Clone> MoveGenerator<X> for GraphMoves {
         }
         for &b in &self.batches {
             if can_resize_batch(graph, b)
-                && !cand.mutations.iter().any(|m| matches!(m, GraphMutation::ResizeBatch(_)))
+                && !cand
+                    .mutations
+                    .iter()
+                    .any(|m| matches!(m, GraphMutation::ResizeBatch(_)))
             {
                 out.push(child(GraphMutation::ResizeBatch(b)));
             }
@@ -221,7 +242,10 @@ impl<X: Clone> MoveGenerator<X> for DeviceMoves {
     fn expand(&self, _graph: &Graph, cand: &Candidate<X>) -> Vec<Candidate<X>> {
         (0..self.devices)
             .filter(|&d| d != cand.device)
-            .map(|d| Candidate { device: d, ..cand.clone() })
+            .map(|d| Candidate {
+                device: d,
+                ..cand.clone()
+            })
             .collect()
     }
 }
@@ -341,7 +365,9 @@ pub enum SearchError {
 impl std::fmt::Display for SearchError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SearchError::NoPipelines => write!(f, "optimization search needs at least one pipeline"),
+            SearchError::NoPipelines => {
+                write!(f, "optimization search needs at least one pipeline")
+            }
             SearchError::Lower { device, reason } => {
                 write!(f, "base graph failed to lower on device {device}: {reason}")
             }
@@ -382,7 +408,11 @@ where
     /// bitwise invisible, so whose caches the evaluator holds never shows
     /// in the report.
     pub fn with_evaluator(eval: Evaluator<'a>) -> Self {
-        let device_labels = eval.pipelines().iter().map(|p| p.device().name.clone()).collect();
+        let device_labels = eval
+            .pipelines()
+            .iter()
+            .map(|p| p.device().name.clone())
+            .collect();
         OptimizationSearch {
             eval,
             device_labels,
@@ -451,9 +481,10 @@ where
         store.rebase(&base.index());
         let baselines: Vec<Arc<IncrementalPredictor>> = (0..pipelines.len())
             .map(|d| {
-                self.eval
-                    .baseline(d, base)
-                    .map_err(|e| SearchError::Lower { device: d, reason: e.to_string() })
+                self.eval.baseline(d, base).map_err(|e| SearchError::Lower {
+                    device: d,
+                    reason: e.to_string(),
+                })
             })
             .collect::<Result<_, _>>()?;
         let baseline_e2e = baselines[0].baseline_prediction().e2e_us;
@@ -462,7 +493,12 @@ where
         // kernel models, for the report's confidence intervals.
         let rel_err: Vec<Option<f64>> = pipelines
             .iter()
-            .map(|p| p.predictor().registry().error_stats().map(|s| s.mean + s.std))
+            .map(|p| {
+                p.predictor()
+                    .registry()
+                    .error_stats()
+                    .map(|s| s.mean + s.std)
+            })
             .collect();
 
         let root: Candidate<X> = Candidate::baseline();
@@ -474,7 +510,9 @@ where
         let root_graph = store.get_or_prepare(base, &root.mutations);
         let mut frontier: Vec<(Candidate<X>, PreparedGraph)> = vec![(root, root_graph)];
 
-        let device_moves = DeviceMoves { devices: pipelines.len() };
+        let device_moves = DeviceMoves {
+            devices: pipelines.len(),
+        };
         let mut all_scored: Vec<ScoredCandidate<X>> = Vec::new();
         let mut evals = 0usize;
         let mut prunes = 0usize;
@@ -533,7 +571,14 @@ where
                             let baseline = Some(&*baselines[cand.device]);
                             let (p, stats) = self
                                 .eval
-                                .price(cand.device, g, baseline, self.config.use_cache, None, scratch)
+                                .price(
+                                    cand.device,
+                                    g,
+                                    baseline,
+                                    self.config.use_cache,
+                                    None,
+                                    scratch,
+                                )
                                 .map_err(|e| e.uncancelled().to_string())?;
                             (p.e2e_us, stats.is_some_and(|s| !s.full_fallback))
                         }
@@ -601,7 +646,10 @@ where
             counters.prunes.add(cut as u64);
 
             all_scored.extend(scored_children.into_iter().map(|(_, sc, _)| sc));
-            frontier = next.into_iter().map(|(_, sc, g)| (sc.candidate, g)).collect();
+            frontier = next
+                .into_iter()
+                .map(|(_, sc, g)| (sc.candidate, g))
+                .collect();
             if frontier.is_empty() {
                 break;
             }
@@ -611,7 +659,10 @@ where
         // as the tie-break (all_scored preserves it).
         let mut order: Vec<usize> = (0..all_scored.len()).collect();
         order.sort_by(|&a, &b| {
-            all_scored[a].e2e_us.total_cmp(&all_scored[b].e2e_us).then(a.cmp(&b))
+            all_scored[a]
+                .e2e_us
+                .total_cmp(&all_scored[b].e2e_us)
+                .then(a.cmp(&b))
         });
         let ranked: Vec<ScoredCandidate<X>> = order
             .into_iter()

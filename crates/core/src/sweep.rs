@@ -169,7 +169,12 @@ pub struct Scenario {
 impl Scenario {
     /// A scenario pricing the unmodified base graph on `device`.
     pub fn new(label: impl Into<String>, device: usize) -> Self {
-        Scenario { label: label.into(), device, mutations: Vec::new(), strategy: None }
+        Scenario {
+            label: label.into(),
+            device,
+            mutations: Vec::new(),
+            strategy: None,
+        }
     }
 
     /// Adds a mutation (builder style).
@@ -225,7 +230,8 @@ impl ScenarioMatrix {
     /// prices identically); distributed consumers expand the tags into
     /// strategy-parametrized jobs. Labels gain a `/{strategy}` suffix.
     pub fn strategies(mut self, strategies: &[&str]) -> Self {
-        self.strategies.extend(strategies.iter().map(|s| s.to_string()));
+        self.strategies
+            .extend(strategies.iter().map(|s| s.to_string()));
         self
     }
 
@@ -236,11 +242,19 @@ impl ScenarioMatrix {
         } else {
             &self.variants
         };
-        let batches: &[u64] = if self.batches.is_empty() { &[0] } else { &self.batches };
+        let batches: &[u64] = if self.batches.is_empty() {
+            &[0]
+        } else {
+            &self.batches
+        };
         let strategies: &[Option<String>] = &if self.strategies.is_empty() {
             vec![None]
         } else {
-            self.strategies.iter().cloned().map(Some).collect::<Vec<_>>()
+            self.strategies
+                .iter()
+                .cloned()
+                .map(Some)
+                .collect::<Vec<_>>()
         };
         let mut out = Vec::new();
         for (dev_name, dev) in &self.devices {
@@ -483,7 +497,10 @@ where
                 })
             })
             .collect();
-        workers.into_iter().map(|w| w.join()).collect::<std::thread::Result<Vec<_>>>()
+        workers
+            .into_iter()
+            .map(|w| w.join())
+            .collect::<std::thread::Result<Vec<_>>>()
     })
     .and_then(|joined| joined)
     .expect("sweep worker panicked");
@@ -542,7 +559,10 @@ pub(crate) fn prepare_onto(
             }
         };
         if let Err(e) = r {
-            return Err(MutationError::Transform { mutation: m.clone(), source: e });
+            return Err(MutationError::Transform {
+                mutation: m.clone(),
+                source: e,
+            });
         }
     }
     Ok(g)
@@ -575,8 +595,13 @@ impl SweepEngine {
     /// # Panics
     /// Panics if `pipelines` is empty.
     pub fn new(pipelines: Vec<Pipeline>) -> Self {
-        assert!(!pipelines.is_empty(), "sweep engine needs at least one pipeline");
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        assert!(
+            !pipelines.is_empty(),
+            "sweep engine needs at least one pipeline"
+        );
+        let threads = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         SweepEngine {
             eval: Evaluator::new(pipelines, DEFAULT_MEMO_CAPACITY),
             threads,
@@ -601,7 +626,9 @@ impl SweepEngine {
     /// [`SweepEngine::with_threads_exact`] to bypass the cap — e.g. in
     /// determinism tests, where scheduling chaos is the point.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        let cap = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cap = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         self.threads = threads.clamp(1, cap);
         self
     }
@@ -692,9 +719,10 @@ impl SweepEngine {
         counters.scenarios.incr();
         let n = self.pipelines().len();
         let priced = match prepared {
-            _ if s.device >= n => {
-                Err(format!("device index {} out of range ({n} pipelines)", s.device))
-            }
+            _ if s.device >= n => Err(format!(
+                "device index {} out of range ({n} pipelines)",
+                s.device
+            )),
             Err(e) => Err(e.to_string()),
             Ok(g) => self
                 .eval
@@ -703,10 +731,24 @@ impl SweepEngine {
         };
         let label = s.label.clone();
         match priced {
-            Ok((p, stats)) => (ScenarioResult { label, prediction: Some(p), error: None }, stats),
+            Ok((p, stats)) => (
+                ScenarioResult {
+                    label,
+                    prediction: Some(p),
+                    error: None,
+                },
+                stats,
+            ),
             Err(e) => {
                 counters.errors.incr();
-                (ScenarioResult { label, prediction: None, error: Some(e) }, None)
+                (
+                    ScenarioResult {
+                        label,
+                        prediction: None,
+                        error: Some(e),
+                    },
+                    None,
+                )
             }
         }
     }
@@ -714,7 +756,8 @@ impl SweepEngine {
     /// Prices one scenario end to end (transform + predict) — the shared
     /// pure function of the naive (cache-off) and supervised paths.
     fn run_one(&self, base: &Graph, s: &Scenario, scratch: &mut WalkScratch) -> ScenarioResult {
-        self.price(s, &prepare_graph(base, &s.mutations), None, scratch).0
+        self.price(s, &prepare_graph(base, &s.mutations), None, scratch)
+            .0
     }
 
     /// Runs the sweep on the configured thread count.
@@ -776,10 +819,12 @@ impl SweepEngine {
             let priced: Vec<Option<(ScenarioResult, Option<IncrementalStats>)>> = self
                 .eval
                 .fan_out(threads, &self.token, scenarios, |scratch, _, s| {
-                    prepared[index[s.mutations.as_slice()]].as_ref().map(|graph| {
-                        let baseline = baselines.get(s.device).and_then(|b| b.as_deref());
-                        self.price(s, graph, baseline, scratch)
-                    })
+                    prepared[index[s.mutations.as_slice()]]
+                        .as_ref()
+                        .map(|graph| {
+                            let baseline = baselines.get(s.device).and_then(|b| b.as_deref());
+                            self.price(s, graph, baseline, scratch)
+                        })
                 })
                 .into_iter()
                 .map(Option::flatten)
@@ -789,11 +834,15 @@ impl SweepEngine {
                     summary.absorb(stats);
                 }
             }
-            priced.into_iter().map(|slot| slot.map(|(result, _)| result)).collect()
+            priced
+                .into_iter()
+                .map(|slot| slot.map(|(result, _)| result))
+                .collect()
         } else {
-            self.eval.fan_out(threads, &self.token, scenarios, |scratch, _, s| {
-                self.run_one(base, s, scratch)
-            })
+            self.eval
+                .fan_out(threads, &self.token, scenarios, |scratch, _, s| {
+                    self.run_one(base, s, scratch)
+                })
         };
         let cancelled = results.iter().any(|r| r.is_none());
         if cancelled {
@@ -820,7 +869,11 @@ impl SweepEngine {
         scenarios: &[Scenario],
         supervisor: &mut Supervisor,
     ) -> (Result<Vec<ScenarioResult>, SupervisorError>, RunReport) {
-        let job = SweepJob { engine: self, base, scenarios };
+        let job = SweepJob {
+            engine: self,
+            base,
+            scenarios,
+        };
         let (result, report) = supervisor.run(&job);
         (result.map(|state| state.results), report)
     }
@@ -867,12 +920,13 @@ impl ResumableJob for SweepJob<'_> {
     fn step(&self, state: &mut SweepState, ctx: &JobContext) -> Result<StepOutcome, JobError> {
         ctx.check_cancelled()?;
         let done = state.results.len();
-        let chunk =
-            &self.scenarios[done..(done + self.engine.chunk).min(self.scenarios.len())];
+        let chunk = &self.scenarios[done..(done + self.engine.chunk).min(self.scenarios.len())];
         let engine = self.engine;
-        let results = engine.eval.fan_out(engine.threads, &engine.token, chunk, |scratch, _, s| {
-            engine.run_one(self.base, s, scratch)
-        });
+        let results = engine
+            .eval
+            .fan_out(engine.threads, &engine.token, chunk, |scratch, _, s| {
+                engine.run_one(self.base, s, scratch)
+            });
         for r in results {
             match r {
                 Some(r) => state.results.push(r),
@@ -918,7 +972,12 @@ mod tests {
     fn bits(o: &SweepOutcome) -> Vec<(String, Option<u64>)> {
         o.expect_complete()
             .iter()
-            .map(|r| (r.label.clone(), r.prediction.as_ref().map(|p| p.e2e_us.to_bits())))
+            .map(|r| {
+                (
+                    r.label.clone(),
+                    r.prediction.as_ref().map(|p| p.e2e_us.to_bits()),
+                )
+            })
             .collect()
     }
 
@@ -943,9 +1002,15 @@ mod tests {
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, scenarios[0]);
         // A set tag is written and read back.
-        let tagged = Scenario { strategy: Some("dp".into()), ..Scenario::new("x", 0) };
+        let tagged = Scenario {
+            strategy: Some("dp".into()),
+            ..Scenario::new("x", 0)
+        };
         let json = serde_json::to_string(&tagged).unwrap();
-        assert_eq!(json, r#"{"label":"x","device":0,"mutations":[],"strategy":"dp"}"#);
+        assert_eq!(
+            json,
+            r#"{"label":"x","device":0,"mutations":[],"strategy":"dp"}"#
+        );
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, tagged);
     }
@@ -965,7 +1030,10 @@ mod tests {
         let (eng, g) = engine();
         let out = eng.run_sequential(&g, &scenarios);
         let b = bits(&out);
-        assert_eq!(b[0].1, b[1].1, "strategy tag must not change single-GPU pricing");
+        assert_eq!(
+            b[0].1, b[1].1,
+            "strategy tag must not change single-GPU pricing"
+        );
     }
 
     #[test]
@@ -985,7 +1053,9 @@ mod tests {
     #[test]
     fn with_threads_caps_at_available_parallelism() {
         let (eng, _) = engine();
-        let cap = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let cap = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         assert_eq!(eng.with_threads(4096).threads(), cap);
         let (eng, _) = engine();
         assert_eq!(eng.with_threads_exact(4096).threads(), 4096);
@@ -1007,7 +1077,10 @@ mod tests {
         let summary = on.incremental.expect("incremental path on by default");
         assert!(summary.scenarios >= 1 && summary.scenarios <= scenarios.len());
         assert!(summary.reused_nodes > summary.recomputed_nodes);
-        assert!(summary.spliced >= 1, "the unmutated scenario must splice: {summary:?}");
+        assert!(
+            summary.spliced >= 1,
+            "the unmutated scenario must splice: {summary:?}"
+        );
 
         let off = eng.with_incremental(false).run_sequential(&g, &scenarios);
         assert!(off.incremental.is_none());
@@ -1029,7 +1102,10 @@ mod tests {
             .build();
         let first = eng.run_sequential(&g, &scenarios);
         let warm = eng.scratch_stats();
-        assert!(warm.takes > 0, "pricing must go through the pooled scratches");
+        assert!(
+            warm.takes > 0,
+            "pricing must go through the pooled scratches"
+        );
         assert!(warm.pooled > 0, "arena buffers must be parked between runs");
 
         // Steady state: the same sweep re-run on the warmed engine serves
@@ -1039,19 +1115,26 @@ mod tests {
         let steady = eng.scratch_stats();
         assert_eq!(bits(&first), bits(&second));
         assert!(steady.takes > warm.takes);
-        assert_eq!(steady.misses, warm.misses, "steady-state sweep must not allocate: {steady:?}");
+        assert_eq!(
+            steady.misses, warm.misses,
+            "steady-state sweep must not allocate: {steady:?}"
+        );
     }
 
     #[test]
     fn replace_and_hoist_mutations_price_and_bad_positions_error() {
         let (eng, g) = engine();
         let scenarios = vec![
-            Scenario::new("swap", 0)
-                .with(GraphMutation::ReplaceOp { node: g.node_count() / 2, op: OpKind::Sigmoid }),
+            Scenario::new("swap", 0).with(GraphMutation::ReplaceOp {
+                node: g.node_count() / 2,
+                op: OpKind::Sigmoid,
+            }),
             Scenario::new("hoist-one", 0).with(GraphMutation::HoistNode(g.node_count() - 2)),
             Scenario::new("hoist-oob", 0).with(GraphMutation::HoistNode(g.node_count() + 7)),
-            Scenario::new("swap-oob", 0)
-                .with(GraphMutation::ReplaceOp { node: g.node_count() + 7, op: OpKind::Relu }),
+            Scenario::new("swap-oob", 0).with(GraphMutation::ReplaceOp {
+                node: g.node_count() + 7,
+                op: OpKind::Relu,
+            }),
         ];
         let out = eng.run(&g, &scenarios);
         let rs = out.expect_complete();
@@ -1072,7 +1155,10 @@ mod tests {
             .build();
         let cached = eng.run(&g, &scenarios);
         let stats = cached.cache.expect("cache enabled");
-        assert!(stats.hits > 0, "hoisted variant shares every kernel: {stats}");
+        assert!(
+            stats.hits > 0,
+            "hoisted variant shares every kernel: {stats}"
+        );
         let uncached = eng.with_cache(false).run(&g, &scenarios);
         assert!(uncached.cache.is_none());
         assert_eq!(bits(&cached), bits(&uncached));
@@ -1099,8 +1185,10 @@ mod tests {
         let x = broken.add_tensor(dlperf_graph::TensorMeta::activation(&[8, 8]));
         let y = broken.add_tensor(dlperf_graph::TensorMeta::activation(&[8, 8]));
         broken.add_op(OpKind::AddMm, vec![x], vec![y]);
-        let expected =
-            format!("lowering failed: {}", eng.pipelines()[0].predict(&broken).unwrap_err());
+        let expected = format!(
+            "lowering failed: {}",
+            eng.pipelines()[0].predict(&broken).unwrap_err()
+        );
         let mut eng = eng;
         for cache in [true, false] {
             eng = eng.with_cache(cache);
@@ -1117,8 +1205,10 @@ mod tests {
         let token = CancellationToken::new();
         token.cancel();
         let eng = eng.with_cancellation(token);
-        let scenarios =
-            ScenarioMatrix::new().device("V100", 0).batches(&[128, 256]).build();
+        let scenarios = ScenarioMatrix::new()
+            .device("V100", 0)
+            .batches(&[128, 256])
+            .build();
         let out = eng.run(&g, &scenarios);
         assert!(out.cancelled);
         assert_eq!(out.completed(), 0);

@@ -100,7 +100,11 @@ impl DistributedDlrm {
                 config.rows_per_table.len()
             )));
         }
-        Ok(DistributedDlrm { config, plan, strategy: ParallelismStrategy::Hybrid })
+        Ok(DistributedDlrm {
+            config,
+            plan,
+            strategy: ParallelismStrategy::Hybrid,
+        })
     }
 
     /// Rebinds the job to a different parallelism strategy.
@@ -158,9 +162,8 @@ impl DistributedDlrm {
 
     /// Total dense (MLP) parameter bytes, the all-reduce payload.
     pub fn mlp_param_bytes(&self) -> u64 {
-        let mlp = |sizes: &[u64]| -> u64 {
-            sizes.windows(2).map(|p| p[0] * p[1] + p[1]).sum::<u64>()
-        };
+        let mlp =
+            |sizes: &[u64]| -> u64 { sizes.windows(2).map(|p| p[0] * p[1] + p[1]).sum::<u64>() };
         let n_int = self.config.num_tables() + 1;
         let tri = n_int * (n_int - 1) / 2;
         let mut top = vec![self.config.embedding_dim + tri];
@@ -184,13 +187,11 @@ impl DistributedDlrm {
         let b_local = self.local_batch();
         let t_total = self.config.num_tables();
         let (c1, c2, c3) = match self.strategy {
-            ParallelismStrategy::Hybrid => {
-                (
-                    (CollectiveKind::AllToAll, a2a_bytes),
-                    (CollectiveKind::AllToAll, a2a_bytes),
-                    (CollectiveKind::AllReduce, self.mlp_param_bytes()),
-                )
-            }
+            ParallelismStrategy::Hybrid => (
+                (CollectiveKind::AllToAll, a2a_bytes),
+                (CollectiveKind::AllToAll, a2a_bytes),
+                (CollectiveKind::AllReduce, self.mlp_param_bytes()),
+            ),
             // Replicated tables: no exchange on the forward/backward
             // boundaries, one fat gradient all-reduce (MLP params plus the
             // dense embedding-output gradients).
@@ -219,9 +220,21 @@ impl DistributedDlrm {
             ),
         };
         [
-            CollectiveSpec { kind: c1.0, bytes_per_rank: c1.1, world },
-            CollectiveSpec { kind: c2.0, bytes_per_rank: c2.1, world },
-            CollectiveSpec { kind: c3.0, bytes_per_rank: c3.1, world },
+            CollectiveSpec {
+                kind: c1.0,
+                bytes_per_rank: c1.1,
+                world,
+            },
+            CollectiveSpec {
+                kind: c2.0,
+                bytes_per_rank: c2.1,
+                world,
+            },
+            CollectiveSpec {
+                kind: c3.0,
+                bytes_per_rank: c3.1,
+                world,
+            },
         ]
     }
 
@@ -262,7 +275,9 @@ impl DistributedDlrm {
         let avg_rows = if rows.is_empty() {
             1
         } else {
-            (rows.iter().sum::<u64>() as f64 / rows.len() as f64).round().max(1.0) as u64
+            (rows.iter().sum::<u64>() as f64 / rows.len() as f64)
+                .round()
+                .max(1.0) as u64
         };
 
         // ---- S1: inputs, bottom MLP fwd (local batch), embedding fwd (full batch, local tables).
@@ -271,24 +286,50 @@ impl DistributedDlrm {
             s1.add_tensor(TensorMeta::activation(&[b_local, cfg.bottom_mlp[0]]).with_batch_dim(0));
         let dense =
             s1.add_tensor(TensorMeta::activation(&[b_local, cfg.bottom_mlp[0]]).with_batch_dim(0));
-        s1.add_node("input::to_dense", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![dense_cpu], vec![dense]);
+        s1.add_node(
+            "input::to_dense",
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            vec![dense_cpu],
+            vec![dense],
+        );
         mlp_forward(&mut s1, "bot", dense, b_local, &cfg.bottom_mlp, true);
         if t_local > 0 {
             let idx_cpu = s1.add_tensor(TensorMeta::index(&[t_local, b_emb, l]));
             let idx = s1.add_tensor(TensorMeta::index(&[t_local, b_emb, l]));
-            s1.add_node("input::to_indices", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![idx_cpu], vec![idx]);
+            s1.add_node(
+                "input::to_indices",
+                OpKind::To {
+                    kind: MemcpyKind::HostToDevice,
+                },
+                vec![idx_cpu],
+                vec![idx],
+            );
             let w = s1.add_tensor(TensorMeta::weight(&[t_local, avg_rows, d]));
             let out = s1.add_tensor(TensorMeta::activation(&[b_emb, t_local * d]));
-            s1.add_node("emb::batched_embedding", OpKind::BatchedEmbedding, vec![w, idx], vec![out]);
+            s1.add_node(
+                "emb::batched_embedding",
+                OpKind::BatchedEmbedding,
+                vec![w, idx],
+                vec![out],
+            );
         }
 
         // ---- S2: interaction + top MLP + loss, forward and backward (local batch).
         let mut s2 = Graph::new(format!("{}::rank{rank}::s2", cfg.name));
         let bot_out = s2.add_tensor(TensorMeta::activation(&[b_local, d]).with_batch_dim(0));
-        let emb_all = s2.add_tensor(TensorMeta::activation(&[b_local, t_total * d]).with_batch_dim(0));
+        let emb_all =
+            s2.add_tensor(TensorMeta::activation(&[b_local, t_total * d]).with_batch_dim(0));
         let labels = s2.add_tensor(TensorMeta::activation(&[b_local, 1]).with_batch_dim(0));
-        let cat_all = s2.add_tensor(TensorMeta::activation(&[b_local, n_int * d]).with_batch_dim(0));
-        s2.add_node("int::cat", OpKind::Cat { dim: 1 }, vec![bot_out, emb_all], vec![cat_all]);
+        let cat_all =
+            s2.add_tensor(TensorMeta::activation(&[b_local, n_int * d]).with_batch_dim(0));
+        s2.add_node(
+            "int::cat",
+            OpKind::Cat { dim: 1 },
+            vec![bot_out, emb_all],
+            vec![cat_all],
+        );
         let t3 = s2.add_tensor(TensorMeta::activation(&[b_local, n_int, d]).with_batch_dim(0));
         s2.add_node("int::reshape", OpKind::Reshape, vec![cat_all], vec![t3]);
         let t3t = s2.add_tensor(TensorMeta::activation(&[b_local, d, n_int]).with_batch_dim(0));
@@ -298,33 +339,84 @@ impl DistributedDlrm {
         let zflat = s2.add_tensor(TensorMeta::activation(&[b_local, tri]).with_batch_dim(0));
         s2.add_node("int::tril", OpKind::Tril, vec![z], vec![zflat]);
         let top_in = s2.add_tensor(TensorMeta::activation(&[b_local, d + tri]).with_batch_dim(0));
-        s2.add_node("int::cat_out", OpKind::Cat { dim: 1 }, vec![bot_out, zflat], vec![top_in]);
+        s2.add_node(
+            "int::cat_out",
+            OpKind::Cat { dim: 1 },
+            vec![bot_out, zflat],
+            vec![top_in],
+        );
         let mut top_sizes = vec![d + tri];
         top_sizes.extend_from_slice(&cfg.top_mlp);
         let top = mlp_forward(&mut s2, "top", top_in, b_local, &top_sizes, false);
         let pred = s2.add_tensor(TensorMeta::activation(&[b_local, 1]).with_batch_dim(0));
-        s2.add_node("loss::sigmoid", OpKind::Sigmoid, vec![top.output], vec![pred]);
+        s2.add_node(
+            "loss::sigmoid",
+            OpKind::Sigmoid,
+            vec![top.output],
+            vec![pred],
+        );
         let loss = s2.add_tensor(TensorMeta::activation(&[]));
-        s2.add_node("loss::mse_loss", OpKind::MseLoss, vec![pred, labels], vec![loss]);
+        s2.add_node(
+            "loss::mse_loss",
+            OpKind::MseLoss,
+            vec![pred, labels],
+            vec![loss],
+        );
         let g_pred = s2.add_tensor(TensorMeta::activation(&[b_local, 1]).with_batch_dim(0));
-        s2.add_node("loss::mse_loss_backward", OpKind::MseLossBackward, vec![loss, pred, labels], vec![g_pred]);
+        s2.add_node(
+            "loss::mse_loss_backward",
+            OpKind::MseLossBackward,
+            vec![loss, pred, labels],
+            vec![g_pred],
+        );
         let g_top_out = s2.add_tensor(TensorMeta::activation(&[b_local, 1]).with_batch_dim(0));
-        s2.add_node("loss::sigmoid_backward", OpKind::SigmoidBackward, vec![g_pred, pred], vec![g_top_out]);
+        s2.add_node(
+            "loss::sigmoid_backward",
+            OpKind::SigmoidBackward,
+            vec![g_pred, pred],
+            vec![g_top_out],
+        );
         let mut s2_grads = Vec::new();
         let g_top_in = mlp_backward(&mut s2, "top", &top, b_local, g_top_out, &mut s2_grads);
         let g_bot_direct = s2.add_tensor(TensorMeta::activation(&[b_local, d]).with_batch_dim(0));
         let g_zflat = s2.add_tensor(TensorMeta::activation(&[b_local, tri]).with_batch_dim(0));
-        s2.add_node("int::cat_out_backward", OpKind::CatBackward { dim: 1 }, vec![g_top_in], vec![g_bot_direct, g_zflat]);
+        s2.add_node(
+            "int::cat_out_backward",
+            OpKind::CatBackward { dim: 1 },
+            vec![g_top_in],
+            vec![g_bot_direct, g_zflat],
+        );
         let g_z = s2.add_tensor(TensorMeta::activation(&[b_local, n_int, n_int]).with_batch_dim(0));
-        s2.add_node("int::tril_backward", OpKind::TrilBackward, vec![g_zflat], vec![g_z]);
+        s2.add_node(
+            "int::tril_backward",
+            OpKind::TrilBackward,
+            vec![g_zflat],
+            vec![g_z],
+        );
         let g_t3 = s2.add_tensor(TensorMeta::activation(&[b_local, n_int, d]).with_batch_dim(0));
         let g_t3t = s2.add_tensor(TensorMeta::activation(&[b_local, d, n_int]).with_batch_dim(0));
-        s2.add_node("int::bmm_backward", OpKind::BmmBackward, vec![g_z, t3, t3t], vec![g_t3, g_t3t]);
+        s2.add_node(
+            "int::bmm_backward",
+            OpKind::BmmBackward,
+            vec![g_z, t3, t3t],
+            vec![g_t3, g_t3t],
+        );
         let g_bot_from_int = s2.add_tensor(TensorMeta::activation(&[b_local, d]).with_batch_dim(0));
-        let g_emb = s2.add_tensor(TensorMeta::activation(&[b_local, t_total * d]).with_batch_dim(0));
-        s2.add_node("int::cat_backward", OpKind::CatBackward { dim: 1 }, vec![g_t3], vec![g_bot_from_int, g_emb]);
+        let g_emb =
+            s2.add_tensor(TensorMeta::activation(&[b_local, t_total * d]).with_batch_dim(0));
+        s2.add_node(
+            "int::cat_backward",
+            OpKind::CatBackward { dim: 1 },
+            vec![g_t3],
+            vec![g_bot_from_int, g_emb],
+        );
         let g_bot = s2.add_tensor(TensorMeta::activation(&[b_local, d]).with_batch_dim(0));
-        s2.add_node("int::add_bot_grads", OpKind::Add, vec![g_bot_direct, g_bot_from_int], vec![g_bot]);
+        s2.add_node(
+            "int::add_bot_grads",
+            OpKind::Add,
+            vec![g_bot_direct, g_bot_from_int],
+            vec![g_bot],
+        );
         let _ = g_t3t;
 
         // ---- S3: embedding bwd (full batch, local tables) + bottom MLP bwd.
@@ -341,8 +433,16 @@ impl DistributedDlrm {
             );
         }
         // Bottom backward: rebuild the tape shapes and emit its backward.
-        let bot_in = s3.add_tensor(TensorMeta::activation(&[b_local, cfg.bottom_mlp[0]]).with_batch_dim(0));
-        let bot_tape = mlp_forward(&mut s3, "bot_shadow", bot_in, b_local, &cfg.bottom_mlp, true);
+        let bot_in =
+            s3.add_tensor(TensorMeta::activation(&[b_local, cfg.bottom_mlp[0]]).with_batch_dim(0));
+        let bot_tape = mlp_forward(
+            &mut s3,
+            "bot_shadow",
+            bot_in,
+            b_local,
+            &cfg.bottom_mlp,
+            true,
+        );
         let g_bot = s3.add_tensor(TensorMeta::activation(&[b_local, d]).with_batch_dim(0));
         let mut s3_grads = Vec::new();
         mlp_backward(&mut s3, "bot", &bot_tape, b_local, g_bot, &mut s3_grads);
@@ -358,9 +458,11 @@ impl DistributedDlrm {
         // ---- S4: optimizer over all dense parameter gradients.
         let mut s4 = Graph::new(format!("{}::rank{rank}::s4", cfg.name));
         let mut opt_inputs = Vec::new();
-        let mlp_layers =
-            |sizes: &[u64]| sizes.windows(2).map(|p| (p[1], p[0])).collect::<Vec<_>>();
-        for (outf, inf) in mlp_layers(&cfg.bottom_mlp).into_iter().chain(mlp_layers(&top_sizes)) {
+        let mlp_layers = |sizes: &[u64]| sizes.windows(2).map(|p| (p[1], p[0])).collect::<Vec<_>>();
+        for (outf, inf) in mlp_layers(&cfg.bottom_mlp)
+            .into_iter()
+            .chain(mlp_layers(&top_sizes))
+        {
             opt_inputs.push(s4.add_tensor(TensorMeta::weight(&[outf, inf])));
             opt_inputs.push(s4.add_tensor(TensorMeta::weight(&[outf])));
         }
@@ -391,7 +493,11 @@ mod tests {
         for rank in 0..4 {
             for seg in j.segments(rank) {
                 assert!(seg.validate().is_ok(), "{} invalid", seg.name);
-                assert!(lower::lower_graph(&seg).is_ok(), "{} fails to lower", seg.name);
+                assert!(
+                    lower::lower_graph(&seg).is_ok(),
+                    "{} fails to lower",
+                    seg.name
+                );
             }
         }
     }
@@ -423,12 +529,17 @@ mod tests {
         let dp = j.clone().with_strategy(ParallelismStrategy::DataParallel);
         let [c1, c2, c3] = dp.collectives();
         assert_eq!((c1.bytes_per_rank, c2.bytes_per_rank), (0, 0));
-        assert!(c3.bytes_per_rank > dp.mlp_param_bytes(), "DP all-reduce carries emb grads too");
+        assert!(
+            c3.bytes_per_rank > dp.mlp_param_bytes(),
+            "DP all-reduce carries emb grads too"
+        );
         let mp = j.clone().with_strategy(ParallelismStrategy::ModelParallel);
         let [m1, _, m3] = mp.collectives();
         assert!(m1.bytes_per_rank > 0);
         assert_eq!(m3.bytes_per_rank, 0, "MP owns its parameters outright");
-        let pp = j.clone().with_strategy(ParallelismStrategy::PipelineParallel);
+        let pp = j
+            .clone()
+            .with_strategy(ParallelismStrategy::PipelineParallel);
         let [p1, _, p3] = pp.collectives();
         assert_eq!(p1.kind, CollectiveKind::AllGather);
         assert_eq!(p3.bytes_per_rank, 0);
@@ -443,7 +554,11 @@ mod tests {
             for rank in 0..2 {
                 for seg in j.segments(rank) {
                     assert!(seg.validate().is_ok(), "{strategy}: {} invalid", seg.name);
-                    assert!(lower::lower_graph(&seg).is_ok(), "{strategy}: {} fails", seg.name);
+                    assert!(
+                        lower::lower_graph(&seg).is_ok(),
+                        "{strategy}: {} fails",
+                        seg.name
+                    );
                 }
             }
         }
@@ -454,7 +569,10 @@ mod tests {
         for s in ParallelismStrategy::ALL {
             assert_eq!(ParallelismStrategy::from_name(&s.to_string()), Some(s));
         }
-        assert_eq!(ParallelismStrategy::from_name("Data-Parallel"), Some(ParallelismStrategy::DataParallel));
+        assert_eq!(
+            ParallelismStrategy::from_name("Data-Parallel"),
+            Some(ParallelismStrategy::DataParallel)
+        );
         assert_eq!(ParallelismStrategy::from_name("warp"), None);
     }
 
@@ -472,7 +590,10 @@ mod tests {
     fn plan_table_mismatch_rejected() {
         let cfg = DlrmConfig::default_config(1024); // 8 tables
         let plan = ShardingPlan::round_robin(10, 2);
-        assert!(matches!(DistributedDlrm::new(cfg, plan), Err(DistribError::PlanMismatch(_))));
+        assert!(matches!(
+            DistributedDlrm::new(cfg, plan),
+            Err(DistribError::PlanMismatch(_))
+        ));
     }
 
     #[test]

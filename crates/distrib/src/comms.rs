@@ -105,8 +105,10 @@ impl CommModel {
     fn params(&self) -> ShapeParams {
         let links = self.topology.rank_links();
         let max_lat = links.iter().map(|l| l.latency_us).fold(0.0, f64::max);
-        let min_bw =
-            links.iter().map(LinkSpec::bytes_per_us).fold(f64::INFINITY, f64::min);
+        let min_bw = links
+            .iter()
+            .map(LinkSpec::bytes_per_us)
+            .fold(f64::INFINITY, f64::min);
         match self.topology.shape() {
             TopologyShape::Mesh => ShapeParams {
                 intra_lat: max_lat,
@@ -219,7 +221,11 @@ impl CommModel {
                     })
                     .sum()
             }
-            TopologyShape::Hierarchical { nodes, gpus_per_node, .. } => {
+            TopologyShape::Hierarchical {
+                nodes,
+                gpus_per_node,
+                ..
+            } => {
                 let (m, g) = (*nodes, *gpus_per_node);
                 if m <= 1 {
                     return (w - 1) as f64 * (p.intra_lat + chunk / p.intra_bw.max(1e-9));
@@ -281,9 +287,8 @@ impl CommModel {
         let m = self.topology.world() / g;
         let mut total = 0.0;
         if g > 1 {
-            total += 2.0
-                * (g - 1) as f64
-                * (p.intra_lat + (bytes / g as f64) / p.intra_bw.max(1e-9));
+            total +=
+                2.0 * (g - 1) as f64 * (p.intra_lat + (bytes / g as f64) / p.intra_bw.max(1e-9));
         }
         if m > 1 {
             total += 2.0
@@ -302,9 +307,16 @@ impl CommModel {
             return CollectiveAlgo::Ring;
         }
         let mut candidates = vec![CollectiveAlgo::Ring, CollectiveAlgo::Tree];
-        if let TopologyShape::Hierarchical { nodes, gpus_per_node, .. } = self.topology.shape() {
+        if let TopologyShape::Hierarchical {
+            nodes,
+            gpus_per_node,
+            ..
+        } = self.topology.shape()
+        {
             if *nodes > 1 && *gpus_per_node > 1 {
-                candidates.push(CollectiveAlgo::Hierarchical { groups: *gpus_per_node });
+                candidates.push(CollectiveAlgo::Hierarchical {
+                    groups: *gpus_per_node,
+                });
             }
         }
         candidates
@@ -346,7 +358,11 @@ mod tests {
     use dlperf_gpusim::DeviceSpec;
 
     fn spec(kind: CollectiveKind, bytes: u64, world: u32) -> CollectiveSpec {
-        CollectiveSpec { kind, bytes_per_rank: bytes, world }
+        CollectiveSpec {
+            kind,
+            bytes_per_rank: bytes,
+            world,
+        }
     }
 
     #[test]
@@ -355,8 +371,11 @@ mod tests {
         // float precision for the ring schedules.
         let t = Topology::nvlink_mesh(&DeviceSpec::v100(), 4);
         let m = CommModel::new(t.clone());
-        for kind in [CollectiveKind::AllReduce, CollectiveKind::AllToAll, CollectiveKind::AllGather]
-        {
+        for kind in [
+            CollectiveKind::AllReduce,
+            CollectiveKind::AllToAll,
+            CollectiveKind::AllGather,
+        ] {
             let s = spec(kind, 64 << 20, 4);
             let model = m.time_algo(&s, CollectiveAlgo::Ring);
             let oracle = t.oracle_time_algo(&s, CollectiveAlgo::Ring);
@@ -372,8 +391,16 @@ mod tests {
         let m = CommModel::new(Topology::nvlink_mesh(&DeviceSpec::v100(), 8));
         let small = m.allreduce_algo(&spec(CollectiveKind::AllReduce, 4 << 10, 8));
         let large = m.allreduce_algo(&spec(CollectiveKind::AllReduce, 256 << 20, 8));
-        assert_eq!(small, CollectiveAlgo::Tree, "tiny payloads are latency-bound");
-        assert_eq!(large, CollectiveAlgo::Ring, "large payloads are bandwidth-bound");
+        assert_eq!(
+            small,
+            CollectiveAlgo::Tree,
+            "tiny payloads are latency-bound"
+        );
+        assert_eq!(
+            large,
+            CollectiveAlgo::Ring,
+            "large payloads are bandwidth-bound"
+        );
     }
 
     #[test]
@@ -389,9 +416,15 @@ mod tests {
     #[test]
     fn zero_world_or_payload_is_free() {
         let m = CommModel::new(Topology::nvlink_mesh(&DeviceSpec::v100(), 1));
-        assert_eq!(m.collective_time(&spec(CollectiveKind::AllReduce, 1 << 20, 1)), 0.0);
+        assert_eq!(
+            m.collective_time(&spec(CollectiveKind::AllReduce, 1 << 20, 1)),
+            0.0
+        );
         let m4 = CommModel::new(Topology::nvlink_mesh(&DeviceSpec::v100(), 4));
-        assert_eq!(m4.collective_time(&spec(CollectiveKind::AllToAll, 0, 4)), 0.0);
+        assert_eq!(
+            m4.collective_time(&spec(CollectiveKind::AllToAll, 0, 4)),
+            0.0
+        );
     }
 
     #[test]
@@ -411,6 +444,10 @@ mod tests {
         let model = m.collective_time(&s);
         let oracle = t.oracle_time(&s);
         let err = (model - oracle).abs() / oracle;
-        assert!(err < 0.1, "tree a2a err {:.1}% (model {model} vs oracle {oracle})", err * 100.0);
+        assert!(
+            err < 0.1,
+            "tree a2a err {:.1}% (model {model} vs oracle {oracle})",
+            err * 100.0
+        );
     }
 }

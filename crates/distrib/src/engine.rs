@@ -160,7 +160,10 @@ impl MultiGpuEngine {
     /// Panics if `deadline_us` is negative, NaN, or infinite.
     pub fn set_retry_deadline_us(&mut self, deadline_us: Option<f64>) {
         if let Some(d) = deadline_us {
-            assert!(d >= 0.0 && d.is_finite(), "retry deadline must be non-negative and finite");
+            assert!(
+                d >= 0.0 && d.is_finite(),
+                "retry deadline must be non-negative and finite"
+            );
         }
         self.retry_deadline_us = deadline_us;
     }
@@ -199,8 +202,7 @@ impl MultiGpuEngine {
                 let profile = inj.slowdown_profile(rank);
                 if !profile.is_identity() {
                     if profile.global != 1.0 && iteration == 0 {
-                        degradation
-                            .push(format!("rank {rank} straggling ×{:.2}", profile.global));
+                        degradation.push(format!("rank {rank} straggling ×{:.2}", profile.global));
                     }
                     engine.set_slowdown(profile);
                 }
@@ -240,10 +242,8 @@ impl MultiGpuEngine {
                     // Reprice on the derated fabric: latency unchanged,
                     // every link's bandwidth scaled down — the α–β
                     // semantics of a flapping or downtrained wire.
-                    model_us = CommModel::new(
-                        comm_model.topology().scaled_bandwidth(factor),
-                    )
-                    .collective_time(spec);
+                    model_us = CommModel::new(comm_model.topology().scaled_bandwidth(factor))
+                        .collective_time(spec);
                     crate::comms::record_link_fault();
                     degradation.push(format!(
                         "C{} {} link degraded ×{factor:.2} bandwidth",
@@ -255,23 +255,37 @@ impl MultiGpuEngine {
             let base = model_us * jitter_factor;
             *c = base;
             if let Some(inj) = &self.injector {
-                let outcome =
-                    inj.collective_outcome_with_budget(iteration, idx, base, self.retry_deadline_us);
+                let outcome = inj.collective_outcome_with_budget(
+                    iteration,
+                    idx,
+                    base,
+                    self.retry_deadline_us,
+                );
                 *c = outcome.total_us;
                 collective_retries += outcome.retries;
                 retry_added_us += outcome.added_latency_us;
                 let deadline_hit = outcome.dropped
-                    && self.retry_deadline_us.is_some_and(|d| outcome.added_latency_us >= d);
+                    && self
+                        .retry_deadline_us
+                        .is_some_and(|d| outcome.added_latency_us >= d);
                 if outcome.retries > 0 || deadline_hit {
                     degradation.push(format!(
                         "C{} {} {}: {} retr{}, +{:.0} µs{}",
                         idx + 1,
                         spec.kind,
-                        if outcome.dropped { "dropped" } else { "recovered" },
+                        if outcome.dropped {
+                            "dropped"
+                        } else {
+                            "recovered"
+                        },
                         outcome.retries,
                         if outcome.retries == 1 { "y" } else { "ies" },
                         outcome.added_latency_us,
-                        if deadline_hit { " (retry deadline hit)" } else { "" }
+                        if deadline_hit {
+                            " (retry deadline hit)"
+                        } else {
+                            ""
+                        }
                     ));
                 }
                 if outcome.dropped {
@@ -283,7 +297,8 @@ impl MultiGpuEngine {
         let c = engine_counters();
         c.runs.incr();
         c.collective_retries.add(u64::from(collective_retries));
-        c.dropped_collectives.add(dropped_collectives.iter().filter(|&&d| d).count() as u64);
+        c.dropped_collectives
+            .add(dropped_collectives.iter().filter(|&&d| d).count() as u64);
 
         Ok(DistributedRunResult {
             e2e_us: segment_us.iter().sum::<f64>() + comm_us.iter().sum::<f64>(),
@@ -348,8 +363,7 @@ mod tests {
             ShardingPlan::new(vec![0, 0, 0, 0, 0, 0, 0, 1], 2).unwrap(),
         )
         .unwrap();
-        let balanced =
-            DistributedDlrm::new(cfg, ShardingPlan::round_robin(8, 2)).unwrap();
+        let balanced = DistributedDlrm::new(cfg, ShardingPlan::round_robin(8, 2)).unwrap();
         let mut e = MultiGpuEngine::new(DeviceSpec::v100(), 3);
         let rs = e.run(&skewed).unwrap();
         let rb = e.run(&balanced).unwrap();
@@ -384,10 +398,16 @@ mod tests {
         // The fault is confined to rank 0: every other rank's times are
         // bitwise identical to the healthy run.
         for rank in 1..4 {
-            assert_eq!(rf.per_rank_us[rank], rh.per_rank_us[rank], "rank {rank} was touched");
+            assert_eq!(
+                rf.per_rank_us[rank], rh.per_rank_us[rank],
+                "rank {rank} was touched"
+            );
         }
         for seg in 0..4 {
-            assert!(rf.per_rank_us[0][seg] > rh.per_rank_us[0][seg], "rank 0 S{seg} not slowed");
+            assert!(
+                rf.per_rank_us[0][seg] > rh.per_rank_us[0][seg],
+                "rank 0 S{seg} not slowed"
+            );
         }
         assert!(
             rf.segment_imbalance(1) > rh.segment_imbalance(1),
@@ -410,7 +430,10 @@ mod tests {
         for _ in 0..5 {
             let r = e.run(&j).unwrap();
             let parts: f64 = r.segment_us.iter().sum::<f64>() + r.comm_us.iter().sum::<f64>();
-            assert!((r.e2e_us - parts).abs() < 1e-9, "timeline must stay consistent");
+            assert!(
+                (r.e2e_us - parts).abs() < 1e-9,
+                "timeline must stay consistent"
+            );
             assert!(r.e2e_us.is_finite() && r.e2e_us > 0.0);
             retries += r.collective_retries;
             if r.collective_retries > 0 {
@@ -418,7 +441,10 @@ mod tests {
                 assert!(!r.degradation.is_empty());
             }
         }
-        assert!(retries > 0, "p=0.9 over 15 collectives must retry at least once");
+        assert!(
+            retries > 0,
+            "p=0.9 over 15 collectives must retry at least once"
+        );
     }
 
     #[test]
@@ -451,14 +477,19 @@ mod tests {
             if ru.retry_added_us > rc.retry_added_us + 1e-9 {
                 saw_cap = true;
                 assert!(
-                    rc.degradation.iter().any(|d| d.contains("retry deadline hit")),
+                    rc.degradation
+                        .iter()
+                        .any(|d| d.contains("retry deadline hit")),
                     "capped run must report the deadline: {:?}",
                     rc.degradation
                 );
                 assert!(rc.dropped_collectives.iter().any(|&d| d));
             }
         }
-        assert!(saw_cap, "p=0.9 over 15 collectives must hit the deadline at least once");
+        assert!(
+            saw_cap,
+            "p=0.9 over 15 collectives must hit the deadline at least once"
+        );
     }
 
     #[test]

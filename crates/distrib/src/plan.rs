@@ -33,7 +33,10 @@ impl ShardingPlan {
 
     /// Round-robin plan over `tables` tables.
     pub fn round_robin(tables: usize, world: usize) -> Self {
-        ShardingPlan { assignment: (0..tables).map(|i| i % world).collect(), world }
+        ShardingPlan {
+            assignment: (0..tables).map(|i| i % world).collect(),
+            world,
+        }
     }
 
     /// Greedy longest-processing-time plan balancing tables by row count:
@@ -85,7 +88,9 @@ impl ShardingPlan {
         let mut load = vec![0.0f64; world];
         let mut assignment = vec![0usize; weights.len()];
         for i in order {
-            let rank = (0..world).min_by(|&a, &b| load[a].total_cmp(&load[b])).expect("world > 0");
+            let rank = (0..world)
+                .min_by(|&a, &b| load[a].total_cmp(&load[b]))
+                .expect("world > 0");
             assignment[i] = rank;
             load[rank] += weights[i];
         }
@@ -171,7 +176,10 @@ impl ShardingPlan {
                 }
                 let mut a = self.assignment.clone();
                 a[table] = rank;
-                out.push(ShardingPlan { assignment: a, world: self.world });
+                out.push(ShardingPlan {
+                    assignment: a,
+                    world: self.world,
+                });
             }
         }
         out
@@ -181,7 +189,9 @@ impl ShardingPlan {
 /// Rejects a plan over no tables or no ranks.
 fn check_shape(tables: usize, world: usize) -> Result<(), DistribError> {
     if world == 0 || tables == 0 {
-        return Err(DistribError::PlanMismatch("empty plan or zero world".into()));
+        return Err(DistribError::PlanMismatch(
+            "empty plan or zero world".into(),
+        ));
     }
     Ok(())
 }
@@ -198,8 +208,12 @@ fn embedding_us(
 ) -> f64 {
     let fwd = KernelSpec::embedding_forward(batch, rows, tables, lookups, dim);
     let bwd = KernelSpec::embedding_backward(batch, rows, tables, lookups, dim);
-    registry.try_predict(&fwd).expect("registry covers embedding kernels")
-        + registry.try_predict(&bwd).expect("registry covers embedding kernels")
+    registry
+        .try_predict(&fwd)
+        .expect("registry covers embedding kernels")
+        + registry
+            .try_predict(&bwd)
+            .expect("registry covers embedding kernels")
 }
 
 /// Load imbalance of per-rank costs: `max / mean` (1.0 = perfectly

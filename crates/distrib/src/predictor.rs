@@ -48,7 +48,11 @@ impl<'e> DistributedPredictor<'e> {
     /// that device's memo cache; unpinned collectives run on the topology
     /// derived from the pipeline's device class.
     pub fn new(eval: &'e Evaluator<'e>, device: usize) -> Self {
-        DistributedPredictor { eval, device, use_cache: true }
+        DistributedPredictor {
+            eval,
+            device,
+            use_cache: true,
+        }
     }
 
     /// Enables or disables the memo cache (builder style; on by default).
@@ -62,7 +66,9 @@ impl<'e> DistributedPredictor<'e> {
     /// A baseline walk of `segment` for [`DistributedPredictor::price`]'s
     /// `baselines`, or `None` when it does not lower.
     pub(crate) fn checkpoint(&self, segment: &Graph) -> Option<IncrementalPredictor> {
-        self.eval.checkpoint(self.device, segment, self.use_cache).ok()
+        self.eval
+            .checkpoint(self.device, segment, self.use_cache)
+            .ok()
     }
 
     /// The device class unpinned collectives are priced on.
@@ -76,7 +82,8 @@ impl<'e> DistributedPredictor<'e> {
     /// # Errors
     /// Propagates lowering errors from malformed segment graphs.
     pub fn predict(&self, job: &DistributedDlrm) -> Result<DistributedPrediction, LowerError> {
-        self.price(job, None, &[], &mut WalkScratch::new()).map(|r| r.0)
+        self.price(job, None, &[], &mut WalkScratch::new())
+            .map(|r| r.0)
     }
 
     /// The one rank × segment loop behind every distributed price; each
@@ -220,7 +227,11 @@ mod tests {
         let (job, eval) = setup(4, 2048);
         let pred = DistributedPredictor::new(&eval, 0);
         let mut scratch = WalkScratch::new();
-        let baselines: Vec<_> = job.segments(0).iter().map(|seg| pred.checkpoint(seg)).collect();
+        let baselines: Vec<_> = job
+            .segments(0)
+            .iter()
+            .map(|seg| pred.checkpoint(seg))
+            .collect();
         let cfg = DlrmConfig::default_config(2048);
         let tables = cfg.rows_per_table.len();
         let skewed =
@@ -264,14 +275,16 @@ mod tests {
         assert_eq!(p1.comm_us, [0.0; 3]);
         assert!(p4.comm_us.iter().sum::<f64>() > 0.0);
         // Per-rank compute shrinks with world size.
-        assert!(p4.segment_us[1] < p1.segment_us[1], "S2 should shrink with DP");
+        assert!(
+            p4.segment_us[1] < p1.segment_us[1],
+            "S2 should shrink with DP"
+        );
     }
 
     #[test]
     fn predictor_ranks_sharding_plans_like_the_engine() {
         let cfg = DlrmConfig::default_config(1024);
-        let balanced =
-            DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(8, 4)).unwrap();
+        let balanced = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(8, 4)).unwrap();
         let skewed = DistributedDlrm::new(
             cfg,
             ShardingPlan::new(vec![0, 0, 0, 0, 0, 1, 2, 3], 4).unwrap(),
@@ -281,7 +294,10 @@ mod tests {
         let pred = DistributedPredictor::new(&eval, 0);
         let pb = pred.predict(&balanced).unwrap().e2e_us;
         let ps = pred.predict(&skewed).unwrap().e2e_us;
-        assert!(ps > pb, "skewed plan predicted faster ({ps}) than balanced ({pb})");
+        assert!(
+            ps > pb,
+            "skewed plan predicted faster ({ps}) than balanced ({pb})"
+        );
 
         let mut engine = MultiGpuEngine::new(DeviceSpec::v100(), 13);
         let mb = engine.measure_e2e(&balanced, 5).unwrap();

@@ -70,13 +70,20 @@ impl<'p> DistribAxis<'p> {
         worlds: Vec<usize>,
         strategies: Vec<ParallelismStrategy>,
     ) -> Self {
-        DistribAxis { config, predictor, worlds, strategies }
+        DistribAxis {
+            config,
+            predictor,
+            worlds,
+            strategies,
+        }
     }
 
     /// Whether this axis can represent a candidate's mutation list: only
     /// batch resizes translate to the distributed job builder.
     fn composes_with(mutations: &[GraphMutation]) -> bool {
-        mutations.iter().all(|m| matches!(m, GraphMutation::ResizeBatch(_)))
+        mutations
+            .iter()
+            .all(|m| matches!(m, GraphMutation::ResizeBatch(_)))
     }
 
     /// The candidate's effective batch size under this axis.
@@ -114,19 +121,28 @@ impl MoveGenerator<DistribMove> for DistribAxis<'_> {
                         continue;
                     }
                     for &s in &self.strategies {
-                        child(DistribMove { strategy: s, plan: ShardingPlan::round_robin(tables, w) });
+                        child(DistribMove {
+                            strategy: s,
+                            plan: ShardingPlan::round_robin(tables, w),
+                        });
                     }
                 }
             }
             Some(cur) => {
                 // Rebalance the current plan one table at a time…
                 for plan in cur.plan.rebalance_moves().into_iter().take(MAX_REBALANCES) {
-                    child(DistribMove { strategy: cur.strategy, plan });
+                    child(DistribMove {
+                        strategy: cur.strategy,
+                        plan,
+                    });
                 }
                 // …and switch strategies on the same plan.
                 for &s in &self.strategies {
                     if s != cur.strategy {
-                        child(DistribMove { strategy: s, plan: cur.plan.clone() });
+                        child(DistribMove {
+                            strategy: s,
+                            plan: cur.plan.clone(),
+                        });
                     }
                 }
             }

@@ -76,14 +76,17 @@ pub fn enumerate_plans(tables: usize, worlds: &[usize]) -> Vec<ShardingScenario>
 fn plans_at(tables: usize, w: usize) -> [ShardingScenario; 3] {
     let round_robin = (0..tables).map(|t| t % w.max(1)).collect();
     let block = (0..tables).map(|t| t * w / tables.max(1)).collect();
-    [("round_robin", round_robin), ("block", block), ("skewed0", vec![0; tables])].map(
-        |(name, assignment)| ShardingScenario {
-            label: format!("w{w}/{name}"),
-            plan: ShardingPlan::new(assignment, w).map_err(|e| e.to_string()),
-            strategy: ParallelismStrategy::Hybrid,
-            topology: None,
-        },
-    )
+    [
+        ("round_robin", round_robin),
+        ("block", block),
+        ("skewed0", vec![0; tables]),
+    ]
+    .map(|(name, assignment)| ShardingScenario {
+        label: format!("w{w}/{name}"),
+        plan: ShardingPlan::new(assignment, w).map_err(|e| e.to_string()),
+        strategy: ParallelismStrategy::Hybrid,
+        topology: None,
+    })
 }
 
 /// Enumerates the full `(topology × strategy × world × plan)` matrix:
@@ -136,8 +139,16 @@ impl ShardingSweepOutcome {
             .flatten()
             .filter(|r| r.prediction.is_some())
             .min_by(|a, b| {
-                let ta = a.prediction.as_ref().map(|p| p.e2e_us).unwrap_or(f64::INFINITY);
-                let tb = b.prediction.as_ref().map(|p| p.e2e_us).unwrap_or(f64::INFINITY);
+                let ta = a
+                    .prediction
+                    .as_ref()
+                    .map(|p| p.e2e_us)
+                    .unwrap_or(f64::INFINITY);
+                let tb = b
+                    .prediction
+                    .as_ref()
+                    .map(|p| p.e2e_us)
+                    .unwrap_or(f64::INFINITY);
                 ta.partial_cmp(&tb).expect("predictions are finite")
             })
     }
@@ -161,39 +172,54 @@ pub fn sweep_shardings(
     // only their dirty embedding span). A segment that fails to lower gets
     // no baseline. Values are bitwise identical to the plain walk, which
     // remains the fallback when nothing builds.
-    let reference = scenarios.iter().filter(|_| !token.is_cancelled()).find_map(|s| {
-        let job = DistributedDlrm::new(config.clone(), s.plan.clone().ok()?).ok()?;
-        Some(job.with_strategy(s.strategy))
-    });
+    let reference = scenarios
+        .iter()
+        .filter(|_| !token.is_cancelled())
+        .find_map(|s| {
+            let job = DistributedDlrm::new(config.clone(), s.plan.clone().ok()?).ok()?;
+            Some(job.with_strategy(s.strategy))
+        });
     let baselines: Vec<Option<IncrementalPredictor>> = match reference {
-        Some(job) => job.segments(0).iter().map(|seg| predictor.checkpoint(seg)).collect(),
+        Some(job) => job
+            .segments(0)
+            .iter()
+            .map(|seg| predictor.checkpoint(seg))
+            .collect(),
         None => Vec::new(),
     };
-    let results = predictor.eval.fan_out(threads, token, scenarios, |scratch, _, s| {
-        let result = |prediction, error, degraded| ShardingResult {
-            label: s.label.clone(),
-            prediction,
-            error,
-            degraded,
-        };
-        let plan = match &s.plan {
-            Ok(p) => p.clone(),
-            Err(reason) => {
-                return result(None, Some(format!("degraded: {reason}")), Some(reason.clone()))
+    let results = predictor
+        .eval
+        .fan_out(threads, token, scenarios, |scratch, _, s| {
+            let result = |prediction, error, degraded| ShardingResult {
+                label: s.label.clone(),
+                prediction,
+                error,
+                degraded,
+            };
+            let plan = match &s.plan {
+                Ok(p) => p.clone(),
+                Err(reason) => {
+                    return result(
+                        None,
+                        Some(format!("degraded: {reason}")),
+                        Some(reason.clone()),
+                    )
+                }
+            };
+            let job = match DistributedDlrm::new(config.clone(), plan) {
+                Ok(j) => j.with_strategy(s.strategy),
+                Err(e) => return result(None, Some(format!("invalid plan: {e}")), None),
+            };
+            let topology = s.topology.as_ref();
+            match predictor.price(&job, topology, &baselines, scratch) {
+                Ok((p, _)) => result(
+                    Some(p),
+                    None,
+                    topology.and_then(|t| t.degraded().map(str::to_string)),
+                ),
+                Err(e) => result(None, Some(format!("lowering failed: {e}")), None),
             }
-        };
-        let job = match DistributedDlrm::new(config.clone(), plan) {
-            Ok(j) => j.with_strategy(s.strategy),
-            Err(e) => return result(None, Some(format!("invalid plan: {e}")), None),
-        };
-        let topology = s.topology.as_ref();
-        match predictor.price(&job, topology, &baselines, scratch) {
-            Ok((p, _)) => {
-                result(Some(p), None, topology.and_then(|t| t.degraded().map(str::to_string)))
-            }
-            Err(e) => result(None, Some(format!("lowering failed: {e}")), None),
-        }
-    });
+        });
     ShardingSweepOutcome { results }
 }
 
@@ -206,9 +232,11 @@ mod tests {
     use dlperf_kernels::CalibrationEffort;
 
     fn evaluator(cfg: &DlrmConfig) -> Evaluator<'static> {
-        let job =
-            DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(cfg.rows_per_table.len(), 2))
-                .unwrap();
+        let job = DistributedDlrm::new(
+            cfg.clone(),
+            ShardingPlan::round_robin(cfg.rows_per_table.len(), 2),
+        )
+        .unwrap();
         let segs = job.segments(0).to_vec();
         let pipe = Pipeline::analyze(&DeviceSpec::v100(), &segs, CalibrationEffort::Quick, 6, 17);
         Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY)
@@ -236,15 +264,27 @@ mod tests {
         // cells (and their results) still exist, labeled degraded.
         let cells = enumerate_plans(0, &[1, 2]);
         assert_eq!(cells.len(), 6);
-        let degraded: Vec<&ShardingScenario> =
-            cells.iter().filter(|c| c.plan.is_err()).collect();
-        assert!(!degraded.is_empty(), "empty plans must surface as degraded cells");
+        let degraded: Vec<&ShardingScenario> = cells.iter().filter(|c| c.plan.is_err()).collect();
+        assert!(
+            !degraded.is_empty(),
+            "empty plans must surface as degraded cells"
+        );
 
         let cfg = DlrmConfig::default_config(512);
         let eval = evaluator(&cfg);
         let token = CancellationToken::new();
-        let out = sweep_shardings(&DistributedPredictor::new(&eval, 0), &cfg, &cells, 1, &token);
-        assert_eq!(out.results.len(), cells.len(), "one result slot per cell, always");
+        let out = sweep_shardings(
+            &DistributedPredictor::new(&eval, 0),
+            &cfg,
+            &cells,
+            1,
+            &token,
+        );
+        assert_eq!(
+            out.results.len(),
+            cells.len(),
+            "one result slot per cell, always"
+        );
         for (cell, res) in cells.iter().zip(&out.results) {
             let res = res.as_ref().unwrap();
             if cell.plan.is_err() {
@@ -257,7 +297,10 @@ mod tests {
     #[test]
     fn matrix_crosses_topology_strategy_world_and_plan() {
         let device = DeviceSpec::v100();
-        let strategies = [ParallelismStrategy::Hybrid, ParallelismStrategy::DataParallel];
+        let strategies = [
+            ParallelismStrategy::Hybrid,
+            ParallelismStrategy::DataParallel,
+        ];
         let cells = enumerate_matrix(8, &[2, 4], &strategies, &["auto", "ib2x2"], &device);
         assert_eq!(cells.len(), 2 * 2 * 2 * 3);
         assert!(cells.iter().all(|c| c.topology.is_some()));
@@ -277,14 +320,21 @@ mod tests {
     #[test]
     fn world_zero_yields_three_degraded_cells_per_matrix_row() {
         let device = DeviceSpec::v100();
-        let cells =
-            enumerate_matrix(8, &[0, 2], &[ParallelismStrategy::Hybrid], &["auto"], &device);
+        let cells = enumerate_matrix(
+            8,
+            &[0, 2],
+            &[ParallelismStrategy::Hybrid],
+            &["auto"],
+            &device,
+        );
         assert_eq!(cells.len(), 2 * 3);
         for cell in &cells[..3] {
             assert!(cell.label.starts_with("auto/hybrid/w0/"), "{}", cell.label);
             assert!(cell.plan.is_err() && cell.topology.is_none());
         }
-        assert!(cells[3..].iter().all(|c| c.plan.is_ok() && c.topology.is_some()));
+        assert!(cells[3..]
+            .iter()
+            .all(|c| c.plan.is_ok() && c.topology.is_some()));
     }
 
     #[test]
@@ -294,10 +344,21 @@ mod tests {
         let fresh = Evaluator::new(eval.pipelines(), DEFAULT_MEMO_CAPACITY);
         let scenarios = enumerate_plans(cfg.rows_per_table.len(), &[2, 4]);
         let token = CancellationToken::new();
-        let seq = sweep_shardings(&DistributedPredictor::new(&eval, 0), &cfg, &scenarios, 1, &token);
+        let seq = sweep_shardings(
+            &DistributedPredictor::new(&eval, 0),
+            &cfg,
+            &scenarios,
+            1,
+            &token,
+        );
         let stats = eval.cache_stats();
-        let par =
-            sweep_shardings(&DistributedPredictor::new(&fresh, 0), &cfg, &scenarios, 4, &token);
+        let par = sweep_shardings(
+            &DistributedPredictor::new(&fresh, 0),
+            &cfg,
+            &scenarios,
+            4,
+            &token,
+        );
         let bits = |o: &ShardingSweepOutcome| -> Vec<Option<u64>> {
             o.results
                 .iter()

@@ -86,11 +86,18 @@ impl Topology {
     /// # Panics
     /// Panics if `nodes` or `gpus_per_node` is zero.
     pub fn multi_node_ib(device: &DeviceSpec, nodes: usize, gpus_per_node: usize) -> Self {
-        assert!(nodes > 0 && gpus_per_node > 0, "hierarchy needs nodes and GPUs");
+        assert!(
+            nodes > 0 && gpus_per_node > 0,
+            "hierarchy needs nodes and GPUs"
+        );
         Topology {
             label: format!("ib-{nodes}x{gpus_per_node}"),
             devices: vec![device.clone(); nodes * gpus_per_node],
-            shape: TopologyShape::Hierarchical { nodes, gpus_per_node, inter: LinkSpec::ib_hdr() },
+            shape: TopologyShape::Hierarchical {
+                nodes,
+                gpus_per_node,
+                inter: LinkSpec::ib_hdr(),
+            },
             bw_scale: 1.0,
             degraded: None,
         }
@@ -128,7 +135,11 @@ impl Topology {
         Topology {
             label: format!("hetero-ib-{nodes}x{gpus_per_node}"),
             devices,
-            shape: TopologyShape::Hierarchical { nodes, gpus_per_node, inter: LinkSpec::ib_hdr() },
+            shape: TopologyShape::Hierarchical {
+                nodes,
+                gpus_per_node,
+                inter: LinkSpec::ib_hdr(),
+            },
             bw_scale: 1.0,
             degraded: None,
         }
@@ -255,7 +266,10 @@ impl Topology {
     /// # Panics
     /// Panics if `factor` is not positive and finite.
     pub fn scaled_bandwidth(&self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "bandwidth factor must be positive");
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "bandwidth factor must be positive"
+        );
         let mut t = self.clone();
         t.bw_scale *= factor;
         t
@@ -263,13 +277,19 @@ impl Topology {
 
     /// Per-rank link specs with the bandwidth scale applied.
     pub(crate) fn rank_links(&self) -> Vec<LinkSpec> {
-        self.devices.iter().map(|d| d.link().scaled(self.bw_scale)).collect()
+        self.devices
+            .iter()
+            .map(|d| d.link().scaled(self.bw_scale))
+            .collect()
     }
 
     /// Collective launch overhead (µs): the slowest participating device
     /// bounds the fleet, exactly as the straggler bounds the payload.
     pub fn launch_us(&self) -> f64 {
-        self.devices.iter().map(|d| d.kernel_start_us).fold(0.0, f64::max)
+        self.devices
+            .iter()
+            .map(|d| d.kernel_start_us)
+            .fold(0.0, f64::max)
     }
 
     /// The equivalent link-level graph the `gpusim` oracle simulates.
@@ -281,17 +301,21 @@ impl Topology {
             // slow card on the bus drags every hop, which is how mixed PCIe
             // fleets behave.
             TopologyShape::PcieTree => {
-                let bottleneck =
-                    links.iter().skip(1).fold(links[0], |acc, l| acc.bottleneck(l));
+                let bottleneck = links
+                    .iter()
+                    .skip(1)
+                    .fold(links[0], |acc, l| acc.bottleneck(l));
                 LinkGraph::pcie_tree(self.world(), bottleneck)
             }
-            TopologyShape::Hierarchical { gpus_per_node, inter, .. } => {
-                LinkGraph::hierarchical_heterogeneous(
-                    &links,
-                    *gpus_per_node,
-                    inter.scaled(self.bw_scale),
-                )
-            }
+            TopologyShape::Hierarchical {
+                gpus_per_node,
+                inter,
+                ..
+            } => LinkGraph::hierarchical_heterogeneous(
+                &links,
+                *gpus_per_node,
+                inter.scaled(self.bw_scale),
+            ),
         }
     }
 
@@ -301,7 +325,11 @@ impl Topology {
     /// # Panics
     /// Panics if `spec.world` does not match the topology.
     pub fn oracle_time_algo(&self, spec: &CollectiveSpec, algo: CollectiveAlgo) -> f64 {
-        assert_eq!(spec.world as usize, self.world(), "collective world must match the topology");
+        assert_eq!(
+            spec.world as usize,
+            self.world(),
+            "collective world must match the topology"
+        );
         if self.world() <= 1 || spec.bytes_per_rank == 0 {
             return 0.0;
         }
@@ -324,7 +352,10 @@ mod tests {
 
     #[test]
     fn for_device_classifies_by_link_class() {
-        assert_eq!(Topology::for_device(&DeviceSpec::v100(), 4).shape(), &TopologyShape::Mesh);
+        assert_eq!(
+            Topology::for_device(&DeviceSpec::v100(), 4).shape(),
+            &TopologyShape::Mesh
+        );
         assert_eq!(
             Topology::for_device(&DeviceSpec::titan_xp(), 4).shape(),
             &TopologyShape::PcieTree
@@ -343,7 +374,14 @@ mod tests {
         // A matching hierarchy resolves cleanly.
         let ok = Topology::from_name("ib2x2", &DeviceSpec::v100(), 4);
         assert!(ok.degraded().is_none());
-        assert!(matches!(ok.shape(), TopologyShape::Hierarchical { nodes: 2, gpus_per_node: 2, .. }));
+        assert!(matches!(
+            ok.shape(),
+            TopologyShape::Hierarchical {
+                nodes: 2,
+                gpus_per_node: 2,
+                ..
+            }
+        ));
     }
 
     #[test]
@@ -352,8 +390,12 @@ mod tests {
         let b = Topology::catalog(8);
         assert_eq!(a, b);
         assert!(a.iter().any(|t| matches!(t.shape(), TopologyShape::Mesh)));
-        assert!(a.iter().any(|t| matches!(t.shape(), TopologyShape::PcieTree)));
-        assert!(a.iter().any(|t| matches!(t.shape(), TopologyShape::Hierarchical { .. })));
+        assert!(a
+            .iter()
+            .any(|t| matches!(t.shape(), TopologyShape::PcieTree)));
+        assert!(a
+            .iter()
+            .any(|t| matches!(t.shape(), TopologyShape::Hierarchical { .. })));
         let labels: std::collections::HashSet<_> = a.iter().map(|t| t.label()).collect();
         assert_eq!(labels.len(), a.len(), "labels must be unique");
     }
@@ -368,6 +410,9 @@ mod tests {
         };
         let base = t.oracle_time(&spec);
         let fast = t.scaled_bandwidth(4.0).oracle_time(&spec);
-        assert!(fast < base, "4x bandwidth must not slow the oracle: {fast} vs {base}");
+        assert!(
+            fast < base,
+            "4x bandwidth must not slow the oracle: {fast} vs {base}"
+        );
     }
 }

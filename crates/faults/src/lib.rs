@@ -126,7 +126,11 @@ pub struct LinkFaultPlan {
 
 impl Default for LinkFaultPlan {
     fn default() -> Self {
-        LinkFaultPlan { bandwidth_factor: 1.0, flap_prob: 0.0, flap_factor: 1.0 }
+        LinkFaultPlan {
+            bandwidth_factor: 1.0,
+            flap_prob: 0.0,
+            flap_factor: 1.0,
+        }
     }
 }
 
@@ -231,8 +235,12 @@ impl FaultPlan {
         if intensity == 0.0 {
             return plan;
         }
-        plan.stragglers.push(Straggler { rank: 0, factor: 1.0 + 1.5 * intensity });
-        plan.kernel_slowdowns.push((KernelFamily::Gemm, 1.0 + 0.8 * intensity));
+        plan.stragglers.push(Straggler {
+            rank: 0,
+            factor: 1.0 + 1.5 * intensity,
+        });
+        plan.kernel_slowdowns
+            .push((KernelFamily::Gemm, 1.0 + 0.8 * intensity));
         plan.thermal_windows.push(ThermalWindow {
             start_us: 0.0,
             end_us: 5_000.0 * intensity,
@@ -250,7 +258,10 @@ impl FaultPlan {
 
     /// Marks `rank` as a straggler (builder style).
     pub fn with_straggler(mut self, rank: usize, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "straggler factor must be positive and finite");
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "straggler factor must be positive and finite"
+        );
         self.stragglers.push(Straggler { rank, factor });
         self
     }
@@ -269,7 +280,10 @@ impl FaultPlan {
         max_retries: u32,
         backoff_base_us: f64,
     ) -> Self {
-        assert!((0.0..=1.0).contains(&drop_prob), "drop probability must be in [0, 1]");
+        assert!(
+            (0.0..=1.0).contains(&drop_prob),
+            "drop probability must be in [0, 1]"
+        );
         assert!(
             timeout_us >= 0.0 && backoff_base_us >= 0.0,
             "timeout and backoff must be non-negative"
@@ -285,16 +299,25 @@ impl FaultPlan {
     /// style). Probabilities are independent draws folded into one site
     /// sample; their sum must stay in `[0, 1]`.
     pub fn with_worker_faults(mut self, panic_prob: f64, kill_prob: f64, hang_prob: f64) -> Self {
-        for (name, p) in
-            [("panic", panic_prob), ("kill", kill_prob), ("hang", hang_prob)]
-        {
-            assert!((0.0..=1.0).contains(&p), "worker {name} probability must be in [0, 1]");
+        for (name, p) in [
+            ("panic", panic_prob),
+            ("kill", kill_prob),
+            ("hang", hang_prob),
+        ] {
+            assert!(
+                (0.0..=1.0).contains(&p),
+                "worker {name} probability must be in [0, 1]"
+            );
         }
         assert!(
             panic_prob + kill_prob + hang_prob <= 1.0,
             "worker fault probabilities must sum to at most 1"
         );
-        self.worker = Some(WorkerFaultPlan { panic_prob, kill_prob, hang_prob });
+        self.worker = Some(WorkerFaultPlan {
+            panic_prob,
+            kill_prob,
+            hang_prob,
+        });
         self
     }
 
@@ -309,7 +332,10 @@ impl FaultPlan {
             ("reorder", plan.reorder_prob),
             ("garbage", plan.garbage_prob),
         ] {
-            assert!((0.0..=1.0).contains(&p), "trace {name} probability must be in [0, 1]");
+            assert!(
+                (0.0..=1.0).contains(&p),
+                "trace {name} probability must be in [0, 1]"
+            );
         }
         assert!(
             plan.truncate_prob
@@ -341,8 +367,15 @@ impl FaultPlan {
                 "link {name} factor must be in (0, 1], got {f}"
             );
         }
-        assert!((0.0..=1.0).contains(&flap_prob), "flap probability must be in [0, 1]");
-        self.link = Some(LinkFaultPlan { bandwidth_factor, flap_prob, flap_factor });
+        assert!(
+            (0.0..=1.0).contains(&flap_prob),
+            "flap probability must be in [0, 1]"
+        );
+        self.link = Some(LinkFaultPlan {
+            bandwidth_factor,
+            flap_prob,
+            flap_factor,
+        });
         self
     }
 
@@ -516,8 +549,8 @@ impl FaultInjector {
         let mut attempts = 0u32;
         let mut dropped = true;
         while attempts <= self.plan.max_retries {
-            let fails = p > 0.0
-                && self.unit(&[0xC011, iteration, collective as u64, attempts as u64]) < p;
+            let fails =
+                p > 0.0 && self.unit(&[0xC011, iteration, collective as u64, attempts as u64]) < p;
             attempts += 1;
             if !fails {
                 dropped = false;
@@ -556,7 +589,10 @@ impl FaultInjector {
         let budget = match retry_budget_us {
             None => return self.collective_outcome(iteration, collective, base_us),
             Some(b) => {
-                assert!(b >= 0.0 && b.is_finite(), "retry budget must be non-negative and finite");
+                assert!(
+                    b >= 0.0 && b.is_finite(),
+                    "retry budget must be non-negative and finite"
+                );
                 b
             }
         };
@@ -565,8 +601,8 @@ impl FaultInjector {
         let mut attempts = 0u32;
         let mut dropped = true;
         while attempts <= self.plan.max_retries {
-            let fails = p > 0.0
-                && self.unit(&[0xC011, iteration, collective as u64, attempts as u64]) < p;
+            let fails =
+                p > 0.0 && self.unit(&[0xC011, iteration, collective as u64, attempts as u64]) < p;
             attempts += 1;
             if !fails {
                 dropped = false;
@@ -702,7 +738,8 @@ impl FaultInjector {
         if bytes.len() < 4 {
             return Some(fault);
         }
-        let draw = |salt: u64| derive_seed(self.plan.seed, &[0x7EAC_E512, corpus_key, file_index, salt]);
+        let draw =
+            |salt: u64| derive_seed(self.plan.seed, &[0x7EAC_E512, corpus_key, file_index, salt]);
         let boundaries: Vec<usize> = bytes
             .windows(3)
             .enumerate()
@@ -808,14 +845,19 @@ mod tests {
         let b = FaultInjector::new(plan.clone());
         for it in 0..20 {
             for c in 0..3 {
-                assert_eq!(a.collective_outcome(it, c, 10.0), b.collective_outcome(it, c, 10.0));
+                assert_eq!(
+                    a.collective_outcome(it, c, 10.0),
+                    b.collective_outcome(it, c, 10.0)
+                );
             }
         }
         let other = FaultInjector::new(FaultPlan { seed: 8, ..plan });
-        let differs = (0..20).any(|it| {
-            a.collective_outcome(it, 0, 10.0) != other.collective_outcome(it, 0, 10.0)
-        });
-        assert!(differs, "different seeds should produce different fault patterns");
+        let differs = (0..20)
+            .any(|it| a.collective_outcome(it, 0, 10.0) != other.collective_outcome(it, 0, 10.0));
+        assert!(
+            differs,
+            "different seeds should produce different fault patterns"
+        );
     }
 
     #[test]
@@ -825,7 +867,7 @@ mod tests {
         let o = inj.collective_outcome(5, 1, 50.0);
         assert!(o.dropped);
         assert_eq!(o.attempts, 3); // 1 try + 2 retries
-        // 3 timeouts + backoff 10 + 20 + 40.
+                                   // 3 timeouts + backoff 10 + 20 + 40.
         assert!((o.added_latency_us - (300.0 + 70.0)).abs() < 1e-9);
         assert!(o.total_us.is_finite() && o.total_us > 0.0);
     }
@@ -833,10 +875,11 @@ mod tests {
     #[test]
     fn higher_drop_prob_means_more_retries() {
         let retries = |p: f64| -> u32 {
-            let inj = FaultInjector::new(
-                FaultPlan::healthy(3).with_collective_faults(p, 100.0, 5, 10.0),
-            );
-            (0..200).map(|it| inj.collective_outcome(it, 0, 1.0).retries).sum()
+            let inj =
+                FaultInjector::new(FaultPlan::healthy(3).with_collective_faults(p, 100.0, 5, 10.0));
+            (0..200)
+                .map(|it| inj.collective_outcome(it, 0, 1.0).retries)
+                .sum()
         };
         let (low, high) = (retries(0.1), retries(0.7));
         assert!(high > 2 * low, "retries at p=0.7 ({high}) vs p=0.1 ({low})");
@@ -869,7 +912,10 @@ mod tests {
         assert_eq!(plan, back);
         // Same plan after a round trip ⇒ same decisions.
         let (a, b) = (FaultInjector::new(plan), FaultInjector::new(back));
-        assert_eq!(a.collective_outcome(3, 2, 7.0), b.collective_outcome(3, 2, 7.0));
+        assert_eq!(
+            a.collective_outcome(3, 2, 7.0),
+            b.collective_outcome(3, 2, 7.0)
+        );
     }
 
     #[test]
@@ -880,9 +926,7 @@ mod tests {
 
     #[test]
     fn worker_faults_are_deterministic_and_cover_all_kinds() {
-        let inj = FaultInjector::new(
-            FaultPlan::healthy(11).with_worker_faults(0.2, 0.2, 0.2),
-        );
+        let inj = FaultInjector::new(FaultPlan::healthy(11).with_worker_faults(0.2, 0.2, 0.2));
         let key = site_key("grid-search");
         let mut seen = std::collections::BTreeMap::new();
         for step in 0..500u64 {
@@ -891,10 +935,12 @@ mod tests {
             assert_eq!(a, b, "same site must give the same decision");
             *seen.entry(format!("{a:?}")).or_insert(0u32) += 1;
         }
-        assert!(seen.len() == 4, "panic, kill, hang and none should all occur: {seen:?}");
+        assert!(
+            seen.len() == 4,
+            "panic, kill, hang and none should all occur: {seen:?}"
+        );
         // A retry of the same step is a different site.
-        let differs =
-            (0..500).any(|s| inj.worker_fault(key, s, 1) != inj.worker_fault(key, s, 2));
+        let differs = (0..500).any(|s| inj.worker_fault(key, s, 1) != inj.worker_fault(key, s, 2));
         assert!(differs, "attempt number must feed the site hash");
     }
 
@@ -907,7 +953,9 @@ mod tests {
     #[test]
     fn old_plan_json_without_worker_field_still_loads() {
         let json = serde_json::to_string(&FaultPlan::healthy(5)).expect("serializes");
-        let legacy = json.replace(",\"worker\":null", "").replace(",\"trace\":null", "");
+        let legacy = json
+            .replace(",\"worker\":null", "")
+            .replace(",\"trace\":null", "");
         assert_ne!(json, legacy, "the worker key must have been stripped");
         let back: FaultPlan = serde_json::from_str(&legacy).expect("legacy plan loads");
         assert!(back.worker.is_none());
@@ -928,17 +976,24 @@ mod tests {
     /// structural fault to find its boundaries.
     fn trace_doc(events: usize) -> Vec<u8> {
         let elems: Vec<String> = (0..events)
-            .map(|i| format!("{{\"name\":\"e{i}\",\"ts_us\":{i},\"correlation\":{}}}", i + 1))
+            .map(|i| {
+                format!(
+                    "{{\"name\":\"e{i}\",\"ts_us\":{i},\"correlation\":{}}}",
+                    i + 1
+                )
+            })
             .collect();
-        format!("{{\"workload\":\"w\",\"events\":[{}],\"span_us\":9}}", elems.join(","))
-            .into_bytes()
+        format!(
+            "{{\"workload\":\"w\",\"events\":[{}],\"span_us\":9}}",
+            elems.join(",")
+        )
+        .into_bytes()
     }
 
     #[test]
     fn trace_faults_are_deterministic_and_cover_all_kinds() {
-        let inj = FaultInjector::new(
-            FaultPlan::healthy(17).with_trace_faults(uniform_trace_plan()),
-        );
+        let inj =
+            FaultInjector::new(FaultPlan::healthy(17).with_trace_faults(uniform_trace_plan()));
         let key = site_key("corpus");
         let mut seen = std::collections::HashSet::new();
         for file in 0..200 {
@@ -955,16 +1010,18 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 5, "all five fault kinds appear: {seen:?}");
-        let other = FaultInjector::new(
-            FaultPlan::healthy(18).with_trace_faults(uniform_trace_plan()),
-        );
+        let other =
+            FaultInjector::new(FaultPlan::healthy(18).with_trace_faults(uniform_trace_plan()));
         let differs = (0..200).any(|f| inj.trace_fault(key, f) != other.trace_fault(key, f));
         assert!(differs, "different seeds should corrupt different files");
     }
 
     #[test]
     fn structural_trace_faults_degrade_to_truncation_on_tiny_files() {
-        let plan = TraceFaultPlan { duplicate_prob: 1.0, ..TraceFaultPlan::default() };
+        let plan = TraceFaultPlan {
+            duplicate_prob: 1.0,
+            ..TraceFaultPlan::default()
+        };
         let inj = FaultInjector::new(FaultPlan::healthy(4).with_trace_faults(plan));
         let mut doc = trace_doc(1); // no `},{` boundary at all
         let before = doc.len();
@@ -992,7 +1049,10 @@ mod tests {
         assert_eq!(unbudgeted, no_budget);
         let capped = inj.collective_outcome_with_budget(2, 0, 50.0, Some(150.0));
         assert!(capped.dropped, "budget exhaustion is a drop");
-        assert!((capped.added_latency_us - 150.0).abs() < 1e-9, "penalty capped at the budget");
+        assert!(
+            (capped.added_latency_us - 150.0).abs() < 1e-9,
+            "penalty capped at the budget"
+        );
         assert!(capped.attempts <= unbudgeted.attempts);
         // A generous budget reproduces the unbudgeted outcome exactly.
         let roomy = inj.collective_outcome_with_budget(2, 0, 50.0, Some(1e9));
@@ -1014,11 +1074,20 @@ mod tests {
                 }
             }
         }
-        assert!(saw_flap, "flap_prob=0.5 over 150 sites must flap at least once");
-        assert!(FaultInjector::new(FaultPlan::healthy(21)).link_degradation(0, 0).is_none());
-        assert!(!FaultPlan::healthy(0).with_link_faults(0.5, 0.0, 1.0).is_healthy());
         assert!(
-            FaultPlan::healthy(0).with_link_faults(1.0, 0.5, 1.0).is_healthy(),
+            saw_flap,
+            "flap_prob=0.5 over 150 sites must flap at least once"
+        );
+        assert!(FaultInjector::new(FaultPlan::healthy(21))
+            .link_degradation(0, 0)
+            .is_none());
+        assert!(!FaultPlan::healthy(0)
+            .with_link_faults(0.5, 0.0, 1.0)
+            .is_healthy());
+        assert!(
+            FaultPlan::healthy(0)
+                .with_link_faults(1.0, 0.5, 1.0)
+                .is_healthy(),
             "flapping to full bandwidth degrades nothing"
         );
         assert!(FaultPlan::chaos(3, 0.5).link.is_some());

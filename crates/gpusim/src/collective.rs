@@ -79,13 +79,20 @@ mod tests {
     use super::*;
 
     fn spec(kind: CollectiveKind, bytes: u64, world: u32) -> CollectiveSpec {
-        CollectiveSpec { kind, bytes_per_rank: bytes, world }
+        CollectiveSpec {
+            kind,
+            bytes_per_rank: bytes,
+            world,
+        }
     }
 
     #[test]
     fn single_rank_is_free() {
         let d = DeviceSpec::v100();
-        assert_eq!(simulate(&d, &spec(CollectiveKind::AllReduce, 1 << 20, 1)), 0.0);
+        assert_eq!(
+            simulate(&d, &spec(CollectiveKind::AllReduce, 1 << 20, 1)),
+            0.0
+        );
     }
 
     #[test]
@@ -121,8 +128,14 @@ mod tests {
     fn pcie_devices_pay_more() {
         let big = 64u64 << 20;
         let v = simulate(&DeviceSpec::v100(), &spec(CollectiveKind::AllToAll, big, 4));
-        let xp = simulate(&DeviceSpec::titan_xp(), &spec(CollectiveKind::AllToAll, big, 4));
-        assert!(xp > 5.0 * v, "PCIe all-to-all should be far slower: {xp} vs {v}");
+        let xp = simulate(
+            &DeviceSpec::titan_xp(),
+            &spec(CollectiveKind::AllToAll, big, 4),
+        );
+        assert!(
+            xp > 5.0 * v,
+            "PCIe all-to-all should be far slower: {xp} vs {v}"
+        );
     }
 
     #[test]

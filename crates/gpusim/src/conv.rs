@@ -31,7 +31,18 @@ pub fn conv_out_hw(h: u64, w: u64, kh: u64, kw: u64, stride: u64, pad: u64) -> (
 /// The implicit-GEMM problem `(m, n, k, batch)` a conv lowers to:
 /// `m = OH·OW`, `n = C_out`, `k = C_in·KH·KW`, batched over images.
 pub fn implicit_gemm_shape(kernel: &KernelSpec) -> (u64, u64, u64, u64) {
-    let KernelSpec::Conv2d { batch, c_in, h, w, c_out, kh, kw, stride, pad } = *kernel else {
+    let KernelSpec::Conv2d {
+        batch,
+        c_in,
+        h,
+        w,
+        c_out,
+        kh,
+        kw,
+        stride,
+        pad,
+    } = *kernel
+    else {
         panic!("implicit_gemm_shape called with {kernel:?}");
     };
     let (oh, ow) = conv_out_hw(h, w, kh, kw, stride, pad);
@@ -55,7 +66,10 @@ pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
         panic!("conv::simulate called with {kernel:?}");
     };
     let (m, n, k, batch) = implicit_gemm_shape(kernel);
-    assert!(m > 0 && n > 0 && k > 0, "convolution produced an empty GEMM");
+    assert!(
+        m > 0 && n > 0 && k > 0,
+        "convolution produced an empty GEMM"
+    );
     let gemm_time = gemm::simulate(device, &KernelSpec::Gemm { m, n, k, batch });
     // Remove the GEMM launch floor before scaling, then re-apply it once.
     let body = (gemm_time - device.kernel_start_us).max(0.0);
@@ -106,16 +120,35 @@ mod tests {
     fn skewed_filters_less_efficient() {
         let d = DeviceSpec::v100();
         let square = KernelSpec::Conv2d {
-            batch: 32, c_in: 128, h: 17, w: 17, c_out: 128, kh: 3, kw: 3, stride: 1, pad: 1,
+            batch: 32,
+            c_in: 128,
+            h: 17,
+            w: 17,
+            c_out: 128,
+            kh: 3,
+            kw: 3,
+            stride: 1,
+            pad: 1,
         };
         let skew = KernelSpec::Conv2d {
-            batch: 32, c_in: 128, h: 17, w: 17, c_out: 128, kh: 1, kw: 7, stride: 1, pad: 0,
+            batch: 32,
+            c_in: 128,
+            h: 17,
+            w: 17,
+            c_out: 128,
+            kh: 1,
+            kw: 7,
+            stride: 1,
+            pad: 0,
         };
         let sq_t = simulate(&d, &square);
         let sk_t = simulate(&d, &skew);
         let sq_per_flop = sq_t / square.flops();
         let sk_per_flop = sk_t / skew.flops();
-        assert!(sk_per_flop > sq_per_flop, "1x7 should be less efficient per flop");
+        assert!(
+            sk_per_flop > sq_per_flop,
+            "1x7 should be less efficient per flop"
+        );
     }
 
     #[test]

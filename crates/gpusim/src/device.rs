@@ -217,7 +217,10 @@ impl DeviceSpec {
     /// # Panics
     /// Panics if `factor` is not finite and positive.
     pub fn scaled_dram(&self, factor: f64) -> DeviceSpec {
-        assert!(factor.is_finite() && factor > 0.0, "bad DRAM scale {factor}");
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "bad DRAM scale {factor}"
+        );
         let mut d = self.clone();
         d.dram_bw_gbs *= factor;
         d.name = format!("{} (dram x{factor})", self.name);
@@ -229,7 +232,10 @@ impl DeviceSpec {
     /// # Panics
     /// Panics if `factor` is not finite and positive.
     pub fn scaled_compute(&self, factor: f64) -> DeviceSpec {
-        assert!(factor.is_finite() && factor > 0.0, "bad compute scale {factor}");
+        assert!(
+            factor.is_finite() && factor > 0.0,
+            "bad compute scale {factor}"
+        );
         let mut d = self.clone();
         d.fp32_gflops *= factor;
         d.name = format!("{} (fp32 x{factor})", self.name);

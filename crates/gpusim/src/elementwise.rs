@@ -20,7 +20,12 @@ const COMPUTE_EFFICIENCY: f64 = 0.45;
 
 /// Simulates a generic element-wise kernel.
 pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
-    let KernelSpec::Elementwise { elems, flops_per_elem, bytes_per_elem } = *kernel else {
+    let KernelSpec::Elementwise {
+        elems,
+        flops_per_elem,
+        bytes_per_elem,
+    } = *kernel
+    else {
         panic!("elementwise::simulate called with {kernel:?}");
     };
     assert!(elems > 0, "element-wise kernel needs at least one element");
@@ -39,7 +44,11 @@ mod tests {
     use super::*;
 
     fn relu(elems: u64) -> KernelSpec {
-        KernelSpec::Elementwise { elems, flops_per_elem: 1.0, bytes_per_elem: 8.0 }
+        KernelSpec::Elementwise {
+            elems,
+            flops_per_elem: 1.0,
+            bytes_per_elem: 8.0,
+        }
     }
 
     #[test]
@@ -56,7 +65,11 @@ mod tests {
     #[test]
     fn compute_bound_for_high_intensity() {
         let d = DeviceSpec::v100();
-        let k = KernelSpec::Elementwise { elems: 1 << 20, flops_per_elem: 5000.0, bytes_per_elem: 8.0 };
+        let k = KernelSpec::Elementwise {
+            elems: 1 << 20,
+            flops_per_elem: 5000.0,
+            bytes_per_elem: 8.0,
+        };
         let t = simulate(&d, &k);
         let t_compute = (1u64 << 20) as f64 * 5000.0 / (d.flop_per_us() * COMPUTE_EFFICIENCY);
         assert!((t - t_compute - d.kernel_start_us).abs() / t < 0.05);

@@ -57,7 +57,10 @@ pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
         KernelSpec::EmbeddingBackward { b, e, t, l, d, .. } => (b, e, t, l, d, true),
         _ => panic!("embedding::simulate called with {kernel:?}"),
     };
-    assert!(b > 0 && e > 0 && t > 0 && l > 0 && d > 0, "embedding dims must be positive");
+    assert!(
+        b > 0 && e > 0 && t > 0 && l > 0 && d > 0,
+        "embedding dims must be positive"
+    );
 
     let warps = (b * t) as f64;
     let row = sectors(4 * d) as f64;
@@ -66,7 +69,11 @@ pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
     // the weight term carries the L factor in both directions).
     let tr_offsets = (32 + 64) as f64;
     let tr_indices = sectors(4 * l) as f64;
-    let tr_weights = if backward { 2.0 * l as f64 * row } else { l as f64 * row };
+    let tr_weights = if backward {
+        2.0 * l as f64 * row
+    } else {
+        l as f64 * row
+    };
     let tr_outputs = if backward {
         // Backward reads the incoming gradient row instead of writing output.
         row
@@ -138,8 +145,14 @@ mod tests {
     #[test]
     fn backward_slower_than_forward() {
         let d = v100();
-        let f = simulate(&d, &KernelSpec::embedding_forward(2048, 1_000_000, 8, 10, 64));
-        let b = simulate(&d, &KernelSpec::embedding_backward(2048, 1_000_000, 8, 10, 64));
+        let f = simulate(
+            &d,
+            &KernelSpec::embedding_forward(2048, 1_000_000, 8, 10, 64),
+        );
+        let b = simulate(
+            &d,
+            &KernelSpec::embedding_backward(2048, 1_000_000, 8, 10, 64),
+        );
         assert!(b > f);
     }
 

@@ -27,14 +27,46 @@ pub struct Tile {
 
 /// The tile catalog, mirroring the common cuBLAS SGEMM tile set.
 pub const TILES: &[Tile] = &[
-    Tile { m: 256, n: 128, efficiency: 0.88 },
-    Tile { m: 128, n: 256, efficiency: 0.88 },
-    Tile { m: 128, n: 128, efficiency: 0.82 },
-    Tile { m: 128, n: 64, efficiency: 0.72 },
-    Tile { m: 64, n: 128, efficiency: 0.72 },
-    Tile { m: 64, n: 64, efficiency: 0.58 },
-    Tile { m: 32, n: 64, efficiency: 0.42 },
-    Tile { m: 32, n: 32, efficiency: 0.28 },
+    Tile {
+        m: 256,
+        n: 128,
+        efficiency: 0.88,
+    },
+    Tile {
+        m: 128,
+        n: 256,
+        efficiency: 0.88,
+    },
+    Tile {
+        m: 128,
+        n: 128,
+        efficiency: 0.82,
+    },
+    Tile {
+        m: 128,
+        n: 64,
+        efficiency: 0.72,
+    },
+    Tile {
+        m: 64,
+        n: 128,
+        efficiency: 0.72,
+    },
+    Tile {
+        m: 64,
+        n: 64,
+        efficiency: 0.58,
+    },
+    Tile {
+        m: 32,
+        n: 64,
+        efficiency: 0.42,
+    },
+    Tile {
+        m: 32,
+        n: 32,
+        efficiency: 0.28,
+    },
 ];
 
 /// The K-dimension is processed in slices of this many elements; partial
@@ -73,7 +105,10 @@ pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
     let KernelSpec::Gemm { m, n, k, batch } = *kernel else {
         panic!("gemm::simulate called with non-GEMM kernel {kernel:?}");
     };
-    assert!(m > 0 && n > 0 && k > 0 && batch > 0, "GEMM dims must be positive");
+    assert!(
+        m > 0 && n > 0 && k > 0 && batch > 0,
+        "GEMM dims must be positive"
+    );
     TILES
         .iter()
         .map(|t| time_with_tile(device, m, n, k, batch, t))
@@ -134,7 +169,10 @@ mod tests {
     fn small_gemm_dominated_by_launch() {
         let d = DeviceSpec::v100();
         let t = simulate(&d, &KernelSpec::gemm(8, 8, 8));
-        assert!(t < 4.0 * d.kernel_start_us, "tiny GEMM should be launch-bound, got {t}");
+        assert!(
+            t < 4.0 * d.kernel_start_us,
+            "tiny GEMM should be launch-bound, got {t}"
+        );
     }
 
     #[test]

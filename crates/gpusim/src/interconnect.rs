@@ -51,7 +51,10 @@ impl LinkSpec {
     /// An InfiniBand HDR-class node uplink: 25 GB/s per direction, ~2 µs
     /// per hop (NIC + switch traversal).
     pub fn ib_hdr() -> Self {
-        LinkSpec { bw_gbs: 25.0, latency_us: 2.0 }
+        LinkSpec {
+            bw_gbs: 25.0,
+            latency_us: 2.0,
+        }
     }
 
     /// Bandwidth in bytes/µs.
@@ -64,8 +67,14 @@ impl LinkSpec {
     /// # Panics
     /// Panics if `factor` is not positive and finite.
     pub fn scaled(&self, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "bandwidth factor must be positive");
-        LinkSpec { bw_gbs: self.bw_gbs * factor, latency_us: self.latency_us }
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "bandwidth factor must be positive"
+        );
+        LinkSpec {
+            bw_gbs: self.bw_gbs * factor,
+            latency_us: self.latency_us,
+        }
     }
 
     /// The slower of two links: min bandwidth, max latency. This is the
@@ -115,7 +124,11 @@ impl LinkGraph {
                 links.push(Link { a, b, spec: link });
             }
         }
-        LinkGraph { nodes: world, world, links }
+        LinkGraph {
+            nodes: world,
+            world,
+            links,
+        }
     }
 
     /// A fully connected mesh over heterogeneous endpoints: the link
@@ -129,10 +142,18 @@ impl LinkGraph {
         let mut out = Vec::new();
         for a in 0..world {
             for b in (a + 1)..world {
-                out.push(Link { a, b, spec: links[a].bottleneck(&links[b]) });
+                out.push(Link {
+                    a,
+                    b,
+                    spec: links[a].bottleneck(&links[b]),
+                });
             }
         }
-        LinkGraph { nodes: world, world, links: out }
+        LinkGraph {
+            nodes: world,
+            world,
+            links: out,
+        }
     }
 
     /// A PCIe tree: GPUs pair up under leaf switches, leaf switches hang
@@ -147,12 +168,24 @@ impl LinkGraph {
         let root = world + switches;
         let mut links = Vec::new();
         for g in 0..world {
-            links.push(Link { a: g, b: world + g / 2, spec: link });
+            links.push(Link {
+                a: g,
+                b: world + g / 2,
+                spec: link,
+            });
         }
         for s in 0..switches {
-            links.push(Link { a: world + s, b: root, spec: link });
+            links.push(Link {
+                a: world + s,
+                b: root,
+                spec: link,
+            });
         }
-        LinkGraph { nodes: root + 1, world, links }
+        LinkGraph {
+            nodes: root + 1,
+            world,
+            links,
+        }
     }
 
     /// A multi-node hierarchy: each node's GPUs share an intra-node switch
@@ -162,18 +195,38 @@ impl LinkGraph {
     ///
     /// # Panics
     /// Panics if `nodes` or `gpus_per_node` is zero.
-    pub fn hierarchical(nodes: usize, gpus_per_node: usize, intra: LinkSpec, inter: LinkSpec) -> Self {
-        assert!(nodes > 0 && gpus_per_node > 0, "hierarchy needs nodes and GPUs");
+    pub fn hierarchical(
+        nodes: usize,
+        gpus_per_node: usize,
+        intra: LinkSpec,
+        inter: LinkSpec,
+    ) -> Self {
+        assert!(
+            nodes > 0 && gpus_per_node > 0,
+            "hierarchy needs nodes and GPUs"
+        );
         let world = nodes * gpus_per_node;
         let core = world + nodes;
         let mut links = Vec::new();
         for g in 0..world {
-            links.push(Link { a: g, b: world + g / gpus_per_node, spec: intra });
+            links.push(Link {
+                a: g,
+                b: world + g / gpus_per_node,
+                spec: intra,
+            });
         }
         for n in 0..nodes {
-            links.push(Link { a: world + n, b: core, spec: inter });
+            links.push(Link {
+                a: world + n,
+                b: core,
+                spec: inter,
+            });
         }
-        LinkGraph { nodes: core + 1, world, links }
+        LinkGraph {
+            nodes: core + 1,
+            world,
+            links,
+        }
     }
 
     /// Like [`LinkGraph::hierarchical`], with per-GPU intra-node links —
@@ -196,12 +249,24 @@ impl LinkGraph {
         let core = world + nodes;
         let mut links = Vec::new();
         for (g, spec) in intra.iter().enumerate() {
-            links.push(Link { a: g, b: world + g / gpus_per_node, spec: *spec });
+            links.push(Link {
+                a: g,
+                b: world + g / gpus_per_node,
+                spec: *spec,
+            });
         }
         for n in 0..nodes {
-            links.push(Link { a: world + n, b: core, spec: inter });
+            links.push(Link {
+                a: world + n,
+                b: core,
+                spec: inter,
+            });
         }
-        LinkGraph { nodes: core + 1, world, links }
+        LinkGraph {
+            nodes: core + 1,
+            world,
+            links,
+        }
     }
 
     /// GPU endpoint count.
@@ -286,7 +351,9 @@ impl LinkGraph {
             if src == dst || bytes <= 0.0 {
                 continue;
             }
-            let Some(path) = self.route(src, dst) else { continue };
+            let Some(path) = self.route(src, dst) else {
+                continue;
+            };
             let mut at = src;
             for &li in &path {
                 let l = &self.links[li];
@@ -343,15 +410,17 @@ impl LinkGraph {
     /// Panics if `spec.world` is zero or does not match the graph.
     pub fn simulate_algo(&self, spec: &CollectiveSpec, algo: CollectiveAlgo) -> f64 {
         assert!(spec.world > 0, "collective needs at least one rank");
-        assert_eq!(spec.world as usize, self.world, "collective world must match the graph");
+        assert_eq!(
+            spec.world as usize, self.world,
+            "collective world must match the graph"
+        );
         let w = self.world;
         if w == 1 {
             return 0.0;
         }
         let bytes = spec.bytes_per_rank as f64;
         let chunk = bytes / w as f64;
-        let ring: Vec<(usize, usize, f64)> =
-            (0..w).map(|i| (i, (i + 1) % w, chunk)).collect();
+        let ring: Vec<(usize, usize, f64)> = (0..w).map(|i| (i, (i + 1) % w, chunk)).collect();
         match spec.kind {
             CollectiveKind::AllReduce => match algo {
                 CollectiveAlgo::Ring => 2.0 * (w - 1) as f64 * self.step_time(&ring),
@@ -361,9 +430,7 @@ impl LinkGraph {
                 {
                     self.hierarchical_allreduce(bytes, groups)
                 }
-                CollectiveAlgo::Hierarchical { .. } => {
-                    2.0 * (w - 1) as f64 * self.step_time(&ring)
-                }
+                CollectiveAlgo::Hierarchical { .. } => 2.0 * (w - 1) as f64 * self.step_time(&ring),
             },
             CollectiveKind::AllGather => (w - 1) as f64 * self.step_time(&ring),
             CollectiveKind::AllToAll => (1..w)
@@ -441,14 +508,21 @@ mod tests {
     use super::*;
 
     fn spec(kind: CollectiveKind, bytes: u64, world: u32) -> CollectiveSpec {
-        CollectiveSpec { kind, bytes_per_rank: bytes, world }
+        CollectiveSpec {
+            kind,
+            bytes_per_rank: bytes,
+            world,
+        }
     }
 
     #[test]
     fn mesh_ring_matches_alpha_beta_exactly() {
         // On a full mesh every ring transfer has its own link: the oracle
         // must equal the closed form 2(w−1)(α + bytes/(wβ)) exactly.
-        let link = LinkSpec { bw_gbs: 100.0, latency_us: 2.0 };
+        let link = LinkSpec {
+            bw_gbs: 100.0,
+            latency_us: 2.0,
+        };
         let g = LinkGraph::full_mesh(4, link);
         let bytes = 64u64 << 20;
         let t = g.simulate(&spec(CollectiveKind::AllReduce, bytes, 4));
@@ -458,18 +532,27 @@ mod tests {
 
     #[test]
     fn pcie_tree_congests_all_to_all() {
-        let link = LinkSpec { bw_gbs: 11.0, latency_us: 9.0 };
+        let link = LinkSpec {
+            bw_gbs: 11.0,
+            latency_us: 9.0,
+        };
         let mesh = LinkGraph::full_mesh(8, link);
         let tree = LinkGraph::pcie_tree(8, link);
         let s = spec(CollectiveKind::AllToAll, 32 << 20, 8);
         let tm = mesh.simulate(&s);
         let tt = tree.simulate(&s);
-        assert!(tt > 1.5 * tm, "tree {tt} should congest well past mesh {tm}");
+        assert!(
+            tt > 1.5 * tm,
+            "tree {tt} should congest well past mesh {tm}"
+        );
     }
 
     #[test]
     fn hierarchy_bottlenecks_on_the_uplink() {
-        let intra = LinkSpec { bw_gbs: 130.0, latency_us: 5.0 };
+        let intra = LinkSpec {
+            bw_gbs: 130.0,
+            latency_us: 5.0,
+        };
         let g = LinkGraph::hierarchical(2, 4, intra, LinkSpec::ib_hdr());
         let one_node = LinkGraph::full_mesh(8, intra);
         let s = spec(CollectiveKind::AllReduce, 64 << 20, 8);
@@ -478,7 +561,13 @@ mod tests {
 
     #[test]
     fn monotone_in_bytes_and_bandwidth() {
-        let g = LinkGraph::pcie_tree(4, LinkSpec { bw_gbs: 11.0, latency_us: 9.0 });
+        let g = LinkGraph::pcie_tree(
+            4,
+            LinkSpec {
+                bw_gbs: 11.0,
+                latency_us: 9.0,
+            },
+        );
         let t1 = g.simulate(&spec(CollectiveKind::AllReduce, 1 << 20, 4));
         let t2 = g.simulate(&spec(CollectiveKind::AllReduce, 1 << 24, 4));
         assert!(t2 > t1);
@@ -489,14 +578,29 @@ mod tests {
 
     #[test]
     fn single_rank_is_free() {
-        let g = LinkGraph::full_mesh(1, LinkSpec { bw_gbs: 100.0, latency_us: 1.0 });
-        assert_eq!(g.simulate(&spec(CollectiveKind::AllReduce, 1 << 20, 1)), 0.0);
+        let g = LinkGraph::full_mesh(
+            1,
+            LinkSpec {
+                bw_gbs: 100.0,
+                latency_us: 1.0,
+            },
+        );
+        assert_eq!(
+            g.simulate(&spec(CollectiveKind::AllReduce, 1 << 20, 1)),
+            0.0
+        );
     }
 
     #[test]
     fn heterogeneous_mesh_uses_bottleneck_links() {
-        let fast = LinkSpec { bw_gbs: 130.0, latency_us: 5.0 };
-        let slow = LinkSpec { bw_gbs: 11.0, latency_us: 9.0 };
+        let fast = LinkSpec {
+            bw_gbs: 130.0,
+            latency_us: 5.0,
+        };
+        let slow = LinkSpec {
+            bw_gbs: 11.0,
+            latency_us: 9.0,
+        };
         let hetero = LinkGraph::heterogeneous_mesh(&[fast, fast, slow, slow]);
         let all_fast = LinkGraph::full_mesh(4, fast);
         let s = spec(CollectiveKind::AllReduce, 32 << 20, 4);
@@ -506,7 +610,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "must match the graph")]
     fn world_mismatch_panics() {
-        let g = LinkGraph::full_mesh(4, LinkSpec { bw_gbs: 100.0, latency_us: 1.0 });
+        let g = LinkGraph::full_mesh(
+            4,
+            LinkSpec {
+                bw_gbs: 100.0,
+                latency_us: 1.0,
+            },
+        );
         g.simulate(&spec(CollectiveKind::AllReduce, 1, 8));
     }
 }

@@ -39,9 +39,23 @@ pub enum KernelSpec {
     /// table, `t` number of tables, `l` lookups per output vector, `d`
     /// embedding dimension. `rows_per_block` is the kernel launch argument
     /// controlling how many output rows one CTA computes.
-    EmbeddingForward { b: u64, e: u64, t: u64, l: u64, d: u64, rows_per_block: u64 },
+    EmbeddingForward {
+        b: u64,
+        e: u64,
+        t: u64,
+        l: u64,
+        d: u64,
+        rows_per_block: u64,
+    },
     /// Batched embedding-table lookup backward + fused SGD update.
-    EmbeddingBackward { b: u64, e: u64, t: u64, l: u64, d: u64, rows_per_block: u64 },
+    EmbeddingBackward {
+        b: u64,
+        e: u64,
+        t: u64,
+        l: u64,
+        d: u64,
+        rows_per_block: u64,
+    },
     /// Concatenation of tensors along a dimension; cost is dominated by the
     /// total payload moved.
     Concat { bytes: u64 },
@@ -59,7 +73,11 @@ pub enum KernelSpec {
     /// A generic element-wise kernel (relu, sigmoid, MSE loss, optimizer
     /// updates, batch-norm, ...): `elems` elements, `flops_per_elem`
     /// arithmetic ops each, and `bytes_per_elem` of memory traffic each.
-    Elementwise { elems: u64, flops_per_elem: f64, bytes_per_elem: f64 },
+    Elementwise {
+        elems: u64,
+        flops_per_elem: f64,
+        bytes_per_elem: f64,
+    },
     /// A 2-D convolution (for the CV-model experiments), lowered internally
     /// to an implicit GEMM as cuDNN does.
     Conv2d {
@@ -114,7 +132,9 @@ impl KernelFamily {
     /// the engine) back to a family. Unknown labels return `None`; trace
     /// corpora may contain kernels this repo has no model for.
     pub fn parse_label(label: &str) -> Option<KernelFamily> {
-        KernelFamily::ALL.into_iter().find(|f| f.to_string() == label)
+        KernelFamily::ALL
+            .into_iter()
+            .find(|f| f.to_string() == label)
     }
 }
 
@@ -149,22 +169,42 @@ impl KernelSpec {
 
     /// Convenience constructor for a device-to-device copy.
     pub fn memcpy_d2d(bytes: u64) -> Self {
-        KernelSpec::Memcpy { bytes, kind: MemcpyKind::DeviceToDevice }
+        KernelSpec::Memcpy {
+            bytes,
+            kind: MemcpyKind::DeviceToDevice,
+        }
     }
 
     /// Convenience constructor for a host-to-device copy.
     pub fn memcpy_h2d(bytes: u64) -> Self {
-        KernelSpec::Memcpy { bytes, kind: MemcpyKind::HostToDevice }
+        KernelSpec::Memcpy {
+            bytes,
+            kind: MemcpyKind::HostToDevice,
+        }
     }
 
     /// Embedding-lookup forward with the default `rows_per_block` of 32.
     pub fn embedding_forward(b: u64, e: u64, t: u64, l: u64, d: u64) -> Self {
-        KernelSpec::EmbeddingForward { b, e, t, l, d, rows_per_block: 32 }
+        KernelSpec::EmbeddingForward {
+            b,
+            e,
+            t,
+            l,
+            d,
+            rows_per_block: 32,
+        }
     }
 
     /// Embedding-lookup backward (fused SGD) with `rows_per_block` of 32.
     pub fn embedding_backward(b: u64, e: u64, t: u64, l: u64, d: u64) -> Self {
-        KernelSpec::EmbeddingBackward { b, e, t, l, d, rows_per_block: 32 }
+        KernelSpec::EmbeddingBackward {
+            b,
+            e,
+            t,
+            l,
+            d,
+            rows_per_block: 32,
+        }
     }
 
     /// The family this kernel belongs to (determines which perf model and
@@ -190,11 +230,17 @@ impl KernelSpec {
             KernelSpec::Gemm { m, n, k, batch } => 2.0 * (m * n * k * batch) as f64,
             KernelSpec::EmbeddingForward { b, t, l, d, .. } => (b * t * l * d) as f64,
             KernelSpec::EmbeddingBackward { b, t, l, d, .. } => 2.0 * (b * t * l * d) as f64,
-            KernelSpec::Concat { .. } | KernelSpec::Memcpy { .. } | KernelSpec::Transpose { .. } => 0.0,
+            KernelSpec::Concat { .. }
+            | KernelSpec::Memcpy { .. }
+            | KernelSpec::Transpose { .. } => 0.0,
             KernelSpec::TrilForward { batch, n } | KernelSpec::TrilBackward { batch, n } => {
                 (batch * n * (n - 1) / 2) as f64
             }
-            KernelSpec::Elementwise { elems, flops_per_elem, .. } => elems as f64 * flops_per_elem,
+            KernelSpec::Elementwise {
+                elems,
+                flops_per_elem,
+                ..
+            } => elems as f64 * flops_per_elem,
             KernelSpec::Conv2d { .. } => {
                 let (m, n, k, batch) = conv::implicit_gemm_shape(self);
                 2.0 * (m * n * k * batch) as f64
@@ -206,9 +252,13 @@ impl KernelSpec {
     /// any cache-hit discount).
     pub fn bytes(&self) -> f64 {
         match *self {
-            KernelSpec::Gemm { m, n, k, batch } => 4.0 * (batch * (m * k + k * n + 2 * m * n)) as f64,
+            KernelSpec::Gemm { m, n, k, batch } => {
+                4.0 * (batch * (m * k + k * n + 2 * m * n)) as f64
+            }
             KernelSpec::EmbeddingForward { b, t, l, d, .. } => (4 * b * t * (l + l * d + d)) as f64,
-            KernelSpec::EmbeddingBackward { b, t, l, d, .. } => (4 * b * t * (l + 2 * l * d + d)) as f64,
+            KernelSpec::EmbeddingBackward { b, t, l, d, .. } => {
+                (4 * b * t * (l + 2 * l * d + d)) as f64
+            }
             KernelSpec::Concat { bytes } => 2.0 * bytes as f64,
             KernelSpec::Memcpy { bytes, .. } => 2.0 * bytes as f64,
             KernelSpec::Transpose { batch, rows, cols } => 8.0 * (batch * rows * cols) as f64,
@@ -218,7 +268,11 @@ impl KernelSpec {
             KernelSpec::TrilBackward { batch, n } => {
                 4.0 * (batch * (n * n + n * (n - 1) / 2)) as f64
             }
-            KernelSpec::Elementwise { elems, bytes_per_elem, .. } => elems as f64 * bytes_per_elem,
+            KernelSpec::Elementwise {
+                elems,
+                bytes_per_elem,
+                ..
+            } => elems as f64 * bytes_per_elem,
             KernelSpec::Conv2d { .. } => {
                 let (m, n, k, batch) = conv::implicit_gemm_shape(self);
                 4.0 * (batch * (m * k + k * n + 2 * m * n)) as f64
@@ -259,10 +313,18 @@ mod tests {
             KernelSpec::embedding_backward(8, 100, 2, 4, 16),
             KernelSpec::Concat { bytes: 64 },
             KernelSpec::memcpy_d2d(64),
-            KernelSpec::Transpose { batch: 2, rows: 4, cols: 4 },
+            KernelSpec::Transpose {
+                batch: 2,
+                rows: 4,
+                cols: 4,
+            },
             KernelSpec::TrilForward { batch: 2, n: 4 },
             KernelSpec::TrilBackward { batch: 2, n: 4 },
-            KernelSpec::Elementwise { elems: 10, flops_per_elem: 1.0, bytes_per_elem: 8.0 },
+            KernelSpec::Elementwise {
+                elems: 10,
+                flops_per_elem: 1.0,
+                bytes_per_elem: 8.0,
+            },
         ];
         let mut fams: Vec<_> = specs.iter().map(|s| s.family()).collect();
         fams.sort();
@@ -286,12 +348,28 @@ mod tests {
             KernelSpec::embedding_backward(128, 10_000, 8, 10, 64),
             KernelSpec::Concat { bytes: 1 << 20 },
             KernelSpec::memcpy_h2d(1 << 20),
-            KernelSpec::Transpose { batch: 64, rows: 128, cols: 128 },
+            KernelSpec::Transpose {
+                batch: 64,
+                rows: 128,
+                cols: 128,
+            },
             KernelSpec::TrilForward { batch: 64, n: 27 },
             KernelSpec::TrilBackward { batch: 64, n: 27 },
-            KernelSpec::Elementwise { elems: 1 << 16, flops_per_elem: 1.0, bytes_per_elem: 8.0 },
+            KernelSpec::Elementwise {
+                elems: 1 << 16,
+                flops_per_elem: 1.0,
+                bytes_per_elem: 8.0,
+            },
             KernelSpec::Conv2d {
-                batch: 32, c_in: 64, h: 56, w: 56, c_out: 64, kh: 3, kw: 3, stride: 1, pad: 1,
+                batch: 32,
+                c_in: 64,
+                h: 56,
+                w: 56,
+                c_out: 64,
+                kh: 3,
+                kw: 3,
+                stride: 1,
+                pad: 1,
             },
         ];
         for dev in DeviceSpec::paper_devices() {

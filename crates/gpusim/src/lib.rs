@@ -165,7 +165,10 @@ mod tests {
         let b = gpu.kernel_time(&k);
         assert_ne!(a, b);
         for t in [a, b] {
-            assert!((t - base).abs() / base < 0.5, "noise too large: {t} vs {base}");
+            assert!(
+                (t - base).abs() / base < 0.5,
+                "noise too large: {t} vs {base}"
+            );
         }
     }
 
@@ -193,11 +196,13 @@ mod tests {
         let k = KernelSpec::gemm(256, 256, 256);
         let mut gpu = Gpu::noiseless(DeviceSpec::v100());
         let base = gpu.kernel_time_noiseless(&k);
-        gpu.set_slowdown(SlowdownProfile::identity().with_thermal_window(ThermalWindow {
-            start_us: 1000.0,
-            end_us: 2000.0,
-            factor: 1.5,
-        }));
+        gpu.set_slowdown(
+            SlowdownProfile::identity().with_thermal_window(ThermalWindow {
+                start_us: 1000.0,
+                end_us: 2000.0,
+                factor: 1.5,
+            }),
+        );
         assert!((gpu.kernel_time_at(&k, 500.0) - base).abs() < 1e-9);
         assert!((gpu.kernel_time_at(&k, 1500.0) - 1.5 * base).abs() < 1e-9);
         assert!((gpu.kernel_time_at(&k, 2500.0) - base).abs() < 1e-9);

@@ -30,7 +30,8 @@ pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
             let bytes = bytes as f64;
             match kind {
                 MemcpyKind::HostToDevice | MemcpyKind::DeviceToHost => {
-                    let bw = ramped_bandwidth(device.pcie_bytes_per_us(), bytes, PCIE_HALF_SAT_BYTES);
+                    let bw =
+                        ramped_bandwidth(device.pcie_bytes_per_us(), bytes, PCIE_HALF_SAT_BYTES);
                     bytes / bw.max(1e-9) + PCIE_LATENCY_US
                 }
                 MemcpyKind::DeviceToDevice => {
@@ -46,8 +47,8 @@ pub fn simulate(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
             // Concat reads every source element and writes it once; slightly
             // less efficient than a flat copy because of uncoalesced edges.
             let traffic = 2.0 * bytes as f64;
-            let bw = 0.92
-                * ramped_bandwidth(device.dram_bytes_per_us(), traffic, DRAM_HALF_SAT_BYTES);
+            let bw =
+                0.92 * ramped_bandwidth(device.dram_bytes_per_us(), traffic, DRAM_HALF_SAT_BYTES);
             traffic / bw.max(1e-9) + device.kernel_start_us
         }
         _ => panic!("memory::simulate called with {kernel:?}"),

@@ -25,20 +25,35 @@ pub struct NoiseModel {
 impl Default for NoiseModel {
     /// Default calibration: ≈2.5% multiplicative, ±0.15 µs additive.
     fn default() -> Self {
-        NoiseModel { sigma: 0.025, jitter_us: 0.15, enabled: true }
+        NoiseModel {
+            sigma: 0.025,
+            jitter_us: 0.15,
+            enabled: true,
+        }
     }
 }
 
 impl NoiseModel {
     /// A noise model that never perturbs anything.
     pub fn disabled() -> Self {
-        NoiseModel { sigma: 0.0, jitter_us: 0.0, enabled: false }
+        NoiseModel {
+            sigma: 0.0,
+            jitter_us: 0.0,
+            enabled: false,
+        }
     }
 
     /// A noise model with custom multiplicative sigma and additive jitter.
     pub fn new(sigma: f64, jitter_us: f64) -> Self {
-        assert!(sigma >= 0.0 && jitter_us >= 0.0, "noise parameters must be non-negative");
-        NoiseModel { sigma, jitter_us, enabled: true }
+        assert!(
+            sigma >= 0.0 && jitter_us >= 0.0,
+            "noise parameters must be non-negative"
+        );
+        NoiseModel {
+            sigma,
+            jitter_us,
+            enabled: true,
+        }
     }
 
     /// Applies the noise to a time `t_us`, never returning a negative value.
@@ -47,7 +62,9 @@ impl NoiseModel {
             return t_us;
         }
         let mult = if self.sigma > 0.0 {
-            LogNormal::new(0.0, self.sigma).expect("valid lognormal").sample(rng)
+            LogNormal::new(0.0, self.sigma)
+                .expect("valid lognormal")
+                .sample(rng)
         } else {
             1.0
         };
@@ -79,7 +96,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let base = 100.0;
         let mean: f64 = (0..20_000).map(|_| n.perturb(base, &mut rng)).sum::<f64>() / 20_000.0;
-        assert!((mean - base).abs() / base < 0.01, "mean {mean} drifted from {base}");
+        assert!(
+            (mean - base).abs() / base < 0.01,
+            "mean {mean} drifted from {base}"
+        );
     }
 
     #[test]

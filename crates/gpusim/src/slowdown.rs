@@ -55,18 +55,31 @@ impl Default for SlowdownProfile {
 impl SlowdownProfile {
     /// The no-op profile: every factor is 1.
     pub fn identity() -> Self {
-        SlowdownProfile { global: 1.0, per_family: Vec::new(), thermal_windows: Vec::new() }
+        SlowdownProfile {
+            global: 1.0,
+            per_family: Vec::new(),
+            thermal_windows: Vec::new(),
+        }
     }
 
     /// A uniform slowdown of every kernel by `factor`.
     pub fn uniform(factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "slowdown factor must be positive and finite");
-        SlowdownProfile { global: factor, ..Self::identity() }
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "slowdown factor must be positive and finite"
+        );
+        SlowdownProfile {
+            global: factor,
+            ..Self::identity()
+        }
     }
 
     /// Adds (or compounds) a per-family multiplier (builder style).
     pub fn with_family(mut self, family: KernelFamily, factor: f64) -> Self {
-        assert!(factor > 0.0 && factor.is_finite(), "slowdown factor must be positive and finite");
+        assert!(
+            factor > 0.0 && factor.is_finite(),
+            "slowdown factor must be positive and finite"
+        );
         match self.per_family.iter_mut().find(|(f, _)| *f == family) {
             Some((_, existing)) => *existing *= factor,
             None => self.per_family.push((family, factor)),
@@ -122,7 +135,11 @@ mod tests {
     fn factors_compose_multiplicatively() {
         let p = SlowdownProfile::uniform(2.0)
             .with_family(KernelFamily::Gemm, 1.5)
-            .with_thermal_window(ThermalWindow { start_us: 100.0, end_us: 200.0, factor: 3.0 });
+            .with_thermal_window(ThermalWindow {
+                start_us: 100.0,
+                end_us: 200.0,
+                factor: 3.0,
+            });
         assert_eq!(p.factor_at(KernelFamily::Gemm, 0.0), 3.0);
         assert_eq!(p.factor_at(KernelFamily::Memcpy, 0.0), 2.0);
         assert_eq!(p.factor_at(KernelFamily::Gemm, 150.0), 9.0);
@@ -142,7 +159,11 @@ mod tests {
     fn serde_round_trips() {
         let p = SlowdownProfile::uniform(1.7)
             .with_family(KernelFamily::EmbeddingForward, 2.0)
-            .with_thermal_window(ThermalWindow { start_us: 0.0, end_us: 50.0, factor: 1.3 });
+            .with_thermal_window(ThermalWindow {
+                start_us: 0.0,
+                end_us: 50.0,
+                factor: 1.3,
+            });
         let json = serde_json::to_string(&p).unwrap();
         let back: SlowdownProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);

@@ -35,7 +35,10 @@ pub fn simulate_transpose(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
     let KernelSpec::Transpose { batch, rows, cols } = *kernel else {
         panic!("simulate_transpose called with {kernel:?}");
     };
-    assert!(batch > 0 && rows > 0 && cols > 0, "transpose dims must be positive");
+    assert!(
+        batch > 0 && rows > 0 && cols > 0,
+        "transpose dims must be positive"
+    );
     let traffic = 8.0 * (batch * rows * cols) as f64; // read + write, FP32
     let eff = alignment_efficiency(cols).min(alignment_efficiency(rows) + 0.12);
     let bw = eff * ramped_bandwidth(device.dram_bytes_per_us(), traffic, HALF_SAT_BYTES);
@@ -57,7 +60,8 @@ pub fn simulate_tril(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
     let traffic = 4.0 * (batch * (n * n + tri)) as f64;
     // Row-length-dependent coalescing: rows of the triangle have ragged
     // lengths, so efficiency degrades for small n and odd alignments.
-    let base_eff = alignment_efficiency(n).max(0.45) * (0.55 + 0.45 * (n as f64 / (n as f64 + 24.0)));
+    let base_eff =
+        alignment_efficiency(n).max(0.45) * (0.55 + 0.45 * (n as f64 / (n as f64 + 24.0)));
     let eff = if backward { base_eff * 0.8 } else { base_eff };
     let bw = eff * ramped_bandwidth(device.dram_bytes_per_us(), traffic, HALF_SAT_BYTES);
     traffic / bw.max(1e-9) + device.kernel_start_us
@@ -70,8 +74,22 @@ mod tests {
     #[test]
     fn aligned_transpose_faster_than_misaligned() {
         let d = DeviceSpec::v100();
-        let aligned = simulate_transpose(&d, &KernelSpec::Transpose { batch: 256, rows: 128, cols: 128 });
-        let odd = simulate_transpose(&d, &KernelSpec::Transpose { batch: 256, rows: 128, cols: 127 });
+        let aligned = simulate_transpose(
+            &d,
+            &KernelSpec::Transpose {
+                batch: 256,
+                rows: 128,
+                cols: 128,
+            },
+        );
+        let odd = simulate_transpose(
+            &d,
+            &KernelSpec::Transpose {
+                batch: 256,
+                rows: 128,
+                cols: 127,
+            },
+        );
         // Slightly less data but visibly slower per byte.
         let aligned_per_byte = aligned / (128.0 * 128.0);
         let odd_per_byte = odd / (128.0 * 127.0);
@@ -98,6 +116,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "n > 1")]
     fn tril_n1_panics() {
-        simulate_tril(&DeviceSpec::v100(), &KernelSpec::TrilForward { batch: 4, n: 1 });
+        simulate_tril(
+            &DeviceSpec::v100(),
+            &KernelSpec::TrilForward { batch: 4, n: 1 },
+        );
     }
 }

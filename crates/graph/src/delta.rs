@@ -231,7 +231,11 @@ mod tests {
         g.set_nodes(nodes);
         assert!(g.validate().is_ok());
         let after: Vec<u64> = g.nodes().iter().map(|n| n.uid).collect();
-        assert_eq!(after, vec![uids[1], uids[0]], "uids must travel with their nodes");
+        assert_eq!(
+            after,
+            vec![uids[1], uids[0]],
+            "uids must travel with their nodes"
+        );
         // Ids are positions again.
         assert_eq!(g.nodes()[0].id, NodeId(0));
     }
@@ -253,7 +257,10 @@ mod tests {
         });
         g.set_nodes(nodes);
         let uids: Vec<u64> = g.nodes().iter().map(|n| n.uid).collect();
-        assert!(uids.iter().all(|&u| u != 0), "every installed node gets a uid: {uids:?}");
+        assert!(
+            uids.iter().all(|&u| u != 0),
+            "every installed node gets a uid: {uids:?}"
+        );
         let mut sorted = uids.clone();
         sorted.sort_unstable();
         sorted.dedup();
@@ -277,10 +284,16 @@ mod tests {
         let mut g = chain(4);
         let first = g.index();
         let again = g.index();
-        assert!(Arc::ptr_eq(&first, &again), "index must be cached between reads");
+        assert!(
+            Arc::ptr_eq(&first, &again),
+            "index must be cached between reads"
+        );
         g.node_mut(NodeId(0)).unwrap().op = OpKind::Sigmoid;
         let rebuilt = g.index();
-        assert!(!Arc::ptr_eq(&first, &rebuilt), "mutation must drop the cache");
+        assert!(
+            !Arc::ptr_eq(&first, &rebuilt),
+            "mutation must drop the cache"
+        );
         assert_ne!(first.signatures()[0], rebuilt.signatures()[0]);
         assert_eq!(first.signatures()[1..], rebuilt.signatures()[1..]);
     }

@@ -48,9 +48,17 @@ pub enum GraphError {
     /// A node references a tensor id that does not exist.
     TensorOutOfRange { node: usize, tensor: usize },
     /// Two nodes both claim to produce the same tensor.
-    MultipleProducers { tensor: usize, first: usize, second: usize },
+    MultipleProducers {
+        tensor: usize,
+        first: usize,
+        second: usize,
+    },
     /// A node consumes a tensor produced by a *later* node.
-    UseBeforeDef { node: usize, tensor: usize, producer: usize },
+    UseBeforeDef {
+        node: usize,
+        tensor: usize,
+        producer: usize,
+    },
     /// A node lists the same tensor as both input and output.
     InPlaceAlias { node: usize, tensor: usize },
     /// The requested node does not exist.
@@ -66,14 +74,31 @@ impl std::fmt::Display for GraphError {
             GraphError::TensorOutOfRange { node, tensor } => {
                 write!(f, "node {node} references unknown tensor {tensor}")
             }
-            GraphError::MultipleProducers { tensor, first, second } => {
-                write!(f, "tensor {tensor} produced by both node {first} and node {second}")
+            GraphError::MultipleProducers {
+                tensor,
+                first,
+                second,
+            } => {
+                write!(
+                    f,
+                    "tensor {tensor} produced by both node {first} and node {second}"
+                )
             }
-            GraphError::UseBeforeDef { node, tensor, producer } => {
-                write!(f, "node {node} uses tensor {tensor} before its producer {producer} runs")
+            GraphError::UseBeforeDef {
+                node,
+                tensor,
+                producer,
+            } => {
+                write!(
+                    f,
+                    "node {node} uses tensor {tensor} before its producer {producer} runs"
+                )
             }
             GraphError::InPlaceAlias { node, tensor } => {
-                write!(f, "node {node} aliases tensor {tensor} as both input and output")
+                write!(
+                    f,
+                    "node {node} aliases tensor {tensor} as both input and output"
+                )
             }
             GraphError::NoSuchNode { node } => write!(f, "no such node {node}"),
             GraphError::NodeIdMismatch { position, id } => {
@@ -112,7 +137,10 @@ impl GraphIndex {
             }
             signatures.push(crate::delta::node_signature(g, n));
         }
-        GraphIndex { producer, signatures }
+        GraphIndex {
+            producer,
+            signatures,
+        }
     }
 
     /// The node producing `tensor`, if any (graph inputs have none).
@@ -171,7 +199,9 @@ impl Graph {
     /// The cached derived views (producers, node signatures),
     /// built on first use after any structural mutation.
     pub fn index(&self) -> Arc<GraphIndex> {
-        self.index.get_or_init(|| Arc::new(GraphIndex::build(self))).clone()
+        self.index
+            .get_or_init(|| Arc::new(GraphIndex::build(self)))
+            .clone()
     }
 
     /// Adds a tensor and returns its handle.
@@ -243,7 +273,10 @@ impl Graph {
 
     /// All tensors with their handles.
     pub fn tensors(&self) -> impl Iterator<Item = (TensorId, &TensorMeta)> {
-        self.tensors.iter().enumerate().map(|(i, t)| (TensorId(i), t))
+        self.tensors
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (TensorId(i), t))
     }
 
     /// Number of tensors.
@@ -258,7 +291,9 @@ impl Graph {
 
     /// Node by handle.
     pub fn node(&self, id: NodeId) -> Result<&Node, GraphError> {
-        self.nodes.get(id.0).ok_or(GraphError::NoSuchNode { node: id.0 })
+        self.nodes
+            .get(id.0)
+            .ok_or(GraphError::NoSuchNode { node: id.0 })
     }
 
     /// Mutable node by handle.
@@ -277,12 +312,19 @@ impl Graph {
 
     /// The node that produces `tensor`, if any (graph inputs have none).
     pub fn producer(&self, tensor: TensorId) -> Option<NodeId> {
-        self.nodes.iter().find(|n| n.outputs.contains(&tensor)).map(|n| n.id)
+        self.nodes
+            .iter()
+            .find(|n| n.outputs.contains(&tensor))
+            .map(|n| n.id)
     }
 
     /// All nodes that consume `tensor`.
     pub fn consumers(&self, tensor: TensorId) -> Vec<NodeId> {
-        self.nodes.iter().filter(|n| n.inputs.contains(&tensor)).map(|n| n.id).collect()
+        self.nodes
+            .iter()
+            .filter(|n| n.inputs.contains(&tensor))
+            .map(|n| n.id)
+            .collect()
     }
 
     /// Tensors not produced by any node (the graph's external inputs:
@@ -294,7 +336,10 @@ impl Graph {
                 produced[t.0] = true;
             }
         }
-        (0..self.tensors.len()).filter(|&i| !produced[i]).map(TensorId).collect()
+        (0..self.tensors.len())
+            .filter(|&i| !produced[i])
+            .map(TensorId)
+            .collect()
     }
 
     /// Replaces the node list (used by transformations that rebuild
@@ -337,19 +382,32 @@ impl Graph {
         let mut producer: Vec<Option<usize>> = vec![None; self.tensors.len()];
         for (pos, n) in self.nodes.iter().enumerate() {
             if n.id.0 != pos {
-                return Err(GraphError::NodeIdMismatch { position: pos, id: n.id.0 });
+                return Err(GraphError::NodeIdMismatch {
+                    position: pos,
+                    id: n.id.0,
+                });
             }
             for t in n.inputs.iter().chain(n.outputs.iter()) {
                 if t.0 >= self.tensors.len() {
-                    return Err(GraphError::TensorOutOfRange { node: pos, tensor: t.0 });
+                    return Err(GraphError::TensorOutOfRange {
+                        node: pos,
+                        tensor: t.0,
+                    });
                 }
             }
             if let Some(t) = n.inputs.iter().find(|t| n.outputs.contains(t)) {
-                return Err(GraphError::InPlaceAlias { node: pos, tensor: t.0 });
+                return Err(GraphError::InPlaceAlias {
+                    node: pos,
+                    tensor: t.0,
+                });
             }
             for t in &n.outputs {
                 if let Some(first) = producer[t.0] {
-                    return Err(GraphError::MultipleProducers { tensor: t.0, first, second: pos });
+                    return Err(GraphError::MultipleProducers {
+                        tensor: t.0,
+                        first,
+                        second: pos,
+                    });
                 }
                 producer[t.0] = Some(pos);
             }
@@ -357,7 +415,11 @@ impl Graph {
         for (pos, n) in self.nodes.iter().enumerate() {
             for t in &n.inputs {
                 if let Some(p) = producer[t.0].filter(|&p| p >= pos) {
-                    return Err(GraphError::UseBeforeDef { node: pos, tensor: t.0, producer: p });
+                    return Err(GraphError::UseBeforeDef {
+                        node: pos,
+                        tensor: t.0,
+                        producer: p,
+                    });
                 }
             }
         }
@@ -378,7 +440,10 @@ impl Graph {
         g.validate()?;
         g.next_uid = g.nodes.iter().map(|n| n.uid).fold(g.next_uid, u64::max);
         // A freshly decoded table is unshared, so `make_mut` copies nothing.
-        for n in Arc::make_mut(&mut g.nodes).iter_mut().filter(|n| n.uid == 0) {
+        for n in Arc::make_mut(&mut g.nodes)
+            .iter_mut()
+            .filter(|n| n.uid == 0)
+        {
             g.next_uid += 1;
             n.uid = g.next_uid;
         }
@@ -414,7 +479,10 @@ mod tests {
         assert_eq!(g.producer(TensorId(3)), Some(NodeId(0)));
         assert_eq!(g.producer(TensorId(0)), None);
         assert_eq!(g.consumers(TensorId(3)), vec![NodeId(1)]);
-        assert_eq!(g.external_inputs(), vec![TensorId(0), TensorId(1), TensorId(2)]);
+        assert_eq!(
+            g.external_inputs(),
+            vec![TensorId(0), TensorId(1), TensorId(2)]
+        );
     }
 
     #[test]
@@ -436,7 +504,10 @@ mod tests {
         let b = g.add_tensor(TensorMeta::activation(&[4]));
         g.add_op(OpKind::Relu, vec![a], vec![b]);
         g.add_op(OpKind::Sigmoid, vec![a], vec![b]);
-        assert!(matches!(g.validate(), Err(GraphError::MultipleProducers { .. })));
+        assert!(matches!(
+            g.validate(),
+            Err(GraphError::MultipleProducers { .. })
+        ));
     }
 
     #[test]
@@ -468,7 +539,9 @@ mod tests {
     /// object and from every node.
     fn json_without(graph_key: &str, node_key: &str) -> String {
         let mut v = serde_json::to_value(&linear_graph());
-        let serde_json::Value::Obj(entries) = &mut v else { panic!("graph is an object") };
+        let serde_json::Value::Obj(entries) = &mut v else {
+            panic!("graph is an object")
+        };
         entries.retain(|(k, _)| k != graph_key);
         let nodes = entries.iter_mut().find(|(k, _)| k == "nodes");
         if let Some((_, serde_json::Value::Arr(nodes))) = nodes {
@@ -552,28 +625,53 @@ mod tests {
             ),
             (
                 raw_graph(3, &[(0, &[2], &[1]), (1, &[0], &[2])]),
-                Err(UseBeforeDef { node: 0, tensor: 2, producer: 1 }),
+                Err(UseBeforeDef {
+                    node: 0,
+                    tensor: 2,
+                    producer: 1,
+                }),
             ),
             (
                 raw_graph(
                     5,
-                    &[(0, &[0], &[1]), (1, &[1, 4], &[2]), (2, &[2, 4], &[3]), (3, &[0], &[4])],
+                    &[
+                        (0, &[0], &[1]),
+                        (1, &[1, 4], &[2]),
+                        (2, &[2, 4], &[3]),
+                        (3, &[0], &[4]),
+                    ],
                 ),
-                Err(UseBeforeDef { node: 1, tensor: 4, producer: 3 }),
+                Err(UseBeforeDef {
+                    node: 1,
+                    tensor: 4,
+                    producer: 3,
+                }),
             ),
             (
                 raw_graph(2, &[(0, &[0], &[1]), (1, &[0], &[1])]),
-                Err(MultipleProducers { tensor: 1, first: 0, second: 1 }),
+                Err(MultipleProducers {
+                    tensor: 1,
+                    first: 0,
+                    second: 1,
+                }),
             ),
             (
                 raw_graph(2, &[(0, &[0], &[1, 1])]),
-                Err(MultipleProducers { tensor: 1, first: 0, second: 0 }),
+                Err(MultipleProducers {
+                    tensor: 1,
+                    first: 0,
+                    second: 0,
+                }),
             ),
             (
                 // A use-before-def at node 0 loses to a second producer at
                 // node 2: use-before-def is reported after every other error.
                 raw_graph(3, &[(0, &[2], &[1]), (1, &[0], &[2]), (2, &[0], &[2])]),
-                Err(MultipleProducers { tensor: 2, first: 1, second: 2 }),
+                Err(MultipleProducers {
+                    tensor: 2,
+                    first: 1,
+                    second: 2,
+                }),
             ),
             (
                 // The first failing node decides, whatever its error.
@@ -595,7 +693,10 @@ mod tests {
         g.add_op(OpKind::Relu, vec![a], vec![b]);
         g.add_op(OpKind::Sigmoid, vec![a], vec![b]);
         g.add_op(OpKind::Relu, vec![b], vec![c]);
-        assert!(matches!(g.validate(), Err(GraphError::MultipleProducers { .. })));
+        assert!(matches!(
+            g.validate(),
+            Err(GraphError::MultipleProducers { .. })
+        ));
         assert_eq!(g.producer(b), Some(NodeId(0)));
         assert_eq!(g.index().producer(b), g.producer(b));
         assert_eq!(g.predecessors(NodeId(2)), vec![NodeId(0)]);

@@ -34,26 +34,44 @@ impl std::fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 fn err(node: &Node, reason: impl Into<String>) -> LowerError {
-    LowerError { node: node.name.clone(), reason: reason.into() }
+    LowerError {
+        node: node.name.clone(),
+        reason: reason.into(),
+    }
 }
 
 fn input<'g>(graph: &'g Graph, node: &Node, i: usize) -> Result<&'g TensorMeta, LowerError> {
-    let &t = node.inputs.get(i).ok_or_else(|| err(node, format!("missing input {i}")))?;
-    graph
-        .try_tensor(t)
-        .ok_or_else(|| err(node, format!("input {i} references a tensor not in this graph")))
+    let &t = node
+        .inputs
+        .get(i)
+        .ok_or_else(|| err(node, format!("missing input {i}")))?;
+    graph.try_tensor(t).ok_or_else(|| {
+        err(
+            node,
+            format!("input {i} references a tensor not in this graph"),
+        )
+    })
 }
 
 fn output<'g>(graph: &'g Graph, node: &Node, i: usize) -> Result<&'g TensorMeta, LowerError> {
-    let &t = node.outputs.get(i).ok_or_else(|| err(node, format!("missing output {i}")))?;
-    graph
-        .try_tensor(t)
-        .ok_or_else(|| err(node, format!("output {i} references a tensor not in this graph")))
+    let &t = node
+        .outputs
+        .get(i)
+        .ok_or_else(|| err(node, format!("missing output {i}")))?;
+    graph.try_tensor(t).ok_or_else(|| {
+        err(
+            node,
+            format!("output {i} references a tensor not in this graph"),
+        )
+    })
 }
 
 fn dims<const N: usize>(t: &TensorMeta, node: &Node) -> Result<[u64; N], LowerError> {
     if t.shape.len() != N {
-        return Err(err(node, format!("expected rank-{N} tensor, got shape {:?}", t.shape)));
+        return Err(err(
+            node,
+            format!("expected rank-{N} tensor, got shape {:?}", t.shape),
+        ));
     }
     let mut out = [0u64; N];
     out.copy_from_slice(&t.shape);
@@ -62,7 +80,11 @@ fn dims<const N: usize>(t: &TensorMeta, node: &Node) -> Result<[u64; N], LowerEr
 
 /// An element-wise kernel over `elems` elements.
 fn ew(elems: u64, flops: f64, bytes: f64) -> KernelSpec {
-    KernelSpec::Elementwise { elems: elems.max(1), flops_per_elem: flops, bytes_per_elem: bytes }
+    KernelSpec::Elementwise {
+        elems: elems.max(1),
+        flops_per_elem: flops,
+        bytes_per_elem: bytes,
+    }
 }
 
 /// Lowers `node` to the kernels it launches, in launch order.
@@ -108,7 +130,10 @@ fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(
             let [b, kdim] = dims(input(graph, node, 0)?, node)?;
             let [n, k2] = dims(input(graph, node, 1)?, node)?;
             if kdim != k2 {
-                return Err(err(node, format!("addmm inner dims differ: {kdim} vs {k2}")));
+                return Err(err(
+                    node,
+                    format!("addmm inner dims differ: {kdim} vs {k2}"),
+                ));
             }
             out.push(KernelSpec::gemm(b, n, kdim));
         }
@@ -117,7 +142,10 @@ fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(
             let [b, n] = dims(input(graph, node, 0)?, node)?;
             let [b2, kdim] = dims(input(graph, node, 1)?, node)?;
             if b != b2 {
-                return Err(err(node, format!("addmm backward batch dims differ: {b} vs {b2}")));
+                return Err(err(
+                    node,
+                    format!("addmm backward batch dims differ: {b} vs {b2}"),
+                ));
             }
             out.extend([KernelSpec::gemm(b, kdim, n), KernelSpec::gemm(n, kdim, b)]);
         }
@@ -133,7 +161,10 @@ fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(
             // inputs: grad_out (batch, m, n), a (batch, m, k), b (batch, k, n).
             let [batch, m, n] = dims(input(graph, node, 0)?, node)?;
             let [_, _, kdim] = dims(input(graph, node, 1)?, node)?;
-            out.extend([KernelSpec::bmm(batch, m, kdim, n), KernelSpec::bmm(batch, kdim, n, m)]);
+            out.extend([
+                KernelSpec::bmm(batch, m, kdim, n),
+                KernelSpec::bmm(batch, kdim, n, m),
+            ]);
         }
         OpKind::EmbeddingBag => {
             // inputs: weight (e, d), indices (b, l).
@@ -178,7 +209,12 @@ fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(
             let (batch, rows, cols) = match t.shape.as_slice() {
                 [r, c] => (1, *r, *c),
                 [b, r, c] => (*b, *r, *c),
-                other => return Err(err(node, format!("transpose needs rank 2/3, got {other:?}"))),
+                other => {
+                    return Err(err(
+                        node,
+                        format!("transpose needs rank 2/3, got {other:?}"),
+                    ))
+                }
             };
             out.push(KernelSpec::Transpose { batch, rows, cols });
         }
@@ -206,13 +242,33 @@ fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(
             if c != c2 {
                 return Err(err(node, format!("conv channel mismatch: {c} vs {c2}")));
             }
-            out.push(KernelSpec::Conv2d { batch: b, c_in: c, h, w, c_out, kh, kw, stride, pad });
+            out.push(KernelSpec::Conv2d {
+                batch: b,
+                c_in: c,
+                h,
+                w,
+                c_out,
+                kh,
+                kw,
+                stride,
+                pad,
+            });
         }
         OpKind::Conv2dBackward { stride, pad } => {
             // inputs: grad_out, x (b, c, h, w), w (c_out, c, kh, kw).
             let [b, c, h, w] = dims(input(graph, node, 1)?, node)?;
             let [c_out, _, kh, kw] = dims(input(graph, node, 2)?, node)?;
-            let k = KernelSpec::Conv2d { batch: b, c_in: c, h, w, c_out, kh, kw, stride, pad };
+            let k = KernelSpec::Conv2d {
+                batch: b,
+                c_in: c,
+                h,
+                w,
+                c_out,
+                kh,
+                kw,
+                stride,
+                pad,
+            };
             out.extend([k.clone(), k]);
         }
         OpKind::BatchNorm => out.push(ew(output(graph, node, 0)?.numel(), 4.0, 16.0)),
@@ -239,7 +295,10 @@ fn lower_into(graph: &Graph, node: &Node, out: &mut Vec<KernelSpec>) -> Result<(
             // series of element-wise kernels".
             for &t in &node.inputs {
                 let meta = graph.try_tensor(t).ok_or_else(|| {
-                    err(node, "optimizer parameter references a tensor not in this graph")
+                    err(
+                        node,
+                        "optimizer parameter references a tensor not in this graph",
+                    )
                 })?;
                 out.push(ew(meta.numel(), 2.0, 12.0));
             }
@@ -309,7 +368,10 @@ mod tests {
         let out = g.add_tensor(TensorMeta::activation(&[2048, 8 * 64]).with_batch_dim(0));
         let n = g.add_op(OpKind::BatchedEmbedding, vec![w, idx], vec![out]);
         let k = kernels(&g, g.node(n).unwrap());
-        assert_eq!(k, vec![KernelSpec::embedding_forward(2048, 100_000, 8, 10, 64)]);
+        assert_eq!(
+            k,
+            vec![KernelSpec::embedding_forward(2048, 100_000, 8, 10, 64)]
+        );
     }
 
     #[test]
@@ -351,14 +413,22 @@ mod tests {
         let n2 = g.add_op(OpKind::Transpose, vec![a2], vec![o2]);
         assert_eq!(
             kernels(&g, g.node(n2).unwrap()),
-            vec![KernelSpec::Transpose { batch: 1, rows: 64, cols: 32 }]
+            vec![KernelSpec::Transpose {
+                batch: 1,
+                rows: 64,
+                cols: 32
+            }]
         );
         let a3 = g.add_tensor(TensorMeta::activation(&[8, 64, 32]));
         let o3 = g.add_tensor(TensorMeta::activation(&[8, 32, 64]));
         let n3 = g.add_op(OpKind::Transpose, vec![a3], vec![o3]);
         assert_eq!(
             kernels(&g, g.node(n3).unwrap()),
-            vec![KernelSpec::Transpose { batch: 8, rows: 64, cols: 32 }]
+            vec![KernelSpec::Transpose {
+                batch: 8,
+                rows: 64,
+                cols: 32
+            }]
         );
     }
 
@@ -375,7 +445,11 @@ mod tests {
         node.inputs = vec![TensorId(99)];
         node.outputs = vec![TensorId(99)];
         let e = try_kernels(&g, &node).unwrap_err();
-        assert!(e.reason.contains("not in this graph"), "reason: {}", e.reason);
+        assert!(
+            e.reason.contains("not in this graph"),
+            "reason: {}",
+            e.reason
+        );
         // The optimizer path is equally guarded.
         let mut opt = Graph::new("o");
         let p = opt.add_tensor(TensorMeta::weight(&[8]));
@@ -383,7 +457,11 @@ mod tests {
         let mut node = opt.node(on).unwrap().clone();
         node.inputs = vec![TensorId(42)];
         let e = try_kernels(&opt, &node).unwrap_err();
-        assert!(e.reason.contains("not in this graph"), "reason: {}", e.reason);
+        assert!(
+            e.reason.contains("not in this graph"),
+            "reason: {}",
+            e.reason
+        );
     }
 
     #[test]
@@ -397,7 +475,11 @@ mod tests {
 
         let mut out = vec![KernelSpec::gemm(1, 2, 3)];
         try_kernels_into(&g, &ok, &mut out).unwrap();
-        assert_eq!(out[0], KernelSpec::gemm(1, 2, 3), "existing contents are kept");
+        assert_eq!(
+            out[0],
+            KernelSpec::gemm(1, 2, 3),
+            "existing contents are kept"
+        );
         assert_eq!(out[1..], try_kernels(&g, &ok).unwrap()[..]);
 
         // The first parameter lowers, the second does not: the kernel

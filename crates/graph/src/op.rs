@@ -270,7 +270,10 @@ mod tests {
         (OpKind::EmbeddingBag, "aten::embedding_bag"),
         (OpKind::EmbeddingBagBackward, "EmbeddingBagBackward"),
         (OpKind::BatchedEmbedding, "batched_embedding"),
-        (OpKind::BatchedEmbeddingBackward, "batched_embedding_backward"),
+        (
+            OpKind::BatchedEmbeddingBackward,
+            "batched_embedding_backward",
+        ),
         (OpKind::Cat { dim: 1 }, "aten::cat"),
         (OpKind::CatBackward { dim: 1 }, "CatBackward"),
         (OpKind::Relu, "aten::relu"),
@@ -282,9 +285,17 @@ mod tests {
         (OpKind::Transpose, "aten::transpose"),
         (OpKind::Tril, "aten::tril"),
         (OpKind::TrilBackward, "IndexBackward"),
-        (OpKind::To { kind: MemcpyKind::HostToDevice }, "aten::to"),
+        (
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            "aten::to",
+        ),
         (OpKind::Conv2d { stride: 1, pad: 1 }, "aten::conv2d"),
-        (OpKind::Conv2dBackward { stride: 2, pad: 0 }, "CudnnConvolutionBackward"),
+        (
+            OpKind::Conv2dBackward { stride: 2, pad: 0 },
+            "CudnnConvolutionBackward",
+        ),
         (OpKind::BatchNorm, "aten::batch_norm"),
         (OpKind::BatchNormBackward, "CudnnBatchNormBackward"),
         (OpKind::MaxPool { k: 3, stride: 2 }, "aten::max_pool2d"),
@@ -311,7 +322,11 @@ mod tests {
         for (kind, key) in EVERY_KIND {
             let slot = kind.overhead_slot();
             assert_eq!(kind.overhead_key(), OpKind::OVERHEAD_KEYS[slot], "{kind:?}");
-            assert_eq!(kind.overhead_key(), key, "{kind:?} changed its overhead key");
+            assert_eq!(
+                kind.overhead_key(),
+                key,
+                "{kind:?} changed its overhead key"
+            );
             assert!(!seen[slot], "{kind:?} shares slot {slot}");
             seen[slot] = true;
         }
@@ -323,7 +338,11 @@ mod tests {
         let mut keys = OpKind::OVERHEAD_KEYS.to_vec();
         keys.sort();
         keys.dedup();
-        assert_eq!(keys.len(), OpKind::OVERHEAD_KEYS.len(), "two slots share a key");
+        assert_eq!(
+            keys.len(),
+            OpKind::OVERHEAD_KEYS.len(),
+            "two slots share a key"
+        );
     }
 
     #[test]

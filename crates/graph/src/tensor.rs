@@ -68,12 +68,22 @@ impl TensorMeta {
 
     /// A new FP32 weight tensor.
     pub fn weight(shape: &[u64]) -> Self {
-        TensorMeta { shape: shape.to_vec(), dtype: DType::F32, kind: TensorKind::Weight, batch_dim: None }
+        TensorMeta {
+            shape: shape.to_vec(),
+            dtype: DType::F32,
+            kind: TensorKind::Weight,
+            batch_dim: None,
+        }
     }
 
     /// A new I64 index tensor.
     pub fn index(shape: &[u64]) -> Self {
-        TensorMeta { shape: shape.to_vec(), dtype: DType::I64, kind: TensorKind::Index, batch_dim: None }
+        TensorMeta {
+            shape: shape.to_vec(),
+            dtype: DType::I64,
+            kind: TensorKind::Index,
+            batch_dim: None,
+        }
     }
 
     /// Annotates the batch dimension (builder style).
@@ -81,7 +91,11 @@ impl TensorMeta {
     /// # Panics
     /// Panics if `dim` is out of range for the shape.
     pub fn with_batch_dim(mut self, dim: usize) -> Self {
-        assert!(dim < self.shape.len(), "batch_dim {dim} out of range for shape {:?}", self.shape);
+        assert!(
+            dim < self.shape.len(),
+            "batch_dim {dim} out of range for shape {:?}",
+            self.shape
+        );
         self.batch_dim = Some(dim);
         self
     }

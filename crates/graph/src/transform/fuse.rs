@@ -27,7 +27,9 @@ pub struct FusionReport {
 }
 
 fn mean_u64(vals: &[u64]) -> u64 {
-    (vals.iter().sum::<u64>() as f64 / vals.len() as f64).round().max(1.0) as u64
+    (vals.iter().sum::<u64>() as f64 / vals.len() as f64)
+        .round()
+        .max(1.0) as u64
 }
 
 /// Fuses all `EmbeddingBag` ops that feed a common `Cat` into one
@@ -65,7 +67,12 @@ pub fn fuse_embedding_bags(graph: &mut Graph) -> Result<FusionReport, TransformE
         let consumers = graph.consumers(out);
         let cat = consumers
             .iter()
-            .find(|&&c| matches!(graph.node(c).expect("consumer valid").op, OpKind::Cat { .. }))
+            .find(|&&c| {
+                matches!(
+                    graph.node(c).expect("consumer valid").op,
+                    OpKind::Cat { .. }
+                )
+            })
             .copied()
             .ok_or_else(|| {
                 TransformError::Precondition("an embedding_bag output does not feed a cat".into())
@@ -103,10 +110,14 @@ pub fn fuse_embedding_bags(graph: &mut Graph) -> Result<FusionReport, TransformE
         lookups.push(idx.shape[1]);
     }
     if dims.windows(2).any(|w| w[0] != w[1]) {
-        return Err(TransformError::Precondition("embedding dims differ across tables".into()));
+        return Err(TransformError::Precondition(
+            "embedding dims differ across tables".into(),
+        ));
     }
     if batches.windows(2).any(|w| w[0] != w[1]) {
-        return Err(TransformError::Precondition("batch sizes differ across tables".into()));
+        return Err(TransformError::Precondition(
+            "batch sizes differ across tables".into(),
+        ));
     }
     let (t, d, b) = (fwd_ids.len() as u64, dims[0], batches[0]);
     let e_avg = mean_u64(&e_rows);
@@ -217,7 +228,9 @@ pub fn fuse_embedding_bags(graph: &mut Graph) -> Result<FusionReport, TransformE
 
     // BatchedEmbedding reads the fused weights (t, e, d) but lowering only
     // needs e; validation keeps the graph structurally sound.
-    graph.validate().map_err(|e| TransformError::DependencyViolation(e.to_string()))?;
+    graph
+        .validate()
+        .map_err(|e| TransformError::DependencyViolation(e.to_string()))?;
 
     Ok(FusionReport {
         forward_bags_fused: fwd_count,
@@ -243,7 +256,12 @@ mod tests {
             let w = g.add_tensor(TensorMeta::weight(&[e, d]));
             let idx = g.add_tensor(TensorMeta::index(&[b, l]).with_batch_dim(0));
             let o = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
-            g.add_node(format!("embedding_bag_{i}"), OpKind::EmbeddingBag, vec![w, idx], vec![o]);
+            g.add_node(
+                format!("embedding_bag_{i}"),
+                OpKind::EmbeddingBag,
+                vec![w, idx],
+                vec![o],
+            );
             outs.push(o);
             weights.push(w);
             idxs.push(idx);
@@ -262,7 +280,11 @@ mod tests {
             let s = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
             grad_slices.push(s);
         }
-        g.add_op(OpKind::CatBackward { dim: 1 }, vec![grad_cat], grad_slices.clone());
+        g.add_op(
+            OpKind::CatBackward { dim: 1 },
+            vec![grad_cat],
+            grad_slices.clone(),
+        );
         for i in 0..t {
             g.add_node(
                 format!("embedding_bag_backward_{i}"),
@@ -297,7 +319,12 @@ mod tests {
             .find(|n| n.op == OpKind::BatchedEmbedding)
             .expect("fused node present");
         let ks = lower::kernels(&g, fused);
-        assert_eq!(ks, vec![dlperf_gpusim::KernelSpec::embedding_forward(256, 50_000, 4, 5, 32)]);
+        assert_eq!(
+            ks,
+            vec![dlperf_gpusim::KernelSpec::embedding_forward(
+                256, 50_000, 4, 5, 32
+            )]
+        );
     }
 
     #[test]
@@ -324,7 +351,11 @@ mod tests {
         let cat_out = g.add_tensor(TensorMeta::activation(&[32, 32]).with_batch_dim(0));
         g.add_op(OpKind::Cat { dim: 1 }, outs, vec![cat_out]);
         fuse_embedding_bags(&mut g).unwrap();
-        let fused = g.nodes().iter().find(|n| n.op == OpKind::BatchedEmbedding).unwrap();
+        let fused = g
+            .nodes()
+            .iter()
+            .find(|n| n.op == OpKind::BatchedEmbedding)
+            .unwrap();
         let w = g.tensor(fused.inputs[0]);
         assert_eq!(w.shape, vec![2, 200, 16]);
     }
@@ -342,6 +373,9 @@ mod tests {
         }
         let cat_out = g.add_tensor(TensorMeta::activation(&[32, 48]).with_batch_dim(0));
         g.add_op(OpKind::Cat { dim: 1 }, outs, vec![cat_out]);
-        assert!(matches!(fuse_embedding_bags(&mut g), Err(TransformError::Precondition(_))));
+        assert!(matches!(
+            fuse_embedding_bags(&mut g),
+            Err(TransformError::Precondition(_))
+        ));
     }
 }

@@ -16,8 +16,12 @@ use crate::op::OpKind;
 /// `EmbeddingBag` ops, every bag's output feeding one common `Cat`, and
 /// the tables agreeing on embedding dimension and batch size.
 pub fn can_fuse_embedding_bags(graph: &Graph) -> bool {
-    let fwd: Vec<_> =
-        graph.nodes().iter().filter(|n| n.op == OpKind::EmbeddingBag).map(|n| n.id).collect();
+    let fwd: Vec<_> = graph
+        .nodes()
+        .iter()
+        .filter(|n| n.op == OpKind::EmbeddingBag)
+        .map(|n| n.id)
+        .collect();
     if fwd.len() < 2 {
         return false;
     }
@@ -68,7 +72,9 @@ pub fn can_hoist(graph: &Graph, position: usize) -> bool {
 /// lookup per input, so O(nodes + edges) once the index is built.
 pub fn hoistable_nodes(graph: &Graph) -> Vec<usize> {
     let index = graph.index();
-    (0..graph.node_count()).filter(|&i| moves_on_hoist(graph, &index, i)).collect()
+    (0..graph.node_count())
+        .filter(|&i| moves_on_hoist(graph, &index, i))
+        .collect()
 }
 
 /// [`can_hoist`] for an in-range `position`: the earliest legal slot,
@@ -140,7 +146,10 @@ mod tests {
             let g = bags_graph(t);
             let legal = can_fuse_embedding_bags(&g);
             let did = fuse_embedding_bags(&mut g.clone()).is_ok();
-            assert_eq!(legal, did, "fuse predicate disagrees with transform at t={t}");
+            assert_eq!(
+                legal, did,
+                "fuse predicate disagrees with transform at t={t}"
+            );
         }
     }
 
@@ -182,8 +191,12 @@ mod tests {
         g.add_op(OpKind::Relu, vec![b], vec![d]);
         assert!(g.validate().is_err(), "two producers of one tensor");
         for pos in 0..g.node_count() {
-            let earliest =
-                g.predecessors(g.nodes()[pos].id).iter().map(|p| p.0 + 1).max().unwrap_or(0);
+            let earliest = g
+                .predecessors(g.nodes()[pos].id)
+                .iter()
+                .map(|p| p.0 + 1)
+                .max()
+                .unwrap_or(0);
             assert_eq!(can_hoist(&g, pos), earliest < pos, "position {pos}");
         }
         assert_eq!(hoistable_nodes(&g), vec![1, 2, 3]);

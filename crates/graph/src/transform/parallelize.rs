@@ -72,7 +72,9 @@ pub fn independent_groups(graph: &Graph, candidates: &[NodeId]) -> Vec<Vec<NodeI
 ///   data-dependent (running them concurrently would be incorrect).
 pub fn parallelize(graph: &mut Graph, groups: &[Vec<NodeId>]) -> Result<(), TransformError> {
     if groups.is_empty() || groups.iter().any(Vec::is_empty) {
-        return Err(TransformError::Precondition("groups must be non-empty".into()));
+        return Err(TransformError::Precondition(
+            "groups must be non-empty".into(),
+        ));
     }
     let anc = ancestor_sets(graph);
     for (i, ga) in groups.iter().enumerate() {
@@ -157,7 +159,10 @@ mod tests {
     #[test]
     fn empty_groups_rejected() {
         let (mut g, _) = diamond();
-        assert!(matches!(parallelize(&mut g, &[]), Err(TransformError::Precondition(_))));
+        assert!(matches!(
+            parallelize(&mut g, &[]),
+            Err(TransformError::Precondition(_))
+        ));
         assert!(matches!(
             parallelize(&mut g, &[vec![]]),
             Err(TransformError::Precondition(_))

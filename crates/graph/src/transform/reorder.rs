@@ -47,7 +47,10 @@ pub fn move_node(graph: &mut Graph, from: NodeId, to: usize) -> Result<(), Trans
 /// [`TransformError::Precondition`] if the node does not exist.
 pub fn hoist_earliest(graph: &mut Graph, node: NodeId) -> Result<usize, TransformError> {
     if node.0 >= graph.node_count() {
-        return Err(TransformError::Precondition(format!("no such node {}", node.0)));
+        return Err(TransformError::Precondition(format!(
+            "no such node {}",
+            node.0
+        )));
     }
     // Earliest legal slot: right after the last producer of any input.
     let preds = graph.predecessors(node);

@@ -20,7 +20,9 @@ use crate::transform::TransformError;
 ///   the current batch size (a malformed graph) or `new_batch` is zero.
 pub fn resize_batch(graph: &mut Graph, new_batch: u64) -> Result<u64, TransformError> {
     if new_batch == 0 {
-        return Err(TransformError::Precondition("batch size must be positive".into()));
+        return Err(TransformError::Precondition(
+            "batch size must be positive".into(),
+        ));
     }
     let mut old: Option<u64> = None;
     for (_, t) in graph.tensors() {
@@ -89,14 +91,20 @@ mod tests {
     #[test]
     fn zero_batch_rejected() {
         let mut g = graph_with_batch(256);
-        assert!(matches!(resize_batch(&mut g, 0), Err(TransformError::Precondition(_))));
+        assert!(matches!(
+            resize_batch(&mut g, 0),
+            Err(TransformError::Precondition(_))
+        ));
     }
 
     #[test]
     fn graph_without_batch_dims_rejected() {
         let mut g = Graph::new("t");
         g.add_tensor(TensorMeta::weight(&[4, 4]));
-        assert!(matches!(resize_batch(&mut g, 8), Err(TransformError::NothingToTransform(_))));
+        assert!(matches!(
+            resize_batch(&mut g, 8),
+            Err(TransformError::NothingToTransform(_))
+        ));
     }
 
     #[test]
@@ -104,7 +112,10 @@ mod tests {
         let mut g = Graph::new("t");
         g.add_tensor(TensorMeta::activation(&[8, 4]).with_batch_dim(0));
         g.add_tensor(TensorMeta::activation(&[16, 4]).with_batch_dim(0));
-        assert!(matches!(resize_batch(&mut g, 8), Err(TransformError::Precondition(_))));
+        assert!(matches!(
+            resize_batch(&mut g, 8),
+            Err(TransformError::Precondition(_))
+        ));
     }
 
     #[test]

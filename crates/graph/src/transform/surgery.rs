@@ -16,7 +16,9 @@ pub fn replace_op(
     op: OpKind,
     name: impl Into<String>,
 ) -> Result<(), TransformError> {
-    let n = graph.node_mut(node).map_err(|e| TransformError::Precondition(e.to_string()))?;
+    let n = graph
+        .node_mut(node)
+        .map_err(|e| TransformError::Precondition(e.to_string()))?;
     n.op = op;
     n.name = name.into();
     Ok(())
@@ -37,10 +39,21 @@ pub fn insert_after(
     outputs: Vec<TensorId>,
 ) -> Result<NodeId, TransformError> {
     if graph.node(after).is_err() {
-        return Err(TransformError::Precondition(format!("no such node {}", after.0)));
+        return Err(TransformError::Precondition(format!(
+            "no such node {}",
+            after.0
+        )));
     }
     let mut nodes: Vec<Node> = graph.nodes().to_vec();
-    let new = Node { id: NodeId(0), uid: 0, name: name.into(), op, inputs, outputs, stream: 0 };
+    let new = Node {
+        id: NodeId(0),
+        uid: 0,
+        name: name.into(),
+        op,
+        inputs,
+        outputs,
+        stream: 0,
+    };
     nodes.insert(after.0 + 1, new);
     graph.set_nodes(nodes);
     graph
@@ -114,8 +127,15 @@ mod tests {
     fn insert_after_keeps_order_valid() {
         let (mut g, ids, ts) = chain();
         let d = g.add_tensor(TensorMeta::activation(&[8, 8]));
-        let new = insert_after(&mut g, ids[0], "aten::dropout", OpKind::Dropout, vec![ts[1]], vec![d])
-            .unwrap();
+        let new = insert_after(
+            &mut g,
+            ids[0],
+            "aten::dropout",
+            OpKind::Dropout,
+            vec![ts[1]],
+            vec![d],
+        )
+        .unwrap();
         assert_eq!(new, NodeId(1));
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.nodes()[1].op, OpKind::Dropout);

@@ -7,8 +7,12 @@ use proptest::prelude::*;
 
 /// A random valid chain of unary element-wise ops with a batch dimension.
 fn chain_strategy() -> impl Strategy<Value = Graph> {
-    (1u64..512, 1usize..20, proptest::collection::vec(0usize..3, 1..20)).prop_map(
-        |(batch, width_pow, kinds)| {
+    (
+        1u64..512,
+        1usize..20,
+        proptest::collection::vec(0usize..3, 1..20),
+    )
+        .prop_map(|(batch, width_pow, kinds)| {
             let width = 1u64 << width_pow;
             let mut g = Graph::new("prop-chain");
             let mut x = g.add_tensor(TensorMeta::activation(&[batch, width]).with_batch_dim(0));
@@ -23,8 +27,7 @@ fn chain_strategy() -> impl Strategy<Value = Graph> {
                 x = y;
             }
             g
-        },
-    )
+        })
 }
 
 proptest! {

@@ -39,7 +39,10 @@ impl std::fmt::Display for ErrorStatsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ErrorStatsError::LengthMismatch { pred, actual } => {
-                write!(f, "paired slices must match: {pred} predictions vs {actual} actuals")
+                write!(
+                    f,
+                    "paired slices must match: {pred} predictions vs {actual} actuals"
+                )
             }
             ErrorStatsError::Empty => write!(f, "need at least one pair"),
             ErrorStatsError::NonPositiveActual { index, value } => {
@@ -59,7 +62,10 @@ impl ErrorStats {
     /// empty, or an actual value is not positive.
     pub fn try_from_pairs(pred: &[f64], actual: &[f64]) -> Result<Self, ErrorStatsError> {
         if pred.len() != actual.len() {
-            return Err(ErrorStatsError::LengthMismatch { pred: pred.len(), actual: actual.len() });
+            return Err(ErrorStatsError::LengthMismatch {
+                pred: pred.len(),
+                actual: actual.len(),
+            });
         }
         if pred.is_empty() {
             return Err(ErrorStatsError::Empty);
@@ -67,7 +73,10 @@ impl ErrorStats {
         let mut errs = Vec::with_capacity(pred.len());
         for (i, (p, a)) in pred.iter().zip(actual).enumerate() {
             if *a <= 0.0 {
-                return Err(ErrorStatsError::NonPositiveActual { index: i, value: *a });
+                return Err(ErrorStatsError::NonPositiveActual {
+                    index: i,
+                    value: *a,
+                });
             }
             errs.push(((p - a) / a).abs().max(1e-9));
         }
@@ -75,7 +84,12 @@ impl ErrorStats {
         let mean = errs.iter().sum::<f64>() / n;
         let std = (errs.iter().map(|e| (e - mean).powi(2)).sum::<f64>() / n).sqrt();
         let gmae = (errs.iter().map(|e| e.ln()).sum::<f64>() / n).exp();
-        Ok(ErrorStats { gmae, mean, std, count: errs.len() })
+        Ok(ErrorStats {
+            gmae,
+            mean,
+            std,
+            count: errs.len(),
+        })
     }
 
     /// Computes error statistics from paired predictions and ground truth.
@@ -137,17 +151,26 @@ mod tests {
             ErrorStats::try_from_pairs(&[1.0], &[1.0, 2.0]),
             Err(ErrorStatsError::LengthMismatch { pred: 1, actual: 2 })
         );
-        assert_eq!(ErrorStats::try_from_pairs(&[], &[]), Err(ErrorStatsError::Empty));
+        assert_eq!(
+            ErrorStats::try_from_pairs(&[], &[]),
+            Err(ErrorStatsError::Empty)
+        );
         assert_eq!(
             ErrorStats::try_from_pairs(&[1.0, 2.0], &[1.0, -3.0]),
-            Err(ErrorStatsError::NonPositiveActual { index: 1, value: -3.0 })
+            Err(ErrorStatsError::NonPositiveActual {
+                index: 1,
+                value: -3.0
+            })
         );
     }
 
     #[test]
     fn try_from_pairs_matches_panicking_wrapper() {
         let (p, a) = ([1.1, 0.9, 2.0], [1.0, 1.0, 2.5]);
-        assert_eq!(ErrorStats::try_from_pairs(&p, &a).unwrap(), ErrorStats::from_pairs(&p, &a));
+        assert_eq!(
+            ErrorStats::try_from_pairs(&p, &a).unwrap(),
+            ErrorStats::from_pairs(&p, &a)
+        );
     }
 
     #[test]

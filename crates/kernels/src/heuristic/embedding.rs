@@ -79,12 +79,22 @@ impl EmbeddingModel {
     /// Panics if `kernel` is not an embedding forward/backward spec.
     pub fn predict(&self, kernel: &KernelSpec) -> f64 {
         let (b, e, t, l, d, rpb, backward) = match *kernel {
-            KernelSpec::EmbeddingForward { b, e, t, l, d, rows_per_block } => {
-                (b, e, t, l, d, rows_per_block, false)
-            }
-            KernelSpec::EmbeddingBackward { b, e, t, l, d, rows_per_block } => {
-                (b, e, t, l, d, rows_per_block, true)
-            }
+            KernelSpec::EmbeddingForward {
+                b,
+                e,
+                t,
+                l,
+                d,
+                rows_per_block,
+            } => (b, e, t, l, d, rows_per_block, false),
+            KernelSpec::EmbeddingBackward {
+                b,
+                e,
+                t,
+                l,
+                d,
+                rows_per_block,
+            } => (b, e, t, l, d, rows_per_block, true),
             _ => panic!("EmbeddingModel::predict called with {kernel:?}"),
         };
 
@@ -102,8 +112,7 @@ impl EmbeddingModel {
         let warps = (b * t) as f64;
         match self.kind {
             EmbeddingModelKind::Plain => {
-                let per_warp =
-                    tr_table_offsets + tr_offsets + tr_indices + tr_outputs + tr_weights;
+                let per_warp = tr_table_offsets + tr_offsets + tr_indices + tr_outputs + tr_weights;
                 warps * per_warp / self.dram_bytes_per_us
             }
             EmbeddingModelKind::Enhanced => {

@@ -90,7 +90,12 @@ mod tests {
         let eval = mb.measure(&gemm_specs(120, 909));
 
         let naive = NaiveGemmModel::calibrate(&dev, &train);
-        let cfg = TrainConfig { epochs: 150, width: 64, hidden_layers: 3, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 150,
+            width: 64,
+            hidden_layers: 3,
+            ..Default::default()
+        };
         let ml = MlKernelModel::train(&train, &cfg, 4);
 
         let actual: Vec<f64> = eval.iter().map(|s| s.time_us).collect();
@@ -110,7 +115,11 @@ mod tests {
         let mut mb = Microbenchmark::new(&dev, 5, 9);
         let samples = mb.measure(&gemm_specs(200, 21));
         let naive = NaiveGemmModel::calibrate(&dev, &samples);
-        assert!((0.2..0.95).contains(&naive.efficiency), "eff {}", naive.efficiency);
+        assert!(
+            (0.2..0.95).contains(&naive.efficiency),
+            "eff {}",
+            naive.efficiency
+        );
         assert!(naive.offset_us > 0.0);
     }
 

@@ -52,11 +52,16 @@ impl RooflineModel {
             }
             let bw = k.bytes() / t;
             match k {
-                KernelSpec::Memcpy { kind: MemcpyKind::HostToDevice | MemcpyKind::DeviceToHost, .. } => {
+                KernelSpec::Memcpy {
+                    kind: MemcpyKind::HostToDevice | MemcpyKind::DeviceToHost,
+                    ..
+                } => {
                     best_pcie = best_pcie.max(bw);
                     lat_pcie = lat_pcie.min(*t);
                 }
-                KernelSpec::Memcpy { .. } | KernelSpec::Concat { .. } | KernelSpec::Elementwise { .. } => {
+                KernelSpec::Memcpy { .. }
+                | KernelSpec::Concat { .. }
+                | KernelSpec::Elementwise { .. } => {
                     best_dram = best_dram.max(bw);
                     lat_dram = lat_dram.min(*t);
                 }
@@ -118,7 +123,10 @@ mod tests {
         let gpu = Gpu::noiseless(dev.clone());
         let mut samples = Vec::new();
         for s in 10..28 {
-            for mk in [KernelSpec::memcpy_d2d(1 << s), KernelSpec::memcpy_h2d(1 << s)] {
+            for mk in [
+                KernelSpec::memcpy_d2d(1 << s),
+                KernelSpec::memcpy_h2d(1 << s),
+            ] {
                 let t = gpu.kernel_time_noiseless(&mk);
                 samples.push((mk, t));
             }
@@ -146,7 +154,10 @@ mod tests {
         let k = KernelSpec::memcpy_d2d(32 << 20);
         let truth = gpu.kernel_time_noiseless(&k);
         let pred = m.predict(&k);
-        assert!(((pred - truth) / truth).abs() < 0.15, "pred {pred} vs {truth}");
+        assert!(
+            ((pred - truth) / truth).abs() < 0.15,
+            "pred {pred} vs {truth}"
+        );
     }
 
     #[test]
@@ -168,7 +179,11 @@ mod tests {
     fn compute_bound_elementwise_uses_flop_roof() {
         let dev = DeviceSpec::v100();
         let m = RooflineModel::from_datasheet(&dev);
-        let k = KernelSpec::Elementwise { elems: 1 << 20, flops_per_elem: 1e4, bytes_per_elem: 8.0 };
+        let k = KernelSpec::Elementwise {
+            elems: 1 << 20,
+            flops_per_elem: 1e4,
+            bytes_per_elem: 8.0,
+        };
         let t = m.predict(&k);
         assert!((t - k.flops() / dev.flop_per_us()).abs() / t < 1e-9);
     }

@@ -147,8 +147,22 @@ impl MemoKey {
         let mut fields = [0u64; 9];
         match *kernel {
             KernelSpec::Gemm { m, n, k, batch } => fields[..4].copy_from_slice(&[m, n, k, batch]),
-            KernelSpec::EmbeddingForward { b, e, t, l, d, rows_per_block }
-            | KernelSpec::EmbeddingBackward { b, e, t, l, d, rows_per_block } => {
+            KernelSpec::EmbeddingForward {
+                b,
+                e,
+                t,
+                l,
+                d,
+                rows_per_block,
+            }
+            | KernelSpec::EmbeddingBackward {
+                b,
+                e,
+                t,
+                l,
+                d,
+                rows_per_block,
+            } => {
                 fields[..6].copy_from_slice(&[b, e, t, l, d, rows_per_block]);
             }
             KernelSpec::Concat { bytes } => fields[0] = bytes,
@@ -166,19 +180,37 @@ impl MemoKey {
             KernelSpec::TrilForward { batch, n } | KernelSpec::TrilBackward { batch, n } => {
                 fields[..2].copy_from_slice(&[batch, n]);
             }
-            KernelSpec::Elementwise { elems, flops_per_elem, bytes_per_elem } => {
+            KernelSpec::Elementwise {
+                elems,
+                flops_per_elem,
+                bytes_per_elem,
+            } => {
                 fields[..3].copy_from_slice(&[
                     elems,
                     flops_per_elem.to_bits(),
                     bytes_per_elem.to_bits(),
                 ]);
             }
-            KernelSpec::Conv2d { batch, c_in, h, w, c_out, kh, kw, stride, pad } => {
+            KernelSpec::Conv2d {
+                batch,
+                c_in,
+                h,
+                w,
+                c_out,
+                kh,
+                kw,
+                stride,
+                pad,
+            } => {
                 fields.copy_from_slice(&[batch, c_in, h, w, c_out, kh, kw, stride, pad]);
             }
         }
         let family = kernel.family();
-        MemoKey { hash: hash_words(family, &fields), family, fields }
+        MemoKey {
+            hash: hash_words(family, &fields),
+            family,
+            fields,
+        }
     }
 
     /// The kernel family this key belongs to.
@@ -227,12 +259,13 @@ impl MemoCacheStats {
 
     /// Merges counters from several caches (e.g. one per device).
     pub fn merged(all: &[MemoCacheStats]) -> MemoCacheStats {
-        all.iter().fold(MemoCacheStats::default(), |a, s| MemoCacheStats {
-            hits: a.hits + s.hits,
-            misses: a.misses + s.misses,
-            entries: a.entries + s.entries,
-            evictions: a.evictions + s.evictions,
-        })
+        all.iter()
+            .fold(MemoCacheStats::default(), |a, s| MemoCacheStats {
+                hits: a.hits + s.hits,
+                misses: a.misses + s.misses,
+                entries: a.entries + s.entries,
+                evictions: a.evictions + s.evictions,
+            })
     }
 }
 
@@ -284,7 +317,10 @@ impl Shard {
         loop {
             let slot = self.hand;
             self.hand = (slot + 1) % self.ring.len();
-            let resident = self.map.get_mut(&self.ring[slot]).expect("ring key is resident");
+            let resident = self
+                .map
+                .get_mut(&self.ring[slot])
+                .expect("ring key is resident");
             if resident.referenced {
                 resident.referenced = false;
             } else {
@@ -346,7 +382,10 @@ impl MemoCache {
     /// Panics if `capacity < 16` (one entry per shard is the smallest
     /// enforceable cap).
     pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity >= SHARDS, "memo capacity must be at least {SHARDS}");
+        assert!(
+            capacity >= SHARDS,
+            "memo capacity must be at least {SHARDS}"
+        );
         Self::build(Some(capacity))
     }
 
@@ -379,7 +418,9 @@ impl MemoCache {
     /// Looks up `key` without counting, setting its reference bit on a
     /// hit.
     fn probe(&self, key: &MemoKey) -> Option<(f64, Confidence)> {
-        let mut shard = self.shards[key.shard()].lock().expect("memo shard poisoned");
+        let mut shard = self.shards[key.shard()]
+            .lock()
+            .expect("memo shard poisoned");
         let entry = shard.map.get_mut(key)?;
         entry.referenced = true;
         Some((entry.time, entry.confidence))
@@ -390,7 +431,9 @@ impl MemoCache {
     /// slot; new entries start unreferenced. A re-store of a resident key
     /// (two threads racing on one miss) keeps its slot and bit.
     fn store(&self, key: MemoKey, (time, confidence): (f64, Confidence)) {
-        let mut guard = self.shards[key.shard()].lock().expect("memo shard poisoned");
+        let mut guard = self.shards[key.shard()]
+            .lock()
+            .expect("memo shard poisoned");
         let shard = &mut *guard;
         if let Some(resident) = shard.map.get_mut(&key) {
             (resident.time, resident.confidence) = (time, confidence);
@@ -404,7 +447,14 @@ impl MemoCache {
                 self.evictions.incr();
             }
         }
-        shard.map.insert(key, Entry { time, confidence, referenced: false });
+        shard.map.insert(
+            key,
+            Entry {
+                time,
+                confidence,
+                referenced: false,
+            },
+        );
     }
 
     /// Looks up `key`, evaluating `compute` and storing its result on a
@@ -580,7 +630,11 @@ mod tests {
     fn key_separates_families_and_fields() {
         let a = MemoKey::of(&KernelSpec::gemm(64, 64, 64));
         let b = MemoKey::of(&KernelSpec::gemm(64, 64, 65));
-        let c = MemoKey::of(&KernelSpec::Transpose { batch: 64, rows: 64, cols: 64 });
+        let c = MemoKey::of(&KernelSpec::Transpose {
+            batch: 64,
+            rows: 64,
+            cols: 64,
+        });
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_eq!(a, MemoKey::of(&KernelSpec::gemm(64, 64, 64)));
@@ -614,7 +668,11 @@ mod tests {
         let cache = MemoCache::new();
         cache.get_or_insert_with(tril, || (1.0, Confidence::Calibrated));
         let (v, _) = cache.get_or_insert_with(back, || (2.0, Confidence::Calibrated));
-        assert_eq!(v.to_bits(), 2.0f64.to_bits(), "backward must not read forward's entry");
+        assert_eq!(
+            v.to_bits(),
+            2.0f64.to_bits(),
+            "backward must not read forward's entry"
+        );
         assert_eq!(cache.stats().entries, 2);
     }
 
@@ -637,7 +695,10 @@ mod tests {
             flops_per_elem: 1.0 + f64::EPSILON,
             bytes_per_elem: 8.0,
         });
-        assert_ne!(a, b, "bit-level quantization must distinguish any two floats");
+        assert_ne!(
+            a, b,
+            "bit-level quantization must distinguish any two floats"
+        );
     }
 
     #[test]
@@ -676,7 +737,11 @@ mod tests {
         let batch = vec![
             warm.clone(),
             KernelSpec::gemm(512, 256, 128),
-            KernelSpec::Transpose { batch: 64, rows: 9, cols: 64 },
+            KernelSpec::Transpose {
+                batch: 64,
+                rows: 9,
+                cols: 64,
+            },
             KernelSpec::gemm(512, 256, 128), // duplicate within the batch
             KernelSpec::memcpy_h2d(1 << 20),
             KernelSpec::TrilForward { batch: 64, n: 27 },
@@ -699,15 +764,30 @@ mod tests {
         memoized(&reg, &batch_cache, &warm);
         let (mut scratch, mut arena) = (MemoScratch::default(), ScratchArena::new());
         let mut out = Vec::new();
-        reg.predict_batch_into(&batch, Some(&batch_cache), &mut scratch, &mut arena, &mut out);
+        reg.predict_batch_into(
+            &batch,
+            Some(&batch_cache),
+            &mut scratch,
+            &mut arena,
+            &mut out,
+        );
         let batched: Vec<(u64, Confidence)> = out.iter().map(|&(t, c)| (t.to_bits(), c)).collect();
         let batch_stats = batch_cache.stats();
 
         assert_eq!(batched, scalar, "batched values must be bitwise identical");
-        assert_eq!(batch_stats, scalar_stats, "counter semantics must match the scalar loop");
+        assert_eq!(
+            batch_stats, scalar_stats,
+            "counter semantics must match the scalar loop"
+        );
         // Re-running the same batch on the same staging must add only hits.
         out.clear();
-        reg.predict_batch_into(&batch, Some(&batch_cache), &mut scratch, &mut arena, &mut out);
+        reg.predict_batch_into(
+            &batch,
+            Some(&batch_cache),
+            &mut scratch,
+            &mut arena,
+            &mut out,
+        );
         assert_eq!(out.len(), batch.len());
         let again = batch_cache.stats();
         assert_eq!(again.misses, batch_stats.misses);
@@ -766,7 +846,10 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!(stats.misses, 500);
-        assert!(stats.evictions > 0, "500 distinct keys into 16 slots must evict");
+        assert!(
+            stats.evictions > 0,
+            "500 distinct keys into 16 slots must evict"
+        );
         assert_eq!(
             stats.entries as u64 + stats.evictions,
             500,
@@ -786,7 +869,11 @@ mod tests {
             priced(&reg, &cache, &KernelSpec::gemm(16 + i, 8, 8));
         }
         let again = priced(&reg, &cache, &k);
-        assert_eq!(first.0.to_bits(), again.0.to_bits(), "re-miss must recompute same bits");
+        assert_eq!(
+            first.0.to_bits(),
+            again.0.to_bits(),
+            "re-miss must recompute same bits"
+        );
         assert_eq!(first.1, again.1);
     }
 
@@ -815,8 +902,10 @@ mod tests {
         let reg = ModelRegistry::calibrate(&DeviceSpec::v100(), crate::CalibrationEffort::Quick, 5);
         let cache = MemoCache::with_capacity(16);
         let batch: Vec<KernelSpec> = (0..100).map(|i| KernelSpec::gemm(8 + i, 8, 8)).collect();
-        let direct: Vec<u64> =
-            batch.iter().map(|k| reg.predict_with_confidence(k).0.to_bits()).collect();
+        let direct: Vec<u64> = batch
+            .iter()
+            .map(|k| reg.predict_with_confidence(k).0.to_bits())
+            .collect();
         let mut out = Vec::new();
         reg.predict_batch_into(
             &batch,
@@ -845,8 +934,16 @@ mod tests {
             assert_eq!(s.ring.len(), s.map.len(), "ring desynced from map");
             let distinct: std::collections::HashSet<_> = s.ring.iter().collect();
             assert_eq!(distinct.len(), s.ring.len(), "a key holds two ring slots");
-            assert!(s.ring.iter().all(|k| s.map.contains_key(k)), "a ring key is not resident");
-            assert!(s.hand < s.ring.len().max(1), "hand {} off a ring of {}", s.hand, s.ring.len());
+            assert!(
+                s.ring.iter().all(|k| s.map.contains_key(k)),
+                "a ring key is not resident"
+            );
+            assert!(
+                s.hand < s.ring.len().max(1),
+                "hand {} off a ring of {}",
+                s.hand,
+                s.ring.len()
+            );
         }
     }
 
@@ -854,7 +951,10 @@ mod tests {
     fn reference_bit_costs_no_entry_space() {
         // The bit sits in the value's padding: an entry is as large as the
         // `(f64, Confidence)` it memoizes.
-        assert_eq!(std::mem::size_of::<Entry>(), std::mem::size_of::<(f64, Confidence)>());
+        assert_eq!(
+            std::mem::size_of::<Entry>(),
+            std::mem::size_of::<(f64, Confidence)>()
+        );
     }
 
     #[test]
@@ -875,7 +975,10 @@ mod tests {
             }
             let stats = cache.stats();
             assert!(stats.entries <= capacity);
-            assert!(stats.evictions > 0, "100 keys into {capacity} slots must evict");
+            assert!(
+                stats.evictions > 0,
+                "100 keys into {capacity} slots must evict"
+            );
         }
     }
 
@@ -888,7 +991,9 @@ mod tests {
             .filter(|k| k.shard() == first.shard())
             .take(6)
             .collect();
-        let [a, b, c, d, e, f] = same_shard[..] else { unreachable!("six keys taken") };
+        let [a, b, c, d, e, f] = same_shard[..] else {
+            unreachable!("six keys taken")
+        };
         let ring = || cache.shards[first.shard()].lock().unwrap().ring.clone();
         let value = (1.0, Confidence::Calibrated);
         for k in [a, b, c] {
@@ -918,10 +1023,13 @@ mod tests {
             5,
         ));
         let cache = std::sync::Arc::new(MemoCache::new());
-        let specs: Vec<KernelSpec> =
-            (0..32).map(|i| KernelSpec::gemm(64 + i % 4, 64, 64)).collect();
-        let baseline: Vec<u64> =
-            specs.iter().map(|k| reg.predict_with_confidence(k).0.to_bits()).collect();
+        let specs: Vec<KernelSpec> = (0..32)
+            .map(|i| KernelSpec::gemm(64 + i % 4, 64, 64))
+            .collect();
+        let baseline: Vec<u64> = specs
+            .iter()
+            .map(|k| reg.predict_with_confidence(k).0.to_bits())
+            .collect();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let (reg, cache, specs, baseline) =

@@ -36,7 +36,10 @@ impl Microbenchmark {
     /// whose median becomes the sample (the paper uses 30).
     pub fn new(device: &DeviceSpec, seed: u64, timed_iters: usize) -> Self {
         assert!(timed_iters > 0, "need at least one timed iteration");
-        Microbenchmark { gpu: Gpu::with_seed(device.clone(), seed), timed_iters }
+        Microbenchmark {
+            gpu: Gpu::with_seed(device.clone(), seed),
+            timed_iters,
+        }
     }
 
     /// Measures every spec (5 warm-up iterations discarded, median of the
@@ -48,7 +51,10 @@ impl Microbenchmark {
                 for _ in 0..5 {
                     let _ = self.gpu.kernel_time(k); // warm-up
                 }
-                Sample { kernel: k.clone(), time_us: self.gpu.benchmark(k, self.timed_iters) }
+                Sample {
+                    kernel: k.clone(),
+                    time_us: self.gpu.benchmark(k, self.timed_iters),
+                }
             })
             .collect()
     }
@@ -79,7 +85,12 @@ impl MicrobenchHarness {
     pub fn new(device: &DeviceSpec, seed: u64, timed_iters: usize, chunk_size: usize) -> Self {
         assert!(timed_iters > 0, "need at least one timed iteration");
         assert!(chunk_size > 0, "need at least one spec per chunk");
-        MicrobenchHarness { device: device.clone(), seed, timed_iters, chunk_size }
+        MicrobenchHarness {
+            device: device.clone(),
+            seed,
+            timed_iters,
+            chunk_size,
+        }
     }
 
     /// Number of chunks a sweep over `n_specs` splits into.
@@ -95,8 +106,10 @@ impl MicrobenchHarness {
         let lo = chunk_index * self.chunk_size;
         let hi = (lo + self.chunk_size).min(specs.len());
         assert!(lo < specs.len(), "chunk {chunk_index} is out of range");
-        let chunk_seed =
-            derive_seed(self.seed, &[site_key("kernels.microbench"), chunk_index as u64]);
+        let chunk_seed = derive_seed(
+            self.seed,
+            &[site_key("kernels.microbench"), chunk_index as u64],
+        );
         let mut gpu = Gpu::with_seed(self.device.clone(), chunk_seed);
         specs[lo..hi]
             .iter()
@@ -104,7 +117,10 @@ impl MicrobenchHarness {
                 for _ in 0..5 {
                     let _ = gpu.kernel_time(k); // warm-up
                 }
-                Sample { kernel: k.clone(), time_us: gpu.benchmark(k, self.timed_iters) }
+                Sample {
+                    kernel: k.clone(),
+                    time_us: gpu.benchmark(k, self.timed_iters),
+                }
             })
             .collect()
     }
@@ -120,7 +136,10 @@ impl MicrobenchHarness {
     /// Wraps this harness and a spec list into a [`ResumableJob`] whose
     /// step measures one chunk.
     pub fn job<'a>(&'a self, specs: &'a [KernelSpec]) -> MicrobenchJob<'a> {
-        MicrobenchJob { harness: self, specs }
+        MicrobenchJob {
+            harness: self,
+            specs,
+        }
     }
 
     /// Runs the sweep under `supervisor`, checkpointing per completed
@@ -167,7 +186,11 @@ impl ResumableJob for MicrobenchJob<'_> {
             )));
         }
         state.extend(self.harness.measure_chunk(self.specs, chunk_index));
-        Ok(if state.len() == self.specs.len() { StepOutcome::Done } else { StepOutcome::Continue })
+        Ok(if state.len() == self.specs.len() {
+            StepOutcome::Done
+        } else {
+            StepOutcome::Continue
+        })
     }
 
     fn finish(&self, state: Vec<Sample>) -> Vec<Sample> {
@@ -217,7 +240,9 @@ pub fn embedding_specs(n: usize, backward: bool, seed: u64) -> Vec<KernelSpec> {
             let b = pick(&mut rng, &[64u64, 128, 256, 512, 1024, 2048, 4096]);
             let e = pick(
                 &mut rng,
-                &[500u64, 1_000, 5_000, 20_000, 80_000, 300_000, 1_000_000, 4_000_000, 10_000_000],
+                &[
+                    500u64, 1_000, 5_000, 20_000, 80_000, 300_000, 1_000_000, 4_000_000, 10_000_000,
+                ],
             );
             let t = pick(&mut rng, &[1u64, 2, 4, 8, 16, 26]);
             let l = pick(&mut rng, &[1u64, 2, 5, 10, 30, 100]);
@@ -285,8 +310,19 @@ pub fn conv_specs(n: usize, seed: u64) -> Vec<KernelSpec> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let (kh, kw) =
-                pick(&mut rng, &[(1u64, 1u64), (3, 3), (5, 5), (7, 7), (1, 7), (7, 1), (1, 3), (3, 1)]);
+            let (kh, kw) = pick(
+                &mut rng,
+                &[
+                    (1u64, 1u64),
+                    (3, 3),
+                    (5, 5),
+                    (7, 7),
+                    (1, 7),
+                    (7, 1),
+                    (1, 3),
+                    (3, 1),
+                ],
+            );
             let hw = pick(&mut rng, &[7u64, 8, 14, 17, 28, 35, 56, 112, 149]);
             KernelSpec::Conv2d {
                 batch: pick(&mut rng, &[8u64, 16, 32, 64]),
@@ -375,8 +411,7 @@ mod tests {
         let harness = MicrobenchHarness::new(&DeviceSpec::v100(), 17, 5, 3);
         let specs = gemm_specs(8, 5);
         let straight = harness.measure(&specs);
-        let mut sup =
-            dlperf_runtime::Supervisor::new(dlperf_runtime::SupervisorConfig::default());
+        let mut sup = dlperf_runtime::Supervisor::new(dlperf_runtime::SupervisorConfig::default());
         let (out, report) = harness.measure_supervised(&specs, &mut sup);
         let supervised = out.expect("supervised sweep completes");
         assert_eq!(report.steps_run, 3, "ceil(8/3) chunks");

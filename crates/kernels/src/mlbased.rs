@@ -73,12 +73,12 @@ pub fn features_into(kernel: &KernelSpec, out: &mut Vec<f64>) {
         | KernelSpec::EmbeddingBackward { b, e, t, l, d, .. } => {
             out.extend_from_slice(&[b as f64, e as f64, t as f64, l as f64, d as f64])
         }
-        KernelSpec::Concat { bytes } | KernelSpec::Memcpy { bytes, .. } => {
-            out.push(bytes as f64)
-        }
-        KernelSpec::Elementwise { elems, flops_per_elem, bytes_per_elem } => {
-            out.extend_from_slice(&[elems as f64, flops_per_elem, bytes_per_elem])
-        }
+        KernelSpec::Concat { bytes } | KernelSpec::Memcpy { bytes, .. } => out.push(bytes as f64),
+        KernelSpec::Elementwise {
+            elems,
+            flops_per_elem,
+            bytes_per_elem,
+        } => out.extend_from_slice(&[elems as f64, flops_per_elem, bytes_per_elem]),
     }
 }
 
@@ -132,7 +132,12 @@ impl MlKernelModel {
             })
             .sum();
         let correction = (log_ratio_sum / samples.len() as f64).exp();
-        let mut m = MlKernelModel { family, model, correction, stats: None };
+        let mut m = MlKernelModel {
+            family,
+            model,
+            correction,
+            stats: None,
+        };
         m.stats = m.measure_stats(samples);
         m
     }
@@ -166,7 +171,11 @@ impl MlKernelModel {
     /// # Panics
     /// Panics if the kernel belongs to a different family.
     pub fn predict(&self, kernel: &KernelSpec) -> f64 {
-        assert_eq!(kernel.family(), self.family, "family mismatch in MlKernelModel::predict");
+        assert_eq!(
+            kernel.family(),
+            self.family,
+            "family mismatch in MlKernelModel::predict"
+        );
         (self.model.predict_one(&features(kernel)) * self.correction).max(0.01)
     }
 
@@ -198,7 +207,8 @@ impl MlKernelModel {
             features_into(k, &mut feats);
         }
         let start = out.len();
-        self.model.predict_flat_into(feats, kernels.len(), arena, out);
+        self.model
+            .predict_flat_into(feats, kernels.len(), arena, out);
         for p in &mut out[start..] {
             *p = (*p * self.correction).max(0.01);
         }
@@ -217,7 +227,12 @@ mod tests {
         let dev = DeviceSpec::v100();
         let mut mb = Microbenchmark::new(&dev, 1, 5);
         let train_samples = mb.measure(&gemm_specs(250, 10));
-        let cfg = TrainConfig { epochs: 150, width: 64, hidden_layers: 3, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 150,
+            width: 64,
+            hidden_layers: 3,
+            ..Default::default()
+        };
         let model = MlKernelModel::train(&train_samples, &cfg, 3);
 
         let eval = mb.measure(&gemm_specs(60, 99));
@@ -229,8 +244,16 @@ mod tests {
 
     #[test]
     fn features_distinguish_alignment() {
-        let aligned = KernelSpec::Transpose { batch: 8, rows: 64, cols: 64 };
-        let odd = KernelSpec::Transpose { batch: 8, rows: 64, cols: 63 };
+        let aligned = KernelSpec::Transpose {
+            batch: 8,
+            rows: 64,
+            cols: 64,
+        };
+        let odd = KernelSpec::Transpose {
+            batch: 8,
+            rows: 64,
+            cols: 63,
+        };
         assert_ne!(features(&aligned), features(&odd));
     }
 
@@ -238,8 +261,14 @@ mod tests {
     #[should_panic(expected = "one kernel family")]
     fn mixed_families_rejected() {
         let samples = vec![
-            Sample { kernel: KernelSpec::gemm(8, 8, 8), time_us: 1.0 },
-            Sample { kernel: KernelSpec::memcpy_d2d(64), time_us: 1.0 },
+            Sample {
+                kernel: KernelSpec::gemm(8, 8, 8),
+                time_us: 1.0,
+            },
+            Sample {
+                kernel: KernelSpec::memcpy_d2d(64),
+                time_us: 1.0,
+            },
         ];
         dataset_of(&samples);
     }
@@ -249,11 +278,17 @@ mod tests {
         let dev = DeviceSpec::v100();
         let mut mb = Microbenchmark::new(&dev, 1, 3);
         let samples = mb.measure(&gemm_specs(30, 1));
-        let cfg = TrainConfig { epochs: 5, width: 16, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 5,
+            width: 16,
+            ..Default::default()
+        };
         let model = MlKernelModel::train(&samples, &cfg, 0);
         assert!(model.stats.is_some());
         let mut v = serde_json::to_value(&model);
-        let serde_json::Value::Obj(entries) = &mut v else { panic!("model is an object") };
+        let serde_json::Value::Obj(entries) = &mut v else {
+            panic!("model is an object")
+        };
         entries.retain(|(k, _)| k != "stats");
         let json = serde_json::to_string(&v).unwrap();
         let back: MlKernelModel = serde_json::from_str(&json).unwrap();
@@ -267,7 +302,11 @@ mod tests {
         let dev = DeviceSpec::v100();
         let mut mb = Microbenchmark::new(&dev, 1, 3);
         let samples = mb.measure(&gemm_specs(30, 1));
-        let cfg = TrainConfig { epochs: 5, width: 16, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 5,
+            width: 16,
+            ..Default::default()
+        };
         let model = MlKernelModel::train(&samples, &cfg, 0);
         model.predict(&KernelSpec::memcpy_d2d(64));
     }

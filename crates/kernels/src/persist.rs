@@ -134,8 +134,14 @@ impl RegistryBundle {
         reg.insert(KernelFamily::Memcpy, roofline.clone());
         reg.insert(KernelFamily::Concat, roofline.clone());
         reg.insert(KernelFamily::Elementwise, roofline);
-        reg.insert(KernelFamily::EmbeddingForward, Arc::new(self.embedding_forward));
-        reg.insert(KernelFamily::EmbeddingBackward, Arc::new(self.embedding_backward));
+        reg.insert(
+            KernelFamily::EmbeddingForward,
+            Arc::new(self.embedding_forward),
+        );
+        reg.insert(
+            KernelFamily::EmbeddingBackward,
+            Arc::new(self.embedding_backward),
+        );
         reg.insert(KernelFamily::Gemm, Arc::new(self.gemm));
         reg.insert(KernelFamily::Transpose, Arc::new(self.transpose));
         reg.insert(KernelFamily::TrilForward, Arc::new(self.tril_forward));
@@ -223,10 +229,18 @@ mod tests {
             KernelSpec::gemm(1024, 512, 256),
             KernelSpec::embedding_forward(512, 100_000, 8, 10, 64),
             KernelSpec::memcpy_d2d(4 << 20),
-            KernelSpec::Transpose { batch: 512, rows: 9, cols: 64 },
+            KernelSpec::Transpose {
+                batch: 512,
+                rows: 9,
+                cols: 64,
+            },
             KernelSpec::TrilForward { batch: 512, n: 9 },
         ] {
-            assert_eq!(a.try_predict(&k).unwrap(), b.try_predict(&k).unwrap(), "mismatch on {k:?}");
+            assert_eq!(
+                a.try_predict(&k).unwrap(),
+                b.try_predict(&k).unwrap(),
+                "mismatch on {k:?}"
+            );
         }
     }
 

@@ -53,9 +53,10 @@ impl std::fmt::Display for Confidence {
 /// universal fallback behind [`ModelRegistry::predict_with_confidence`].
 fn datasheet_roofline(device: &DeviceSpec, kernel: &KernelSpec) -> f64 {
     let bw = match kernel {
-        KernelSpec::Memcpy { kind: MemcpyKind::HostToDevice | MemcpyKind::DeviceToHost, .. } => {
-            device.pcie_bytes_per_us()
-        }
+        KernelSpec::Memcpy {
+            kind: MemcpyKind::HostToDevice | MemcpyKind::DeviceToHost,
+            ..
+        } => device.pcie_bytes_per_us(),
         _ => device.dram_bw_gbs * 1e3,
     };
     let t_compute = kernel.flops() / device.flop_per_us();
@@ -176,12 +177,20 @@ impl CalibrationEffort {
 
     fn train_config(self) -> TrainConfig {
         match self {
-            CalibrationEffort::Quick => {
-                TrainConfig { epochs: 120, width: 48, hidden_layers: 3, ..Default::default() }
-            }
-            CalibrationEffort::Full => {
-                TrainConfig { epochs: 240, width: 96, hidden_layers: 3, patience: 30, batch_size: 128, ..Default::default() }
-            }
+            CalibrationEffort::Quick => TrainConfig {
+                epochs: 120,
+                width: 48,
+                hidden_layers: 3,
+                ..Default::default()
+            },
+            CalibrationEffort::Full => TrainConfig {
+                epochs: 240,
+                width: 96,
+                hidden_layers: 3,
+                patience: 30,
+                batch_size: 128,
+                ..Default::default()
+            },
         }
     }
 }
@@ -200,8 +209,11 @@ pub struct ModelRegistry {
 
 impl std::fmt::Debug for ModelRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut names: Vec<String> =
-            self.models.iter().map(|(fam, m)| format!("{fam}: {}", m.name())).collect();
+        let mut names: Vec<String> = self
+            .models
+            .iter()
+            .map(|(fam, m)| format!("{fam}: {}", m.name()))
+            .collect();
         names.sort();
         f.debug_struct("ModelRegistry")
             .field("device", &self.device.name)
@@ -219,7 +231,13 @@ impl ModelRegistry {
         );
         let degraded = obs.handle("degraded");
         let batch_calls = obs.handle("batch_calls");
-        ModelRegistry { models: HashMap::new(), device, obs, degraded, batch_calls }
+        ModelRegistry {
+            models: HashMap::new(),
+            device,
+            obs,
+            degraded,
+            batch_calls,
+        }
     }
 
     /// This registry's dispatch counters (degraded fallbacks, batched
@@ -289,7 +307,9 @@ impl ModelRegistry {
     pub fn try_predict(&self, kernel: &KernelSpec) -> Result<f64, MissingModelError> {
         match self.models.get(&kernel.family()) {
             Some(model) => Ok(model.predict(kernel)),
-            None => Err(MissingModelError { family: kernel.family() }),
+            None => Err(MissingModelError {
+                family: kernel.family(),
+            }),
         }
     }
 
@@ -304,7 +324,10 @@ impl ModelRegistry {
             Some(model) => (model.predict(kernel), Confidence::Calibrated),
             None => {
                 self.degraded.incr();
-                (datasheet_roofline(&self.device, kernel), Confidence::Degraded)
+                (
+                    datasheet_roofline(&self.device, kernel),
+                    Confidence::Degraded,
+                )
             }
         }
     }
@@ -372,7 +395,9 @@ impl ModelRegistry {
             match self.models.get(&family) {
                 Some(model) => {
                     scratch.specs.clear();
-                    scratch.specs.extend(bucket.iter().map(|&i| kernels[i].clone()));
+                    scratch
+                        .specs
+                        .extend(bucket.iter().map(|&i| kernels[i].clone()));
                     let mut times = arena.take();
                     model.predict_batch_into(&scratch.specs, arena, &mut times);
                     for (&i, &t) in bucket.iter().zip(times.iter()) {
@@ -405,7 +430,10 @@ impl ModelRegistry {
         let mut out = self.clone();
         for &(family, scale) in factors {
             if let Some(model) = self.models.get(&family) {
-                out.insert(family, Arc::new(crate::scaled::ScaledModel::new(model.clone(), scale)));
+                out.insert(
+                    family,
+                    Arc::new(crate::scaled::ScaledModel::new(model.clone(), scale)),
+                );
             }
         }
         out
@@ -460,15 +488,31 @@ impl ModelRegistry {
             let samples = mb.measure(&specs);
             MlKernelModel::train(&samples, train_cfg, seed)
         };
-        let gemm =
-            train_ml(microbench::gemm_specs(effort.samples(260, 1600), seed ^ 2), &gemm_cfg, seed ^ 2);
-        let transpose =
-            train_ml(microbench::transpose_specs(effort.samples(200, 700), seed ^ 3), &cfg, seed ^ 3);
-        let tril_forward =
-            train_ml(microbench::tril_specs(effort.samples(160, 500), false, seed ^ 4), &cfg, seed ^ 4);
-        let tril_backward =
-            train_ml(microbench::tril_specs(effort.samples(160, 500), true, seed ^ 5), &cfg, seed ^ 5);
-        let conv = train_ml(microbench::conv_specs(effort.samples(220, 800), seed ^ 6), &cfg, seed ^ 6);
+        let gemm = train_ml(
+            microbench::gemm_specs(effort.samples(260, 1600), seed ^ 2),
+            &gemm_cfg,
+            seed ^ 2,
+        );
+        let transpose = train_ml(
+            microbench::transpose_specs(effort.samples(200, 700), seed ^ 3),
+            &cfg,
+            seed ^ 3,
+        );
+        let tril_forward = train_ml(
+            microbench::tril_specs(effort.samples(160, 500), false, seed ^ 4),
+            &cfg,
+            seed ^ 4,
+        );
+        let tril_backward = train_ml(
+            microbench::tril_specs(effort.samples(160, 500), true, seed ^ 5),
+            &cfg,
+            seed ^ 5,
+        );
+        let conv = train_ml(
+            microbench::conv_specs(effort.samples(220, 800), seed ^ 6),
+            &cfg,
+            seed ^ 6,
+        );
 
         crate::persist::RegistryBundle {
             lane_width: dlperf_nn::LANES,
@@ -519,13 +563,19 @@ mod tests {
         let gpu = Gpu::noiseless(dev);
         let eval = [
             KernelSpec::gemm(2048, 1024, 512),
-            KernelSpec::Transpose { batch: 2048, rows: 9, cols: 64 },
+            KernelSpec::Transpose {
+                batch: 2048,
+                rows: 9,
+                cols: 64,
+            },
             KernelSpec::TrilForward { batch: 2048, n: 27 },
             KernelSpec::memcpy_d2d(4 << 20),
             KernelSpec::embedding_forward(2048, 1_000_000, 8, 10, 64),
         ];
-        let preds: Vec<f64> =
-            eval.iter().map(|k| reg.try_predict(k).expect("family covered")).collect();
+        let preds: Vec<f64> = eval
+            .iter()
+            .map(|k| reg.try_predict(k).expect("family covered"))
+            .collect();
         let actual: Vec<f64> = eval.iter().map(|k| gpu.kernel_time_noiseless(k)).collect();
         let stats = ErrorStats::from_pairs(&preds, &actual);
         assert!(stats.mean < 0.5, "quick calibration too far off: {stats}");
@@ -559,7 +609,11 @@ mod tests {
             KernelSpec::gemm(512, 512, 512),
             KernelSpec::memcpy_h2d(1 << 20),
             KernelSpec::embedding_forward(256, 100_000, 4, 10, 32),
-            KernelSpec::Transpose { batch: 8, rows: 128, cols: 128 },
+            KernelSpec::Transpose {
+                batch: 8,
+                rows: 128,
+                cols: 128,
+            },
         ] {
             let (t, conf) = reg.predict_with_confidence(&k);
             assert_eq!(conf, Confidence::Degraded);

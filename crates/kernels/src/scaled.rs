@@ -37,7 +37,10 @@ impl ScaledModel {
     /// `scale` must be positive and finite — a non-positive scale would
     /// silently invert or zero the model instead of correcting it.
     pub fn new(inner: Arc<dyn KernelPerfModel>, scale: f64) -> Self {
-        assert!(scale.is_finite() && scale > 0.0, "scale factor must be positive and finite");
+        assert!(
+            scale.is_finite() && scale > 0.0,
+            "scale factor must be positive and finite"
+        );
         ScaledModel { inner, scale }
     }
 
@@ -92,9 +95,17 @@ mod tests {
         let k = KernelSpec::gemm(8, 8, 8);
         assert_eq!(m.predict(&k), 15.0);
         let mut batch = vec![-1.0];
-        m.predict_batch_into(&[k.clone(), k.clone()], &mut ScratchArena::new(), &mut batch);
+        m.predict_batch_into(
+            &[k.clone(), k.clone()],
+            &mut ScratchArena::new(),
+            &mut batch,
+        );
         let scalar = m.predict(&k);
-        assert_eq!(batch, vec![-1.0, scalar, scalar], "batch stays bitwise equal to scalar");
+        assert_eq!(
+            batch,
+            vec![-1.0, scalar, scalar],
+            "batch stays bitwise equal to scalar"
+        );
         assert!(m.name().contains("flat"));
     }
 

@@ -14,17 +14,45 @@ use dlperf_graph::{Graph, OpKind, TensorId, TensorMeta};
 #[derive(Debug, Clone)]
 enum Rec {
     /// Unary op: backward is `op_bwd(grad_y, extra...) -> grad_x`.
-    Unary { op_bwd: OpKind, name: String, x: TensorId, y: TensorId, extra: Vec<TensorId> },
+    Unary {
+        op_bwd: OpKind,
+        name: String,
+        x: TensorId,
+        y: TensorId,
+        extra: Vec<TensorId>,
+    },
     /// Fully connected: `AddMmBackward(grad_y, x, w) -> (grad_x, grad_w)`.
-    Linear { x: TensorId, w: TensorId, y: TensorId },
+    Linear {
+        x: TensorId,
+        w: TensorId,
+        y: TensorId,
+    },
     /// Convolution: `Conv2dBackward(grad_y, x, w) -> (grad_x, grad_w)`.
-    Conv { x: TensorId, w: TensorId, y: TensorId, stride: u64, pad: u64 },
+    Conv {
+        x: TensorId,
+        w: TensorId,
+        y: TensorId,
+        stride: u64,
+        pad: u64,
+    },
     /// Residual add: gradient passes through to both operands.
-    Add { a: TensorId, b: TensorId, y: TensorId },
+    Add {
+        a: TensorId,
+        b: TensorId,
+        y: TensorId,
+    },
     /// Concatenation: backward splits the gradient.
-    Cat { xs: Vec<TensorId>, y: TensorId, dim: usize },
+    Cat {
+        xs: Vec<TensorId>,
+        y: TensorId,
+        dim: usize,
+    },
     /// Batched matmul: `BmmBackward(grad_y, a, b) -> (grad_a, grad_b)`.
-    Bmm { a: TensorId, b: TensorId, y: TensorId },
+    Bmm {
+        a: TensorId,
+        b: TensorId,
+        y: TensorId,
+    },
     /// View change: gradient reshapes back, no kernels.
     Reshape { x: TensorId, y: TensorId },
 }
@@ -63,7 +91,13 @@ impl Tape {
         extra: Vec<TensorId>,
     ) {
         graph.add_node(name.to_string(), op_fwd, vec![x], vec![y]);
-        self.records.push(Rec::Unary { op_bwd, name: name.to_string(), x, y, extra });
+        self.records.push(Rec::Unary {
+            op_bwd,
+            name: name.to_string(),
+            x,
+            y,
+            extra,
+        });
     }
 
     /// Records `addmm(x, w, b) -> y`.
@@ -92,8 +126,19 @@ impl Tape {
         stride: u64,
         pad: u64,
     ) {
-        graph.add_node(name.to_string(), OpKind::Conv2d { stride, pad }, vec![x, w], vec![y]);
-        self.records.push(Rec::Conv { x, w, y, stride, pad });
+        graph.add_node(
+            name.to_string(),
+            OpKind::Conv2d { stride, pad },
+            vec![x, w],
+            vec![y],
+        );
+        self.records.push(Rec::Conv {
+            x,
+            w,
+            y,
+            stride,
+            pad,
+        });
     }
 
     /// Records `add(a, b) -> y` (residual connection).
@@ -103,7 +148,14 @@ impl Tape {
     }
 
     /// Records `cat(xs) -> y` along `dim`.
-    pub fn cat(&mut self, graph: &mut Graph, name: &str, xs: Vec<TensorId>, y: TensorId, dim: usize) {
+    pub fn cat(
+        &mut self,
+        graph: &mut Graph,
+        name: &str,
+        xs: Vec<TensorId>,
+        y: TensorId,
+        dim: usize,
+    ) {
         graph.add_node(name.to_string(), OpKind::Cat { dim }, xs.clone(), vec![y]);
         self.records.push(Rec::Cat { xs, y, dim });
     }
@@ -141,7 +193,12 @@ impl Tape {
         ) {
             if let Some(&existing) = grads.get(&t) {
                 let sum = Tape::grad_like(graph, t);
-                graph.add_node("grad::accumulate", OpKind::Add, vec![existing, g], vec![sum]);
+                graph.add_node(
+                    "grad::accumulate",
+                    OpKind::Add,
+                    vec![existing, g],
+                    vec![sum],
+                );
                 grads.insert(t, sum);
             } else {
                 grads.insert(t, g);
@@ -150,7 +207,13 @@ impl Tape {
 
         for rec in self.records.into_iter().rev() {
             match rec {
-                Rec::Unary { op_bwd, name, x, y, extra } => {
+                Rec::Unary {
+                    op_bwd,
+                    name,
+                    x,
+                    y,
+                    extra,
+                } => {
                     let Some(&gy) = grads.get(&y) else { continue };
                     let gx = Self::grad_like(graph, x);
                     let mut inputs = vec![gy];
@@ -171,7 +234,13 @@ impl Tape {
                     param_grads.push(gw);
                     accumulate(graph, &mut grads, x, gx);
                 }
-                Rec::Conv { x, w, y, stride, pad } => {
+                Rec::Conv {
+                    x,
+                    w,
+                    y,
+                    stride,
+                    pad,
+                } => {
                     let Some(&gy) = grads.get(&y) else { continue };
                     let gx = Self::grad_like(graph, x);
                     let gw = Self::grad_like(graph, w);
@@ -210,7 +279,12 @@ impl Tape {
                     let Some(&gy) = grads.get(&y) else { continue };
                     let ga = Self::grad_like(graph, a);
                     let gb = Self::grad_like(graph, b);
-                    graph.add_node("bmm_backward", OpKind::BmmBackward, vec![gy, a, b], vec![ga, gb]);
+                    graph.add_node(
+                        "bmm_backward",
+                        OpKind::BmmBackward,
+                        vec![gy, a, b],
+                        vec![ga, gb],
+                    );
                     accumulate(graph, &mut grads, a, ga);
                     accumulate(graph, &mut grads, b, gb);
                 }
@@ -238,7 +312,15 @@ mod tests {
         let mut tape = Tape::new();
         let x = g.add_tensor(TensorMeta::activation(&[4, 8]).with_batch_dim(0));
         let y = g.add_tensor(TensorMeta::activation(&[4, 8]).with_batch_dim(0));
-        tape.unary(&mut g, "relu", OpKind::Relu, OpKind::ReluBackward, x, y, vec![y]);
+        tape.unary(
+            &mut g,
+            "relu",
+            OpKind::Relu,
+            OpKind::ReluBackward,
+            x,
+            y,
+            vec![y],
+        );
         let z = g.add_tensor(TensorMeta::activation(&[4, 8]).with_batch_dim(0));
         tape.add(&mut g, "residual", x, y, z);
 
@@ -249,7 +331,10 @@ mod tests {
         assert!(grads.contains_key(&x));
         // One grad::accumulate node must exist (x receives two gradients).
         assert_eq!(
-            g.nodes().iter().filter(|n| n.name == "grad::accumulate").count(),
+            g.nodes()
+                .iter()
+                .filter(|n| n.name == "grad::accumulate")
+                .count(),
             1
         );
         assert!(lower::lower_graph(&g).is_ok());
@@ -293,10 +378,26 @@ mod tests {
         let mut tape = Tape::new();
         let a = g.add_tensor(TensorMeta::activation(&[4]));
         let b = g.add_tensor(TensorMeta::activation(&[4]));
-        tape.unary(&mut g, "side", OpKind::Relu, OpKind::ReluBackward, a, b, vec![b]);
+        tape.unary(
+            &mut g,
+            "side",
+            OpKind::Relu,
+            OpKind::ReluBackward,
+            a,
+            b,
+            vec![b],
+        );
         let c = g.add_tensor(TensorMeta::activation(&[4]));
         let d = g.add_tensor(TensorMeta::activation(&[4]));
-        tape.unary(&mut g, "main", OpKind::Sigmoid, OpKind::SigmoidBackward, c, d, vec![d]);
+        tape.unary(
+            &mut g,
+            "main",
+            OpKind::Sigmoid,
+            OpKind::SigmoidBackward,
+            c,
+            d,
+            vec![d],
+        );
         let gd = g.add_tensor(TensorMeta::activation(&[4]));
         let mut params = Vec::new();
         let grads = tape.backward(&mut g, (d, gd), &mut params);

@@ -30,7 +30,10 @@ pub fn mlp_forward(
     sizes: &[u64],
     final_relu: bool,
 ) -> MlpTape {
-    assert!(sizes.len() >= 2, "an MLP needs at least input and output sizes");
+    assert!(
+        sizes.len() >= 2,
+        "an MLP needs at least input and output sizes"
+    );
     let mut x = input;
     let mut layers = Vec::new();
     let mut relu_flags = Vec::new();
@@ -41,22 +44,41 @@ pub fn mlp_forward(
         // `linear` transposes the weight first — a host-only view op that
         // appears in real traces and contributes overheads.
         let wt = graph.add_tensor(TensorMeta::weight(&[outf, inf]));
-        graph.add_node(format!("{prefix}::t_{i}"), OpKind::Reshape, vec![w], vec![wt]);
+        graph.add_node(
+            format!("{prefix}::t_{i}"),
+            OpKind::Reshape,
+            vec![w],
+            vec![wt],
+        );
         let y = graph.add_tensor(TensorMeta::activation(&[batch, outf]).with_batch_dim(0));
-        graph.add_node(format!("{prefix}::addmm_{i}"), OpKind::AddMm, vec![x, wt, b], vec![y]);
+        graph.add_node(
+            format!("{prefix}::addmm_{i}"),
+            OpKind::AddMm,
+            vec![x, wt, b],
+            vec![y],
+        );
         layers.push((x, wt, b, y));
         let is_last = i + 2 == sizes.len();
         let with_relu = !is_last || final_relu;
         relu_flags.push(with_relu);
         x = if with_relu {
             let a = graph.add_tensor(TensorMeta::activation(&[batch, outf]).with_batch_dim(0));
-            graph.add_node(format!("{prefix}::relu_{i}"), OpKind::Relu, vec![y], vec![a]);
+            graph.add_node(
+                format!("{prefix}::relu_{i}"),
+                OpKind::Relu,
+                vec![y],
+                vec![a],
+            );
             a
         } else {
             y
         };
     }
-    MlpTape { layers, output: x, relu: relu_flags }
+    MlpTape {
+        layers,
+        output: x,
+        relu: relu_flags,
+    }
 }
 
 /// Appends the backward pass of a taped MLP, consuming `grad_out` (the
@@ -77,7 +99,12 @@ pub fn mlp_backward(
         if *with_relu {
             let y_meta = graph.tensor(*y).clone();
             let g = graph.add_tensor(y_meta);
-            graph.add_node(format!("{prefix}::relu_backward_{i}"), OpKind::ReluBackward, vec![grad, *y], vec![g]);
+            graph.add_node(
+                format!("{prefix}::relu_backward_{i}"),
+                OpKind::ReluBackward,
+                vec![grad, *y],
+                vec![g],
+            );
             grad = g;
         }
         let x_shape = graph.tensor(*x).shape.clone();
@@ -93,7 +120,12 @@ pub fn mlp_backward(
         param_grads.push(gw);
         // Bias gradient: a `sum` reduction over the batch, as autograd emits.
         let gb = graph.add_tensor(TensorMeta::weight(&[w_shape[0]]));
-        graph.add_node(format!("{prefix}::sum_bias_{i}"), OpKind::Sum, vec![grad], vec![gb]);
+        graph.add_node(
+            format!("{prefix}::sum_bias_{i}"),
+            OpKind::Sum,
+            vec![grad],
+            vec![gb],
+        );
         param_grads.push(gb);
         grad = gx;
     }
@@ -161,7 +193,7 @@ mod tests {
         mlp_backward(&mut g, "bot", &tape, 32, gout, &mut grads);
         assert!(g.validate().is_ok());
         assert_eq!(grads.len(), 4); // 2 weight grads + 2 bias grads
-        // fwd: 2 t + 2 addmm + 2 relu; bwd: 2 relu_bwd + 2 addmm_bwd + 2 sum.
+                                    // fwd: 2 t + 2 addmm + 2 relu; bwd: 2 relu_bwd + 2 addmm_bwd + 2 sum.
         assert_eq!(g.node_count(), 12);
         assert!(lower::lower_graph(&g).is_ok());
     }

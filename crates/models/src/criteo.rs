@@ -74,7 +74,9 @@ impl IndexGenerator {
                         IndexDistribution::Uniform => self.rng.gen_range(0..rows),
                         IndexDistribution::Zipf(s) => {
                             let z = Zipf::new(rows, s).expect("valid zipf");
-                            (z.sample(&mut self.rng) as u64).saturating_sub(1).min(rows - 1)
+                            (z.sample(&mut self.rng) as u64)
+                                .saturating_sub(1)
+                                .min(rows - 1)
                         }
                     })
                     .collect()

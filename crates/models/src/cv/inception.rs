@@ -106,14 +106,14 @@ pub fn inception_v3(batch: u64) -> Graph {
     let (h, s) = inception_a(&mut net, h, s, 64);
     // Reduction.
     let (h, s) = reduction_a(&mut net, h, s); // 17
-    // 4 × Inception-B with 1×7 / 7×1 filters.
+                                              // 4 × Inception-B with 1×7 / 7×1 filters.
     let (h, s) = inception_b(&mut net, h, s, 128);
     let (h, s) = inception_b(&mut net, h, s, 160);
     let (h, s) = inception_b(&mut net, h, s, 160);
     let (h, s) = inception_b(&mut net, h, s, 192);
     // Reduction.
     let (h, s) = reduction_b(&mut net, h, s); // 8
-    // 2 × Inception-C.
+                                              // 2 × Inception-C.
     let (h, s) = inception_c(&mut net, h, s);
     let (h, s) = inception_c(&mut net, h, s);
 
@@ -145,7 +145,10 @@ mod tests {
                 }
             }
         }
-        assert!(has_1x7 && has_7x1, "Inception must contain 1x7 and 7x1 convolutions");
+        assert!(
+            has_1x7 && has_7x1,
+            "Inception must contain 1x7 and 7x1 convolutions"
+        );
     }
 
     #[test]

@@ -34,8 +34,23 @@ impl ConvNet {
         let (c, h, w) = input;
         let cpu = g.add_tensor(TensorMeta::activation(&[b, c, h, w]).with_batch_dim(0));
         let dev = g.add_tensor(TensorMeta::activation(&[b, c, h, w]).with_batch_dim(0));
-        g.add_node("input::to", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![cpu], vec![dev]);
-        (ConvNet { g, tape: Tape::new(), b, counter: 0 }, dev)
+        g.add_node(
+            "input::to",
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            vec![cpu],
+            vec![dev],
+        );
+        (
+            ConvNet {
+                g,
+                tape: Tape::new(),
+                b,
+                counter: 0,
+            },
+            dev,
+        )
     }
 
     fn fresh(&mut self, tag: &str) -> String {
@@ -66,10 +81,13 @@ impl ConvNet {
     ) -> (TensorId, Chw) {
         let (c_in, h, w) = in_chw;
         let (oh, ow) = dlperf_gpusim::conv::conv_out_hw(h, w, kh, kw, stride, pad);
-        let weight = self.g.add_tensor(TensorMeta::weight(&[c_out, c_in, kh, kw]));
+        let weight = self
+            .g
+            .add_tensor(TensorMeta::weight(&[c_out, c_in, kh, kw]));
         let conv_out = self.act((c_out, oh, ow));
         let name = self.fresh("conv2d");
-        self.tape.conv(&mut self.g, &name, x, weight, conv_out, stride, pad);
+        self.tape
+            .conv(&mut self.g, &name, x, weight, conv_out, stride, pad);
 
         let bn_out = self.act((c_out, oh, ow));
         let name = self.fresh("batch_norm");
@@ -100,7 +118,14 @@ impl ConvNet {
     }
 
     /// Max pooling.
-    pub fn max_pool(&mut self, x: TensorId, in_chw: Chw, k: u64, stride: u64, pad: u64) -> (TensorId, Chw) {
+    pub fn max_pool(
+        &mut self,
+        x: TensorId,
+        in_chw: Chw,
+        k: u64,
+        stride: u64,
+        pad: u64,
+    ) -> (TensorId, Chw) {
         let (c, h, w) = in_chw;
         let (oh, ow) = dlperf_gpusim::conv::conv_out_hw(h, w, k, k, stride, pad);
         let y = self.act((c, oh, ow));
@@ -122,8 +147,15 @@ impl ConvNet {
     pub fn avg_pool_same(&mut self, x: TensorId, in_chw: Chw) -> (TensorId, Chw) {
         let y = self.act(in_chw);
         let name = self.fresh("avg_pool2d");
-        self.tape
-            .unary(&mut self.g, &name, OpKind::AvgPool, OpKind::AvgPool, x, y, vec![]);
+        self.tape.unary(
+            &mut self.g,
+            &name,
+            OpKind::AvgPool,
+            OpKind::AvgPool,
+            x,
+            y,
+            vec![],
+        );
         (y, in_chw)
     }
 
@@ -146,8 +178,15 @@ impl ConvNet {
         let (c, _, _) = in_chw;
         let pooled = self.act((c, 1, 1));
         let name = self.fresh("avg_pool2d");
-        self.tape
-            .unary(&mut self.g, &name, OpKind::AvgPool, OpKind::AvgPool, x, pooled, vec![]);
+        self.tape.unary(
+            &mut self.g,
+            &name,
+            OpKind::AvgPool,
+            OpKind::AvgPool,
+            x,
+            pooled,
+            vec![],
+        );
         let flat = self
             .g
             .add_tensor(TensorMeta::activation(&[self.b, c]).with_batch_dim(0));
@@ -177,8 +216,12 @@ impl ConvNet {
             .g
             .add_tensor(TensorMeta::activation(&[self.b, classes]).with_batch_dim(0));
         let loss = self.g.add_tensor(TensorMeta::activation(&[]));
-        self.g
-            .add_node("loss::mse_loss", OpKind::MseLoss, vec![probs, labels], vec![loss]);
+        self.g.add_node(
+            "loss::mse_loss",
+            OpKind::MseLoss,
+            vec![probs, labels],
+            vec![loss],
+        );
         let g_probs = self
             .g
             .add_tensor(TensorMeta::activation(&[self.b, classes]).with_batch_dim(0));
@@ -190,8 +233,14 @@ impl ConvNet {
         );
 
         let mut param_grads = Vec::new();
-        self.tape.backward(&mut self.g, (probs, g_probs), &mut param_grads);
-        self.g.add_node("optimizer::step", OpKind::OptimizerStep, param_grads, vec![]);
+        self.tape
+            .backward(&mut self.g, (probs, g_probs), &mut param_grads);
+        self.g.add_node(
+            "optimizer::step",
+            OpKind::OptimizerStep,
+            param_grads,
+            vec![],
+        );
 
         debug_assert_eq!(self.g.validate(), Ok(()));
         self.g

@@ -55,8 +55,12 @@ pub fn resnet50(batch: u64) -> Graph {
     let (mut h, mut s) = net.max_pool(h, s, 3, 2, 1);
 
     // The four stages: (blocks, width, out channels, first-block stride).
-    let stages: [(usize, u64, u64, u64); 4] =
-        [(3, 64, 256, 1), (4, 128, 512, 2), (6, 256, 1024, 2), (3, 512, 2048, 2)];
+    let stages: [(usize, u64, u64, u64); 4] = [
+        (3, 64, 256, 1),
+        (4, 128, 512, 2),
+        (6, 256, 1024, 2),
+        (3, 512, 2048, 2),
+    ];
     for (blocks, width, c_out, stride) in stages {
         for i in 0..blocks {
             let st = if i == 0 { stride } else { 1 };
@@ -72,8 +76,8 @@ pub fn resnet50(batch: u64) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlperf_graph::{lower, OpKind};
     use dlperf_gpusim::KernelFamily;
+    use dlperf_graph::{lower, OpKind};
 
     #[test]
     fn builds_valid_graph() {
@@ -113,7 +117,11 @@ mod tests {
                 }
             }
         }
-        assert!(conv_flops / total_flops > 0.9, "conv share {}", conv_flops / total_flops);
+        assert!(
+            conv_flops / total_flops > 0.9,
+            "conv share {}",
+            conv_flops / total_flops
+        );
     }
 
     #[test]

@@ -111,8 +111,8 @@ impl DlrmConfig {
     /// Average table row count (the paper's performance model uses the mean
     /// for the MLPerf model's non-constant table sizes).
     pub fn avg_rows(&self) -> u64 {
-        (self.rows_per_table.iter().sum::<u64>() as f64 / self.rows_per_table.len() as f64)
-            .round() as u64
+        (self.rows_per_table.iter().sum::<u64>() as f64 / self.rows_per_table.len() as f64).round()
+            as u64
     }
 
     /// Switches between batched and per-table embedding ops (builder style).
@@ -142,7 +142,10 @@ impl DlrmConfig {
     }
 
     fn build_graph(&self, training: bool) -> Graph {
-        assert!(!self.rows_per_table.is_empty(), "DLRM needs at least one embedding table");
+        assert!(
+            !self.rows_per_table.is_empty(),
+            "DLRM needs at least one embedding table"
+        );
         assert!(self.batch_size > 0, "batch size must be positive");
         assert_eq!(
             *self.bottom_mlp.last().expect("bottom MLP non-empty"),
@@ -162,14 +165,36 @@ impl DlrmConfig {
         // ---- Input copies (the `to` ops of the breakdown). ----
         let dense_cpu =
             g.add_tensor(TensorMeta::activation(&[b, self.bottom_mlp[0]]).with_batch_dim(0));
-        let dense = g.add_tensor(TensorMeta::activation(&[b, self.bottom_mlp[0]]).with_batch_dim(0));
-        g.add_node("input::to_dense", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![dense_cpu], vec![dense]);
+        let dense =
+            g.add_tensor(TensorMeta::activation(&[b, self.bottom_mlp[0]]).with_batch_dim(0));
+        g.add_node(
+            "input::to_dense",
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            vec![dense_cpu],
+            vec![dense],
+        );
         let idx_cpu = g.add_tensor(TensorMeta::index(&[t, b, l]).with_batch_dim(1));
         let idx = g.add_tensor(TensorMeta::index(&[t, b, l]).with_batch_dim(1));
-        g.add_node("input::to_indices", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![idx_cpu], vec![idx]);
+        g.add_node(
+            "input::to_indices",
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            vec![idx_cpu],
+            vec![idx],
+        );
         let labels_cpu = g.add_tensor(TensorMeta::activation(&[b, 1]).with_batch_dim(0));
         let labels = g.add_tensor(TensorMeta::activation(&[b, 1]).with_batch_dim(0));
-        g.add_node("input::to_labels", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![labels_cpu], vec![labels]);
+        g.add_node(
+            "input::to_labels",
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            vec![labels_cpu],
+            vec![labels],
+        );
 
         // ---- Bottom MLP. ----
         let bot = mlp_forward(&mut g, "bot", dense, b, &self.bottom_mlp, true);
@@ -182,7 +207,12 @@ impl DlrmConfig {
         if self.batched_embedding {
             let w = g.add_tensor(TensorMeta::weight(&[t, self.avg_rows(), d]));
             let out = g.add_tensor(TensorMeta::activation(&[b, t * d]).with_batch_dim(0));
-            g.add_node("emb::batched_embedding", OpKind::BatchedEmbedding, vec![w, idx], vec![out]);
+            g.add_node(
+                "emb::batched_embedding",
+                OpKind::BatchedEmbedding,
+                vec![w, idx],
+                vec![out],
+            );
             emb_out = out;
             batched_weights = Some(w);
         } else {
@@ -190,9 +220,19 @@ impl DlrmConfig {
             for (i, &rows) in self.rows_per_table.iter().enumerate() {
                 let w = g.add_tensor(TensorMeta::weight(&[rows, d]));
                 let per_idx = g.add_tensor(TensorMeta::index(&[b, l]).with_batch_dim(0));
-                g.add_node(format!("emb::slice_indices_{i}"), OpKind::Reshape, vec![idx], vec![per_idx]);
+                g.add_node(
+                    format!("emb::slice_indices_{i}"),
+                    OpKind::Reshape,
+                    vec![idx],
+                    vec![per_idx],
+                );
                 let out = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
-                g.add_node(format!("emb::embedding_bag_{i}"), OpKind::EmbeddingBag, vec![w, per_idx], vec![out]);
+                g.add_node(
+                    format!("emb::embedding_bag_{i}"),
+                    OpKind::EmbeddingBag,
+                    vec![w, per_idx],
+                    vec![out],
+                );
                 outs.push(out);
                 table_weights.push(w);
                 table_indices.push(per_idx);
@@ -205,7 +245,12 @@ impl DlrmConfig {
 
         // ---- Dot feature interaction. ----
         let cat_all = g.add_tensor(TensorMeta::activation(&[b, n_int * d]).with_batch_dim(0));
-        g.add_node("int::cat", OpKind::Cat { dim: 1 }, vec![bot.output, emb_out], vec![cat_all]);
+        g.add_node(
+            "int::cat",
+            OpKind::Cat { dim: 1 },
+            vec![bot.output, emb_out],
+            vec![cat_all],
+        );
         let t3 = g.add_tensor(TensorMeta::activation(&[b, n_int, d]).with_batch_dim(0));
         g.add_node("int::reshape", OpKind::Reshape, vec![cat_all], vec![t3]);
         let t3t = g.add_tensor(TensorMeta::activation(&[b, d, n_int]).with_batch_dim(0));
@@ -215,52 +260,117 @@ impl DlrmConfig {
         let zflat = g.add_tensor(TensorMeta::activation(&[b, tri]).with_batch_dim(0));
         g.add_node("int::tril", OpKind::Tril, vec![z], vec![zflat]);
         let top_in = g.add_tensor(TensorMeta::activation(&[b, d + tri]).with_batch_dim(0));
-        g.add_node("int::cat_out", OpKind::Cat { dim: 1 }, vec![bot.output, zflat], vec![top_in]);
+        g.add_node(
+            "int::cat_out",
+            OpKind::Cat { dim: 1 },
+            vec![bot.output, zflat],
+            vec![top_in],
+        );
 
         // ---- Top MLP + sigmoid + loss. ----
         let mut top_sizes = vec![d + tri];
         top_sizes.extend_from_slice(&self.top_mlp);
         let top = mlp_forward(&mut g, "top", top_in, b, &top_sizes, false);
         let pred = g.add_tensor(TensorMeta::activation(&[b, 1]).with_batch_dim(0));
-        g.add_node("loss::sigmoid", OpKind::Sigmoid, vec![top.output], vec![pred]);
+        g.add_node(
+            "loss::sigmoid",
+            OpKind::Sigmoid,
+            vec![top.output],
+            vec![pred],
+        );
         if !training {
             crate::common::add_host_accessories(&mut g, self.host_accessory_ops);
             debug_assert_eq!(g.validate(), Ok(()));
             return g;
         }
         let loss = g.add_tensor(TensorMeta::activation(&[]));
-        g.add_node("loss::mse_loss", OpKind::MseLoss, vec![pred, labels], vec![loss]);
+        g.add_node(
+            "loss::mse_loss",
+            OpKind::MseLoss,
+            vec![pred, labels],
+            vec![loss],
+        );
 
         // ================= Backward pass =================
         let mut param_grads: Vec<TensorId> = Vec::new();
 
         let g_pred = g.add_tensor(TensorMeta::activation(&[b, 1]).with_batch_dim(0));
-        g.add_node("loss::mse_loss_backward", OpKind::MseLossBackward, vec![loss, pred, labels], vec![g_pred]);
+        g.add_node(
+            "loss::mse_loss_backward",
+            OpKind::MseLossBackward,
+            vec![loss, pred, labels],
+            vec![g_pred],
+        );
         let g_top_out = g.add_tensor(TensorMeta::activation(&[b, 1]).with_batch_dim(0));
-        g.add_node("loss::sigmoid_backward", OpKind::SigmoidBackward, vec![g_pred, pred], vec![g_top_out]);
+        g.add_node(
+            "loss::sigmoid_backward",
+            OpKind::SigmoidBackward,
+            vec![g_pred, pred],
+            vec![g_top_out],
+        );
 
         let g_top_in = mlp_backward(&mut g, "top", &top, b, g_top_out, &mut param_grads);
 
         // Interaction backward.
         let g_bot_direct = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
         let g_zflat = g.add_tensor(TensorMeta::activation(&[b, tri]).with_batch_dim(0));
-        g.add_node("int::cat_out_backward", OpKind::CatBackward { dim: 1 }, vec![g_top_in], vec![g_bot_direct, g_zflat]);
+        g.add_node(
+            "int::cat_out_backward",
+            OpKind::CatBackward { dim: 1 },
+            vec![g_top_in],
+            vec![g_bot_direct, g_zflat],
+        );
         let g_z = g.add_tensor(TensorMeta::activation(&[b, n_int, n_int]).with_batch_dim(0));
-        g.add_node("int::tril_backward", OpKind::TrilBackward, vec![g_zflat], vec![g_z]);
+        g.add_node(
+            "int::tril_backward",
+            OpKind::TrilBackward,
+            vec![g_zflat],
+            vec![g_z],
+        );
         let g_t3 = g.add_tensor(TensorMeta::activation(&[b, n_int, d]).with_batch_dim(0));
         let g_t3t = g.add_tensor(TensorMeta::activation(&[b, d, n_int]).with_batch_dim(0));
-        g.add_node("int::bmm_backward", OpKind::BmmBackward, vec![g_z, t3, t3t], vec![g_t3, g_t3t]);
+        g.add_node(
+            "int::bmm_backward",
+            OpKind::BmmBackward,
+            vec![g_z, t3, t3t],
+            vec![g_t3, g_t3t],
+        );
         let g_t3_from_t = g.add_tensor(TensorMeta::activation(&[b, n_int, d]).with_batch_dim(0));
-        g.add_node("int::transpose_backward", OpKind::Transpose, vec![g_t3t], vec![g_t3_from_t]);
+        g.add_node(
+            "int::transpose_backward",
+            OpKind::Transpose,
+            vec![g_t3t],
+            vec![g_t3_from_t],
+        );
         let g_t3_sum = g.add_tensor(TensorMeta::activation(&[b, n_int, d]).with_batch_dim(0));
-        g.add_node("int::add_grads", OpKind::Add, vec![g_t3, g_t3_from_t], vec![g_t3_sum]);
+        g.add_node(
+            "int::add_grads",
+            OpKind::Add,
+            vec![g_t3, g_t3_from_t],
+            vec![g_t3_sum],
+        );
         let g_cat_all = g.add_tensor(TensorMeta::activation(&[b, n_int * d]).with_batch_dim(0));
-        g.add_node("int::reshape_backward", OpKind::Reshape, vec![g_t3_sum], vec![g_cat_all]);
+        g.add_node(
+            "int::reshape_backward",
+            OpKind::Reshape,
+            vec![g_t3_sum],
+            vec![g_cat_all],
+        );
         let g_bot_from_int = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
         let g_emb = g.add_tensor(TensorMeta::activation(&[b, t * d]).with_batch_dim(0));
-        g.add_node("int::cat_backward", OpKind::CatBackward { dim: 1 }, vec![g_cat_all], vec![g_bot_from_int, g_emb]);
+        g.add_node(
+            "int::cat_backward",
+            OpKind::CatBackward { dim: 1 },
+            vec![g_cat_all],
+            vec![g_bot_from_int, g_emb],
+        );
         let g_bot = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
-        g.add_node("int::add_bot_grads", OpKind::Add, vec![g_bot_direct, g_bot_from_int], vec![g_bot]);
+        g.add_node(
+            "int::add_bot_grads",
+            OpKind::Add,
+            vec![g_bot_direct, g_bot_from_int],
+            vec![g_bot],
+        );
 
         // Embedding backward (fused SGD update, so no param grads emitted).
         if self.batched_embedding {
@@ -276,9 +386,17 @@ impl DlrmConfig {
             for _ in 0..t {
                 slices.push(g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0)));
             }
-            g.add_node("emb::cat_backward", OpKind::CatBackward { dim: 1 }, vec![g_emb], slices.clone());
-            for (i, ((w, per_idx), slice)) in
-                table_weights.iter().zip(&table_indices).zip(&slices).enumerate()
+            g.add_node(
+                "emb::cat_backward",
+                OpKind::CatBackward { dim: 1 },
+                vec![g_emb],
+                slices.clone(),
+            );
+            for (i, ((w, per_idx), slice)) in table_weights
+                .iter()
+                .zip(&table_indices)
+                .zip(&slices)
+                .enumerate()
             {
                 g.add_node(
                     format!("emb::embedding_bag_backward_{i}"),
@@ -294,7 +412,12 @@ impl DlrmConfig {
 
         // Optimizer step over the dense parameters (one element-wise kernel
         // per parameter, driven by the gradients for data dependencies).
-        g.add_node("optimizer::step", OpKind::OptimizerStep, param_grads, vec![]);
+        g.add_node(
+            "optimizer::step",
+            OpKind::OptimizerStep,
+            param_grads,
+            vec![],
+        );
 
         crate::common::add_host_accessories(&mut g, self.host_accessory_ops);
         debug_assert_eq!(g.validate(), Ok(()));
@@ -305,15 +428,19 @@ impl DlrmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlperf_graph::lower;
     use dlperf_gpusim::KernelFamily;
+    use dlperf_graph::lower;
 
     #[test]
     fn all_paper_configs_build_valid_graphs() {
         for cfg in DlrmConfig::paper_configs(2048) {
             let g = cfg.build();
             assert!(g.validate().is_ok(), "{} invalid", cfg.name);
-            assert!(lower::lower_graph(&g).is_ok(), "{} fails to lower", cfg.name);
+            assert!(
+                lower::lower_graph(&g).is_ok(),
+                "{} fails to lower",
+                cfg.name
+            );
         }
     }
 
@@ -346,10 +473,17 @@ mod tests {
     fn unbatched_variant_has_per_table_ops() {
         let cfg = DlrmConfig::default_config(512).with_batched_embedding(false);
         let g = cfg.build();
-        let bags = g.nodes().iter().filter(|n| n.op == OpKind::EmbeddingBag).count();
+        let bags = g
+            .nodes()
+            .iter()
+            .filter(|n| n.op == OpKind::EmbeddingBag)
+            .count();
         assert_eq!(bags, 8);
-        let bag_bwd =
-            g.nodes().iter().filter(|n| n.op == OpKind::EmbeddingBagBackward).count();
+        let bag_bwd = g
+            .nodes()
+            .iter()
+            .filter(|n| n.op == OpKind::EmbeddingBagBackward)
+            .count();
         assert_eq!(bag_bwd, 8);
         assert!(g.validate().is_ok());
     }
@@ -357,7 +491,11 @@ mod tests {
     #[test]
     fn batched_variant_has_single_embedding_op() {
         let g = DlrmConfig::default_config(512).build();
-        let batched = g.nodes().iter().filter(|n| n.op == OpKind::BatchedEmbedding).count();
+        let batched = g
+            .nodes()
+            .iter()
+            .filter(|n| n.op == OpKind::BatchedEmbedding)
+            .count();
         assert_eq!(batched, 1);
     }
 
@@ -401,8 +539,15 @@ mod tests {
     fn optimizer_step_depends_on_all_mlp_grads() {
         let cfg = DlrmConfig::default_config(128);
         let g = cfg.build();
-        let opt = g.nodes().iter().find(|n| n.op == OpKind::OptimizerStep).unwrap();
+        let opt = g
+            .nodes()
+            .iter()
+            .find(|n| n.op == OpKind::OptimizerStep)
+            .unwrap();
         // bottom: 2 layers, top: 4 layers => 6 weight grads + 6 bias grads.
-        assert_eq!(opt.inputs.len(), 2 * ((cfg.bottom_mlp.len() - 1) + cfg.top_mlp.len()));
+        assert_eq!(
+            opt.inputs.len(),
+            2 * ((cfg.bottom_mlp.len() - 1) + cfg.top_mlp.len())
+        );
     }
 }

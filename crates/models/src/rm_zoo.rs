@@ -47,9 +47,17 @@ impl RmConfig {
 /// concat of dense + embedded features. Returns `(x0, x0_dim)`.
 fn feature_stack(g: &mut Graph, tape: &mut Tape, cfg: &RmConfig) -> (TensorId, u64) {
     let b = cfg.batch;
-    let dense_cpu = g.add_tensor(TensorMeta::activation(&[b, cfg.dense_features]).with_batch_dim(0));
+    let dense_cpu =
+        g.add_tensor(TensorMeta::activation(&[b, cfg.dense_features]).with_batch_dim(0));
     let dense = g.add_tensor(TensorMeta::activation(&[b, cfg.dense_features]).with_batch_dim(0));
-    g.add_node("input::to_dense", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![dense_cpu], vec![dense]);
+    g.add_node(
+        "input::to_dense",
+        OpKind::To {
+            kind: MemcpyKind::HostToDevice,
+        },
+        vec![dense_cpu],
+        vec![dense],
+    );
 
     let mut parts = vec![dense];
     let mut dim = cfg.dense_features;
@@ -59,12 +67,19 @@ fn feature_stack(g: &mut Graph, tape: &mut Tape, cfg: &RmConfig) -> (TensorId, u
         let idx = g.add_tensor(TensorMeta::index(&[b, cfg.lookups]).with_batch_dim(0));
         g.add_node(
             format!("input::to_indices_{i}"),
-            OpKind::To { kind: MemcpyKind::HostToDevice },
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
             vec![idx_cpu],
             vec![idx],
         );
         let out = g.add_tensor(TensorMeta::activation(&[b, d]).with_batch_dim(0));
-        g.add_node(format!("emb::embedding_bag_{i}"), OpKind::EmbeddingBag, vec![w, idx], vec![out]);
+        g.add_node(
+            format!("emb::embedding_bag_{i}"),
+            OpKind::EmbeddingBag,
+            vec![w, idx],
+            vec![out],
+        );
         parts.push(out);
         dim += d;
     }
@@ -90,7 +105,15 @@ fn deep_branch(
         let y = g.add_tensor(TensorMeta::activation(&[batch, width]).with_batch_dim(0));
         tape.linear(g, &format!("deep::fc_{i}"), h, w, bias, y);
         let a = g.add_tensor(TensorMeta::activation(&[batch, width]).with_batch_dim(0));
-        tape.unary(g, &format!("deep::relu_{i}"), OpKind::Relu, OpKind::ReluBackward, y, a, vec![a]);
+        tape.unary(
+            g,
+            &format!("deep::relu_{i}"),
+            OpKind::Relu,
+            OpKind::ReluBackward,
+            y,
+            a,
+            vec![a],
+        );
         h = a;
         prev = width;
     }
@@ -104,12 +127,30 @@ fn finish(g: &mut Graph, mut tape: Tape, x: TensorId, in_dim: u64, batch: u64) {
     let logit = g.add_tensor(TensorMeta::activation(&[batch, 1]).with_batch_dim(0));
     tape.linear(g, "head::fc", x, w, bias, logit);
     let prob = g.add_tensor(TensorMeta::activation(&[batch, 1]).with_batch_dim(0));
-    tape.unary(g, "head::sigmoid", OpKind::Sigmoid, OpKind::SigmoidBackward, logit, prob, vec![prob]);
+    tape.unary(
+        g,
+        "head::sigmoid",
+        OpKind::Sigmoid,
+        OpKind::SigmoidBackward,
+        logit,
+        prob,
+        vec![prob],
+    );
     let labels = g.add_tensor(TensorMeta::activation(&[batch, 1]).with_batch_dim(0));
     let loss = g.add_tensor(TensorMeta::activation(&[]));
-    g.add_node("loss::mse_loss", OpKind::MseLoss, vec![prob, labels], vec![loss]);
+    g.add_node(
+        "loss::mse_loss",
+        OpKind::MseLoss,
+        vec![prob, labels],
+        vec![loss],
+    );
     let g_prob = g.add_tensor(TensorMeta::activation(&[batch, 1]).with_batch_dim(0));
-    g.add_node("loss::mse_loss_backward", OpKind::MseLossBackward, vec![loss, prob, labels], vec![g_prob]);
+    g.add_node(
+        "loss::mse_loss_backward",
+        OpKind::MseLossBackward,
+        vec![loss, prob, labels],
+        vec![g_prob],
+    );
 
     let mut param_grads = Vec::new();
     let grads = tape.backward(g, (prob, g_prob), &mut param_grads);
@@ -131,7 +172,12 @@ fn finish(g: &mut Graph, mut tape: Tape, x: TensorId, in_dim: u64, batch: u64) {
             );
         }
     }
-    g.add_node("optimizer::step", OpKind::OptimizerStep, param_grads, vec![]);
+    g.add_node(
+        "optimizer::step",
+        OpKind::OptimizerStep,
+        param_grads,
+        vec![],
+    );
 }
 
 /// Builds a Deep & Cross Network training iteration: the feature stack
@@ -141,7 +187,10 @@ fn finish(g: &mut Graph, mut tape: Tape, x: TensorId, in_dim: u64, batch: u64) {
 /// # Panics
 /// Panics if the config has no tables or a zero batch.
 pub fn dcn(cfg: &RmConfig) -> Graph {
-    assert!(cfg.batch > 0 && !cfg.tables.is_empty(), "DCN needs a batch and tables");
+    assert!(
+        cfg.batch > 0 && !cfg.tables.is_empty(),
+        "DCN needs a batch and tables"
+    );
     let b = cfg.batch;
     let mut g = Graph::new("DCN");
     let mut tape = Tape::new();
@@ -180,7 +229,10 @@ pub fn dcn(cfg: &RmConfig) -> Graph {
 /// # Panics
 /// Panics if the config has no tables or a zero batch.
 pub fn wide_deep(cfg: &RmConfig) -> Graph {
-    assert!(cfg.batch > 0 && !cfg.tables.is_empty(), "Wide&Deep needs a batch and tables");
+    assert!(
+        cfg.batch > 0 && !cfg.tables.is_empty(),
+        "Wide&Deep needs a batch and tables"
+    );
     let b = cfg.batch;
     let mut g = Graph::new("WideDeep");
     let mut tape = Tape::new();
@@ -189,9 +241,21 @@ pub fn wide_deep(cfg: &RmConfig) -> Graph {
     let wide_table = g.add_tensor(TensorMeta::weight(&[5_000_000, 1]));
     let wide_idx_cpu = g.add_tensor(TensorMeta::index(&[b, 32]).with_batch_dim(0));
     let wide_idx = g.add_tensor(TensorMeta::index(&[b, 32]).with_batch_dim(0));
-    g.add_node("input::to_wide_indices", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![wide_idx_cpu], vec![wide_idx]);
+    g.add_node(
+        "input::to_wide_indices",
+        OpKind::To {
+            kind: MemcpyKind::HostToDevice,
+        },
+        vec![wide_idx_cpu],
+        vec![wide_idx],
+    );
     let wide_out = g.add_tensor(TensorMeta::activation(&[b, 1]).with_batch_dim(0));
-    g.add_node("wide::embedding_bag", OpKind::EmbeddingBag, vec![wide_table, wide_idx], vec![wide_out]);
+    g.add_node(
+        "wide::embedding_bag",
+        OpKind::EmbeddingBag,
+        vec![wide_table, wide_idx],
+        vec![wide_out],
+    );
 
     // Deep part.
     let (x0, dim) = feature_stack(&mut g, &mut tape, cfg);
@@ -207,8 +271,8 @@ pub fn wide_deep(cfg: &RmConfig) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlperf_graph::lower;
     use dlperf_gpusim::KernelFamily;
+    use dlperf_graph::lower;
 
     #[test]
     fn dcn_builds_and_lowers() {
@@ -217,7 +281,10 @@ mod tests {
         assert!(lower::lower_graph(&g).is_ok());
         // Cross layers present: 4 matvec AddMms named cross::matvec_*.
         assert_eq!(
-            g.nodes().iter().filter(|n| n.name.starts_with("cross::matvec")).count(),
+            g.nodes()
+                .iter()
+                .filter(|n| n.name.starts_with("cross::matvec"))
+                .count(),
             4
         );
     }
@@ -228,10 +295,21 @@ mod tests {
         assert!(g.validate().is_ok());
         assert!(lower::lower_graph(&g).is_ok());
         // Wide table lookup + 8 deep tables, each with a backward.
-        let fwd = g.nodes().iter().filter(|n| n.op == OpKind::EmbeddingBag).count();
-        let bwd = g.nodes().iter().filter(|n| n.op == OpKind::EmbeddingBagBackward).count();
+        let fwd = g
+            .nodes()
+            .iter()
+            .filter(|n| n.op == OpKind::EmbeddingBag)
+            .count();
+        let bwd = g
+            .nodes()
+            .iter()
+            .filter(|n| n.op == OpKind::EmbeddingBagBackward)
+            .count();
         assert_eq!(fwd, 9);
-        assert!(bwd >= 8, "deep embeddings must have backward ops, got {bwd}");
+        assert!(
+            bwd >= 8,
+            "deep embeddings must have backward ops, got {bwd}"
+        );
     }
 
     #[test]
@@ -246,10 +324,18 @@ mod tests {
             KernelFamily::Memcpy,
             KernelFamily::Elementwise,
         ];
-        for g in [dcn(&RmConfig::ctr_default(128)), wide_deep(&RmConfig::ctr_default(128))] {
+        for g in [
+            dcn(&RmConfig::ctr_default(128)),
+            wide_deep(&RmConfig::ctr_default(128)),
+        ] {
             for (_, ks) in lower::lower_graph(&g).unwrap() {
                 for k in ks {
-                    assert!(known.contains(&k.family()), "unexpected family {} in {}", k.family(), g.name);
+                    assert!(
+                        known.contains(&k.family()),
+                        "unexpected family {} in {}",
+                        k.family(),
+                        g.name
+                    );
                 }
             }
         }
@@ -257,7 +343,10 @@ mod tests {
 
     #[test]
     fn both_resize_cleanly() {
-        for mut g in [dcn(&RmConfig::ctr_default(256)), wide_deep(&RmConfig::ctr_default(256))] {
+        for mut g in [
+            dcn(&RmConfig::ctr_default(256)),
+            wide_deep(&RmConfig::ctr_default(256)),
+        ] {
             dlperf_graph::transform::resize_batch(&mut g, 1024).unwrap();
             assert!(lower::lower_graph(&g).is_ok());
         }

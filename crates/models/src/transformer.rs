@@ -44,7 +44,10 @@ impl TransformerConfig {
     /// # Panics
     /// Panics if `heads` does not divide `d_model` or any dimension is zero.
     pub fn build(&self) -> Graph {
-        assert!(self.batch > 0 && self.seq_len > 0 && self.layers > 0, "dims must be positive");
+        assert!(
+            self.batch > 0 && self.seq_len > 0 && self.layers > 0,
+            "dims must be positive"
+        );
         assert_eq!(self.d_model % self.heads, 0, "heads must divide d_model");
         let (b, s, d, h) = (self.batch, self.seq_len, self.d_model, self.heads);
         let bs = b * s;
@@ -57,10 +60,22 @@ impl TransformerConfig {
         // Token ids H2D + embedding lookup.
         let ids_cpu = g.add_tensor(TensorMeta::index(&[bs, 1]));
         let ids = g.add_tensor(TensorMeta::index(&[bs, 1]));
-        g.add_node("input::to_ids", OpKind::To { kind: MemcpyKind::HostToDevice }, vec![ids_cpu], vec![ids]);
+        g.add_node(
+            "input::to_ids",
+            OpKind::To {
+                kind: MemcpyKind::HostToDevice,
+            },
+            vec![ids_cpu],
+            vec![ids],
+        );
         let emb_w = g.add_tensor(TensorMeta::weight(&[self.vocab, d]));
         let emb_out = g.add_tensor(TensorMeta::activation(&[bs, d]));
-        g.add_node("embedding", OpKind::EmbeddingBag, vec![emb_w, ids], vec![emb_out]);
+        g.add_node(
+            "embedding",
+            OpKind::EmbeddingBag,
+            vec![emb_w, ids],
+            vec![emb_out],
+        );
 
         let act = |g: &mut Graph, shape: &[u64]| g.add_tensor(TensorMeta::activation(shape));
 
@@ -85,14 +100,30 @@ impl TransformerConfig {
             let k3 = act(&mut g, &[bh, s, dh]);
             tape.reshape(&mut g, &p("k_heads"), k, k3);
             let kt = act(&mut g, &[bh, dh, s]);
-            tape.unary(&mut g, &p("k_transpose"), OpKind::Transpose, OpKind::Transpose, k3, kt, vec![]);
+            tape.unary(
+                &mut g,
+                &p("k_transpose"),
+                OpKind::Transpose,
+                OpKind::Transpose,
+                k3,
+                kt,
+                vec![],
+            );
             let v3 = act(&mut g, &[bh, s, dh]);
             tape.reshape(&mut g, &p("v_heads"), v, v3);
 
             let scores = act(&mut g, &[bh, s, s]);
             tape.bmm(&mut g, &p("qk_bmm"), q3, kt, scores);
             let attn = act(&mut g, &[bh, s, s]);
-            tape.unary(&mut g, &p("softmax"), OpKind::Softmax, OpKind::SoftmaxBackward, scores, attn, vec![attn]);
+            tape.unary(
+                &mut g,
+                &p("softmax"),
+                OpKind::Softmax,
+                OpKind::SoftmaxBackward,
+                scores,
+                attn,
+                vec![attn],
+            );
             let ctx = act(&mut g, &[bh, s, dh]);
             tape.bmm(&mut g, &p("av_bmm"), attn, v3, ctx);
             let ctx2 = act(&mut g, &[bs, d]);
@@ -102,7 +133,15 @@ impl TransformerConfig {
             let res1 = act(&mut g, &[bs, d]);
             tape.add(&mut g, &p("residual1"), x, attn_out, res1);
             let ln1 = act(&mut g, &[bs, d]);
-            tape.unary(&mut g, &p("layer_norm1"), OpKind::LayerNorm, OpKind::LayerNormBackward, res1, ln1, vec![res1]);
+            tape.unary(
+                &mut g,
+                &p("layer_norm1"),
+                OpKind::LayerNorm,
+                OpKind::LayerNormBackward,
+                res1,
+                ln1,
+                vec![res1],
+            );
 
             // Feed-forward.
             let ff_w1 = g.add_tensor(TensorMeta::weight(&[self.ff, d]));
@@ -110,7 +149,15 @@ impl TransformerConfig {
             let ff_h = act(&mut g, &[bs, self.ff]);
             tape.linear(&mut g, &p("ff1"), ln1, ff_w1, ff_b1, ff_h);
             let gelu = act(&mut g, &[bs, self.ff]);
-            tape.unary(&mut g, &p("gelu"), OpKind::Gelu, OpKind::GeluBackward, ff_h, gelu, vec![ff_h]);
+            tape.unary(
+                &mut g,
+                &p("gelu"),
+                OpKind::Gelu,
+                OpKind::GeluBackward,
+                ff_h,
+                gelu,
+                vec![ff_h],
+            );
             let ff_w2 = g.add_tensor(TensorMeta::weight(&[d, self.ff]));
             let ff_b2 = g.add_tensor(TensorMeta::weight(&[d]));
             let ff_out = act(&mut g, &[bs, d]);
@@ -119,7 +166,15 @@ impl TransformerConfig {
             let res2 = act(&mut g, &[bs, d]);
             tape.add(&mut g, &p("residual2"), ln1, ff_out, res2);
             let ln2 = act(&mut g, &[bs, d]);
-            tape.unary(&mut g, &p("layer_norm2"), OpKind::LayerNorm, OpKind::LayerNormBackward, res2, ln2, vec![res2]);
+            tape.unary(
+                &mut g,
+                &p("layer_norm2"),
+                OpKind::LayerNorm,
+                OpKind::LayerNormBackward,
+                res2,
+                ln2,
+                vec![res2],
+            );
             x = ln2;
         }
 
@@ -129,21 +184,49 @@ impl TransformerConfig {
         let logits = act(&mut g, &[bs, self.vocab]);
         tape.linear(&mut g, "lm_head", x, head_w, head_b, logits);
         let probs = act(&mut g, &[bs, self.vocab]);
-        tape.unary(&mut g, "softmax_out", OpKind::Softmax, OpKind::SoftmaxBackward, logits, probs, vec![probs]);
+        tape.unary(
+            &mut g,
+            "softmax_out",
+            OpKind::Softmax,
+            OpKind::SoftmaxBackward,
+            logits,
+            probs,
+            vec![probs],
+        );
         let labels = g.add_tensor(TensorMeta::activation(&[bs, self.vocab]));
         let loss = g.add_tensor(TensorMeta::activation(&[]));
-        g.add_node("loss::mse_loss", OpKind::MseLoss, vec![probs, labels], vec![loss]);
+        g.add_node(
+            "loss::mse_loss",
+            OpKind::MseLoss,
+            vec![probs, labels],
+            vec![loss],
+        );
         let g_probs = act(&mut g, &[bs, self.vocab]);
-        g.add_node("loss::mse_loss_backward", OpKind::MseLossBackward, vec![loss, probs, labels], vec![g_probs]);
+        g.add_node(
+            "loss::mse_loss_backward",
+            OpKind::MseLossBackward,
+            vec![loss, probs, labels],
+            vec![g_probs],
+        );
 
         let mut param_grads = Vec::new();
         let grads = tape.backward(&mut g, (probs, g_probs), &mut param_grads);
 
         // Token embedding backward (sparse update, fused SGD).
         if let Some(&g_emb) = grads.get(&emb_out) {
-            g.add_node("embedding_backward", OpKind::EmbeddingBagBackward, vec![g_emb, emb_w, ids], vec![]);
+            g.add_node(
+                "embedding_backward",
+                OpKind::EmbeddingBagBackward,
+                vec![g_emb, emb_w, ids],
+                vec![],
+            );
         }
-        g.add_node("optimizer::step", OpKind::OptimizerStep, param_grads, vec![]);
+        g.add_node(
+            "optimizer::step",
+            OpKind::OptimizerStep,
+            param_grads,
+            vec![],
+        );
 
         debug_assert_eq!(g.validate(), Ok(()));
         g
@@ -153,8 +236,8 @@ impl TransformerConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlperf_graph::lower;
     use dlperf_gpusim::KernelFamily;
+    use dlperf_graph::lower;
 
     #[test]
     fn builds_valid_graph() {
@@ -180,14 +263,26 @@ mod tests {
 
     #[test]
     fn layer_count_scales_nodes() {
-        let small = TransformerConfig { layers: 2, ..TransformerConfig::base(4) }.build();
-        let big = TransformerConfig { layers: 4, ..TransformerConfig::base(4) }.build();
+        let small = TransformerConfig {
+            layers: 2,
+            ..TransformerConfig::base(4)
+        }
+        .build();
+        let big = TransformerConfig {
+            layers: 4,
+            ..TransformerConfig::base(4)
+        }
+        .build();
         assert!(big.node_count() > small.node_count());
     }
 
     #[test]
     #[should_panic(expected = "heads must divide")]
     fn bad_heads_panics() {
-        TransformerConfig { heads: 7, ..TransformerConfig::base(4) }.build();
+        TransformerConfig {
+            heads: 7,
+            ..TransformerConfig::base(4)
+        }
+        .build();
     }
 }

@@ -77,16 +77,27 @@ mod tests {
     #[test]
     fn unknown_name_lists_the_catalog() {
         let err = build("alexnet", 128).unwrap_err();
-        assert!(err.contains("alexnet") && err.contains("dlrm-default"), "{err}");
+        assert!(
+            err.contains("alexnet") && err.contains("dlrm-default"),
+            "{err}"
+        );
     }
 
     #[test]
     fn dlrm_configs_cover_exactly_the_dlrm_entries() {
-        let with_config: Vec<&str> =
-            MODEL_NAMES.iter().copied().filter(|n| dlrm_config(n, 64).is_some()).collect();
+        let with_config: Vec<&str> = MODEL_NAMES
+            .iter()
+            .copied()
+            .filter(|n| dlrm_config(n, 64).is_some())
+            .collect();
         assert_eq!(
             with_config,
-            ["dlrm-default", "dlrm-mlperf", "dlrm-ddp", "dlrm-default-infer"]
+            [
+                "dlrm-default",
+                "dlrm-mlperf",
+                "dlrm-ddp",
+                "dlrm-default-infer"
+            ]
         );
         assert_eq!(dlrm_config("dlrm-mlperf", 64).unwrap().batch_size, 64);
     }

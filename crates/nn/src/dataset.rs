@@ -23,7 +23,10 @@ impl Dataset {
         if rows.len() != targets.len() || rows.is_empty() {
             return None;
         }
-        Some(Dataset { x: Matrix::from_rows(rows)?, y: targets.to_vec() })
+        Some(Dataset {
+            x: Matrix::from_rows(rows)?,
+            y: targets.to_vec(),
+        })
     }
 
     /// Number of samples.
@@ -43,7 +46,10 @@ impl Dataset {
 
     /// Copy of selected samples, in order.
     pub fn select(&self, idx: &[usize]) -> Dataset {
-        Dataset { x: self.x.select_rows(idx), y: idx.iter().map(|&i| self.y[i]).collect() }
+        Dataset {
+            x: self.x.select_rows(idx),
+            y: idx.iter().map(|&i| self.y[i]).collect(),
+        }
     }
 
     /// Deterministic shuffled split into `(train, validation)` with the
@@ -53,7 +59,10 @@ impl Dataset {
     /// Panics if `val_frac` is outside `(0, 1)` or either side would be
     /// empty.
     pub fn split(&self, val_frac: f64, seed: u64) -> (Dataset, Dataset) {
-        assert!(val_frac > 0.0 && val_frac < 1.0, "val_frac must be in (0, 1)");
+        assert!(
+            val_frac > 0.0 && val_frac < 1.0,
+            "val_frac must be in (0, 1)"
+        );
         let mut idx: Vec<usize> = (0..self.len()).collect();
         idx.shuffle(&mut StdRng::seed_from_u64(seed));
         let n_val = ((self.len() as f64 * val_frac).round() as usize).clamp(1, self.len() - 1);
@@ -78,12 +87,7 @@ mod tests {
         let (tr, va) = d.split(0.2, 9);
         assert_eq!(tr.len() + va.len(), 100);
         assert_eq!(va.len(), 20);
-        let mut all: Vec<i64> = tr
-            .y
-            .iter()
-            .chain(va.y.iter())
-            .map(|&v| v as i64)
-            .collect();
+        let mut all: Vec<i64> = tr.y.iter().chain(va.y.iter()).map(|&v| v as i64).collect();
         all.sort_unstable();
         assert_eq!(all, (0..100).map(|i| i * 2).collect::<Vec<_>>());
     }

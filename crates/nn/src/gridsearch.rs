@@ -72,7 +72,12 @@ impl SearchSpace {
             for &width in &self.widths {
                 for &optimizer in &self.optimizers {
                     for &learning_rate in &self.learning_rates {
-                        out.push(HyperParams { num_layers, width, optimizer, learning_rate });
+                        out.push(HyperParams {
+                            num_layers,
+                            width,
+                            optimizer,
+                            learning_rate,
+                        });
                     }
                 }
             }
@@ -142,13 +147,19 @@ pub fn grid_search(
 
     let mut results: Vec<(usize, HyperParams, TrainedModel)> = res_rx.iter().collect();
     results.sort_by_key(|(i, _, _)| *i);
-    let trials: Vec<(HyperParams, f64)> =
-        results.iter().map(|(_, hp, m)| (hp.clone(), m.val_mape)).collect();
+    let trials: Vec<(HyperParams, f64)> = results
+        .iter()
+        .map(|(_, hp, m)| (hp.clone(), m.val_mape))
+        .collect();
     let (_, best, model) = results
         .into_iter()
         .min_by(|a, b| a.2.val_mape.total_cmp(&b.2.val_mape))
         .expect("at least one configuration ran");
-    SearchResult { best, model, trials }
+    SearchResult {
+        best,
+        model,
+        trials,
+    }
 }
 
 /// The grid search as a checkpointable [`ResumableJob`]: one step trains
@@ -176,7 +187,12 @@ impl<'a> GridSearchJob<'a> {
     pub fn new(data: &'a Dataset, space: &SearchSpace, epochs: usize, seed: u64) -> Self {
         let configs = space.configurations();
         assert!(!configs.is_empty(), "empty search space");
-        GridSearchJob { data, configs, epochs, seed }
+        GridSearchJob {
+            data,
+            configs,
+            epochs,
+            seed,
+        }
     }
 
     /// Number of configurations (= steps) in the job.
@@ -231,13 +247,19 @@ impl ResumableJob for GridSearchJob<'_> {
     }
 
     fn finish(&self, state: Self::State) -> SearchResult {
-        let trials: Vec<(HyperParams, f64)> =
-            state.iter().map(|(hp, m)| (hp.clone(), m.val_mape)).collect();
+        let trials: Vec<(HyperParams, f64)> = state
+            .iter()
+            .map(|(hp, m)| (hp.clone(), m.val_mape))
+            .collect();
         let (best, model) = state
             .into_iter()
             .min_by(|a, b| a.1.val_mape.total_cmp(&b.1.val_mape))
             .expect("grid-search jobs always have at least one configuration");
-        SearchResult { best, model, trials }
+        SearchResult {
+            best,
+            model,
+            trials,
+        }
     }
 }
 
@@ -288,7 +310,11 @@ mod tests {
         };
         let res = grid_search(&data, &space, 60, 2, 42);
         assert_eq!(res.trials.len(), 2);
-        let min = res.trials.iter().map(|(_, e)| *e).fold(f64::INFINITY, f64::min);
+        let min = res
+            .trials
+            .iter()
+            .map(|(_, e)| *e)
+            .fold(f64::INFINITY, f64::min);
         assert_eq!(res.model.val_mape, min);
         assert!(space.configurations().contains(&res.best));
     }
@@ -317,7 +343,11 @@ mod tests {
         assert_eq!(res.model.val_mape.to_bits(), plain.model.val_mape.to_bits());
         for ((hp_a, e_a), (hp_b, e_b)) in res.trials.iter().zip(&plain.trials) {
             assert_eq!(hp_a, hp_b);
-            assert_eq!(e_a.to_bits(), e_b.to_bits(), "per-trial error must match bitwise");
+            assert_eq!(
+                e_a.to_bits(),
+                e_b.to_bits(),
+                "per-trial error must match bitwise"
+            );
         }
     }
 }

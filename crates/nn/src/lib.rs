@@ -47,11 +47,11 @@ pub mod train;
 
 pub use arena::{ArenaStats, ScratchArena};
 pub use dataset::Dataset;
-pub use matrix::{lane_dot, lane_dot_reference, LANES};
 pub use gridsearch::{
     grid_search, grid_search_supervised, GridSearchJob, HyperParams, SearchSpace,
 };
 pub use matrix::Matrix;
+pub use matrix::{lane_dot, lane_dot_reference, LANES};
 pub use net::{InferencePlan, Mlp};
 pub use optim::OptimizerKind;
 pub use train::{train, TrainConfig, TrainedModel};

@@ -89,7 +89,11 @@ pub struct Matrix {
 impl Matrix {
     /// An all-zeros matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        Matrix { rows, cols, data: vec![0.0; rows * cols] }
+        Matrix {
+            rows,
+            cols,
+            data: vec![0.0; rows * cols],
+        }
     }
 
     /// Builds a matrix from a generator called as `f(row, col)`.
@@ -185,7 +189,11 @@ impl Matrix {
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "matmul dims: {}x{} × {}x{}", self.rows, self.cols, rhs.rows, rhs.cols);
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul dims: {}x{} × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
         let rt = rhs.transpose();
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
@@ -214,7 +222,11 @@ impl Matrix {
     /// # Panics
     /// Panics if inner dimensions disagree.
     pub fn matmul_rows(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(self.cols, rhs.rows, "matmul dims: {}x{} × {}x{}", self.rows, self.cols, rhs.rows, rhs.cols);
+        assert_eq!(
+            self.cols, rhs.rows,
+            "matmul dims: {}x{} × {}x{}",
+            self.rows, self.cols, rhs.rows, rhs.cols
+        );
         let (inner, n) = (self.cols, rhs.cols);
         let mut out = Matrix::zeros(self.rows, n);
         let mut acc = vec![0.0f64; LANES * n];
@@ -271,7 +283,11 @@ impl Matrix {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn hadamard_inplace(&mut self, rhs: &Matrix) {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "hadamard shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (rhs.rows, rhs.cols),
+            "hadamard shape mismatch"
+        );
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a *= b;
         }
@@ -293,7 +309,11 @@ impl Matrix {
     /// # Panics
     /// Panics on shape mismatch.
     pub fn axpy(&mut self, alpha: f64, rhs: &Matrix) {
-        assert_eq!((self.rows, self.cols), (rhs.rows, rhs.cols), "axpy shape mismatch");
+        assert_eq!(
+            (self.rows, self.cols),
+            (rhs.rows, rhs.cols),
+            "axpy shape mismatch"
+        );
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += alpha * b;
         }
@@ -303,7 +323,6 @@ impl Matrix {
     pub fn select_rows(&self, idx: &[usize]) -> Matrix {
         Matrix::from_fn(idx.len(), self.cols, |r, c| self.at(idx[r], c))
     }
-
 }
 
 #[cfg(test)]
@@ -365,9 +384,17 @@ mod tests {
         // so any reassociation flips low mantissa bits.
         for k in 0..=13 {
             let x: Vec<f64> = (0..k)
-                .map(|i| if i % 3 == 0 { 0.0 } else { (i as f64 + 0.3) * 10f64.powi(i % 5 - 2) })
+                .map(|i| {
+                    if i % 3 == 0 {
+                        0.0
+                    } else {
+                        (i as f64 + 0.3) * 10f64.powi(i % 5 - 2)
+                    }
+                })
                 .collect();
-            let w: Vec<f64> = (0..k).map(|i| (i as f64 - 1.7) * 3f64.powi(i % 4) + 1e-9).collect();
+            let w: Vec<f64> = (0..k)
+                .map(|i| (i as f64 - 1.7) * 3f64.powi(i % 4) + 1e-9)
+                .collect();
             assert_eq!(
                 lane_dot(&x, &w).to_bits(),
                 lane_dot_reference(&x, &w).to_bits(),
@@ -396,7 +423,11 @@ mod tests {
         // Awkward magnitudes on purpose: any reassociation of the
         // accumulation order shows up in the low mantissa bits.
         let a = Matrix::from_fn(7, 5, |r, c| {
-            if (r + c) % 3 == 0 { 0.0 } else { (1.0 + r as f64) * 10f64.powi(c as i32 - 2) + 0.1 }
+            if (r + c) % 3 == 0 {
+                0.0
+            } else {
+                (1.0 + r as f64) * 10f64.powi(c as i32 - 2) + 0.1
+            }
         });
         let b = Matrix::from_fn(5, 4, |r, c| (r as f64 - 1.7) * 3f64.powi(c as i32) + 1e-9);
         let batched = a.matmul(&b);

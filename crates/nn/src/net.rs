@@ -52,7 +52,10 @@ impl Mlp {
     /// # Panics
     /// Panics if any dimension is zero.
     pub fn new(inputs: usize, hidden_layers: usize, width: usize, seed: u64) -> Self {
-        assert!(inputs > 0 && hidden_layers > 0 && width > 0, "MLP dims must be positive");
+        assert!(
+            inputs > 0 && hidden_layers > 0 && width > 0,
+            "MLP dims must be positive"
+        );
         let mut rng = StdRng::seed_from_u64(seed);
         let mut layers = Vec::with_capacity(hidden_layers + 1);
         let mut prev = inputs;
@@ -118,7 +121,10 @@ impl Mlp {
     pub fn backward(&self, tape: Tape, mut grad: Matrix) -> Vec<Linear> {
         let mut grads = Vec::with_capacity(self.layers.len());
         for (i, (layer, x)) in self.layers.iter().zip(tape.inputs).enumerate().rev() {
-            grads.push(Linear { w: x.transpose().matmul_rows(&grad), b: grad.col_sums() });
+            grads.push(Linear {
+                w: x.transpose().matmul_rows(&grad),
+                b: grad.col_sums(),
+            });
             if i > 0 {
                 grad = grad.matmul_rows(&layer.w.transpose());
                 // The previous layer's ReLU mask, read off its output `x`.
@@ -199,7 +205,12 @@ impl PlanLayer {
                 wt.push(w.at(k, j));
             }
         }
-        PlanLayer { wt, bias: b.to_vec(), inputs, outputs }
+        PlanLayer {
+            wt,
+            bias: b.to_vec(),
+            inputs,
+            outputs,
+        }
     }
 }
 
@@ -279,7 +290,12 @@ impl InferencePlan {
     pub fn predict(&self, x: &Matrix) -> Vec<f64> {
         let rows = x.rows();
         let mut out = Vec::with_capacity(rows);
-        self.predict_flat_into(x.clone().into_vec(), rows, &mut ScratchArena::new(), &mut out);
+        self.predict_flat_into(
+            x.clone().into_vec(),
+            rows,
+            &mut ScratchArena::new(),
+            &mut out,
+        );
         out
     }
 }
@@ -333,10 +349,15 @@ mod tests {
     fn training_step_matches_matmul_step_bitwise() {
         use crate::optim::{Optimizer, OptimizerKind};
         let x = Matrix::from_fn(13, 7, |r, c| {
-            if (r * 7 + c) % 5 == 0 { 0.0 } else { (r as f64 - 6.3) * 10f64.powi(c as i32 % 4 - 2) }
+            if (r * 7 + c) % 5 == 0 {
+                0.0
+            } else {
+                (r as f64 - 6.3) * 10f64.powi(c as i32 % 4 - 2)
+            }
         });
         let target: Vec<f64> = (0..13).map(|r| 0.1 * r as f64 - 0.4).collect();
-        let mse_grad = |y: &Matrix| Matrix::from_fn(13, 1, |r, _| 2.0 * (y.at(r, 0) - target[r]) / 13.0);
+        let mse_grad =
+            |y: &Matrix| Matrix::from_fn(13, 1, |r, _| 2.0 * (y.at(r, 0) - target[r]) / 13.0);
 
         let mut fast = Mlp::new(7, 3, 22, 5);
         let mut slow = fast.clone();
@@ -360,11 +381,18 @@ mod tests {
             acts.push(h);
         }
         let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(acts[n].as_slice()), bits(y.as_slice()), "forward output");
+        assert_eq!(
+            bits(acts[n].as_slice()),
+            bits(y.as_slice()),
+            "forward output"
+        );
         let mut g = mse_grad(&acts[n]);
         let mut slow_grads = Vec::new();
         for i in (0..n).rev() {
-            slow_grads.push(Linear { w: acts[i].transpose().matmul(&g), b: g.col_sums() });
+            slow_grads.push(Linear {
+                w: acts[i].transpose().matmul(&g),
+                b: g.col_sums(),
+            });
             if i > 0 {
                 g = g.matmul(&layers[i].w.transpose());
                 g.hadamard_inplace(&masks[i - 1]);
@@ -378,7 +406,11 @@ mod tests {
             assert_eq!(bits(&a.b), bits(&b.b), "b of layer {i}");
         }
         for (i, (a, b)) in fast_grads.iter().zip(&slow_grads).enumerate() {
-            assert_eq!(bits(a.w.as_slice()), bits(b.w.as_slice()), "grad w of layer {i}");
+            assert_eq!(
+                bits(a.w.as_slice()),
+                bits(b.w.as_slice()),
+                "grad w of layer {i}"
+            );
             assert_eq!(bits(&a.b), bits(&b.b), "grad b of layer {i}");
         }
     }
@@ -386,10 +418,20 @@ mod tests {
     #[test]
     fn validation_forward_matches_scalar_inference_bitwise() {
         let mlp = Mlp::new(5, 2, 18, 3);
-        let x = Matrix::from_fn(9, 5, |r, c| if r == c { 0.0 } else { (r as f64 + 0.7) / (c as f64 - 2.2) });
+        let x = Matrix::from_fn(9, 5, |r, c| {
+            if r == c {
+                0.0
+            } else {
+                (r as f64 + 0.7) / (c as f64 - 2.2)
+            }
+        });
         let batch = mlp.forward(&x);
         for r in 0..x.rows() {
-            assert_eq!(batch.at(r, 0).to_bits(), mlp.predict_one(x.row(r)).to_bits(), "row {r}");
+            assert_eq!(
+                batch.at(r, 0).to_bits(),
+                mlp.predict_one(x.row(r)).to_bits(),
+                "row {r}"
+            );
         }
     }
 
@@ -453,12 +495,9 @@ mod tests {
     fn shared_concurrent_inference_is_bitwise_pure() {
         let mlp = Mlp::new(4, 1, 16, 7);
         let xs: Vec<Matrix> = (0..8)
-            .map(|i| {
-                Matrix::from_rows(&[vec![i as f64, 0.5, -1.25, 2.0_f64.powi(i)]]).unwrap()
-            })
+            .map(|i| Matrix::from_rows(&[vec![i as f64, 0.5, -1.25, 2.0_f64.powi(i)]]).unwrap())
             .collect();
-        let sequential: Vec<u64> =
-            xs.iter().map(|x| mlp.infer(x).at(0, 0).to_bits()).collect();
+        let sequential: Vec<u64> = xs.iter().map(|x| mlp.infer(x).at(0, 0).to_bits()).collect();
         let concurrent: Vec<u64> = std::thread::scope(|s| {
             let handles: Vec<_> = xs
                 .iter()

@@ -53,7 +53,15 @@ impl Optimizer {
     /// Panics if `lr` is not positive and finite.
     pub fn new(kind: OptimizerKind, lr: f64) -> Self {
         assert!(lr > 0.0 && lr.is_finite(), "learning rate must be positive");
-        Optimizer { kind, lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, moments: Vec::new() }
+        Optimizer {
+            kind,
+            lr,
+            beta1: 0.9,
+            beta2: 0.999,
+            eps: 1e-8,
+            t: 0,
+            moments: Vec::new(),
+        }
     }
 
     /// Applies one update step: `grads` holds each layer's parameter

@@ -37,7 +37,10 @@ impl Preprocessor {
     /// # Panics
     /// Panics if the dataset is empty.
     pub fn fit(data: &Dataset) -> Self {
-        assert!(!data.is_empty(), "cannot fit a preprocessor on an empty dataset");
+        assert!(
+            !data.is_empty(),
+            "cannot fit a preprocessor on an empty dataset"
+        );
         let n = data.len() as f64;
         let f = data.feature_count();
         let mut mean = vec![0.0; f];
@@ -59,7 +62,12 @@ impl Preprocessor {
         let y_std = (ylog.iter().map(|v| (v - y_mean).powi(2)).sum::<f64>() / n)
             .max(1e-12)
             .sqrt();
-        Preprocessor { feat_mean: mean, feat_std: std, y_mean, y_std }
+        Preprocessor {
+            feat_mean: mean,
+            feat_std: std,
+            y_mean,
+            y_std,
+        }
     }
 
     /// Transforms one raw feature row into model space.
@@ -112,10 +120,18 @@ impl Preprocessor {
 
     /// Transforms a whole raw dataset into model space.
     pub fn transform(&self, data: &Dataset) -> Dataset {
-        let rows: Vec<Vec<f64>> =
-            (0..data.len()).map(|r| self.transform_features(data.x.row(r))).collect();
-        let ys: Vec<f64> = data.y.iter().map(|&v| (log2p1(v) - self.y_mean) / self.y_std).collect();
-        Dataset { x: Matrix::from_rows(&rows).expect("non-empty dataset"), y: ys }
+        let rows: Vec<Vec<f64>> = (0..data.len())
+            .map(|r| self.transform_features(data.x.row(r)))
+            .collect();
+        let ys: Vec<f64> = data
+            .y
+            .iter()
+            .map(|&v| (log2p1(v) - self.y_mean) / self.y_std)
+            .collect();
+        Dataset {
+            x: Matrix::from_rows(&rows).expect("non-empty dataset"),
+            y: ys,
+        }
     }
 
     /// Maps a model-space prediction back to the original target scale.
@@ -142,7 +158,10 @@ mod tests {
         for c in 0..t.feature_count() {
             let n = t.len() as f64;
             let mean: f64 = (0..t.len()).map(|r| t.x.at(r, c)).sum::<f64>() / n;
-            let var: f64 = (0..t.len()).map(|r| (t.x.at(r, c) - mean).powi(2)).sum::<f64>() / n;
+            let var: f64 = (0..t.len())
+                .map(|r| (t.x.at(r, c) - mean).powi(2))
+                .sum::<f64>()
+                / n;
             assert!(mean.abs() < 1e-9, "col {c} mean {mean}");
             assert!((var - 1.0).abs() < 1e-6, "col {c} var {var}");
         }
@@ -169,7 +188,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty dataset")]
     fn empty_fit_panics() {
-        let d = Dataset { x: Matrix::zeros(0, 1), y: vec![] };
+        let d = Dataset {
+            x: Matrix::zeros(0, 1),
+            y: vec![],
+        };
         Preprocessor::fit(&d);
     }
 }

@@ -66,7 +66,12 @@ pub struct TrainedModel {
 impl TrainedModel {
     /// Assembles a trained model from its parts.
     pub fn new(mlp: Mlp, pre: Preprocessor, val_mape: f64) -> Self {
-        TrainedModel { mlp, pre, val_mape, plan: std::sync::OnceLock::new() }
+        TrainedModel {
+            mlp,
+            pre,
+            val_mape,
+            plan: std::sync::OnceLock::new(),
+        }
     }
 
     /// Predicts the target for one raw feature row.
@@ -144,7 +149,10 @@ fn mape(pred: &[f64], actual: &[f64]) -> f64 {
 /// (zero epochs / batch size).
 pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
     assert!(!raw.is_empty(), "cannot train on an empty dataset");
-    assert!(cfg.epochs > 0 && cfg.batch_size > 0, "degenerate training config");
+    assert!(
+        cfg.epochs > 0 && cfg.batch_size > 0,
+        "degenerate training config"
+    );
 
     let pre = Preprocessor::fit(raw);
     let data = pre.transform(raw);
@@ -158,7 +166,11 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
         let n_val = ((raw.len() as f64 * cfg.val_frac).round() as usize).clamp(1, raw.len() - 1);
         let (val_idx, train_idx) = idx.split_at(n_val);
         let val_y_raw: Vec<f64> = val_idx.iter().map(|&i| raw.y[i]).collect();
-        (data.select(train_idx), data.x.select_rows(val_idx), val_y_raw)
+        (
+            data.select(train_idx),
+            data.x.select_rows(val_idx),
+            val_y_raw,
+        )
     };
 
     let lr = match cfg.optimizer {
@@ -186,8 +198,12 @@ pub fn train(raw: &Dataset, cfg: &TrainConfig, seed: u64) -> TrainedModel {
         }
 
         // Validation in the original scale.
-        let preds: Vec<f64> =
-            mlp.forward(&val_x).as_slice().iter().map(|&v| pre.inverse_target(v)).collect();
+        let preds: Vec<f64> = mlp
+            .forward(&val_x)
+            .as_slice()
+            .iter()
+            .map(|&v| pre.inverse_target(v))
+            .collect();
         let err = mape(&preds, &val_y_raw);
         if best.as_ref().is_none_or(|(b, _)| err < *b) {
             best = Some((err, mlp.clone()));
@@ -225,9 +241,18 @@ mod tests {
 
     #[test]
     fn learns_power_law_surface() {
-        let cfg = TrainConfig { epochs: 300, width: 32, hidden_layers: 3, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 300,
+            width: 32,
+            hidden_layers: 3,
+            ..Default::default()
+        };
         let model = train(&synthetic(), &cfg, 6);
-        assert!(model.val_mape < 0.12, "val MAPE too high: {}", model.val_mape);
+        assert!(
+            model.val_mape < 0.12,
+            "val MAPE too high: {}",
+            model.val_mape
+        );
         // Interpolation at an unseen point inside the training grid.
         let pred = model.predict_one(&[700.0, 900.0]);
         let truth = 0.5 + 1e-4 * 700.0 + 3e-7 * 700.0 * 900.0;
@@ -252,7 +277,11 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let cfg = TrainConfig { epochs: 10, width: 16, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 10,
+            width: 16,
+            ..Default::default()
+        };
         let a = train(&synthetic(), &cfg, 3).val_mape;
         let b = train(&synthetic(), &cfg, 3).val_mape;
         assert_eq!(a, b);
@@ -260,25 +289,41 @@ mod tests {
 
     #[test]
     fn batched_prediction_matches_scalar_bitwise() {
-        let cfg = TrainConfig { epochs: 15, width: 16, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 15,
+            width: 16,
+            ..Default::default()
+        };
         let model = train(&synthetic(), &cfg, 9);
-        let rows: Vec<Vec<f64>> =
-            (0..13).map(|i| vec![100.0 + 37.0 * i as f64, 650.0 / (i + 1) as f64]).collect();
+        let rows: Vec<Vec<f64>> = (0..13)
+            .map(|i| vec![100.0 + 37.0 * i as f64, 650.0 / (i + 1) as f64])
+            .collect();
         let scalar: Vec<u64> = model.predict(&rows).iter().map(|v| v.to_bits()).collect();
-        let batch: Vec<u64> = model.predict_batch(&rows).iter().map(|v| v.to_bits()).collect();
+        let batch: Vec<u64> = model
+            .predict_batch(&rows)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
         assert_eq!(batch, scalar);
         assert!(model.predict_batch(&[]).is_empty());
         // A serde roundtrip drops the cached plan; it must rebuild identically.
         let json = serde_json::to_string(&model).unwrap();
         let back: TrainedModel = serde_json::from_str(&json).unwrap();
-        let again: Vec<u64> = back.predict_batch(&rows).iter().map(|v| v.to_bits()).collect();
+        let again: Vec<u64> = back
+            .predict_batch(&rows)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
         assert_eq!(again, scalar);
     }
 
     #[test]
     #[should_panic(expected = "degenerate")]
     fn zero_epochs_panics() {
-        let cfg = TrainConfig { epochs: 0, ..Default::default() };
+        let cfg = TrainConfig {
+            epochs: 0,
+            ..Default::default()
+        };
         train(&synthetic(), &cfg, 0);
     }
 }

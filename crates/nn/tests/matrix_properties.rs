@@ -13,8 +13,7 @@ fn matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
 
 /// Two chain-compatible matrices A (m×k) and B (k×n).
 fn pair() -> impl Strategy<Value = (Matrix, Matrix)> {
-    (1usize..8, 1usize..8, 1usize..8)
-        .prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(k, n)))
+    (1usize..8, 1usize..8, 1usize..8).prop_flat_map(|(m, k, n)| (matrix(m, k), matrix(k, n)))
 }
 
 /// Three chain-compatible matrices A (m×k), B (k×n), C (n×p).

@@ -34,14 +34,19 @@ fn main() {
     }
     dlperf_obs::flush();
 
-    let static_ns = ns_per_span(|_| drop(dlperf_obs::span("static-name", dlperf_obs::SpanKind::Work)));
+    let static_ns =
+        ns_per_span(|_| drop(dlperf_obs::span("static-name", dlperf_obs::SpanKind::Work)));
     let with_ns = ns_per_span(|i| {
-        drop(dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || format!("scenario:{i}")))
+        drop(dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
+            format!("scenario:{i}")
+        }))
     });
 
     dlperf_obs::disable();
     let off_ns = ns_per_span(|i| {
-        drop(dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || format!("scenario:{i}")))
+        drop(dlperf_obs::span_with(dlperf_obs::SpanKind::Work, || {
+            format!("scenario:{i}")
+        }))
     });
 
     println!("enabled, static name:    {static_ns:>7.0} ns/span");

@@ -130,7 +130,9 @@ pub struct Counter {
 impl Counter {
     /// A zeroed counter.
     pub const fn new() -> Self {
-        Counter { v: AtomicU64::new(0) }
+        Counter {
+            v: AtomicU64::new(0),
+        }
     }
 
     /// Adds `n`.
@@ -171,7 +173,10 @@ impl CounterGroup {
             name: name.into(),
             counters: counter_names.iter().map(|&n| (n, Counter::new())).collect(),
         });
-        let mut reg = recorder().groups.lock().expect("obs group registry poisoned");
+        let mut reg = recorder()
+            .groups
+            .lock()
+            .expect("obs group registry poisoned");
         reg.push(Arc::downgrade(&group));
         // Opportunistically prune groups whose owners dropped.
         reg.retain(|w| w.strong_count() > 0);
@@ -196,19 +201,30 @@ impl CounterGroup {
             .iter()
             .position(|(n, _)| *n == name)
             .unwrap_or_else(|| panic!("counter `{name}` not registered in group `{}`", self.name));
-        CounterHandle { group: Arc::clone(self), idx }
+        CounterHandle {
+            group: Arc::clone(self),
+            idx,
+        }
     }
 
     /// Current value of a counter, 0 for unknown names.
     pub fn value(&self, name: &'static str) -> u64 {
-        self.counters.iter().find(|(n, _)| *n == name).map(|(_, c)| c.get()).unwrap_or(0)
+        self.counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, c)| c.get())
+            .unwrap_or(0)
     }
 
     /// Snapshot of every counter in this group.
     pub fn snapshot(&self) -> Vec<CounterSnapshot> {
         self.counters
             .iter()
-            .map(|(n, c)| CounterSnapshot { group: self.name.clone(), name: n, value: c.get() })
+            .map(|(n, c)| CounterSnapshot {
+                group: self.name.clone(),
+                name: n,
+                value: c.get(),
+            })
             .collect()
     }
 }
@@ -295,13 +311,21 @@ pub fn enabled() -> bool {
 
 /// Installs a sink; every subsequent [`flush`] feeds it.
 pub fn install_sink(sink: Box<dyn Sink>) {
-    recorder().sinks.lock().expect("obs sink registry poisoned").push(sink);
+    recorder()
+        .sinks
+        .lock()
+        .expect("obs sink registry poisoned")
+        .push(sink);
 }
 
 /// Removes every installed sink (tests and examples that scope a sink's
 /// lifetime call this when done).
 pub fn clear_sinks() {
-    recorder().sinks.lock().expect("obs sink registry poisoned").clear();
+    recorder()
+        .sinks
+        .lock()
+        .expect("obs sink registry poisoned")
+        .clear();
 }
 
 /// Drains finished spans, snapshots live counter groups, feeds every
@@ -365,7 +389,14 @@ fn start_span(name: Cow<'static, str>, kind: SpanKind) -> SpanGuard {
         (ctx.0, parent)
     });
     let start_us = rec.epoch.elapsed().as_secs_f64() * 1e6;
-    SpanGuard(Some(ActiveSpan { id, parent, thread, name, kind, start_us }))
+    SpanGuard(Some(ActiveSpan {
+        id,
+        parent,
+        thread,
+        name,
+        kind,
+        start_us,
+    }))
 }
 
 #[derive(Debug)]
@@ -404,15 +435,18 @@ impl Drop for SpanGuard {
                 stack.remove(pos);
             }
         });
-        rec.spans.lock().expect("obs span buffer poisoned").push(SpanRecord {
-            id: active.id,
-            parent: active.parent,
-            thread: active.thread,
-            name: active.name,
-            kind: active.kind,
-            start_us: active.start_us,
-            dur_us,
-        });
+        rec.spans
+            .lock()
+            .expect("obs span buffer poisoned")
+            .push(SpanRecord {
+                id: active.id,
+                parent: active.parent,
+                thread: active.thread,
+                name: active.name,
+                kind: active.kind,
+                start_us: active.start_us,
+                dur_us,
+            });
     }
 }
 
@@ -451,7 +485,10 @@ mod tests {
         let inner = &snap.spans[0];
         let outer = &snap.spans[1];
         assert_eq!(inner.name, "inner");
-        assert!(matches!(inner.name, Cow::Borrowed(_)), "a static name is not copied");
+        assert!(
+            matches!(inner.name, Cow::Borrowed(_)),
+            "a static name is not copied"
+        );
         assert_eq!(inner.parent, outer.id);
         assert_eq!(outer.parent, 0);
         assert_eq!(inner.thread, outer.thread);
@@ -503,7 +540,10 @@ mod tests {
             dead.handle("n").incr();
         }
         let snap = flush();
-        assert!(snap.counters.iter().any(|c| c.group == "zz.keep" && c.value == 7));
+        assert!(snap
+            .counters
+            .iter()
+            .any(|c| c.group == "zz.keep" && c.value == 7));
         assert!(!snap.counters.iter().any(|c| c.group == "aa.dead"));
         let zz: Vec<_> = snap.counters.iter().map(|c| c.group.clone()).collect();
         let mut sorted = zz.clone();

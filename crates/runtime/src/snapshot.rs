@@ -48,13 +48,22 @@ impl std::fmt::Display for SnapshotError {
         match self {
             SnapshotError::Parse(e) => write!(f, "snapshot is not valid JSON: {e}"),
             SnapshotError::SchemaMismatch { expected, found } => {
-                write!(f, "snapshot schema mismatch: expected `{expected}`, found `{found}`")
+                write!(
+                    f,
+                    "snapshot schema mismatch: expected `{expected}`, found `{found}`"
+                )
             }
             SnapshotError::VersionMismatch { supported, found } => {
-                write!(f, "snapshot version {found} unsupported (this build reads {supported})")
+                write!(
+                    f,
+                    "snapshot version {found} unsupported (this build reads {supported})"
+                )
             }
             SnapshotError::ChecksumMismatch { recorded, computed } => {
-                write!(f, "snapshot checksum mismatch: recorded {recorded}, computed {computed}")
+                write!(
+                    f,
+                    "snapshot checksum mismatch: recorded {recorded}, computed {computed}"
+                )
             }
             SnapshotError::Io(e) => write!(f, "snapshot I/O failed: {e}"),
         }
@@ -138,11 +147,17 @@ pub fn open<T: DeserializeOwned>(schema: &str, version: u32, s: &str) -> Result<
         });
     }
     if env.version != version {
-        return Err(SnapshotError::VersionMismatch { supported: version, found: env.version });
+        return Err(SnapshotError::VersionMismatch {
+            supported: version,
+            found: env.version,
+        });
     }
     let computed = format!("{:016x}", fnv1a64(env.payload.as_bytes()));
     if computed != env.checksum {
-        return Err(SnapshotError::ChecksumMismatch { recorded: env.checksum, computed });
+        return Err(SnapshotError::ChecksumMismatch {
+            recorded: env.checksum,
+            computed,
+        });
     }
     Ok(serde_json::from_str(&env.payload)?)
 }
@@ -181,7 +196,10 @@ mod tests {
             other => panic!("expected SchemaMismatch, got {other:?}"),
         }
         match open::<u64>("dlperf.a", 3, &sealed) {
-            Err(SnapshotError::VersionMismatch { supported: 3, found: 2 }) => {}
+            Err(SnapshotError::VersionMismatch {
+                supported: 3,
+                found: 2,
+            }) => {}
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
     }

@@ -75,7 +75,9 @@ pub struct FileStore {
 impl FileStore {
     /// A store persisting to `path`. The file need not exist yet.
     pub fn new(path: impl AsRef<Path>) -> Self {
-        FileStore { path: path.as_ref().to_path_buf() }
+        FileStore {
+            path: path.as_ref().to_path_buf(),
+        }
     }
 
     /// The checkpoint path.
@@ -150,8 +152,7 @@ mod tests {
     fn open_snapshot_round_trips_and_types_every_corruption() {
         use crate::snapshot::seal;
 
-        let dir =
-            std::env::temp_dir().join(format!("dlperf-open-snap-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("dlperf-open-snap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let mut s = FileStore::new(&path);
@@ -205,7 +206,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
         let mut s = FileStore::new(&path);
-        assert!(s.load().unwrap().is_none(), "missing file is a clean start, not an error");
+        assert!(
+            s.load().unwrap().is_none(),
+            "missing file is a clean start, not an error"
+        );
         s.save("snapshot-1").unwrap();
         assert_eq!(s.load().unwrap().as_deref(), Some("snapshot-1"));
         s.save("snapshot-2").unwrap();

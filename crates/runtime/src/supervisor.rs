@@ -208,8 +208,7 @@ fn open_checkpoint<S: serde::de::DeserializeOwned>(
     schema: &str,
     sealed: &str,
 ) -> Result<(u64, S), SnapshotError> {
-    let (step, state_json): (u64, String) =
-        snapshot::open(schema, CHECKPOINT_VERSION, sealed)?;
+    let (step, state_json): (u64, String) = snapshot::open(schema, CHECKPOINT_VERSION, sealed)?;
     Ok((step, serde_json::from_str(&state_json)?))
 }
 
@@ -255,10 +254,14 @@ fn run_ended_error(
     run_started: Instant,
 ) -> SupervisorError {
     match config.deadline {
-        Some(d) if run_started.elapsed() >= d => {
-            SupervisorError::DeadlineExceeded { job: job.to_string(), steps_completed }
-        }
-        _ => SupervisorError::Cancelled { job: job.to_string(), steps_completed },
+        Some(d) if run_started.elapsed() >= d => SupervisorError::DeadlineExceeded {
+            job: job.to_string(),
+            steps_completed,
+        },
+        _ => SupervisorError::Cancelled {
+            job: job.to_string(),
+            steps_completed,
+        },
     }
 }
 
@@ -290,7 +293,12 @@ impl Supervisor {
     pub fn with_store(config: SupervisorConfig, store: Box<dyn CheckpointStore>) -> Self {
         let mut config = config;
         config.checkpoint_every = config.checkpoint_every.max(1);
-        Supervisor { config, store, injector: None, run_token: CancellationToken::new() }
+        Supervisor {
+            config,
+            store,
+            injector: None,
+            run_token: CancellationToken::new(),
+        }
     }
 
     /// Installs a fault injector: worker faults from its plan are applied
@@ -316,10 +324,8 @@ impl Supervisor {
     /// Loads the job's checkpoint, or its initial state when none exists.
     fn load_state<J: ResumableJob>(&self, job: &J) -> Result<(u64, J::State), SupervisorError> {
         match self.store.load()? {
-            Some(sealed) => {
-                open_checkpoint(&Self::checkpoint_schema(job.name()), &sealed)
-                    .map_err(SupervisorError::from)
-            }
+            Some(sealed) => open_checkpoint(&Self::checkpoint_schema(job.name()), &sealed)
+                .map_err(SupervisorError::from),
             None => Ok((0, job.initial_state())),
         }
     }
@@ -332,9 +338,13 @@ impl Supervisor {
         &mut self,
         job: &J,
     ) -> (Result<J::Output, SupervisorError>, RunReport) {
-        let _span =
-            dlperf_obs::span_with(dlperf_obs::SpanKind::Phase, || format!("supervise:{}", job.name()));
-        let mut report = RunReport { job: job.name().to_string(), ..RunReport::default() };
+        let _span = dlperf_obs::span_with(dlperf_obs::SpanKind::Phase, || {
+            format!("supervise:{}", job.name())
+        });
+        let mut report = RunReport {
+            job: job.name().to_string(),
+            ..RunReport::default()
+        };
         let run_started = Instant::now();
         let job_key = site_key(job.name());
 
@@ -343,8 +353,10 @@ impl Supervisor {
             self.run_token = CancellationToken::new();
         }
         let run_token = self.run_token.clone();
-        let _run_watchdog =
-            self.config.deadline.map(|d| Watchdog::arm(run_token.clone(), d));
+        let _run_watchdog = self
+            .config
+            .deadline
+            .map(|d| Watchdog::arm(run_token.clone(), d));
 
         let mut attempt: u32 = 0;
         loop {
@@ -670,8 +682,7 @@ mod tests {
         }
 
         fn step(&self, state: &mut Vec<u64>, ctx: &JobContext) -> Result<StepOutcome, JobError> {
-            let applies =
-                self.fail_attempt.is_none_or_default(ctx.attempt);
+            let applies = self.fail_attempt.is_none_or_default(ctx.attempt);
             if applies && self.panic_step == Some(ctx.step) {
                 panic!("test panic at step {}", ctx.step);
             }
@@ -688,7 +699,11 @@ mod tests {
                 std::thread::sleep(self.step_sleep);
             }
             state.push(ctx.step * ctx.step);
-            Ok(if state.len() as u64 >= self.total { StepOutcome::Done } else { StepOutcome::Continue })
+            Ok(if state.len() as u64 >= self.total {
+                StepOutcome::Done
+            } else {
+                StepOutcome::Continue
+            })
         }
 
         fn finish(&self, state: Vec<u64>) -> u64 {
@@ -732,11 +747,22 @@ mod tests {
         job.fail_attempt = Some(1);
         let mut sup = Supervisor::new(SupervisorConfig::default());
         let (out, report) = sup.run(&job);
-        assert_eq!(out.expect("job recovers"), expected_sum(6), "recovered run is bit-identical");
+        assert_eq!(
+            out.expect("job recovers"),
+            expected_sum(6),
+            "recovered run is bit-identical"
+        );
         assert_eq!(report.attempts, 2);
         assert_eq!(report.restarts.len(), 1);
-        assert!(report.restarts[0].cause.contains("panicked"), "{}", report.restarts[0].cause);
-        assert_eq!(report.restarts[0].at_step, 3, "checkpoint caught steps 0..3");
+        assert!(
+            report.restarts[0].cause.contains("panicked"),
+            "{}",
+            report.restarts[0].cause
+        );
+        assert_eq!(
+            report.restarts[0].at_step, 3,
+            "checkpoint caught steps 0..3"
+        );
         // Steps 0..3 ran once, 3..6 ran once: no step repeated (checkpoint_every=1).
         assert_eq!(report.steps_run, 6);
     }
@@ -752,7 +778,11 @@ mod tests {
         });
         let (out, report) = sup.run(&job);
         match out {
-            Err(SupervisorError::RestartBudgetExhausted { attempts: 3, last_failure, .. }) => {
+            Err(SupervisorError::RestartBudgetExhausted {
+                attempts: 3,
+                last_failure,
+                ..
+            }) => {
                 assert!(last_failure.contains("panicked"));
             }
             other => panic!("expected RestartBudgetExhausted, got {other:?}"),
@@ -773,7 +803,11 @@ mod tests {
         let (out, report) = sup.run(&job);
         assert_eq!(out.expect("watchdog unwedges the job"), expected_sum(4));
         assert_eq!(report.attempts, 2);
-        assert!(report.restarts[0].cause.contains("timed out"), "{}", report.restarts[0].cause);
+        assert!(
+            report.restarts[0].cause.contains("timed out"),
+            "{}",
+            report.restarts[0].cause
+        );
     }
 
     #[test]
@@ -786,7 +820,9 @@ mod tests {
         });
         let (out, report) = sup.run(&job);
         match out {
-            Err(SupervisorError::DeadlineExceeded { steps_completed, .. }) => {
+            Err(SupervisorError::DeadlineExceeded {
+                steps_completed, ..
+            }) => {
                 assert!(steps_completed < 10_000);
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
@@ -802,7 +838,10 @@ mod tests {
             ..SupervisorConfig::default()
         });
         let (out, report) = sup.run(&CountJob::to(4));
-        assert_eq!(out.expect("an endless budget never expires"), expected_sum(4));
+        assert_eq!(
+            out.expect("an endless budget never expires"),
+            expected_sum(4)
+        );
         assert_eq!(report.attempts, 1);
     }
 
@@ -838,7 +877,10 @@ mod tests {
         let mut dying = CountJob::to(8);
         dying.kill_step = Some(5);
         let mut sup1 = Supervisor::with_store(
-            SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() },
+            SupervisorConfig {
+                max_restarts: 0,
+                ..SupervisorConfig::default()
+            },
             Box::new(FileStore::new(&path)),
         );
         let (out1, _r1) = sup1.run(&dying);
@@ -846,12 +888,14 @@ mod tests {
         assert!(path.exists(), "checkpoint survives the death");
 
         // Second process resumes from the snapshot and finishes.
-        let mut sup2 = Supervisor::with_store(
-            SupervisorConfig::default(),
-            Box::new(FileStore::new(&path)),
-        );
+        let mut sup2 =
+            Supervisor::with_store(SupervisorConfig::default(), Box::new(FileStore::new(&path)));
         let (out2, r2) = sup2.run(&CountJob::to(8));
-        assert_eq!(out2.expect("resumed run completes"), baseline, "bitwise-identical result");
+        assert_eq!(
+            out2.expect("resumed run completes"),
+            baseline,
+            "bitwise-identical result"
+        );
         assert_eq!(r2.resumed_from_step, Some(5));
         assert_eq!(r2.steps_run, 3, "only the remaining steps run");
         assert!(!path.exists(), "checkpoint cleared after success");
@@ -866,17 +910,18 @@ mod tests {
         let mut dying = CountJob::to(8);
         dying.kill_step = Some(4);
         let mut sup1 = Supervisor::with_store(
-            SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() },
+            SupervisorConfig {
+                max_restarts: 0,
+                ..SupervisorConfig::default()
+            },
             Box::new(FileStore::new(&path)),
         );
         let _ = sup1.run(&dying);
         // Truncate the snapshot, as an interrupted copy or bit rot would.
         let sealed = std::fs::read_to_string(&path).expect("checkpoint exists");
         std::fs::write(&path, &sealed[..sealed.len() / 2]).expect("truncate");
-        let mut sup2 = Supervisor::with_store(
-            SupervisorConfig::default(),
-            Box::new(FileStore::new(&path)),
-        );
+        let mut sup2 =
+            Supervisor::with_store(SupervisorConfig::default(), Box::new(FileStore::new(&path)));
         let (out, _) = sup2.run(&CountJob::to(8));
         match out {
             Err(SupervisorError::Snapshot(SnapshotError::Parse(_))) => {}
@@ -933,7 +978,10 @@ mod tests {
         let out_a = out_a.expect("chaos run completes");
         assert_eq!(out_a, out_b.expect("chaos run completes"));
         assert_eq!(out_a, expected_sum(40), "faults never change the result");
-        assert!(rep_a.injected_faults > 0, "plan should actually fire at these odds");
+        assert!(
+            rep_a.injected_faults > 0,
+            "plan should actually fire at these odds"
+        );
         assert_eq!(rep_a.injected_faults, rep_b.injected_faults);
         assert_eq!(rep_a.restarts, rep_b.restarts, "identical failure timeline");
     }
@@ -950,7 +998,10 @@ mod tests {
         sup.set_fault_injector(FaultInjector::new(plan));
         let (out, report) = sup.run(&CountJob::to(30));
         assert_eq!(out.expect("hangs are recovered"), expected_sum(30));
-        assert!(report.injected_faults > 0, "at least one hang should fire at these odds");
+        assert!(
+            report.injected_faults > 0,
+            "at least one hang should fire at these odds"
+        );
         assert!(report.restarts.iter().any(|r| r.cause.contains("hung")));
     }
 }

@@ -58,7 +58,10 @@ struct DeadlineTimer {
 }
 
 static TIMER: DeadlineTimer = DeadlineTimer {
-    table: Mutex::new(TimerTable { armed: BTreeMap::new(), next_seq: 0 }),
+    table: Mutex::new(TimerTable {
+        armed: BTreeMap::new(),
+        next_seq: 0,
+    }),
     earliest_changed: Condvar::new(),
 };
 static TIMER_THREAD: Once = Once::new();
@@ -86,7 +89,10 @@ impl DeadlineTimer {
         let mut table = self.lock();
         let key = (due, table.next_seq);
         table.next_seq += 1;
-        let earliest = table.armed.first_key_value().is_none_or(|(first, _)| key < *first);
+        let earliest = table
+            .armed
+            .first_key_value()
+            .is_none_or(|(first, _)| key < *first);
         table.armed.insert(key, token);
         drop(table);
         if earliest {
@@ -114,7 +120,10 @@ impl DeadlineTimer {
             }
             let next_due = table.armed.first_key_value().map(|(&(due, _), _)| due);
             table = match next_due {
-                None => self.earliest_changed.wait(table).unwrap_or_else(PoisonError::into_inner),
+                None => self
+                    .earliest_changed
+                    .wait(table)
+                    .unwrap_or_else(PoisonError::into_inner),
                 Some(due) => {
                     let woken = self.earliest_changed.wait_timeout(table, due - now);
                     woken.unwrap_or_else(PoisonError::into_inner).0
@@ -145,7 +154,9 @@ impl Watchdog {
     }
 
     fn arm_at(token: CancellationToken, due: Option<Instant>) -> Self {
-        Watchdog { key: due.map(|due| DeadlineTimer::get().insert(due, token)) }
+        Watchdog {
+            key: due.map(|due| DeadlineTimer::get().insert(due, token)),
+        }
     }
 
     /// Disarms the watchdog without cancelling the token.
@@ -181,7 +192,10 @@ mod tests {
         let _w = Watchdog::arm(t.clone(), Duration::from_millis(10));
         let start = Instant::now();
         while !t.is_cancelled() {
-            assert!(start.elapsed() < Duration::from_secs(5), "watchdog never fired");
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "watchdog never fired"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
     }
@@ -211,7 +225,10 @@ mod tests {
         let _w = Watchdog::arm(t.clone(), Duration::from_millis(5));
         let start = Instant::now();
         while !t.is_cancelled() {
-            assert!(start.elapsed() < Duration::from_secs(5), "earlier deadline never fired");
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "earlier deadline never fired"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
         assert!(!late.is_cancelled());
@@ -230,7 +247,10 @@ mod tests {
             .collect();
         took.sort();
         let median = took[took.len() / 2];
-        assert!(median < Duration::from_millis(1), "median disarm took {median:?}");
+        assert!(
+            median < Duration::from_millis(1),
+            "median disarm took {median:?}"
+        );
     }
 
     #[test]
@@ -243,8 +263,11 @@ mod tests {
             .map(|i| base + Duration::from_millis(1 + (i * 37 % N % 50) as u64))
             .collect();
         let tokens: Vec<CancellationToken> = (0..N).map(|_| CancellationToken::new()).collect();
-        let mut dogs: Vec<Option<Watchdog>> =
-            tokens.iter().zip(&due).map(|(t, &d)| Some(Watchdog::arm_at(t.clone(), Some(d)))).collect();
+        let mut dogs: Vec<Option<Watchdog>> = tokens
+            .iter()
+            .zip(&due)
+            .map(|(t, &d)| Some(Watchdog::arm_at(t.clone(), Some(d))))
+            .collect();
         // Disarm every other watchdog, alternating explicit disarm and drop.
         for (i, dog) in dogs.iter_mut().enumerate().filter(|(i, _)| i % 2 == 1) {
             let dog = dog.take().expect("armed above");
@@ -277,7 +300,11 @@ mod tests {
 
         drop(dogs);
         for (i, t) in tokens.iter().enumerate() {
-            assert_eq!(t.is_cancelled(), i % 2 == 0, "token {i} after its watchdog dropped");
+            assert_eq!(
+                t.is_cancelled(),
+                i % 2 == 0,
+                "token {i} after its watchdog dropped"
+            );
         }
     }
 }

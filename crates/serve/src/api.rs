@@ -343,7 +343,11 @@ pub struct ErrorBody {
 impl ErrorBody {
     /// A typed error body.
     pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
-        ErrorBody { code: code.as_u16(), kind: code.kind().to_string(), message: message.into() }
+        ErrorBody {
+            code: code.as_u16(),
+            kind: code.kind().to_string(),
+            message: message.into(),
+        }
     }
 }
 
@@ -368,7 +372,10 @@ impl Body {
 pub fn prescreen(line: &str) -> Result<(), &'static str> {
     screen::prescreen_line(
         line,
-        &screen::ScreenLimits { max_line_bytes: MAX_LINE_BYTES, max_json_depth: MAX_JSON_DEPTH },
+        &screen::ScreenLimits {
+            max_line_bytes: MAX_LINE_BYTES,
+            max_json_depth: MAX_JSON_DEPTH,
+        },
     )
 }
 
@@ -420,7 +427,10 @@ mod tests {
             other => panic!("wrong op: {other:?}"),
         }
 
-        let resp = Response { id: 7, body: Body::error(ErrorCode::Shed, "queue full") };
+        let resp = Response {
+            id: 7,
+            body: Body::error(ErrorCode::Shed, "queue full"),
+        };
         let line = serde_json::to_string(&resp).unwrap();
         let back: Response = serde_json::from_str(&line).unwrap();
         match back.body {
@@ -451,12 +461,18 @@ mod tests {
         data.push(b'\n');
         data.extend_from_slice(b"{\"id\":1}\r\n");
         let mut reader = std::io::BufReader::with_capacity(4096, &data[..]);
-        assert!(matches!(read_bounded_line(&mut reader).unwrap(), LineRead::Oversized));
+        assert!(matches!(
+            read_bounded_line(&mut reader).unwrap(),
+            LineRead::Oversized
+        ));
         match read_bounded_line(&mut reader).unwrap() {
             LineRead::Line(line) => assert_eq!(line, "{\"id\":1}"),
             other => panic!("expected the next line, got {other:?}"),
         }
-        assert!(matches!(read_bounded_line(&mut reader).unwrap(), LineRead::Eof));
+        assert!(matches!(
+            read_bounded_line(&mut reader).unwrap(),
+            LineRead::Eof
+        ));
     }
 
     #[test]
@@ -472,8 +488,14 @@ mod tests {
         // One byte over, never newline-terminated: oversized, then EOF.
         let data = vec![b'z'; MAX_LINE_BYTES + 1];
         let mut reader = std::io::BufReader::new(&data[..]);
-        assert!(matches!(read_bounded_line(&mut reader).unwrap(), LineRead::Oversized));
-        assert!(matches!(read_bounded_line(&mut reader).unwrap(), LineRead::Eof));
+        assert!(matches!(
+            read_bounded_line(&mut reader).unwrap(),
+            LineRead::Oversized
+        ));
+        assert!(matches!(
+            read_bounded_line(&mut reader).unwrap(),
+            LineRead::Eof
+        ));
         // A final line without a trailing newline still parses.
         let mut reader = std::io::BufReader::new(&b"ping"[..]);
         match read_bounded_line(&mut reader).unwrap() {

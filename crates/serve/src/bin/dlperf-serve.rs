@@ -81,7 +81,8 @@ fn parse_opts() -> Result<Opts, String> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
-            args.next().ok_or_else(|| format!("{flag} needs a value (see --help)"))
+            args.next()
+                .ok_or_else(|| format!("{flag} needs a value (see --help)"))
         };
         match arg.as_str() {
             "--models" => opts.models = split_list(&value("--models")?),
@@ -100,7 +101,9 @@ fn parse_opts() -> Result<Opts, String> {
             "--deadline-ms" => {
                 let ms: f64 = parse_num(&value("--deadline-ms")?, "--deadline-ms")?;
                 if !ms.is_finite() || !(1.0..=MAX_DEADLINE_MS).contains(&ms) {
-                    return Err(format!("--deadline-ms must be in [1, {MAX_DEADLINE_MS:.0}]"));
+                    return Err(format!(
+                        "--deadline-ms must be in [1, {MAX_DEADLINE_MS:.0}]"
+                    ));
                 }
                 opts.cfg.default_deadline = Duration::from_secs_f64(ms / 1000.0);
             }
@@ -141,11 +144,17 @@ fn parse_opts() -> Result<Opts, String> {
 }
 
 fn split_list(s: &str) -> Vec<String> {
-    s.split(',').map(str::trim).filter(|p| !p.is_empty()).map(str::to_string).collect()
+    s.split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(str::to_string)
+        .collect()
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
-    s.trim().parse().map_err(|_| format!("{flag}: cannot parse `{s}`"))
+    s.trim()
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse `{s}`"))
 }
 
 fn main() {
@@ -309,7 +318,10 @@ where
                 server.submit_json(&line)
             }
         };
-        if writeln!(writer, "{reply}").and_then(|()| writer.flush()).is_err() {
+        if writeln!(writer, "{reply}")
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
             break;
         }
     }

@@ -45,7 +45,9 @@ mod tests {
     use std::time::{Duration, Instant};
 
     use dlperf_core::pipeline::Pipeline;
-    use dlperf_core::{prepare_graph, Evaluator, GraphMutation, WalkScratch, DEFAULT_MEMO_CAPACITY};
+    use dlperf_core::{
+        prepare_graph, Evaluator, GraphMutation, WalkScratch, DEFAULT_MEMO_CAPACITY,
+    };
     use dlperf_faults::FaultPlan;
     use dlperf_gpusim::DeviceSpec;
     use dlperf_kernels::{CalibrationEffort, MemoCache};
@@ -88,8 +90,7 @@ mod tests {
     fn predict_matches_offline_pipeline_bitwise() {
         let pipeline = quick_pipeline();
         let base = zoo::build("dlrm-default", 512).unwrap();
-        let offline_graph =
-            prepare_graph(&base, &[GraphMutation::ResizeBatch(768)]).unwrap();
+        let offline_graph = prepare_graph(&base, &[GraphMutation::ResizeBatch(768)]).unwrap();
         let offline = pipeline
             .predict_memoized_scratch(&offline_graph, &MemoCache::new(), &mut WalkScratch::new())
             .unwrap();
@@ -115,9 +116,13 @@ mod tests {
 
     #[test]
     fn unknown_names_and_bad_batches_get_typed_errors() {
-        let server =
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], small_config(), None)
-                .unwrap();
+        let server = Server::start(
+            vec![quick_pipeline()],
+            &["dlrm-default"],
+            small_config(),
+            None,
+        )
+        .unwrap();
         let cases = [
             (
                 Request {
@@ -158,9 +163,13 @@ mod tests {
 
     #[test]
     fn malformed_json_is_rejected_not_parsed() {
-        let server =
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], small_config(), None)
-                .unwrap();
+        let server = Server::start(
+            vec![quick_pipeline()],
+            &["dlrm-default"],
+            small_config(),
+            None,
+        )
+        .unwrap();
         for hostile in [
             "",
             "not json at all",
@@ -172,7 +181,9 @@ mod tests {
             let line = server.submit_json(hostile);
             let resp: Response = serde_json::from_str(&line).unwrap();
             match resp.body {
-                Body::Error(e) => assert_eq!(e.code, 400, "input {:?}", &hostile[..hostile.len().min(40)]),
+                Body::Error(e) => {
+                    assert_eq!(e.code, 400, "input {:?}", &hostile[..hostile.len().min(40)])
+                }
                 other => panic!("expected 400, got {other:?}"),
             }
         }
@@ -184,9 +195,13 @@ mod tests {
 
     #[test]
     fn unparseable_request_names_the_first_bad_field_in_document_order() {
-        let server =
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], small_config(), None)
-                .unwrap();
+        let server = Server::start(
+            vec![quick_pipeline()],
+            &["dlrm-default"],
+            small_config(),
+            None,
+        )
+        .unwrap();
         let message = |line: &str| match serde_json::from_str::<Response>(&server.submit_json(line))
             .unwrap()
             .body
@@ -208,9 +223,11 @@ mod tests {
 
     #[test]
     fn zero_capacity_queue_sheds_deterministically() {
-        let cfg = ServerConfig { queue_capacity: 0, ..small_config() };
-        let server =
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, None).unwrap();
+        let cfg = ServerConfig {
+            queue_capacity: 0,
+            ..small_config()
+        };
+        let server = Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, None).unwrap();
         let resp = server.submit(predict_req(1, 512));
         match resp.body {
             Body::Error(e) => {
@@ -258,7 +275,10 @@ mod tests {
     #[test]
     fn injected_kill_respawns_the_worker_pool() {
         let plan = FaultPlan::healthy(3).with_worker_faults(0.0, 1.0, 0.0);
-        let cfg = ServerConfig { workers: 1, ..small_config() };
+        let cfg = ServerConfig {
+            workers: 1,
+            ..small_config()
+        };
         let server =
             Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, Some(plan)).unwrap();
         // Every predict kills the (sole) worker; the pool must heal each
@@ -273,7 +293,10 @@ mod tests {
                 other => panic!("expected kill error, got {other:?}"),
             }
         }
-        let resp = server.submit(Request { id: 99, op: Op::Ping });
+        let resp = server.submit(Request {
+            id: 99,
+            op: Op::Ping,
+        });
         assert!(matches!(resp.body, Body::Pong));
     }
 
@@ -330,13 +353,8 @@ mod tests {
     #[test]
     fn recommend_ranks_by_objective_and_explains_rejections() {
         let pipeline = quick_pipeline();
-        let server = Server::start(
-            vec![pipeline],
-            &["dlrm-default"],
-            small_config(),
-            None,
-        )
-        .unwrap();
+        let server =
+            Server::start(vec![pipeline], &["dlrm-default"], small_config(), None).unwrap();
         let resp = server.submit(Request {
             id: 42,
             op: Op::Recommend(RecommendQuery {
@@ -382,7 +400,11 @@ mod tests {
             Body::Recommendation(r) => {
                 assert!(r.recommended.is_none());
                 assert_eq!(r.rejected.len(), 2);
-                assert!(r.rejected[0].reason.contains("exceeds"), "{}", r.rejected[0].reason);
+                assert!(
+                    r.rejected[0].reason.contains("exceeds"),
+                    "{}",
+                    r.rejected[0].reason
+                );
             }
             other => panic!("expected recommendation, got {other:?}"),
         }
@@ -395,10 +417,19 @@ mod tests {
         // catch_unwind boundary — each such request retiring one worker
         // for good. More hostile requests than workers proves both the
         // clamp and the respawn-on-death guard.
-        let cfg = ServerConfig { workers: 2, ..small_config() };
-        let server =
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, None).unwrap();
-        let hostile = [1e300, f64::INFINITY, f64::NAN, -1e300, -1.0, f64::MIN_POSITIVE];
+        let cfg = ServerConfig {
+            workers: 2,
+            ..small_config()
+        };
+        let server = Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, None).unwrap();
+        let hostile = [
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            -1e300,
+            -1.0,
+            f64::MIN_POSITIVE,
+        ];
         for (i, ms) in hostile.iter().cycle().take(8).enumerate() {
             let resp = server.submit(Request {
                 id: i as u64,
@@ -419,16 +450,27 @@ mod tests {
                 other => panic!("deadline {ms}: got {other:?}"),
             }
         }
-        let resp = server.submit(Request { id: 99, op: Op::Ping });
+        let resp = server.submit(Request {
+            id: 99,
+            op: Op::Ping,
+        });
         assert!(matches!(resp.body, Body::Pong), "pool died: {resp:?}");
-        assert_eq!(server.stats().panics, 0, "hostile deadlines must not panic workers");
+        assert_eq!(
+            server.stats().panics,
+            0,
+            "hostile deadlines must not panic workers"
+        );
     }
 
     #[test]
     fn transport_rejected_lines_are_counted_and_valid_json() {
-        let server =
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], small_config(), None)
-                .unwrap();
+        let server = Server::start(
+            vec![quick_pipeline()],
+            &["dlrm-default"],
+            small_config(),
+            None,
+        )
+        .unwrap();
         let line = server.reject_line("request line exceeds size cap");
         let resp: Response = serde_json::from_str(&line).unwrap();
         match resp.body {
@@ -474,8 +516,7 @@ mod tests {
         match resp.body {
             Body::Recommendation(r) => {
                 assert_eq!(r.ranked.len(), 2, "one entry per device: {:?}", r.ranked);
-                let mut devices: Vec<&str> =
-                    r.ranked.iter().map(|c| c.device.as_str()).collect();
+                let mut devices: Vec<&str> = r.ranked.iter().map(|c| c.device.as_str()).collect();
                 devices.sort_unstable();
                 devices.dedup();
                 assert_eq!(devices.len(), 2, "duplicate device priced twice");
@@ -593,9 +634,13 @@ mod tests {
         use dlperf_runtime::CancellationToken;
 
         let pipeline = quick_pipeline();
-        let server =
-            Server::start(vec![pipeline.clone()], &["dlrm-default"], small_config(), None)
-                .unwrap();
+        let server = Server::start(
+            vec![pipeline.clone()],
+            &["dlrm-default"],
+            small_config(),
+            None,
+        )
+        .unwrap();
         let resp = server.submit(Request {
             id: 60,
             op: Op::Recommend(RecommendQuery {
@@ -670,13 +715,18 @@ mod tests {
         )
         .unwrap();
         let offline = OptimizationSearch::<NoExtra>::new(&pipelines)
-            .with_config(SearchConfig { max_depth: 2, ..SearchConfig::default() })
-            .with_graph_moves(GraphMoves { batches: vec![256, 1024], ..GraphMoves::default() })
+            .with_config(SearchConfig {
+                max_depth: 2,
+                ..SearchConfig::default()
+            })
+            .with_graph_moves(GraphMoves {
+                batches: vec![256, 1024],
+                ..GraphMoves::default()
+            })
             .run(&base)
             .unwrap();
 
-        let server =
-            Server::start(pipelines, &["dlrm-default"], small_config(), None).unwrap();
+        let server = Server::start(pipelines, &["dlrm-default"], small_config(), None).unwrap();
         let query = OptimizeQuery {
             model: "dlrm-default".into(),
             batch: 512,
@@ -687,14 +737,21 @@ mod tests {
             top_k: None,
             deadline_ms: Some(120_000.0),
         };
-        let optimize = |id| match server.submit(Request { id, op: Op::Optimize(query.clone()) })
+        let optimize = |id| match server
+            .submit(Request {
+                id,
+                op: Op::Optimize(query.clone()),
+            })
             .body
         {
             Body::Optimization(b) => b,
             other => panic!("expected optimization, got {other:?}"),
         };
         let body = optimize(70);
-        assert_eq!(body.baseline_e2e_us.to_bits(), offline.baseline_e2e_us.to_bits());
+        assert_eq!(
+            body.baseline_e2e_us.to_bits(),
+            offline.baseline_e2e_us.to_bits()
+        );
         assert_eq!(body.ranked.len(), offline.ranked.len());
         for (served, off) in body.ranked.iter().zip(&offline.ranked) {
             assert_eq!(served.description, off.description);
@@ -702,7 +759,10 @@ mod tests {
             assert_eq!(served.delta_us.to_bits(), off.delta_us.to_bits());
         }
         assert!(!body.ranked.is_empty());
-        assert!(body.ranked[0].delta_us >= 0.0, "top entry must not lose time");
+        assert!(
+            body.ranked[0].delta_us >= 0.0,
+            "top entry must not lose time"
+        );
         assert!(body.evals >= body.ranked.len() as u64);
 
         // The search priced through the server's bounded memo caches; the
@@ -710,10 +770,16 @@ mod tests {
         // prints every f64 in its exact round-trip form).
         let warm = server.stats();
         let cap = small_config().memo_capacity as u64;
-        assert!(warm.memo_entries > 0 && warm.memo_entries <= cap, "{warm:?}");
+        assert!(
+            warm.memo_entries > 0 && warm.memo_entries <= cap,
+            "{warm:?}"
+        );
         let again = optimize(72);
         assert_eq!(format!("{again:?}"), format!("{body:?}"));
-        assert!(server.stats().memo_hits > warm.memo_hits, "repeat must hit the warm caches");
+        assert!(
+            server.stats().memo_hits > warm.memo_hits,
+            "repeat must hit the warm caches"
+        );
 
         // Unknown names stay typed errors on this op too.
         let resp = server.submit(Request {
@@ -744,9 +810,8 @@ mod tests {
             base_batch: 512,
             ..ServerConfig::default()
         };
-        let server = Arc::new(
-            Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, None).unwrap(),
-        );
+        let server =
+            Arc::new(Server::start(vec![quick_pipeline()], &["dlrm-default"], cfg, None).unwrap());
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let server = Arc::clone(&server);
@@ -756,10 +821,7 @@ mod tests {
                         // store.
                         let batch = 256 + 32 * ((t * 12 + i) % 16);
                         let resp = server.submit(predict_req(t * 100 + i, batch));
-                        assert!(
-                            matches!(resp.body, Body::Prediction(_)),
-                            "got {resp:?}"
-                        );
+                        assert!(matches!(resp.body, Body::Prediction(_)), "got {resp:?}");
                     }
                 })
             })

@@ -55,12 +55,18 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
     let base = match graph.as_ref() {
         Ok(g) => g,
         Err(e) => {
-            return Body::error(ErrorCode::BadRequest, format!("graph preparation failed: {e}"));
+            return Body::error(
+                ErrorCode::BadRequest,
+                format!("graph preparation failed: {e}"),
+            );
         }
     };
 
     let config = SearchConfig {
-        beam_width: q.beam_width.unwrap_or(DEFAULT_BEAM_WIDTH).clamp(1, MAX_BEAM_WIDTH),
+        beam_width: q
+            .beam_width
+            .unwrap_or(DEFAULT_BEAM_WIDTH)
+            .clamp(1, MAX_BEAM_WIDTH),
         max_depth: q.max_depth.unwrap_or(DEFAULT_DEPTH).clamp(1, MAX_DEPTH),
         top_k: q.top_k.unwrap_or(DEFAULT_TOP_K).clamp(1, MAX_TOP_K),
         ..SearchConfig::default()
@@ -95,6 +101,9 @@ pub(crate) fn run(shared: &Shared, q: &OptimizeQuery, token: &CancellationToken)
         Err(SearchError::Cancelled) => {
             Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-search")
         }
-        Err(e) => Body::error(ErrorCode::Internal, format!("optimization search failed: {e}")),
+        Err(e) => Body::error(
+            ErrorCode::Internal,
+            format!("optimization search failed: {e}"),
+        ),
     }
 }

@@ -11,7 +11,9 @@
 //! the predictions it is built from.
 
 use dlperf_core::predictor::{PredictError, WalkScratch};
-use dlperf_distrib::{enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy};
+use dlperf_distrib::{
+    enumerate_matrix, sweep_shardings, DistributedPredictor, ParallelismStrategy,
+};
 use dlperf_graph::{memory, Graph};
 use dlperf_models::zoo;
 use dlperf_runtime::CancellationToken;
@@ -44,7 +46,11 @@ pub(crate) fn run(
         Ok(devices) => devices,
         Err(e) => return Body::Error(e),
     };
-    let batches: &[u64] = if q.batches.is_empty() { &DEFAULT_BATCHES } else { &q.batches };
+    let batches: &[u64] = if q.batches.is_empty() {
+        &DEFAULT_BATCHES
+    } else {
+        &q.batches
+    };
 
     // The multi-GPU axes resolve up front: strategy names are a closed
     // vocabulary (unknown ones are a typed error, like unknown devices),
@@ -95,12 +101,11 @@ pub(crate) fn run(
                 });
                 continue;
             }
-            let sized = sized_batches[slot].get_or_insert_with(|| {
-                match entry.graph(batch).as_ref() {
+            let sized =
+                sized_batches[slot].get_or_insert_with(|| match entry.graph(batch).as_ref() {
                     Ok(g) => Ok((g.clone(), memory::estimate(g))),
                     Err(e) => Err(format!("graph preparation failed: {e}")),
-                }
-            });
+                });
             let (g, report) = match &*sized {
                 Ok((g, report)) => (g, report),
                 Err(reason) => {
@@ -137,10 +142,7 @@ pub(crate) fn run(
                     );
                 }
                 Err(PredictError::Cancelled) => {
-                    return Body::error(
-                        ErrorCode::DeadlineExceeded,
-                        "deadline expired mid-search",
-                    );
+                    return Body::error(ErrorCode::DeadlineExceeded, "deadline expired mid-search");
                 }
                 Err(PredictError::Lower(e)) => {
                     rejected.push(RejectedConfig {
@@ -209,7 +211,11 @@ pub(crate) fn run(
         choice.reasoning = format!("rank {}: {}", position + 1, choice.reasoning);
     }
     let recommended = ranked.first().cloned();
-    Body::Recommendation(RecommendationBody { recommended, ranked, rejected })
+    Body::Recommendation(RecommendationBody {
+        recommended,
+        ranked,
+        rejected,
+    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -223,7 +229,11 @@ fn push_candidate(
     e2e_us: f64,
 ) {
     let latency_ms = e2e_us / 1000.0;
-    let samples_per_sec = if e2e_us > 0.0 { batch as f64 * 1e6 / e2e_us } else { 0.0 };
+    let samples_per_sec = if e2e_us > 0.0 {
+        batch as f64 * 1e6 / e2e_us
+    } else {
+        0.0
+    };
     let config_label = match &sharding {
         Some(s) => format!("batch {batch} on {device} sharded {s}"),
         None => format!("batch {batch} on {device}"),
@@ -261,9 +271,10 @@ fn push_candidate(
 fn sort_ranked(ranked: &mut [ConfigChoice], objective: Objective) {
     ranked.sort_by(|a, b| {
         let primary = match objective {
-            Objective::Latency => {
-                a.e2e_us.partial_cmp(&b.e2e_us).unwrap_or(std::cmp::Ordering::Equal)
-            }
+            Objective::Latency => a
+                .e2e_us
+                .partial_cmp(&b.e2e_us)
+                .unwrap_or(std::cmp::Ordering::Equal),
             Objective::Throughput => b
                 .samples_per_sec
                 .partial_cmp(&a.samples_per_sec)

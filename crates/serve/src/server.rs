@@ -156,7 +156,8 @@ impl ModelEntry {
     /// a pure function of `(base, batch)`, so cache hits, misses, and
     /// evictions cannot change the value.
     pub(crate) fn graph(&self, batch: u64) -> Arc<Result<Graph, dlperf_core::MutationError>> {
-        self.prepared.get_or_prepare(&self.base, &[GraphMutation::ResizeBatch(batch)])
+        self.prepared
+            .get_or_prepare(&self.base, &[GraphMutation::ResizeBatch(batch)])
     }
 }
 
@@ -293,7 +294,10 @@ impl Server {
         for _ in 0..shared.cfg.workers.max(1) {
             spawn_worker(shared.clone(), rx.clone());
         }
-        Ok(Server { shared, tx: Some(tx) })
+        Ok(Server {
+            shared,
+            tx: Some(tx),
+        })
     }
 
     /// Submits one typed request and blocks for its response. Admission
@@ -335,7 +339,11 @@ impl Server {
         }
         shared.admitted.incr();
         let (reply_tx, reply_rx) = unbounded();
-        let job = Job { req, reply: reply_tx, enqueued: Instant::now() };
+        let job = Job {
+            req,
+            reply: reply_tx,
+            enqueued: Instant::now(),
+        };
         let sent = self.tx.as_ref().is_some_and(|tx| tx.send(job).is_ok());
         if sent {
             match reply_rx.recv() {
@@ -347,7 +355,10 @@ impl Server {
             }
         } else {
             shared.depth.fetch_sub(1, Ordering::SeqCst);
-            Response { id, body: Body::error(ErrorCode::Internal, "server is shut down") }
+            Response {
+                id,
+                body: Body::error(ErrorCode::Internal, "server is shut down"),
+            }
         }
     }
 
@@ -359,7 +370,10 @@ impl Server {
             Err(reason) => {
                 self.shared.rejected.incr();
                 self.shared.completed.incr();
-                Response { id: 0, body: Body::error(ErrorCode::BadRequest, reason) }
+                Response {
+                    id: 0,
+                    body: Body::error(ErrorCode::BadRequest, reason),
+                }
             }
             Ok(()) => match serde_json::from_str::<Request>(line) {
                 Err(e) => {
@@ -367,7 +381,10 @@ impl Server {
                     self.shared.completed.incr();
                     Response {
                         id: 0,
-                        body: Body::error(ErrorCode::BadRequest, format!("unparseable request: {e}")),
+                        body: Body::error(
+                            ErrorCode::BadRequest,
+                            format!("unparseable request: {e}"),
+                        ),
                     }
                 }
                 Ok(req) => self.submit(req),
@@ -383,7 +400,10 @@ impl Server {
     pub fn reject_line(&self, reason: &str) -> String {
         self.shared.rejected.incr();
         self.shared.completed.incr();
-        encode_response(&Response { id: 0, body: Body::error(ErrorCode::BadRequest, reason) })
+        encode_response(&Response {
+            id: 0,
+            body: Body::error(ErrorCode::BadRequest, reason),
+        })
     }
 
     /// A point-in-time counter snapshot (also served as `Op::Stats`).
@@ -517,7 +537,11 @@ fn spawn_worker(shared: Arc<Shared>, rx: Receiver<Job>) {
     std::thread::Builder::new()
         .name("dlperf-serve-worker".into())
         .spawn(move || {
-            let mut guard = RespawnGuard { shared: shared.clone(), rx: rx.clone(), armed: true };
+            let mut guard = RespawnGuard {
+                shared: shared.clone(),
+                rx: rx.clone(),
+                armed: true,
+            };
             // One walk scratch per worker, reused by every request it
             // serves; each walk resets what it touches, so a request that
             // panicked or was cancelled mid-walk leaves nothing behind.
@@ -570,7 +594,9 @@ fn serve_one(shared: &Arc<Shared>, job: Job, scratch: &mut WalkScratch) -> bool 
         let started = Instant::now();
         let routed = {
             let _quiet = QuietGuard::engage();
-            catch_unwind(AssertUnwindSafe(|| route(shared, &job.req.op, &token, scratch)))
+            catch_unwind(AssertUnwindSafe(|| {
+                route(shared, &job.req.op, &token, scratch)
+            }))
         };
         observe_service_time(shared, started.elapsed());
         match routed {
@@ -590,7 +616,10 @@ fn serve_one(shared: &Arc<Shared>, job: Job, scratch: &mut WalkScratch) -> bool 
         }
     };
     shared.completed.incr();
-    let _ = job.reply.send(Response { id: job.req.id, body });
+    let _ = job.reply.send(Response {
+        id: job.req.id,
+        body,
+    });
     keep_running
 }
 
@@ -610,7 +639,11 @@ fn observe_service_time(shared: &Shared, elapsed: Duration) {
     // Benign race: concurrent updates may drop a sample; the EWMA is an
     // admission heuristic, not an accounting value.
     let old = f64::from_bits(shared.ewma_us.load(Ordering::Relaxed));
-    let new = if old == 0.0 { sample_us } else { 0.9 * old + 0.1 * sample_us };
+    let new = if old == 0.0 {
+        sample_us
+    } else {
+        0.9 * old + 0.1 * sample_us
+    };
     shared.ewma_us.store(new.to_bits(), Ordering::Relaxed);
 }
 
@@ -665,7 +698,11 @@ fn route_predict(
     // the full-fidelity path only — degraded answers are the fallback
     // path, not the flaky one.
     let degraded = shared.breaker.should_degrade();
-    let injector = if degraded { None } else { shared.injector.as_ref() };
+    let injector = if degraded {
+        None
+    } else {
+        shared.injector.as_ref()
+    };
     if let Some(injector) = injector {
         let seq = shared.fault_seq.fetch_add(1, Ordering::SeqCst);
         match injector.worker_fault(site_key("serve.request"), seq, 0) {
@@ -693,7 +730,11 @@ fn route_predict(
         }
     }
 
-    let eval = if degraded { &shared.degraded } else { &shared.eval };
+    let eval = if degraded {
+        &shared.degraded
+    } else {
+        &shared.eval
+    };
     let graph = entry.graph(q.batch);
     let g = match graph.as_ref() {
         Ok(g) => g,
@@ -705,35 +746,42 @@ fn route_predict(
             ));
         }
     };
-    Routed::Body(match eval.price(device, g, None, true, Some(token), scratch) {
-        Ok((p, _)) if degraded => {
-            shared.degraded_answers.incr();
-            Body::Prediction(prediction_body(&p, "degraded"))
-        }
-        Ok((p, _)) => {
-            shared.breaker.record_success();
-            let confidence = if p.is_fully_calibrated() { "calibrated" } else { "degraded" };
-            Body::Prediction(prediction_body(&p, confidence))
-        }
-        Err(PredictError::Cancelled) => {
-            shared.deadline_expired.incr();
-            let note = if degraded { " (degraded)" } else { "" };
-            Body::error(ErrorCode::DeadlineExceeded, format!("deadline expired mid-walk{note}"))
-        }
-        Err(PredictError::Lower(e)) if degraded => {
-            Body::error(ErrorCode::Internal, format!("degraded lowering failed: {e}"))
-        }
-        Err(PredictError::Lower(e)) => {
-            shared.breaker.record_failure();
-            Body::error(ErrorCode::Internal, format!("lowering failed: {e}"))
-        }
-    })
+    Routed::Body(
+        match eval.price(device, g, None, true, Some(token), scratch) {
+            Ok((p, _)) if degraded => {
+                shared.degraded_answers.incr();
+                Body::Prediction(prediction_body(&p, "degraded"))
+            }
+            Ok((p, _)) => {
+                shared.breaker.record_success();
+                let confidence = if p.is_fully_calibrated() {
+                    "calibrated"
+                } else {
+                    "degraded"
+                };
+                Body::Prediction(prediction_body(&p, confidence))
+            }
+            Err(PredictError::Cancelled) => {
+                shared.deadline_expired.incr();
+                let note = if degraded { " (degraded)" } else { "" };
+                Body::error(
+                    ErrorCode::DeadlineExceeded,
+                    format!("deadline expired mid-walk{note}"),
+                )
+            }
+            Err(PredictError::Lower(e)) if degraded => Body::error(
+                ErrorCode::Internal,
+                format!("degraded lowering failed: {e}"),
+            ),
+            Err(PredictError::Lower(e)) => {
+                shared.breaker.record_failure();
+                Body::error(ErrorCode::Internal, format!("lowering failed: {e}"))
+            }
+        },
+    )
 }
 
-pub(crate) fn prediction_body(
-    p: &dlperf_core::Prediction,
-    confidence: &str,
-) -> PredictionBody {
+pub(crate) fn prediction_body(p: &dlperf_core::Prediction, confidence: &str) -> PredictionBody {
     PredictionBody {
         e2e_us: p.e2e_us,
         active_us: p.active_us,
@@ -812,8 +860,13 @@ mod tests {
     #[test]
     fn unlowerable_graph_answers_with_the_inner_lowering_error() {
         let workloads = vec![zoo::build("dlrm-default", 512).unwrap()];
-        let pipeline =
-            Pipeline::analyze(&DeviceSpec::v100(), &workloads, CalibrationEffort::Quick, 5, 11);
+        let pipeline = Pipeline::analyze(
+            &DeviceSpec::v100(),
+            &workloads,
+            CalibrationEffort::Quick,
+            5,
+            11,
+        );
         // A graph whose only op cannot lower (AddMm with one input),
         // planted where the model's batch-768 resize would be prepared.
         let mut broken = Graph::new("broken");
@@ -839,7 +892,13 @@ mod tests {
                 device: "v100".into(),
                 deadline_ms: None,
             };
-            match server.submit(Request { id, op: Op::Predict(q) }).body {
+            match server
+                .submit(Request {
+                    id,
+                    op: Op::Predict(q),
+                })
+                .body
+            {
                 Body::Error(e) => (e.code, e.message),
                 other => panic!("expected an error body, got {other:?}"),
             }
@@ -848,7 +907,10 @@ mod tests {
         // then the degraded twin answers the next request; each message
         // names the inner lowering error exactly once.
         assert_eq!(predict(1), (500, format!("lowering failed: {lower_err}")));
-        assert_eq!(predict(2), (500, format!("degraded lowering failed: {lower_err}")));
+        assert_eq!(
+            predict(2),
+            (500, format!("degraded lowering failed: {lower_err}"))
+        );
     }
 
     #[test]
@@ -858,7 +920,11 @@ mod tests {
             .iter()
             .map(|d| Pipeline::analyze(d, &workloads, CalibrationEffort::Quick, 5, 11))
             .collect();
-        let cfg = ServerConfig { workers: 1, base_batch: 512, ..ServerConfig::default() };
+        let cfg = ServerConfig {
+            workers: 1,
+            base_batch: 512,
+            ..ServerConfig::default()
+        };
         let server = Server::start(pipelines, &["dlrm-default"], cfg, None).unwrap();
         let query = RecommendQuery {
             model: "dlrm-default".into(),
@@ -871,7 +937,12 @@ mod tests {
             objective: Objective::Latency,
             deadline_ms: Some(60_000.0),
         };
-        let Body::Recommendation(r) = server.submit(Request { id: 1, op: Op::Recommend(query) }).body
+        let Body::Recommendation(r) = server
+            .submit(Request {
+                id: 1,
+                op: Op::Recommend(query),
+            })
+            .body
         else {
             panic!("expected a recommendation")
         };

@@ -43,7 +43,11 @@ impl DeviceBreakdown {
         let mut per_op: Vec<OpShare> = per_op
             .into_iter()
             .filter(|(_, t)| *t > 0.0)
-            .map(|(op_key, device_us)| OpShare { op_key, device_us, share: device_us / total })
+            .map(|(op_key, device_us)| OpShare {
+                op_key,
+                device_us,
+                share: device_us / total,
+            })
             .collect();
         per_op.sort_by(|a, b| b.device_us.total_cmp(&a.device_us));
         let active = run.active_us();
@@ -123,7 +127,10 @@ mod tests {
         let b = breakdown(2048);
         let top: Vec<&str> = b.top_ops(8).iter().map(|s| s.op_key.as_str()).collect();
         assert!(top.iter().any(|k| k.contains("addmm")), "top ops: {top:?}");
-        assert!(top.iter().any(|k| k.contains("embedding")), "top ops: {top:?}");
+        assert!(
+            top.iter().any(|k| k.contains("embedding")),
+            "top ops: {top:?}"
+        );
     }
 
     #[test]
@@ -139,6 +146,9 @@ mod tests {
         // utilization must rise (the Fig. 9 trend).
         let small = breakdown(128).utilization();
         let large = breakdown(4096).utilization();
-        assert!(large > small, "utilization small-batch {small} vs large-batch {large}");
+        assert!(
+            large > small,
+            "utilization small-batch {small} vs large-batch {large}"
+        );
     }
 }

@@ -71,7 +71,12 @@ pub fn compare(before: &RunResult, after: &RunResult) -> RunComparison {
         .map(|k| {
             let (bt, bc) = b.get(k).copied().unwrap_or((0.0, 0));
             let (at, ac) = a.get(k).copied().unwrap_or((0.0, 0));
-            OpDelta { op_key: k.clone(), before_us: bt, after_us: at, count: (bc, ac) }
+            OpDelta {
+                op_key: k.clone(),
+                before_us: bt,
+                after_us: at,
+                count: (bc, ac),
+            }
         })
         .collect();
     deltas.sort_by(|x, y| y.delta_us().abs().total_cmp(&x.delta_us().abs()));
@@ -86,8 +91,8 @@ pub fn compare(before: &RunResult, after: &RunResult) -> RunComparison {
 mod tests {
     use super::*;
     use crate::engine::ExecutionEngine;
-    use dlperf_graph::transform::fuse_embedding_bags;
     use dlperf_gpusim::DeviceSpec;
+    use dlperf_graph::transform::fuse_embedding_bags;
     use dlperf_models::DlrmConfig;
 
     #[test]
@@ -109,10 +114,18 @@ mod tests {
 
         assert!(cmp.speedup() > 1.0, "fusion should speed things up");
         // The embedding_bag rows disappear and the batched op appears.
-        let bag = cmp.deltas.iter().find(|d| d.op_key == "aten::embedding_bag").unwrap();
+        let bag = cmp
+            .deltas
+            .iter()
+            .find(|d| d.op_key == "aten::embedding_bag")
+            .unwrap();
         assert_eq!(bag.count.0, 8);
         assert_eq!(bag.count.1, 0);
-        let batched = cmp.deltas.iter().find(|d| d.op_key == "batched_embedding").unwrap();
+        let batched = cmp
+            .deltas
+            .iter()
+            .find(|d| d.op_key == "batched_embedding")
+            .unwrap();
         assert_eq!(batched.count, (0, 1));
     }
 
@@ -126,7 +139,10 @@ mod tests {
         let cmp = compare(&a, &b);
         assert!((cmp.speedup() - 1.0).abs() < 0.1);
         for d in &cmp.deltas {
-            assert_eq!(d.count.0, d.count.1, "op counts must match for the same graph");
+            assert_eq!(
+                d.count.0, d.count.1,
+                "op counts must match for the same graph"
+            );
         }
     }
 }

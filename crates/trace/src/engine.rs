@@ -218,8 +218,16 @@ impl ExecutionEngine {
     /// inconsistent with its kind, [`EngineError::NonFiniteTime`] if a
     /// kernel's simulated duration degenerates.
     pub fn run(&mut self, graph: &Graph) -> Result<RunResult, EngineError> {
-        let prof_cpu = if self.profiling { PROFILER_CPU_ACTUAL_US } else { 0.0 };
-        let prof_gpu = if self.profiling { PROFILER_GPU_ACTUAL_US } else { 0.0 };
+        let prof_cpu = if self.profiling {
+            PROFILER_CPU_ACTUAL_US
+        } else {
+            0.0
+        };
+        let prof_gpu = if self.profiling {
+            PROFILER_GPU_ACTUAL_US
+        } else {
+            0.0
+        };
 
         let mut events: Vec<TraceEvent> = Vec::new();
         let mut tensor_ready: HashMap<TensorId, f64> = HashMap::new();
@@ -329,7 +337,11 @@ impl ExecutionEngine {
     ///
     /// # Errors
     /// Propagates [`EngineError`]s from [`ExecutionEngine::run`].
-    pub fn run_iterations(&mut self, graph: &Graph, iters: usize) -> Result<Vec<RunResult>, EngineError> {
+    pub fn run_iterations(
+        &mut self,
+        graph: &Graph,
+        iters: usize,
+    ) -> Result<Vec<RunResult>, EngineError> {
         (0..iters).map(|_| self.run(graph)).collect()
     }
 
@@ -404,7 +416,10 @@ mod tests {
         }
         for (corr, (launch, kernel)) in by_corr {
             let (l, k) = (launch.unwrap(), kernel.unwrap());
-            assert!(k >= l, "kernel {corr} started at {k} before its launch at {l}");
+            assert!(
+                k >= l,
+                "kernel {corr} started at {k} before its launch at {l}"
+            );
         }
     }
 
@@ -414,7 +429,10 @@ mod tests {
         let mut e = ExecutionEngine::new(DeviceSpec::v100(), 4);
         let runs = e.run_iterations(&g, 5).unwrap();
         let times: Vec<f64> = runs.iter().map(|r| r.e2e_us).collect();
-        assert!(times.windows(2).any(|w| w[0] != w[1]), "iterations identical: {times:?}");
+        assert!(
+            times.windows(2).any(|w| w[0] != w[1]),
+            "iterations identical: {times:?}"
+        );
         // ... but within a plausible band.
         let m = crate::stats::mean(&times);
         assert!(times.iter().all(|t| (t - m).abs() / m < 0.2));
@@ -435,7 +453,10 @@ mod tests {
             slow.active_us(),
             healthy.active_us()
         );
-        assert!(slow.e2e_us >= healthy.e2e_us * 0.99, "slowdown should never speed things up");
+        assert!(
+            slow.e2e_us >= healthy.e2e_us * 0.99,
+            "slowdown should never speed things up"
+        );
     }
 
     #[test]
@@ -465,7 +486,11 @@ mod tests {
         }
         let mut e = ExecutionEngine::new(DeviceSpec::v100(), 5);
         let r = e.run(&g).unwrap();
-        assert!(r.utilization() < 0.5, "tiny ops should leave the GPU idle, got {}", r.utilization());
+        assert!(
+            r.utilization() < 0.5,
+            "tiny ops should leave the GPU idle, got {}",
+            r.utilization()
+        );
         assert!(r.cpu_us > r.gpu_last_us, "chain should be CPU-bound");
     }
 
@@ -522,7 +547,10 @@ mod tests {
             g.add_op(OpKind::AddMm, vec![x, w, b], vec![y]);
             x = y;
         }
-        let u_gemm = ExecutionEngine::new(DeviceSpec::v100(), 7).run(&g).unwrap().utilization();
+        let u_gemm = ExecutionEngine::new(DeviceSpec::v100(), 7)
+            .run(&g)
+            .unwrap()
+            .utilization();
         assert!(u_gemm > 0.9, "GEMM chain utilization {u_gemm}");
         assert!(u_dlrm < u_gemm, "DLRM {u_dlrm} vs GEMM {u_gemm}");
     }

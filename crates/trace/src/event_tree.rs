@@ -54,7 +54,10 @@ impl EventTree {
         let mut ops: Vec<OpNode> = trace
             .of_cat(EventCat::Op)
             .into_iter()
-            .map(|e| OpNode { op: e.clone(), launches: Vec::new() })
+            .map(|e| OpNode {
+                op: e.clone(),
+                launches: Vec::new(),
+            })
             .collect();
 
         let kernels: std::collections::HashMap<u64, &TraceEvent> = trace

@@ -73,7 +73,12 @@ impl std::fmt::Display for TraceLoadError {
         match self {
             TraceLoadError::Parse(e) => write!(f, "trace artifact is not valid JSON: {e}"),
             TraceLoadError::Invalid(why) => write!(f, "trace artifact rejected: {why}"),
-            TraceLoadError::DuplicateCorrelation { cat, correlation, first, second } => write!(
+            TraceLoadError::DuplicateCorrelation {
+                cat,
+                correlation,
+                first,
+                second,
+            } => write!(
                 f,
                 "trace artifact rejected: events {first} and {second} (both {cat:?}) \
                  reuse correlation id {correlation}"
@@ -350,9 +355,19 @@ mod tests {
         a.correlation = 7;
         let mut b = ev("launch", EventCat::Runtime, 2.0, 1.0);
         b.correlation = 7;
-        let t = Trace { workload: "w".into(), device: "d".into(), events: vec![a, b], span_us: 3.0 };
+        let t = Trace {
+            workload: "w".into(),
+            device: "d".into(),
+            events: vec![a, b],
+            span_us: 3.0,
+        };
         match Trace::from_json(&t.to_json()) {
-            Err(TraceLoadError::DuplicateCorrelation { cat, correlation, first, second }) => {
+            Err(TraceLoadError::DuplicateCorrelation {
+                cat,
+                correlation,
+                first,
+                second,
+            }) => {
                 assert_eq!(cat, EventCat::Runtime);
                 assert_eq!(correlation, 7);
                 assert_eq!((first, second), (0, 1));
@@ -383,13 +398,20 @@ mod tests {
         let b = ev("op", EventCat::Op, 0.5, 1.0);
         let mut c = ev("last", EventCat::Runtime, 2.0, 1.0);
         c.correlation = 3;
-        let t =
-            Trace { workload: "w".into(), device: "d".into(), events: vec![a, b, c], span_us: 3.0 };
+        let t = Trace {
+            workload: "w".into(),
+            device: "d".into(),
+            events: vec![a, b, c],
+            span_us: 3.0,
+        };
         let (back, report) = Trace::from_json_lenient(&t.to_json()).unwrap();
         assert_eq!(report.dup_correlations, 1);
         assert_eq!(back.events.len(), 2);
         assert_eq!(back.events[0].name, "op");
-        assert_eq!(back.events[1].name, "last", "last occurrence wins, in its own position");
+        assert_eq!(
+            back.events[1].name, "last",
+            "last occurrence wins, in its own position"
+        );
         // A clean trace round-trips untouched.
         let (clean, report) = Trace::from_json_lenient(&back.to_json()).unwrap();
         assert_eq!(report.dup_correlations, 0);
@@ -412,6 +434,8 @@ mod tests {
         let events = chrome["traceEvents"].as_array().unwrap();
         // 3 trace events + 1 process-name metadata record.
         assert_eq!(events.len(), 4);
-        assert!(events.iter().any(|e| e["cat"] == "kernel" && e["tid"] == 100));
+        assert!(events
+            .iter()
+            .any(|e| e["cat"] == "kernel" && e["tid"] == 100));
     }
 }

@@ -94,7 +94,10 @@ impl OverheadStats {
 
         let mut samples: BTreeMap<(String, OverheadType), Vec<f64>> = BTreeMap::new();
         let mut push = |key: &str, ty: OverheadType, v: f64| {
-            samples.entry((key.to_string(), ty)).or_default().push(v.max(0.0));
+            samples
+                .entry((key.to_string(), ty))
+                .or_default()
+                .push(v.max(0.0));
         };
 
         for trace in traces {
@@ -111,8 +114,16 @@ impl OverheadStats {
                 }
                 let first = &op.launches[0].runtime;
                 let last = &op.launches[op.launches.len() - 1].runtime;
-                push(&op.op.op_key, OverheadType::T2, first.ts_us - op.op.ts_us - prof_cpu);
-                push(&op.op.op_key, OverheadType::T3, op.op.end_us() - last.end_us());
+                push(
+                    &op.op.op_key,
+                    OverheadType::T2,
+                    first.ts_us - op.op.ts_us - prof_cpu,
+                );
+                push(
+                    &op.op.op_key,
+                    OverheadType::T3,
+                    op.op.end_us() - last.end_us(),
+                );
                 for pair in op.launches.windows(2) {
                     push(
                         &op.op.op_key,
@@ -130,17 +141,31 @@ impl OverheadStats {
         let mut per_type_samples: BTreeMap<OverheadType, Vec<f64>> = BTreeMap::new();
         for ((key, ty), vals) in samples {
             let kept = iqr_filter(&vals);
-            per_type_samples.entry(ty).or_default().extend(kept.iter().copied());
+            per_type_samples
+                .entry(ty)
+                .or_default()
+                .extend(kept.iter().copied());
             per_op.entry(key).or_default().insert(
                 ty,
-                OverheadStat { mean_us: mean(&kept), std_us: std_dev(&kept), count: kept.len() },
+                OverheadStat {
+                    mean_us: mean(&kept),
+                    std_us: std_dev(&kept),
+                    count: kept.len(),
+                },
             );
         }
         let per_type = per_type_samples
             .into_iter()
             .map(|(ty, vals)| {
                 let kept = iqr_filter(&vals);
-                (ty, OverheadStat { mean_us: mean(&kept), std_us: std_dev(&kept), count: kept.len() })
+                (
+                    ty,
+                    OverheadStat {
+                        mean_us: mean(&kept),
+                        std_us: std_dev(&kept),
+                        count: kept.len(),
+                    },
+                )
             })
             .collect();
         OverheadStats { per_op, per_type }
@@ -221,7 +246,11 @@ impl OverheadStats {
             if c > 0 {
                 out.per_op.entry(key).or_default().insert(
                     ty,
-                    OverheadStat { mean_us: m / c as f64, std_us: s / c as f64, count: c },
+                    OverheadStat {
+                        mean_us: m / c as f64,
+                        std_us: s / c as f64,
+                        count: c,
+                    },
                 );
             }
         }
@@ -229,7 +258,11 @@ impl OverheadStats {
             if c > 0 {
                 out.per_type.insert(
                     ty,
-                    OverheadStat { mean_us: m / c as f64, std_us: s / c as f64, count: c },
+                    OverheadStat {
+                        mean_us: m / c as f64,
+                        std_us: s / c as f64,
+                        count: c,
+                    },
                 );
             }
         }
@@ -305,7 +338,10 @@ mod tests {
                 rel.abs() < 0.25,
                 "{key} T1: recovered {got} vs truth {truth}"
             );
-            assert!(got < truth * 1.02, "trimmed mean should not exceed truth much");
+            assert!(
+                got < truth * 1.02,
+                "trimmed mean should not exceed truth much"
+            );
         }
     }
 
@@ -314,7 +350,10 @@ mod tests {
         let (stats, engine) = stats_for(256, 20, 32);
         let truth = engine.overheads().base[OverheadType::T4 as usize].mean_us;
         let got = stats.type_stat(OverheadType::T4).unwrap().mean_us;
-        assert!((got - truth).abs() / truth < 0.2, "T4 recovered {got} vs base {truth}");
+        assert!(
+            (got - truth).abs() / truth < 0.2,
+            "T4 recovered {got} vs base {truth}"
+        );
     }
 
     #[test]
@@ -370,7 +409,11 @@ mod tests {
         let mut poisoned = OverheadStats::default();
         poisoned.per_type.insert(
             OverheadType::T1,
-            OverheadStat { mean_us: -4.0, std_us: 1.0, count: 3 },
+            OverheadStat {
+                mean_us: -4.0,
+                std_us: 1.0,
+                count: 3,
+            },
         );
         match OverheadStats::from_json(&poisoned.to_json()) {
             Err(TraceLoadError::Invalid(why)) => {
@@ -403,7 +446,10 @@ mod tests {
         traces[1].events[0].ts_us = f64::NAN;
         match OverheadStats::try_extract(&traces, true) {
             Err(TraceLoadError::Invalid(why)) => {
-                assert!(why.contains("trace 1"), "error should name the trace: {why}");
+                assert!(
+                    why.contains("trace 1"),
+                    "error should name the trace: {why}"
+                );
             }
             other => panic!("expected Invalid error, got {other:?}"),
         }

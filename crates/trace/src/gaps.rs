@@ -67,7 +67,11 @@ pub fn attribute_idle(run: &RunResult, min_gap_us: f64) -> IdleReport {
             gaps.push(IdleGap {
                 start_us: horizon,
                 len_us: gap,
-                blamed_op: op_key_of.get(&op_index).copied().unwrap_or("<unknown>").to_string(),
+                blamed_op: op_key_of
+                    .get(&op_index)
+                    .copied()
+                    .unwrap_or("<unknown>")
+                    .to_string(),
             });
         }
         horizon = horizon.max(end);
@@ -79,7 +83,11 @@ pub fn attribute_idle(run: &RunResult, min_gap_us: f64) -> IdleReport {
     }
     let mut per_op: Vec<(String, f64)> = per_op.into_iter().collect();
     per_op.sort_by(|a, b| b.1.total_cmp(&a.1));
-    IdleReport { total_idle_us: gaps.iter().map(|g| g.len_us).sum(), gaps, per_op }
+    IdleReport {
+        total_idle_us: gaps.iter().map(|g| g.len_us).sum(),
+        gaps,
+        per_op,
+    }
 }
 
 #[cfg(test)]

@@ -231,12 +231,18 @@ impl QuarantineReport {
 
     /// Files that ingested with zero skips.
     pub fn clean_files(&self) -> usize {
-        self.files.iter().filter(|f| f.status == FileStatus::Clean).count()
+        self.files
+            .iter()
+            .filter(|f| f.status == FileStatus::Clean)
+            .count()
     }
 
     /// Files that ingested with some events skipped.
     pub fn degraded_files(&self) -> usize {
-        self.files.iter().filter(|f| f.status == FileStatus::Degraded).count()
+        self.files
+            .iter()
+            .filter(|f| f.status == FileStatus::Degraded)
+            .count()
     }
 
     /// Files quarantined outright.
@@ -260,7 +266,11 @@ impl QuarantineReport {
 
     /// Largest per-file dynamic-buffer high-water mark seen.
     pub fn peak_buffer_bytes(&self) -> u64 {
-        self.files.iter().map(|f| f.peak_buffer_bytes).max().unwrap_or(0)
+        self.files
+            .iter()
+            .map(|f| f.peak_buffer_bytes)
+            .max()
+            .unwrap_or(0)
     }
 
     /// One-line human summary for logs and CI job output.
@@ -379,7 +389,9 @@ impl<'a> TraceScanner<'a> {
 
     fn push_meta(&mut self, b: u8) -> Result<(), FileReject> {
         if self.meta_buf.len() >= self.limits.max_meta_bytes {
-            return Err(FileReject::Structure("trace metadata exceeds byte cap".into()));
+            return Err(FileReject::Structure(
+                "trace metadata exceeds byte cap".into(),
+            ));
         }
         self.meta_buf.push(b);
         self.note_peak();
@@ -462,13 +474,19 @@ impl<'a> TraceScanner<'a> {
         let stop = if self.cursor.in_string() {
             bytes.iter().position(|&b| b == b'"' || b == b'\\')
         } else {
-            bytes.iter().position(|&b| matches!(b, b'"' | b'[' | b']' | b'{' | b'}' | b',' | 0))
+            bytes
+                .iter()
+                .position(|&b| matches!(b, b'"' | b'[' | b']' | b'{' | b'}' | b',' | 0))
         };
         let run = stop.unwrap_or(bytes.len());
         if self.ev_poisoned || self.ev_oversized {
             return run;
         }
-        let take = run.min(self.limits.max_event_bytes.saturating_sub(self.ev_buf.len()));
+        let take = run.min(
+            self.limits
+                .max_event_bytes
+                .saturating_sub(self.ev_buf.len()),
+        );
         if take > 0 {
             self.ev_buf.extend_from_slice(&bytes[..take]);
             self.note_peak();
@@ -484,7 +502,9 @@ impl<'a> TraceScanner<'a> {
             Mode::Meta => self.feed_meta(b, lex, was_in_string),
             Mode::AwaitEvents => self.feed_await_events(b, lex),
             Mode::Elems => self.feed_elems(b, lex),
-            Mode::Done => Err(FileReject::Structure("bytes after trace object closed".into())),
+            Mode::Done => Err(FileReject::Structure(
+                "bytes after trace object closed".into(),
+            )),
         }
     }
 
@@ -713,9 +733,11 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
                             Drive::Single(scanner)
                         }
                         b'[' => Drive::ArrayAwait,
-                        _ => break 'scan Some(FileReject::Structure(
-                            "file does not start a trace object or array".into(),
-                        )),
+                        _ => {
+                            break 'scan Some(FileReject::Structure(
+                                "file does not start a trace object or array".into(),
+                            ))
+                        }
                     }
                 }
                 Drive::Single(ref mut scanner) | Drive::ArrayElem(ref mut scanner) => {
@@ -758,9 +780,11 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
                             Drive::ArrayElem(scanner)
                         }
                         b']' => Drive::End,
-                        _ => break 'scan Some(FileReject::Structure(
-                            "array element is not a trace object".into(),
-                        )),
+                        _ => {
+                            break 'scan Some(FileReject::Structure(
+                                "array element is not a trace object".into(),
+                            ))
+                        }
                     }
                 }
                 Drive::ArrayAfter => {
@@ -770,9 +794,11 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
                     match b {
                         b',' => Drive::ArrayAwait,
                         b']' => Drive::End,
-                        _ => break 'scan Some(FileReject::Structure(
-                            "unexpected byte between array elements".into(),
-                        )),
+                        _ => {
+                            break 'scan Some(FileReject::Structure(
+                                "unexpected byte between array elements".into(),
+                            ))
+                        }
                     }
                 }
                 Drive::End => {
@@ -797,8 +823,11 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
         Some(reject) => (Vec::new(), FileStatus::Quarantined(reject), 0),
         None => {
             let accepted: u64 = traces.iter().map(|t| t.events.len() as u64).sum();
-            let status =
-                if skips.total() == 0 { FileStatus::Clean } else { FileStatus::Degraded };
+            let status = if skips.total() == 0 {
+                FileStatus::Clean
+            } else {
+                FileStatus::Degraded
+            };
             (traces, status, accepted)
         }
     };
@@ -833,7 +862,10 @@ pub fn ingest_file(path: &Path, limits: &IngestLimits) -> FileIngest {
                 peak_buffer_bytes: 0,
             };
             record_file(&report);
-            FileIngest { traces: Vec::new(), report }
+            FileIngest {
+                traces: Vec::new(),
+                report,
+            }
         }
     }
 }
@@ -984,8 +1016,11 @@ mod tests {
         let out = ingest_str(&t.to_json(), "dup", &IngestLimits::default());
         assert_eq!(out.report.status, FileStatus::Degraded);
         assert_eq!(out.report.skips.duplicate_correlation, 1);
-        let names: Vec<&str> =
-            out.traces[0].events.iter().map(|e| e.name.as_str()).collect();
+        let names: Vec<&str> = out.traces[0]
+            .events
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
         assert!(names.contains(&"launch_again"));
         assert!(!names.contains(&"launch"), "earlier occurrence tombstoned");
     }
@@ -1016,7 +1051,10 @@ mod tests {
 
     #[test]
     fn oversized_event_is_skipped_without_buffering() {
-        let limits = IngestLimits { max_event_bytes: 256, ..IngestLimits::default() };
+        let limits = IngestLimits {
+            max_event_bytes: 256,
+            ..IngestLimits::default()
+        };
         let mut t = sample_trace();
         t.events[1].name = "x".repeat(4096);
         let out = ingest_str(&t.to_json(), "big", &limits);
@@ -1028,7 +1066,10 @@ mod tests {
 
     #[test]
     fn skip_budget_exhaustion_quarantines_the_file() {
-        let limits = IngestLimits { skip_budget: 2, ..IngestLimits::default() };
+        let limits = IngestLimits {
+            skip_budget: 2,
+            ..IngestLimits::default()
+        };
         let t = sample_trace();
         let json = t.to_json().replace("\"dur_us\":1", "\"dur_us\":-1");
         let out = ingest_str(&json, "corrupt", &limits);
@@ -1053,7 +1094,10 @@ mod tests {
 
     #[test]
     fn depth_bomb_outside_events_is_quarantined_inside_is_poisoned() {
-        let limits = IngestLimits { max_json_depth: 8, ..IngestLimits::default() };
+        let limits = IngestLimits {
+            max_json_depth: 8,
+            ..IngestLimits::default()
+        };
         let bomb = "[".repeat(64);
         let out = ingest_str(&format!("{{\"deep\":{bomb}"), "bomb", &limits);
         assert!(matches!(
@@ -1080,9 +1124,15 @@ mod tests {
 
     #[test]
     fn file_byte_cap_quarantines() {
-        let limits = IngestLimits { max_file_bytes: 64, ..IngestLimits::default() };
+        let limits = IngestLimits {
+            max_file_bytes: 64,
+            ..IngestLimits::default()
+        };
         let out = ingest_str(&sample_trace().to_json(), "huge", &limits);
-        assert_eq!(out.report.status, FileStatus::Quarantined(FileReject::TooLarge));
+        assert_eq!(
+            out.report.status,
+            FileStatus::Quarantined(FileReject::TooLarge)
+        );
     }
 
     #[test]

@@ -40,10 +40,10 @@
 pub mod breakdown;
 pub mod compare;
 pub mod engine;
-pub mod gaps;
 pub mod event_tree;
 pub mod events;
 pub mod extract;
+pub mod gaps;
 pub mod ingest;
 pub mod overheads;
 pub mod screen;
@@ -53,7 +53,7 @@ pub mod stats;
 pub use breakdown::DeviceBreakdown;
 pub use engine::{EngineError, ExecutionEngine, RunResult};
 pub use events::{EventCat, LenientLoadReport, Trace, TraceEvent, TraceLoadError};
-pub use ingest::{FileIngest, FileReject, FileReport, IngestLimits, QuarantineReport};
 pub use extract::{OverheadStats, OverheadType};
+pub use ingest::{FileIngest, FileReject, FileReport, IngestLimits, QuarantineReport};
 pub use overheads::OverheadProfile;
 pub use selftrace::ChromeTraceSink;

@@ -44,7 +44,9 @@ impl OverheadDist {
         }
         let sigma2 = (1.0 + self.cv * self.cv).ln();
         let mu = self.mean_us.ln() - sigma2 / 2.0;
-        LogNormal::new(mu, sigma2.sqrt()).expect("valid lognormal").sample(rng)
+        LogNormal::new(mu, sigma2.sqrt())
+            .expect("valid lognormal")
+            .sample(rng)
     }
 }
 

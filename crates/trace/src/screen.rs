@@ -154,7 +154,9 @@ pub fn read_bounded_line<R: std::io::BufRead>(
 ) -> std::io::Result<LineRead> {
     use std::io::{BufRead as _, Read};
     let mut buf = Vec::new();
-    let n = (&mut *reader).take(max_line_bytes as u64 + 1).read_until(b'\n', &mut buf)?;
+    let n = (&mut *reader)
+        .take(max_line_bytes as u64 + 1)
+        .read_until(b'\n', &mut buf)?;
     if n == 0 {
         return Ok(LineRead::Eof);
     }
@@ -197,7 +199,10 @@ pub fn read_bounded_line<R: std::io::BufRead>(
 mod tests {
     use super::*;
 
-    const LIMITS: ScreenLimits = ScreenLimits { max_line_bytes: 1024, max_json_depth: 8 };
+    const LIMITS: ScreenLimits = ScreenLimits {
+        max_line_bytes: 1024,
+        max_json_depth: 8,
+    };
 
     #[test]
     fn cursor_tracks_depth_across_strings_and_escapes() {
@@ -233,11 +238,17 @@ mod tests {
         data.push(b'\n');
         data.extend_from_slice(b"next\n");
         let mut reader = std::io::BufReader::with_capacity(256, &data[..]);
-        assert!(matches!(read_bounded_line(&mut reader, 1024).unwrap(), LineRead::Oversized));
+        assert!(matches!(
+            read_bounded_line(&mut reader, 1024).unwrap(),
+            LineRead::Oversized
+        ));
         match read_bounded_line(&mut reader, 1024).unwrap() {
             LineRead::Line(l) => assert_eq!(l, "next"),
             other => panic!("expected the next line, got {other:?}"),
         }
-        assert!(matches!(read_bounded_line(&mut reader, 1024).unwrap(), LineRead::Eof));
+        assert!(matches!(
+            read_bounded_line(&mut reader, 1024).unwrap(),
+            LineRead::Eof
+        ));
     }
 }

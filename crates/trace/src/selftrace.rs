@@ -73,10 +73,7 @@ impl ChromeTraceSink {
     /// Creates the sink and installs a forwarding handle into the global
     /// recorder. The caller keeps the returned `Arc` to read results;
     /// `dlperf_obs::clear_sinks()` drops the recorder's handle.
-    pub fn install(
-        workload: impl Into<String>,
-        device: impl Into<String>,
-    ) -> std::sync::Arc<Self> {
+    pub fn install(workload: impl Into<String>, device: impl Into<String>) -> std::sync::Arc<Self> {
         let sink = Self::new(workload, device);
         struct Fwd(std::sync::Arc<ChromeTraceSink>);
         impl dlperf_obs::Sink for Fwd {
@@ -91,7 +88,10 @@ impl ChromeTraceSink {
     /// The traces accumulated so far (one per recording thread per flush
     /// that carried spans), in (flush, thread-ordinal) order.
     pub fn traces(&self) -> Vec<Trace> {
-        self.traces.lock().expect("self-trace buffer poisoned").clone()
+        self.traces
+            .lock()
+            .expect("self-trace buffer poisoned")
+            .clone()
     }
 
     /// Serializes every accumulated trace as a JSON array; each element is
@@ -128,7 +128,10 @@ impl ChromeTraceSink {
 impl dlperf_obs::Sink for ChromeTraceSink {
     fn consume(&self, snapshot: &Snapshot) {
         let mut fresh = traces_from_spans(&snapshot.spans, &self.workload, &self.device);
-        self.traces.lock().expect("self-trace buffer poisoned").append(&mut fresh);
+        self.traces
+            .lock()
+            .expect("self-trace buffer poisoned")
+            .append(&mut fresh);
     }
 }
 
@@ -289,10 +292,17 @@ mod tests {
         ];
         let sink = ChromeTraceSink::new("w", "host");
         use dlperf_obs::Sink as _;
-        sink.consume(&Snapshot { spans, counters: Vec::new() });
+        sink.consume(&Snapshot {
+            spans,
+            counters: Vec::new(),
+        });
         let json = sink.to_json();
         let back = ChromeTraceSink::parse_json(&json).expect("round-trips");
         assert_eq!(back.len(), 2);
-        assert_eq!(back[0].events.len(), 3, "root work span emits op+runtime+kernel");
+        assert_eq!(
+            back[0].events.len(),
+            3,
+            "root work span emits op+runtime+kernel"
+        );
     }
 }

@@ -55,13 +55,23 @@ fn main() {
     }
 
     // 3. Reordering what-if on the fused graph, priced by the model alone.
-    let pipeline =
-        Pipeline::analyze(&device, std::slice::from_ref(&fused), CalibrationEffort::Quick, 15, 4);
-    let scenarios =
-        [Scenario::new("base", 0), Scenario::new("hoisted", 0).with(GraphMutation::HoistAll)];
+    let pipeline = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&fused),
+        CalibrationEffort::Quick,
+        15,
+        4,
+    );
+    let scenarios = [
+        Scenario::new("base", 0),
+        Scenario::new("hoisted", 0).with(GraphMutation::HoistAll),
+    ];
     let outcome = SweepEngine::new(vec![pipeline]).run(&fused, &scenarios);
     let results = outcome.expect_complete();
-    let (base, hoisted) = (results[0].expect_prediction(), results[1].expect_prediction());
+    let (base, hoisted) = (
+        results[0].expect_prediction(),
+        results[1].expect_prediction(),
+    );
     println!(
         "\n== reorder what-if (hoist ops to their earliest legal slot) ==\npredicted: {:.0} -> {:.0} us ({:+.2}%)",
         base.e2e_us,

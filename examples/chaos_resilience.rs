@@ -71,7 +71,10 @@ fn main() -> Result<(), Box<dyn Error>> {
     }
     let mut engine = MultiGpuEngine::with_faults(device.clone(), 42, FaultPlan::chaos(1337, 1.0));
     let wild = engine.run(&job)?;
-    println!("full-chaos / healthy e2e ratio: {:.2}x\n", wild.e2e_us / healthy_e2e);
+    println!(
+        "full-chaos / healthy e2e ratio: {:.2}x\n",
+        wild.e2e_us / healthy_e2e
+    );
 
     // 2. Missing kernel models: predictions carry on, tagged Degraded.
     println!("== graceful degradation: empty model registry ==");
@@ -115,8 +118,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     //    checkpoints, and the finished pipeline is bitwise identical to an
     //    undisturbed one.
     println!("\n== supervised analysis under worker chaos (kills + panics) ==");
-    let calm = vec![DlrmConfig::default_config(256).build(), DlrmConfig::ddp_config(256).build(),
-        DlrmConfig::default_config(512).build()];
+    let calm = vec![
+        DlrmConfig::default_config(256).build(),
+        DlrmConfig::ddp_config(256).build(),
+        DlrmConfig::default_config(512).build(),
+    ];
     let mut quiet = Supervisor::new(SupervisorConfig::default());
     let (res, _) =
         Pipeline::analyze_supervised(&device, &calm, CalibrationEffort::Quick, 10, 7, &mut quiet);
@@ -128,12 +134,21 @@ fn main() -> Result<(), Box<dyn Error>> {
         // (step, attempt) sites — two injected faults, both survived.
         FaultPlan::healthy(2).with_worker_faults(0.2, 0.2, 0.0),
     ));
-    let (res, run) =
-        Pipeline::analyze_supervised(&device, &calm, CalibrationEffort::Quick, 10, 7, &mut chaotic);
+    let (res, run) = Pipeline::analyze_supervised(
+        &device,
+        &calm,
+        CalibrationEffort::Quick,
+        10,
+        7,
+        &mut chaotic,
+    );
     let (pipe_chaos, _) = res?;
     println!("{}", run.summary());
     for r in &run.restarts {
-        println!("  restart #{}: at step {}, cause: {}", r.attempt, r.at_step, r.cause);
+        println!(
+            "  restart #{}: at step {}, cause: {}",
+            r.attempt, r.at_step, r.cause
+        );
     }
     let a = pipe_quiet.predict(&calm[0])?;
     let b = pipe_chaos.predict(&calm[0])?;

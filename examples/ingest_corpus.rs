@@ -146,7 +146,10 @@ fn write_corpus(
             synthetic_trace(file, 0, events_per_file).to_json()
         };
         let mut bytes = doc.into_bytes();
-        if mangler.mangle_trace_bytes(0xC0_FFEE, file, &mut bytes).is_some() {
+        if mangler
+            .mangle_trace_bytes(0xC0_FFEE, file, &mut bytes)
+            .is_some()
+        {
             mangled += 1;
         }
         let path = dir.join(format!("iter-{file:03}.trace.json"));
@@ -189,7 +192,9 @@ impl<J: ResumableJob> ResumableJob for Throttled<J> {
 
 fn flag(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 /// Peak resident set size of this process in KiB (Linux `VmHWM`;
@@ -198,9 +203,9 @@ fn peak_rss_kib() -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
-                l.split_whitespace().nth(1).and_then(|v| v.parse().ok())
-            })
+            s.lines()
+                .find(|l| l.starts_with("VmHWM:"))
+                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
         })
         .unwrap_or(0)
 }
@@ -211,14 +216,30 @@ fn main() -> Result<(), Box<dyn Error>> {
     let out = flag("--out").unwrap_or_else(|| "/tmp/ingest-corpus.digest".into());
     let quarantine = flag("--quarantine");
     let bench = flag("--bench");
-    let n_files: usize = flag("--files").map(|v| v.parse()).transpose()?.unwrap_or(48);
-    let events: usize = flag("--events").map(|v| v.parse()).transpose()?.unwrap_or(220);
-    let seed: u64 = flag("--seed").map(|v| v.parse()).transpose()?.unwrap_or(0xDEAD_BEEF);
-    let delay =
-        Duration::from_millis(flag("--step-delay-ms").map(|v| v.parse()).transpose()?.unwrap_or(0));
+    let n_files: usize = flag("--files")
+        .map(|v| v.parse())
+        .transpose()?
+        .unwrap_or(48);
+    let events: usize = flag("--events")
+        .map(|v| v.parse())
+        .transpose()?
+        .unwrap_or(220);
+    let seed: u64 = flag("--seed")
+        .map(|v| v.parse())
+        .transpose()?
+        .unwrap_or(0xDEAD_BEEF);
+    let delay = Duration::from_millis(
+        flag("--step-delay-ms")
+            .map(|v| v.parse())
+            .transpose()?
+            .unwrap_or(0),
+    );
 
     let (paths, mangled) = write_corpus(&dir, n_files, events, seed)?;
-    eprintln!("corpus: {n_files} files ({mangled} mangled) under {}", dir.display());
+    eprintln!(
+        "corpus: {n_files} files ({mangled} mangled) under {}",
+        dir.display()
+    );
 
     let job = CorpusIngestJob::new(paths, IngestLimits::default())
         .with_threads(4)
@@ -279,8 +300,14 @@ fn main() -> Result<(), Box<dyn Error>> {
             ingest.report.quarantined_files().to_string(),
         );
         doc.insert("ingest_events_accepted".into(), accepted.to_string());
-        doc.insert("ingest_events_skipped".into(), ingest.skips().total().to_string());
-        doc.insert("ingest_wall_ms".into(), format!("{:.3}", wall.as_secs_f64() * 1e3));
+        doc.insert(
+            "ingest_events_skipped".into(),
+            ingest.skips().total().to_string(),
+        );
+        doc.insert(
+            "ingest_wall_ms".into(),
+            format!("{:.3}", wall.as_secs_f64() * 1e3),
+        );
         doc.insert(
             "ingest_events_per_sec".into(),
             format!("{:.0}", accepted as f64 / wall.as_secs_f64().max(1e-9)),

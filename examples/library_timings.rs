@@ -71,12 +71,22 @@ fn median_ns(calls: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn row(what: &str, ns: f64, nodes: usize) {
-    println!("  {what:<44} {:>10.2} µs  {:>7.0} ns/node", ns / 1e3, ns / nodes as f64);
+    println!(
+        "  {what:<44} {:>10.2} µs  {:>7.0} ns/node",
+        ns / 1e3,
+        ns / nodes as f64
+    );
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    let nproc = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     println!("host: nproc {nproc}, build profile {profile}, one timing thread");
     println!(
         "method: median of {SAMPLES} timings of {CALLS} calls after a warm-up \
@@ -111,14 +121,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ("warm walk, bounded cache (2^18 entries)", &bounded),
         ] {
             let ns = median_ns(CALLS, || {
-                black_box(predictor.walk(graph, Some(cache), None, &mut scratch).expect("walks"));
+                black_box(
+                    predictor
+                        .walk(graph, Some(cache), None, &mut scratch)
+                        .expect("walks"),
+                );
             });
             row(label, ns, nodes);
         }
         let cold = median_ns(COLD_CALLS, || {
             let cache = MemoCache::new();
             let mut scratch = WalkScratch::new();
-            black_box(predictor.walk(graph, Some(&cache), None, &mut scratch).expect("walks"));
+            black_box(
+                predictor
+                    .walk(graph, Some(&cache), None, &mut scratch)
+                    .expect("walks"),
+            );
         });
         row("cold walk: fresh scratch, empty cache", cold, nodes);
 
@@ -127,33 +145,58 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             median_ns(CALLS, || drop(black_box(memory::estimate(graph)))),
             nodes,
         );
-        row("Graph::clone", median_ns(CALLS, || drop(black_box(graph.clone()))), nodes);
+        row(
+            "Graph::clone",
+            median_ns(CALLS, || drop(black_box(graph.clone()))),
+            nodes,
+        );
         let resize = [GraphMutation::ResizeBatch(2 * batch)];
-        let ns =
-            median_ns(CALLS, || drop(black_box(prepare_graph(graph, &resize).expect("resizes"))));
-        row(&format!("prepare_graph(ResizeBatch({}))", 2 * batch), ns, nodes);
+        let ns = median_ns(CALLS, || {
+            drop(black_box(prepare_graph(graph, &resize).expect("resizes")))
+        });
+        row(
+            &format!("prepare_graph(ResizeBatch({}))", 2 * batch),
+            ns,
+            nodes,
+        );
     }
 
     let (name, batch) = fresh;
     let graph = &graphs[models.len()];
     let nodes = graph.node_count();
     println!("\n{name} @{batch} ({nodes} nodes, v100 Quick), per fresh search candidate:");
-    row("GraphIndex::build", median_ns(CALLS, || drop(black_box(GraphIndex::build(graph)))), nodes);
+    row(
+        "GraphIndex::build",
+        median_ns(CALLS, || drop(black_box(GraphIndex::build(graph)))),
+        nodes,
+    );
     graph.index();
     row(
         "hoistable_nodes (index cached)",
         median_ns(CALLS, || drop(black_box(hoistable_nodes(graph)))),
         nodes,
     );
-    let hoist = [GraphMutation::HoistNode(*hoistable_nodes(graph).last().expect("dcn hoists"))];
-    let ns = median_ns(CALLS, || drop(black_box(prepare_graph(graph, &hoist).expect("hoists"))));
+    let hoist = [GraphMutation::HoistNode(
+        *hoistable_nodes(graph).last().expect("dcn hoists"),
+    )];
+    let ns = median_ns(CALLS, || {
+        drop(black_box(prepare_graph(graph, &hoist).expect("hoists")))
+    });
     row("prepare_graph(HoistNode(last hoistable))", ns, nodes);
     let server_eval = Evaluator::new(vec![pipeline.clone()], BOUNDED_CAPACITY);
-    let config = SearchConfig { beam_width: 8, max_depth: 2, top_k: 5, ..SearchConfig::default() };
+    let config = SearchConfig {
+        beam_width: 8,
+        max_depth: 2,
+        top_k: 5,
+        ..SearchConfig::default()
+    };
     let ns = median_ns(SEARCH_CALLS, || {
         let search = OptimizationSearch::<NoExtra>::with_evaluator(server_eval.subset(&[0]))
             .with_config(config.clone())
-            .with_graph_moves(GraphMoves { batches: vec![512, 2048], ..GraphMoves::default() });
+            .with_graph_moves(GraphMoves {
+                batches: vec![512, 2048],
+                ..GraphMoves::default()
+            });
         black_box(search.run(graph).expect("dcn searches"));
     });
     row("fresh depth-2 OptimizationSearch", ns, nodes);

@@ -44,12 +44,23 @@ fn main() -> ExitCode {
     let token = CancellationToken::new();
     let reference = Evaluator::new(pipes, DEFAULT_MEMO_CAPACITY);
     let t0 = Instant::now();
-    let sequential =
-        sweep_shardings(&DistributedPredictor::new(&reference, 0), &cfg, &scenarios, 1, &token);
+    let sequential = sweep_shardings(
+        &DistributedPredictor::new(&reference, 0),
+        &cfg,
+        &scenarios,
+        1,
+        &token,
+    );
     let seq_ms = t0.elapsed().as_secs_f64() * 1e3;
     let eval = Evaluator::new(pipes, DEFAULT_MEMO_CAPACITY);
     let t0 = Instant::now();
-    let parallel = sweep_shardings(&DistributedPredictor::new(&eval, 0), &cfg, &scenarios, 4, &token);
+    let parallel = sweep_shardings(
+        &DistributedPredictor::new(&eval, 0),
+        &cfg,
+        &scenarios,
+        4,
+        &token,
+    );
     let par_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     println!("\n== Scaling curve (global batch {batch}, NVLink cluster, round-robin) ==");
@@ -67,11 +78,8 @@ fn main() -> ExitCode {
             .find(|r| r.label == label)
             .and_then(|r| r.prediction.as_ref())
             .expect("round-robin scenario priced");
-        let job = DistributedDlrm::new(
-            cfg.clone(),
-            ShardingPlan::round_robin(tables, world),
-        )
-        .unwrap();
+        let job =
+            DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, world)).unwrap();
         let mut engine = MultiGpuEngine::new(device.clone(), 7);
         let m = engine.measure_e2e(&job, 8).unwrap();
         let base_t = *base.get_or_insert(p.e2e_us);
@@ -89,7 +97,11 @@ fn main() -> ExitCode {
     for r in parallel.results.iter().flatten() {
         match &r.prediction {
             Some(p) => println!("{:22} predicted {:>9.0} us/iter", r.label, p.e2e_us),
-            None => println!("{:22} failed: {}", r.label, r.error.as_deref().unwrap_or("?")),
+            None => println!(
+                "{:22} failed: {}",
+                r.label,
+                r.error.as_deref().unwrap_or("?")
+            ),
         }
     }
     if let Some(best) = parallel.best() {

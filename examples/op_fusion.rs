@@ -25,8 +25,13 @@ fn main() {
     .with_batched_embedding(false);
     let unfused = config.build();
 
-    let pipeline =
-        Pipeline::analyze(&device, std::slice::from_ref(&unfused), CalibrationEffort::Quick, 20, 5);
+    let pipeline = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&unfused),
+        CalibrationEffort::Quick,
+        20,
+        5,
+    );
 
     // The fused graph feeds the simulated cross-check below; its report
     // says what the fusion rewrote.
@@ -39,7 +44,10 @@ fn main() {
     ];
     let outcome = SweepEngine::new(vec![pipeline]).run(&unfused, &scenarios);
     let results = outcome.expect_complete();
-    let (before, after) = (results[0].expect_prediction(), results[1].expect_prediction());
+    let (before, after) = (
+        results[0].expect_prediction(),
+        results[1].expect_prediction(),
+    );
     println!("== Predicted (no execution needed) ==");
     println!(
         "separate bags : {:9.0} us/batch ({} embedding_bag ops + cat)",

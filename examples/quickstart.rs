@@ -13,9 +13,16 @@ use dlrm_perf_model::trace::engine::ExecutionEngine;
 fn main() {
     let device = DeviceSpec::v100();
     let batch = 2048;
-    let workloads: Vec<_> = DlrmConfig::paper_configs(batch).iter().map(|c| c.build()).collect();
+    let workloads: Vec<_> = DlrmConfig::paper_configs(batch)
+        .iter()
+        .map(|c| c.build())
+        .collect();
 
-    println!("== Analysis track: profiling {} workloads on {} ==", workloads.len(), device.name);
+    println!(
+        "== Analysis track: profiling {} workloads on {} ==",
+        workloads.len(),
+        device.name
+    );
     let pipeline = Pipeline::analyze(&device, &workloads, CalibrationEffort::Quick, 30, 42);
 
     println!("\n== Prediction track ==");

@@ -21,7 +21,7 @@ use dlrm_perf_model::kernels::microbench::{gemm_specs, MicrobenchHarness};
 use dlrm_perf_model::kernels::mlbased::dataset_of;
 use dlrm_perf_model::nn::gridsearch::{GridSearchJob, SearchSpace};
 use dlrm_perf_model::runtime::{
-    FileStore, JobContext, JobError, ResumableJob, Supervisor, SupervisorConfig, StepOutcome,
+    FileStore, JobContext, JobError, ResumableJob, StepOutcome, Supervisor, SupervisorConfig,
 };
 
 /// Wraps a job with an artificial per-step delay so an external SIGKILL
@@ -57,14 +57,20 @@ impl<J: ResumableJob> ResumableJob for Throttled<J> {
 
 fn flag(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1).cloned())
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
     let checkpoint = flag("--checkpoint").unwrap_or_else(|| "/tmp/resumable-sweep.ckpt".into());
     let out = flag("--out").unwrap_or_else(|| "/tmp/resumable-sweep.digest".into());
-    let delay =
-        Duration::from_millis(flag("--step-delay-ms").map(|v| v.parse()).transpose()?.unwrap_or(0));
+    let delay = Duration::from_millis(
+        flag("--step-delay-ms")
+            .map(|v| v.parse())
+            .transpose()?
+            .unwrap_or(0),
+    );
 
     let device = DeviceSpec::v100();
     let mut digest = String::new();
@@ -76,7 +82,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         SupervisorConfig::default(),
         Box::new(FileStore::new(format!("{checkpoint}.microbench"))),
     );
-    let job = Throttled { inner: harness.job(&specs), delay };
+    let job = Throttled {
+        inner: harness.job(&specs),
+        delay,
+    };
     let (samples, report) = sup.run(&job);
     let samples = samples?;
     eprintln!("{}", report.summary());
@@ -96,7 +105,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         SupervisorConfig::default(),
         Box::new(FileStore::new(format!("{checkpoint}.grid"))),
     );
-    let job = Throttled { inner: GridSearchJob::new(&data, &space, 60, 7), delay };
+    let job = Throttled {
+        inner: GridSearchJob::new(&data, &space, 60, 7),
+        delay,
+    };
     let (result, report) = sup.run(&job);
     let result = result?;
     eprintln!("{}", report.summary());

@@ -19,8 +19,14 @@ fn main() {
     let tables = KAGGLE_TABLE_ROWS;
 
     let schemes = [
-        ("round-robin", ShardingPlan::round_robin(tables.len(), shards)),
-        ("LPT by rows", ShardingPlan::greedy_lpt(&tables, shards).expect("tables and shards")),
+        (
+            "round-robin",
+            ShardingPlan::round_robin(tables.len(), shards),
+        ),
+        (
+            "LPT by rows",
+            ShardingPlan::greedy_lpt(&tables, shards).expect("tables and shards"),
+        ),
         (
             "LPT by predicted cost",
             ShardingPlan::greedy_by_predicted_cost(&registry, &tables, shards, batch, lookups, dim)
@@ -33,7 +39,9 @@ fn main() {
         "scheme", "gpu0/us", "gpu1/us", "gpu2/us", "gpu3/us", "imbalance"
     );
     for (name, plan) in schemes {
-        let costs = plan.shard_costs(&registry, &tables, batch, lookups, dim).expect("all tables");
+        let costs = plan
+            .shard_costs(&registry, &tables, batch, lookups, dim)
+            .expect("all tables");
         println!(
             "{:22} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.3}",
             name,

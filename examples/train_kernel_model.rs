@@ -30,7 +30,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!("  {}", report.summary());
     let eval_samples = harness.measure(&gemm_specs(150, 999));
 
-    let space = if full { SearchSpace::paper() } else { SearchSpace::reduced() };
+    let space = if full {
+        SearchSpace::paper()
+    } else {
+        SearchSpace::reduced()
+    };
     println!(
         "grid-searching {} configurations (MSE loss, log-preprocessed features) ...",
         space.configurations().len()
@@ -63,10 +67,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         ..Default::default()
     };
     let model = MlKernelModel::train(&train_samples, &cfg, 7);
-    let preds: Vec<f64> = eval_samples.iter().map(|s| model.predict(&s.kernel)).collect();
+    let preds: Vec<f64> = eval_samples
+        .iter()
+        .map(|s| model.predict(&s.kernel))
+        .collect();
     let actual: Vec<f64> = eval_samples.iter().map(|s| s.time_us).collect();
     let stats = ErrorStats::try_from_pairs(&preds, &actual)?;
     println!("\nheld-out evaluation: {stats}");
-    println!("feature vector of a 1024x1024x1024 GEMM: {:?}", features(&eval_samples[0].kernel));
+    println!(
+        "feature vector of a 1024x1024x1024 GEMM: {:?}",
+        features(&eval_samples[0].kernel)
+    );
     Ok(())
 }

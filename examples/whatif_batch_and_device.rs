@@ -39,7 +39,13 @@ fn main() {
         .iter()
         .map(|dev| {
             println!("calibrating {} ...", dev.name);
-            Pipeline::analyze(dev, std::slice::from_ref(&graph), CalibrationEffort::Quick, 15, 11)
+            Pipeline::analyze(
+                dev,
+                std::slice::from_ref(&graph),
+                CalibrationEffort::Quick,
+                15,
+                11,
+            )
         })
         .collect();
 
@@ -61,10 +67,15 @@ fn main() {
     let sequential = SweepEngine::new(pipelines.clone())
         .with_cache(false)
         .run_sequential(&graph, &scenarios);
-    let parallel = SweepEngine::new(pipelines).with_threads(4).run(&graph, &scenarios);
+    let parallel = SweepEngine::new(pipelines)
+        .with_threads(4)
+        .run(&graph, &scenarios);
 
     println!("\n== Batch × device × variant what-if matrix (per-batch E2E time) ==");
-    println!("{:>34} {:>12} {:>14} {:>8}", "scenario", "e2e/us", "us-per-sample", "util");
+    println!(
+        "{:>34} {:>12} {:>14} {:>8}",
+        "scenario", "e2e/us", "us-per-sample", "util"
+    );
     for (s, r) in scenarios.iter().zip(parallel.expect_complete()) {
         let p = r.expect_prediction();
         let b: u64 = s
@@ -95,7 +106,10 @@ fn main() {
     println!("bitwise identical to sequential uncached: {identical}");
     // Only the entry count: the hit/miss split of a parallel run depends
     // on how workers race to the same absent key (each counts a miss).
-    println!("cache:            {} entries (distinct kernel queries)", stats.entries);
+    println!(
+        "cache:            {} entries (distinct kernel queries)",
+        stats.entries
+    );
     println!(
         "wall clock:       {:.1} ms parallel+cached vs {:.1} ms sequential uncached ({:.2}x)",
         parallel.wall_ms,

@@ -46,14 +46,17 @@ impl Opts {
     }
 
     fn required(&self, key: &str) -> Result<&str, String> {
-        self.get(key).ok_or_else(|| format!("missing required --{key}"))
+        self.get(key)
+            .ok_or_else(|| format!("missing required --{key}"))
     }
 
     fn parsed<T: FromStr>(&self, key: &str) -> Result<T, String>
     where
         T::Err: std::fmt::Display,
     {
-        self.required(key)?.parse().map_err(|e| format!("invalid --{key}: {e}"))
+        self.required(key)?
+            .parse()
+            .map_err(|e| format!("invalid --{key}: {e}"))
     }
 
     fn batch(&self) -> Result<u64, String> {
@@ -122,7 +125,9 @@ fn cmd_calibrate(opts: &Opts) -> Result<(), String> {
     let out = opts.required("out")?;
     eprintln!("calibrating {} ({:?}) ...", device.name, opts.effort());
     let bundle = ModelRegistry::calibrate_bundle(&device, opts.effort(), 42);
-    bundle.save(out).map_err(|e| format!("cannot write {out}: {e}"))?;
+    bundle
+        .save(out)
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!("assets written to {out}");
     Ok(())
 }
@@ -134,14 +139,20 @@ fn cmd_predict(opts: &Opts) -> Result<(), String> {
     let registry = registry_for(opts, &device)?;
     // Overheads: extract from a short profiled run of this workload.
     let mut engine = ExecutionEngine::new(device.clone(), 1);
-    let runs = engine.run_iterations(&graph, 20).map_err(|e| e.to_string())?;
+    let runs = engine
+        .run_iterations(&graph, 20)
+        .map_err(|e| e.to_string())?;
     let traces: Vec<_> = runs.into_iter().map(|r| r.trace).collect();
     let overheads = dlrm_perf_model::trace::OverheadStats::extract(&traces, true);
     let pipeline = Pipeline::from_assets(device, registry, overheads);
     let p = pipeline.predict(&graph).map_err(|e| e.to_string())?;
     println!("workload        : {}", graph.name);
     println!("batch size      : {batch}");
-    println!("predicted e2e   : {:.1} us/batch ({:.3} ms)", p.e2e_us, p.e2e_us / 1e3);
+    println!(
+        "predicted e2e   : {:.1} us/batch ({:.3} ms)",
+        p.e2e_us,
+        p.e2e_us / 1e3
+    );
     println!("  gpu active    : {:.1} us", p.active_us);
     println!("  gpu clock     : {:.1} us", p.gpu_us);
     println!("  cpu clock     : {:.1} us", p.cpu_us);
@@ -156,9 +167,19 @@ fn cmd_breakdown(opts: &Opts) -> Result<(), String> {
     engine.set_profiling(false);
     let run = engine.run(&graph).map_err(|e| e.to_string())?;
     let b = DeviceBreakdown::from_run(&run);
-    println!("{} — total {:.0} us, utilization {:.1}%", b.workload, b.total_us, b.utilization() * 100.0);
+    println!(
+        "{} — total {:.0} us, utilization {:.1}%",
+        b.workload,
+        b.total_us,
+        b.utilization() * 100.0
+    );
     for (label, share) in b.stacked_rows(12) {
-        println!("{:32} {:5.1}%  {}", label, share * 100.0, "#".repeat((share * 60.0) as usize));
+        println!(
+            "{:32} {:5.1}%  {}",
+            label,
+            share * 100.0,
+            "#".repeat((share * 60.0) as usize)
+        );
     }
     Ok(())
 }
@@ -168,13 +189,21 @@ fn cmd_memory(opts: &Opts) -> Result<(), String> {
     let r = memory::estimate(&graph);
     println!("workload          : {}", graph.name);
     println!("parameters        : {:.2} GB", r.weight_bytes as f64 / 1e9);
-    println!("peak activations  : {:.2} GB (at node {})", r.peak_activation_bytes as f64 / 1e9, r.peak_node);
+    println!(
+        "peak activations  : {:.2} GB (at node {})",
+        r.peak_activation_bytes as f64 / 1e9,
+        r.peak_node
+    );
     println!("peak total        : {:.2} GB", r.peak_bytes() as f64 / 1e9);
     for d in DeviceSpec::paper_devices() {
         println!(
             "  fits {:12}: {}",
             d.name,
-            if r.fits(d.memory_bytes, 0.1) { "yes" } else { "NO" }
+            if r.fits(d.memory_bytes, 0.1) {
+                "yes"
+            } else {
+                "NO"
+            }
         );
     }
     Ok(())
@@ -186,7 +215,8 @@ fn cmd_trace(opts: &Opts) -> Result<(), String> {
     let out = opts.required("out")?;
     let mut engine = ExecutionEngine::new(device, 1);
     let run = engine.run(&graph).map_err(|e| e.to_string())?;
-    std::fs::write(out, run.trace.to_chrome_json()).map_err(|e| format!("cannot write {out}: {e}"))?;
+    std::fs::write(out, run.trace.to_chrome_json())
+        .map_err(|e| format!("cannot write {out}: {e}"))?;
     println!(
         "chrome trace with {} events written to {out} (open in chrome://tracing)",
         run.trace.events.len()
@@ -198,11 +228,17 @@ fn cmd_inspect(opts: &Opts) -> Result<(), String> {
     let graph = build_model(opts.required("model")?, opts.batch()?)?;
     let s = dlrm_perf_model::graph::stats::summarize(&graph).map_err(|e| e.to_string())?;
     println!("workload            : {}", graph.name);
-    println!("ops                 : {} ({} launch kernels)", s.node_count, s.device_op_count);
+    println!(
+        "ops                 : {} ({} launch kernels)",
+        s.node_count, s.device_op_count
+    );
     println!("kernels             : {}", s.kernel_count);
     println!("flops / iteration   : {:.2} GFLOP", s.total_flops / 1e9);
     println!("traffic / iteration : {:.2} GB", s.total_bytes / 1e9);
-    println!("arithmetic intensity: {:.2} FLOP/byte", s.arithmetic_intensity());
+    println!(
+        "arithmetic intensity: {:.2} FLOP/byte",
+        s.arithmetic_intensity()
+    );
     println!("top op types:");
     for (op, n) in s.op_histogram.iter().take(10) {
         println!("  {op:34} x{n}");
@@ -237,7 +273,10 @@ fn cmd_shard(opts: &Opts) -> Result<(), String> {
     let tables = KAGGLE_TABLE_ROWS;
     let schemes = [
         ("round-robin", ShardingPlan::round_robin(tables.len(), gpus)),
-        ("LPT by rows", ShardingPlan::greedy_lpt(&tables, gpus).map_err(|e| e.to_string())?),
+        (
+            "LPT by rows",
+            ShardingPlan::greedy_lpt(&tables, gpus).map_err(|e| e.to_string())?,
+        ),
         (
             "LPT by predicted cost",
             ShardingPlan::greedy_by_predicted_cost(&registry, &tables, gpus, batch, 1, 32)
@@ -246,8 +285,9 @@ fn cmd_shard(opts: &Opts) -> Result<(), String> {
     ];
     println!("{:24} {:>10}", "scheme", "imbalance");
     for (name, plan) in schemes {
-        let costs =
-            plan.shard_costs(&registry, &tables, batch, 1, 32).map_err(|e| e.to_string())?;
+        let costs = plan
+            .shard_costs(&registry, &tables, batch, 1, 32)
+            .map_err(|e| e.to_string())?;
         println!("{name:24} {:>10.3}", imbalance(&costs));
     }
     Ok(())
@@ -325,8 +365,15 @@ mod tests {
     #[test]
     fn model_names_resolve() {
         for m in [
-            "dlrm-default", "dlrm-mlperf", "dlrm-ddp", "dlrm-default-infer", "dcn", "wide-deep",
-            "resnet50", "inception", "transformer",
+            "dlrm-default",
+            "dlrm-mlperf",
+            "dlrm-ddp",
+            "dlrm-default-infer",
+            "dcn",
+            "wide-deep",
+            "resnet50",
+            "inception",
+            "transformer",
         ] {
             assert!(build_model(m, 64).is_ok(), "model {m}");
         }
@@ -342,8 +389,15 @@ mod tests {
             &["--gpus", "2", "--batch", "0"],
         ] {
             let o = Opts::parse(&strv(args)).unwrap();
-            let err = if o.get("gpus").is_some() { cmd_shard(&o) } else { cmd_predict(&o) };
-            assert!(err.unwrap_err().contains("number would be zero"), "{args:?}");
+            let err = if o.get("gpus").is_some() {
+                cmd_shard(&o)
+            } else {
+                cmd_predict(&o)
+            };
+            assert!(
+                err.unwrap_err().contains("number would be zero"),
+                "{args:?}"
+            );
         }
     }
 

@@ -46,7 +46,6 @@
 //! ```
 
 pub use dlperf_core as core;
-pub use dlperf_obs as obs;
 pub use dlperf_distrib as distrib;
 pub use dlperf_faults as faults;
 pub use dlperf_gpusim as gpusim;
@@ -54,6 +53,7 @@ pub use dlperf_graph as graph;
 pub use dlperf_kernels as kernels;
 pub use dlperf_models as models;
 pub use dlperf_nn as nn;
+pub use dlperf_obs as obs;
 pub use dlperf_runtime as runtime;
 pub use dlperf_serve as serve;
 pub use dlperf_trace as trace;

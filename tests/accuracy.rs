@@ -30,8 +30,18 @@ fn family_zoo() -> Vec<(&'static str, f64, Vec<KernelSpec>)> {
         KernelSpec::gemm(96, 192, 384),
         KernelSpec::gemm(640, 320, 160),
         KernelSpec::gemm(1100, 1100, 1100),
-        KernelSpec::Gemm { m: 48, n: 2000, k: 72, batch: 1 },
-        KernelSpec::Gemm { m: 384, n: 384, k: 384, batch: 12 },
+        KernelSpec::Gemm {
+            m: 48,
+            n: 2000,
+            k: 72,
+            batch: 1,
+        },
+        KernelSpec::Gemm {
+            m: 384,
+            n: 384,
+            k: 384,
+            batch: 12,
+        },
         KernelSpec::gemm(3000, 750, 96),
     ];
     let el_f = vec![
@@ -49,16 +59,35 @@ fn family_zoo() -> Vec<(&'static str, f64, Vec<KernelSpec>)> {
         KernelSpec::memcpy_d2d(48 * 1024),
         KernelSpec::memcpy_d2d(7 * 1024 * 1024),
         KernelSpec::memcpy_h2d(640 * 1024),
-        KernelSpec::Memcpy { bytes: 3 * 1024 * 1024, kind: MemcpyKind::DeviceToHost },
+        KernelSpec::Memcpy {
+            bytes: 3 * 1024 * 1024,
+            kind: MemcpyKind::DeviceToHost,
+        },
     ];
     let elementwise = vec![
-        KernelSpec::Elementwise { elems: 96_000, flops_per_elem: 1.0, bytes_per_elem: 8.0 },
-        KernelSpec::Elementwise { elems: 1_500_000, flops_per_elem: 2.0, bytes_per_elem: 12.0 },
-        KernelSpec::Elementwise { elems: 24_000_000, flops_per_elem: 4.0, bytes_per_elem: 8.0 },
+        KernelSpec::Elementwise {
+            elems: 96_000,
+            flops_per_elem: 1.0,
+            bytes_per_elem: 8.0,
+        },
+        KernelSpec::Elementwise {
+            elems: 1_500_000,
+            flops_per_elem: 2.0,
+            bytes_per_elem: 12.0,
+        },
+        KernelSpec::Elementwise {
+            elems: 24_000_000,
+            flops_per_elem: 4.0,
+            bytes_per_elem: 8.0,
+        },
     ];
     let shuffle = vec![
         KernelSpec::Concat { bytes: 900 * 1024 },
-        KernelSpec::Transpose { batch: 384, rows: 24, cols: 48 },
+        KernelSpec::Transpose {
+            batch: 384,
+            rows: 24,
+            cols: 48,
+        },
         KernelSpec::TrilForward { batch: 1536, n: 27 },
         KernelSpec::TrilBackward { batch: 1536, n: 27 },
     ];
@@ -83,7 +112,10 @@ fn kernel_family_gmae_under_pinned_thresholds() {
     let mut report = String::new();
     let mut failed = false;
     for (name, threshold, specs) in family_zoo() {
-        let pred: Vec<f64> = specs.iter().map(|k| registry.try_predict(k).unwrap()).collect();
+        let pred: Vec<f64> = specs
+            .iter()
+            .map(|k| registry.try_predict(k).unwrap())
+            .collect();
         let actual: Vec<f64> = specs.iter().map(|k| gpu.kernel_time_noiseless(k)).collect();
         let stats = ErrorStats::try_from_pairs(&pred, &actual).expect("positive oracle times");
         report.push_str(&format!(
@@ -102,12 +134,26 @@ fn kernel_family_gmae_under_pinned_thresholds() {
 /// scale, across the batch regimes where host overheads matter most.
 fn workload_zoo() -> Vec<dlrm_perf_model::graph::Graph> {
     vec![
-        DlrmConfig { rows_per_table: vec![500_000; 4], ..DlrmConfig::default_config(256) }.build(),
-        DlrmConfig { rows_per_table: vec![500_000; 4], ..DlrmConfig::default_config(2048) }
-            .build(),
-        DlrmConfig { rows_per_table: vec![80_000; 6], ..DlrmConfig::ddp_config(512) }.build(),
-        DlrmConfig { rows_per_table: vec![100_000; 8], ..DlrmConfig::mlperf_config(1024) }
-            .build(),
+        DlrmConfig {
+            rows_per_table: vec![500_000; 4],
+            ..DlrmConfig::default_config(256)
+        }
+        .build(),
+        DlrmConfig {
+            rows_per_table: vec![500_000; 4],
+            ..DlrmConfig::default_config(2048)
+        }
+        .build(),
+        DlrmConfig {
+            rows_per_table: vec![80_000; 6],
+            ..DlrmConfig::ddp_config(512)
+        }
+        .build(),
+        DlrmConfig {
+            rows_per_table: vec![100_000; 8],
+            ..DlrmConfig::mlperf_config(1024)
+        }
+        .build(),
     ]
 }
 
@@ -133,8 +179,7 @@ fn e2e_geomean_error_under_pinned_threshold() {
         ));
         errs.push(err.max(1e-6));
     }
-    let geomean =
-        (errs.iter().map(|e| e.ln()).sum::<f64>() / errs.len() as f64).exp();
+    let geomean = (errs.iter().map(|e| e.ln()).sum::<f64>() / errs.len() as f64).exp();
     println!("{report}geomean {geomean:.3}");
     assert!(
         geomean < E2E_GEOMEAN_THRESHOLD,
@@ -156,7 +201,9 @@ fn memoized_prediction_is_differentially_identical() {
     let mut scratch = WalkScratch::new();
     for g in &zoo {
         let plain = pipeline.predict(g).expect("lowers");
-        let memo = pipeline.predict_memoized_scratch(g, &cache, &mut scratch).expect("lowers");
+        let memo = pipeline
+            .predict_memoized_scratch(g, &cache, &mut scratch)
+            .expect("lowers");
         assert_eq!(
             plain.e2e_us.to_bits(),
             memo.e2e_us.to_bits(),
@@ -165,5 +212,8 @@ fn memoized_prediction_is_differentially_identical() {
         );
         assert_eq!(plain.active_us.to_bits(), memo.active_us.to_bits());
     }
-    assert!(cache.stats().hits > 0, "second pass over the zoo should hit");
+    assert!(
+        cache.stats().hits > 0,
+        "second pass over the zoo should hit"
+    );
 }

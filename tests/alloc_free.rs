@@ -118,7 +118,10 @@ fn fixture() -> (Graph, Pipeline, Vec<KernelSpec>) {
         .flat_map(|node| lower::try_kernels(&graph, node).expect("dlrm-default lowers"))
         .collect();
     let families: BTreeSet<_> = kernels.iter().map(KernelSpec::family).collect();
-    assert!(families.len() > 1, "the fixture must be a mixed-family batch");
+    assert!(
+        families.len() > 1,
+        "the fixture must be a mixed-family batch"
+    );
     (graph, pipeline, kernels)
 }
 
@@ -151,9 +154,16 @@ fn warm_registry_batch_allocates_nothing_with_or_without_a_cache() {
         price(Some(&cache));
     }
     let before = cache.stats();
-    assert_eq!(allocations(|| price(Some(&cache))), 0, "all-hit batch allocated");
+    assert_eq!(
+        allocations(|| price(Some(&cache))),
+        0,
+        "all-hit batch allocated"
+    );
     let after = cache.stats();
-    assert_eq!(after.misses, before.misses, "the measured batch must be all hits");
+    assert_eq!(
+        after.misses, before.misses,
+        "the measured batch must be all hits"
+    );
     assert_eq!(after.hits - before.hits, kernels.len() as u64);
 }
 
@@ -166,12 +176,19 @@ fn warm_walk_allocates_nothing_with_or_without_a_cache() {
     let mut scratch = WalkScratch::new();
     for cache in [None, Some(&unbounded), Some(&bounded)] {
         let mut walk = || {
-            predictor.walk(&graph, cache, None, &mut scratch).expect("dlrm-default walks");
+            predictor
+                .walk(&graph, cache, None, &mut scratch)
+                .expect("dlrm-default walks");
         };
         for _ in 0..WARM_UP {
             walk();
         }
-        assert_eq!(allocations(walk), 0, "a warm walk (cache: {}) allocated", describe(cache));
+        assert_eq!(
+            allocations(walk),
+            0,
+            "a warm walk (cache: {}) allocated",
+            describe(cache)
+        );
     }
 }
 
@@ -190,8 +207,9 @@ fn warm_repredict_allocates_nothing_with_or_without_a_cache() {
     let mut scratch = WalkScratch::new();
     for cache in [None, Some(&unbounded), Some(&bounded)] {
         let mut repredict = || {
-            let (_, stats) =
-                inc.repredict_scratch(&resized, cache, &mut scratch).expect("resized walks");
+            let (_, stats) = inc
+                .repredict_scratch(&resized, cache, &mut scratch)
+                .expect("resized walks");
             assert!(stats.recomputed > 0, "the resize must dirty nodes");
         };
         for _ in 0..WARM_UP {
@@ -214,7 +232,8 @@ fn warm_evaluator_price_allocates_nothing_on_either_route() {
     // Occupy the bounded cache with another batch's kernels first.
     let mut other = graph.clone();
     resize_batch(&mut other, 4096).expect("dlrm-default resizes");
-    eval.price(0, &other, None, true, None, &mut scratch).expect("batch 4096 walks");
+    eval.price(0, &other, None, true, None, &mut scratch)
+        .expect("batch 4096 walks");
 
     eval.store().rebase(&graph.index());
     let baseline = eval.baseline(0, &graph).expect("dlrm-default walks");
@@ -228,8 +247,9 @@ fn warm_evaluator_price_allocates_nothing_on_either_route() {
     ];
     for (route, g, baseline, cancel) in routes {
         let mut price = || {
-            let (_, stats) =
-                eval.price(0, g, baseline, true, cancel, &mut scratch).expect("prices");
+            let (_, stats) = eval
+                .price(0, g, baseline, true, cancel, &mut scratch)
+                .expect("prices");
             assert_eq!(stats.is_some(), baseline.is_some(), "{route}: wrong route");
         };
         for _ in 0..WARM_UP {
@@ -249,7 +269,10 @@ fn warm_evaluator_fan_out_allocates_only_its_result() {
     let token = CancellationToken::new();
     let fan_out = || {
         let prices = eval.fan_out(1, &token, &graphs, |scratch, _, g| {
-            eval.price(0, g, None, true, None, scratch).expect("prices").0.e2e_us
+            eval.price(0, g, None, true, None, scratch)
+                .expect("prices")
+                .0
+                .e2e_us
         });
         assert!(prices.iter().all(Option::is_some));
         black_box(prices);
@@ -257,14 +280,22 @@ fn warm_evaluator_fan_out_allocates_only_its_result() {
     for _ in 0..WARM_UP {
         fan_out();
     }
-    assert_eq!(allocations(fan_out), 1, "a warm fan-out allocated more than its result");
+    assert_eq!(
+        allocations(fan_out),
+        1,
+        "a warm fan-out allocated more than its result"
+    );
 }
 
 #[test]
 fn a_graph_clone_allocates_only_its_name_on_every_zoo_model() {
     for model in zoo::MODEL_NAMES {
         let graph = zoo::build(model, 1024).expect("zoo model builds");
-        assert_eq!(allocations(|| drop(black_box(graph.clone()))), 1, "{model}: clone");
+        assert_eq!(
+            allocations(|| drop(black_box(graph.clone()))),
+            1,
+            "{model}: clone"
+        );
     }
 }
 
@@ -275,7 +306,10 @@ fn a_resize_preparation_copies_only_the_tensor_table() {
     // The node table stays shared, so node count never enters the count.
     let resize = [GraphMutation::ResizeBatch(2048)];
     let graph = DlrmConfig::default_config(1024).build();
-    assert_eq!(allocations(|| drop(black_box(prepare_graph(&graph, &resize)))), 181);
+    assert_eq!(
+        allocations(|| drop(black_box(prepare_graph(&graph, &resize)))),
+        181
+    );
     for model in zoo::MODEL_NAMES {
         let graph = zoo::build(model, 1024).expect("zoo model builds");
         if prepare_graph(&graph, &resize).is_err() {

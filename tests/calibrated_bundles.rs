@@ -26,7 +26,10 @@ fn digest(device: &str, effort: CalibrationEffort) -> String {
     let bundle = ModelRegistry::calibrate_bundle(&dev, effort, SEED);
     let json = serde_json::to_string(&bundle).expect("bundle serializes");
     for key in ["\"grad_w\"", "\"grad_b\"", "\"input_cache\""] {
-        assert!(!json.contains(key), "{key} persisted in the {device} bundle");
+        assert!(
+            !json.contains(key),
+            "{key} persisted in the {device} bundle"
+        );
     }
     format!("{:016x}", fnv1a64(json.as_bytes()))
 }

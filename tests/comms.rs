@@ -23,11 +23,18 @@ const SIZES: [u64; 6] = [4 << 10, 64 << 10, 1 << 20, 4 << 20, 16 << 20, 64 << 20
 /// World sizes the catalog is diffed at.
 const WORLDS: [usize; 3] = [2, 4, 8];
 
-const KINDS: [CollectiveKind; 3] =
-    [CollectiveKind::AllReduce, CollectiveKind::AllToAll, CollectiveKind::AllGather];
+const KINDS: [CollectiveKind; 3] = [
+    CollectiveKind::AllReduce,
+    CollectiveKind::AllToAll,
+    CollectiveKind::AllGather,
+];
 
 fn spec(kind: CollectiveKind, bytes: u64, world: usize) -> CollectiveSpec {
-    CollectiveSpec { kind, bytes_per_rank: bytes, world: world as u32 }
+    CollectiveSpec {
+        kind,
+        bytes_per_rank: bytes,
+        world: world as u32,
+    }
 }
 
 /// Geometric mean absolute error of `(model, oracle)` pairs: the
@@ -75,8 +82,10 @@ fn assert_gmae(kind: CollectiveKind, bound: f64) {
         "{kind} GMAE {err:.4} breached the pinned bound {bound}; cells:\n{}",
         cells
             .iter()
-            .map(|(l, m, o)| format!("  {l}: model {m:.2}us oracle {o:.2}us ({:+.1}%)",
-                (m / o - 1.0) * 100.0))
+            .map(|(l, m, o)| format!(
+                "  {l}: model {m:.2}us oracle {o:.2}us ({:+.1}%)",
+                (m / o - 1.0) * 100.0
+            ))
             .collect::<Vec<_>>()
             .join("\n")
     );

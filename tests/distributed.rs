@@ -34,7 +34,10 @@ fn scaling_curve_has_diminishing_returns() {
     // ...with diminishing returns: 1->2 speedup exceeds 4->8 speedup.
     let s12 = times[0] / times[1];
     let s48 = times[2] / times[3];
-    assert!(s12 > s48, "1->2 speedup {s12:.2} should exceed 4->8 speedup {s48:.2}");
+    assert!(
+        s12 > s48,
+        "1->2 speedup {s12:.2} should exceed 4->8 speedup {s48:.2}"
+    );
 }
 
 #[test]
@@ -78,7 +81,10 @@ fn memory_pressure_drops_with_model_parallel_sharding() {
     let single = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(26, 1)).unwrap();
     let sharded = DistributedDlrm::new(cfg, ShardingPlan::round_robin(26, 4)).unwrap();
     let weight = |job: &DistributedDlrm, rank: usize| -> u64 {
-        job.segments(rank).iter().map(|s| memory::estimate(s).weight_bytes).sum()
+        job.segments(rank)
+            .iter()
+            .map(|s| memory::estimate(s).weight_bytes)
+            .sum()
     };
     let w1 = weight(&single, 0);
     let w4 = (0..4).map(|r| weight(&sharded, r)).max().unwrap();

@@ -15,8 +15,14 @@ fn small_configs(batch: u64) -> Vec<DlrmConfig> {
     // Table-size regimes matching the paper's workloads (1M-row default,
     // 80k-row DDP) with fewer tables so the test stays fast.
     vec![
-        DlrmConfig { rows_per_table: vec![1_000_000; 4], ..DlrmConfig::default_config(batch) },
-        DlrmConfig { rows_per_table: vec![80_000; 6], ..DlrmConfig::ddp_config(batch) },
+        DlrmConfig {
+            rows_per_table: vec![1_000_000; 4],
+            ..DlrmConfig::default_config(batch)
+        },
+        DlrmConfig {
+            rows_per_table: vec![80_000; 6],
+            ..DlrmConfig::ddp_config(batch)
+        },
     ]
 }
 
@@ -64,9 +70,17 @@ fn full_pipeline_reproduces_paper_error_bands() {
     // Quick calibration is looser than the paper's full runs (the bench
     // harness runs Full); the *shape* must hold: active and E2E errors in a
     // low band, kernel_only far worse.
-    assert!(active.geomean < 0.22, "active geomean {:.3}", active.geomean);
+    assert!(
+        active.geomean < 0.22,
+        "active geomean {:.3}",
+        active.geomean
+    );
     assert!(e2e.geomean < 0.22, "e2e geomean {:.3}", e2e.geomean);
-    assert!(shared.geomean < 0.28, "shared geomean {:.3}", shared.geomean);
+    assert!(
+        shared.geomean < 0.28,
+        "shared geomean {:.3}",
+        shared.geomean
+    );
     assert!(
         ko.geomean > e2e.geomean,
         "kernel_only {:.3} must be worse than E2E {:.3}",
@@ -100,11 +114,23 @@ fn kernel_only_gap_shrinks_with_batch_size() {
     // The Fig. 9 trend: as batch size grows, utilization rises and the
     // kernel_only baseline converges toward the E2E prediction.
     let device = DeviceSpec::v100();
-    let cfg = DlrmConfig { rows_per_table: vec![100_000; 4], ..DlrmConfig::default_config(128) };
+    let cfg = DlrmConfig {
+        rows_per_table: vec![100_000; 4],
+        ..DlrmConfig::default_config(128)
+    };
     let small = cfg.build();
-    let big = DlrmConfig { batch_size: 4096, ..cfg }.build();
-    let pipeline =
-        Pipeline::analyze(&device, std::slice::from_ref(&small), CalibrationEffort::Quick, 15, 3);
+    let big = DlrmConfig {
+        batch_size: 4096,
+        ..cfg
+    }
+    .build();
+    let pipeline = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&small),
+        CalibrationEffort::Quick,
+        15,
+        3,
+    );
 
     let gap = |g| {
         let p = pipeline.predict(g).unwrap();
@@ -130,11 +156,19 @@ fn predictions_transfer_across_devices() {
     .build();
     let mut preds = Vec::new();
     for dev in DeviceSpec::paper_devices() {
-        let pipe =
-            Pipeline::analyze(&dev, std::slice::from_ref(&graph), CalibrationEffort::Quick, 10, 21);
+        let pipe = Pipeline::analyze(
+            &dev,
+            std::slice::from_ref(&graph),
+            CalibrationEffort::Quick,
+            10,
+            21,
+        );
         preds.push((dev.name.clone(), pipe.predict(&graph).unwrap().e2e_us));
     }
     let v100 = preds.iter().find(|(n, _)| n.contains("V100")).unwrap().1;
     let p100 = preds.iter().find(|(n, _)| n.contains("P100")).unwrap().1;
-    assert!(v100 < p100, "V100 ({v100}) must beat P100 ({p100}) at batch 4096");
+    assert!(
+        v100 < p100,
+        "V100 ({v100}) must beat P100 ({p100}) at batch 4096"
+    );
 }

@@ -390,7 +390,10 @@ fn zoo_kernels_populate_every_memo_shard() {
     for key in &keys {
         per_shard[key.shard()] += 1;
     }
-    assert!(per_shard.iter().all(|&n| n > 0), "an empty shard: {per_shard:?}");
+    assert!(
+        per_shard.iter().all(|&n| n > 0),
+        "an empty shard: {per_shard:?}"
+    );
     let fair = keys.len() / per_shard.len();
     assert!(
         per_shard.iter().all(|&n| n <= 2 * fair),

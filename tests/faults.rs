@@ -63,17 +63,25 @@ fn chaos_sweep_degrades_smoothly_without_panics() {
         let plan = FaultPlan::chaos(7, intensity);
         let mut engine = MultiGpuEngine::with_faults(DeviceSpec::v100(), 13, plan);
         for _ in 0..3 {
-            let r = engine.run(&j).expect("chaos run returns Ok at every intensity");
+            let r = engine
+                .run(&j)
+                .expect("chaos run returns Ok at every intensity");
             assert!(
                 r.e2e_us.is_finite() && r.e2e_us > 0.0,
                 "intensity {intensity}: bad e2e {}",
                 r.e2e_us
             );
             for s in r.segment_us.iter().chain(r.comm_us.iter()) {
-                assert!(s.is_finite() && *s >= 0.0, "intensity {intensity}: bad part {s}");
+                assert!(
+                    s.is_finite() && *s >= 0.0,
+                    "intensity {intensity}: bad part {s}"
+                );
             }
             let parts: f64 = r.segment_us.iter().sum::<f64>() + r.comm_us.iter().sum::<f64>();
-            assert!((r.e2e_us - parts).abs() < 1e-9, "timeline inconsistent at {intensity}");
+            assert!(
+                (r.e2e_us - parts).abs() < 1e-9,
+                "timeline inconsistent at {intensity}"
+            );
             assert!(r.retry_added_us.is_finite() && r.retry_added_us >= 0.0);
 
             if intensity == 0.0 {
@@ -91,11 +99,8 @@ fn chaos_sweep_degrades_smoothly_without_panics() {
         }
         if intensity == 1.0 {
             // Re-run the first iteration to inspect the populated report.
-            let mut engine = MultiGpuEngine::with_faults(
-                DeviceSpec::v100(),
-                13,
-                FaultPlan::chaos(7, 1.0),
-            );
+            let mut engine =
+                MultiGpuEngine::with_faults(DeviceSpec::v100(), 13, FaultPlan::chaos(7, 1.0));
             let r = engine.run(&j).expect("full-chaos run succeeds");
             assert!(
                 r.degradation.iter().any(|d| d.contains("straggling")),
@@ -124,9 +129,18 @@ fn chaos_sweep_degrades_smoothly_without_panics() {
 fn dropped_collectives_degrade_instead_of_hanging() {
     let plan = FaultPlan::healthy(3).with_collective_faults(1.0, 700.0, 2, 30.0);
     let mut engine = MultiGpuEngine::with_faults(DeviceSpec::v100(), 17, plan);
-    let r = engine.run(&job(4, 1024)).expect("dropped collectives still return Ok");
-    assert_eq!(r.dropped_collectives, [true; 3], "p=1.0 must drop every collective");
-    assert_eq!(r.collective_retries, 3 * 2, "each collective retries max_retries times");
+    let r = engine
+        .run(&job(4, 1024))
+        .expect("dropped collectives still return Ok");
+    assert_eq!(
+        r.dropped_collectives, [true; 3],
+        "p=1.0 must drop every collective"
+    );
+    assert_eq!(
+        r.collective_retries,
+        3 * 2,
+        "each collective retries max_retries times"
+    );
     assert!(r.retry_added_us > 0.0);
     assert!(r.e2e_us.is_finite() && r.e2e_us > 0.0);
     assert!(
@@ -149,7 +163,11 @@ fn link_degradation_is_deterministic_and_names_affected_collectives() {
         e.run(&j).expect("link-faulted run succeeds")
     };
     let a = run(plan.clone());
-    assert_eq!(a, run(plan.clone()), "link faults must be bitwise deterministic");
+    assert_eq!(
+        a,
+        run(plan.clone()),
+        "link faults must be bitwise deterministic"
+    );
 
     let healthy = {
         let mut e = MultiGpuEngine::with_faults(DeviceSpec::v100(), 19, FaultPlan::healthy(11));
@@ -165,15 +183,20 @@ fn link_degradation_is_deterministic_and_names_affected_collectives() {
     for (i, (f, h)) in a.comm_us.iter().zip(&healthy.comm_us).enumerate() {
         assert!(f >= h, "C{i}: faulted {f} faster than healthy {h}");
     }
-    let named: Vec<&String> =
-        a.degradation.iter().filter(|d| d.contains("link degraded")).collect();
+    let named: Vec<&String> = a
+        .degradation
+        .iter()
+        .filter(|d| d.contains("link degraded"))
+        .collect();
     assert!(
         !named.is_empty(),
         "link faults must name affected collectives: {:?}",
         a.degradation
     );
     assert!(
-        named.iter().any(|d| d.contains("all_to_all") || d.contains("all_reduce")),
+        named
+            .iter()
+            .any(|d| d.contains("all_to_all") || d.contains("all_reduce")),
         "report should say which collective degraded: {named:?}"
     );
 
@@ -189,8 +212,12 @@ fn link_degradation_is_deterministic_and_names_affected_collectives() {
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 5, 31);
     let eval = Evaluator::new(vec![pipe], DEFAULT_MEMO_CAPACITY);
     let predictor = DistributedPredictor::new(&eval, 0);
-    let (p1, notes1) = predictor.predict_with_faults(&j, &plan).expect("faulted predict");
-    let (p2, notes2) = predictor.predict_with_faults(&j, &plan).expect("faulted predict");
+    let (p1, notes1) = predictor
+        .predict_with_faults(&j, &plan)
+        .expect("faulted predict");
+    let (p2, notes2) = predictor
+        .predict_with_faults(&j, &plan)
+        .expect("faulted predict");
     assert_eq!(p1.e2e_us.to_bits(), p2.e2e_us.to_bits());
     assert_eq!(notes1, notes2);
     let clean = predictor.predict(&j).expect("clean predict");
@@ -210,7 +237,10 @@ fn link_degradation_is_deterministic_and_names_affected_collectives() {
         let mut e = MultiGpuEngine::with_faults(DeviceSpec::v100(), 23, flappy);
         e.run(&j).expect("flapping run succeeds")
     };
-    assert_eq!(f1, f2, "flapping must be seeded, not sampled from shared state");
+    assert_eq!(
+        f1, f2,
+        "flapping must be seeded, not sampled from shared state"
+    );
 }
 
 #[test]
@@ -230,7 +260,10 @@ fn missing_kernel_model_degrades_prediction_not_process() {
     assert!(report.is_clean());
     let p = pipe.predict(&workloads[0]).expect("prediction succeeds");
     assert!(p.e2e_us.is_finite() && p.e2e_us > 0.0);
-    assert!(p.degraded_kernels > 0, "empty registry must mark kernels degraded");
+    assert!(
+        p.degraded_kernels > 0,
+        "empty registry must mark kernels degraded"
+    );
     assert!(!p.is_fully_calibrated());
 
     // A calibrated registry on the same workload is fully calibrated.

@@ -37,7 +37,9 @@ fn hex(x: f64) -> String {
 }
 
 fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
 }
 
 /// Compares `actual` against the stored snapshot, or rewrites the
@@ -56,8 +58,7 @@ fn check_golden(name: &str, actual: &BTreeMap<String, String>) {
             path.display()
         )
     });
-    let expected: BTreeMap<String, String> =
-        serde_json::from_str(&stored).expect("golden parses");
+    let expected: BTreeMap<String, String> = serde_json::from_str(&stored).expect("golden parses");
     assert_eq!(
         actual, &expected,
         "golden {name} mismatch — if the model change is intended, regenerate \
@@ -69,15 +70,23 @@ fn check_golden(name: &str, actual: &BTreeMap<String, String>) {
 fn quickstart_prediction_is_bitwise_stable() {
     // The README quickstart, pinned: V100, default DLRM config, batch 1024.
     let workloads = vec![DlrmConfig::default_config(1024).build()];
-    let pipeline =
-        Pipeline::analyze(&DeviceSpec::v100(), &workloads, CalibrationEffort::Quick, 20, 7);
+    let pipeline = Pipeline::analyze(
+        &DeviceSpec::v100(),
+        &workloads,
+        CalibrationEffort::Quick,
+        20,
+        7,
+    );
     let pred = pipeline.predict(&workloads[0]).expect("lowers");
     let mut snap = BTreeMap::new();
     snap.insert("e2e_us".to_string(), hex(pred.e2e_us));
     snap.insert("active_us".to_string(), hex(pred.active_us));
     snap.insert("cpu_us".to_string(), hex(pred.cpu_us));
     snap.insert("gpu_us".to_string(), hex(pred.gpu_us));
-    snap.insert("degraded_kernels".to_string(), pred.degraded_kernels.to_string());
+    snap.insert(
+        "degraded_kernels".to_string(),
+        pred.degraded_kernels.to_string(),
+    );
     check_golden("quickstart.json", &snap);
 }
 
@@ -96,7 +105,13 @@ fn whatif_batch_and_device_sweep_is_bitwise_stable() {
     let pipelines: Vec<Pipeline> = [DeviceSpec::v100(), DeviceSpec::p100()]
         .iter()
         .map(|d| {
-            Pipeline::analyze(d, std::slice::from_ref(&base), CalibrationEffort::Quick, 8, 13)
+            Pipeline::analyze(
+                d,
+                std::slice::from_ref(&base),
+                CalibrationEffort::Quick,
+                8,
+                13,
+            )
         })
         .collect();
     let engine = SweepEngine::new(pipelines).with_threads(4);
@@ -126,8 +141,8 @@ fn hierarchical_ib_heterogeneous_sweep_is_bitwise_stable() {
     // dragging the fleet's launch and bandwidth.
     let cfg = DlrmConfig::default_config(512);
     let tables = cfg.rows_per_table.len();
-    let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 2))
-        .expect("probe job");
+    let probe =
+        DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 2)).expect("probe job");
     let device = DeviceSpec::v100();
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 6, 29);
     let fleet = vec![
@@ -189,8 +204,8 @@ fn distrib_topology_matrix_is_bitwise_stable() {
     // with the whole timeline pinned rather than just its sum.
     let cfg = DlrmConfig::default_config(512);
     let tables = cfg.rows_per_table.len();
-    let probe = DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 2))
-        .expect("probe job");
+    let probe =
+        DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(tables, 2)).expect("probe job");
     let device = DeviceSpec::v100();
     let pipe = Pipeline::analyze(&device, &probe.segments(0), CalibrationEffort::Quick, 6, 23);
     let scenarios = enumerate_matrix(

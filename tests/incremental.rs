@@ -75,7 +75,11 @@ fn apply(g: &mut Graph, kind: u8, idx: usize) {
             let _ = hoist_earliest(g, id);
         }
         _ => {
-            let op = if idx.is_multiple_of(2) { OpKind::Sigmoid } else { OpKind::Relu };
+            let op = if idx.is_multiple_of(2) {
+                OpKind::Sigmoid
+            } else {
+                OpKind::Relu
+            };
             let _ = replace_op(g, NodeId(idx % n), op, "prop-swap");
         }
     }
@@ -182,28 +186,79 @@ fn family_specs() -> Vec<Vec<KernelSpec>> {
     vec![
         vec![
             KernelSpec::gemm(512, 256, 128),
-            KernelSpec::Gemm { m: 64, n: 2048, k: 64, batch: 8 },
+            KernelSpec::Gemm {
+                m: 64,
+                n: 2048,
+                k: 64,
+                batch: 8,
+            },
             KernelSpec::gemm(512, 256, 128),
-            KernelSpec::Gemm { m: 31, n: 33, k: 7, batch: 1 },
+            KernelSpec::Gemm {
+                m: 31,
+                n: 33,
+                k: 7,
+                batch: 1,
+            },
         ],
         vec![
-            KernelSpec::EmbeddingForward { b: 512, e: 100_000, t: 4, l: 32, d: 64, rows_per_block: 32 },
-            KernelSpec::EmbeddingForward { b: 128, e: 50_000, t: 8, l: 1, d: 128, rows_per_block: 16 },
+            KernelSpec::EmbeddingForward {
+                b: 512,
+                e: 100_000,
+                t: 4,
+                l: 32,
+                d: 64,
+                rows_per_block: 32,
+            },
+            KernelSpec::EmbeddingForward {
+                b: 128,
+                e: 50_000,
+                t: 8,
+                l: 1,
+                d: 128,
+                rows_per_block: 16,
+            },
+        ],
+        vec![KernelSpec::EmbeddingBackward {
+            b: 512,
+            e: 100_000,
+            t: 4,
+            l: 32,
+            d: 64,
+            rows_per_block: 32,
+        }],
+        vec![
+            KernelSpec::Concat { bytes: 1 << 20 },
+            KernelSpec::Concat { bytes: 77 },
         ],
         vec![
-            KernelSpec::EmbeddingBackward { b: 512, e: 100_000, t: 4, l: 32, d: 64, rows_per_block: 32 },
+            KernelSpec::memcpy_d2d(1 << 22),
+            KernelSpec::memcpy_d2d(4096),
         ],
-        vec![KernelSpec::Concat { bytes: 1 << 20 }, KernelSpec::Concat { bytes: 77 }],
-        vec![KernelSpec::memcpy_d2d(1 << 22), KernelSpec::memcpy_d2d(4096)],
         vec![
-            KernelSpec::Transpose { batch: 8, rows: 64, cols: 64 },
-            KernelSpec::Transpose { batch: 8, rows: 64, cols: 63 },
+            KernelSpec::Transpose {
+                batch: 8,
+                rows: 64,
+                cols: 64,
+            },
+            KernelSpec::Transpose {
+                batch: 8,
+                rows: 64,
+                cols: 63,
+            },
         ],
         vec![KernelSpec::TrilForward { batch: 256, n: 27 }],
         vec![KernelSpec::TrilBackward { batch: 256, n: 27 }],
         vec![
-            KernelSpec::Elementwise { elems: 1 << 20, flops_per_elem: 2.0, bytes_per_elem: 8.0 },
-            KernelSpec::Elementwise { elems: 333, flops_per_elem: 1.0, bytes_per_elem: 12.0 },
+            KernelSpec::Elementwise {
+                elems: 1 << 20,
+                flops_per_elem: 2.0,
+                bytes_per_elem: 8.0,
+            },
+            KernelSpec::Elementwise {
+                elems: 333,
+                flops_per_elem: 1.0,
+                bytes_per_elem: 12.0,
+            },
         ],
         vec![KernelSpec::Conv2d {
             batch: 8,
@@ -245,8 +300,10 @@ fn batched_inference_matches_scalar_on_all_kernel_families() {
             mixed.insert((i * 7) % (mixed.len() + 1), s);
         }
     }
-    let scalar: Vec<u64> =
-        mixed.iter().map(|k| registry.predict_with_confidence(k).0.to_bits()).collect();
+    let scalar: Vec<u64> = mixed
+        .iter()
+        .map(|k| registry.predict_with_confidence(k).0.to_bits())
+        .collect();
     let batched: Vec<u64> = registry
         .predict_batch_with_confidence(&mixed)
         .into_iter()

@@ -23,8 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use dlperf_core::{
-    collect_family_samples, CalibrationPolicy, CorpusIngest, CorpusIngestJob,
-    TraceCalibration,
+    collect_family_samples, CalibrationPolicy, CorpusIngest, CorpusIngestJob, TraceCalibration,
 };
 use dlperf_faults::{FaultInjector, FaultPlan, TraceFaultPlan};
 use dlperf_gpusim::KernelFamily;
@@ -176,7 +175,10 @@ fn write_corpus(
         let mut bytes = doc.into_bytes();
         if file > 0 {
             if let Some(inj) = injector {
-                if inj.mangle_trace_bytes(corpus_key, file as u64, &mut bytes).is_some() {
+                if inj
+                    .mangle_trace_bytes(corpus_key, file as u64, &mut bytes)
+                    .is_some()
+                {
                     mangled.push(file);
                 }
             }
@@ -215,7 +217,11 @@ struct KillAt<J> {
 
 impl<J> KillAt<J> {
     fn new(inner: J, kill_step: u64, kills: u32) -> Self {
-        KillAt { inner, kill_step, kills: AtomicU32::new(kills) }
+        KillAt {
+            inner,
+            kill_step,
+            kills: AtomicU32::new(kills),
+        }
     }
 }
 
@@ -405,7 +411,12 @@ fn duplicate_correlations_reject_strictly_and_resolve_leniently() {
     let doc = trace.to_json();
 
     match Trace::from_json(&doc) {
-        Err(TraceLoadError::DuplicateCorrelation { cat, correlation, first, second }) => {
+        Err(TraceLoadError::DuplicateCorrelation {
+            cat,
+            correlation,
+            first,
+            second,
+        }) => {
             assert_eq!(cat, EventCat::Runtime);
             assert_eq!(correlation, dup_id);
             assert_eq!((first, second), (1, 7));
@@ -419,7 +430,9 @@ fn duplicate_correlations_reject_strictly_and_resolve_leniently() {
     assert_eq!(ingest.report.events_accepted, 8);
     let survivors = &ingest.traces[0].events;
     assert!(
-        survivors.iter().any(|e| e.name == "cudaLaunchKernel-replayed"),
+        survivors
+            .iter()
+            .any(|e| e.name == "cudaLaunchKernel-replayed"),
         "last occurrence wins"
     );
     assert_eq!(
@@ -443,8 +456,13 @@ fn acceptance_setup(dir_name: &str) -> (CorpusIngestJob, Vec<usize>, Vec<usize>)
     let dir = temp_corpus_dir(dir_name);
     let mangler =
         FaultInjector::new(FaultPlan::healthy(0xDEAD_BEEF).with_trace_faults(mixed_fault_plan()));
-    let (paths, written, mangled) =
-        write_corpus(&dir, CORPUS_FILES, EVENTS_PER_FILE, Some(&mangler), 0xC0_FFEE);
+    let (paths, written, mangled) = write_corpus(
+        &dir,
+        CORPUS_FILES,
+        EVENTS_PER_FILE,
+        Some(&mangler),
+        0xC0_FFEE,
+    );
     assert!(
         mangled.len() * 5 >= CORPUS_FILES,
         "acceptance corpus needs ≥20% faulted files, got {}/{CORPUS_FILES}",
@@ -499,7 +517,10 @@ fn acceptance_corpus_ingests_with_bounded_memory_and_full_accounting() {
         .filter(|(_, f)| matches!(&f.status, FileStatus::Quarantined(FileReject::Panic(_))))
         .map(|(i, _)| i)
         .collect();
-    assert!(!panicked.is_empty(), "panic injection at 12% must hit at least one of 40 files");
+    assert!(
+        !panicked.is_empty(),
+        "panic injection at 12% must hit at least one of 40 files"
+    );
 
     // Full accounting: files that were neither mangled nor panicked
     // ingest clean with every written event accepted; mangled files are
@@ -517,7 +538,11 @@ fn acceptance_corpus_ingests_with_bounded_memory_and_full_accounting() {
             continue;
         }
         if !mangled.contains(&i) {
-            assert_eq!(file.status, FileStatus::Clean, "unmangled file {i} must be clean");
+            assert_eq!(
+                file.status,
+                FileStatus::Clean,
+                "unmangled file {i} must be clean"
+            );
             assert_eq!(file.events_accepted, written[i] as u64);
             assert_eq!(file.skips.total(), 0);
         } else if file.is_quarantined() {
@@ -547,7 +572,10 @@ fn sigkill_mid_corpus_resumes_bitwise_identically() {
 
     // Run A dies for good (restart budget zero) mid-corpus, leaving a
     // snapshot file — the in-process stand-in for a SIGKILL.
-    let cfg = SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() };
+    let cfg = SupervisorConfig {
+        max_restarts: 0,
+        ..SupervisorConfig::default()
+    };
     let mut sup_a = Supervisor::with_store(cfg, Box::new(FileStore::new(&ckpt)));
     let (job_a, _, _) = acceptance_setup("resume");
     let (res_a, report_a) = sup_a.run(&KillAt::new(job_a, 3, 1));
@@ -566,7 +594,10 @@ fn sigkill_mid_corpus_resumes_bitwise_identically() {
     let (res_b, report_b) = sup_b.run(&job_b);
     let resumed = fingerprint(&res_b.expect("resumed ingestion completes"));
     assert_eq!(report_b.resumed_from_step, Some(3));
-    assert_eq!(resumed, expected, "kill-and-resume must not move a single bit");
+    assert_eq!(
+        resumed, expected,
+        "kill-and-resume must not move a single bit"
+    );
     assert!(!ckpt.exists(), "snapshot is cleared after success");
 }
 
@@ -604,7 +635,11 @@ fn corpus_calibration_matches_offline_clean_fit_and_degrades_thin_families() {
 
     for (family, _) in FAMILIES {
         let corpus_fit = corpus_cal.fits.iter().find(|f| f.family == family).unwrap();
-        let offline_fit = offline_cal.fits.iter().find(|f| f.family == family).unwrap();
+        let offline_fit = offline_cal
+            .fits
+            .iter()
+            .find(|f| f.family == family)
+            .unwrap();
         assert_eq!(corpus_fit.confidence, Confidence::Calibrated, "{family}");
         assert_eq!(offline_fit.confidence, Confidence::Calibrated, "{family}");
         // Pinned tolerance: the robust corpus fit may not drift more
@@ -629,7 +664,11 @@ fn corpus_calibration_matches_offline_clean_fit_and_degrades_thin_families() {
     let mut reference_with_thin = reference.clone();
     reference_with_thin.insert(KernelFamily::Conv2d, 30.0);
     let with_thin = TraceCalibration::fit(&ingest.samples, &reference_with_thin, &policy);
-    let thin = with_thin.fits.iter().find(|f| f.family == KernelFamily::Conv2d).unwrap();
+    let thin = with_thin
+        .fits
+        .iter()
+        .find(|f| f.family == KernelFamily::Conv2d)
+        .unwrap();
     assert_eq!(thin.confidence, Confidence::Degraded);
     assert_eq!(thin.scale, 1.0);
     assert!(with_thin

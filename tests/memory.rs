@@ -21,8 +21,15 @@ fn mlperf_dim128_does_not_fit_titan_xp() {
     let report = memory::estimate(&mlperf_dim128(2048).build());
     let titan = DeviceSpec::titan_xp();
     // 26 Criteo tables ~34M rows x 128 floats ≈ 17 GB of embeddings alone.
-    assert!(report.weight_bytes > 12 * (1 << 30), "weights {} B", report.weight_bytes);
-    assert!(!report.fits(titan.memory_bytes, 0.1), "dim-128 MLPerf must NOT fit 12 GB");
+    assert!(
+        report.weight_bytes > 12 * (1 << 30),
+        "weights {} B",
+        report.weight_bytes
+    );
+    assert!(
+        !report.fits(titan.memory_bytes, 0.1),
+        "dim-128 MLPerf must NOT fit 12 GB"
+    );
 }
 
 #[test]

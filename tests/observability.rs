@@ -32,7 +32,8 @@ use proptest::prelude::*;
 /// Serializes recorder-touching tests (the recorder is process-global).
 fn recorder_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Resets global recorder state between tests: spans drained, sinks gone.
@@ -120,7 +121,10 @@ fn self_trace_round_trips_through_the_trace_pipeline() {
     let json = sink.to_json();
     let reparsed = ChromeTraceSink::parse_json(&json).expect("self-trace JSON parses");
     let originals = sink.traces();
-    assert!(!originals.is_empty(), "sweep must record at least one thread");
+    assert!(
+        !originals.is_empty(),
+        "sweep must record at least one thread"
+    );
     assert_eq!(reparsed.len(), originals.len());
 
     for (orig, back) in originals.iter().zip(&reparsed) {
@@ -129,7 +133,10 @@ fn self_trace_round_trips_through_the_trace_pipeline() {
             assert_eq!(a.name, b.name);
             assert_eq!(a.cat, b.cat);
             let tol = 1e-6 * a.dur_us.abs().max(1.0);
-            assert!((a.dur_us - b.dur_us).abs() <= tol, "duration drifted: {a:?} vs {b:?}");
+            assert!(
+                (a.dur_us - b.dur_us).abs() <= tol,
+                "duration drifted: {a:?} vs {b:?}"
+            );
             assert!((a.ts_us - b.ts_us).abs() <= 1e-6 * a.ts_us.abs().max(1.0));
         }
     }
@@ -158,7 +165,11 @@ fn self_trace_round_trips_through_the_trace_pipeline() {
         .collect();
     scenario_labels.sort();
     scenario_labels.dedup();
-    assert_eq!(scenario_labels.len(), scenarios().len(), "one span per priced scenario");
+    assert_eq!(
+        scenario_labels.len(),
+        scenarios().len(),
+        "one span per priced scenario"
+    );
 
     let mut device_time = 0.0;
     for t in &reparsed {

@@ -38,7 +38,13 @@ fn mutation_lists(g: &Graph) -> Vec<(&'static str, Vec<GraphMutation>)> {
     }
     lists.push(("hoist_all", vec![GraphMutation::HoistAll]));
     lists.push(("hoist_node", vec![GraphMutation::HoistNode(hoisted)]));
-    lists.push(("replace", vec![GraphMutation::ReplaceOp { node: n / 2, op: OpKind::Sigmoid }]));
+    lists.push((
+        "replace",
+        vec![GraphMutation::ReplaceOp {
+            node: n / 2,
+            op: OpKind::Sigmoid,
+        }],
+    ));
     lists
 }
 
@@ -152,7 +158,12 @@ fn hoistable_by_scan(g: &Graph) -> Vec<usize> {
     (0..g.node_count())
         .filter(|&i| {
             let node = g.nodes()[i].id;
-            let earliest = g.predecessors(node).iter().map(|p| p.0 + 1).max().unwrap_or(0);
+            let earliest = g
+                .predecessors(node)
+                .iter()
+                .map(|p| p.0 + 1)
+                .max()
+                .unwrap_or(0);
             earliest < node.0
         })
         .collect()
@@ -173,7 +184,11 @@ fn hoist_legality_matches_the_producer_scan_on_every_prepared_graph() {
                 let want = hoistable_by_scan(g);
                 assert_eq!(hoistable_nodes(g), want, "{model}@{batch} {kind}");
                 for pos in 0..=g.node_count() {
-                    assert_eq!(can_hoist(g, pos), want.contains(&pos), "{model}@{batch} {kind} {pos}");
+                    assert_eq!(
+                        can_hoist(g, pos),
+                        want.contains(&pos),
+                        "{model}@{batch} {kind} {pos}"
+                    );
                 }
             }
         }
@@ -202,7 +217,11 @@ fn a_store_extending_a_stored_parent_prepares_what_prepare_graph_prepares() {
                 let direct = text(&prepare_graph(&base, &list));
                 assert!(via_store == direct, "{model}: {head_kind} then {tail_kind}");
                 let stats = store.stats();
-                assert_eq!((stats.hits, stats.misses), (0, 2), "{model}: {head_kind} then {tail_kind}");
+                assert_eq!(
+                    (stats.hits, stats.misses),
+                    (0, 2),
+                    "{model}: {head_kind} then {tail_kind}"
+                );
             }
         }
     }
@@ -221,11 +240,21 @@ fn edit_a_clone(what: &str, base: &Graph, edit: impl FnOnce(&mut Graph)) {
     let json = base.to_json();
     let index = base.index();
     let mut clone = base.clone();
-    assert!(Arc::ptr_eq(&clone.index(), &index), "{what}: a clone shares the index");
+    assert!(
+        Arc::ptr_eq(&clone.index(), &index),
+        "{what}: a clone shares the index"
+    );
     edit(&mut clone);
-    assert_ne!(clone.to_json(), json, "{what}: the edit must change the clone");
+    assert_ne!(
+        clone.to_json(),
+        json,
+        "{what}: the edit must change the clone"
+    );
     assert_eq!(base.to_json(), json, "{what}: the original's bytes changed");
-    assert!(Arc::ptr_eq(&base.index(), &index), "{what}: the original's index was dropped");
+    assert!(
+        Arc::ptr_eq(&base.index(), &index),
+        "{what}: the original's index was dropped"
+    );
 }
 
 #[test]
@@ -240,7 +269,9 @@ fn every_mutator_on_a_clone_leaves_the_original_untouched() {
         g.add_op(OpKind::Relu, vec![x], vec![y]);
     });
     edit_a_clone("tensor_mut", &base, |g| g.tensor_mut(x).shape.push(1));
-    edit_a_clone("node_mut", &base, |g| g.node_mut(NodeId(0)).expect("node 0").stream = 7);
+    edit_a_clone("node_mut", &base, |g| {
+        g.node_mut(NodeId(0)).expect("node 0").stream = 7
+    });
     edit_a_clone("set_nodes", &base, |g| {
         let mut nodes = g.nodes().to_vec();
         nodes.pop();
@@ -251,8 +282,15 @@ fn every_mutator_on_a_clone_leaves_the_original_untouched() {
 #[test]
 fn every_transform_on_a_clone_leaves_the_original_untouched() {
     let base = cow_base();
-    let hoisted = *hoistable_nodes(&base).last().expect("dcn has a hoistable node");
-    let earliest = base.predecessors(NodeId(hoisted)).iter().map(|p| p.0 + 1).max().unwrap_or(0);
+    let hoisted = *hoistable_nodes(&base)
+        .last()
+        .expect("dcn has a hoistable node");
+    let earliest = base
+        .predecessors(NodeId(hoisted))
+        .iter()
+        .map(|p| p.0 + 1)
+        .max()
+        .unwrap_or(0);
     edit_a_clone("resize_batch", &base, |g| {
         resize_batch(g, 2048).expect("dcn resizes");
     });
@@ -266,11 +304,18 @@ fn every_transform_on_a_clone_leaves_the_original_untouched() {
         move_node(g, NodeId(hoisted), earliest).expect("a legal move");
     });
     edit_a_clone("hoist_earliest", &base, |g| {
-        assert_eq!(hoist_earliest(g, NodeId(hoisted)).expect("node exists"), earliest);
+        assert_eq!(
+            hoist_earliest(g, NodeId(hoisted)).expect("node exists"),
+            earliest
+        );
     });
     edit_a_clone("parallelize", &base, |g| {
-        let bags: Vec<NodeId> =
-            g.nodes().iter().filter(|n| n.op == OpKind::EmbeddingBag).map(|n| n.id).collect();
+        let bags: Vec<NodeId> = g
+            .nodes()
+            .iter()
+            .filter(|n| n.op == OpKind::EmbeddingBag)
+            .map(|n| n.id)
+            .collect();
         let groups = independent_groups(g, &bags);
         assert!(groups.len() > 1, "dcn's bags are independent");
         parallelize(g, &groups).expect("independent groups");
@@ -284,8 +329,14 @@ fn a_resize_shares_the_node_table_and_a_hoist_the_tensor_table() {
     let base = cow_base();
     let resized = prepare_graph(&base, &[GraphMutation::ResizeBatch(2048)]).expect("resizes");
     assert!(std::ptr::eq(resized.nodes(), base.nodes()));
-    assert!(!std::ptr::eq(resized.tensor(TensorId(0)), base.tensor(TensorId(0))));
+    assert!(!std::ptr::eq(
+        resized.tensor(TensorId(0)),
+        base.tensor(TensorId(0))
+    ));
     let hoisted = prepare_graph(&base, &[GraphMutation::HoistAll]).expect("hoists");
-    assert!(std::ptr::eq(hoisted.tensor(TensorId(0)), base.tensor(TensorId(0))));
+    assert!(std::ptr::eq(
+        hoisted.tensor(TensorId(0)),
+        base.tensor(TensorId(0))
+    ));
     assert!(!std::ptr::eq(hoisted.nodes(), base.nodes()));
 }

@@ -25,8 +25,11 @@ fn kernels() -> impl Strategy<Value = KernelSpec> {
             .prop_map(|(b, e, t, l, d)| KernelSpec::embedding_backward(b, e, t, l, d)),
         (1u64..(1 << 28)).prop_map(KernelSpec::memcpy_d2d),
         (1u64..(1 << 28)).prop_map(|b| KernelSpec::Concat { bytes: b }),
-        (1u64..2048, 1u64..512, 1u64..512)
-            .prop_map(|(b, r, c)| KernelSpec::Transpose { batch: b, rows: r, cols: c }),
+        (1u64..2048, 1u64..512, 1u64..512).prop_map(|(b, r, c)| KernelSpec::Transpose {
+            batch: b,
+            rows: r,
+            cols: c
+        }),
         (1u64..4096, 2u64..128).prop_map(|(b, n)| KernelSpec::TrilForward { batch: b, n }),
         (1u64..4096, 2u64..128).prop_map(|(b, n)| KernelSpec::TrilBackward { batch: b, n }),
         (1u64..(1 << 24), 0u32..16, 1u32..5).prop_map(|(e, f, by)| KernelSpec::Elementwise {

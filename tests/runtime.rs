@@ -38,7 +38,11 @@ struct KillAt<J> {
 
 impl<J> KillAt<J> {
     fn new(inner: J, kill_step: u64, kills: u32) -> Self {
-        KillAt { inner, kill_step, kills: AtomicU32::new(kills) }
+        KillAt {
+            inner,
+            kill_step,
+            kills: AtomicU32::new(kills),
+        }
     }
 }
 
@@ -81,7 +85,11 @@ struct PanicAt<J> {
 
 impl<J> PanicAt<J> {
     fn new(inner: J, panic_step: u64, panics: u32) -> Self {
-        PanicAt { inner, panic_step, panics: AtomicU32::new(panics) }
+        PanicAt {
+            inner,
+            panic_step,
+            panics: AtomicU32::new(panics),
+        }
     }
 }
 
@@ -139,7 +147,11 @@ fn reference_trials(data: &Dataset) -> &'static [u64] {
     REF.get_or_init(|| {
         let mut sup = Supervisor::new(SupervisorConfig::default());
         let (res, _) = grid_search_supervised(data, &small_space(), 15, 11, &mut sup);
-        res.unwrap().trials.iter().map(|(_, m)| m.to_bits()).collect()
+        res.unwrap()
+            .trials
+            .iter()
+            .map(|(_, m)| m.to_bits())
+            .collect()
     })
 }
 
@@ -247,7 +259,10 @@ fn dead_run_resumes_across_supervisors_from_snapshot_file() {
     let path = dir.join("grid.ckpt.json");
     std::fs::remove_file(&path).ok();
 
-    let cfg = SupervisorConfig { max_restarts: 0, ..SupervisorConfig::default() };
+    let cfg = SupervisorConfig {
+        max_restarts: 0,
+        ..SupervisorConfig::default()
+    };
     let mut sup_a = Supervisor::with_store(cfg, Box::new(FileStore::new(&path)));
     let job = KillAt::new(GridSearchJob::new(&data, &small_space(), 15, 11), 3, 1);
     let (res_a, report_a) = sup_a.run(&job);
@@ -260,9 +275,13 @@ fn dead_run_resumes_across_supervisors_from_snapshot_file() {
 
     let mut sup_b =
         Supervisor::with_store(SupervisorConfig::default(), Box::new(FileStore::new(&path)));
-    let (res_b, report_b) =
-        grid_search_supervised(&data, &small_space(), 15, 11, &mut sup_b);
-    let got: Vec<u64> = res_b.unwrap().trials.iter().map(|(_, m)| m.to_bits()).collect();
+    let (res_b, report_b) = grid_search_supervised(&data, &small_space(), 15, 11, &mut sup_b);
+    let got: Vec<u64> = res_b
+        .unwrap()
+        .trials
+        .iter()
+        .map(|(_, m)| m.to_bits())
+        .collect();
     assert_eq!(got, expected);
     assert_eq!(report_b.resumed_from_step, Some(3));
     assert!(!path.exists(), "snapshot is cleared after success");
@@ -278,12 +297,24 @@ fn repeated_worker_panics_are_contained_and_reported() {
     let mut sup = Supervisor::new(SupervisorConfig::default());
     let job = PanicAt::new(GridSearchJob::new(&data, &small_space(), 15, 11), 2, 3);
     let (res, report) = sup.run(&job);
-    let got: Vec<u64> = res.unwrap().trials.iter().map(|(_, m)| m.to_bits()).collect();
-    assert_eq!(got, expected, "three contained panics must not change a bit");
+    let got: Vec<u64> = res
+        .unwrap()
+        .trials
+        .iter()
+        .map(|(_, m)| m.to_bits())
+        .collect();
+    assert_eq!(
+        got, expected,
+        "three contained panics must not change a bit"
+    );
     assert_eq!(report.attempts, 4);
     assert_eq!(report.restarts.len(), 3);
     for r in &report.restarts {
-        assert!(r.cause.contains("deliberate worker panic"), "cause: {}", r.cause);
+        assert!(
+            r.cause.contains("deliberate worker panic"),
+            "cause: {}",
+            r.cause
+        );
     }
 }
 
@@ -296,13 +327,23 @@ fn panics_past_the_budget_fail_typed_not_fatal() {
     let job = PanicAt::new(GridSearchJob::new(&data, &small_space(), 15, 11), 1, 4);
     let (res, report) = sup.run(&job);
     match res {
-        Err(SupervisorError::RestartBudgetExhausted { attempts, last_failure, .. }) => {
+        Err(SupervisorError::RestartBudgetExhausted {
+            attempts,
+            last_failure,
+            ..
+        }) => {
             assert_eq!(attempts, 4);
-            assert!(last_failure.contains("deliberate worker panic"), "got: {last_failure}");
+            assert!(
+                last_failure.contains("deliberate worker panic"),
+                "got: {last_failure}"
+            );
         }
         other => panic!("expected RestartBudgetExhausted, got {other:?}"),
     }
-    assert_eq!(report.steps_completed, 1, "progress up to the panic is kept");
+    assert_eq!(
+        report.steps_completed, 1,
+        "progress up to the panic is kept"
+    );
 }
 
 /// Chaos from the PR 1 fault plan (worker kills/panics) composes with the
@@ -311,12 +352,18 @@ fn panics_past_the_budget_fail_typed_not_fatal() {
 fn injected_worker_chaos_never_changes_result_bits() {
     let harness = MicrobenchHarness::new(&DeviceSpec::v100(), 5, 9, 4);
     let specs = gemm_specs(24, 3);
-    let expected: Vec<u64> =
-        harness.measure(&specs).iter().map(|s| s.time_us.to_bits()).collect();
+    let expected: Vec<u64> = harness
+        .measure(&specs)
+        .iter()
+        .map(|s| s.time_us.to_bits())
+        .collect();
 
     let mut injected_total = 0;
     for plan_seed in 0..6u64 {
-        let cfg = SupervisorConfig { max_restarts: 10, ..SupervisorConfig::default() };
+        let cfg = SupervisorConfig {
+            max_restarts: 10,
+            ..SupervisorConfig::default()
+        };
         let mut sup = Supervisor::with_store(cfg, Box::new(dlperf_runtime::MemoryStore::new()));
         sup.set_fault_injector(FaultInjector::new(
             FaultPlan::healthy(plan_seed).with_worker_faults(0.1, 0.1, 0.0),
@@ -326,5 +373,8 @@ fn injected_worker_chaos_never_changes_result_bits() {
         assert_eq!(got, expected, "plan seed {plan_seed} changed the sweep");
         injected_total += report.injected_faults;
     }
-    assert!(injected_total > 0, "at least one plan seed must inject a fault");
+    assert!(
+        injected_total > 0,
+        "at least one plan seed must inject a fault"
+    );
 }

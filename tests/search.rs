@@ -64,7 +64,12 @@ fn base() -> &'static (Vec<Pipeline>, Graph) {
 #[allow(clippy::type_complexity)]
 fn fingerprint<X>(
     r: &OptimizationReport<X>,
-) -> (u64, Vec<(String, u64, u64, Option<u64>, Option<u64>)>, usize, usize) {
+) -> (
+    u64,
+    Vec<(String, u64, u64, Option<u64>, Option<u64>)>,
+    usize,
+    usize,
+) {
     (
         r.baseline_e2e_us.to_bits(),
         r.ranked
@@ -88,7 +93,10 @@ fn run_search(config: SearchConfig, batches: Vec<u64>) -> OptimizationReport {
     let (pipelines, g) = base();
     OptimizationSearch::<NoExtra>::new(pipelines)
         .with_config(config)
-        .with_graph_moves(GraphMoves { batches, ..GraphMoves::default() })
+        .with_graph_moves(GraphMoves {
+            batches,
+            ..GraphMoves::default()
+        })
         .run(g)
         .expect("search runs")
 }
@@ -104,20 +112,31 @@ fn planted_fusion_ranks_first_with_bitwise_exact_delta() {
     assert!(!report.ranked.is_empty());
     let top = &report.ranked[0];
     assert!(
-        top.candidate.mutations.contains(&GraphMutation::FuseEmbeddingBags),
+        top.candidate
+            .mutations
+            .contains(&GraphMutation::FuseEmbeddingBags),
         "top candidate should fuse the embedding bags, got: {}",
         top.description
     );
-    assert!(top.delta_us > 0.0, "fusion must be a predicted win: {top:?}");
+    assert!(
+        top.delta_us > 0.0,
+        "fusion must be a predicted win: {top:?}"
+    );
     assert!(top.speedup > 1.0);
 
     // The search's predicted delta must be bitwise equal to pricing the
     // mutated graph from scratch with a full walk: the incremental
     // splice path changes evaluation cost, never the answer.
     let full_graph = prepare_graph(g, &top.candidate.mutations).expect("mutations apply");
-    let full = pipelines[top.candidate.device].predict(&full_graph).expect("full walk");
+    let full = pipelines[top.candidate.device]
+        .predict(&full_graph)
+        .expect("full walk");
     let baseline = pipelines[0].predict(g).expect("baseline walk");
-    assert_eq!(top.e2e_us.to_bits(), full.e2e_us.to_bits(), "search score != full walk");
+    assert_eq!(
+        top.e2e_us.to_bits(),
+        full.e2e_us.to_bits(),
+        "search score != full walk"
+    );
     assert_eq!(
         top.delta_us.to_bits(),
         (baseline.e2e_us - full.e2e_us).to_bits(),
@@ -137,9 +156,11 @@ fn planted_fusion_ranks_first_with_bitwise_exact_delta() {
 #[test]
 fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
     let cfg = DlrmConfig::default_config(512);
-    let probe =
-        DistributedDlrm::new(cfg.clone(), ShardingPlan::round_robin(cfg.rows_per_table.len(), 2))
-            .expect("probe job");
+    let probe = DistributedDlrm::new(
+        cfg.clone(),
+        ShardingPlan::round_robin(cfg.rows_per_table.len(), 2),
+    )
+    .expect("probe job");
     let pipelines = vec![Pipeline::analyze(
         &DeviceSpec::v100(),
         &probe.segments(0),
@@ -147,7 +168,10 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
         6,
         23,
     )];
-    let strategies = vec![ParallelismStrategy::Hybrid, ParallelismStrategy::DataParallel];
+    let strategies = vec![
+        ParallelismStrategy::Hybrid,
+        ParallelismStrategy::DataParallel,
+    ];
     let g = cfg.build();
     let run = |threads: usize| {
         // A fresh evaluator per run: the axis's memo cache starts cold
@@ -162,20 +186,29 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
                 threads,
                 ..SearchConfig::default()
             })
-            .with_graph_moves(GraphMoves { batches: vec![1024], ..GraphMoves::default() })
+            .with_graph_moves(GraphMoves {
+                batches: vec![1024],
+                ..GraphMoves::default()
+            })
             .with_extra_axis(&axis, &axis)
             .run(&g)
             .expect("search runs")
     };
     let sequential = run(1);
     let parallel = run(8);
-    assert_eq!(fingerprint(&parallel), fingerprint(&sequential), "8 threads diverged");
+    assert_eq!(
+        fingerprint(&parallel),
+        fingerprint(&sequential),
+        "8 threads diverged"
+    );
 
     let plain_eval = Evaluator::new(&pipelines[..], DEFAULT_MEMO_CAPACITY);
     let plain_predictor = DistributedPredictor::new(&plain_eval, 0).with_cache(false);
     let mut distributed = 0;
     for sc in &sequential.ranked {
-        let Some(m) = &sc.candidate.extra else { continue };
+        let Some(m) = &sc.candidate.extra else {
+            continue;
+        };
         let mut job_cfg = cfg.clone();
         for mutation in &sc.candidate.mutations {
             match mutation {
@@ -195,7 +228,11 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
         );
         distributed += 1;
     }
-    assert!(distributed > 0, "no distributed entry ranked: {:?}", fingerprint(&sequential).1);
+    assert!(
+        distributed > 0,
+        "no distributed entry ranked: {:?}",
+        fingerprint(&sequential).1
+    );
 }
 
 /// Non-empty subsets of the resize-target axis, driven by a bit mask.

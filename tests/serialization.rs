@@ -31,14 +31,21 @@ fn execution_graph_round_trips_through_json() {
 fn wide_deep_with_node_ids(ids: &[(usize, f64)]) -> String {
     let g = zoo::build("wide-deep", 128).expect("wide-deep builds");
     let mut v = serde_json::to_value(&g);
-    let serde_json::Value::Obj(entries) = &mut v else { panic!("graph is an object") };
+    let serde_json::Value::Obj(entries) = &mut v else {
+        panic!("graph is an object")
+    };
     let Some((_, serde_json::Value::Arr(nodes))) = entries.iter_mut().find(|(k, _)| k == "nodes")
     else {
         panic!("graph has a node array")
     };
     for &(position, id) in ids {
-        let serde_json::Value::Obj(fields) = &mut nodes[position] else { panic!("node object") };
-        let (_, value) = fields.iter_mut().find(|(k, _)| k == "id").expect("node has an id");
+        let serde_json::Value::Obj(fields) = &mut nodes[position] else {
+            panic!("node object")
+        };
+        let (_, value) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "id")
+            .expect("node has an id");
         *value = serde_json::Value::Num(id);
     }
     serde_json::to_string(&v).unwrap()
@@ -51,7 +58,9 @@ fn decoded_node_ids_must_be_positions() {
     // a silently wrong transform.
     let typed = |json: &str| {
         let err = Graph::from_json(json).expect_err("ids that are not positions");
-        err.downcast_ref::<GraphError>().cloned().expect("a typed graph error")
+        err.downcast_ref::<GraphError>()
+            .cloned()
+            .expect("a typed graph error")
     };
     assert_eq!(
         typed(&wide_deep_with_node_ids(&[(0, 1.0), (1, 0.0)])),
@@ -59,7 +68,10 @@ fn decoded_node_ids_must_be_positions() {
     );
     assert_eq!(
         typed(&wide_deep_with_node_ids(&[(3, 100_000.0)])),
-        GraphError::NodeIdMismatch { position: 3, id: 100_000 }
+        GraphError::NodeIdMismatch {
+            position: 3,
+            id: 100_000
+        }
     );
     assert!(Graph::from_json(&wide_deep_with_node_ids(&[])).is_ok());
 }
@@ -72,7 +84,13 @@ fn reloaded_graph_predicts_identically() {
         ..DlrmConfig::default_config(256)
     }
     .build();
-    let pipe = Pipeline::analyze(&device, std::slice::from_ref(&g), CalibrationEffort::Quick, 8, 1);
+    let pipe = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&g),
+        CalibrationEffort::Quick,
+        8,
+        1,
+    );
     let reloaded = Graph::from_json(&g.to_json()).unwrap();
     assert_eq!(
         pipe.predict(&g).unwrap().e2e_us,
@@ -88,7 +106,13 @@ fn overhead_db_json_preserves_all_cells() {
         ..DlrmConfig::default_config(256)
     }
     .build();
-    let pipe = Pipeline::analyze(&device, std::slice::from_ref(&g), CalibrationEffort::Quick, 8, 2);
+    let pipe = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&g),
+        CalibrationEffort::Quick,
+        8,
+        2,
+    );
     let json = pipe.shared_overheads_json();
     let back = OverheadStats::from_json(&json).expect("valid DB JSON");
     for ty in OverheadType::ALL {
@@ -114,7 +138,13 @@ fn pipeline_rebuilds_from_persisted_assets() {
         ..DlrmConfig::default_config(256)
     }
     .build();
-    let pipe = Pipeline::analyze(&device, std::slice::from_ref(&g), CalibrationEffort::Quick, 8, 3);
+    let pipe = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&g),
+        CalibrationEffort::Quick,
+        8,
+        3,
+    );
     let json = pipe.shared_overheads_json();
 
     let stats = OverheadStats::from_json(&json).unwrap();
@@ -135,7 +165,13 @@ fn from_assets_pipeline_exports_the_database_it_was_built_from() {
     // reloaded from that export must predict the same bits.
     let device = DeviceSpec::v100();
     let g = DlrmConfig::default_config(256).build();
-    let pipe = Pipeline::analyze(&device, std::slice::from_ref(&g), CalibrationEffort::Quick, 8, 4);
+    let pipe = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&g),
+        CalibrationEffort::Quick,
+        8,
+        4,
+    );
     let json = pipe.shared_overheads_json();
     let registry = pipe.predictor().registry().clone();
     let stats = OverheadStats::from_json(&json).unwrap();

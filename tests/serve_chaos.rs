@@ -75,8 +75,8 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
     let mut expected: HashMap<u64, u64> = HashMap::new();
     for i in 0..DISTINCT_BATCHES {
         let batch = batch_for(i);
-        let graph = prepare_graph(&base, &[GraphMutation::ResizeBatch(batch)])
-            .expect("resize succeeds");
+        let graph =
+            prepare_graph(&base, &[GraphMutation::ResizeBatch(batch)]).expect("resize succeeds");
         let pred = pipeline
             .predict_memoized_scratch(&graph, &reference_cache, &mut scratch)
             .expect("offline predict");
@@ -88,11 +88,17 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
     // same pipeline, same prepared base graph, same knobs the storm's
     // optimize requests carry. Served reports must match this bit for bit.
     const OPT_BATCHES: [u64; 2] = [256, 1024];
-    let opt_base = prepare_graph(&base, &[GraphMutation::ResizeBatch(BASE_BATCH)])
-        .expect("resize succeeds");
+    let opt_base =
+        prepare_graph(&base, &[GraphMutation::ResizeBatch(BASE_BATCH)]).expect("resize succeeds");
     let opt_reference = OptimizationSearch::<NoExtra>::new(std::slice::from_ref(&pipeline))
-        .with_config(SearchConfig { max_depth: 1, ..SearchConfig::default() })
-        .with_graph_moves(GraphMoves { batches: OPT_BATCHES.to_vec(), ..GraphMoves::default() })
+        .with_config(SearchConfig {
+            max_depth: 1,
+            ..SearchConfig::default()
+        })
+        .with_graph_moves(GraphMoves {
+            batches: OPT_BATCHES.to_vec(),
+            ..GraphMoves::default()
+        })
         .run(&opt_base)
         .expect("offline search");
     let opt_expected: Arc<OptExpected> = Arc::new((
@@ -100,7 +106,13 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
         opt_reference
             .ranked
             .iter()
-            .map(|sc| (sc.description.clone(), sc.e2e_us.to_bits(), sc.delta_us.to_bits()))
+            .map(|sc| {
+                (
+                    sc.description.clone(),
+                    sc.e2e_us.to_bits(),
+                    sc.delta_us.to_bits(),
+                )
+            })
             .collect(),
     ));
 
@@ -118,9 +130,8 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
         base_batch: BASE_BATCH,
     };
     let plan = FaultPlan::healthy(2024).with_worker_faults(0.01, 0.005, 0.01);
-    let server = Arc::new(
-        Server::start(vec![pipeline], &[MODEL], cfg, Some(plan)).expect("server boots"),
-    );
+    let server =
+        Arc::new(Server::start(vec![pipeline], &[MODEL], cfg, Some(plan)).expect("server boots"));
 
     // Live cap sampler: caches must be bounded *during* the storm, not
     // just after it.
@@ -285,8 +296,14 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
 
     // 1. It stayed up: every request answered, and it still answers.
     assert_eq!(responses, TOTAL_REQUESTS);
-    let resp = server.submit(Request { id: u64::MAX, op: Op::Ping });
-    assert!(matches!(resp.body, Body::Pong), "server dead after storm: {resp:?}");
+    let resp = server.submit(Request {
+        id: u64::MAX,
+        op: Op::Ping,
+    });
+    assert!(
+        matches!(resp.body, Body::Pong),
+        "server dead after storm: {resp:?}"
+    );
 
     // 4. Exactness had real coverage: the overwhelming majority of valid
     // requests must have completed (faults touch ~2.5% of them).
@@ -297,12 +314,18 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
 
     // 3. Tail latency: deadline 500 ms + deep-queue slack, nowhere near
     // an unbounded hang.
-    assert!(slowest < Duration::from_secs(30), "unbounded tail: {slowest:?}");
+    assert!(
+        slowest < Duration::from_secs(30),
+        "unbounded tail: {slowest:?}"
+    );
 
     // 2. Bounded memory, and the bounds actually bit: the batch churn
     // (200 distinct) must have evicted from the 64-entry prepared store.
     let stats = server.stats();
-    assert!(stats.memo_entries <= 2 * MEMO_CAP as u64, "memo over cap after storm: {stats:?}");
+    assert!(
+        stats.memo_entries <= 2 * MEMO_CAP as u64,
+        "memo over cap after storm: {stats:?}"
+    );
     assert!(max_memo <= 2 * MEMO_CAP as u64);
     assert!(max_prepared <= PREPARED_CAP as u64);
     assert!(
@@ -314,10 +337,16 @@ fn server_survives_chaos_with_bounded_memory_and_exact_answers() {
         stats.degraded_answers, 0,
         "breaker must not have degraded any answer: {stats:?}"
     );
-    assert!(stats.completed >= TOTAL_REQUESTS, "stats lost requests: {stats:?}");
+    assert!(
+        stats.completed >= TOTAL_REQUESTS,
+        "stats lost requests: {stats:?}"
+    );
 
     // The fault plan really fired: contained panics and injected
     // kill/hang failures are visible in the counters, not in crashes.
     assert!(stats.panics > 0, "panic injection never fired: {stats:?}");
-    assert!(stats.deadline_expired > 0, "hang injection never fired: {stats:?}");
+    assert!(
+        stats.deadline_expired > 0,
+        "hang injection never fired: {stats:?}"
+    );
 }

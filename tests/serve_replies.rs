@@ -118,8 +118,10 @@ fn replies(server: &Server, tag: &str, ops: Vec<Op>, out: &mut BTreeMap<String, 
 
 #[test]
 fn served_replies_are_byte_identical_to_the_golden() {
-    let workloads: Vec<_> =
-        MODELS.iter().map(|m| zoo::build(m, BASE_BATCH).expect("catalog model")).collect();
+    let workloads: Vec<_> = MODELS
+        .iter()
+        .map(|m| zoo::build(m, BASE_BATCH).expect("catalog model"))
+        .collect();
     let pipelines: Vec<Pipeline> = [DeviceSpec::v100(), DeviceSpec::p100()]
         .iter()
         .map(|d| Pipeline::analyze(d, &workloads, CalibrationEffort::Quick, 5, 11))
@@ -133,7 +135,11 @@ fn served_replies_are_byte_identical_to_the_golden() {
     // Every full-fidelity request is killed, and one failure trips the
     // breaker for one degraded answer: each query is sent twice, and the
     // second copy is answered by the roofline twin.
-    let cfg = ServerConfig { breaker_threshold: 1, breaker_cooldown: 1, ..config() };
+    let cfg = ServerConfig {
+        breaker_threshold: 1,
+        breaker_cooldown: 1,
+        ..config()
+    };
     let plan = FaultPlan::healthy(7).with_worker_faults(0.0, 1.0, 0.0);
     let faulty = Server::start(pipelines, &MODELS, cfg, Some(plan)).expect("boots");
     let mut twice = Vec::new();
@@ -154,7 +160,10 @@ fn served_replies_are_byte_identical_to_the_golden() {
         return;
     }
     let stored = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing golden {} ({e}); regenerate with UPDATE_GOLDEN=1", path.display())
+        panic!(
+            "missing golden {} ({e}); regenerate with UPDATE_GOLDEN=1",
+            path.display()
+        )
     });
     let expected: BTreeMap<String, String> = serde_json::from_str(&stored).expect("golden parses");
     assert_eq!(
@@ -163,6 +172,9 @@ fn served_replies_are_byte_identical_to_the_golden() {
         "request stream changed"
     );
     for (key, reply) in &actual {
-        assert_eq!(reply, &expected[key], "reply `{key}` differs from the golden");
+        assert_eq!(
+            reply, &expected[key],
+            "reply `{key}` differs from the golden"
+        );
     }
 }

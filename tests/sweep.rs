@@ -14,8 +14,8 @@ use dlrm_perf_model::core::predictor::WalkScratch;
 use dlrm_perf_model::core::sweep::{GraphMutation, ScenarioMatrix, SweepEngine, SweepOutcome};
 use dlrm_perf_model::core::{Evaluator, DEFAULT_MEMO_CAPACITY};
 use dlrm_perf_model::distrib::{
-    enumerate_matrix, sweep_shardings, DistributedDlrm, DistributedPredictor,
-    ParallelismStrategy, ShardingPlan, ShardingSweepOutcome,
+    enumerate_matrix, sweep_shardings, DistributedDlrm, DistributedPredictor, ParallelismStrategy,
+    ShardingPlan, ShardingSweepOutcome,
 };
 use dlrm_perf_model::gpusim::DeviceSpec;
 use dlrm_perf_model::graph::Graph;

@@ -21,7 +21,10 @@ use dlrm_perf_model::models::DlrmConfig;
 use dlrm_perf_model::trace::engine::ExecutionEngine;
 
 fn small(batch: u64) -> DlrmConfig {
-    DlrmConfig { rows_per_table: vec![50_000; 8], ..DlrmConfig::default_config(batch) }
+    DlrmConfig {
+        rows_per_table: vec![50_000; 8],
+        ..DlrmConfig::default_config(batch)
+    }
 }
 
 /// Prices each mutation list on `base` through the sweep engine, in order.
@@ -29,10 +32,17 @@ fn price(pipeline: Pipeline, base: &Graph, variants: &[&[GraphMutation]]) -> Vec
     let scenarios: Vec<Scenario> = variants
         .iter()
         .enumerate()
-        .map(|(i, muts)| Scenario { mutations: muts.to_vec(), ..Scenario::new(format!("v{i}"), 0) })
+        .map(|(i, muts)| Scenario {
+            mutations: muts.to_vec(),
+            ..Scenario::new(format!("v{i}"), 0)
+        })
         .collect();
     let outcome = SweepEngine::new(vec![pipeline]).run(base, &scenarios);
-    outcome.expect_complete().iter().map(|r| *r.expect_prediction()).collect()
+    outcome
+        .expect_complete()
+        .iter()
+        .map(|r| *r.expect_prediction())
+        .collect()
 }
 
 #[test]
@@ -60,9 +70,18 @@ fn fusion_whatif_matches_simulated_outcome_direction() {
     // direction and roughly in magnitude (the Fig. 11 use case).
     let device = DeviceSpec::v100();
     let unfused = small(512).with_batched_embedding(false).build();
-    let pipeline =
-        Pipeline::analyze(&device, std::slice::from_ref(&unfused), CalibrationEffort::Quick, 15, 2);
-    let p = price(pipeline, &unfused, &[&[], &[GraphMutation::FuseEmbeddingBags]]);
+    let pipeline = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&unfused),
+        CalibrationEffort::Quick,
+        15,
+        2,
+    );
+    let p = price(
+        pipeline,
+        &unfused,
+        &[&[], &[GraphMutation::FuseEmbeddingBags]],
+    );
     let predicted_speedup = p[0].e2e_us / p[1].e2e_us;
 
     let mut fused = unfused.clone();
@@ -100,8 +119,13 @@ fn parallelize_speedup_predicted_and_measured() {
     assert!(groups.len() > 1, "embedding bags should be independent");
     parallelize(&mut streamed, &groups).unwrap();
 
-    let pipeline =
-        Pipeline::analyze(&device, std::slice::from_ref(&serial), CalibrationEffort::Quick, 10, 4);
+    let pipeline = Pipeline::analyze(
+        &device,
+        std::slice::from_ref(&serial),
+        CalibrationEffort::Quick,
+        10,
+        4,
+    );
     let p_serial = pipeline.predict(&serial).unwrap();
     let p_streamed = pipeline.predict(&streamed).unwrap();
     assert!(
@@ -126,7 +150,10 @@ fn batch_sweep_scales_active_time_superlinearly_vs_overheads() {
     let sweep = price(
         pipeline,
         &small(256).build(),
-        &[&[GraphMutation::ResizeBatch(128)], &[GraphMutation::ResizeBatch(4096)]],
+        &[
+            &[GraphMutation::ResizeBatch(128)],
+            &[GraphMutation::ResizeBatch(4096)],
+        ],
     );
     let per_sample_small = sweep[0].e2e_us / 128.0;
     let per_sample_big = sweep[1].e2e_us / 4096.0;
@@ -151,46 +178,106 @@ fn prediction_bits(p: &Prediction) -> [u64; 5] {
 /// Prediction rows carry [`prediction_bits`]; sharding rows carry the bits
 /// of the four per-shard embedding costs, then of their imbalance.
 const FROZEN: [(&str, [u64; 5]); 10] = [
-    ("batch 128", [
-        0x40b5758def442094, 0x40873cfdaf68fbc8, 0x40b5758def442094, 0x40b56f5ff68b6deb,
-        0,
-    ]),
-    ("batch 512", [
-        0x40b5758def442094, 0x409992abe07a8cf6, 0x40b5758def442094, 0x40b56f5ff68b6deb,
-        0,
-    ]),
-    ("batch 4096", [
-        0x40c23b9854c1349d, 0x40c19b78b2e86835, 0x40b5758def442094, 0x40c23b9854c1349d,
-        0,
-    ]),
-    ("fusion before", [
-        0x40b5758def442094, 0x409992abe07a8cf6, 0x40b5758def442094, 0x40b56f5ff68b6deb,
-        0,
-    ]),
-    ("fusion after", [
-        0x40b35eaf6122fbce, 0x409969ca5e2f6e78, 0x40b35eaf6122fbce, 0x40b35881686a4925,
-        0,
-    ]),
-    ("hoist before", [
-        0x40b5758def442094, 0x409992abe07a8cf6, 0x40b5758def442094, 0x40b56f5ff68b6deb,
-        0,
-    ]),
-    ("hoist after", [
-        0x40b5758def4420ac, 0x409992abe07a8cf4, 0x40b5758def4420ac, 0x40afe84adc181707,
-        0,
-    ]),
-    ("round-robin", [
-        0x402ce2a5e09e1aca, 0x4023ccc66def1fb6, 0x4028e31adef09fc8, 0x4028f53988c09a04,
-        0x3ff2c32ae7f4c242,
-    ]),
-    ("LPT by rows", [
-        0x4000b22188d3d13c, 0x4000b0fcb5441288, 0x4046244c8c81ceac, 0x4010a94e85d887cf,
-        0x400aeddd34b3450a,
-    ]),
-    ("LPT by cost", [
-        0x402d001c2760031e, 0x402cf2b99344ca0e, 0x4028d0a351b670ec, 0x4028d36e630e827e,
-        0x3ff140427d59e2e7,
-    ]),
+    (
+        "batch 128",
+        [
+            0x40b5758def442094,
+            0x40873cfdaf68fbc8,
+            0x40b5758def442094,
+            0x40b56f5ff68b6deb,
+            0,
+        ],
+    ),
+    (
+        "batch 512",
+        [
+            0x40b5758def442094,
+            0x409992abe07a8cf6,
+            0x40b5758def442094,
+            0x40b56f5ff68b6deb,
+            0,
+        ],
+    ),
+    (
+        "batch 4096",
+        [
+            0x40c23b9854c1349d,
+            0x40c19b78b2e86835,
+            0x40b5758def442094,
+            0x40c23b9854c1349d,
+            0,
+        ],
+    ),
+    (
+        "fusion before",
+        [
+            0x40b5758def442094,
+            0x409992abe07a8cf6,
+            0x40b5758def442094,
+            0x40b56f5ff68b6deb,
+            0,
+        ],
+    ),
+    (
+        "fusion after",
+        [
+            0x40b35eaf6122fbce,
+            0x409969ca5e2f6e78,
+            0x40b35eaf6122fbce,
+            0x40b35881686a4925,
+            0,
+        ],
+    ),
+    (
+        "hoist before",
+        [
+            0x40b5758def442094,
+            0x409992abe07a8cf6,
+            0x40b5758def442094,
+            0x40b56f5ff68b6deb,
+            0,
+        ],
+    ),
+    (
+        "hoist after",
+        [
+            0x40b5758def4420ac,
+            0x409992abe07a8cf4,
+            0x40b5758def4420ac,
+            0x40afe84adc181707,
+            0,
+        ],
+    ),
+    (
+        "round-robin",
+        [
+            0x402ce2a5e09e1aca,
+            0x4023ccc66def1fb6,
+            0x4028e31adef09fc8,
+            0x4028f53988c09a04,
+            0x3ff2c32ae7f4c242,
+        ],
+    ),
+    (
+        "LPT by rows",
+        [
+            0x4000b22188d3d13c,
+            0x4000b0fcb5441288,
+            0x4046244c8c81ceac,
+            0x4010a94e85d887cf,
+            0x400aeddd34b3450a,
+        ],
+    ),
+    (
+        "LPT by cost",
+        [
+            0x402d001c2760031e,
+            0x402cf2b99344ca0e,
+            0x4028d0a351b670ec,
+            0x4028d36e630e827e,
+            0x3ff140427d59e2e7,
+        ],
+    ),
 ];
 
 #[test]
@@ -204,19 +291,38 @@ fn codesign_whatifs_are_frozen() {
         3,
     );
     let registry = pipeline.predictor().registry().clone();
-    let (resize, fuse, hoist) =
-        (GraphMutation::ResizeBatch, GraphMutation::FuseEmbeddingBags, GraphMutation::HoistAll);
+    let (resize, fuse, hoist) = (
+        GraphMutation::ResizeBatch,
+        GraphMutation::FuseEmbeddingBags,
+        GraphMutation::HoistAll,
+    );
     let predictions = price(
         pipeline,
         &unfused,
-        &[&[resize(128)], &[resize(512)], &[resize(4096)], &[], &[fuse], &[], &[hoist]],
+        &[
+            &[resize(128)],
+            &[resize(512)],
+            &[resize(4096)],
+            &[],
+            &[fuse],
+            &[],
+            &[hoist],
+        ],
     );
     let names = [
-        "batch 128", "batch 512", "batch 4096", "fusion before", "fusion after", "hoist before",
+        "batch 128",
+        "batch 512",
+        "batch 4096",
+        "fusion before",
+        "fusion after",
+        "hoist before",
         "hoist after",
     ];
-    let mut got: Vec<(String, [u64; 5])> =
-        names.iter().zip(&predictions).map(|(n, p)| (n.to_string(), prediction_bits(p))).collect();
+    let mut got: Vec<(String, [u64; 5])> = names
+        .iter()
+        .zip(&predictions)
+        .map(|(n, p)| (n.to_string(), prediction_bits(p)))
+        .collect();
 
     let tables = KAGGLE_TABLE_ROWS;
     for (name, plan) in [
@@ -233,7 +339,9 @@ fn codesign_whatifs_are_frozen() {
         got.push((name.into(), row));
     }
 
-    let want: Vec<(String, [u64; 5])> =
-        FROZEN.iter().map(|&(n, row)| (n.to_string(), row)).collect();
+    let want: Vec<(String, [u64; 5])> = FROZEN
+        .iter()
+        .map(|&(n, row)| (n.to_string(), row))
+        .collect();
     assert_eq!(got, want, "a co-design what-if changed bitwise");
 }
