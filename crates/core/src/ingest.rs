@@ -28,7 +28,9 @@ use serde::{Deserialize, Serialize};
 use dlperf_faults::{site_key, FaultInjector};
 use dlperf_gpusim::KernelFamily;
 use dlperf_kernels::{Confidence, ModelRegistry};
-use dlperf_runtime::{fnv1a64, CancellationToken, JobContext, JobError, ResumableJob, StepOutcome};
+use dlperf_runtime::{
+    fnv1a64, panic_message, CancellationToken, JobContext, JobError, ResumableJob, StepOutcome,
+};
 use dlperf_trace::ingest::{
     ingest_file, FileReject, FileReport, FileStatus, IngestLimits, QuarantineReport, SkipCounts,
 };
@@ -200,14 +202,9 @@ impl CorpusIngestJob {
                 (ingest.report, samples, unattributed, digest)
             }
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "opaque panic payload".to_string());
                 let report = FileReport {
                     label: path.display().to_string(),
-                    status: FileStatus::Quarantined(FileReject::Panic(msg)),
+                    status: FileStatus::Quarantined(FileReject::Panic(panic_message(&*payload))),
                     traces: 0,
                     events_accepted: 0,
                     skips: SkipCounts::default(),

@@ -626,14 +626,15 @@ impl Drop for QuietPanicGuard {
     }
 }
 
-/// Best-effort extraction of a panic payload message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic's payload: the `&str` or `String` that
+/// `panic!` carries, or `"opaque panic payload"` for any other type.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
-        "non-string panic payload".to_string()
+        "opaque panic payload".to_string()
     }
 }
 
@@ -1003,5 +1004,16 @@ mod tests {
             "at least one hang should fire at these odds"
         );
         assert!(report.restarts.iter().any(|r| r.cause.contains("hung")));
+    }
+
+    #[test]
+    fn panic_message_reads_string_payloads_and_names_the_rest() {
+        let message = |f: fn()| panic_message(&*std::panic::catch_unwind(f).unwrap_err());
+        assert_eq!(message(|| panic!("static text")), "static text");
+        assert_eq!(message(|| panic!("formatted {}", 7)), "formatted 7");
+        assert_eq!(
+            message(|| std::panic::panic_any(42u32)),
+            "opaque panic payload"
+        );
     }
 }

@@ -57,7 +57,7 @@ use dlperf_graph::Graph;
 use dlperf_kernels::{MemoCacheStats, ModelRegistry};
 use dlperf_models::zoo;
 use dlperf_obs::{CounterGroup, CounterHandle};
-use dlperf_runtime::{CancellationToken, Watchdog};
+use dlperf_runtime::{panic_message, CancellationToken, Watchdog};
 
 use crate::api::{
     Body, ErrorBody, ErrorCode, Op, PredictQuery, PredictionBody, Request, Response, StatsBody,
@@ -799,17 +799,6 @@ fn encode_response(resp: &Response) -> String {
     serde_json::to_string(resp).unwrap_or_else(|_| {
         r#"{"id": 0, "body": {"Error": {"code": 500, "kind": "internal", "message": "response serialization failed"}}}"#.to_string()
     })
-}
-
-/// Extracts the panic payload's message, like the supervisor does.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
 }
 
 thread_local! {
