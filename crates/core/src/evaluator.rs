@@ -1,14 +1,16 @@
 //! The one pricing handle: the calibrated pipelines, one [`MemoCache`] per
-//! device, a [`PreparedStore`] of prepared graphs and per-device
-//! incremental baselines, and a pool of [`WalkScratch`]es for fan-out
-//! workers. The sweep engine, the optimization search, the distributed
-//! predictor and every pricing endpoint of the server hold one.
-//! [`Evaluator::price`] is the one place that picks incremental
-//! re-prediction or the full walk, a memo cache or none, and a
-//! cancellable walk or not. Everything stored is a pure function of its
-//! inputs and memo hits are bitwise identical to model evaluations, so
-//! reuse across candidates, runs, requests and threads never shows in a
-//! result.
+//! device (or none), a [`PreparedStore`] of prepared graphs and
+//! per-device incremental baselines, and a pool of [`WalkScratch`]es for
+//! fan-out workers. The sweep engine, the optimization search, the
+//! distributed predictor and every pricing endpoint of the server hold
+//! one. Whether kernel queries go through memo caches is chosen once, when
+//! the evaluator is built ([`Evaluator::new`] or [`Evaluator::uncached`]),
+//! and every walk it makes — baselines, checkpoints and prices alike —
+//! follows that choice. [`Evaluator::price`] is the one place that picks
+//! incremental re-prediction or the full walk, and a cancellable walk or
+//! not. Everything stored is a pure function of its inputs and memo hits
+//! are bitwise identical to model evaluations, so reuse across
+//! candidates, runs, requests and threads never shows in a result.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -287,7 +289,8 @@ impl Drop for PooledScratch<'_> {
 /// The shared pricing stack. See the module docs.
 pub struct Evaluator<'p> {
     pipelines: Cow<'p, [Pipeline]>,
-    caches: Vec<Arc<MemoCache>>,
+    /// One memo cache per device, or `None` for an uncached evaluator.
+    caches: Option<Vec<Arc<MemoCache>>>,
     store: Arc<PreparedStore>,
     /// Parked scratches, checked out one per fan-out worker; persisting
     /// them across runs keeps steady-state pricing and stepping
@@ -309,6 +312,18 @@ impl<'p> Evaluator<'p> {
             .iter()
             .map(|_| Arc::new(MemoCache::with_capacity(memo_capacity)))
             .collect();
+        Self::build(pipelines, Some(caches))
+    }
+
+    /// Wraps `pipelines` (one per device) with no memo caches: every
+    /// kernel query of every walk evaluates its model. Predictions are
+    /// bitwise identical to a memoized evaluator's; this is the reference
+    /// the determinism tests compare against.
+    pub fn uncached(pipelines: impl Into<Cow<'p, [Pipeline]>>) -> Self {
+        Self::build(pipelines.into(), None)
+    }
+
+    fn build(pipelines: Cow<'p, [Pipeline]>, caches: Option<Vec<Arc<MemoCache>>>) -> Self {
         Evaluator {
             pipelines,
             caches,
@@ -319,18 +334,34 @@ impl<'p> Evaluator<'p> {
 
     /// A view over `devices` (indices into this evaluator's pipelines, in
     /// the view's device order): clones of those pipelines sharing their
-    /// memo caches, with a fresh store and scratch pool, so what the view
-    /// prepares lives only as long as the view.
+    /// memo caches (none when this evaluator is uncached), with a fresh
+    /// store and scratch pool, so what the view prepares lives only as
+    /// long as the view.
     ///
     /// # Panics
     /// Panics if a device index is out of range.
     pub fn subset(&self, devices: &[usize]) -> Evaluator<'static> {
-        Evaluator {
-            pipelines: Cow::Owned(devices.iter().map(|&d| self.pipelines[d].clone()).collect()),
-            caches: devices.iter().map(|&d| self.caches[d].clone()).collect(),
-            store: Arc::default(),
-            scratch_pool: Mutex::default(),
-        }
+        let pipelines = devices.iter().map(|&d| self.pipelines[d].clone()).collect();
+        let caches = self
+            .caches
+            .as_ref()
+            .map(|caches| devices.iter().map(|&d| caches[d].clone()).collect());
+        Evaluator::build(Cow::Owned(pipelines), caches)
+    }
+
+    /// The pipelines, for rebuilding an evaluator over them.
+    pub(crate) fn into_pipelines(self) -> Cow<'p, [Pipeline]> {
+        self.pipelines
+    }
+
+    /// Whether kernel queries go through per-device memo caches.
+    pub fn is_memoized(&self) -> bool {
+        self.caches.is_some()
+    }
+
+    /// `device`'s memo cache, or `None` on an uncached evaluator.
+    fn cache(&self, device: usize) -> Option<&MemoCache> {
+        self.caches.as_ref().map(|caches| &*caches[device])
     }
 
     /// The calibrated pipelines, indexed by device.
@@ -344,8 +375,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// The checkpointed baseline walk of `base` on `device`: a store hit,
-    /// or one full walk through the device's memo cache that is then
-    /// stored. The store must already be rebased on `base`.
+    /// or one [`Evaluator::checkpoint`] walk that is then stored. The store must already be rebased on `base`.
     ///
     /// # Errors
     /// The [`LowerError`] of a base graph that does not lower; nothing is
@@ -358,13 +388,13 @@ impl<'p> Evaluator<'p> {
         if let Some(b) = self.store.baseline(device) {
             return Ok(b);
         }
-        let b = Arc::new(self.checkpoint(device, base, true)?);
+        let b = Arc::new(self.checkpoint(device, base)?);
         self.store.insert_baseline(device, b.clone());
         Ok(b)
     }
 
     /// One baseline walk of `base` on `device`, kernel queries through the
-    /// device's memo cache when `use_cache` is set, checkpointed for
+    /// device's memo cache if the evaluator has one, checkpointed for
     /// [`Evaluator::price`]'s incremental route and not stored.
     ///
     /// # Errors
@@ -373,19 +403,14 @@ impl<'p> Evaluator<'p> {
         &self,
         device: usize,
         base: &Graph,
-        use_cache: bool,
     ) -> Result<IncrementalPredictor, LowerError> {
         let predictor = self.pipelines[device].predictor().clone();
-        if use_cache {
-            IncrementalPredictor::with_cache(predictor, base.clone(), &self.caches[device])
-        } else {
-            IncrementalPredictor::new(predictor, base.clone())
-        }
+        IncrementalPredictor::build(predictor, base.clone(), self.cache(device))
     }
 
     /// Prices `graph` on `device`: dirty-frontier re-prediction against
     /// `baseline` when one is given, the full walk otherwise, with kernel
-    /// queries through the device's memo cache when `use_cache` is set.
+    /// queries through the device's memo cache if the evaluator has one.
     /// The full walk observes `cancel` between op steps; re-prediction is
     /// bounded by its dirty frontier and does not poll it. Both routes are
     /// bitwise identical; the stats are `Some` exactly when the
@@ -399,11 +424,10 @@ impl<'p> Evaluator<'p> {
         device: usize,
         graph: &Graph,
         baseline: Option<&IncrementalPredictor>,
-        use_cache: bool,
         cancel: Option<&CancellationToken>,
         scratch: &mut WalkScratch,
     ) -> Result<(Prediction, Option<IncrementalStats>), PredictError> {
-        let cache = use_cache.then(|| &*self.caches[device]);
+        let cache = self.cache(device);
         match baseline {
             Some(b) => b
                 .repredict_scratch(graph, cache, scratch)
@@ -454,9 +478,56 @@ impl<'p> Evaluator<'p> {
         agg
     }
 
-    /// Merged counters across all per-device memo caches.
+    /// Merged counters across all per-device memo caches; all zero on an
+    /// uncached evaluator.
     pub fn cache_stats(&self) -> MemoCacheStats {
-        let all: Vec<MemoCacheStats> = self.caches.iter().map(|c| c.stats()).collect();
+        let all: Vec<MemoCacheStats> = self.caches.iter().flatten().map(|c| c.stats()).collect();
         MemoCacheStats::merged(&all)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sweep::DEFAULT_MEMO_CAPACITY;
+    use dlperf_gpusim::DeviceSpec;
+    use dlperf_graph::transform::resize_batch;
+    use dlperf_kernels::CalibrationEffort;
+    use dlperf_models::DlrmConfig;
+
+    #[test]
+    fn uncached_evaluator_prices_the_same_bits_through_no_memo() {
+        let g = DlrmConfig {
+            rows_per_table: vec![50_000; 4],
+            ..DlrmConfig::default_config(256)
+        }
+        .build();
+        let pipe = Pipeline::analyze(
+            &DeviceSpec::v100(),
+            std::slice::from_ref(&g),
+            CalibrationEffort::Quick,
+            6,
+            21,
+        );
+        let memoized = Evaluator::new(vec![pipe.clone()], DEFAULT_MEMO_CAPACITY);
+        let uncached = Evaluator::uncached(vec![pipe]);
+        let mut resized = g.clone();
+        resize_batch(&mut resized, 512).expect("dlrm resizes");
+        let bits = |eval: &Evaluator| {
+            let mut scratch = WalkScratch::new();
+            eval.store().rebase(&g.index());
+            let baseline = eval.baseline(0, &g).expect("baseline walks");
+            [Some(&*baseline), None].map(|b| {
+                let (p, _) = eval
+                    .price(0, &resized, b, None, &mut scratch)
+                    .expect("prices");
+                p.e2e_us.to_bits()
+            })
+        };
+        assert_eq!(bits(&uncached), bits(&memoized));
+        assert!(memoized.cache_stats().misses > 0);
+        assert_eq!(uncached.cache_stats(), MemoCacheStats::default());
+        assert!(memoized.subset(&[0]).is_memoized());
+        assert!(!uncached.subset(&[0]).is_memoized());
     }
 }

@@ -177,7 +177,9 @@ impl IncrementalPredictor {
         Self::build(predictor, base, Some(cache))
     }
 
-    fn build(
+    /// Checkpoints a baseline walk, pricing kernels through `cache` when
+    /// one is given.
+    pub(crate) fn build(
         predictor: E2ePredictor,
         base: Graph,
         cache: Option<&MemoCache>,

@@ -263,8 +263,6 @@ pub struct SearchConfig {
     pub top_k: usize,
     /// Worker threads for beam expansion (1 = the bitwise reference path).
     pub threads: usize,
-    /// Whether kernel-model queries go through per-device memo caches.
-    pub use_cache: bool,
     /// Branch-and-bound slack: a candidate predicted slower than the
     /// incumbent best by more than this fraction is pruned (not expanded
     /// further; its own score still ranks). `0.05` = keep exploring
@@ -279,7 +277,6 @@ impl Default for SearchConfig {
             max_depth: 3,
             top_k: 10,
             threads: 1,
-            use_cache: true,
             prune_slack: 0.05,
         }
     }
@@ -405,8 +402,8 @@ where
 
     /// A search pricing through `eval` (its device 0 is the baseline
     /// device) with default config and no extra axis. Memo hits are
-    /// bitwise invisible, so whose caches the evaluator holds never shows
-    /// in the report.
+    /// bitwise invisible, so whose caches the evaluator holds, or whether
+    /// it holds any ([`Evaluator::uncached`]), never shows in the report.
     pub fn with_evaluator(eval: Evaluator<'a>) -> Self {
         let device_labels = eval
             .pipelines()
@@ -571,14 +568,7 @@ where
                             let baseline = Some(&*baselines[cand.device]);
                             let (p, stats) = self
                                 .eval
-                                .price(
-                                    cand.device,
-                                    g,
-                                    baseline,
-                                    self.config.use_cache,
-                                    None,
-                                    scratch,
-                                )
+                                .price(cand.device, g, baseline, None, scratch)
                                 .map_err(|e| e.uncancelled().to_string())?;
                             (p.e2e_us, stats.is_some_and(|s| !s.full_fallback))
                         }

@@ -580,7 +580,6 @@ pub struct SweepEngine {
     /// skip preparation and allocation.
     eval: Evaluator<'static>,
     threads: usize,
-    use_cache: bool,
     use_incremental: bool,
     token: CancellationToken,
     /// Scenarios evaluated per supervised checkpoint step.
@@ -605,7 +604,6 @@ impl SweepEngine {
         SweepEngine {
             eval: Evaluator::new(pipelines, DEFAULT_MEMO_CAPACITY),
             threads,
-            use_cache: true,
             use_incremental: true,
             token: CancellationToken::new(),
             chunk: 16,
@@ -650,9 +648,24 @@ impl SweepEngine {
         self
     }
 
-    /// Enables or disables the kernel-model memo caches (builder style).
+    /// Chooses between the memoized path and the naive reference path
+    /// (builder style; memoized by default). On, the engine prices through
+    /// an [`Evaluator`] with per-device memo caches capped at
+    /// [`DEFAULT_MEMO_CAPACITY`]: each distinct mutation list is prepared
+    /// once into the store and re-priced against per-device baselines. Off,
+    /// it prices through [`Evaluator::uncached`]: every scenario is
+    /// prepared afresh and fully walked, with no memo and no store.
+    /// Switching drops the engine's caches and store; the results are
+    /// bitwise identical either way.
     pub fn with_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
+        if on != self.eval.is_memoized() {
+            let pipelines = self.eval.into_pipelines();
+            self.eval = if on {
+                Evaluator::new(pipelines, DEFAULT_MEMO_CAPACITY)
+            } else {
+                Evaluator::uncached(pipelines)
+            };
+        }
         self
     }
 
@@ -726,7 +739,7 @@ impl SweepEngine {
             Err(e) => Err(e.to_string()),
             Ok(g) => self
                 .eval
-                .price(s.device, g, baseline, self.use_cache, None, scratch)
+                .price(s.device, g, baseline, None, scratch)
                 .map_err(|e| format!("lowering failed: {}", e.uncancelled())),
         };
         let label = s.label.clone();
@@ -775,7 +788,7 @@ impl SweepEngine {
         sweep_counters().runs.incr();
         let start = Instant::now();
         let mut summary = IncrementalSummary::default();
-        let results: Vec<Option<ScenarioResult>> = if self.use_cache {
+        let results: Vec<Option<ScenarioResult>> = if self.eval.is_memoized() {
             // Phase 1: prepare each distinct mutation list once, in
             // parallel — scenarios differing only in device share the
             // transformed graph, and lists already prepared by an earlier
@@ -853,7 +866,7 @@ impl SweepEngine {
             cancelled,
             threads,
             wall_ms: start.elapsed().as_secs_f64() * 1e3,
-            cache: self.use_cache.then(|| self.cache_stats()),
+            cache: self.eval.is_memoized().then(|| self.cache_stats()),
             incremental: (summary.scenarios > 0).then_some(summary),
         }
     }
@@ -884,7 +897,7 @@ impl std::fmt::Debug for SweepEngine {
         f.debug_struct("SweepEngine")
             .field("pipelines", &self.pipelines().len())
             .field("threads", &self.threads)
-            .field("use_cache", &self.use_cache)
+            .field("memoized", &self.eval.is_memoized())
             .field("chunk", &self.chunk)
             .finish()
     }

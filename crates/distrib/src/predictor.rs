@@ -40,35 +40,20 @@ impl DistributedPrediction {
 pub struct DistributedPredictor<'e> {
     pub(crate) eval: &'e Evaluator<'e>,
     device: usize,
-    use_cache: bool,
 }
 
 impl<'e> DistributedPredictor<'e> {
     /// Prices jobs on `eval`'s pipeline `device`, kernel queries through
-    /// that device's memo cache; unpinned collectives run on the topology
-    /// derived from the pipeline's device class.
+    /// that device's memo cache if `eval` has one; unpinned collectives
+    /// run on the topology derived from the pipeline's device class.
     pub fn new(eval: &'e Evaluator<'e>, device: usize) -> Self {
-        DistributedPredictor {
-            eval,
-            device,
-            use_cache: true,
-        }
-    }
-
-    /// Enables or disables the memo cache (builder style; on by default).
-    /// Memo hits are bitwise identical to model evaluations, so this
-    /// changes speed only.
-    pub fn with_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
-        self
+        DistributedPredictor { eval, device }
     }
 
     /// A baseline walk of `segment` for [`DistributedPredictor::price`]'s
     /// `baselines`, or `None` when it does not lower.
     pub(crate) fn checkpoint(&self, segment: &Graph) -> Option<IncrementalPredictor> {
-        self.eval
-            .checkpoint(self.device, segment, self.use_cache)
-            .ok()
+        self.eval.checkpoint(self.device, segment).ok()
     }
 
     /// The device class unpinned collectives are priced on.
@@ -123,7 +108,7 @@ impl<'e> DistributedPredictor<'e> {
                 let baseline = baselines.get(i).and_then(Option::as_ref);
                 let (p, stats) = self
                     .eval
-                    .price(self.device, seg, baseline, self.use_cache, None, scratch)
+                    .price(self.device, seg, baseline, None, scratch)
                     .map_err(PredictError::uncancelled)?;
                 if let Some(stats) = stats {
                     summary.absorb(&stats);
@@ -226,6 +211,8 @@ mod tests {
     fn incremental_prediction_bitwise_matches_full() {
         let (job, eval) = setup(4, 2048);
         let pred = DistributedPredictor::new(&eval, 0);
+        let uncached = Evaluator::uncached(eval.pipelines());
+        let plain = DistributedPredictor::new(&uncached, 0);
         let mut scratch = WalkScratch::new();
         let baselines: Vec<_> = job
             .segments(0)
@@ -238,7 +225,7 @@ mod tests {
             DistributedDlrm::new(cfg, ShardingPlan::new(vec![0; tables], 4).unwrap()).unwrap();
         for j in [&job, &skewed] {
             let (inc, summary) = pred.price(j, None, &baselines, &mut scratch).unwrap();
-            let full = pred.with_cache(false).predict(j).unwrap();
+            let full = plain.predict(j).unwrap();
             assert_eq!(inc.e2e_us.to_bits(), full.e2e_us.to_bits());
             for (a, b) in inc.segment_us.iter().zip(&full.segment_us) {
                 assert_eq!(a.to_bits(), b.to_bits());

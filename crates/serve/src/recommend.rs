@@ -129,7 +129,7 @@ pub(crate) fn run(
                 });
                 continue;
             }
-            match shared.eval.price(d, g, None, true, Some(token), scratch) {
+            match shared.eval.price(d, g, None, Some(token), scratch) {
                 Ok((p, _)) => {
                     push_candidate(
                         &mut ranked,

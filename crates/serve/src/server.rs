@@ -746,39 +746,37 @@ fn route_predict(
             ));
         }
     };
-    Routed::Body(
-        match eval.price(device, g, None, true, Some(token), scratch) {
-            Ok((p, _)) if degraded => {
-                shared.degraded_answers.incr();
-                Body::Prediction(prediction_body(&p, "degraded"))
-            }
-            Ok((p, _)) => {
-                shared.breaker.record_success();
-                let confidence = if p.is_fully_calibrated() {
-                    "calibrated"
-                } else {
-                    "degraded"
-                };
-                Body::Prediction(prediction_body(&p, confidence))
-            }
-            Err(PredictError::Cancelled) => {
-                shared.deadline_expired.incr();
-                let note = if degraded { " (degraded)" } else { "" };
-                Body::error(
-                    ErrorCode::DeadlineExceeded,
-                    format!("deadline expired mid-walk{note}"),
-                )
-            }
-            Err(PredictError::Lower(e)) if degraded => Body::error(
-                ErrorCode::Internal,
-                format!("degraded lowering failed: {e}"),
-            ),
-            Err(PredictError::Lower(e)) => {
-                shared.breaker.record_failure();
-                Body::error(ErrorCode::Internal, format!("lowering failed: {e}"))
-            }
-        },
-    )
+    Routed::Body(match eval.price(device, g, None, Some(token), scratch) {
+        Ok((p, _)) if degraded => {
+            shared.degraded_answers.incr();
+            Body::Prediction(prediction_body(&p, "degraded"))
+        }
+        Ok((p, _)) => {
+            shared.breaker.record_success();
+            let confidence = if p.is_fully_calibrated() {
+                "calibrated"
+            } else {
+                "degraded"
+            };
+            Body::Prediction(prediction_body(&p, confidence))
+        }
+        Err(PredictError::Cancelled) => {
+            shared.deadline_expired.incr();
+            let note = if degraded { " (degraded)" } else { "" };
+            Body::error(
+                ErrorCode::DeadlineExceeded,
+                format!("deadline expired mid-walk{note}"),
+            )
+        }
+        Err(PredictError::Lower(e)) if degraded => Body::error(
+            ErrorCode::Internal,
+            format!("degraded lowering failed: {e}"),
+        ),
+        Err(PredictError::Lower(e)) => {
+            shared.breaker.record_failure();
+            Body::error(ErrorCode::Internal, format!("lowering failed: {e}"))
+        }
+    })
 }
 
 pub(crate) fn prediction_body(p: &dlperf_core::Prediction, confidence: &str) -> PredictionBody {

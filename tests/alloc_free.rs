@@ -232,7 +232,7 @@ fn warm_evaluator_price_allocates_nothing_on_either_route() {
     // Occupy the bounded cache with another batch's kernels first.
     let mut other = graph.clone();
     resize_batch(&mut other, 4096).expect("dlrm-default resizes");
-    eval.price(0, &other, None, true, None, &mut scratch)
+    eval.price(0, &other, None, None, &mut scratch)
         .expect("batch 4096 walks");
 
     eval.store().rebase(&graph.index());
@@ -248,7 +248,7 @@ fn warm_evaluator_price_allocates_nothing_on_either_route() {
     for (route, g, baseline, cancel) in routes {
         let mut price = || {
             let (_, stats) = eval
-                .price(0, g, baseline, true, cancel, &mut scratch)
+                .price(0, g, baseline, cancel, &mut scratch)
                 .expect("prices");
             assert_eq!(stats.is_some(), baseline.is_some(), "{route}: wrong route");
         };
@@ -269,7 +269,7 @@ fn warm_evaluator_fan_out_allocates_only_its_result() {
     let token = CancellationToken::new();
     let fan_out = || {
         let prices = eval.fan_out(1, &token, &graphs, |scratch, _, g| {
-            eval.price(0, g, None, true, None, scratch)
+            eval.price(0, g, None, None, scratch)
                 .expect("prices")
                 .0
                 .e2e_us

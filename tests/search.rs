@@ -89,9 +89,19 @@ fn fingerprint<X>(
     )
 }
 
-fn run_search(config: SearchConfig, batches: Vec<u64>) -> OptimizationReport {
+/// A search's evaluator: memoized, or the uncached reference, which makes
+/// no memo lookup anywhere, its baselines included.
+fn evaluator(pipelines: &[Pipeline], cached: bool) -> Evaluator<'_> {
+    if cached {
+        Evaluator::new(pipelines, DEFAULT_MEMO_CAPACITY)
+    } else {
+        Evaluator::uncached(pipelines)
+    }
+}
+
+fn run_search(cached: bool, config: SearchConfig, batches: Vec<u64>) -> OptimizationReport {
     let (pipelines, g) = base();
-    OptimizationSearch::<NoExtra>::new(pipelines)
+    OptimizationSearch::<NoExtra>::with_evaluator(evaluator(pipelines, cached))
         .with_config(config)
         .with_graph_moves(GraphMoves {
             batches,
@@ -104,7 +114,7 @@ fn run_search(config: SearchConfig, batches: Vec<u64>) -> OptimizationReport {
 #[test]
 fn planted_fusion_ranks_first_with_bitwise_exact_delta() {
     let (pipelines, g) = base();
-    let report = run_search(SearchConfig::default(), vec![]);
+    let report = run_search(true, SearchConfig::default(), vec![]);
 
     // The planted optimization: the DLRM graph has unfused embedding
     // bags, and fusing them is the only real win among the baseline-batch
@@ -202,8 +212,8 @@ fn distrib_axis_report_is_thread_invariant_and_prices_like_predict() {
         "8 threads diverged"
     );
 
-    let plain_eval = Evaluator::new(&pipelines[..], DEFAULT_MEMO_CAPACITY);
-    let plain_predictor = DistributedPredictor::new(&plain_eval, 0).with_cache(false);
+    let plain_eval = Evaluator::uncached(&pipelines[..]);
+    let plain_predictor = DistributedPredictor::new(&plain_eval, 0);
     let mut distributed = 0;
     for sc in &sequential.ranked {
         let Some(m) = &sc.candidate.extra else {
@@ -256,36 +266,35 @@ proptest! {
         beam in 2usize..6,
         depth in 1usize..3,
     ) {
-        let make = |threads: usize, use_cache: bool| SearchConfig {
+        let make = |threads: usize| SearchConfig {
             beam_width: beam,
             max_depth: depth,
             threads,
-            use_cache,
             ..SearchConfig::default()
         };
         // Reference: one thread, no cache.
-        let reference = fingerprint(&run_search(make(1, false), batches.clone()));
+        let reference = fingerprint(&run_search(false, make(1), batches.clone()));
         // A second run on the same search object, its prepared graphs,
         // baselines and memo caches warm from the first.
         let (pipelines, g) = base();
         let search = OptimizationSearch::<NoExtra>::new(pipelines)
-            .with_config(make(2, true))
+            .with_config(make(2))
             .with_graph_moves(GraphMoves { batches: batches.clone(), ..GraphMoves::default() });
         search.run(g).expect("search runs");
         let warm = fingerprint(&search.run(g).expect("warm search runs"));
         prop_assert_eq!(&warm, &reference, "warm re-run diverged");
         for threads in [1usize, 2, 8] {
-            for use_cache in [false, true] {
-                if threads == 1 && !use_cache {
+            for cached in [false, true] {
+                if threads == 1 && !cached {
                     continue;
                 }
-                let got = fingerprint(&run_search(make(threads, use_cache), batches.clone()));
+                let got = fingerprint(&run_search(cached, make(threads), batches.clone()));
                 prop_assert_eq!(
                     &got,
                     &reference,
                     "threads={} cache={} diverged",
                     threads,
-                    use_cache
+                    cached
                 );
             }
         }

@@ -252,7 +252,8 @@ proptest! {
         }
         // Cache off: price each buildable cell alone through the plain
         // (uncached, non-incremental) predictor. Bitwise identical.
-        let plain_predictor = DistributedPredictor::new(&fresh, 0).with_cache(false);
+        let uncached = Evaluator::uncached(pipes);
+        let plain_predictor = DistributedPredictor::new(&uncached, 0);
         for (scenario, got) in scenarios.iter().zip(&reference) {
             let Ok(plan) = &scenario.plan else { continue };
             let Ok(job) = DistributedDlrm::new(cfg.clone(), plan.clone())
