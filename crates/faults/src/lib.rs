@@ -529,7 +529,9 @@ impl FaultInjector {
         self.plan.host_jitter_us
     }
 
-    /// Evaluates the timeout/retry model for one collective.
+    /// Evaluates the timeout/retry model for one collective, with no retry
+    /// deadline: [`FaultInjector::collective_outcome_with_budget`] with a
+    /// budget of `None`.
     ///
     /// Each attempt independently times out with the plan's drop
     /// probability (decided by the stateless site hash over
@@ -544,41 +546,22 @@ impl FaultInjector {
         collective: usize,
         base_us: f64,
     ) -> CollectiveOutcome {
-        let p = self.plan.collective_drop_prob.clamp(0.0, 1.0);
-        let mut added = 0.0;
-        let mut attempts = 0u32;
-        let mut dropped = true;
-        while attempts <= self.plan.max_retries {
-            let fails =
-                p > 0.0 && self.unit(&[0xC011, iteration, collective as u64, attempts as u64]) < p;
-            attempts += 1;
-            if !fails {
-                dropped = false;
-                break;
-            }
-            added += self.plan.collective_timeout_us
-                + self.plan.backoff_base_us * f64::from(1u32 << (attempts - 1).min(20));
-        }
-        let outcome = CollectiveOutcome {
-            attempts,
-            retries: attempts - 1,
-            added_latency_us: added,
-            dropped,
-            total_us: base_us + added,
-        };
-        record_collective(&outcome);
-        outcome
+        self.collective_outcome_with_budget(iteration, collective, base_us, None)
     }
 
-    /// Like [`FaultInjector::collective_outcome`], but with a retry
-    /// deadline: once the accumulated timeout/backoff penalty would exceed
-    /// `retry_budget_us` of simulated time, remaining retries are skipped,
-    /// the penalty is capped at the budget (the engine waited exactly
-    /// until its deadline), and the collective is declared dropped.
+    /// Like [`FaultInjector::collective_outcome`], but with an optional
+    /// retry deadline: once the accumulated timeout/backoff penalty would
+    /// exceed `retry_budget_us` of simulated time, remaining retries are
+    /// skipped, the penalty is capped at the budget (the engine waited
+    /// exactly until its deadline), and the collective is declared
+    /// dropped. A budget of `None` never caps.
     ///
-    /// Per-attempt outcomes hash the same sites as the unbudgeted model,
+    /// Per-attempt outcomes hash the same sites with or without a budget,
     /// so adding a budget never changes *which* attempts fail — only how
     /// long the engine is willing to keep retrying.
+    ///
+    /// # Panics
+    /// Panics if the budget is negative or not finite.
     pub fn collective_outcome_with_budget(
         &self,
         iteration: u64,
@@ -586,16 +569,12 @@ impl FaultInjector {
         base_us: f64,
         retry_budget_us: Option<f64>,
     ) -> CollectiveOutcome {
-        let budget = match retry_budget_us {
-            None => return self.collective_outcome(iteration, collective, base_us),
-            Some(b) => {
-                assert!(
-                    b >= 0.0 && b.is_finite(),
-                    "retry budget must be non-negative and finite"
-                );
-                b
-            }
-        };
+        if let Some(b) = retry_budget_us {
+            assert!(
+                b >= 0.0 && b.is_finite(),
+                "retry budget must be non-negative and finite"
+            );
+        }
         let p = self.plan.collective_drop_prob.clamp(0.0, 1.0);
         let mut added = 0.0;
         let mut attempts = 0u32;
@@ -610,7 +589,7 @@ impl FaultInjector {
             }
             let penalty = self.plan.collective_timeout_us
                 + self.plan.backoff_base_us * f64::from(1u32 << (attempts - 1).min(20));
-            if added + penalty >= budget {
+            if let Some(budget) = retry_budget_us.filter(|&b| added + penalty >= b) {
                 added = budget;
                 break;
             }
