@@ -1,15 +1,14 @@
-//! Communication-collective timing (the multi-GPU extension of §V-B).
+//! Communication-collective vocabulary (the multi-GPU extension of §V-B).
 //!
 //! The paper names kernel performance models for `all_to_all` and
 //! `all_reduce` as the missing piece for distributed-training prediction.
-//! The simulator here provides the ground truth: bandwidth-latency models
-//! of the standard algorithms (ring all-reduce, pairwise all-to-all, ring
-//! all-gather) with a message-size efficiency ramp — small messages are
-//! latency-bound, large ones approach the link bandwidth.
+//! This module names the collectives ([`CollectiveKind`]) and one
+//! invocation ([`CollectiveSpec`]). They are priced elsewhere: the ground
+//! truth is the step-by-step link-graph oracle
+//! ([`crate::interconnect::LinkGraph::simulate`]), and the prediction is
+//! the α–β `CommModel` in `dlperf-distrib`.
 
 use serde::{Deserialize, Serialize};
-
-use crate::device::DeviceSpec;
 
 /// Which collective operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -42,118 +41,4 @@ pub struct CollectiveSpec {
     pub bytes_per_rank: u64,
     /// Number of participating GPUs.
     pub world: u32,
-}
-
-/// Message size at which a link reaches half its peak bandwidth.
-const LINK_HALF_SAT_BYTES: f64 = 256.0 * 1024.0;
-
-/// Simulated execution time of a collective in microseconds.
-///
-/// # Panics
-/// Panics if `world` is zero.
-pub fn simulate(device: &DeviceSpec, spec: &CollectiveSpec) -> f64 {
-    assert!(spec.world > 0, "collective needs at least one rank");
-    let w = spec.world as f64;
-    if spec.world == 1 {
-        return 0.0; // degenerate: nothing to exchange
-    }
-    let link = device.interconnect_bytes_per_us();
-    let lat = device.interconnect_latency_us;
-    let bytes = spec.bytes_per_rank as f64;
-
-    let (wire_bytes, steps) = match spec.kind {
-        // Ring all-reduce moves 2(w-1)/w of the payload in 2(w-1) steps.
-        CollectiveKind::AllReduce => (2.0 * (w - 1.0) / w * bytes, 2.0 * (w - 1.0)),
-        // Pairwise all-to-all sends (w-1)/w of the payload in w-1 steps.
-        CollectiveKind::AllToAll => ((w - 1.0) / w * bytes, w - 1.0),
-        // Ring all-gather moves (w-1)/w of the *gathered* payload.
-        CollectiveKind::AllGather => ((w - 1.0) / w * bytes, w - 1.0),
-    };
-    let per_step = wire_bytes / steps;
-    let eff = per_step / (per_step + LINK_HALF_SAT_BYTES);
-    wire_bytes / (link * eff).max(1e-9) + steps * lat + device.kernel_start_us
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn spec(kind: CollectiveKind, bytes: u64, world: u32) -> CollectiveSpec {
-        CollectiveSpec {
-            kind,
-            bytes_per_rank: bytes,
-            world,
-        }
-    }
-
-    #[test]
-    fn single_rank_is_free() {
-        let d = DeviceSpec::v100();
-        assert_eq!(
-            simulate(&d, &spec(CollectiveKind::AllReduce, 1 << 20, 1)),
-            0.0
-        );
-    }
-
-    #[test]
-    fn allreduce_moves_twice_alltoall() {
-        // For the same payload and world, ring all-reduce moves ~2x the
-        // bytes of an all-to-all.
-        let d = DeviceSpec::v100();
-        let big = 256u64 << 20;
-        let ar = simulate(&d, &spec(CollectiveKind::AllReduce, big, 8));
-        let aa = simulate(&d, &spec(CollectiveKind::AllToAll, big, 8));
-        let ratio = ar / aa;
-        assert!((1.7..2.3).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn bandwidth_bound_for_large_payloads() {
-        let d = DeviceSpec::v100();
-        let bytes = 1u64 << 30;
-        let t = simulate(&d, &spec(CollectiveKind::AllReduce, bytes, 4));
-        let ideal = 2.0 * 3.0 / 4.0 * bytes as f64 / d.interconnect_bytes_per_us();
-        assert!(t < 1.3 * ideal, "t {t} vs ideal {ideal}");
-    }
-
-    #[test]
-    fn latency_bound_for_tiny_payloads() {
-        let d = DeviceSpec::v100();
-        let t = simulate(&d, &spec(CollectiveKind::AllReduce, 1024, 8));
-        // 14 hops x 5 us dominates.
-        assert!(t > 14.0 * d.interconnect_latency_us * 0.9);
-    }
-
-    #[test]
-    fn pcie_devices_pay_more() {
-        let big = 64u64 << 20;
-        let v = simulate(&DeviceSpec::v100(), &spec(CollectiveKind::AllToAll, big, 4));
-        let xp = simulate(
-            &DeviceSpec::titan_xp(),
-            &spec(CollectiveKind::AllToAll, big, 4),
-        );
-        assert!(
-            xp > 5.0 * v,
-            "PCIe all-to-all should be far slower: {xp} vs {v}"
-        );
-    }
-
-    #[test]
-    fn monotone_in_world_for_fixed_total_gradient() {
-        // All-reduce of a fixed gradient gets slower with more ranks (more
-        // steps, more latency).
-        let d = DeviceSpec::v100();
-        let mut prev = 0.0;
-        for w in [2u32, 4, 8, 16] {
-            let t = simulate(&d, &spec(CollectiveKind::AllReduce, 64 << 20, w));
-            assert!(t > prev);
-            prev = t;
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one rank")]
-    fn zero_world_panics() {
-        simulate(&DeviceSpec::v100(), &spec(CollectiveKind::AllReduce, 1, 0));
-    }
 }

@@ -190,11 +190,6 @@ impl DeviceSpec {
         self.pcie_bw_gbs * 1e3
     }
 
-    /// Inter-GPU interconnect bandwidth in bytes/us.
-    pub fn interconnect_bytes_per_us(&self) -> f64 {
-        self.interconnect_bw_gbs * 1e3
-    }
-
     /// The device's GPU-to-GPU link as an α–β [`crate::interconnect::LinkSpec`].
     pub fn link(&self) -> crate::interconnect::LinkSpec {
         crate::interconnect::LinkSpec::of(self)

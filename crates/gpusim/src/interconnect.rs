@@ -1,8 +1,8 @@
 //! Link-level interconnect modeling: α–β link specs and a step-by-step
 //! collective oracle over an explicit link graph.
 //!
-//! The flat model in [`crate::collective`] prices a collective from a single
-//! per-device bandwidth number. Real multi-GPU platforms are *graphs*:
+//! A single per-device bandwidth number cannot price a collective on a
+//! real multi-GPU platform, because real platforms are *graphs*:
 //! NVLink meshes, PCIe trees that funnel peer traffic through switches and
 //! a root complex, and multi-node clusters whose node uplinks are shared by
 //! every GPU in the node. This module provides
