@@ -278,21 +278,6 @@ impl Matrix {
         }
     }
 
-    /// Element-wise product (Hadamard), in place.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn hadamard_inplace(&mut self, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "hadamard shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= b;
-        }
-    }
-
     /// Column sums (gradient of a broadcast bias).
     pub fn col_sums(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.cols];

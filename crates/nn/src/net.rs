@@ -394,8 +394,9 @@ mod tests {
                 b: g.col_sums(),
             });
             if i > 0 {
-                g = g.matmul(&layers[i].w.transpose());
-                g.hadamard_inplace(&masks[i - 1]);
+                let h = g.matmul(&layers[i].w.transpose());
+                let mask = &masks[i - 1];
+                g = Matrix::from_fn(h.rows(), h.cols(), |r, c| h.at(r, c) * mask.at(r, c));
             }
         }
         slow_grads.reverse();

@@ -73,13 +73,4 @@ proptest! {
         let idx: Vec<usize> = (0..a.rows()).collect();
         prop_assert_eq!(a.select_rows(&idx), a);
     }
-
-    /// Hadamard with all-ones is the identity.
-    #[test]
-    fn hadamard_identity((a, _) in same_shape()) {
-        let ones = Matrix::from_fn(a.rows(), a.cols(), |_, _| 1.0);
-        let mut h = a.clone();
-        h.hadamard_inplace(&ones);
-        prop_assert_eq!(h, a);
-    }
 }
