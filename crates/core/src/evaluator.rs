@@ -355,7 +355,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// Whether kernel queries go through per-device memo caches.
-    pub fn is_memoized(&self) -> bool {
+    pub(crate) fn is_memoized(&self) -> bool {
         self.caches.is_some()
     }
 
@@ -375,7 +375,8 @@ impl<'p> Evaluator<'p> {
     }
 
     /// The checkpointed baseline walk of `base` on `device`: a store hit,
-    /// or one [`Evaluator::checkpoint`] walk that is then stored. The store must already be rebased on `base`.
+    /// or one [`Evaluator::checkpoint`] walk that is then stored. The store
+    /// must already be rebased on `base`.
     ///
     /// # Errors
     /// The [`LowerError`] of a base graph that does not lower; nothing is
