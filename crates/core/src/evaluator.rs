@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use dlperf_graph::lower::LowerError;
 use dlperf_graph::{Graph, GraphIndex};
@@ -63,8 +63,12 @@ struct PreparedInner {
 /// via `Arc`, across server workers — valid for a single base graph. The
 /// base is identified by its cached [`GraphIndex`] `Arc`: any structural
 /// mutation of the base drops that cache (see `Graph::index`), so a
-/// changed pointer means a changed base and clears the store. Holding the
-/// `Arc` keeps its address from being reused by a later allocation.
+/// changed pointer means a changed base. Every call that reads or fills
+/// the store names its base, and the store compares that base's pointer
+/// with the one it holds under its lock, clearing itself when they
+/// differ, so a graph or baseline of one base is never handed out for
+/// another. Holding the `Arc` keeps its
+/// address from being reused by a later allocation.
 /// Everything stored is a deterministic pure function of
 /// `(base, mutations)` / `(pipeline, base)`, so reuse is invisible in
 /// results.
@@ -121,23 +125,26 @@ impl PreparedStore {
         }
     }
 
-    /// Clears the store unless it was built for `base_index`'s graph.
-    pub fn rebase(&self, base_index: &Arc<GraphIndex>) {
+    /// Locks the store for `base`, first clearing it if it holds another
+    /// base's graphs and baselines. Every read and fill goes through here,
+    /// so nothing prepared for one base is ever handed out for another.
+    fn lock_for(&self, base: &Arc<GraphIndex>) -> MutexGuard<'_, PreparedInner> {
         let mut inner = self.inner.lock().expect("prepared store poisoned");
         if inner
             .base
             .as_ref()
-            .is_none_or(|a| !Arc::ptr_eq(a, base_index))
+            .is_none_or(|held| !Arc::ptr_eq(held, base))
         {
-            inner.base = Some(base_index.clone());
+            inner.base = Some(base.clone());
             inner.graphs.clear();
             inner.baselines.clear();
         }
+        inner
     }
 
     /// The prepared graph for `mutations`, refreshing its LRU stamp.
-    pub fn get(&self, mutations: &[GraphMutation]) -> Option<Arc<Result<Graph, MutationError>>> {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
+    fn get(&self, base: &Arc<GraphIndex>, mutations: &[GraphMutation]) -> Option<PreparedGraph> {
+        let mut inner = self.lock_for(base);
         inner.epoch += 1;
         let stamp = inner.epoch;
         match inner.graphs.get_mut(mutations) {
@@ -153,16 +160,18 @@ impl PreparedStore {
         }
     }
 
-    /// Stores a prepared graph, evicting the least-recently-accessed one
-    /// first when a *new* mutation list would exceed the cap. Returns the
-    /// stored `Arc` (the existing one if another worker raced the insert —
-    /// both hold the identical pure-function result).
+    /// Stores `graph` as `mutations` applied to `base`, evicting the
+    /// least-recently-accessed graph first when a *new* mutation list
+    /// would exceed the cap. Returns the stored `Arc` (the existing one if
+    /// another worker raced the insert — both hold the identical
+    /// pure-function result).
     pub fn insert(
         &self,
+        base: &Graph,
         mutations: Vec<GraphMutation>,
         graph: Arc<Result<Graph, MutationError>>,
     ) -> Arc<Result<Graph, MutationError>> {
-        let mut inner = self.inner.lock().expect("prepared store poisoned");
+        let mut inner = self.lock_for(&base.index());
         inner.epoch += 1;
         let stamp = inner.epoch;
         if let Some(entry) = inner.graphs.get_mut(&mutations) {
@@ -184,9 +193,9 @@ impl PreparedStore {
         graph
     }
 
-    /// The prepared graph for `mutations` applied to `base` (the graph the
-    /// store is rebased on): a store hit, or [`prepare_graph`] run outside
-    /// the lock and then inserted.
+    /// The prepared graph for `mutations` applied to `base`: a store hit,
+    /// or [`prepare_graph`] run outside the lock and then inserted. A store
+    /// holding another base's graphs is cleared first.
     ///
     /// A search child's list is its parent's plus one move, and the
     /// parent's graph is stored. When the list minus its last mutation is
@@ -199,43 +208,43 @@ impl PreparedStore {
         base: &Graph,
         mutations: &[GraphMutation],
     ) -> Arc<Result<Graph, MutationError>> {
-        if let Some(g) = self.get(mutations) {
+        let index = base.index();
+        if let Some(g) = self.get(&index, mutations) {
             return g;
         }
         let prepared = match mutations.split_last() {
-            Some((last, head)) => match self.peek(head).as_deref() {
+            Some((last, head)) => match self.peek(&index, head).as_deref() {
                 Some(Ok(parent)) => prepare_onto(parent.clone(), std::slice::from_ref(last)),
                 _ => prepare_graph(base, mutations),
             },
             None => prepare_graph(base, mutations),
         };
-        self.insert(mutations.to_vec(), Arc::new(prepared))
+        self.insert(base, mutations.to_vec(), Arc::new(prepared))
     }
 
     /// The prepared graph for `mutations`, without counting the lookup or
     /// refreshing its stamp.
-    fn peek(&self, mutations: &[GraphMutation]) -> Option<Arc<Result<Graph, MutationError>>> {
-        let inner = self.inner.lock().expect("prepared store poisoned");
+    fn peek(&self, base: &Arc<GraphIndex>, mutations: &[GraphMutation]) -> Option<PreparedGraph> {
+        let inner = self.lock_for(base);
         inner.graphs.get(mutations).map(|(g, _)| g.clone())
     }
 
-    /// The incremental baseline checkpointed for `device`, if any.
-    pub fn baseline(&self, device: usize) -> Option<Arc<IncrementalPredictor>> {
-        self.inner
-            .lock()
-            .expect("prepared store poisoned")
-            .baselines
-            .get(&device)
-            .cloned()
-    }
-
-    /// Stores the incremental baseline for `device`.
-    pub fn insert_baseline(&self, device: usize, baseline: Arc<IncrementalPredictor>) {
-        self.inner
-            .lock()
-            .expect("prepared store poisoned")
-            .baselines
-            .insert(device, baseline);
+    /// The incremental baseline of `base` on `device`: a store hit, or
+    /// `walk` run outside the lock and then stored. A store holding another
+    /// base's baselines is cleared first.
+    fn baseline(
+        &self,
+        device: usize,
+        base: &Graph,
+        walk: impl FnOnce() -> Result<IncrementalPredictor, LowerError>,
+    ) -> Result<Arc<IncrementalPredictor>, LowerError> {
+        let index = base.index();
+        if let Some(b) = self.lock_for(&index).baselines.get(&device) {
+            return Ok(b.clone());
+        }
+        let b = Arc::new(walk()?);
+        self.lock_for(&index).baselines.insert(device, b.clone());
+        Ok(b)
     }
 
     /// Current counters and occupancy.
@@ -375,8 +384,7 @@ impl<'p> Evaluator<'p> {
     }
 
     /// The checkpointed baseline walk of `base` on `device`: a store hit,
-    /// or one [`Evaluator::checkpoint`] walk that is then stored. The store
-    /// must already be rebased on `base`.
+    /// or one [`Evaluator::checkpoint`] walk that is then stored.
     ///
     /// # Errors
     /// The [`LowerError`] of a base graph that does not lower; nothing is
@@ -386,12 +394,8 @@ impl<'p> Evaluator<'p> {
         device: usize,
         base: &Graph,
     ) -> Result<Arc<IncrementalPredictor>, LowerError> {
-        if let Some(b) = self.store.baseline(device) {
-            return Ok(b);
-        }
-        let b = Arc::new(self.checkpoint(device, base)?);
-        self.store.insert_baseline(device, b.clone());
-        Ok(b)
+        self.store
+            .baseline(device, base, || self.checkpoint(device, base))
     }
 
     /// One baseline walk of `base` on `device`, kernel queries through the
@@ -516,7 +520,6 @@ mod tests {
         resize_batch(&mut resized, 512).expect("dlrm resizes");
         let bits = |eval: &Evaluator| {
             let mut scratch = WalkScratch::new();
-            eval.store().rebase(&g.index());
             let baseline = eval.baseline(0, &g).expect("baseline walks");
             [Some(&*baseline), None].map(|b| {
                 let (p, _) = eval

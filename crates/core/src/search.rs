@@ -475,7 +475,6 @@ where
         // anchors every repredict splices against, and building them is
         // the only full walk the search pays per device.
         let store = self.eval.store();
-        store.rebase(&base.index());
         let baselines: Vec<Arc<IncrementalPredictor>> = (0..pipelines.len())
             .map(|d| {
                 self.eval.baseline(d, base).map_err(|e| SearchError::Lower {

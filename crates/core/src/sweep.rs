@@ -15,9 +15,10 @@
 //! with the same mutation list (e.g. the same `hoisted` variant priced on
 //! three devices) share one transformed graph instead of re-running the
 //! transform per cell, and the prepared graphs persist across runs of the
-//! same engine on the same base graph (detected by graph-index identity),
-//! so steady-state re-sweeps skip the transform *and* the structural
-//! signature pass entirely. Graph transforms dominate scenario cost by
+//! same engine on the same base graph, so steady-state re-sweeps skip the
+//! transform *and* the structural signature pass entirely. The
+//! [`PreparedStore`] recognises its base by graph-index identity on every
+//! lookup and clears itself when a run brings another base. Graph transforms dominate scenario cost by
 //! orders of magnitude over a kernel-model query, so this sharing — not
 //! thread count — is the engine's biggest single-host win.
 //!
@@ -804,7 +805,6 @@ impl SweepEngine {
                 });
             }
             let store = self.eval.store();
-            store.rebase(&base.index());
             // A `None` prepared slot means cancellation hit phase 1; the
             // dependent scenarios stay unvisited (`None`), matching what a
             // cancelled sequential run leaves behind. The `Arc` clones held

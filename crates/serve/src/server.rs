@@ -244,7 +244,6 @@ impl Server {
         for &name in models {
             let base = zoo::build(name, cfg.base_batch)?;
             let prepared = Arc::new(PreparedStore::with_capacity(cfg.prepared_capacity));
-            prepared.rebase(&base.index());
             model_map.insert(name.to_string(), ModelEntry { base, prepared });
         }
 
@@ -869,9 +868,12 @@ mod tests {
             ..ServerConfig::default()
         };
         let server = Server::start(vec![pipeline], &["dlrm-default"], cfg, None).unwrap();
-        server.shared.models["dlrm-default"]
-            .prepared
-            .insert(vec![GraphMutation::ResizeBatch(768)], Arc::new(Ok(broken)));
+        let model = &server.shared.models["dlrm-default"];
+        model.prepared.insert(
+            &model.base,
+            vec![GraphMutation::ResizeBatch(768)],
+            Arc::new(Ok(broken)),
+        );
         let predict = |id| {
             let q = PredictQuery {
                 model: "dlrm-default".into(),

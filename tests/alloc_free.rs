@@ -235,7 +235,6 @@ fn warm_evaluator_price_allocates_nothing_on_either_route() {
     eval.price(0, &other, None, None, &mut scratch)
         .expect("batch 4096 walks");
 
-    eval.store().rebase(&graph.index());
     let baseline = eval.baseline(0, &graph).expect("dlrm-default walks");
     let mut resized = graph.clone();
     resize_batch(&mut resized, 2048).expect("dlrm-default resizes");

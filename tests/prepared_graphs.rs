@@ -206,7 +206,6 @@ fn a_store_extending_a_stored_parent_prepares_what_prepare_graph_prepares() {
         for (head_kind, head) in &lists {
             for (tail_kind, tail) in &lists {
                 let store = PreparedStore::new();
-                store.rebase(&base.index());
                 store.get_or_prepare(&base, head);
                 let list: Vec<GraphMutation> = head.iter().chain(tail).cloned().collect();
                 let text = |g: &Result<Graph, _>| match g {
