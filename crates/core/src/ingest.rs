@@ -29,7 +29,8 @@ use dlperf_faults::{site_key, FaultInjector};
 use dlperf_gpusim::KernelFamily;
 use dlperf_kernels::{Confidence, ModelRegistry};
 use dlperf_runtime::{
-    fnv1a64, panic_message, CancellationToken, JobContext, JobError, ResumableJob, StepOutcome,
+    fnv1a64, panic_message, CancellationToken, JobContext, JobError, QuietPanicGuard, ResumableJob,
+    StepOutcome,
 };
 use dlperf_trace::ingest::{
     ingest_file, FileReject, FileReport, FileStatus, IngestLimits, QuarantineReport, SkipCounts,
@@ -170,6 +171,7 @@ impl CorpusIngestJob {
         index: usize,
         path: &Path,
     ) -> (FileReport, Vec<(String, f64)>, u64, String) {
+        let quiet = QuietPanicGuard::engage();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = &self.injector {
                 if inj
@@ -181,6 +183,7 @@ impl CorpusIngestJob {
             }
             ingest_file(path, &self.limits)
         }));
+        drop(quiet);
         match outcome {
             Ok(ingest) => {
                 let mut samples = Vec::new();

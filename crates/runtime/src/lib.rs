@@ -35,7 +35,7 @@ pub use job::{JobContext, JobError, ResumableJob, StepOutcome};
 pub use snapshot::{fnv1a64, open, seal, Envelope, SnapshotError};
 pub use store::{CheckpointStore, FileStore, MemoryStore};
 pub use supervisor::{
-    panic_message, RestartRecord, RunReport, Supervisor, SupervisorConfig, SupervisorError,
-    CHECKPOINT_VERSION,
+    panic_message, QuietPanicGuard, RestartRecord, RunReport, Supervisor, SupervisorConfig,
+    SupervisorError, CHECKPOINT_VERSION,
 };
 pub use token::{CancellationToken, Watchdog};

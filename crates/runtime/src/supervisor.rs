@@ -593,36 +593,47 @@ impl Supervisor {
 }
 
 thread_local! {
-    /// Whether a supervised attempt is running on this thread — contained
-    /// panics are the supervisor's to report, so the default hook's
-    /// message + backtrace would be pure noise.
-    static SUPERVISED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Whether a [`QuietPanicGuard`] is engaged on this thread — a panic
+    /// its holder contains is the holder's to report, so the default
+    /// hook's message and backtrace would be pure noise.
+    static QUIET: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// Suppresses the panic hook's output for panics on the current thread
-/// while a supervised attempt runs; panics on other threads (and on this
-/// thread outside an attempt) still reach the previous hook untouched.
-struct QuietPanicGuard;
+/// while the guard lives; panics on other threads (and on this thread
+/// outside a guard) still reach the previous hook untouched. The hook is
+/// installed once per process, on the first engage. Guards nest: dropping
+/// one restores whatever the thread had before it was engaged.
+///
+/// Engage it around a `catch_unwind` whose caller reports the caught
+/// panic itself: a supervised attempt, a served request, an ingested
+/// file.
+#[must_use = "the guard silences panics only while it lives"]
+pub struct QuietPanicGuard {
+    was_quiet: bool,
+}
 
 impl QuietPanicGuard {
-    fn engage() -> Self {
+    /// Silences panics on the current thread until the guard is dropped.
+    pub fn engage() -> Self {
         static INSTALL: std::sync::Once = std::sync::Once::new();
         INSTALL.call_once(|| {
             let prev = std::panic::take_hook();
             std::panic::set_hook(Box::new(move |info| {
-                if !SUPERVISED.with(|s| s.get()) {
+                if !QUIET.with(std::cell::Cell::get) {
                     prev(info);
                 }
             }));
         });
-        SUPERVISED.with(|s| s.set(true));
-        QuietPanicGuard
+        QuietPanicGuard {
+            was_quiet: QUIET.with(|q| q.replace(true)),
+        }
     }
 }
 
 impl Drop for QuietPanicGuard {
     fn drop(&mut self) {
-        SUPERVISED.with(|s| s.set(false));
+        QUIET.with(|q| q.set(self.was_quiet));
     }
 }
 
@@ -1015,5 +1026,17 @@ mod tests {
             message(|| std::panic::panic_any(42u32)),
             "opaque panic payload"
         );
+    }
+
+    #[test]
+    fn quiet_guards_nest_and_restore_the_outer_state() {
+        let quiet = || QUIET.with(std::cell::Cell::get);
+        assert!(!quiet());
+        let outer = QuietPanicGuard::engage();
+        let inner = QuietPanicGuard::engage();
+        drop(inner);
+        assert!(quiet(), "an inner guard leaves the outer one engaged");
+        drop(outer);
+        assert!(!quiet());
     }
 }

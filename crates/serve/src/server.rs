@@ -44,7 +44,7 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -57,7 +57,7 @@ use dlperf_graph::Graph;
 use dlperf_kernels::{MemoCacheStats, ModelRegistry};
 use dlperf_models::zoo;
 use dlperf_obs::{CounterGroup, CounterHandle};
-use dlperf_runtime::{panic_message, CancellationToken, Watchdog};
+use dlperf_runtime::{panic_message, CancellationToken, QuietPanicGuard, Watchdog};
 
 use crate::api::{
     Body, ErrorBody, ErrorCode, Op, PredictQuery, PredictionBody, Request, Response, StatsBody,
@@ -288,7 +288,6 @@ impl Server {
             obs,
             cfg,
         });
-        install_quiet_hook();
         let (tx, rx) = unbounded::<Job>();
         for _ in 0..shared.cfg.workers.max(1) {
             spawn_worker(shared.clone(), rx.clone());
@@ -592,7 +591,7 @@ fn serve_one(shared: &Arc<Shared>, job: Job, scratch: &mut WalkScratch) -> bool 
         let _watchdog = Watchdog::arm(token.clone(), deadline - waited);
         let started = Instant::now();
         let routed = {
-            let _quiet = QuietGuard::engage();
+            let _quiet = QuietPanicGuard::engage();
             catch_unwind(AssertUnwindSafe(|| {
                 route(shared, &job.req.op, &token, scratch)
             }))
@@ -796,42 +795,6 @@ fn encode_response(resp: &Response) -> String {
     serde_json::to_string(resp).unwrap_or_else(|_| {
         r#"{"id": 0, "body": {"Error": {"code": 500, "kind": "internal", "message": "response serialization failed"}}}"#.to_string()
     })
-}
-
-thread_local! {
-    static IN_REQUEST: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-static QUIET_HOOK: OnceLock<()> = OnceLock::new();
-
-/// Installs (once per process) a panic hook that stays silent for panics
-/// contained by the per-request `catch_unwind` boundary and defers to the
-/// previous hook for everything else.
-fn install_quiet_hook() {
-    QUIET_HOOK.get_or_init(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !IN_REQUEST.with(std::cell::Cell::get) {
-                prev(info);
-            }
-        }));
-    });
-}
-
-/// Marks the current thread as inside a request for the quiet hook.
-struct QuietGuard;
-
-impl QuietGuard {
-    fn engage() -> QuietGuard {
-        IN_REQUEST.with(|c| c.set(true));
-        QuietGuard
-    }
-}
-
-impl Drop for QuietGuard {
-    fn drop(&mut self) {
-        IN_REQUEST.with(|c| c.set(false));
-    }
 }
 
 #[cfg(test)]
