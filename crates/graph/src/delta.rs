@@ -20,7 +20,7 @@
 
 use std::hash::{Hash, Hasher};
 
-use crate::graph::{Graph, Node, NodeId};
+use crate::graph::{Graph, Node};
 
 /// A fixed-seed, word-wise 64-bit [`Hasher`] for structural signatures:
 /// an Fx-style rotate–xor–multiply step per integer written, then the
@@ -128,47 +128,10 @@ pub fn common_affix(base: &[u64], new: &[u64]) -> (usize, usize) {
     (prefix, suffix)
 }
 
-/// The result of diffing a mutated graph against a baseline: the frontier
-/// of nodes whose signatures changed, bracketed by clean prefix/suffix
-/// regions that an incremental walk can reuse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphDelta {
-    /// Leading nodes (by position) identical in both graphs.
-    pub prefix: usize,
-    /// Trailing nodes identical in both graphs (never overlapping the
-    /// prefix in either graph).
-    pub suffix: usize,
-    /// Dirty nodes of the *new* graph: positions `prefix .. len - suffix`.
-    pub dirty: Vec<NodeId>,
-    /// Stable uids of the dirty nodes (0 where unassigned).
-    pub dirty_uids: Vec<u64>,
-}
-
-impl GraphDelta {
-    /// Diffs `new` against `base` by node signature.
-    pub fn between(base: &Graph, new: &Graph) -> GraphDelta {
-        let base_sigs = base.index();
-        let new_index = new.index();
-        let (prefix, suffix) = common_affix(base_sigs.signatures(), new_index.signatures());
-        let dirty_range = prefix..new.node_count() - suffix;
-        GraphDelta {
-            prefix,
-            suffix,
-            dirty: dirty_range.clone().map(NodeId).collect(),
-            dirty_uids: new.nodes()[dirty_range].iter().map(|n| n.uid).collect(),
-        }
-    }
-
-    /// Whether the graphs are structurally identical (no dirty nodes and
-    /// equal lengths — pure prefix match).
-    pub fn is_clean(&self) -> bool {
-        self.dirty.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::NodeId;
     use crate::op::OpKind;
     use crate::tensor::TensorMeta;
 
@@ -183,13 +146,17 @@ mod tests {
         g
     }
 
+    /// The clean prefix and suffix of `new` against `base`, as incremental
+    /// re-prediction computes them.
+    fn affix(base: &Graph, new: &Graph) -> (usize, usize) {
+        common_affix(base.index().signatures(), new.index().signatures())
+    }
+
     #[test]
     fn identical_graphs_diff_clean() {
         let a = chain(6);
         let b = a.clone();
-        let d = GraphDelta::between(&a, &b);
-        assert!(d.is_clean());
-        assert_eq!(d.prefix, 6);
+        assert_eq!(affix(&a, &b), (6, 0));
     }
 
     #[test]
@@ -197,10 +164,7 @@ mod tests {
         let a = chain(6);
         let mut b = a.clone();
         b.node_mut(NodeId(3)).unwrap().op = OpKind::Sigmoid;
-        let d = GraphDelta::between(&a, &b);
-        assert_eq!((d.prefix, d.suffix), (3, 2));
-        assert_eq!(d.dirty, vec![NodeId(3)]);
-        assert_eq!(d.dirty_uids, vec![a.nodes()[3].uid]);
+        assert_eq!(affix(&a, &b), (3, 2));
     }
 
     #[test]
@@ -211,9 +175,7 @@ mod tests {
         // its producer (node 2) and consumer (node 3).
         *b.tensor_mut(crate::tensor::TensorId(3)) =
             TensorMeta::activation(&[16, 8]).with_batch_dim(0);
-        let d = GraphDelta::between(&a, &b);
-        assert_eq!((d.prefix, d.suffix), (2, 1));
-        assert_eq!(d.dirty, vec![NodeId(2), NodeId(3)]);
+        assert_eq!(affix(&a, &b), (2, 1));
     }
 
     #[test]

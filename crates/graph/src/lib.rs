@@ -44,7 +44,7 @@ pub mod stats;
 pub mod tensor;
 pub mod transform;
 
-pub use delta::{common_affix, node_signature, GraphDelta};
+pub use delta::{common_affix, node_signature};
 pub use graph::{Graph, GraphError, GraphIndex, Node, NodeId};
 pub use op::OpKind;
 pub use tensor::{DType, TensorId, TensorKind, TensorMeta};

@@ -54,8 +54,9 @@ pub enum TraceLoadError {
     Invalid(String),
     /// Two events of the same category reuse one nonzero correlation id,
     /// so launch→kernel attribution would be ambiguous. Strict loads
-    /// ([`Trace::from_json`]) reject the trace; lenient loads
-    /// ([`Trace::from_json_lenient`]) keep the last occurrence and count.
+    /// ([`Trace::from_json`]) reject the trace; the lenient
+    /// [`crate::ingest`] scanner keeps the last occurrence and counts the
+    /// earlier ones.
     DuplicateCorrelation {
         /// The category both events carry.
         cat: EventCat,
@@ -102,13 +103,6 @@ impl From<serde_json::Error> for TraceLoadError {
     }
 }
 
-/// What a lenient load ([`Trace::from_json_lenient`]) had to repair.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LenientLoadReport {
-    /// Earlier occurrences dropped by last-wins correlation dedup.
-    pub dup_correlations: u64,
-}
-
 /// A trace of one training iteration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Trace {
@@ -140,7 +134,9 @@ impl Trace {
     /// reuses a nonzero correlation id within one event category is
     /// rejected rather than silently attributing two launches (or two
     /// kernels) to one id. Fleet corpora that must tolerate such traces go
-    /// through [`Trace::from_json_lenient`] or the `ingest` scanner.
+    /// through the lenient scanner ([`crate::ingest::ingest_str`] /
+    /// [`crate::ingest::ingest_file`]), which resolves duplicates
+    /// last-wins and counts them.
     ///
     /// # Errors
     /// [`TraceLoadError::Parse`] for malformed JSON; [`TraceLoadError::Invalid`]
@@ -152,23 +148,6 @@ impl Trace {
         t.validate()?;
         t.check_duplicate_correlations()?;
         Ok(t)
-    }
-
-    /// Deserializes from JSON like [`Trace::from_json`], but resolves
-    /// duplicate correlation ids last-wins instead of erroring: for each
-    /// `(category, nonzero id)` pair only the final occurrence survives,
-    /// and the number of dropped earlier occurrences is returned. Timing
-    /// content is still validated strictly — leniency covers bookkeeping
-    /// ambiguity, never poisoned numbers.
-    ///
-    /// # Errors
-    /// [`TraceLoadError::Parse`] and [`TraceLoadError::Invalid`] as in the
-    /// strict load.
-    pub fn from_json_lenient(s: &str) -> Result<(Self, LenientLoadReport), TraceLoadError> {
-        let mut t: Trace = serde_json::from_str(s)?;
-        t.validate()?;
-        let dup_correlations = t.dedup_correlations_last_wins();
-        Ok((t, LenientLoadReport { dup_correlations }))
     }
 
     /// Strict half of the duplicate-correlation contract: errors on the
@@ -196,28 +175,6 @@ impl Trace {
             seen.insert((ev.cat, ev.correlation), i);
         }
         Ok(())
-    }
-
-    /// Lenient half of the duplicate-correlation contract: for each
-    /// `(category, nonzero correlation id)` pair, keeps only the last
-    /// occurrence (in its own position) and returns how many earlier
-    /// occurrences were dropped. A no-op on clean traces.
-    pub fn dedup_correlations_last_wins(&mut self) -> u64 {
-        let mut last: std::collections::HashMap<(EventCat, u64), usize> =
-            std::collections::HashMap::new();
-        for (i, ev) in self.events.iter().enumerate() {
-            if ev.correlation != 0 {
-                last.insert((ev.cat, ev.correlation), i);
-            }
-        }
-        let before = self.events.len();
-        let mut i = 0usize;
-        self.events.retain(|ev| {
-            let keep = ev.correlation == 0 || last[&(ev.cat, ev.correlation)] == i;
-            i += 1;
-            keep
-        });
-        (before - self.events.len()) as u64
     }
 
     /// Checks that every timing field is usable by the analysis machinery.
@@ -389,33 +346,6 @@ mod tests {
             span_us: 3.0,
         };
         assert!(Trace::from_json(&t.to_json()).is_ok());
-    }
-
-    #[test]
-    fn lenient_load_keeps_last_occurrence_and_counts() {
-        let mut a = ev("first", EventCat::Runtime, 0.0, 1.0);
-        a.correlation = 3;
-        let b = ev("op", EventCat::Op, 0.5, 1.0);
-        let mut c = ev("last", EventCat::Runtime, 2.0, 1.0);
-        c.correlation = 3;
-        let t = Trace {
-            workload: "w".into(),
-            device: "d".into(),
-            events: vec![a, b, c],
-            span_us: 3.0,
-        };
-        let (back, report) = Trace::from_json_lenient(&t.to_json()).unwrap();
-        assert_eq!(report.dup_correlations, 1);
-        assert_eq!(back.events.len(), 2);
-        assert_eq!(back.events[0].name, "op");
-        assert_eq!(
-            back.events[1].name, "last",
-            "last occurrence wins, in its own position"
-        );
-        // A clean trace round-trips untouched.
-        let (clean, report) = Trace::from_json_lenient(&back.to_json()).unwrap();
-        assert_eq!(report.dup_correlations, 0);
-        assert_eq!(clean.events.len(), 2);
     }
 
     #[test]

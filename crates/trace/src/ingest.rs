@@ -20,8 +20,8 @@
 //! * **Typed per-event results.** Each event either parses, or is
 //!   rejected with a reason ([`SkipCounts`]): malformed bytes, over the
 //!   per-event cap, invalid timing, a duplicate correlation id
-//!   (last-wins, like [`Trace::from_json_lenient`]), or an out-of-order
-//!   `Op` timestamp.
+//!   (last-wins: the final occurrence survives in its own position and
+//!   the earlier ones are counted), or an out-of-order `Op` timestamp.
 //! * **Skip budgets.** Rejected events are skipped and counted up to
 //!   [`IngestLimits::skip_budget`] per file; past the budget the *file*
 //!   is quarantined ([`FileReject::SkipBudgetExhausted`]), never the
@@ -1021,8 +1021,11 @@ mod tests {
             .iter()
             .map(|e| e.name.as_str())
             .collect();
-        assert!(names.contains(&"launch_again"));
-        assert!(!names.contains(&"launch"), "earlier occurrence tombstoned");
+        assert_eq!(
+            names,
+            ["op_a", "k_kernel", "op_b", "launch_again"],
+            "earlier occurrence tombstoned; the last keeps its own position"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod stats;
 
 pub use breakdown::DeviceBreakdown;
 pub use engine::{EngineError, ExecutionEngine, RunResult};
-pub use events::{EventCat, LenientLoadReport, Trace, TraceEvent, TraceLoadError};
+pub use events::{EventCat, Trace, TraceEvent, TraceLoadError};
 pub use extract::{OverheadStats, OverheadType};
 pub use ingest::{FileIngest, FileReject, FileReport, IngestLimits, QuarantineReport};
 pub use overheads::OverheadProfile;
