@@ -56,10 +56,24 @@ fn comm_counters() -> &'static CommCounters {
     })
 }
 
-/// Records one link-fault application against the comms counter group
-/// (called by the engine/predictor paths that degrade collectives).
-pub(crate) fn record_link_fault() {
+/// Prices collective `idx` (`spec`, 0-based) on `topology` with every
+/// link's bandwidth scaled by `factor` — latency unchanged, the α–β
+/// semantics of a flapping or downtrained wire — and records the link
+/// fault. Returns the degraded time in µs and the note that names it.
+pub(crate) fn degraded_link(
+    topology: &Topology,
+    spec: &CollectiveSpec,
+    idx: usize,
+    factor: f64,
+) -> (f64, String) {
     comm_counters().link_faults.incr();
+    let us = CommModel::new(topology.scaled_bandwidth(factor)).collective_time(spec);
+    let note = format!(
+        "C{} {} link degraded ×{factor:.2} bandwidth",
+        idx + 1,
+        spec.kind
+    );
+    (us, note)
 }
 
 /// The α–β cost model, bound to one topology.

@@ -239,17 +239,10 @@ impl MultiGpuEngine {
             }
             if let Some(inj) = &self.injector {
                 if let Some(factor) = inj.link_degradation(iteration, idx) {
-                    // Reprice on the derated fabric: latency unchanged,
-                    // every link's bandwidth scaled down — the α–β
-                    // semantics of a flapping or downtrained wire.
-                    model_us = CommModel::new(comm_model.topology().scaled_bandwidth(factor))
-                        .collective_time(spec);
-                    crate::comms::record_link_fault();
-                    degradation.push(format!(
-                        "C{} {} link degraded ×{factor:.2} bandwidth",
-                        idx + 1,
-                        spec.kind
-                    ));
+                    let (us, note) =
+                        crate::comms::degraded_link(comm_model.topology(), spec, idx, factor);
+                    model_us = us;
+                    degradation.push(note);
                 }
             }
             let base = model_us * jitter_factor;

@@ -146,16 +146,10 @@ impl<'e> DistributedPredictor<'e> {
                 continue;
             }
             if let Some(factor) = inj.link_degradation(0, idx) {
-                let degraded =
-                    CommModel::new(topology.scaled_bandwidth(factor)).collective_time(spec);
+                let (degraded, note) = crate::comms::degraded_link(&topology, spec, idx, factor);
                 p.e2e_us += degraded - p.comm_us[idx];
                 p.comm_us[idx] = degraded;
-                crate::comms::record_link_fault();
-                notes.push(format!(
-                    "C{} {} link degraded ×{factor:.2} bandwidth",
-                    idx + 1,
-                    spec.kind
-                ));
+                notes.push(note);
             }
         }
         Ok((p, notes))
