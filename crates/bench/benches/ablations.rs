@@ -150,8 +150,9 @@ fn main() {
             dlperf_trace::OverheadStats::from_json(&pipeline.shared_overheads_json())
                 .expect("valid db"),
         )
-        .predict_active(&small_tables)
-        .unwrap();
+        .predict(&small_tables)
+        .unwrap()
+        .active_us;
         println!("  {name:22} {:+.2}%", err_pct(pred, small_active));
     }
 

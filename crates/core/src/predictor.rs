@@ -363,15 +363,6 @@ impl E2ePredictor {
         }
         Ok(())
     }
-
-    /// Predicted GPU active time alone (the sum of kernel predictions) —
-    /// the paper's `kernel_only` baseline quantity.
-    ///
-    /// # Errors
-    /// Returns a [`LowerError`] on malformed graphs.
-    pub fn predict_active(&self, graph: &Graph) -> Result<f64, LowerError> {
-        self.predict(graph).map(|p| p.active_us)
-    }
 }
 
 /// The five launch overheads of every op kind, indexed by
@@ -660,11 +651,7 @@ mod tests {
     #[test]
     fn active_prediction_within_band() {
         let (g, pred, _, measured_active) = setup(512);
-        let active = pred.predict_active(&g).unwrap();
-        assert_eq!(
-            active.to_bits(),
-            pred.predict(&g).unwrap().active_us.to_bits()
-        );
+        let active = pred.predict(&g).unwrap().active_us;
         let err = ((active - measured_active) / measured_active).abs();
         assert!(
             err < 0.25,
@@ -679,7 +666,7 @@ mod tests {
         // is far below the measured E2E time while the full model is close.
         let (g, pred, measured, _) = setup(128);
         let p = pred.predict(&g).unwrap();
-        let kernel_only = pred.predict_active(&g).unwrap();
+        let kernel_only = p.active_us;
         let e2e_err = ((p.e2e_us - measured) / measured).abs();
         let ko_err = ((kernel_only - measured) / measured).abs();
         assert!(
