@@ -18,9 +18,10 @@
 //! same engine on the same base graph, so steady-state re-sweeps skip the
 //! transform *and* the structural signature pass entirely. The
 //! [`PreparedStore`] recognises its base by graph-index identity on every
-//! lookup and clears itself when a run brings another base. Graph transforms dominate scenario cost by
-//! orders of magnitude over a kernel-model query, so this sharing — not
-//! thread count — is the engine's biggest single-host win.
+//! lookup and clears itself when a run brings another base. Graph
+//! transforms dominate scenario cost by orders of magnitude over a
+//! kernel-model query, so this sharing — not thread count — is the
+//! engine's biggest single-host win.
 //!
 //! **Determinism contract:** every scenario evaluation is a pure function
 //! of `(pipeline, base graph, scenario)`; results are written to the slot
