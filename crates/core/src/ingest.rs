@@ -2,14 +2,14 @@
 //!
 //! The fleet half of ROADMAP item 4: `dlperf_trace::ingest` makes one
 //! file safe to read; this module makes *thousands* of files safe to
-//! process unattended. [`CorpusIngestJob`] fans files out over
-//! [`crate::sweep::par_map`] with per-file `catch_unwind` panic
-//! isolation, checkpoints its progress through
-//! [`dlperf_runtime::ResumableJob`] (so a SIGKILL mid-corpus resumes
-//! bitwise-identically), and reduces every file to per-family kernel
-//! duration samples the moment it is scanned — raw traces are dropped
-//! immediately, keeping corpus memory proportional to the *samples*,
-//! not the files.
+//! process unattended. [`CorpusIngestJob`] hands files to worker threads
+//! that run a fixed window ahead of the checkpointing step, with
+//! per-file `catch_unwind` panic isolation, checkpoints its progress
+//! through [`dlperf_runtime::ResumableJob`] (so a SIGKILL mid-corpus
+//! resumes bitwise-identically), and reduces every file to per-family
+//! kernel duration samples and a digest of its recovered traces' bytes
+//! the moment it is scanned — raw traces are dropped immediately,
+//! keeping corpus memory proportional to the *samples*, not the files.
 //!
 //! On top sits [`TraceCalibration`]: a Habitat-style transfer fit that
 //! turns observed per-family durations into multiplicative scale
@@ -21,7 +21,9 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use serde::{Deserialize, Serialize};
 
@@ -29,8 +31,7 @@ use dlperf_faults::{site_key, FaultInjector};
 use dlperf_gpusim::KernelFamily;
 use dlperf_kernels::{Confidence, ModelRegistry};
 use dlperf_runtime::{
-    fnv1a64, panic_message, CancellationToken, JobContext, JobError, QuietPanicGuard, ResumableJob,
-    StepOutcome,
+    fnv1a64, panic_message, JobContext, JobError, QuietPanicGuard, ResumableJob, StepOutcome,
 };
 use dlperf_trace::ingest::{
     ingest_file, FileReject, FileReport, FileStatus, IngestLimits, QuarantineReport, SkipCounts,
@@ -107,20 +108,43 @@ impl CorpusIngest {
     }
 }
 
+/// Chunks the workers may run ahead of the step that commits: while a
+/// step takes its chunk's results, they ingest files below the start of
+/// that chunk plus this many chunks.
+const WINDOW_CHUNKS: usize = 4;
+
 /// A resumable, panic-isolated, fault-injectable corpus ingestion job.
 ///
-/// Each step ingests one chunk of files in parallel and appends the
-/// results to the checkpointable state; the supervisor may snapshot
-/// after any step and a resumed run continues file-for-file where the
-/// killed one stopped. Files are sorted at construction so the corpus
+/// Each step appends one chunk of files' results to the checkpointable
+/// state; the supervisor may snapshot after any step and a resumed run
+/// continues file-for-file where the killed one stopped. The files are
+/// ingested by worker threads, started at the first step, that run up to
+/// four chunks ahead of the committing step, so the supervisor's
+/// checkpoint overlaps the next files; they are joined when the job is
+/// dropped. Files are sorted at construction so the corpus
 /// order (and therefore the digest) is independent of directory
 /// enumeration order.
 pub struct CorpusIngestJob {
-    files: Vec<PathBuf>,
-    limits: IngestLimits,
+    work: Arc<FileWork>,
     threads: usize,
     chunk: usize,
+    window: Mutex<Option<Window>>,
+}
+
+/// What ingesting one file needs, shared with the workers.
+#[derive(Clone)]
+struct FileWork {
+    files: Vec<PathBuf>,
+    limits: IngestLimits,
     injector: Option<FaultInjector>,
+}
+
+/// One file's contribution to the corpus state.
+struct FileOutcome {
+    report: FileReport,
+    samples: BTreeMap<KernelFamily, Vec<f64>>,
+    unattributed: u64,
+    digest: String,
 }
 
 impl CorpusIngestJob {
@@ -129,15 +153,18 @@ impl CorpusIngestJob {
     pub fn new(mut files: Vec<PathBuf>, limits: IngestLimits) -> Self {
         files.sort();
         CorpusIngestJob {
-            files,
-            limits,
+            work: Arc::new(FileWork {
+                files,
+                limits,
+                injector: None,
+            }),
             threads: 4,
             chunk: 8,
-            injector: None,
+            window: Mutex::new(None),
         }
     }
 
-    /// Sets worker-thread parallelism within a step (builder style).
+    /// Sets the number of worker threads (builder style).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -157,20 +184,21 @@ impl CorpusIngestJob {
     /// [`FileReject::Panic`] instead of losing the corpus (builder
     /// style).
     pub fn with_fault_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = Some(injector);
+        Arc::make_mut(&mut self.work).injector = Some(injector);
         self
     }
 
     /// The sorted corpus file list.
     pub fn files(&self) -> &[PathBuf] {
-        &self.files
+        &self.work.files
     }
+}
 
-    fn ingest_one(
-        &self,
-        index: usize,
-        path: &Path,
-    ) -> (FileReport, Vec<(String, f64)>, u64, String) {
+impl FileWork {
+    /// Ingests file `index`: a pure function of the index, so results do
+    /// not depend on which worker runs it, or when.
+    fn ingest_one(&self, index: usize) -> FileOutcome {
+        let path = &self.files[index];
         let quiet = QuietPanicGuard::engage();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(inj) = &self.injector {
@@ -186,26 +214,23 @@ impl CorpusIngestJob {
         drop(quiet);
         match outcome {
             Ok(ingest) => {
-                let mut samples = Vec::new();
+                let mut samples = BTreeMap::new();
                 let mut unattributed = 0;
                 let mut canon = String::new();
-                for trace in &ingest.traces {
-                    let mut by_family = BTreeMap::new();
-                    unattributed += collect_family_samples(trace, &mut by_family);
-                    for (family, durs) in by_family {
-                        for d in durs {
-                            samples.push((family.to_string(), d));
-                        }
-                    }
-                    // The bytes of `Trace::to_json`, written in place.
-                    trace.write_json(&mut serde::JsonWriter::compact(&mut canon));
+                for (i, trace) in ingest.traces.iter().enumerate() {
+                    unattributed += collect_family_samples(trace, &mut samples);
+                    ingest.write_trace_json(i, &mut canon);
                     canon.push('\n');
                 }
-                let digest = format!("{:016x}", fnv1a64(canon.as_bytes()));
-                (ingest.report, samples, unattributed, digest)
+                FileOutcome {
+                    report: ingest.report,
+                    samples,
+                    unattributed,
+                    digest: format!("{:016x}", fnv1a64(canon.as_bytes())),
+                }
             }
-            Err(payload) => {
-                let report = FileReport {
+            Err(payload) => FileOutcome {
+                report: FileReport {
                     label: path.display().to_string(),
                     status: FileStatus::Quarantined(FileReject::Panic(panic_message(&*payload))),
                     traces: 0,
@@ -213,9 +238,154 @@ impl CorpusIngestJob {
                     skips: SkipCounts::default(),
                     bytes_read: 0,
                     peak_buffer_bytes: 0,
-                };
-                (report, Vec::new(), 0, format!("{:016x}", fnv1a64(b"panic")))
+                },
+                samples: BTreeMap::new(),
+                unattributed: 0,
+                digest: format!("{:016x}", fnv1a64(b"panic")),
+            },
+        }
+    }
+}
+
+/// The workers and the files they claim.
+struct Window {
+    work: Arc<FileWork>,
+    queue: Arc<Queue>,
+    workers: Vec<JoinHandle<()>>,
+    /// The file the next step should start at; a step that starts
+    /// anywhere else restarts the window there.
+    next: usize,
+}
+
+struct Queue {
+    state: Mutex<QueueState>,
+    /// Signalled when files become claimable, and on shutdown.
+    claimable: Condvar,
+    /// Signalled when a result lands.
+    landed: Condvar,
+}
+
+struct QueueState {
+    /// Bumped by each restart: results claimed before it are dropped.
+    generation: u64,
+    /// The next file to claim.
+    claim: usize,
+    /// Files below this may be claimed.
+    limit: usize,
+    /// Results of the current generation not yet taken, by file index. A
+    /// panic outside the per-file isolation rides here to the step.
+    done: BTreeMap<usize, std::thread::Result<FileOutcome>>,
+    shutdown: bool,
+}
+
+fn lock(queue: &Queue) -> MutexGuard<'_, QueueState> {
+    queue.state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Window {
+    fn start(work: Arc<FileWork>, threads: usize, at: usize) -> Self {
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
+                generation: 0,
+                claim: at,
+                limit: at,
+                done: BTreeMap::new(),
+                shutdown: false,
+            }),
+            claimable: Condvar::new(),
+            landed: Condvar::new(),
+        });
+        let workers = (0..threads)
+            .map(|_| {
+                let (work, queue) = (work.clone(), queue.clone());
+                std::thread::spawn(move || work_loop(&work, &queue))
+            })
+            .collect();
+        Window {
+            work,
+            queue,
+            workers,
+            next: at,
+        }
+    }
+
+    /// The results of files `start..end`, in order, after which the
+    /// workers may run `ahead` files past `end`.
+    fn take(&mut self, start: usize, end: usize, ahead: usize) -> Vec<FileOutcome> {
+        let files = self.work.files.len();
+        let mut state = lock(&self.queue);
+        if start != self.next {
+            // A restart from an older (or another) checkpoint: drop what
+            // was ingested ahead and claim again from `start`.
+            state.generation += 1;
+            state.done.clear();
+            state.claim = start;
+        }
+        // Until the chunk is taken whole, the next step restarts.
+        self.next = usize::MAX;
+        state.limit = (start + ahead).min(files);
+        self.queue.claimable.notify_all();
+        let mut out = Vec::with_capacity(end - start);
+        for index in start..end {
+            let result = loop {
+                if let Some(result) = state.done.remove(&index) {
+                    break result;
+                }
+                state = self
+                    .queue
+                    .landed
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+            };
+            match result {
+                Ok(outcome) => out.push(outcome),
+                Err(payload) => {
+                    drop(state);
+                    std::panic::resume_unwind(payload);
+                }
             }
+        }
+        state.limit = (end + ahead).min(files);
+        self.queue.claimable.notify_all();
+        self.next = end;
+        out
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        lock(&self.queue).shutdown = true;
+        self.queue.claimable.notify_all();
+        for worker in self.workers.drain(..) {
+            // A worker never panics: each file runs under `catch_unwind`.
+            let _ = worker.join();
+        }
+    }
+}
+
+/// A worker: claims files in index order below the limit and files their
+/// results until shutdown.
+fn work_loop(work: &FileWork, queue: &Queue) {
+    let mut state = lock(queue);
+    loop {
+        if state.shutdown {
+            return;
+        }
+        if state.claim >= state.limit {
+            state = queue
+                .claimable
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            continue;
+        }
+        let (index, generation) = (state.claim, state.generation);
+        state.claim += 1;
+        drop(state);
+        let result = catch_unwind(AssertUnwindSafe(|| work.ingest_one(index)));
+        state = lock(queue);
+        if state.generation == generation {
+            state.done.insert(index, result);
+            queue.landed.notify_all();
         }
     }
 }
@@ -244,32 +414,49 @@ impl ResumableJob for CorpusIngestJob {
         ctx: &JobContext,
     ) -> Result<StepOutcome, JobError> {
         ctx.check_cancelled()?;
+        // A resumed checkpoint may carry anything its checksum covers.
+        if let Some(label) = state
+            .samples
+            .keys()
+            .find(|label| KernelFamily::parse_label(label).is_none())
+        {
+            return Err(JobError::Failed(format!(
+                "checkpoint holds samples of unknown kernel family `{label}`"
+            )));
+        }
+        let files = self.work.files.len();
         let start = state.next as usize;
-        if start >= self.files.len() {
+        if start >= files {
             return Ok(StepOutcome::Done);
         }
-        let end = (start + self.chunk).min(self.files.len());
-        let chunk = &self.files[start..end];
-        // The chunk runs to completion or not at all: cancellation is
+        let end = (start + self.chunk).min(files);
+        // The chunk is committed whole or not at all: cancellation is
         // checked at step boundaries so a checkpointed state never
         // contains a half-ingested chunk.
-        let token = CancellationToken::new();
-        let results = crate::sweep::par_map(self.threads, &token, chunk, |i, path| {
-            self.ingest_one(start + i, path)
-        });
-        for result in results {
-            let (report, samples, unattributed, digest) =
-                result.expect("uncancelled par_map fills every slot");
-            state.reports.push(report);
-            for (label, dur) in samples {
-                state.samples.entry(label).or_default().push(dur);
+        let results = {
+            let mut window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
+            let window = match &mut *window {
+                Some(w) if Arc::ptr_eq(&w.work, &self.work) => w,
+                slot => slot.insert(Window::start(self.work.clone(), self.threads, start)),
+            };
+            window.take(start, end, WINDOW_CHUNKS * self.chunk)
+        };
+        for file in results {
+            state.reports.push(file.report);
+            for (family, durs) in file.samples {
+                match state.samples.get_mut(family.label()) {
+                    Some(all) => all.extend(durs),
+                    None => {
+                        state.samples.insert(family.label().to_string(), durs);
+                    }
+                }
             }
-            state.unattributed_kernels += unattributed;
-            state.file_digests.push(digest);
+            state.unattributed_kernels += file.unattributed;
+            state.file_digests.push(file.digest);
         }
         state.next = end as u64;
         ctx.check_cancelled()?;
-        if end == self.files.len() {
+        if end == files {
             Ok(StepOutcome::Done)
         } else {
             Ok(StepOutcome::Continue)
@@ -281,15 +468,15 @@ impl ResumableJob for CorpusIngestJob {
         for file in state.reports {
             report.push(file);
         }
-        let mut samples = BTreeMap::new();
-        for (label, durs) in state.samples {
-            match KernelFamily::parse_label(&label) {
-                Some(family) => {
-                    samples.insert(family, durs);
-                }
-                None => unreachable!("only parseable family labels are recorded"),
-            }
-        }
+        let samples = state
+            .samples
+            .into_iter()
+            .map(|(label, durs)| {
+                let family = KernelFamily::parse_label(&label)
+                    .expect("every step rejects unknown family labels");
+                (family, durs)
+            })
+            .collect();
         let digest = fnv1a64(state.file_digests.join("\n").as_bytes());
         CorpusIngest {
             report,

@@ -127,20 +127,9 @@ impl KernelFamily {
         KernelFamily::Conv2d,
     ];
 
-    /// Inverse of the `Display` label — the round-trip trace ingestion
-    /// relies on to attribute kernel events (named `<label>_kernel` by
-    /// the engine) back to a family. Unknown labels return `None`; trace
-    /// corpora may contain kernels this repo has no model for.
-    pub fn parse_label(label: &str) -> Option<KernelFamily> {
-        KernelFamily::ALL
-            .into_iter()
-            .find(|f| f.to_string() == label)
-    }
-}
-
-impl std::fmt::Display for KernelFamily {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+    /// The family's label, as `Display` writes it.
+    pub fn label(self) -> &'static str {
+        match self {
             KernelFamily::Gemm => "GEMM",
             KernelFamily::EmbeddingForward => "EL-F",
             KernelFamily::EmbeddingBackward => "EL-B",
@@ -151,8 +140,21 @@ impl std::fmt::Display for KernelFamily {
             KernelFamily::TrilBackward => "tril-B",
             KernelFamily::Elementwise => "elementwise",
             KernelFamily::Conv2d => "conv2d",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// Inverse of [`label`](Self::label) — the round-trip trace ingestion
+    /// relies on to attribute kernel events (named `<label>_kernel` by
+    /// the engine) back to a family. Unknown labels return `None`; trace
+    /// corpora may contain kernels this repo has no model for.
+    pub fn parse_label(label: &str) -> Option<KernelFamily> {
+        KernelFamily::ALL.into_iter().find(|f| f.label() == label)
+    }
+}
+
+impl std::fmt::Display for KernelFamily {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -16,7 +16,17 @@
 //!   current event, current key). The scanner never holds a whole file;
 //!   [`IngestLimits::scan_buffer_cap`] is the hard ceiling on dynamic
 //!   buffer bytes and [`FileReport::peak_buffer_bytes`] is the measured
-//!   high-water mark that tests assert against it.
+//!   high-water mark that tests assert against it. What the scanner
+//!   recovers (the events, and the bytes of those it kept verbatim) is
+//!   output, and is not counted there.
+//! * **One pass per event.** Inside an event element the scanner skims
+//!   every byte that cannot end the element or poison it
+//!   ([`JsonCursor::skim`]), strings and escapes included. A completed
+//!   element in exactly the writer's form ([`parse_canonical_event`]) is
+//!   parsed in place and its bytes are kept, so
+//!   [`FileIngest::write_trace_json`] copies them instead of rendering
+//!   the event again; any other element takes the general
+//!   `serde_json` parse.
 //! * **Typed per-event results.** Each event either parses, or is
 //!   rejected with a reason ([`SkipCounts`]): malformed bytes, over the
 //!   per-event cap, invalid timing, a duplicate correlation id
@@ -40,9 +50,10 @@
 
 use std::collections::HashMap;
 use std::io::Read;
+use std::ops::Range;
 use std::path::Path;
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, JsonWriter, Serialize};
 
 use crate::events::{EventCat, Trace, TraceEvent};
 use crate::screen::{JsonCursor, Lex};
@@ -302,6 +313,196 @@ pub struct FileIngest {
     pub traces: Vec<Trace>,
     /// Accounting for the file.
     pub report: FileReport,
+    /// Per trace, the pieces of its [`Trace::to_json`] bytes.
+    json: Vec<TraceJson>,
+}
+
+impl FileIngest {
+    /// Appends the [`Trace::to_json`] bytes of trace `index`, as
+    /// recovered, to `out`. The writer's bytes of every event the scanner
+    /// recognized ([`parse_canonical_event`]) are copied; only the other
+    /// events are rendered.
+    ///
+    /// # Panics
+    /// If `index` is not below `traces.len()`, or `traces` was edited
+    /// after the scan.
+    pub fn write_trace_json(&self, index: usize, out: &mut String) {
+        let (trace, json) = (&self.traces[index], &self.json[index]);
+        assert_eq!(
+            trace.events.len(),
+            json.spans.len(),
+            "trace {index} was edited"
+        );
+        // The shell ends in `],"span_us":<number>}`: its last `]` closes
+        // the empty events array.
+        let split = json
+            .shell
+            .rfind(']')
+            .expect("a trace renders an events array");
+        out.push_str(&json.shell[..split]);
+        for (i, (event, span)) in trace.events.iter().zip(&json.spans).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match span {
+                Some(bytes) => out.push_str(&json.arena[bytes.clone()]),
+                None => event.write_json(&mut JsonWriter::compact(out)),
+            }
+        }
+        out.push_str(&json.shell[split..]);
+    }
+}
+
+/// One recovered trace's [`Trace::to_json`] bytes, in pieces.
+#[derive(Debug, Clone)]
+struct TraceJson {
+    /// The trace rendered with no events.
+    shell: String,
+    /// The writer's bytes of the events kept verbatim, back to back.
+    arena: String,
+    /// Per surviving event, its bytes in `arena`, or `None` when it is
+    /// rendered.
+    spans: Vec<Option<Range<usize>>>,
+}
+
+/// Parses `text` when it is exactly what the writer emits for a
+/// [`TraceEvent`], and returns `None` otherwise. Such bytes are exactly
+/// `serde_json::to_string` of the event returned, which is also what
+/// `serde_json::from_str` reads from them. The form is:
+///
+/// * the keys in field order, with no whitespace;
+/// * strings with no `\` and no byte below 0x20;
+/// * `cat` one of `"Op"`, `"Runtime"` and `"Kernel"`;
+/// * `stream`, `op_index` and `correlation` of at most 15 digits, with
+///   no sign and no leading zero;
+/// * `ts_us` and `dur_us` either an integer of at most 15 digits other
+///   than `-0`, or a fraction with no exponent, no trailing zero, at most
+///   15 significant digits and a normal `f64` value.
+///
+/// A decimal of at most 15 significant digits is the only one of that
+/// length that rounds to its `f64` (in the normal range), so the
+/// shortest round-trip form the writer prints is that decimal again.
+pub fn parse_canonical_event(text: &str) -> Option<TraceEvent> {
+    let mut c = Canonical { text, at: 0 };
+    c.lit("{\"name\":")?;
+    let name = c.string()?;
+    c.lit(",\"cat\":")?;
+    let cat = c.cat()?;
+    c.lit(",\"ts_us\":")?;
+    let ts_us = c.number()?;
+    c.lit(",\"dur_us\":")?;
+    let dur_us = c.number()?;
+    c.lit(",\"stream\":")?;
+    let stream = c.count()?;
+    c.lit(",\"op_index\":")?;
+    let op_index = c.count()?;
+    c.lit(",\"correlation\":")?;
+    let correlation = c.count()?;
+    c.lit(",\"op_key\":")?;
+    let op_key = c.string()?;
+    c.lit("}")?;
+    (c.at == text.len()).then(|| TraceEvent {
+        name: name.to_string(),
+        cat,
+        ts_us,
+        dur_us,
+        stream: stream as usize,
+        op_index: op_index as usize,
+        correlation,
+        op_key: op_key.to_string(),
+    })
+}
+
+/// Reader of [`parse_canonical_event`]'s form.
+struct Canonical<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl<'a> Canonical<'a> {
+    fn lit(&mut self, lit: &str) -> Option<()> {
+        self.text[self.at..]
+            .starts_with(lit)
+            .then(|| self.at += lit.len())
+    }
+
+    /// A string with no escape and no control byte; every byte that ends
+    /// it is ASCII, so the slice falls on char boundaries.
+    fn string(&mut self) -> Option<&'a str> {
+        self.lit("\"")?;
+        let rest = &self.text.as_bytes()[self.at..];
+        let n = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        if rest[n] != b'"' {
+            return None;
+        }
+        let s = &self.text[self.at..self.at + n];
+        self.at += n + 1;
+        Some(s)
+    }
+
+    fn cat(&mut self) -> Option<EventCat> {
+        [
+            ("\"Op\"", EventCat::Op),
+            ("\"Runtime\"", EventCat::Runtime),
+            ("\"Kernel\"", EventCat::Kernel),
+        ]
+        .into_iter()
+        .find_map(|(lit, cat)| self.lit(lit).map(|()| cat))
+    }
+
+    /// The digits at the reader: 1 to 15 of them, with no leading zero.
+    fn digits(&mut self) -> Option<&'a [u8]> {
+        let rest = &self.text.as_bytes()[self.at..];
+        let n = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        if !(1..=15).contains(&n) || (n > 1 && rest[0] == b'0') {
+            return None;
+        }
+        self.at += n;
+        Some(&rest[..n])
+    }
+
+    /// An unsigned integer below 10^15: exact in `f64`, and written back
+    /// as the same digits.
+    fn count(&mut self) -> Option<u64> {
+        let digits = self.digits()?;
+        Some(digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')))
+    }
+
+    /// A timing: an integer of at most 15 digits other than `-0`, or a
+    /// fraction of at most 15 significant digits, with no trailing zero,
+    /// whose value is normal.
+    fn number(&mut self) -> Option<f64> {
+        let start = self.at;
+        let negative = self.lit("-").is_some();
+        let int = self.digits()?;
+        if self.lit(".").is_none() {
+            let n = int.iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            // `-0` parses to -0.0, which the writer prints as `0`.
+            if negative && n == 0 {
+                return None;
+            }
+            let n = n as f64;
+            return Some(if negative { -n } else { n });
+        }
+        let frac = &self.text.as_bytes()[self.at..];
+        let frac = &frac[..frac.iter().take_while(|b| b.is_ascii_digit()).count()];
+        if frac.last().is_none_or(|&d| d == b'0') {
+            return None;
+        }
+        self.at += frac.len();
+        let significant = if int == b"0" {
+            frac.len() - frac.iter().take_while(|&&d| d == b'0').count()
+        } else {
+            int.len() + frac.len()
+        };
+        if significant > 15 {
+            return None;
+        }
+        let n: f64 = self.text[start..self.at].parse().ok()?;
+        n.is_normal().then_some(n)
+    }
 }
 
 const KEY_BUF_CAP: usize = 16;
@@ -328,11 +529,12 @@ enum Mode {
 /// an empty array for the final serde parse.
 ///
 /// Structural bytes go through [`feed`](Self::feed) one at a time.
-/// Inside an event element, [`feed_run`](Self::feed_run) first takes the
-/// whole run of bytes that cannot change scanner state (in a string,
-/// anything but `"` and `\`; outside one, anything but `"[]{},` and NUL)
-/// with one copy, so skips, quarantines, caps and the buffer high-water
-/// mark are exactly those of the byte-at-a-time path.
+/// Inside an event element, [`feed_run`](Self::feed_run) first skims
+/// every byte up to the next one that can end or poison the element
+/// ([`JsonCursor::skim`]) with one copy, so skips, quarantines, caps and
+/// the buffer high-water mark are exactly those of the byte-at-a-time
+/// path. Accepted events in the writer's form keep their bytes in
+/// `arena`.
 struct TraceScanner<'a> {
     limits: &'a IngestLimits,
     cursor: JsonCursor,
@@ -348,7 +550,10 @@ struct TraceScanner<'a> {
     key_buf: Vec<u8>,
     capturing_key: bool,
     pending_events_key: bool,
-    events: Vec<Option<TraceEvent>>,
+    /// Accepted events, `None` once a later duplicate replaced them,
+    /// each with its bytes in `arena` when it was in the writer's form.
+    events: Vec<Option<(TraceEvent, Option<Range<usize>>)>>,
+    arena: String,
     corr_seen: HashMap<(EventCat, u64), usize>,
     max_op_ts: f64,
     skips: SkipCounts,
@@ -374,6 +579,7 @@ impl<'a> TraceScanner<'a> {
             capturing_key: false,
             pending_events_key: false,
             events: Vec::new(),
+            arena: String::new(),
             corr_seen: HashMap::new(),
             max_op_ts: f64::NEG_INFINITY,
             skips: SkipCounts::default(),
@@ -415,28 +621,36 @@ impl<'a> TraceScanner<'a> {
     }
 
     /// Classifies and either accepts or (budget permitting) skips the
-    /// element accumulated in `ev_buf`.
+    /// element accumulated in `ev_buf`, then clears the buffer, which
+    /// keeps its capacity for the next event.
     fn complete_element(&mut self) -> Result<(), FileReject> {
+        let mut buf = std::mem::take(&mut self.ev_buf);
+        let verdict = self.classify(&buf);
+        buf.clear();
+        self.ev_buf = buf;
+        verdict
+    }
+
+    fn classify(&mut self, buf: &[u8]) -> Result<(), FileReject> {
         let poisoned = std::mem::take(&mut self.ev_poisoned);
         let oversized = std::mem::take(&mut self.ev_oversized);
         self.in_element = false;
         self.ev_is_container = false;
-        // Parse, then clear: the buffer keeps its capacity for the next
-        // event.
-        let parsed = (!poisoned && !oversized)
-            .then(|| std::str::from_utf8(&self.ev_buf).ok())
-            .flatten()
-            .and_then(|s| serde_json::from_str::<TraceEvent>(s).ok());
-        self.ev_buf.clear();
-
         if oversized {
             return self.consume_budget(EventReject::Oversized);
         }
         if poisoned {
             return self.consume_budget(EventReject::Malformed);
         }
-        let Some(ev) = parsed else {
+        let Ok(text) = std::str::from_utf8(buf) else {
             return self.consume_budget(EventReject::Malformed);
+        };
+        let (ev, canonical) = match parse_canonical_event(text) {
+            Some(ev) => (ev, true),
+            None => match serde_json::from_str::<TraceEvent>(text) {
+                Ok(ev) => (ev, false),
+                Err(_) => return self.consume_budget(EventReject::Malformed),
+            },
         };
         if !ev.ts_us.is_finite() || !ev.dur_us.is_finite() || ev.dur_us < 0.0 {
             return self.consume_budget(EventReject::InvalidTiming);
@@ -457,41 +671,42 @@ impl<'a> TraceScanner<'a> {
             }
             self.corr_seen.insert(key, self.events.len());
         }
-        self.events.push(Some(ev));
+        let span = canonical.then(|| {
+            let start = self.arena.len();
+            self.arena.push_str(text);
+            start..self.arena.len()
+        });
+        self.events.push(Some((ev, span)));
         Ok(())
     }
 
-    /// Consumes the leading run of `bytes` that cannot change scanner
-    /// state, cut at [`IngestLimits::max_event_bytes`], and returns its
-    /// length: 0 when the next byte needs [`feed`](Self::feed). The run
+    /// Skims the leading bytes of `bytes` that the per-byte path would
+    /// only buffer, cut at [`IngestLimits::max_event_bytes`], and returns
+    /// how many: 0 when the next byte needs [`feed`](Self::feed). The run
     /// is buffered with one copy and one high-water-mark update, or
     /// dropped when the event is already poisoned or oversized, as the
     /// per-byte path would.
     fn feed_run(&mut self, bytes: &[u8]) -> usize {
-        if self.mode != Mode::Elems || !self.in_element || self.cursor.escaped() {
+        if self.mode != Mode::Elems || !self.in_element {
             return 0;
         }
-        let stop = if self.cursor.in_string() {
-            bytes.iter().position(|&b| b == b'"' || b == b'\\')
+        let dropping = self.ev_poisoned || self.ev_oversized;
+        let room = if dropping {
+            bytes.len()
         } else {
-            bytes
-                .iter()
-                .position(|&b| matches!(b, b'"' | b'[' | b']' | b'{' | b'}' | b',' | 0))
-        };
-        let run = stop.unwrap_or(bytes.len());
-        if self.ev_poisoned || self.ev_oversized {
-            return run;
-        }
-        let take = run.min(
             self.limits
                 .max_event_bytes
-                .saturating_sub(self.ev_buf.len()),
-        );
-        if take > 0 {
-            self.ev_buf.extend_from_slice(&bytes[..take]);
+                .saturating_sub(self.ev_buf.len())
+                .min(bytes.len())
+        };
+        let run = self
+            .cursor
+            .skim(&bytes[..room], self.elems_depth, self.limits.max_json_depth);
+        if !dropping && run > 0 {
+            self.ev_buf.extend_from_slice(&bytes[..run]);
             self.note_peak();
         }
-        take
+        run
     }
 
     /// Advances the scanner by one byte.
@@ -651,8 +866,9 @@ impl<'a> TraceScanner<'a> {
         Ok(())
     }
 
-    /// Consumes the scanner after [`Mode::Done`], producing the trace.
-    fn finish(self) -> Result<(Trace, SkipCounts, u64, usize), FileReject> {
+    /// Consumes the scanner after [`Mode::Done`], producing the trace
+    /// and the pieces of its JSON.
+    fn finish(self) -> Result<(Trace, TraceJson, SkipCounts, u64, usize), FileReject> {
         debug_assert_eq!(self.mode, Mode::Done);
         let meta = std::str::from_utf8(&self.meta_buf)
             .map_err(|_| FileReject::Structure("trace metadata is not UTF-8".into()))?;
@@ -661,8 +877,16 @@ impl<'a> TraceScanner<'a> {
         trace
             .validate()
             .map_err(|e| FileReject::Structure(format!("trace metadata rejected: {e}")))?;
-        trace.events = self.events.into_iter().flatten().collect();
-        Ok((trace, self.skips, self.budget_left, self.peak_buffer))
+        // Rendered while `events` is still the spliced-in empty array.
+        let shell = trace.to_json();
+        let (events, spans) = self.events.into_iter().flatten().unzip();
+        trace.events = events;
+        let json = TraceJson {
+            shell,
+            arena: self.arena,
+            spans,
+        };
+        Ok((trace, json, self.skips, self.budget_left, self.peak_buffer))
     }
 }
 
@@ -686,6 +910,7 @@ enum Drive<'a> {
 /// reader splits the file into reads.
 pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits) -> FileIngest {
     let mut traces: Vec<Trace> = Vec::new();
+    let mut json: Vec<TraceJson> = Vec::new();
     let mut skips = SkipCounts::default();
     let mut budget_left = limits.skip_budget;
     let mut peak_buffer: usize = 0;
@@ -753,8 +978,9 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
                         _ => unreachable!("only scanner states reach here"),
                     };
                     match done.finish() {
-                        Ok((trace, s, b_left, peak)) => {
+                        Ok((trace, trace_json, s, b_left, peak)) => {
                             traces.push(trace);
+                            json.push(trace_json);
                             skips.merge(&s);
                             budget_left = b_left;
                             peak_buffer = peak_buffer.max(peak);
@@ -819,8 +1045,8 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
 
     // Quarantined files contribute nothing; the skip counts survive so
     // the corpus report still accounts for what was seen going bad.
-    let (traces, status, events_accepted) = match failure {
-        Some(reject) => (Vec::new(), FileStatus::Quarantined(reject), 0),
+    let (traces, json, status, events_accepted) = match failure {
+        Some(reject) => (Vec::new(), Vec::new(), FileStatus::Quarantined(reject), 0),
         None => {
             let accepted: u64 = traces.iter().map(|t| t.events.len() as u64).sum();
             let status = if skips.total() == 0 {
@@ -828,7 +1054,7 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
             } else {
                 FileStatus::Degraded
             };
-            (traces, status, accepted)
+            (traces, json, status, accepted)
         }
     };
 
@@ -842,7 +1068,11 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
         peak_buffer_bytes: peak_buffer as u64,
     };
     record_file(&report);
-    FileIngest { traces, report }
+    FileIngest {
+        traces,
+        report,
+        json,
+    }
 }
 
 /// Ingests one file from disk. I/O failures quarantine the file rather
@@ -850,7 +1080,9 @@ pub fn ingest_reader<R: Read>(mut reader: R, label: &str, limits: &IngestLimits)
 pub fn ingest_file(path: &Path, limits: &IngestLimits) -> FileIngest {
     let label = path.display().to_string();
     match std::fs::File::open(path) {
-        Ok(f) => ingest_reader(std::io::BufReader::new(f), &label, limits),
+        // The scanner's reads are as large as a `BufReader`'s buffer, so
+        // one would pass them straight through.
+        Ok(f) => ingest_reader(f, &label, limits),
         Err(e) => {
             let report = FileReport {
                 label,
@@ -865,6 +1097,7 @@ pub fn ingest_file(path: &Path, limits: &IngestLimits) -> FileIngest {
             FileIngest {
                 traces: Vec::new(),
                 report,
+                json: Vec::new(),
             }
         }
     }
@@ -1026,6 +1259,24 @@ mod tests {
             ["op_a", "k_kernel", "op_b", "launch_again"],
             "earlier occurrence tombstoned; the last keeps its own position"
         );
+    }
+
+    #[test]
+    fn written_json_copies_kept_bytes_renders_the_rest_and_skips_tombstones() {
+        let mut t = sample_trace();
+        t.events[0].name = "op \"a\"".into();
+        t.events.push(ev("launch_again", EventCat::Runtime, 5.0, 1));
+        let doc = format!("[{},{}]", t.to_json(), sample_trace().to_json());
+        let out = ingest_str(&doc, "dup", &IngestLimits::default());
+        assert_eq!(out.report.skips.duplicate_correlation, 1);
+        let json = &out.json[0];
+        let kept = json.spans.iter().filter(|s| s.is_some()).count();
+        assert_eq!(kept, 3, "the escaped name is rendered, the others kept");
+        for (i, trace) in out.traces.iter().enumerate() {
+            let mut written = String::new();
+            out.write_trace_json(i, &mut written);
+            assert_eq!(written, trace.to_json());
+        }
     }
 
     #[test]

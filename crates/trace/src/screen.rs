@@ -59,12 +59,6 @@ impl JsonCursor {
         self.in_str
     }
 
-    /// Whether the cursor is inside a string right after a backslash, so
-    /// the next byte is the escaped one.
-    pub(crate) fn escaped(&self) -> bool {
-        self.escaped
-    }
-
     /// Advances the lexical state by one byte.
     pub fn step(&mut self, b: u8) -> Lex {
         if self.in_str {
@@ -92,6 +86,66 @@ impl JsonCursor {
             }
             _ => Lex::Plain,
         }
+    }
+
+    /// Steps over the leading bytes of `bytes` that a caller scanning one
+    /// element of an array at depth `floor` has no need to see, and
+    /// returns how many it consumed: the state afterwards is that of
+    /// [`step`](Self::step) over those bytes. Strings are consumed whole,
+    /// escapes included. It stops before the first byte that
+    /// [`step`](Self::step) must report:
+    ///
+    /// * a NUL outside a string;
+    /// * an opener that would take the depth past `max_depth`;
+    /// * a closer that would take the depth to `floor` or lower (the end
+    ///   of a container element, or of the array itself);
+    /// * a `,` at depth `floor` (the end of a scalar element).
+    ///
+    /// A caller with a byte cap passes only the bytes it may still take.
+    pub fn skim(&mut self, bytes: &[u8], floor: usize, max_depth: usize) -> usize {
+        let mut i = 0;
+        while i < bytes.len() {
+            if self.in_str {
+                if self.escaped {
+                    self.escaped = false;
+                    i += 1;
+                    continue;
+                }
+                match bytes[i..].iter().position(|&b| b == b'"' || b == b'\\') {
+                    Some(n) => {
+                        i += n;
+                        if bytes[i] == b'"' {
+                            self.in_str = false;
+                        } else {
+                            self.escaped = true;
+                        }
+                        i += 1;
+                    }
+                    None => i = bytes.len(),
+                }
+                continue;
+            }
+            match bytes[i] {
+                b'"' => self.in_str = true,
+                b'[' | b'{' => {
+                    if self.depth >= max_depth {
+                        break;
+                    }
+                    self.depth += 1;
+                }
+                b']' | b'}' => {
+                    if self.depth <= floor + 1 {
+                        break;
+                    }
+                    self.depth -= 1;
+                }
+                b',' if self.depth == floor => break,
+                0 => break,
+                _ => {}
+            }
+            i += 1;
+        }
+        i
     }
 }
 
@@ -219,6 +273,42 @@ mod tests {
         }
         assert_eq!(c.depth(), 2);
         assert!(c.in_string());
+    }
+
+    #[test]
+    fn skim_steps_like_step_and_stops_where_step_must_report() {
+        let (floor, max_depth) = (2, 5);
+        let input =
+            b"[[{\"a\":\"x\\\"]},\\\\\",\"b\":[{}],\"c\":[[[[1]]]],\"n\":\"\0\"},\0 7 ,{\"e\":1}]]";
+        for start in 0..input.len() {
+            let mut stepped = JsonCursor::new();
+            for &b in &input[..start] {
+                stepped.step(b);
+            }
+            let mut skimmed = stepped.clone();
+            let n = skimmed.skim(&input[start..], floor, max_depth);
+            for &b in &input[start..start + n] {
+                stepped.step(b);
+            }
+            assert_eq!(
+                format!("{skimmed:?}"),
+                format!("{stepped:?}"),
+                "from {start}"
+            );
+            let Some(&b) = input.get(start + n) else {
+                continue;
+            };
+            let depth = stepped.depth();
+            assert!(!stepped.in_string(), "from {start}");
+            assert!(
+                b == 0
+                    || (matches!(b, b'[' | b'{') && depth >= max_depth)
+                    || (matches!(b, b']' | b'}') && depth <= floor + 1)
+                    || (b == b',' && depth == floor),
+                "from {start}: stopped at {:?} at depth {depth}",
+                b as char
+            );
+        }
     }
 
     #[test]

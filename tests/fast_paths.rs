@@ -5,10 +5,14 @@
 //!    reader splits a file into reads must not change anything it
 //!    reports: traces, skips, status or buffer high-water mark;
 //! 2. the per-event byte cap still cuts exactly at `max_event_bytes`;
-//! 3. the parser builds short plain integers directly, bitwise equal to
+//! 3. an event in exactly the writer's form is parsed in place, and its
+//!    bytes are kept: it takes that path exactly when the form's rule
+//!    holds, with the general parser's result and the writer's bytes;
+//!    every other form takes the general parser;
+//! 4. the parser builds short plain integers directly, bitwise equal to
 //!    `str::parse::<f64>`;
-//! 4. escaped UTF-16 surrogate pairs decode to one character;
-//! 5. the memo key's one precomputed hash, which stands in for hashing
+//! 5. escaped UTF-16 surrogate pairs decode to one character;
+//! 6. the memo key's one precomputed hash, which stands in for hashing
 //!    the whole key per lookup, spreads real workloads' kernels over every
 //!    cache shard.
 
@@ -20,7 +24,9 @@ use dlperf_graph::lower;
 use dlperf_kernels::MemoKey;
 use dlperf_models::zoo;
 use dlperf_runtime::fnv1a64;
-use dlperf_trace::ingest::{ingest_reader, ingest_str, FileIngest, FileStatus, IngestLimits};
+use dlperf_trace::ingest::{
+    ingest_reader, ingest_str, parse_canonical_event, FileIngest, FileStatus, IngestLimits,
+};
 use dlperf_trace::{EventCat, Trace, TraceEvent};
 use proptest::prelude::*;
 
@@ -42,9 +48,15 @@ impl Read for Chunked<'_> {
     }
 }
 
-/// Everything a `FileIngest` reports, in comparable form.
+/// Everything a `FileIngest` reports, in comparable form. The bytes it
+/// writes for each trace are `Trace::to_json`'s.
 fn outcome(ingest: &FileIngest) -> (Vec<String>, String) {
-    let traces = ingest.traces.iter().map(Trace::to_json).collect();
+    let traces: Vec<String> = ingest.traces.iter().map(Trace::to_json).collect();
+    for (i, json) in traces.iter().enumerate() {
+        let mut written = String::new();
+        ingest.write_trace_json(i, &mut written);
+        assert_eq!(&written, json, "trace {i}");
+    }
     (traces, format!("{:?}", ingest.report))
 }
 
@@ -270,6 +282,229 @@ fn event_cap_cuts_exactly_at_max_event_bytes() {
             ingest.report.peak_buffer_bytes, alone.report.peak_buffer_bytes,
             "reads of {lens:?}"
         );
+    }
+}
+
+/// Characters event names draw from: the first [`PLAIN_CHARS`] the
+/// writer copies as they are (plain ASCII, a slash, DEL and non-ASCII),
+/// then ones it escapes.
+const NAME_CHARS: [char; 12] = [
+    'a', 'K', '_', ' ', '/', '\u{7f}', 'é', '😀', '"', '\\', '\n', '\u{1}',
+];
+const PLAIN_CHARS: usize = 8;
+
+/// Names of plain characters half the time, so that whole events often
+/// meet the canonical rule.
+fn name() -> impl Strategy<Value = String> {
+    let of = |chars: usize| {
+        proptest::collection::vec(0..chars, 0..8)
+            .prop_map(|picks| picks.into_iter().map(|i| NAME_CHARS[i]).collect())
+    };
+    prop_oneof![of(PLAIN_CHARS), of(NAME_CHARS.len())]
+}
+
+/// Timings the writer prints in every shape it has.
+const SPECIAL_TIMINGS: [f64; 12] = [
+    0.0,
+    -0.0,
+    1e-7,
+    1e20,
+    0.1,
+    -2.5,
+    123_456.789,
+    999_999_999_999_999.0,
+    1e15,
+    f64::MIN_POSITIVE,
+    5e-324,
+    1e-310,
+];
+
+/// Timings across magnitudes: the special values, integers near 2^53 and
+/// 10^15, and decimals of 1 to 17 significant digits from 1e-12 to 1e21.
+fn timing() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (0..SPECIAL_TIMINGS.len()).prop_map(|i| SPECIAL_TIMINGS[i]),
+        (-3i64..4).prop_map(|d| ((1i64 << 53) + d) as f64),
+        (-3i64..4).prop_map(|d| (1_000_000_000_000_000 + d) as f64),
+        (1u32..18, 0u64..u64::MAX, -12i32..22, 0u8..2).prop_map(|(digits, raw, exp, neg)| {
+            let sign = if neg == 1 { "-" } else { "" };
+            let mantissa = raw % 10u64.pow(digits);
+            format!("{sign}{mantissa}e{exp}").parse::<f64>().unwrap()
+        }),
+    ]
+}
+
+/// Counts near the 15-digit edge and near 2^53, and small ones.
+fn count() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..1000,
+        (-3i64..4).prop_map(|d| (1_000_000_000_000_000 + d) as u64),
+        (-3i64..4).prop_map(|d| ((1i64 << 53) + d) as u64),
+    ]
+}
+
+fn event() -> impl Strategy<Value = TraceEvent> {
+    (
+        name(),
+        0u8..3,
+        (timing(), timing()),
+        (count(), count(), count()),
+        name(),
+    )
+        .prop_map(
+            |(name, cat, (ts_us, dur_us), (stream, op_index, correlation), op_key)| TraceEvent {
+                name,
+                cat: [EventCat::Op, EventCat::Runtime, EventCat::Kernel][usize::from(cat)],
+                ts_us,
+                dur_us,
+                stream: stream as usize,
+                op_index: op_index as usize,
+                correlation,
+                op_key,
+            },
+        )
+}
+
+/// The canonical form's rule for one written string.
+fn plain_string(text: &str) -> bool {
+    !text.bytes().any(|b| b == b'\\' || b < 0x20)
+}
+
+/// The rule for one written count: 1 to 15 digits, no leading zero.
+fn short_digits(text: &str) -> bool {
+    (1..=15).contains(&text.len())
+        && text.bytes().all(|b| b.is_ascii_digit())
+        && (text.len() == 1 || !text.starts_with('0'))
+}
+
+/// The rule for one written timing: a short integer other than `-0`, or
+/// a fraction with no exponent, no trailing zero, at most 15 significant
+/// digits and a normal value.
+fn plain_timing(text: &str) -> bool {
+    let body = text.strip_prefix('-').unwrap_or(text);
+    match body.split_once('.') {
+        None => short_digits(body) && text != "-0",
+        Some((int, frac)) => {
+            let significant = if int == "0" {
+                frac.trim_start_matches('0').len()
+            } else {
+                int.len() + frac.len()
+            };
+            short_digits(int)
+                && !frac.is_empty()
+                && frac.bytes().all(|b| b.is_ascii_digit())
+                && !frac.ends_with('0')
+                && significant <= 15
+                && text.parse::<f64>().unwrap().is_normal()
+        }
+    }
+}
+
+/// The writer's bytes of a value.
+macro_rules! written {
+    ($value:expr) => {
+        serde_json::to_string($value).unwrap()
+    };
+}
+
+fn rule_holds(ev: &TraceEvent) -> bool {
+    plain_string(&written!(&ev.name))
+        && plain_string(&written!(&ev.op_key))
+        && plain_timing(&written!(&ev.ts_us))
+        && plain_timing(&written!(&ev.dur_us))
+        && [ev.stream as u64, ev.op_index as u64, ev.correlation]
+            .iter()
+            .all(|n| short_digits(&written!(n)))
+}
+
+/// The event's fields as the writer prints them, in field order.
+fn fields(ev: &TraceEvent) -> Vec<(&'static str, String)> {
+    vec![
+        ("name", written!(&ev.name)),
+        ("cat", written!(&ev.cat)),
+        ("ts_us", written!(&ev.ts_us)),
+        ("dur_us", written!(&ev.dur_us)),
+        ("stream", written!(&ev.stream)),
+        ("op_index", written!(&ev.op_index)),
+        ("correlation", written!(&ev.correlation)),
+        ("op_key", written!(&ev.op_key)),
+    ]
+}
+
+fn object(fields: &[(&str, String)], colon: &str) -> String {
+    let entries: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\"{colon}{v}"))
+        .collect();
+    format!("{{{}}}", entries.join(","))
+}
+
+/// Forms of the same event the writer never prints: whitespace,
+/// reordered keys, an exponent, a trailing zero, `-0`, and `\/`.
+fn mangled(ev: &TraceEvent) -> Vec<String> {
+    let base = fields(ev);
+    let with = |key: &str, value: String| {
+        let mut f = base.clone();
+        f.iter_mut().find(|(k, _)| *k == key).unwrap().1 = value;
+        object(&f, ":")
+    };
+    let mut reordered = base.clone();
+    reordered.swap(0, 1);
+    let ts = &base[2].1;
+    let trailing_zero = if ts.contains('.') {
+        format!("{ts}0")
+    } else {
+        format!("{ts}.0")
+    };
+    let name = &base[0].1;
+    vec![
+        object(&base, ": "),
+        object(&reordered, ":"),
+        with("ts_us", format!("{:e}", ev.ts_us)),
+        with("ts_us", trailing_zero),
+        with("dur_us", "-0".into()),
+        with("name", format!("\"\\/{}", &name[1..])),
+    ]
+}
+
+/// Ingests `event` as the one event of a trace and checks the scanner
+/// took it as the general parser reads it, and wrote the trace's bytes.
+fn ingests_as_parsed(event: &str) -> Result<(), TestCaseError> {
+    let doc = format!(r#"{{"workload":"w","device":"d","events":[{event}],"span_us":1}}"#);
+    let ingest = ingest_str(&doc, "e", &IngestLimits::default());
+    let want = serde_json::from_str::<TraceEvent>(event)
+        .ok()
+        .filter(|e| e.ts_us.is_finite() && e.dur_us.is_finite() && e.dur_us >= 0.0);
+    prop_assert_eq!(
+        format!("{:?}", ingest.traces[0].events.first()),
+        format!("{:?}", want.as_ref()),
+        "event {}",
+        event
+    );
+    let mut bytes = String::new();
+    ingest.write_trace_json(0, &mut bytes);
+    prop_assert_eq!(bytes, ingest.traces[0].to_json(), "event {}", event);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn writer_form_takes_the_canonical_path_exactly_when_its_rule_holds(ev in event()) {
+        let bytes = written!(&ev);
+        let general: TraceEvent = serde_json::from_str(&bytes).unwrap();
+        let canonical = parse_canonical_event(&bytes);
+        prop_assert_eq!(canonical.is_some(), rule_holds(&ev), "bytes {}", bytes);
+        if let Some(parsed) = &canonical {
+            prop_assert_eq!(format!("{parsed:?}"), format!("{general:?}"), "bytes {}", bytes);
+            prop_assert_eq!(written!(parsed), bytes.clone());
+        }
+        ingests_as_parsed(&bytes)?;
+        for form in mangled(&ev) {
+            prop_assert!(parse_canonical_event(&form).is_none(), "form {}", form);
+            ingests_as_parsed(&form)?;
+        }
     }
 }
 

@@ -12,7 +12,10 @@
 //!    configured hard cap, no matter how large the file.
 //! 3. **Resumability** — a corpus ingestion SIGKILLed mid-run and
 //!    resumed from its snapshot file by a fresh supervisor produces a
-//!    bitwise-identical digest, report, and sample set.
+//!    bitwise-identical digest, report, and sample set; so does one
+//!    killed and panicked at fixed steps and restarted from older
+//!    checkpoints, at any worker count. A checkpoint holding samples of
+//!    an unknown kernel family fails the run with a typed error.
 //! 4. **Robust calibration** — scale factors fitted from a partly
 //!    corrupt corpus match the offline fit over the clean subset within
 //!    a pinned tolerance, and thin-sample families come out
@@ -29,8 +32,8 @@ use dlperf_faults::{FaultInjector, FaultPlan, TraceFaultPlan};
 use dlperf_gpusim::KernelFamily;
 use dlperf_kernels::Confidence;
 use dlperf_runtime::{
-    FileStore, JobContext, JobError, ResumableJob, StepOutcome, Supervisor, SupervisorConfig,
-    SupervisorError,
+    seal, CheckpointStore, FileStore, JobContext, JobError, ResumableJob, StepOutcome, Supervisor,
+    SupervisorConfig, SupervisorError, CHECKPOINT_VERSION,
 };
 use dlperf_trace::ingest::{ingest_str, FileReject, FileStatus, IngestLimits};
 use dlperf_trace::{ChromeTraceSink, EventCat, Trace, TraceEvent, TraceLoadError};
@@ -468,13 +471,17 @@ fn acceptance_setup(dir_name: &str) -> (CorpusIngestJob, Vec<usize>, Vec<usize>)
         "acceptance corpus needs ≥20% faulted files, got {}/{CORPUS_FILES}",
         mangled.len()
     );
-    let job = CorpusIngestJob::new(paths, IngestLimits::default())
-        .with_threads(4)
+    (acceptance_job(paths, 4), written, mangled)
+}
+
+/// The acceptance corpus's job over `paths` with `threads` workers.
+fn acceptance_job(paths: Vec<PathBuf>, threads: usize) -> CorpusIngestJob {
+    CorpusIngestJob::new(paths, IngestLimits::default())
+        .with_threads(threads)
         .with_chunk(6)
         .with_fault_injector(FaultInjector::new(
             FaultPlan::healthy(0xFEED_F00D).with_worker_faults(0.12, 0.0, 0.0),
-        ));
-    (job, written, mangled)
+        ))
 }
 
 fn run_uninterrupted(job: &CorpusIngestJob) -> CorpusIngest {
@@ -599,6 +606,74 @@ fn sigkill_mid_corpus_resumes_bitwise_identically() {
         "kill-and-resume must not move a single bit"
     );
     assert!(!ckpt.exists(), "snapshot is cleared after success");
+}
+
+/// The workers run ahead of the committing step. A kill or a panic
+/// restarts the attempt from the last checkpoint, up to two steps
+/// behind, so the job restarts its window there and drops what was
+/// ingested ahead. None of that may move a bit, at any worker count.
+#[test]
+fn kills_and_panics_behind_the_window_resume_bitwise_identically() {
+    let (job, _, _) = acceptance_setup("window-restarts");
+    let expected = fingerprint(&run_uninterrupted(&job));
+    let cfg = SupervisorConfig {
+        checkpoint_every: 3,
+        max_restarts: 64,
+        backoff_base: std::time::Duration::ZERO,
+        ..SupervisorConfig::default()
+    };
+    for threads in [1, 2, 8] {
+        let mut sup = Supervisor::new(cfg.clone());
+        sup.set_fault_injector(FaultInjector::new(
+            FaultPlan::healthy(8).with_worker_faults(0.1, 0.1, 0.0),
+        ));
+        let (res, report) = sup.run(&acceptance_job(job.files().to_vec(), threads));
+        let causes: Vec<&str> = report.restarts.iter().map(|r| r.cause.as_str()).collect();
+        assert!(
+            causes.iter().any(|c| c.contains("killed"))
+                && causes.iter().any(|c| c.contains("panic")),
+            "{threads} threads: the plan must kill and panic the job: {causes:?}"
+        );
+        assert!(
+            report.steps_run > report.steps_completed,
+            "{threads} threads: some restart must go back behind the window"
+        );
+        assert_eq!(
+            fingerprint(&res.expect("restarts are within budget")),
+            expected,
+            "{threads} threads"
+        );
+    }
+}
+
+/// A checkpoint passes its checksum yet carries samples of a family no
+/// model knows: the run fails with a typed error naming it.
+#[test]
+fn resumed_checkpoint_with_an_unknown_family_fails_typed() {
+    let dir = temp_corpus_dir("unknown-family");
+    let (paths, _, _) = write_corpus(&dir, 3, 30, None, 0);
+    let job = CorpusIngestJob::new(paths, IngestLimits::default()).with_chunk(1);
+    let mut state = job.initial_state();
+    state.next = 1;
+    state.samples.insert("bogus".into(), vec![1.0]);
+    let state_json = serde_json::to_string(&state).unwrap();
+    let sealed = seal(
+        "dlperf.checkpoint/trace-corpus-ingest",
+        CHECKPOINT_VERSION,
+        &(1u64, state_json),
+    )
+    .unwrap();
+    let ckpt = dir.join("corpus.ckpt.json");
+    FileStore::new(&ckpt).save(&sealed).unwrap();
+
+    let mut sup =
+        Supervisor::with_store(SupervisorConfig::default(), Box::new(FileStore::new(&ckpt)));
+    let (res, report) = sup.run(&job);
+    match res {
+        Err(SupervisorError::Failed { why, .. }) => assert!(why.contains("`bogus`"), "{why}"),
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    assert_eq!(report.resumed_from_step, Some(1));
 }
 
 // ---------------------------------------------------------------------
