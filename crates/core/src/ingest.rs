@@ -435,11 +435,9 @@ impl ResumableJob for CorpusIngestJob {
         // contains a half-ingested chunk.
         let results = {
             let mut window = self.window.lock().unwrap_or_else(PoisonError::into_inner);
-            let window = match &mut *window {
-                Some(w) if Arc::ptr_eq(&w.work, &self.work) => w,
-                slot => slot.insert(Window::start(self.work.clone(), self.threads, start)),
-            };
-            window.take(start, end, WINDOW_CHUNKS * self.chunk)
+            window
+                .get_or_insert_with(|| Window::start(self.work.clone(), self.threads, start))
+                .take(start, end, WINDOW_CHUNKS * self.chunk)
         };
         for file in results {
             state.reports.push(file.report);

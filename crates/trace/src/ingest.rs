@@ -22,11 +22,13 @@
 //! * **One pass per event.** Inside an event element the scanner skims
 //!   every byte that cannot end the element or poison it
 //!   ([`JsonCursor::skim`]), strings and escapes included. A completed
-//!   element in exactly the writer's form ([`parse_canonical_event`]) is
-//!   parsed in place and its bytes are kept, so
+//!   element in exactly the writer's form (keys in field order, no
+//!   whitespace, strings without escapes, numbers as the writer prints
+//!   them) is parsed in place and its bytes are kept, so
 //!   [`FileIngest::write_trace_json`] copies them instead of rendering
 //!   the event again; any other element takes the general
-//!   `serde_json` parse.
+//!   `serde_json` parse. Every event this repo's writers emit is in that
+//!   form unless a name needs an escape.
 //! * **Typed per-event results.** Each event either parses, or is
 //!   rejected with a reason ([`SkipCounts`]): malformed bytes, over the
 //!   per-event cap, invalid timing, a duplicate correlation id
@@ -319,13 +321,16 @@ pub struct FileIngest {
 
 impl FileIngest {
     /// Appends the [`Trace::to_json`] bytes of trace `index`, as
-    /// recovered, to `out`. The writer's bytes of every event the scanner
-    /// recognized ([`parse_canonical_event`]) are copied; only the other
-    /// events are rendered.
+    /// recovered, to `out`. The bytes of every event the scanner found in
+    /// the writer's form are copied as read; only the other events are
+    /// rendered.
+    ///
+    /// The copied bytes are those of the events as scanned: an event of
+    /// `traces` edited in place afterwards is written as it was read.
     ///
     /// # Panics
-    /// If `index` is not below `traces.len()`, or `traces` was edited
-    /// after the scan.
+    /// If `index` is not below `traces.len()`, or events were added to or
+    /// removed from the trace after the scan.
     pub fn write_trace_json(&self, index: usize, out: &mut String) {
         let (trace, json) = (&self.traces[index], &self.json[index]);
         assert_eq!(
@@ -375,13 +380,14 @@ struct TraceJson {
 /// * `cat` one of `"Op"`, `"Runtime"` and `"Kernel"`;
 /// * `stream`, `op_index` and `correlation` of at most 15 digits, with
 ///   no sign and no leading zero;
-/// * `ts_us` and `dur_us` either an integer of at most 15 digits other
-///   than `-0`, or a fraction with no exponent, no trailing zero, at most
-///   15 significant digits and a normal `f64` value.
+/// * `ts_us` and `dur_us` printed as the writer prints the value they
+///   parse to: an unsigned integer below 10^15 is taken as it stands,
+///   and any other decimal without an exponent is printed again to
+///   compare, so every finite timing the writer prints passes.
 ///
-/// A decimal of at most 15 significant digits is the only one of that
-/// length that rounds to its `f64` (in the normal range), so the
-/// shortest round-trip form the writer prints is that decimal again.
+/// Exposed for the tests that pin which events take this path; the
+/// scanner is its only caller.
+#[doc(hidden)]
 pub fn parse_canonical_event(text: &str) -> Option<TraceEvent> {
     let mut c = Canonical { text, at: 0 };
     c.lit("{\"name\":")?;
@@ -470,39 +476,56 @@ impl<'a> Canonical<'a> {
         Some(digits.iter().fold(0, |n, &d| n * 10 + u64::from(d - b'0')))
     }
 
-    /// A timing: an integer of at most 15 digits other than `-0`, or a
-    /// fraction of at most 15 significant digits, with no trailing zero,
-    /// whose value is normal.
+    /// A timing in the bytes the writer prints for the value they parse
+    /// to. An unsigned integer below 10^15 is one as it stands; any other
+    /// decimal without an exponent is parsed as the general parser does
+    /// and printed again to compare.
     fn number(&mut self) -> Option<f64> {
         let start = self.at;
-        let negative = self.lit("-").is_some();
-        let int = self.digits()?;
-        if self.lit(".").is_none() {
-            let n = int.iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
-            // `-0` parses to -0.0, which the writer prints as `0`.
-            if negative && n == 0 {
-                return None;
+        if let Some(n) = self.count() {
+            if self.text.as_bytes().get(self.at) != Some(&b'.') {
+                return Some(n as f64);
             }
-            let n = n as f64;
-            return Some(if negative { -n } else { n });
+            self.at = start;
         }
-        let frac = &self.text.as_bytes()[self.at..];
-        let frac = &frac[..frac.iter().take_while(|b| b.is_ascii_digit()).count()];
-        if frac.last().is_none_or(|&d| d == b'0') {
-            return None;
-        }
-        self.at += frac.len();
-        let significant = if int == b"0" {
-            frac.len() - frac.iter().take_while(|&&d| d == b'0').count()
-        } else {
-            int.len() + frac.len()
+        let bytes = self.text.as_bytes();
+        let past_digits = |from: usize| {
+            from + bytes[from..]
+                .iter()
+                .take_while(|b| b.is_ascii_digit())
+                .count()
         };
-        if significant > 15 {
-            return None;
+        let mut end = past_digits(start + usize::from(bytes.get(start) == Some(&b'-')));
+        if bytes.get(end) == Some(&b'.') {
+            end = past_digits(end + 1);
         }
-        let n: f64 = self.text[start..self.at].parse().ok()?;
-        n.is_normal().then_some(n)
+        let text = &self.text[start..end];
+        let n: f64 = text.parse().ok()?;
+        self.at = end;
+        prints_as(n, text).then_some(n)
     }
+}
+
+/// Whether the writer prints `n` as exactly `text`: a whole value below
+/// 9e15 as an `i64`, any other in Rust's shortest round-trip `Display`,
+/// which never uses an exponent.
+fn prints_as(n: f64, text: &str) -> bool {
+    use std::fmt::Write;
+    /// Compares what is written against the rest of a text.
+    struct Against<'a>(&'a str);
+    impl Write for Against<'_> {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0 = self.0.strip_prefix(s).ok_or(std::fmt::Error)?;
+            Ok(())
+        }
+    }
+    let mut rest = Against(text);
+    let written = if n.fract() == 0.0 && n.abs() < 9.0e15 {
+        write!(rest, "{}", n as i64)
+    } else {
+        write!(rest, "{n}")
+    };
+    written.is_ok() && rest.0.is_empty()
 }
 
 const KEY_BUF_CAP: usize = 16;

@@ -8,7 +8,8 @@
 //! 3. an event in exactly the writer's form is parsed in place, and its
 //!    bytes are kept: it takes that path exactly when the form's rule
 //!    holds, with the general parser's result and the writer's bytes;
-//!    every other form takes the general parser;
+//!    every other form takes the general parser; and every event the
+//!    engine writes meets that rule;
 //! 4. the parser builds short plain integers directly, bitwise equal to
 //!    `str::parse::<f64>`;
 //! 5. escaped UTF-16 surrogate pairs decode to one character;
@@ -20,10 +21,12 @@ use std::collections::BTreeSet;
 use std::io::Read;
 
 use dlperf_faults::{FaultInjector, FaultPlan, TraceFaultPlan};
+use dlperf_gpusim::DeviceSpec;
 use dlperf_graph::lower;
 use dlperf_kernels::MemoKey;
 use dlperf_models::zoo;
 use dlperf_runtime::fnv1a64;
+use dlperf_trace::engine::ExecutionEngine;
 use dlperf_trace::ingest::{
     ingest_reader, ingest_str, parse_canonical_event, FileIngest, FileStatus, IngestLimits,
 };
@@ -377,29 +380,6 @@ fn short_digits(text: &str) -> bool {
         && (text.len() == 1 || !text.starts_with('0'))
 }
 
-/// The rule for one written timing: a short integer other than `-0`, or
-/// a fraction with no exponent, no trailing zero, at most 15 significant
-/// digits and a normal value.
-fn plain_timing(text: &str) -> bool {
-    let body = text.strip_prefix('-').unwrap_or(text);
-    match body.split_once('.') {
-        None => short_digits(body) && text != "-0",
-        Some((int, frac)) => {
-            let significant = if int == "0" {
-                frac.trim_start_matches('0').len()
-            } else {
-                int.len() + frac.len()
-            };
-            short_digits(int)
-                && !frac.is_empty()
-                && frac.bytes().all(|b| b.is_ascii_digit())
-                && !frac.ends_with('0')
-                && significant <= 15
-                && text.parse::<f64>().unwrap().is_normal()
-        }
-    }
-}
-
 /// The writer's bytes of a value.
 macro_rules! written {
     ($value:expr) => {
@@ -407,11 +387,12 @@ macro_rules! written {
     };
 }
 
+/// The rule for the writer's bytes of an event: strings without escapes
+/// or control bytes, and counts below 10^15. Every finite timing the
+/// writer prints passes.
 fn rule_holds(ev: &TraceEvent) -> bool {
     plain_string(&written!(&ev.name))
         && plain_string(&written!(&ev.op_key))
-        && plain_timing(&written!(&ev.ts_us))
-        && plain_timing(&written!(&ev.dur_us))
         && [ev.stream as u64, ev.op_index as u64, ev.correlation]
             .iter()
             .all(|n| short_digits(&written!(n)))
@@ -440,7 +421,8 @@ fn object(fields: &[(&str, String)], colon: &str) -> String {
 }
 
 /// Forms of the same event the writer never prints: whitespace,
-/// reordered keys, an exponent, a trailing zero, `-0`, and `\/`.
+/// reordered keys, an exponent, a trailing zero, digits past the
+/// shortest round trip, `-0`, and `\/`.
 fn mangled(ev: &TraceEvent) -> Vec<String> {
     let base = fields(ev);
     let with = |key: &str, value: String| {
@@ -451,17 +433,15 @@ fn mangled(ev: &TraceEvent) -> Vec<String> {
     let mut reordered = base.clone();
     reordered.swap(0, 1);
     let ts = &base[2].1;
-    let trailing_zero = if ts.contains('.') {
-        format!("{ts}0")
-    } else {
-        format!("{ts}.0")
-    };
+    let point = if ts.contains('.') { "" } else { "." };
     let name = &base[0].1;
     vec![
         object(&base, ": "),
         object(&reordered, ":"),
         with("ts_us", format!("{:e}", ev.ts_us)),
-        with("ts_us", trailing_zero),
+        with("ts_us", format!("{ts}{point}0")),
+        // Over 17 significant digits: never a shortest round trip.
+        with("ts_us", format!("{ts}{point}10000000000000000001")),
         with("dur_us", "-0".into()),
         with("name", format!("\"\\/{}", &name[1..])),
     ]
@@ -504,6 +484,25 @@ proptest! {
         for form in mangled(&ev) {
             prop_assert!(parse_canonical_event(&form).is_none(), "form {}", form);
             ingests_as_parsed(&form)?;
+        }
+    }
+}
+
+/// The kept bytes pay off only when most events are in the writer's
+/// form. The engine's timings are computed `f64`s of up to 17 significant
+/// digits and its names need no escape, so every event of a trace it
+/// writes takes the canonical path, on every zoo model.
+#[test]
+fn engine_traces_are_all_in_the_writers_form() {
+    for name in zoo::MODEL_NAMES {
+        let graph = zoo::build(name, 512).expect("zoo model builds");
+        let run = ExecutionEngine::new(DeviceSpec::v100(), 7)
+            .run(&graph)
+            .expect("zoo model runs");
+        assert!(!run.trace.events.is_empty(), "{name}: no events");
+        for ev in &run.trace.events {
+            let bytes = written!(ev);
+            assert!(parse_canonical_event(&bytes).is_some(), "{name}: {bytes}");
         }
     }
 }
